@@ -8,13 +8,7 @@
 //! `Exec::TopK` → `Plan::TopKBounded` vs the heap and `Exec::Threshold` →
 //! `Plan::ThresholdBounded` vs the exhaustive `Exec::ThresholdScan` at a
 //! selective τ (`threshold_bounded_us` / `threshold_speedup`, with a
-//! per-selectivity `threshold_sweep` section across τ bars). A `routing`
-//! section re-runs the same τ bars under the three routing policies —
-//! both forced routes plus `Adaptive`, where the cost model picks per
-//! query — and records the adaptive policy's regret against the per-bar
-//! oracle (summary: `routing_max_regret_10k` <= 1.15 is the acceptance
-//! bar, and `routing_max_vs_worse_10k` < 1 — the router never loses to
-//! the route it avoids). A `block_max`
+//! per-selectivity `threshold_sweep` section across τ bars). A `block_max`
 //! section re-measures the bounded operators against a same-corpus engine
 //! whose posting blocks exceed every list — per-block maxima degenerate to
 //! the per-list max, so the `block_max_*_gain` fields isolate what the
@@ -68,8 +62,8 @@
 
 use criterion::{measure, Measurement};
 use dasp_core::{
-    Corpus, Exec, ExecBudget, LiveEngine, Params, PredicateKind, Query, RoutePolicy, ScoredTid,
-    SelectionEngine, ServeRequest, ServingEngine, ShardedEngine,
+    Corpus, Exec, ExecBudget, LiveEngine, Params, PredicateKind, Query, ScoredTid, SelectionEngine,
+    ServeRequest, ServingEngine, ShardedEngine,
 };
 use dasp_datagen::dblp_dataset;
 use dasp_eval::tokenize_dataset;
@@ -309,43 +303,6 @@ struct ThresholdSweepRow {
 impl ThresholdSweepRow {
     fn speedup(&self) -> f64 {
         ratio(self.threshold_scan_us, self.threshold_bounded_us)
-    }
-}
-
-/// One τ bar of the routing section: `Exec::Threshold` under each routing
-/// policy at the τ selecting ~`target_rank` records. The forced policies
-/// time the two routes themselves; the adaptive row pays the cost model
-/// (statistics + sampled probe) on every query and is judged against the
-/// per-bar oracle — the faster forced route.
-struct RoutingRow {
-    predicate: &'static str,
-    size: usize,
-    target_rank: usize,
-    /// `RoutePolicy::AlwaysBounded` — the fixed-bar max-score traversal.
-    bounded_us: f64,
-    /// `RoutePolicy::AlwaysScan` — the exhaustive posting-free scan.
-    scan_us: f64,
-    /// `RoutePolicy::Adaptive` — the cost model picks per query.
-    adaptive_us: f64,
-}
-
-impl RoutingRow {
-    /// The per-query oracle at this bar: the faster forced route.
-    fn oracle_us(&self) -> f64 {
-        self.bounded_us.min(self.scan_us)
-    }
-
-    /// What adaptive routing pays over the oracle: estimation + probe
-    /// overhead when the model picks right, the full route gap when it
-    /// picks wrong (1.0 = oracle-perfect and free).
-    fn regret(&self) -> f64 {
-        ratio(self.adaptive_us, self.oracle_us())
-    }
-
-    /// Adaptive latency against the *worse* forced route — the router
-    /// exists to avoid that route, so this must stay below 1.0.
-    fn vs_worse(&self) -> f64 {
-        ratio(self.adaptive_us, self.bounded_us.max(self.scan_us))
     }
 }
 
@@ -682,7 +639,6 @@ fn main() {
 
     let mut rows: Vec<BenchRow> = Vec::new();
     let mut sweep_rows: Vec<ThresholdSweepRow> = Vec::new();
-    let mut routing_rows: Vec<RoutingRow> = Vec::new();
     let mut block_rows: Vec<BlockMaxRow> = Vec::new();
     let mut scale_rows: Vec<ScaleRow> = Vec::new();
     let mut sharded_rows: Vec<ShardedRow> = Vec::new();
@@ -884,74 +840,6 @@ fn main() {
                         sweep_row.threshold_scan_us, sweep_row.speedup()
                     );
                     sweep_rows.push(sweep_row);
-                }
-
-                // Cost-based routing at the same τ bars: `Exec::Threshold`
-                // under the two forced policies (the routes themselves) and
-                // under `Adaptive`, where the cost model estimates this
-                // query's selectivity from posting statistics — confirmed by
-                // a sampled-prefix probe whenever the statistics point
-                // scan-side — and picks per query. The adaptive row is
-                // judged against the per-bar oracle (the faster forced
-                // route); its regret is the price of not knowing the answer
-                // in advance. Per-request policy overrides bypass the result
-                // caches by design, so the timing stays honest even where
-                // the grid's cache-disable doesn't reach.
-                for target_rank in [TOP_K, 100, 1000] {
-                    if target_rank > size {
-                        continue;
-                    }
-                    let bar_taus: Vec<f64> =
-                        rankings.iter().map(|r| tau_at_rank(r, target_rank)).collect();
-                    // Routing never changes an answer: every policy's
-                    // threshold result is cross-checked bit-identical to the
-                    // exhaustive scan before any timing — in smoke mode this
-                    // doubles as the CI differential guard on the router.
-                    for (q, &tau) in qs.iter().zip(&bar_taus) {
-                        let reference = handle.execute(q, Exec::ThresholdScan(tau)).unwrap();
-                        for policy in [
-                            RoutePolicy::AlwaysBounded,
-                            RoutePolicy::AlwaysScan,
-                            RoutePolicy::Adaptive,
-                        ] {
-                            let (routed, report) =
-                                handle.execute_routed(q, Exec::Threshold(tau), policy).unwrap();
-                            assert!(
-                                report.is_some(),
-                                "{kind}: a routed bounded predicate must report its route"
-                            );
-                            assert_threshold_matches_scan(kind, &routed, &reference);
-                        }
-                    }
-                    let time_policy = |policy: RoutePolicy| {
-                        let m = measure(samples, || {
-                            let mut n = 0;
-                            for (q, &tau) in qs.iter().zip(&bar_taus) {
-                                n += handle
-                                    .execute_routed(q, Exec::Threshold(tau), policy)
-                                    .unwrap()
-                                    .0
-                                    .len();
-                            }
-                            n
-                        });
-                        per_query_us(&m, qs.len())
-                    };
-                    let routing_row = RoutingRow {
-                        predicate: kind.short_name(),
-                        size,
-                        target_rank,
-                        bounded_us: time_policy(RoutePolicy::AlwaysBounded),
-                        scan_us: time_policy(RoutePolicy::AlwaysScan),
-                        adaptive_us: time_policy(RoutePolicy::Adaptive),
-                    };
-                    println!(
-                        "bench engine/{:<12} n={:<6} route@rank{:<5} bounded {:>9.1} us / scan {:>9.1} us / adaptive {:>9.1} us (regret {:>5.2}x, vs worse {:>5.2}x)",
-                        routing_row.predicate, size, target_rank, routing_row.bounded_us,
-                        routing_row.scan_us, routing_row.adaptive_us, routing_row.regret(),
-                        routing_row.vs_worse()
-                    );
-                    routing_rows.push(routing_row);
                 }
             }
         }
@@ -1495,25 +1383,6 @@ fn main() {
     let min_threshold = threshold_speedups.first().map(|(_, s)| *s).unwrap_or(0.0);
     let median_threshold = median(&threshold_speedups);
 
-    // Routing summary: the adaptive policy's regret against the per-bar
-    // oracle over every (bounded predicate, τ bar) cell at the summary
-    // size, plus its worst showing against the worse forced route (which
-    // must stay below 1 — the router can never lose to the route it
-    // exists to avoid).
-    let mut routing_regrets: Vec<(String, f64)> = routing_rows
-        .iter()
-        .filter(|r| r.size == summary_size)
-        .map(|r| (format!("{}@rank{}", r.predicate, r.target_rank), r.regret()))
-        .collect();
-    routing_regrets.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-    let routing_max_regret = routing_regrets.last().map(|(_, s)| *s).unwrap_or(0.0);
-    let routing_median_regret = median(&routing_regrets);
-    let routing_max_vs_worse = routing_rows
-        .iter()
-        .filter(|r| r.size == summary_size)
-        .map(RoutingRow::vs_worse)
-        .fold(0.0, f64::max);
-
     // Block-max deltas. The headline gains come from the hot-document
     // corpus — the pathology the per-block bounds exist for (HMM top-k and
     // the loose-τ threshold are the weak cases the global bound leaves on
@@ -1657,10 +1526,6 @@ fn main() {
         "threshold bounded (fixed-bar max-score) vs exhaustive scan at {summary_size} records (selective tau): min {min_threshold:.2}x, median {median_threshold:.2}x"
     );
     println!(
-        "adaptive routing at {summary_size} records ({} predicate x tau-bar cells): regret vs per-query oracle max {routing_max_regret:.2}x / median {routing_median_regret:.2}x; vs worse route max {routing_max_vs_worse:.2}x",
-        routing_regrets.len()
-    );
-    println!(
         "block-max vs global-max at {hot_summary_size} records (hot corpus, doc-weighted predicates): top-{TOP_K} min {min_block_topk:.2}x / median {median_block_topk:.2}x (HMM {hmm_block_topk:.2}x); loose-tau threshold min {min_block_loose:.2}x / median {median_block_loose:.2}x"
     );
     println!(
@@ -1732,29 +1597,6 @@ fn main() {
         assert!(
             median_threshold >= 1.0,
             "bounded threshold regressed below the exhaustive scan (median {median_threshold:.2}x)"
-        );
-        // The routing section's per-query bit-identity cross-checks already
-        // ran in place (every policy vs the exhaustive scan); these assert
-        // the section covered every (bounded predicate, τ bar) cell and
-        // that adaptive routing hasn't collapsed — a router that picks the
-        // wrong side systematically shows up as a regret near the route
-        // gap (5-30x at the selective bars), far above the noise of one 1k
-        // sample. The bars are deliberately loose: at 1k the rank-1000
-        // cells run both routes within ~1.2x of each other while the
-        // decision cost is fixed, so one noisy sample can read 2x; the
-        // tight 1.15x regret / below-worse acceptance bars bind on the
-        // full run at 10k, not here.
-        assert!(
-            routing_regrets.len() == BOUNDED.len() * 3,
-            "routing section did not cover every (bounded predicate, tau bar) cell"
-        );
-        assert!(
-            routing_max_regret <= 4.0,
-            "adaptive routing collapsed vs the per-query oracle (max regret {routing_max_regret:.2}x)"
-        );
-        assert!(
-            routing_max_vs_worse <= 2.5,
-            "adaptive routing lost to the worse forced route (max {routing_max_vs_worse:.2}x)"
         );
         // Worker scaling tracks the cores CI grants. On starved (1-2 core)
         // runners the guard only catches a concurrency collapse (contention
@@ -1850,7 +1692,7 @@ fn main() {
     let _ = writeln!(json, "  \"posting_block\": {},", Params::default().posting_block);
     let _ = writeln!(
         json,
-        "  \"summary\": {{ \"min_plan_speedup_10k\": {min_speedup:.3}, \"median_plan_speedup_10k\": {median_speedup:.3}, \"min_topk_speedup_10k\": {min_topk:.3}, \"median_topk_speedup_10k\": {median_topk:.3}, \"min_ta_speedup_10k\": {min_ta:.3}, \"median_ta_speedup_10k\": {median_ta:.3}, \"min_threshold_speedup_10k\": {min_threshold:.3}, \"median_threshold_speedup_10k\": {median_threshold:.3}, \"routing_max_regret_10k\": {routing_max_regret:.3}, \"routing_median_regret_10k\": {routing_median_regret:.3}, \"routing_max_vs_worse_10k\": {routing_max_vs_worse:.3}, \"min_ta_speedup_100k\": {min_ta_100k:.3}, \"median_ta_speedup_100k\": {median_ta_100k:.3}, \"min_threshold_speedup_100k\": {min_threshold_100k:.3}, \"median_threshold_speedup_100k\": {median_threshold_100k:.3}, \"shard_count\": {SHARD_COUNT}, \"median_sharded_topk_speedup_100k\": {median_sharded_topk_100k:.3}, \"median_sharded_threshold_speedup_100k\": {median_sharded_threshold_100k:.3}, \"median_sharded_topk_speedup_1m\": {median_sharded_topk_1m:.3}, \"median_sharded_threshold_speedup_1m\": {median_sharded_threshold_1m:.3}, \"hmm_block_max_topk_gain_100k\": {hmm_block_topk:.3}, \"min_block_max_topk_gain_100k\": {min_block_topk:.3}, \"median_block_max_topk_gain_100k\": {median_block_topk:.3}, \"min_block_max_loose_threshold_gain_100k\": {min_block_loose:.3}, \"median_block_max_loose_threshold_gain_100k\": {median_block_loose:.3}, \"median_block_max_topk_gain_uniform_10k\": {median_block_topk_uniform:.3}, \"median_block_max_loose_threshold_gain_uniform_10k\": {median_block_loose_uniform:.3}, \"execute_many_qps_10k\": {:.1}, \"batch_qps_1w_10k\": {:.1}, \"batch_qps_4w_10k\": {:.1}, \"batch_scaling_4w_10k\": {batch_scaling_4w:.3}, \"serving_cores\": {serving_cores}, \"live_append_us_10k\": {live_append_us:.1}, \"live_rebuild_ratio_10k\": {live_rebuild_ratio:.3}, \"degradation_latency_ratio_25_10k\": {degradation_latency_25:.3}, \"degradation_latency_ratio_50_10k\": {degradation_latency_50:.3} }},",
+        "  \"summary\": {{ \"min_plan_speedup_10k\": {min_speedup:.3}, \"median_plan_speedup_10k\": {median_speedup:.3}, \"min_topk_speedup_10k\": {min_topk:.3}, \"median_topk_speedup_10k\": {median_topk:.3}, \"min_ta_speedup_10k\": {min_ta:.3}, \"median_ta_speedup_10k\": {median_ta:.3}, \"min_threshold_speedup_10k\": {min_threshold:.3}, \"median_threshold_speedup_10k\": {median_threshold:.3}, \"min_ta_speedup_100k\": {min_ta_100k:.3}, \"median_ta_speedup_100k\": {median_ta_100k:.3}, \"min_threshold_speedup_100k\": {min_threshold_100k:.3}, \"median_threshold_speedup_100k\": {median_threshold_100k:.3}, \"shard_count\": {SHARD_COUNT}, \"median_sharded_topk_speedup_100k\": {median_sharded_topk_100k:.3}, \"median_sharded_threshold_speedup_100k\": {median_sharded_threshold_100k:.3}, \"median_sharded_topk_speedup_1m\": {median_sharded_topk_1m:.3}, \"median_sharded_threshold_speedup_1m\": {median_sharded_threshold_1m:.3}, \"hmm_block_max_topk_gain_100k\": {hmm_block_topk:.3}, \"min_block_max_topk_gain_100k\": {min_block_topk:.3}, \"median_block_max_topk_gain_100k\": {median_block_topk:.3}, \"min_block_max_loose_threshold_gain_100k\": {min_block_loose:.3}, \"median_block_max_loose_threshold_gain_100k\": {median_block_loose:.3}, \"median_block_max_topk_gain_uniform_10k\": {median_block_topk_uniform:.3}, \"median_block_max_loose_threshold_gain_uniform_10k\": {median_block_loose_uniform:.3}, \"execute_many_qps_10k\": {:.1}, \"batch_qps_1w_10k\": {:.1}, \"batch_qps_4w_10k\": {:.1}, \"batch_scaling_4w_10k\": {batch_scaling_4w:.3}, \"serving_cores\": {serving_cores}, \"live_append_us_10k\": {live_append_us:.1}, \"live_rebuild_ratio_10k\": {live_rebuild_ratio:.3}, \"degradation_latency_ratio_25_10k\": {degradation_latency_25:.3}, \"degradation_latency_ratio_50_10k\": {degradation_latency_50:.3} }},",
         batch_qps(0),
         batch_qps(1),
         batch_qps(4)
@@ -1873,34 +1715,6 @@ fn main() {
             s.speedup()
         );
         json.push_str(if i + 1 < sweep_rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    // Cost-based routing: `Exec::Threshold` under each routing policy at
-    // the sweep's τ bars. The forced policies time the two routes
-    // themselves; `adaptive_us` pays the cost model (posting statistics
-    // plus a sampled-prefix probe whenever the statistics point scan-side)
-    // on every query. `routing_regret` is adaptive over the per-bar oracle
-    // (the faster forced route; 1.0 = oracle-perfect and free);
-    // `routing_vs_worse` is adaptive over the worse route and must stay
-    // below 1 — the router can never lose to the route it exists to avoid.
-    // Every cell was first cross-checked bit-identical across all three
-    // policies against the exhaustive scan.
-    json.push_str("  \"routing\": [\n");
-    for (i, r) in routing_rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{ \"predicate\": \"{}\", \"size\": {}, \"tau_at_rank\": {}, \"bounded_us\": {:.1}, \"scan_us\": {:.1}, \"adaptive_us\": {:.1}, \"oracle_us\": {:.1}, \"routing_regret\": {:.3}, \"routing_vs_worse\": {:.3} }}",
-            r.predicate,
-            r.size,
-            r.target_rank,
-            r.bounded_us,
-            r.scan_us,
-            r.adaptive_us,
-            r.oracle_us(),
-            r.regret(),
-            r.vs_worse()
-        );
-        json.push_str(if i + 1 < routing_rows.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n");
     // Block-max vs global-max deltas: the default (block-max) engine's

@@ -25,7 +25,7 @@ use crate::engine::{Exec, Query, SharedArtifacts};
 use crate::params::Bm25Params;
 use crate::record::ScoredTid;
 use crate::tables::{self, PostingCatalog, RankingPlans, THRESHOLD_PARAM, TOP_K_PARAM};
-use relq::{col, param, AggFunc, Catalog, Plan};
+use relq::{col, param, AggFunc, Bindings, Catalog, Plan};
 use std::sync::Arc;
 
 /// Register a `(tid, token, weight)` table under `name` (indexed on token)
@@ -63,8 +63,7 @@ fn weight_product_catalog(
     (catalog, RankingPlans::with_bounded(plan, bounded, threshold_bounded))
 }
 
-/// Run the shared plan for one query's weights, routed through the cost
-/// model (`ctx` carries the router and the predicate's bound geometry).
+/// Run the shared plan for one query's weights.
 fn run_weight_product_plan(
     catalog: &PostingCatalog,
     plans: &RankingPlans,
@@ -72,12 +71,13 @@ fn run_weight_product_plan(
     exec: Exec,
     naive: bool,
     limits: Option<&relq::ExecLimits>,
-    ctx: &tables::RouteCtx<'_>,
 ) -> crate::error::Result<Vec<ScoredTid>> {
     if query_weights.is_empty() {
         return Ok(Vec::new());
     }
-    plans.execute_routed(catalog, tables::query_weights(&query_weights), exec, naive, limits, ctx)
+    let bindings =
+        Bindings::new().with_table("query_weights", tables::query_weights(&query_weights));
+    plans.execute(catalog.for_exec(exec), bindings, exec, naive, limits)
 }
 
 /// tf-idf cosine similarity (§3.2.1): normalized `tf * idf` weights on both
@@ -155,20 +155,7 @@ impl CosinePredicate {
         exec: Exec,
         naive: bool,
         limits: Option<&relq::ExecLimits>,
-        route: Option<&crate::cost::RouteTrace>,
     ) -> crate::error::Result<Vec<ScoredTid>> {
-        let ctx = tables::RouteCtx {
-            router: self.shared.router(),
-            trace: route,
-            base: "cosine_weights",
-            probe_param: "query_weights",
-            token_col: "token",
-            factor_col: Some("weight"),
-            records: self.shared.corpus().num_records(),
-            // Cauchy–Schwarz on two unit vectors: no score exceeds 1.
-            bound_hint: 1.0 + 1e-9,
-            bar_for_tau: |tau| tau,
-        };
         run_weight_product_plan(
             &self.catalog,
             &self.plans,
@@ -176,12 +163,11 @@ impl CosinePredicate {
             exec,
             naive,
             limits,
-            &ctx,
         )
     }
 }
 
-crate::engine::engine_predicate!(CosinePredicate, crate::predicate::PredicateKind::Cosine, routed);
+crate::engine::engine_predicate!(CosinePredicate, crate::predicate::PredicateKind::Cosine);
 
 /// Okapi BM25 (§3.2.2), the weighting scheme the paper introduces to data
 /// cleaning and finds to be among the most accurate and efficient.
@@ -242,21 +228,7 @@ impl Bm25Predicate {
         exec: Exec,
         naive: bool,
         limits: Option<&relq::ExecLimits>,
-        route: Option<&crate::cost::RouteTrace>,
     ) -> crate::error::Result<Vec<ScoredTid>> {
-        let ctx = tables::RouteCtx {
-            router: self.shared.router(),
-            trace: route,
-            base: "bm25_weights",
-            probe_param: "query_weights",
-            token_col: "token",
-            factor_col: Some("weight"),
-            records: self.shared.corpus().num_records(),
-            // BM25 has no cheap analytic score bound before the posting
-            // build measures per-list maxima; the sampled probe decides.
-            bound_hint: f64::NAN,
-            bar_for_tau: |tau| tau,
-        };
         run_weight_product_plan(
             &self.catalog,
             &self.plans,
@@ -264,12 +236,11 @@ impl Bm25Predicate {
             exec,
             naive,
             limits,
-            &ctx,
         )
     }
 }
 
-crate::engine::engine_predicate!(Bm25Predicate, crate::predicate::PredicateKind::Bm25, routed);
+crate::engine::engine_predicate!(Bm25Predicate, crate::predicate::PredicateKind::Bm25);
 
 #[cfg(test)]
 mod tests {

@@ -152,14 +152,6 @@ fn posting_block_env(var: Option<&str>) -> Option<usize> {
     crate::envknob::positive_usize("DASP_POSTING_BLOCK", var)
 }
 
-/// Parse a `DASP_ROUTE` environment override: a policy name selects that
-/// bounded-vs-scan routing policy for every engine built in this process;
-/// anything else leaves [`Params::route`] in charge — loudly for malformed
-/// input (see [`crate::envknob`]). Separated from `std::env` for tests.
-fn route_env(var: Option<&str>) -> Option<crate::cost::RoutePolicy> {
-    crate::envknob::route_policy("DASP_ROUTE", var)
-}
-
 /// The phase-1 preprocessing artifacts every predicate shares: the tokenized
 /// corpus, the indexed token/weight tables, the score-ordered posting
 /// variants of `base_tokens`/`overlap_weights`, and the cached word-level
@@ -192,9 +184,6 @@ pub(crate) struct SharedArtifacts {
     avg_word_idf: OnceLock<f64>,
     /// Invalidation-free LRU of recent results (corpora are immutable).
     cache: ResultCache,
-    /// Bounded-vs-scan routing state: the resolved [`Params::route`] policy
-    /// plus the calibrated crossover cell (see [`crate::cost`]).
-    router: crate::cost::Router,
 }
 
 impl SharedArtifacts {
@@ -214,12 +203,6 @@ impl SharedArtifacts {
         if params.posting_block == 0 {
             params.posting_block = relq::DEFAULT_POSTING_BLOCK;
         }
-        // The routing knob resolves the same way: a valid DASP_ROUTE
-        // overrides Params::route for every engine built in this process
-        // (the CI hook for running whole tiers scan-routed or adaptively).
-        if let Some(policy) = route_env(std::env::var("DASP_ROUTE").ok().as_deref()) {
-            params.route = policy;
-        }
         Arc::new(SharedArtifacts {
             corpus,
             params,
@@ -231,7 +214,6 @@ impl SharedArtifacts {
             record_words: OnceLock::new(),
             avg_word_idf: OnceLock::new(),
             cache: ResultCache::new(DEFAULT_RESULT_CACHE_CAPACITY),
-            router: crate::cost::Router::new(params.route),
         })
     }
 
@@ -387,11 +369,6 @@ impl SharedArtifacts {
         &self.cache
     }
 
-    /// The engine's routing state (resolved policy + calibrated crossover).
-    pub(crate) fn router(&self) -> &crate::cost::Router {
-        &self.router
-    }
-
     /// The record index carrying `tid`. Tids are dense from 0 (asserted at
     /// corpus construction in debug builds), so this is a direct cast — no
     /// per-candidate hash lookup in the UDF verification loops.
@@ -413,7 +390,7 @@ impl SharedArtifacts {
 /// [`SelectionEngine::set_result_cache_capacity`] for memory-sensitive
 /// serving (0 disables caching entirely); `TopK`/`Threshold` entries are
 /// k-/selection-sized and far cheaper.
-const DEFAULT_RESULT_CACHE_CAPACITY: usize = 256;
+pub(crate) const DEFAULT_RESULT_CACHE_CAPACITY: usize = 256;
 
 /// The cache epoch of a static (immutable-corpus) [`SelectionEngine`]. Only
 /// [`crate::live::LiveEngine`] advances epochs; a static engine's results are
@@ -763,17 +740,13 @@ pub(crate) trait EngineOps: Send + Sync {
     /// `limits` is the optional cooperative budget the candidate-scoring
     /// paths charge (see [`relq::ExecLimits`]); on exhaustion the execution
     /// returns the anytime answer built so far. Only the indexed mode is
-    /// budgeted — the naive baseline stays exhaustive. `route` carries the
-    /// per-request routing override/observability slot for the predicates
-    /// with a bounded-vs-scan choice (see [`crate::cost`]); the others
-    /// ignore it.
+    /// budgeted — the naive baseline stays exhaustive.
     fn execute_mode(
         &self,
         query: &Query,
         exec: Exec,
         naive: bool,
         limits: Option<&relq::ExecLimits>,
-        route: Option<&crate::cost::RouteTrace>,
     ) -> crate::error::Result<Vec<ScoredTid>>;
     /// The catalog the predicate's plans run against, when it has one.
     fn plan_catalog(&self) -> Option<&Catalog> {
@@ -784,26 +757,9 @@ pub(crate) trait EngineOps: Send + Sync {
 /// Implements [`EngineOps`] and the [`Predicate`] compatibility shim for a
 /// predicate type exposing `shared: Arc<SharedArtifacts>`-style access via
 /// `engine_shared()`, a `catalog()` accessor, and a mode-aware
-/// `execute(&Query, Exec, naive)`. The default arm is for predicates with no
-/// bounded/scan distinction (their `execute` takes no route argument); the
-/// `routed` arm forwards the [`RouteTrace`](crate::cost::RouteTrace) into
-/// `execute(&Query, Exec, naive, limits, route)` for the five monotone-sum
-/// predicates the cost model routes.
+/// `execute(&Query, Exec, naive, limits)`.
 macro_rules! engine_predicate {
     ($ty:ty, $kind:expr) => {
-        crate::engine::engine_predicate!(@impl $ty, $kind, ignore_route);
-    };
-    ($ty:ty, $kind:expr, routed) => {
-        crate::engine::engine_predicate!(@impl $ty, $kind, forward_route);
-    };
-    (@call ignore_route, $self:expr, $query:expr, $exec:expr, $naive:expr, $limits:expr, $route:expr) => {{
-        let _ = $route; // no bounded/scan choice exists for this predicate
-        $self.execute($query, $exec, $naive, $limits)
-    }};
-    (@call forward_route, $self:expr, $query:expr, $exec:expr, $naive:expr, $limits:expr, $route:expr) => {
-        $self.execute($query, $exec, $naive, $limits, $route)
-    };
-    (@impl $ty:ty, $kind:expr, $mode:ident) => {
         impl crate::engine::EngineOps for $ty {
             fn predicate_kind(&self) -> crate::predicate::PredicateKind {
                 $kind
@@ -817,7 +773,6 @@ macro_rules! engine_predicate {
                 exec: crate::engine::Exec,
                 naive: bool,
                 limits: Option<&relq::ExecLimits>,
-                route: Option<&crate::cost::RouteTrace>,
             ) -> crate::error::Result<Vec<crate::record::ScoredTid>> {
                 // A query tokenized against another engine's dictionary would
                 // resolve token ids wrong and return plausible-looking but
@@ -825,7 +780,7 @@ macro_rules! engine_predicate {
                 if !query.tokenized_against(self.engine_shared().corpus()) {
                     return Err(crate::error::DaspError::EngineMismatch);
                 }
-                crate::engine::engine_predicate!(@call $mode, self, query, exec, naive, limits, route)
+                self.execute(query, exec, naive, limits)
             }
             fn plan_catalog(&self) -> Option<&relq::Catalog> {
                 self.engine_catalog()
@@ -850,7 +805,6 @@ macro_rules! engine_predicate {
                     crate::engine::Exec::Rank,
                     true,
                     None,
-                    None,
                 )
             }
             fn try_execute(
@@ -859,7 +813,7 @@ macro_rules! engine_predicate {
                 exec: crate::engine::Exec,
             ) -> crate::error::Result<Vec<crate::record::ScoredTid>> {
                 let query = crate::engine::Query::build(self.engine_shared(), query);
-                crate::engine::EngineOps::execute_mode(self, &query, exec, false, None, None)
+                crate::engine::EngineOps::execute_mode(self, &query, exec, false, None)
             }
         }
     };
@@ -959,15 +913,6 @@ impl SelectionEngine {
         self.inner.shared.cache().set_capacity(capacity)
     }
 
-    /// Install a calibrated routing crossover (the pass fraction above which
-    /// `Exec::TopK`/`Exec::Threshold` take the exhaustive scan). Only the
-    /// [`Calibrated`](crate::cost::RoutePolicy::Calibrated) policy reads it;
-    /// see [`crate::cost::calibrate_crossover`] and
-    /// `ServingEngine::calibrate_routes`.
-    pub fn set_route_crossover(&self, crossover: f64) {
-        self.inner.shared.router().set_crossover(crossover)
-    }
-
     /// Prepare a query once for use with every predicate of this engine.
     pub fn query(&self, text: &str) -> Query {
         Query::build(&self.inner.shared, text)
@@ -1049,7 +994,7 @@ impl SelectionEngine {
                 continue;
             }
             let (kind, query, exec) = &batch[i];
-            let result = self.predicate(*kind).core.execute_mode(query, *exec, false, None, None);
+            let result = self.predicate(*kind).core.execute_mode(query, *exec, false, None);
             if cache_on {
                 if let Ok(results) = &result {
                     inserts.push((
@@ -1188,69 +1133,32 @@ impl PredicateHandle {
         query: &Query,
         exec: Exec,
     ) -> crate::error::Result<(Vec<ScoredTid>, bool)> {
-        self.execute_tracked_routed(query, exec, None)
-    }
-
-    /// [`execute_tracked`](Self::execute_tracked) with an optional
-    /// [`RouteTrace`](crate::cost::RouteTrace) threaded through (per-request
-    /// routing override + decision observability for the serving layer).
-    ///
-    /// A trace carrying a policy **override** bypasses the result cache in
-    /// both directions: the `TopK` tie class may legitimately differ between
-    /// routes, so an overridden run must neither be answered with nor seed
-    /// bytes the engine-default policy produced. A pure observability trace
-    /// (no override) keeps the normal cached path — a cache hit then simply
-    /// records no route (nothing executed).
-    pub(crate) fn execute_tracked_routed(
-        &self,
-        query: &Query,
-        exec: Exec,
-        route: Option<&crate::cost::RouteTrace>,
-    ) -> crate::error::Result<(Vec<ScoredTid>, bool)> {
         let shared = self.core.shared_artifacts();
         // The cache is keyed by query text, so a query prepared against a
         // different engine must be rejected before the lookup.
         if !query.tokenized_against(shared.corpus()) {
             return Err(crate::error::DaspError::EngineMismatch);
         }
-        let overridden = route.is_some_and(|trace| trace.policy().is_some());
-        if overridden || !shared.cache().enabled() {
+        if !shared.cache().enabled() {
             return self
                 .core
-                .execute_mode(query, exec, false, None, route)
+                .execute_mode(query, exec, false, None)
                 .map(|results| (results, false));
         }
         let kind = self.core.predicate_kind();
         if let Some(hit) = shared.cache().get(STATIC_EPOCH, kind, query.text(), exec) {
             return Ok((hit.as_ref().clone(), true));
         }
-        let results = self.core.execute_mode(query, exec, false, None, route)?;
+        let results = self.core.execute_mode(query, exec, false, None)?;
         shared.cache().insert(STATIC_EPOCH, kind, query.text(), exec, Arc::new(results.clone()));
         Ok((results, false))
-    }
-
-    /// Execute under an explicit [`RoutePolicy`](crate::cost::RoutePolicy),
-    /// returning the results plus the router's decision report (when the
-    /// mode had a bounded-vs-scan choice — `None` for unrouted modes and
-    /// predicates). Uncached in both directions, like every per-request
-    /// policy override; see
-    /// [`execute_tracked_routed`](Self::execute_tracked_routed).
-    pub fn execute_routed(
-        &self,
-        query: &Query,
-        exec: Exec,
-        policy: crate::cost::RoutePolicy,
-    ) -> crate::error::Result<(Vec<ScoredTid>, Option<crate::cost::RouteReport>)> {
-        let trace = crate::cost::RouteTrace::with_policy(policy);
-        let (results, _) = self.execute_tracked_routed(query, exec, Some(&trace))?;
-        Ok((results, trace.report()))
     }
 
     /// [`execute`](Self::execute) under the pre-refactor cost model
     /// (clone-per-scan, per-query hash builds, sort-then-truncate top-k) —
     /// byte-identical output, kept as the equivalence and bench baseline.
     pub fn execute_naive(&self, query: &Query, exec: Exec) -> crate::error::Result<Vec<ScoredTid>> {
-        self.core.execute_mode(query, exec, true, None, None)
+        self.core.execute_mode(query, exec, true, None)
     }
 
     /// Execute under a cooperative [`ExecBudget`](crate::params::ExecBudget).
@@ -1275,26 +1183,13 @@ impl PredicateHandle {
         exec: Exec,
         budget: crate::params::ExecBudget,
     ) -> crate::error::Result<BudgetedRun> {
-        self.execute_budgeted_routed(query, exec, budget, None)
-    }
-
-    /// [`execute_budgeted`](Self::execute_budgeted) with an optional
-    /// [`RouteTrace`](crate::cost::RouteTrace) threaded through — the
-    /// serving layer's combined budget + routing entry point.
-    pub(crate) fn execute_budgeted_routed(
-        &self,
-        query: &Query,
-        exec: Exec,
-        budget: crate::params::ExecBudget,
-        route: Option<&crate::cost::RouteTrace>,
-    ) -> crate::error::Result<BudgetedRun> {
         if budget.is_unlimited() {
-            let (results, cache_hit) = self.execute_tracked_routed(query, exec, route)?;
+            let (results, cache_hit) = self.execute_tracked(query, exec)?;
             return Ok(BudgetedRun { results, cache_hit, degraded: false, report: None });
         }
         let limits =
             relq::ExecLimits::new(budget.deadline, budget.max_candidates.map(|n| n as u64));
-        let results = self.core.execute_mode(query, exec, false, Some(&limits), route)?;
+        let results = self.core.execute_mode(query, exec, false, Some(&limits))?;
         Ok(BudgetedRun {
             results,
             cache_hit: false,
@@ -1304,17 +1199,14 @@ impl PredicateHandle {
     }
 
     /// Execute uncached under caller-owned limits (the live engine threads
-    /// one `ExecLimits` across every segment of a budgeted query this way)
-    /// and an optional caller-owned route trace (live/sharded backends
-    /// thread the request's trace into every segment/shard the same way).
+    /// one `ExecLimits` across every segment of a budgeted query this way).
     pub(crate) fn execute_with_limits(
         &self,
         query: &Query,
         exec: Exec,
         limits: Option<&relq::ExecLimits>,
-        route: Option<&crate::cost::RouteTrace>,
     ) -> crate::error::Result<Vec<ScoredTid>> {
-        self.core.execute_mode(query, exec, false, limits, route)
+        self.core.execute_mode(query, exec, false, limits)
     }
 
     /// The catalog this predicate's plans run against (`None` for the pure
@@ -1797,231 +1689,30 @@ mod tests {
     }
 
     #[test]
-    fn route_env_parses_policy_names_and_ignores_garbage() {
-        use crate::cost::RoutePolicy;
-        assert_eq!(route_env(None), None);
-        assert_eq!(route_env(Some("")), None);
-        assert_eq!(route_env(Some("sometimes")), None);
-        assert_eq!(route_env(Some("AlwaysScan")), Some(RoutePolicy::AlwaysScan));
-        assert_eq!(route_env(Some("scan")), Some(RoutePolicy::AlwaysScan));
-        assert_eq!(route_env(Some(" adaptive ")), Some(RoutePolicy::Adaptive));
-        assert_eq!(route_env(Some("Calibrated")), Some(RoutePolicy::Calibrated));
-        assert_eq!(route_env(Some("bounded")), Some(RoutePolicy::AlwaysBounded));
-    }
-
-    #[test]
-    fn every_route_policy_matches_the_exhaustive_reference() {
-        use crate::cost::{RouteChoice, RoutePolicy};
-        let engine = engine();
-        let query = engine.query("Morgan Stanley Group Inc.");
-        let policies = [
-            RoutePolicy::AlwaysBounded,
-            RoutePolicy::AlwaysScan,
-            RoutePolicy::Adaptive,
-            RoutePolicy::Calibrated,
-        ];
-        for kind in [
-            PredicateKind::IntersectSize,
-            PredicateKind::WeightedMatch,
-            PredicateKind::Cosine,
-            PredicateKind::Bm25,
-            PredicateKind::Hmm,
-        ] {
-            let handle = engine.predicate(kind);
-            let ranking = handle.execute(&query, Exec::Rank).unwrap();
-            let tau = ranking[0].score * 0.5;
-            let reference = handle.execute(&query, Exec::ThresholdScan(tau)).unwrap();
-            for policy in policies {
-                // Threshold: bit-identical tids and score bits on every route.
-                let (got, report) =
-                    handle.execute_routed(&query, Exec::Threshold(tau), policy).unwrap();
-                assert_eq!(got, reference, "{kind} Threshold under {policy:?}");
-                let report = report.expect("routed threshold must report");
-                assert_eq!(report.policy, policy, "{kind}");
-                match policy {
-                    RoutePolicy::AlwaysBounded => {
-                        assert_eq!(report.chosen, RouteChoice::Bounded, "{kind}");
-                        assert!(report.estimate.is_nan(), "forced policies skip estimation");
-                    }
-                    RoutePolicy::AlwaysScan => {
-                        assert_eq!(report.chosen, RouteChoice::Scan, "{kind}");
-                        assert!(report.estimate.is_nan(), "forced policies skip estimation");
-                    }
-                    RoutePolicy::Adaptive | RoutePolicy::Calibrated => {
-                        assert!(
-                            (0.0..=1.0).contains(&report.estimate),
-                            "{kind} {policy:?} estimate {} out of range",
-                            report.estimate
-                        );
-                    }
-                }
-                // TopK: tie-class equality at the k boundary — the score-bit
-                // multiset matches the exhaustive heap run even when ties
-                // let routes return different boundary tids.
-                let k = 3;
-                let heap: Vec<u64> = handle
-                    .execute(&query, Exec::TopKHeap(k))
-                    .unwrap()
-                    .iter()
-                    .map(|s| s.score.to_bits())
-                    .collect();
-                let (topk, topk_report) =
-                    handle.execute_routed(&query, Exec::TopK(k), policy).unwrap();
-                let bits: Vec<u64> = topk.iter().map(|s| s.score.to_bits()).collect();
-                assert_eq!(bits, heap, "{kind} TopK under {policy:?} diverged in score bits");
-                assert!(topk_report.is_some(), "{kind} TopK must report a route");
-            }
-        }
-        // Predicates without a bounded/scan distinction execute normally and
-        // report no route.
-        let jaccard = engine.predicate(PredicateKind::Jaccard);
-        let rank = jaccard.execute(&query, Exec::Rank).unwrap();
-        let tau = rank[0].score * 0.5;
-        let expected = jaccard.execute(&query, Exec::Threshold(tau)).unwrap();
-        let (got, report) =
-            jaccard.execute_routed(&query, Exec::Threshold(tau), RoutePolicy::Adaptive).unwrap();
-        assert_eq!(got, expected);
-        assert!(report.is_none(), "unrouted predicates must not fabricate a report");
-        // Unrouted exec modes report nothing either.
-        let xect = engine.predicate(PredicateKind::IntersectSize);
-        let (_, report) = xect.execute_routed(&query, Exec::Rank, RoutePolicy::AlwaysScan).unwrap();
-        assert!(report.is_none(), "Exec::Rank has no bounded/scan choice");
-    }
-
-    #[test]
     fn scan_and_short_circuit_routes_never_attach_posting_arenas() {
-        use crate::cost::{RouteChoice, RoutePolicy};
         let engine = engine();
         let shared = &engine.inner.shared;
         let xect = engine.predicate(PredicateKind::IntersectSize);
         let query = engine.query("Morgan Stanley");
-        // Forced scan runs the exhaustive plans against the posting-free
-        // base catalog: results match, no posting arena is constructed.
-        let reference = xect.execute(&query, Exec::ThresholdScan(1.0)).unwrap();
-        let (scan, report) =
-            xect.execute_routed(&query, Exec::Threshold(1.0), RoutePolicy::AlwaysScan).unwrap();
-        assert_eq!(scan, reference);
+        // The exhaustive modes run against the posting-free base catalog:
+        // no posting arena is constructed, whatever the bar or k.
+        let scan = xect.execute(&query, Exec::ThresholdScan(1.0)).unwrap();
         assert!(!scan.is_empty());
-        assert_eq!(report.unwrap().chosen, RouteChoice::Scan);
+        let heap = xect.execute(&query, Exec::TopKHeap(2)).unwrap();
+        assert_eq!(heap.len(), 2);
+        assert!(xect.execute(&query, Exec::ThresholdScan(1e6)).unwrap().is_empty());
+        assert!(xect.execute(&engine.query(""), Exec::TopKHeap(5)).unwrap().is_empty());
         assert!(shared.artifact_built("base_tokens"), "the scan still needs the token table");
         assert!(
             !shared.artifact_built("posting:base_tokens"),
-            "scan route must not build posting lists"
+            "ThresholdScan/TopKHeap must not build posting lists"
         );
-        // The latent-gap fix: τ above any reachable score (bound_sum is the
-        // distinct query token count) short-circuits to an empty result
-        // without attaching postings or scanning.
-        let (empty, report) =
-            xect.execute_routed(&query, Exec::Threshold(1e6), RoutePolicy::Adaptive).unwrap();
-        assert!(empty.is_empty(), "τ above the bound admits nothing");
-        let report = report.unwrap();
-        assert_eq!(report.chosen, RouteChoice::Scan);
-        assert_eq!(report.estimate, 0.0);
-        assert!(!report.probed, "a provably-empty answer needs no probe");
-        assert!(
-            !shared.artifact_built("posting:base_tokens"),
-            "unreachable-τ short circuit must not build posting lists"
-        );
-        // An empty query never reaches the router at all.
-        let (none, report) = xect
-            .execute_routed(&engine.query(""), Exec::Threshold(0.5), RoutePolicy::Adaptive)
-            .unwrap();
-        assert!(none.is_empty());
-        assert!(report.is_none());
-        // Sanity: the default (AlwaysBounded) engine policy still attaches
-        // postings on its first bounded execution.
-        xect.execute(&query, Exec::Threshold(1.0)).unwrap();
+        // The bounded plans attach postings on first use and answer the
+        // same bytes; a τ above every reachable score and a token-free query
+        // come back empty from the traversal itself.
+        assert_eq!(xect.execute(&query, Exec::Threshold(1.0)).unwrap(), scan);
         assert!(shared.artifact_built("posting:base_tokens"));
-    }
-
-    #[test]
-    fn selectivity_estimates_track_known_corpus_selectivity() {
-        use crate::cost::{RouteChoice, RoutePolicy};
-        // Uniform corpus: every record is an exact duplicate, so any τ below
-        // the full-intersect score selects everything (true selectivity 1.0)
-        // and the full-intersect τ selects everything too.
-        let uniform = Arc::new(TokenizedCorpus::build(
-            Corpus::from_strings(vec!["acme widget corporation"; 32]),
-            QgramConfig::new(2),
-        ));
-        let engine = SelectionEngine::build(uniform, &Params::default());
-        let xect = engine.predicate(PredicateKind::IntersectSize);
-        let query = engine.query("acme widget corporation");
-        let q_tokens = query.tokens().tokens.len() as f64;
-        // Loose bar: statistics alone put the estimate near 1 — scan-side,
-        // so the probe fires to confirm (a high statistics estimate is an
-        // upper bound, never trusted unprobed) and every sampled candidate
-        // passes, keeping the estimate at the truth.
-        let (got, report) =
-            xect.execute_routed(&query, Exec::Threshold(1.0), RoutePolicy::Adaptive).unwrap();
-        assert_eq!(got.len(), 32, "every duplicate passes τ=1");
-        let report = report.unwrap();
-        assert!(
-            (report.estimate - 1.0).abs() <= 0.25,
-            "uniform-corpus estimate {} not within band of true selectivity 1.0",
-            report.estimate
-        );
-        assert!(report.probed, "a scan-side statistics estimate must be confirmed by the probe");
-        assert_eq!(report.chosen, RouteChoice::Scan);
-        assert_eq!(report.features.lists, query.tokens().tokens.len());
-        assert!((report.features.bound_sum - q_tokens).abs() < 1e-9);
-        // Mid bar: the statistics estimate lands inside the probe band, the
-        // sampled prefix scores real candidates (all of which pass), and the
-        // refined estimate snaps to the truth.
-        let tau = (0.3 * q_tokens).floor();
-        let (got, report) =
-            xect.execute_routed(&query, Exec::Threshold(tau), RoutePolicy::Adaptive).unwrap();
-        assert_eq!(got.len(), 32);
-        let report = report.unwrap();
-        assert!(report.probed, "an inconclusive statistics estimate must probe");
-        assert!(
-            (report.estimate - 1.0).abs() <= 0.25,
-            "probe-refined estimate {} not within band of true selectivity 1.0",
-            report.estimate
-        );
-        assert_eq!(report.chosen, RouteChoice::Scan);
-
-        // Skewed corpus: one record carries a rare marker, the rest share
-        // nothing with it. A full-intersect τ admits only the duplicate
-        // (true selectivity 1/32) and must route bounded.
-        let mut records = vec!["generic common widget"; 31];
-        records.push("zzzq flux capacitor");
-        let skewed =
-            Arc::new(TokenizedCorpus::build(Corpus::from_strings(records), QgramConfig::new(2)));
-        let engine = SelectionEngine::build(skewed, &Params::default());
-        let xect = engine.predicate(PredicateKind::IntersectSize);
-        let query = engine.query("zzzq flux capacitor");
-        let full = query.tokens().tokens.len() as f64;
-        let (got, report) =
-            xect.execute_routed(&query, Exec::Threshold(full), RoutePolicy::Adaptive).unwrap();
-        assert_eq!(got.len(), 1, "only the exact duplicate reaches the full-intersect τ");
-        let report = report.unwrap();
-        assert!(
-            (report.estimate - 1.0 / 32.0).abs() <= 0.25,
-            "skewed-corpus estimate {} not within band of true selectivity {}",
-            report.estimate,
-            1.0 / 32.0
-        );
-        assert_eq!(report.chosen, RouteChoice::Bounded);
-    }
-
-    #[test]
-    fn crossover_regression_pins_the_rank1000_boundary() {
-        use crate::cost::{decide, threshold_selectivity, RouteChoice, DEFAULT_CROSSOVER};
-        // The threshold_sweep bench measured the bounded path losing below
-        // ~rank-1000 selectivity on the 1k corpus — a pass fraction around
-        // one half. Pin the shipped crossover to that boundary and the
-        // decisions on either side of it.
-        assert_eq!(DEFAULT_CROSSOVER, 0.5);
-        // Loose bar (nearly everything passes): estimate ≈ 1 → scan.
-        assert_eq!(decide(threshold_selectivity(10.0, 0.2), DEFAULT_CROSSOVER), RouteChoice::Scan);
-        // Tight bar (estimate ≈ 0.09): bounded.
-        assert_eq!(
-            decide(threshold_selectivity(10.0, 7.0), DEFAULT_CROSSOVER),
-            RouteChoice::Bounded
-        );
-        // The boundary itself belongs to the scan (ties cost the traversal
-        // its bookkeeping for nothing).
-        assert_eq!(decide(0.5, DEFAULT_CROSSOVER), RouteChoice::Scan);
+        assert!(xect.execute(&query, Exec::Threshold(1e6)).unwrap().is_empty());
+        assert!(xect.execute(&engine.query(""), Exec::Threshold(0.5)).unwrap().is_empty());
     }
 }

@@ -13,9 +13,6 @@
 //! * `DASP_SHARDS` — tid-range shard count ([`Params::shards`](crate::Params::shards))
 //! * `DASP_FAULT_SEED` — chaos seed (any `u64`; zero is a *valid* seed, so
 //!   it parses through [`any_u64`] rather than [`positive_usize`])
-//! * `DASP_ROUTE` — bounded-vs-scan routing policy
-//!   ([`Params::route`](crate::Params::route); parses through
-//!   [`route_policy`])
 
 use std::collections::HashSet;
 use std::sync::{Mutex, OnceLock};
@@ -95,40 +92,6 @@ pub fn any_u64(name: &str, var: Option<&str>) -> Option<u64> {
     value
 }
 
-/// Parse a routing-policy knob value (`DASP_ROUTE`). Accepts the
-/// [`RoutePolicy`](crate::cost::RoutePolicy) variant names case-insensitively
-/// plus the `bounded`/`scan` short forms. Same `(override, warning)` contract
-/// as [`parse_positive_usize`].
-pub fn parse_route_policy(
-    name: &str,
-    var: Option<&str>,
-) -> (Option<crate::cost::RoutePolicy>, Option<String>) {
-    let raw = match var.map(str::trim) {
-        None | Some("") => return (None, None),
-        Some(raw) => raw,
-    };
-    match crate::cost::RoutePolicy::from_name(raw) {
-        Some(policy) => (Some(policy), None),
-        None => (
-            None,
-            Some(format!(
-                "warning: ignoring {name}={raw:?}: expected one of AlwaysBounded, AlwaysScan, \
-                 Adaptive, Calibrated; the configured default applies"
-            )),
-        ),
-    }
-}
-
-/// [`parse_route_policy`] with the warning (if any) written to stderr, once
-/// per variable name per process.
-pub fn route_policy(name: &str, var: Option<&str>) -> Option<crate::cost::RoutePolicy> {
-    let (value, warning) = parse_route_policy(name, var);
-    if let Some(w) = &warning {
-        warn_once(name, w);
-    }
-    value
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,29 +131,6 @@ mod tests {
             assert_eq!(parse_positive_usize("DASP_TEST_KNOB", var), (None, None));
             assert_eq!(parse_u64("DASP_TEST_KNOB", var), (None, None));
         }
-    }
-
-    #[test]
-    fn route_knob_accepts_policy_names_and_warns_on_typos() {
-        use crate::cost::RoutePolicy;
-        assert_eq!(parse_route_policy("DASP_ROUTE", None), (None, None));
-        assert_eq!(parse_route_policy("DASP_ROUTE", Some("")), (None, None));
-        assert_eq!(
-            parse_route_policy("DASP_ROUTE", Some("AlwaysScan")),
-            (Some(RoutePolicy::AlwaysScan), None)
-        );
-        assert_eq!(
-            parse_route_policy("DASP_ROUTE", Some(" adaptive ")),
-            (Some(RoutePolicy::Adaptive), None)
-        );
-        assert_eq!(
-            parse_route_policy("DASP_ROUTE", Some("bounded")),
-            (Some(RoutePolicy::AlwaysBounded), None)
-        );
-        let (value, warning) = parse_route_policy("DASP_ROUTE", Some("fastest"));
-        assert_eq!(value, None);
-        let warning = warning.expect("typo warns");
-        assert!(warning.contains("DASP_ROUTE") && warning.contains("fastest"), "{warning}");
     }
 
     #[test]

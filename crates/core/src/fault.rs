@@ -41,11 +41,6 @@ pub struct FaultPlan {
     /// Probability that [`maybe_exhaust_budget`] forces a request's budget
     /// to one candidate (drawn once per request, not per site passage).
     pub exhaust_rate: f64,
-    /// Restrict panic/delay injection to one named fault site (`None`
-    /// injects at every site). Lets a test target a single code path —
-    /// e.g. proving a `relq.route.probe` panic degrades to the
-    /// statistics-only estimate while everything around it stays healthy.
-    pub only_site: Option<&'static str>,
 }
 
 impl FaultPlan {
@@ -58,14 +53,7 @@ impl FaultPlan {
             delay_rate: 0.0,
             delay: Duration::from_micros(200),
             exhaust_rate: 0.0,
-            only_site: None,
         }
-    }
-
-    /// Restrict panic/delay injection to `site` passages only.
-    pub fn at_site(mut self, site: &'static str) -> Self {
-        self.only_site = Some(site);
-        self
     }
 
     /// Set the panic-injection rate.
@@ -183,9 +171,6 @@ pub fn maybe_exhaust_budget(site: &'static str, budget: ExecBudget) -> ExecBudge
 fn relq_hook(site: &'static str) {
     let Some(plan) = plan() else { return };
     if plan.panic_rate <= 0.0 && plan.delay_rate <= 0.0 {
-        return;
-    }
-    if plan.only_site.is_some_and(|only| only != site) {
         return;
     }
     EVALUATIONS.fetch_add(1, Ordering::Relaxed);

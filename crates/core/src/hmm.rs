@@ -11,7 +11,7 @@ use crate::engine::{Exec, Query, SharedArtifacts};
 use crate::params::HmmParams;
 use crate::record::ScoredTid;
 use crate::tables::{self, PostingCatalog, RankingPlans, THRESHOLD_PARAM, TOP_K_PARAM};
-use relq::{col, lit, param, AggFunc, Catalog, Plan};
+use relq::{col, lit, param, AggFunc, Bindings, Catalog, Plan};
 use std::sync::Arc;
 
 /// Hidden Markov model predicate.
@@ -137,43 +137,20 @@ impl HmmPredicate {
         exec: Exec,
         naive: bool,
         limits: Option<&relq::ExecLimits>,
-        route: Option<&crate::cost::RouteTrace>,
     ) -> crate::error::Result<Vec<ScoredTid>> {
         let q = query.tokens();
         if q.tokens.is_empty() {
             return Ok(Vec::new());
         }
-        let ctx = tables::RouteCtx {
-            router: self.shared.router(),
-            trace: route,
-            base: "hmm_weights",
-            probe_param: "query_tokens",
-            token_col: "token",
-            factor_col: None,
-            records: self.shared.corpus().num_records(),
-            // No cheap analytic bound on the log-weight sum before the
-            // posting build measures per-list maxima; the probe decides.
-            bound_hint: f64::NAN,
-            // The router's bar geometry must live in the same space the
-            // posting weights do: the traversal thresholds on log-sums, so
-            // map τ exactly as the bounded plan's bar expression does.
-            bar_for_tau: |tau| tau.max(f64::MIN_POSITIVE).ln() - 1e-9,
-        };
         // Query tokens keep their multiplicity: a token occurring twice in the
         // query contributes its factor twice (the SQL joins the raw
         // QUERY_TOKENS table, which has one row per occurrence).
-        self.plans.execute_routed(
-            &self.catalog,
-            tables::query_tokens(q, false),
-            exec,
-            naive,
-            limits,
-            &ctx,
-        )
+        let bindings = Bindings::new().with_table("query_tokens", tables::query_tokens(q, false));
+        self.plans.execute(self.catalog.for_exec(exec), bindings, exec, naive, limits)
     }
 }
 
-crate::engine::engine_predicate!(HmmPredicate, crate::predicate::PredicateKind::Hmm, routed);
+crate::engine::engine_predicate!(HmmPredicate, crate::predicate::PredicateKind::Hmm);
 
 #[cfg(test)]
 mod tests {
@@ -256,19 +233,17 @@ mod tests {
 
     #[test]
     fn scan_route_keeps_the_private_posting_catalog_unbuilt() {
-        use crate::cost::{RoutePolicy, RouteTrace};
         let p = HmmPredicate::build(corpus(), HmmParams::default());
         let query = crate::engine::Query::build(&p.shared, "Morgan Stanley");
-        let reference = p.execute(&query, Exec::ThresholdScan(1.5), false, None, None).unwrap();
+        // The exhaustive modes answer from the posting-free base catalog.
+        let reference = p.execute(&query, Exec::ThresholdScan(1.5), false, None).unwrap();
         assert!(!reference.is_empty());
-        // A scan-routed threshold answers from the posting-free base catalog.
-        let trace = RouteTrace::with_policy(RoutePolicy::AlwaysScan);
-        let scanned = p.execute(&query, Exec::Threshold(1.5), false, None, Some(&trace)).unwrap();
-        assert_eq!(scanned, reference);
-        assert!(!p.catalog.posting_built(), "scan route must not build HMM posting lists");
-        // The default bounded route then forces the build, same results.
-        let bounded = p.execute(&query, Exec::Threshold(1.5), false, None, None).unwrap();
+        let heap = p.execute(&query, Exec::TopKHeap(2), false, None).unwrap();
+        assert_eq!(heap.len(), 2);
+        assert!(!p.catalog.posting_built(), "scan modes must not build HMM posting lists");
+        // The bounded threshold then forces the build, same results.
+        let bounded = p.execute(&query, Exec::Threshold(1.5), false, None).unwrap();
         assert_eq!(bounded, reference);
-        assert!(p.catalog.posting_built(), "bounded route builds the private posting lists");
+        assert!(p.catalog.posting_built(), "bounded threshold builds the private posting lists");
     }
 }

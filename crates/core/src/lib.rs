@@ -51,7 +51,6 @@
 pub mod aggregate;
 pub mod combination;
 pub mod corpus;
-pub mod cost;
 pub mod dict;
 pub mod editpred;
 pub mod engine;
@@ -73,7 +72,6 @@ pub mod shard;
 pub mod tables;
 
 pub use corpus::{Corpus, QueryTokens, TokenizedCorpus};
-pub use cost::{RouteChoice, RouteFeatures, RoutePolicy, RouteReport, RouteTrace};
 pub use dict::{TokenDict, TokenId};
 pub use engine::{
     BudgetReport, BudgetedRun, CacheStats, Exec, PredicateHandle, Query, SelectionEngine,

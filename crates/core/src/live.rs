@@ -85,7 +85,7 @@ use crate::params::Params;
 use crate::predicate::PredicateKind;
 use crate::record::{sort_ranked, top_k_ranked, Record, ScoredTid, Tid};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Default tail-seal threshold: appends per tail segment before it freezes.
@@ -234,6 +234,10 @@ pub struct LiveEngine {
     /// from before a mutation are unreachable afterwards by key, so a stale
     /// hit is impossible by construction.
     cache: ResultCache,
+    /// Result-cache capacity of every segment engine, applied to segments
+    /// built after a [`set_result_cache_capacity`](Self::set_result_cache_capacity)
+    /// call as well as to those serving at the time.
+    segment_cache_capacity: AtomicUsize,
     appends: AtomicU64,
     deletes: AtomicU64,
     seals: AtomicU64,
@@ -297,6 +301,7 @@ impl LiveEngine {
             })),
             writer: Mutex::new(()),
             cache: ResultCache::new(LIVE_RESULT_CACHE_CAPACITY),
+            segment_cache_capacity: AtomicUsize::new(crate::engine::DEFAULT_RESULT_CACHE_CAPACITY),
             appends: AtomicU64::new(0),
             deletes: AtomicU64::new(0),
             seals: AtomicU64::new(0),
@@ -313,13 +318,21 @@ impl LiveEngine {
             Arc::new(snapshot);
     }
 
+    /// A segment engine over `corpus`, its result cache sized like every
+    /// other segment's.
+    fn segment_engine(&self, corpus: Arc<TokenizedCorpus>) -> SelectionEngine {
+        let engine = SelectionEngine::build(corpus, &self.params);
+        engine.set_result_cache_capacity(self.segment_cache_capacity.load(Ordering::Relaxed));
+        engine
+    }
+
     /// Build a segment over `records` (global tids) by projecting them
     /// against the frozen statistics — `O(records)`, independent of corpus
     /// size, which is what keeps [`append`](Self::append) `O(tail)`.
     fn build_segment(
+        &self,
         stats: &Arc<TokenizedCorpus>,
         records: Vec<Record>,
-        params: &Params,
         sealed: bool,
     ) -> Segment {
         let dense: Vec<Record> = records
@@ -328,7 +341,7 @@ impl LiveEngine {
             .map(|(i, r)| Record::new(i as Tid, r.text.clone()))
             .collect();
         let corpus = Arc::new(stats.project(dense));
-        Segment { records, engine: SelectionEngine::build(corpus, params), sealed }
+        Segment { records, engine: self.segment_engine(corpus), sealed }
     }
 
     /// Append one record, returning its (stable, never reused) global tid.
@@ -346,7 +359,7 @@ impl LiveEngine {
         tail_records.push(Record::new(tid, text));
         let sealed = tail_records.len() >= self.seal_limit;
         let tail_dead = tail_records.iter().filter(|r| snap.tombstones.contains(&r.tid)).count();
-        let tail = Arc::new(Self::build_segment(&snap.stats, tail_records, &self.params, sealed));
+        let tail = Arc::new(self.build_segment(&snap.stats, tail_records, sealed));
         let keep = snap.segments.len() - usize::from(snap.tail().is_some());
         let mut segments: Vec<Arc<Segment>> = snap.segments[..keep].to_vec();
         let mut dead = snap.dead[..keep].to_vec();
@@ -447,7 +460,7 @@ impl LiveEngine {
         } else {
             let segment = Arc::new(Segment {
                 records: live,
-                engine: SelectionEngine::build(stats.clone(), &self.params),
+                engine: self.segment_engine(stats.clone()),
                 sealed: true,
             });
             (vec![segment], vec![0])
@@ -472,7 +485,6 @@ impl LiveEngine {
         text: &str,
         exec: Exec,
         limits: Option<&relq::ExecLimits>,
-        route: Option<&crate::cost::RouteTrace>,
     ) -> crate::error::Result<Vec<ScoredTid>> {
         let handle = segment.engine.predicate(kind);
         let query = segment.engine.query(text);
@@ -480,11 +492,8 @@ impl LiveEngine {
             // Budgeted: bypass the per-segment result cache in both
             // directions — a partial answer must never be cached, and a
             // cached full answer would make degradation nondeterministic.
-            Some(_) => handle.execute_with_limits(&query, exec, limits, route),
-            // The routed path handles the cache-override contract itself: a
-            // trace carrying a policy override bypasses the per-segment
-            // cache, a pure observability trace keeps the cached path.
-            None => handle.execute_tracked_routed(&query, exec, route).map(|(results, _)| results),
+            Some(_) => handle.execute_with_limits(&query, exec, limits),
+            None => handle.execute(&query, exec),
         }
     }
 
@@ -512,7 +521,6 @@ impl LiveEngine {
         kind: PredicateKind,
         text: &str,
         mode: impl Fn(usize) -> Exec,
-        route: Option<&crate::cost::RouteTrace>,
     ) -> crate::error::Result<Vec<Vec<ScoredTid>>> {
         let units: Vec<_> = snap
             .segments
@@ -521,7 +529,7 @@ impl LiveEngine {
             .map(|(segment, &dead)| {
                 let exec = mode(dead);
                 move || {
-                    Self::run_segment(segment, kind, text, exec, None, route)
+                    Self::run_segment(segment, kind, text, exec, None)
                         .map(|local| Self::map_live(segment, &snap.tombstones, local))
                 }
             })
@@ -539,14 +547,13 @@ impl LiveEngine {
         text: &str,
         exec: Exec,
         limits: Option<&relq::ExecLimits>,
-        route: Option<&crate::cost::RouteTrace>,
     ) -> crate::error::Result<Vec<ScoredTid>> {
         if let Some(limits) = limits {
-            return Self::execute_budgeted_on_snapshot(snap, kind, text, exec, limits, route);
+            return Self::execute_budgeted_on_snapshot(snap, kind, text, exec, limits);
         }
         match exec {
             Exec::Rank | Exec::Threshold(_) | Exec::ThresholdScan(_) => {
-                let locals = Self::fan_segments(snap, kind, text, |_| exec, route)?;
+                let locals = Self::fan_segments(snap, kind, text, |_| exec)?;
                 let mut merged: Vec<ScoredTid> = locals.into_iter().flatten().collect();
                 sort_ranked(&mut merged);
                 Ok(merged)
@@ -555,8 +562,9 @@ impl LiveEngine {
                 if k == 0 {
                     return Ok(Vec::new());
                 }
-                let locals =
-                    Self::fan_segments(snap, kind, text, |dead| Exec::TopKHeap(k + dead), route)?;
+                let locals = Self::fan_segments(snap, kind, text, |dead| {
+                    Exec::TopKHeap(k.saturating_add(dead))
+                })?;
                 Ok(top_k_ranked(locals.concat(), k))
             }
             Exec::TopK(k) => {
@@ -568,8 +576,9 @@ impl LiveEngine {
                 // global re-rank — tie-class-correct at the k boundary and,
                 // unlike a shared-θ exchange, byte-deterministic under any
                 // thread interleaving.
-                let locals =
-                    Self::fan_segments(snap, kind, text, |dead| Exec::TopK(k + dead), route)?;
+                let locals = Self::fan_segments(snap, kind, text, |dead| {
+                    Exec::TopK(k.saturating_add(dead))
+                })?;
                 Ok(top_k_ranked(locals.concat(), k))
             }
         }
@@ -589,7 +598,6 @@ impl LiveEngine {
         text: &str,
         exec: Exec,
         limits: &relq::ExecLimits,
-        route: Option<&crate::cost::RouteTrace>,
     ) -> crate::error::Result<Vec<ScoredTid>> {
         let limits = Some(limits);
         let tripped = || limits.is_some_and(|l| l.exhausted());
@@ -600,7 +608,7 @@ impl LiveEngine {
                     if tripped() {
                         break;
                     }
-                    let local = Self::run_segment(segment, kind, text, exec, limits, route)?;
+                    let local = Self::run_segment(segment, kind, text, exec, limits)?;
                     merged.extend(Self::map_live(segment, &snap.tombstones, local));
                 }
                 sort_ranked(&mut merged);
@@ -615,14 +623,8 @@ impl LiveEngine {
                     if tripped() {
                         break;
                     }
-                    let local = Self::run_segment(
-                        segment,
-                        kind,
-                        text,
-                        Exec::TopKHeap(k + dead),
-                        limits,
-                        route,
-                    )?;
+                    let mode = Exec::TopKHeap(k.saturating_add(dead));
+                    let local = Self::run_segment(segment, kind, text, mode, limits)?;
                     merged.extend(Self::map_live(segment, &snap.tombstones, local));
                 }
                 Ok(top_k_ranked(merged, k))
@@ -642,9 +644,9 @@ impl LiveEngine {
                     let mode = if collected.len() >= k {
                         Exec::Threshold(collected[k - 1].score)
                     } else {
-                        Exec::TopK(k + dead)
+                        Exec::TopK(k.saturating_add(dead))
                     };
-                    let local = Self::run_segment(segment, kind, text, mode, limits, route)?;
+                    let local = Self::run_segment(segment, kind, text, mode, limits)?;
                     collected.extend(Self::map_live(segment, &snap.tombstones, local));
                     collected = top_k_ranked(collected, k);
                 }
@@ -687,24 +689,6 @@ impl LiveEngine {
         text: &str,
         exec: Exec,
     ) -> crate::error::Result<(Vec<ScoredTid>, LiveQueryStats)> {
-        self.execute_tracked_routed(kind, text, exec, None)
-    }
-
-    /// [`execute_tracked`](Self::execute_tracked) with an optional
-    /// [`RouteTrace`](crate::cost::RouteTrace) threaded into every segment.
-    /// Each segment routes independently under the same cost model; the
-    /// trace captures the first segment's decision (first-report-wins),
-    /// which is representative because all segments share the frozen corpus
-    /// statistics. A trace carrying a policy override bypasses the
-    /// epoch-keyed result cache in both directions (same contract as
-    /// [`crate::engine::PredicateHandle`]).
-    pub(crate) fn execute_tracked_routed(
-        &self,
-        kind: PredicateKind,
-        text: &str,
-        exec: Exec,
-        route: Option<&crate::cost::RouteTrace>,
-    ) -> crate::error::Result<(Vec<ScoredTid>, LiveQueryStats)> {
         let snap = self.snapshot();
         let mut stats = LiveQueryStats {
             epoch: snap.epoch,
@@ -713,8 +697,7 @@ impl LiveEngine {
             tail_hits: 0,
             cache_hit: false,
         };
-        let overridden = route.is_some_and(|trace| trace.policy().is_some());
-        let cached = self.cache.enabled() && !overridden;
+        let cached = self.cache.enabled();
         if cached {
             if let Some(hit) = self.cache.get(snap.epoch, kind, text, exec) {
                 stats.cache_hit = true;
@@ -722,40 +705,13 @@ impl LiveEngine {
                 return Ok((hit.as_ref().clone(), stats));
             }
         }
-        let results = Self::execute_on_snapshot(&snap, kind, text, exec, None, route)?;
+        let results = Self::execute_on_snapshot(&snap, kind, text, exec, None)?;
         stats.segments_probed = snap.segments.len();
         Self::attribute_hits(&snap, &results, &mut stats);
         if cached {
             self.cache.insert(snap.epoch, kind, text, exec, Arc::new(results.clone()));
         }
         Ok((results, stats))
-    }
-
-    /// Execute under an explicit [`RoutePolicy`](crate::cost::RoutePolicy),
-    /// returning the results plus the first routed segment's decision report
-    /// (`None` for unrouted modes and predicates). Uncached in both
-    /// directions, like every per-request policy override.
-    pub fn execute_routed(
-        &self,
-        kind: PredicateKind,
-        text: &str,
-        exec: Exec,
-        policy: crate::cost::RoutePolicy,
-    ) -> crate::error::Result<(Vec<ScoredTid>, Option<crate::cost::RouteReport>)> {
-        let trace = crate::cost::RouteTrace::with_policy(policy);
-        let (results, _) = self.execute_tracked_routed(kind, text, exec, Some(&trace))?;
-        Ok((results, trace.report()))
-    }
-
-    /// Set the [`Calibrated`](crate::cost::RoutePolicy::Calibrated) routing
-    /// crossover on every segment engine of the **current** snapshot.
-    /// Segments built by later appends/seals start from the default
-    /// crossover again — calibration is expected to be re-applied
-    /// periodically (the serving layer does this from measured costs).
-    pub fn set_route_crossover(&self, crossover: f64) {
-        for segment in &self.snapshot().segments {
-            segment.engine.set_route_crossover(crossover);
-        }
     }
 
     /// [`execute_tracked`](Self::execute_tracked) under an execution budget.
@@ -775,22 +731,8 @@ impl LiveEngine {
         exec: Exec,
         budget: crate::params::ExecBudget,
     ) -> crate::error::Result<(crate::engine::BudgetedRun, LiveQueryStats)> {
-        self.execute_budgeted_routed(kind, text, exec, budget, None)
-    }
-
-    /// [`execute_budgeted`](Self::execute_budgeted) with an optional
-    /// [`RouteTrace`](crate::cost::RouteTrace) threaded through — the
-    /// serving layer's combined budget + routing entry point.
-    pub(crate) fn execute_budgeted_routed(
-        &self,
-        kind: PredicateKind,
-        text: &str,
-        exec: Exec,
-        budget: crate::params::ExecBudget,
-        route: Option<&crate::cost::RouteTrace>,
-    ) -> crate::error::Result<(crate::engine::BudgetedRun, LiveQueryStats)> {
         if budget.is_unlimited() {
-            let (results, stats) = self.execute_tracked_routed(kind, text, exec, route)?;
+            let (results, stats) = self.execute_tracked(kind, text, exec)?;
             let run = crate::engine::BudgetedRun {
                 results,
                 cache_hit: stats.cache_hit,
@@ -809,7 +751,7 @@ impl LiveEngine {
         };
         let limits =
             relq::ExecLimits::new(budget.deadline, budget.max_candidates.map(|n| n as u64));
-        let results = Self::execute_on_snapshot(&snap, kind, text, exec, Some(&limits), route)?;
+        let results = Self::execute_on_snapshot(&snap, kind, text, exec, Some(&limits))?;
         Self::attribute_hits(&snap, &results, &mut stats);
         let run = crate::engine::BudgetedRun {
             results,
@@ -854,7 +796,7 @@ impl LiveEngine {
                 continue;
             }
             let (kind, text, exec) = batch[i];
-            let result = Self::execute_on_snapshot(&snap, kind, text, exec, None, None);
+            let result = Self::execute_on_snapshot(&snap, kind, text, exec, None);
             if cached {
                 if let Ok(results) = &result {
                     inserts.push((kind, text.to_string(), exec, Arc::new(results.clone())));
@@ -949,9 +891,18 @@ impl LiveEngine {
         self.cache.stats()
     }
 
-    /// Resize the result cache (0 disables caching, as in the bench).
+    /// Resize the merged-result cache and every segment engine's result
+    /// cache, including segments sealed or compacted later (0 disables
+    /// caching at both levels, as in the bench).
     pub fn set_result_cache_capacity(&self, capacity: usize) {
+        // Under the writer lock, so no segment built concurrently misses
+        // the new capacity.
+        let _w = self.writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         self.cache.set_capacity(capacity);
+        self.segment_cache_capacity.store(capacity, Ordering::Relaxed);
+        for segment in &self.snapshot().segments {
+            segment.engine.set_result_cache_capacity(capacity);
+        }
     }
 }
 
@@ -1107,6 +1058,41 @@ mod tests {
         assert!(!s3.cache_hit && s3.epoch == s1.epoch + 1);
         assert!(results.iter().any(|s| s.tid == added));
         assert!(s3.tail_hits >= 1);
+    }
+
+    #[test]
+    fn cache_capacity_reaches_every_segment_engine() {
+        let live = live_engine(64);
+        live.append("Morgan Stanley Dean Witter");
+        live.set_result_cache_capacity(0);
+        // Segments sealed, appended and compacted after the call are
+        // cache-less too.
+        assert!(live.seal());
+        live.append("Morgan Stanley Capital");
+        let segment_hits = |live: &LiveEngine| {
+            let snap = live.snapshot();
+            assert!(!snap.segments.is_empty());
+            snap.segments.iter().map(|s| s.engine.result_cache_stats()).collect::<Vec<_>>()
+        };
+        for _ in 0..3 {
+            for exec in [Exec::TopK(2), Exec::Threshold(0.1), Exec::Rank] {
+                let (_, stats) =
+                    live.execute_tracked(PredicateKind::Bm25, "Morgan Stanley", exec).unwrap();
+                assert!(!stats.cache_hit);
+            }
+        }
+        assert_eq!(live.metrics().sealed_segments, 2);
+        for stats in segment_hits(&live) {
+            assert_eq!((stats.hits, stats.entries, stats.capacity), (0, 0, 0), "{stats:?}");
+        }
+        live.compact();
+        for _ in 0..3 {
+            live.execute(PredicateKind::Bm25, "Morgan Stanley", Exec::TopK(2)).unwrap();
+        }
+        for stats in segment_hits(&live) {
+            assert_eq!((stats.hits, stats.entries, stats.capacity), (0, 0, 0), "{stats:?}");
+        }
+        assert_eq!(live.result_cache_stats().hits, 0);
     }
 
     #[test]

@@ -108,41 +108,17 @@ impl IntersectSize {
         exec: Exec,
         naive: bool,
         limits: Option<&relq::ExecLimits>,
-        route: Option<&crate::cost::RouteTrace>,
     ) -> crate::error::Result<Vec<ScoredTid>> {
         let q = query.tokens();
         if q.tokens.is_empty() {
             return Ok(Vec::new());
         }
-        let ctx = tables::RouteCtx {
-            router: self.shared.router(),
-            trace: route,
-            base: "base_tokens",
-            probe_param: "query_tokens",
-            token_col: "token",
-            factor_col: None,
-            records: self.shared.corpus().num_records(),
-            // Each matched list contributes exactly 1, so the best reachable
-            // score is the number of known distinct query tokens.
-            bound_hint: q.tokens.len() as f64,
-            bar_for_tau: |tau| tau,
-        };
-        self.plans.execute_routed(
-            &self.catalog,
-            tables::query_tokens(q, true),
-            exec,
-            naive,
-            limits,
-            &ctx,
-        )
+        let bindings = Bindings::new().with_table("query_tokens", tables::query_tokens(q, true));
+        self.plans.execute(self.catalog.for_exec(exec), bindings, exec, naive, limits)
     }
 }
 
-crate::engine::engine_predicate!(
-    IntersectSize,
-    crate::predicate::PredicateKind::IntersectSize,
-    routed
-);
+crate::engine::engine_predicate!(IntersectSize, crate::predicate::PredicateKind::IntersectSize);
 
 /// Jaccard coefficient over distinct token sets (Equation 3.2, Figure 4.2).
 pub struct JaccardPredicate {
@@ -274,45 +250,17 @@ impl WeightedMatch {
         exec: Exec,
         naive: bool,
         limits: Option<&relq::ExecLimits>,
-        route: Option<&crate::cost::RouteTrace>,
     ) -> crate::error::Result<Vec<ScoredTid>> {
         let q = query.tokens();
         if q.tokens.is_empty() {
             return Ok(Vec::new());
         }
-        // Weights are per-token constants, so the best reachable score is
-        // the sum of the query's known distinct token weights.
-        let weighting = self.shared.params().overlap_weighting;
-        let corpus = self.shared.corpus();
-        let bound_hint: f64 =
-            q.tokens.iter().map(|&(t, _)| overlap_weight(corpus, weighting, t)).sum();
-        let ctx = tables::RouteCtx {
-            router: self.shared.router(),
-            trace: route,
-            base: "overlap_weights",
-            probe_param: "query_tokens",
-            token_col: "token",
-            factor_col: None,
-            records: corpus.num_records(),
-            bound_hint,
-            bar_for_tau: |tau| tau,
-        };
-        self.plans.execute_routed(
-            &self.catalog,
-            tables::query_tokens(q, true),
-            exec,
-            naive,
-            limits,
-            &ctx,
-        )
+        let bindings = Bindings::new().with_table("query_tokens", tables::query_tokens(q, true));
+        self.plans.execute(self.catalog.for_exec(exec), bindings, exec, naive, limits)
     }
 }
 
-crate::engine::engine_predicate!(
-    WeightedMatch,
-    crate::predicate::PredicateKind::WeightedMatch,
-    routed
-);
+crate::engine::engine_predicate!(WeightedMatch, crate::predicate::PredicateKind::WeightedMatch);
 
 /// WeightedJaccard: weight of common tokens over weight of the union (§3.1).
 pub struct WeightedJaccard {

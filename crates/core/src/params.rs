@@ -180,13 +180,6 @@ pub struct Params {
     /// Engine-wide default execution budget (default: unlimited). Requests
     /// can override it per call; see [`ExecBudget`].
     pub budget: ExecBudget,
-    /// How `Exec::TopK` / `Exec::Threshold` route between the bounded
-    /// traversal and the exhaustive scan (default:
-    /// [`crate::cost::RoutePolicy::AlwaysBounded`] — the pre-routing
-    /// behaviour). Routing never changes a result, only its latency; see
-    /// [`crate::cost`]. A `DASP_ROUTE` environment variable overrides it at
-    /// engine construction, and `ServeRequest::with_route` per request.
-    pub route: crate::cost::RoutePolicy,
 }
 
 impl Default for Params {
@@ -203,7 +196,6 @@ impl Default for Params {
             segment_seal: crate::live::DEFAULT_SEGMENT_SEAL,
             shards: 1,
             budget: ExecBudget::unlimited(),
-            route: crate::cost::RoutePolicy::default(),
         }
     }
 }
@@ -244,7 +236,6 @@ mod tests {
         assert_eq!(p.shards, 1);
         assert!(p.budget.is_unlimited());
         assert_eq!(p.budget, ExecBudget::default());
-        assert_eq!(p.route, crate::cost::RoutePolicy::AlwaysBounded);
     }
 
     #[test]

@@ -64,19 +64,12 @@ pub struct ServeRequest {
     /// engine-wide default ([`crate::Params::budget`], unlimited unless
     /// configured).
     pub budget: Option<ExecBudget>,
-    /// Per-request routing-policy override for the bounded-vs-scan decision
-    /// of `Exec::TopK` / `Exec::Threshold`. `None` uses the backend's
-    /// engine-wide policy ([`crate::Params::route`]). Routing never changes
-    /// a result, only its cost — but an overridden request bypasses the
-    /// result caches in both directions (the `TopK` tie class may legally
-    /// differ between routes).
-    pub route: Option<crate::cost::RoutePolicy>,
 }
 
 impl ServeRequest {
-    /// Build a request (engine-default budget and routing policy).
+    /// Build a request (engine-default budget).
     pub fn new(kind: PredicateKind, text: impl Into<String>, exec: Exec) -> Self {
-        ServeRequest { kind, text: text.into(), exec, budget: None, route: None }
+        ServeRequest { kind, text: text.into(), exec, budget: None }
     }
 
     /// Override the execution budget for this request only. The deadline
@@ -85,13 +78,6 @@ impl ServeRequest {
     /// executed.
     pub fn with_budget(mut self, budget: ExecBudget) -> Self {
         self.budget = Some(budget);
-        self
-    }
-
-    /// Override the routing policy for this request only (uncached in both
-    /// directions; see [`ServeRequest::route`]).
-    pub fn with_route(mut self, policy: crate::cost::RoutePolicy) -> Self {
-        self.route = Some(policy);
         self
     }
 }
@@ -121,14 +107,6 @@ pub struct ServeStats {
     /// Work accounting of a budget-capped execution (candidates scored,
     /// postings touched, elapsed). `None` on the unlimited path.
     pub budget: Option<BudgetReport>,
-    /// The router's bounded-vs-scan decision for this request (estimate,
-    /// chosen route, decision features). `None` when the mode or predicate
-    /// had no route to choose (exact modes, the eight unrouted predicates),
-    /// and on cache hits (nothing executed). Feeding these reports with
-    /// their measured [`ServeStats::exec_time`] back through
-    /// [`ServingEngine::calibrate_routes`] turns measured costs into the
-    /// `Calibrated` policy's crossover.
-    pub route: Option<crate::cost::RouteReport>,
 }
 
 /// The outcome of one request: the selection result plus its accounting.
@@ -255,29 +233,6 @@ pub struct ServingEngine {
     workers: usize,
     /// One running aggregation per predicate kind, in canonical order.
     metrics: Mutex<[KindMetrics; PredicateKind::COUNT]>,
-    /// Routed decisions with their measured execution times — the input
-    /// [`calibrate_routes`](Self::calibrate_routes) replays. A ring of the
-    /// most recent [`LATENCY_WINDOW`] samples, so calibration tracks current
-    /// costs under bounded memory.
-    route_samples: Mutex<RouteSamples>,
-}
-
-/// Bounded ring of `(decision, measured cost)` calibration samples.
-#[derive(Default)]
-struct RouteSamples {
-    samples: Vec<(crate::cost::RouteReport, Duration)>,
-    cursor: usize,
-}
-
-impl RouteSamples {
-    fn record(&mut self, report: crate::cost::RouteReport, exec_time: Duration) {
-        if self.samples.len() < LATENCY_WINDOW {
-            self.samples.push((report, exec_time));
-        } else {
-            self.samples[self.cursor] = (report, exec_time);
-        }
-        self.cursor = (self.cursor + 1) % LATENCY_WINDOW;
-    }
 }
 
 /// What a [`ServingEngine`] executes requests against: a static
@@ -321,7 +276,6 @@ impl ServingEngine {
             backend,
             workers: workers.max(1),
             metrics: Mutex::new(std::array::from_fn(|_| KindMetrics::default())),
-            route_samples: Mutex::new(RouteSamples::default()),
         }
     }
 
@@ -431,7 +385,6 @@ impl ServingEngine {
                                     live: None,
                                     degraded: false,
                                     budget: None,
-                                    route: None,
                                 },
                             });
                             let _ = slots[i].set(response);
@@ -464,7 +417,6 @@ impl ServingEngine {
                         live: None,
                         degraded: false,
                         budget: None,
-                        route: None,
                     },
                 })
             })
@@ -483,16 +435,6 @@ impl ServingEngine {
             }
         }
         drop(inner);
-        // Retain routed decisions with their measured costs for calibration
-        // (same single-lock-per-batch discipline as the latency metrics).
-        let mut samples =
-            self.route_samples.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        for response in &responses {
-            if let (Ok(_), Some(report)) = (&response.results, response.stats.route) {
-                samples.record(report, response.stats.exec_time);
-            }
-        }
-        drop(samples);
         responses
     }
 
@@ -521,36 +463,23 @@ impl ServingEngine {
                         live: None,
                         degraded: false,
                         budget: None,
-                        route: None,
                     },
                 };
             }
         }
         relq::fault_point("serve.request");
-        // The request's route trace: an override (uncached both directions)
-        // when the request carries a policy, pure observability otherwise.
-        let trace = match request.route {
-            Some(policy) => crate::cost::RouteTrace::with_policy(policy),
-            None => crate::cost::RouteTrace::new(),
-        };
         let started = Instant::now();
         let (results, cache_hit, live, degraded, report) = match &self.backend {
             Backend::Static(engine) => {
                 let handle = engine.predicate(request.kind);
                 let query = engine.query(&request.text);
-                match handle.execute_budgeted_routed(&query, request.exec, budget, Some(&trace)) {
+                match handle.execute_budgeted(&query, request.exec, budget) {
                     Ok(run) => (Ok(run.results), run.cache_hit, None, run.degraded, run.report),
                     Err(e) => (Err(e), false, None, false, None),
                 }
             }
             Backend::Live(engine) => {
-                match engine.execute_budgeted_routed(
-                    request.kind,
-                    &request.text,
-                    request.exec,
-                    budget,
-                    Some(&trace),
-                ) {
+                match engine.execute_budgeted(request.kind, &request.text, request.exec, budget) {
                     Ok((run, stats)) => {
                         (Ok(run.results), run.cache_hit, Some(stats), run.degraded, run.report)
                     }
@@ -558,13 +487,7 @@ impl ServingEngine {
                 }
             }
             Backend::Sharded(engine) => {
-                match engine.execute_budgeted_routed(
-                    request.kind,
-                    &request.text,
-                    request.exec,
-                    budget,
-                    Some(&trace),
-                ) {
+                match engine.execute_budgeted(request.kind, &request.text, request.exec, budget) {
                     Ok(run) => (Ok(run.results), run.cache_hit, None, run.degraded, run.report),
                     Err(e) => (Err(e), false, None, false, None),
                 }
@@ -581,7 +504,6 @@ impl ServingEngine {
                 live,
                 degraded,
                 budget: report,
-                route: trace.report(),
             },
         }
     }
@@ -598,42 +520,10 @@ impl ServingEngine {
             .collect()
     }
 
-    /// Drop all accumulated latency samples and counters (calibration
-    /// samples included).
+    /// Drop all accumulated latency samples and counters.
     pub fn reset_metrics(&self) {
         let mut inner = self.metrics.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         *inner = std::array::from_fn(|_| KindMetrics::default());
-        let mut samples =
-            self.route_samples.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        *samples = RouteSamples::default();
-    }
-
-    /// How many routed `(decision, measured cost)` samples are retained for
-    /// calibration (bounded by [`LATENCY_WINDOW`]).
-    pub fn route_sample_count(&self) -> usize {
-        self.route_samples.lock().unwrap_or_else(std::sync::PoisonError::into_inner).samples.len()
-    }
-
-    /// Close the measurement loop: replay the retained routed decisions
-    /// against their measured execution times
-    /// ([`crate::cost::calibrate_crossover`]), and install the cost-minimal
-    /// crossover on every engine of the backend — the threshold the
-    /// [`Calibrated`](crate::cost::RoutePolicy::Calibrated) policy decides
-    /// against. Returns the installed crossover, or `None` when the samples
-    /// cannot identify one (no routed traffic, or all of it on one route).
-    pub fn calibrate_routes(&self) -> Option<f64> {
-        let samples = {
-            let inner =
-                self.route_samples.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            inner.samples.clone()
-        };
-        let crossover = crate::cost::calibrate_crossover(&samples)?;
-        match &self.backend {
-            Backend::Static(engine) => engine.set_route_crossover(crossover),
-            Backend::Live(live) => live.set_route_crossover(crossover),
-            Backend::Sharded(sharded) => sharded.set_route_crossover(crossover),
-        }
-        Some(crossover)
     }
 }
 
@@ -853,115 +743,5 @@ mod tests {
         assert_send_sync::<ServingEngine>();
         assert_send_sync::<ServeRequest>();
         assert_send_sync::<ServeResponse>();
-    }
-
-    #[test]
-    fn per_request_route_overrides_are_honored_and_reported() {
-        use crate::cost::{RouteChoice, RoutePolicy};
-        let serving = ServingEngine::new(engine(), 2);
-        let base = ServeRequest::new(
-            PredicateKind::IntersectSize,
-            "Morgan Stanley Group Inc.",
-            Exec::Threshold(2.0),
-        );
-        let requests = [
-            base.clone().with_route(RoutePolicy::AlwaysScan),
-            base.clone().with_route(RoutePolicy::AlwaysBounded),
-            base.clone().with_route(RoutePolicy::Adaptive),
-            base.clone(),
-            // Unrouted predicate: served fine, no route report.
-            ServeRequest::new(PredicateKind::Jaccard, "Beijing Hotel", Exec::Threshold(0.2))
-                .with_route(RoutePolicy::AlwaysScan),
-        ];
-        let responses = serving.serve(&requests);
-        let reference = responses[0].results.as_ref().unwrap();
-        for (i, (response, request)) in responses.iter().zip(&requests).enumerate().take(3) {
-            assert_eq!(
-                response.results.as_ref().unwrap(),
-                reference,
-                "request {i} diverged across policies"
-            );
-            let route = response.stats.route.expect("routed threshold must report");
-            assert_eq!(Some(route.policy), request.route, "request {i}");
-            match request.route {
-                Some(RoutePolicy::AlwaysScan) => assert_eq!(route.chosen, RouteChoice::Scan),
-                Some(RoutePolicy::AlwaysBounded) => {
-                    assert_eq!(route.chosen, RouteChoice::Bounded)
-                }
-                _ => {}
-            }
-        }
-        // No override: the engine default (AlwaysBounded) decides, and the
-        // report carries that policy.
-        let default_route = responses[3].stats.route.expect("default policy still reports");
-        assert_eq!(default_route.policy, RoutePolicy::AlwaysBounded);
-        assert_eq!(responses[3].results.as_ref().unwrap(), reference);
-        // Unrouted predicate: override is inert, no report is fabricated.
-        assert!(responses[4].results.is_ok());
-        assert!(responses[4].stats.route.is_none());
-        // Every routed response fed the calibration window.
-        assert_eq!(serving.route_sample_count(), 4);
-        serving.reset_metrics();
-        assert_eq!(serving.route_sample_count(), 0);
-    }
-
-    #[test]
-    fn route_overrides_bypass_the_result_cache() {
-        use crate::cost::RoutePolicy;
-        // One worker: without the bypass the second request would be a hit.
-        let serving = ServingEngine::new(engine(), 1);
-        let request = ServeRequest::new(PredicateKind::Bm25, "Morgan Stanley", Exec::TopK(2))
-            .with_route(RoutePolicy::AlwaysScan);
-        let responses = serving.serve(&[request.clone(), request.clone()]);
-        assert!(!responses[0].stats.cache_hit);
-        assert!(
-            !responses[1].stats.cache_hit,
-            "an overridden request must not be answered from the cache"
-        );
-        // And it must not have seeded it either: a later un-overridden
-        // request is still a miss, then caches normally.
-        let plain = ServeRequest::new(PredicateKind::Bm25, "Morgan Stanley", Exec::TopK(2));
-        let responses = serving.serve(&[plain.clone(), plain]);
-        assert!(!responses[0].stats.cache_hit);
-        assert!(responses[1].stats.cache_hit);
-        assert_eq!(responses[0].results.as_ref().unwrap(), responses[1].results.as_ref().unwrap());
-    }
-
-    #[test]
-    fn calibration_learns_a_crossover_from_served_traffic() {
-        use crate::cost::RoutePolicy;
-        let serving = ServingEngine::new(engine(), 2);
-        // No routed traffic yet: nothing to calibrate.
-        assert_eq!(serving.calibrate_routes(), None);
-        // Mixed adaptive traffic across tight and loose bars lands samples
-        // on both routes (tight τ → bounded, loose τ → scan).
-        let mut requests = Vec::new();
-        for text in ["Morgan Stanley Group Inc.", "Beijing Hotel", "AT&T Incorporated"] {
-            for tau in [1.0, 8.0, 1e5] {
-                requests.push(
-                    ServeRequest::new(PredicateKind::IntersectSize, text, Exec::Threshold(tau))
-                        .with_route(RoutePolicy::Adaptive),
-                );
-            }
-        }
-        let responses = serving.serve(&requests);
-        assert!(responses.iter().all(|r| r.results.is_ok()));
-        let chosen: std::collections::HashSet<_> =
-            responses.iter().filter_map(|r| r.stats.route.map(|route| route.chosen)).collect();
-        assert_eq!(chosen.len(), 2, "traffic must exercise both routes to calibrate");
-        let crossover = serving.calibrate_routes().expect("two-sided traffic identifies one");
-        assert!((0.0..=1.0).contains(&crossover));
-        // The learned value is installed on the backend: Calibrated decides
-        // against it, Adaptive still against the default.
-        let router_view = serving.engine().unwrap();
-        let (_, report) = router_view
-            .predicate(PredicateKind::IntersectSize)
-            .execute_routed(
-                &router_view.query("Morgan Stanley"),
-                Exec::Threshold(2.0),
-                RoutePolicy::Adaptive,
-            )
-            .unwrap();
-        assert!(report.is_some(), "adaptive routing stays live after calibration");
     }
 }

@@ -252,60 +252,17 @@ impl ShardedEngine {
         text: &str,
         exec: Exec,
     ) -> crate::error::Result<(Vec<ScoredTid>, bool)> {
-        self.execute_tracked_routed(kind, text, exec, None)
-    }
-
-    /// [`execute_tracked`](Self::execute_tracked) with an optional
-    /// [`RouteTrace`](crate::cost::RouteTrace) threaded into every shard
-    /// worker. Each shard routes independently under the same cost model;
-    /// the trace captures the first-reporting shard's decision, which is
-    /// representative because every shard scores against the same frozen
-    /// corpus statistics. A trace carrying a policy override bypasses the
-    /// merged-result cache in both directions (same contract as
-    /// [`crate::engine::PredicateHandle`]).
-    pub(crate) fn execute_tracked_routed(
-        &self,
-        kind: PredicateKind,
-        text: &str,
-        exec: Exec,
-        route: Option<&crate::cost::RouteTrace>,
-    ) -> crate::error::Result<(Vec<ScoredTid>, bool)> {
-        let overridden = route.is_some_and(|trace| trace.policy().is_some());
-        let cached = self.cache.enabled() && !overridden;
+        let cached = self.cache.enabled();
         if cached {
             if let Some(hit) = self.cache.get(0, kind, text, exec) {
                 return Ok((hit.as_ref().clone(), true));
             }
         }
-        let results = self.execute_on_shards(kind, text, exec, None, route)?;
+        let results = self.execute_on_shards(kind, text, exec, None)?;
         if cached {
             self.cache.insert(0, kind, text, exec, Arc::new(results.clone()));
         }
         Ok((results, false))
-    }
-
-    /// Execute under an explicit [`RoutePolicy`](crate::cost::RoutePolicy),
-    /// returning the results plus the first-reporting shard's decision
-    /// report (`None` for unrouted modes and predicates). Uncached in both
-    /// directions, like every per-request policy override.
-    pub fn execute_routed(
-        &self,
-        kind: PredicateKind,
-        text: &str,
-        exec: Exec,
-        policy: crate::cost::RoutePolicy,
-    ) -> crate::error::Result<(Vec<ScoredTid>, Option<crate::cost::RouteReport>)> {
-        let trace = crate::cost::RouteTrace::with_policy(policy);
-        let (results, _) = self.execute_tracked_routed(kind, text, exec, Some(&trace))?;
-        Ok((results, trace.report()))
-    }
-
-    /// Set the [`Calibrated`](crate::cost::RoutePolicy::Calibrated) routing
-    /// crossover on every shard engine.
-    pub fn set_route_crossover(&self, crossover: f64) {
-        for shard in self.shards.iter() {
-            shard.engine.set_route_crossover(crossover);
-        }
     }
 
     /// [`execute`](Self::execute) under an execution budget. An unlimited
@@ -324,22 +281,8 @@ impl ShardedEngine {
         exec: Exec,
         budget: crate::params::ExecBudget,
     ) -> crate::error::Result<crate::engine::BudgetedRun> {
-        self.execute_budgeted_routed(kind, text, exec, budget, None)
-    }
-
-    /// [`execute_budgeted`](Self::execute_budgeted) with an optional
-    /// [`RouteTrace`](crate::cost::RouteTrace) threaded through — the
-    /// serving layer's combined budget + routing entry point.
-    pub(crate) fn execute_budgeted_routed(
-        &self,
-        kind: PredicateKind,
-        text: &str,
-        exec: Exec,
-        budget: crate::params::ExecBudget,
-        route: Option<&crate::cost::RouteTrace>,
-    ) -> crate::error::Result<crate::engine::BudgetedRun> {
         if budget.is_unlimited() {
-            let (results, cache_hit) = self.execute_tracked_routed(kind, text, exec, route)?;
+            let (results, cache_hit) = self.execute_tracked(kind, text, exec)?;
             return Ok(crate::engine::BudgetedRun {
                 results,
                 cache_hit,
@@ -352,7 +295,7 @@ impl ShardedEngine {
         if let Exec::TopK(_) = exec {
             limits = limits.with_topk_bar(Arc::new(relq::SharedBar::new()));
         }
-        let results = self.execute_on_shards(kind, text, exec, Some(&limits), route)?;
+        let results = self.execute_on_shards(kind, text, exec, Some(&limits))?;
         Ok(crate::engine::BudgetedRun {
             results,
             cache_hit: false,
@@ -369,11 +312,10 @@ impl ShardedEngine {
         text: &str,
         exec: Exec,
         limits: Option<&relq::ExecLimits>,
-        route: Option<&crate::cost::RouteTrace>,
     ) -> crate::error::Result<Vec<ScoredTid>> {
         match exec {
             Exec::Rank | Exec::Threshold(_) | Exec::ThresholdScan(_) => {
-                let locals = self.fan(kind, text, exec, limits, route)?;
+                let locals = self.fan(kind, text, exec, limits)?;
                 let mut merged: Vec<ScoredTid> = locals.into_iter().flatten().collect();
                 sort_ranked(&mut merged);
                 Ok(merged)
@@ -382,7 +324,7 @@ impl ShardedEngine {
                 if k == 0 {
                     return Ok(Vec::new());
                 }
-                let locals = self.fan(kind, text, exec, limits, route)?;
+                let locals = self.fan(kind, text, exec, limits)?;
                 Ok(top_k_ranked(locals.concat(), k))
             }
             Exec::TopK(k) => {
@@ -401,7 +343,7 @@ impl ShardedEngine {
                         &owned
                     }
                 };
-                let locals = self.fan(kind, text, exec, Some(limits), route)?;
+                let locals = self.fan(kind, text, exec, Some(limits))?;
                 Ok(top_k_ranked(locals.concat(), k))
             }
         }
@@ -418,7 +360,6 @@ impl ShardedEngine {
         text: &str,
         exec: Exec,
         limits: Option<&relq::ExecLimits>,
-        route: Option<&crate::cost::RouteTrace>,
     ) -> crate::error::Result<Vec<Vec<ScoredTid>>> {
         let units: Vec<_> = self
             .shards
@@ -428,11 +369,8 @@ impl ShardedEngine {
                     let handle = shard.engine.predicate(kind);
                     let query = shard.engine.query(text);
                     let local = match limits {
-                        Some(_) => handle.execute_with_limits(&query, exec, limits, route)?,
-                        // The routed path handles the cache-override
-                        // contract itself (override bypasses the per-shard
-                        // cache, observability keeps it).
-                        None => handle.execute_tracked_routed(&query, exec, route)?.0,
+                        Some(_) => handle.execute_with_limits(&query, exec, limits)?,
+                        None => handle.execute(&query, exec)?,
                     };
                     Ok(local
                         .into_iter()

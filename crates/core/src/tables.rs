@@ -53,7 +53,7 @@ impl PostingCatalog {
                 (self.attach)(&mut catalog);
                 catalog
             }),
-            _ => &self.base,
+            _ => self.base(),
         }
     }
 
@@ -64,8 +64,8 @@ impl PostingCatalog {
     }
 
     /// The plain base catalog, posting-free by construction — the catalog
-    /// the router's scan route executes against so that a scan-routed
-    /// `Exec::TopK`/`Exec::Threshold` never attaches a posting arena.
+    /// the exhaustive modes (`Rank`, `TopKHeap`, `ThresholdScan`) execute
+    /// against, so they never attach a posting arena.
     pub(crate) fn base(&self) -> &Catalog {
         &self.base
     }
@@ -293,6 +293,12 @@ pub(crate) const TOP_K_PARAM: &str = "__top_k";
 /// Scalar parameter carrying `τ` into the prepared threshold plan.
 pub(crate) const THRESHOLD_PARAM: &str = "__threshold";
 
+/// `k` as the plan's scalar row count. A `k` beyond `i64::MAX` saturates
+/// (no corpus has that many rows) instead of wrapping negative.
+fn top_k_param(k: usize) -> i64 {
+    i64::try_from(k).unwrap_or(i64::MAX)
+}
+
 /// The prepared execution modes of one `(tid, score)`-producing ranking
 /// plan, built once at preprocessing time:
 ///
@@ -382,7 +388,7 @@ impl RankingPlans {
         match exec {
             Exec::Rank => run_ranking_plan_limited(&self.rank, catalog, &bindings, naive, limits),
             Exec::TopK(k) => {
-                let bindings = bindings.with_scalar(TOP_K_PARAM, k as i64);
+                let bindings = bindings.with_scalar(TOP_K_PARAM, top_k_param(k));
                 // The bounded operator when the predicate qualifies (its
                 // naive lowering is exhaustive scoring — same cost model as
                 // the heap baseline), the heap pushdown otherwise.
@@ -390,7 +396,7 @@ impl RankingPlans {
                 run_ranking_plan_limited(plan, catalog, &bindings, naive, limits)
             }
             Exec::TopKHeap(k) => {
-                let bindings = bindings.with_scalar(TOP_K_PARAM, k as i64);
+                let bindings = bindings.with_scalar(TOP_K_PARAM, top_k_param(k));
                 run_ranking_plan_limited(&self.top_k, catalog, &bindings, naive, limits)
             }
             Exec::Threshold(tau) => {
@@ -405,215 +411,6 @@ impl RankingPlans {
                 let bindings = bindings.with_scalar(THRESHOLD_PARAM, tau);
                 run_ranking_plan_limited(&self.threshold, catalog, &bindings, naive, limits)
             }
-        }
-    }
-}
-
-/// Everything a routed predicate hands [`RankingPlans::execute_routed`] so
-/// the cost model can estimate this query's selectivity and pick a route.
-/// All fields are preprocessing-time constants except the trace.
-pub(crate) struct RouteCtx<'a> {
-    /// The engine's routing state (resolved policy + calibrated crossover).
-    pub(crate) router: &'a crate::cost::Router,
-    /// Per-request override / observability slot, if the caller wants one.
-    pub(crate) trace: Option<&'a crate::cost::RouteTrace>,
-    /// Base relation the predicate's posting lists index.
-    pub(crate) base: &'static str,
-    /// Parameter name the probe (query-side) table binds to.
-    pub(crate) probe_param: &'static str,
-    /// Token column of the probe table.
-    pub(crate) token_col: &'static str,
-    /// Per-token factor column of the probe table (`None` ⇒ unit factors).
-    pub(crate) factor_col: Option<&'static str>,
-    /// Corpus record count (caps the candidate estimate).
-    pub(crate) records: usize,
-    /// Analytic per-query bound on any candidate's score, available without
-    /// posting statistics (`NaN` when the predicate has none — BM25/HMM).
-    pub(crate) bound_hint: f64,
-    /// Transform from the caller's τ into the score space the posting
-    /// weights live in (identity everywhere except HMM's log-space bar).
-    pub(crate) bar_for_tau: fn(f64) -> f64,
-}
-
-impl RankingPlans {
-    /// [`Self::execute`] with the bounded-vs-scan decision made by the cost
-    /// model instead of hard-wired to bounded.
-    ///
-    /// Only `Exec::TopK`/`Exec::Threshold` on a bounded-capable plan set
-    /// have a choice to make; every other mode (and the naive lowering,
-    /// which is its own exhaustive reference) falls through to
-    /// [`Self::execute`] unchanged. **Routing never changes a result**: the
-    /// scan route runs the same exhaustive plans as
-    /// `TopKHeap`/`ThresholdScan` — bit-identical for `Threshold` at every
-    /// τ, tie-class-equal at the k boundary for `TopK` — and executes
-    /// against the posting-free base catalog, so a scan-routed query never
-    /// attaches a posting arena. (Under an `ExecLimits` cap the two routes
-    /// truncate different candidate orders, exactly as `Threshold` vs
-    /// `ThresholdScan` always have; each route's anytime answer stays
-    /// deterministic.)
-    pub(crate) fn execute_routed(
-        &self,
-        catalog: &PostingCatalog,
-        probe: Table,
-        exec: Exec,
-        naive: bool,
-        limits: Option<&relq::ExecLimits>,
-        ctx: &RouteCtx<'_>,
-    ) -> crate::error::Result<Vec<crate::record::ScoredTid>> {
-        use crate::cost::{self, RouteChoice, RouteFeatures, RoutePolicy, RouteReport};
-        let routable =
-            !naive && self.bounded.is_some() && matches!(exec, Exec::TopK(_) | Exec::Threshold(_));
-        if !routable {
-            let bindings = Bindings::new().with_table(ctx.probe_param, probe);
-            return self.execute(catalog.for_exec(exec), bindings, exec, naive, limits);
-        }
-        let policy = ctx.trace.and_then(|t| t.policy()).unwrap_or_else(|| ctx.router.policy());
-        let mut features = RouteFeatures {
-            lists: 0,
-            postings: 0,
-            candidates: 0,
-            bound_sum: f64::NAN,
-            bar: match exec {
-                Exec::Threshold(tau) => (ctx.bar_for_tau)(tau),
-                _ => f64::NAN,
-            },
-        };
-        let mut estimate = f64::NAN;
-        let mut probed = false;
-        let chosen = match policy {
-            // Forced policies skip estimation entirely — the answer cannot
-            // change, so the query path pays nothing.
-            RoutePolicy::AlwaysBounded => RouteChoice::Bounded,
-            RoutePolicy::AlwaysScan => RouteChoice::Scan,
-            RoutePolicy::Adaptive | RoutePolicy::Calibrated => {
-                // Statistics from whatever is already materialized: exact
-                // posting statistics once some bounded run built them, the
-                // registration-time equality index otherwise (list lengths
-                // only) — never forcing a posting build just to decide.
-                if let Ok(stats) = relq::probe_stats(
-                    catalog.current(),
-                    ctx.base,
-                    &probe,
-                    ctx.token_col,
-                    ctx.factor_col,
-                ) {
-                    features.lists = stats.lists;
-                    features.postings = stats.postings;
-                    features.candidates = (stats.postings as usize).min(ctx.records);
-                    features.bound_sum =
-                        if stats.bound_sum.is_finite() { stats.bound_sum } else { ctx.bound_hint };
-                    if stats.lists == 0 {
-                        // No query token matches any list: the join is empty
-                        // on every route. Report a scan (nothing attached,
-                        // nothing traversed) and skip execution.
-                        let report = RouteReport {
-                            policy,
-                            chosen: RouteChoice::Scan,
-                            estimate: 0.0,
-                            probed: false,
-                            features,
-                        };
-                        if let Some(trace) = ctx.trace {
-                            trace.record(report);
-                        }
-                        return Ok(Vec::new());
-                    }
-                }
-                let crossover = ctx.router.crossover_for(policy);
-                match exec {
-                    Exec::TopK(k) => {
-                        // k versus the candidate pool; no fixed bar exists,
-                        // so the sampled probe has nothing to refine.
-                        estimate = cost::topk_selectivity(k, features.candidates);
-                    }
-                    Exec::Threshold(_) => {
-                        let bar = features.bar;
-                        // The latent-gap fix: a bar provably above the best
-                        // reachable score has an empty answer on every
-                        // route — return it without attaching postings or
-                        // scanning. The margin covers float summation-order
-                        // differences between the bound and any route's
-                        // accumulation.
-                        if features.bound_sum.is_finite() && features.bound_sum * (1.0 + 1e-9) < bar
-                        {
-                            let report = RouteReport {
-                                policy,
-                                chosen: RouteChoice::Scan,
-                                estimate: 0.0,
-                                probed: false,
-                                features,
-                            };
-                            if let Some(trace) = ctx.trace {
-                                trace.record(report);
-                            }
-                            return Ok(Vec::new());
-                        }
-                        estimate = cost::threshold_selectivity(features.bound_sum, bar);
-                        // The statistics estimate upper-bounds the true pass
-                        // fraction (it assumes every candidate scores at its
-                        // lists' maxima), so a low estimate picks bounded
-                        // unprobed, but any estimate near or above the
-                        // crossover — where the scan would be chosen — is
-                        // confirmed by scoring a candidate prefix exactly
-                        // before the bounded traversal is forfeited. The
-                        // probe forces the posting build (amortized — the
-                        // arena is shared with every later bounded run) but
-                        // charges no execution budget and mutates no caches;
-                        // a panic inside it (fault site `relq.route.probe`)
-                        // falls back to the statistics-only estimate.
-                        if estimate.is_nan() || estimate >= crossover - cost::PROBE_BAND {
-                            let sampled =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    relq::sample_probe(
-                                        catalog.for_exec(exec),
-                                        ctx.base,
-                                        &probe,
-                                        ctx.token_col,
-                                        ctx.factor_col,
-                                        bar,
-                                        cost::PROBE_SAMPLE,
-                                    )
-                                }));
-                            if let Ok(Ok(sample)) = sampled {
-                                probed = true;
-                                estimate = if sample.sampled == 0 {
-                                    0.0
-                                } else {
-                                    sample.passing as f64 / sample.sampled as f64
-                                };
-                            }
-                        }
-                    }
-                    _ => unreachable!("routable is TopK/Threshold only"),
-                }
-                cost::decide(estimate, crossover)
-            }
-        };
-        let report = RouteReport { policy, chosen, estimate, probed, features };
-        if let Some(trace) = ctx.trace {
-            trace.record(report);
-        }
-        let bindings = Bindings::new().with_table(ctx.probe_param, probe);
-        match (exec, chosen) {
-            (Exec::TopK(k), RouteChoice::Bounded) => {
-                let bindings = bindings.with_scalar(TOP_K_PARAM, k as i64);
-                let plan = self.bounded.as_ref().expect("routable implies bounded");
-                run_ranking_plan_limited(plan, catalog.for_exec(exec), &bindings, false, limits)
-            }
-            (Exec::TopK(k), RouteChoice::Scan) => {
-                let bindings = bindings.with_scalar(TOP_K_PARAM, k as i64);
-                run_ranking_plan_limited(&self.top_k, catalog.base(), &bindings, false, limits)
-            }
-            (Exec::Threshold(tau), RouteChoice::Bounded) => {
-                let bindings = bindings.with_scalar(THRESHOLD_PARAM, tau);
-                let plan = self.threshold_bounded.as_ref().expect("routable implies bounded");
-                run_ranking_plan_limited(plan, catalog.for_exec(exec), &bindings, false, limits)
-            }
-            (Exec::Threshold(tau), RouteChoice::Scan) => {
-                let bindings = bindings.with_scalar(THRESHOLD_PARAM, tau);
-                run_ranking_plan_limited(&self.threshold, catalog.base(), &bindings, false, limits)
-            }
-            _ => unreachable!("routable is TopK/Threshold only"),
         }
     }
 }

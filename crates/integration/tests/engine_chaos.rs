@@ -28,8 +28,7 @@
 use dasp_core::fault::{self, FaultPlan};
 use dasp_core::serve::{ServeRequest, ServingEngine};
 use dasp_core::{
-    Corpus, DaspError, Exec, ExecBudget, LiveEngine, Params, PredicateKind, RoutePolicy, ScoredTid,
-    Tid,
+    Corpus, DaspError, Exec, ExecBudget, LiveEngine, Params, PredicateKind, ScoredTid, Tid,
 };
 use dasp_datagen::presets::{cu_dataset_sized, cu_spec};
 use dasp_datagen::Dataset;
@@ -564,114 +563,4 @@ fn chaos_live_pool_with_racing_appender() {
     assert!(panicked > 0, "no panics were injected");
     assert!(degraded > 0, "no budgets were exhausted");
     assert!(clean > 0, "no request survived unfaulted");
-}
-
-// ---------------------------------------------------------------------------
-// Routing probe: fault isolation and budget neutrality (satellite of the
-// adaptive-routing PR; the probe's fault site is `relq.route.probe`)
-// ---------------------------------------------------------------------------
-
-#[test]
-fn probe_panic_falls_back_to_statistics_and_never_fails_the_query() {
-    let _guard = serialize();
-    let dataset = dataset();
-    let text = &query_texts(&dataset, 1, 0x9B0B)[0];
-    // BM25 has no analytic score bound, so on a fresh engine an Adaptive
-    // threshold *must* consult the sampled-prefix probe. Reference bytes
-    // from a fault-free engine first.
-    let reference = build_engine(&dataset, &Params::default());
-    let handle = reference.predicate(PredicateKind::Bm25);
-    let ranked = handle.execute(&reference.query(text), Exec::Rank).unwrap();
-    let tau = ranked[ranked.len() / 2].score;
-    let expected = handle.execute(&reference.query(text), Exec::ThresholdScan(tau)).unwrap();
-    // Sanity: without faults the probe fires on a fresh engine.
-    let clean = build_engine(&dataset, &Params::default());
-    let (results, report) = clean
-        .predicate(PredicateKind::Bm25)
-        .execute_routed(&clean.query(text), Exec::Threshold(tau), RoutePolicy::Adaptive)
-        .unwrap();
-    assert_eq!(as_bits(&results), as_bits(&expected));
-    assert!(report.expect("routed").probed, "fresh BM25 adaptive threshold must probe");
-    // Now panic *only* inside the probe: the query must still succeed with
-    // the statistics-only fallback (no bound → NaN estimate → the bounded
-    // default), bit-identical bytes, and the injected panic accounted.
-    let seed = fault::seed_from_env_or(DEFAULT_SEED);
-    let plan = FaultPlan::new(seed).with_panic_rate(1.0).at_site("relq.route.probe");
-    let (results, report) = with_plan(plan, || {
-        let engine = build_engine(&dataset, &Params::default());
-        engine
-            .predicate(PredicateKind::Bm25)
-            .execute_routed(&engine.query(text), Exec::Threshold(tau), RoutePolicy::Adaptive)
-            .expect("a probe panic must never fail the query")
-    });
-    assert!(fault::stats().panics >= 1, "the probe site never fired");
-    assert_eq!(as_bits(&results), as_bits(&expected), "fallback route corrupted the answer");
-    let report = report.expect("the fallback still reports its route");
-    assert!(!report.probed, "a dead probe must not claim refinement");
-    assert!(
-        report.estimate.is_nan(),
-        "without a bound or a probe the estimate is unavailable, got {}",
-        report.estimate
-    );
-    assert_eq!(report.chosen, dasp_core::RouteChoice::Bounded, "NaN estimate keeps the default");
-}
-
-#[test]
-fn probe_charges_nothing_against_execution_budgets() {
-    let _guard = serialize();
-    let dataset = dataset();
-    let text = &query_texts(&dataset, 1, 0xB0D6)[0];
-    let reference = build_engine(&dataset, &Params::default());
-    let handle = reference.predicate(PredicateKind::Bm25);
-    let ranked = handle.execute(&reference.query(text), Exec::Rank).unwrap();
-    // A selective bar: the probe's sampled pass fraction lands well under
-    // the crossover, so the Adaptive run stays on the bounded route — the
-    // same route the AlwaysBounded control takes.
-    let tau = ranked[0].score;
-    let budget = ExecBudget { max_candidates: Some(1_000_000), ..ExecBudget::default() };
-    let run_with = |policy| {
-        let serving = ServingEngine::new(build_engine(&dataset, &Params::default()), 1);
-        let request = ServeRequest::new(PredicateKind::Bm25, text.clone(), Exec::Threshold(tau))
-            .with_budget(budget)
-            .with_route(policy);
-        let mut responses = serving.serve(std::slice::from_ref(&request));
-        responses.remove(0)
-    };
-    let control = run_with(RoutePolicy::AlwaysBounded);
-    let probed = run_with(RoutePolicy::Adaptive);
-    let control_report = control.stats.budget.expect("capped run reports accounting");
-    let probed_report = probed.stats.budget.expect("capped run reports accounting");
-    let route = probed.stats.route.expect("adaptive request reports");
-    assert!(route.probed, "fresh BM25 adaptive threshold must probe");
-    assert_eq!(route.chosen, dasp_core::RouteChoice::Bounded, "selective bar stays bounded");
-    assert_eq!(
-        as_bits(control.results.as_ref().unwrap()),
-        as_bits(probed.results.as_ref().unwrap()),
-        "probe must not change budgeted bytes"
-    );
-    assert!(!control.stats.degraded && !probed.stats.degraded);
-    assert_eq!(
-        probed_report.candidates_scored, control_report.candidates_scored,
-        "the probe must charge zero candidates against the budget (≤ its sample of 64 \
-         would already be invisible at this cap, but the contract is zero)"
-    );
-    // A cap tight enough to degrade: both policies truncate identically —
-    // the probe's sampled work is not billed, so the anytime prefix is the
-    // same.
-    let tight = ExecBudget { max_candidates: Some(3), ..ExecBudget::default() };
-    let run_tight = |policy| {
-        let serving = ServingEngine::new(build_engine(&dataset, &Params::default()), 1);
-        let request = ServeRequest::new(PredicateKind::Bm25, text.clone(), Exec::Threshold(tau))
-            .with_budget(tight)
-            .with_route(policy);
-        serving.serve(std::slice::from_ref(&request)).remove(0)
-    };
-    let control = run_tight(RoutePolicy::AlwaysBounded);
-    let probed = run_tight(RoutePolicy::Adaptive);
-    assert_eq!(
-        as_bits(control.results.as_ref().unwrap()),
-        as_bits(probed.results.as_ref().unwrap()),
-        "tight-budget truncation must be identical with and without the probe"
-    );
-    assert_eq!(control.stats.degraded, probed.stats.degraded);
 }

@@ -12,8 +12,8 @@
 //! exactly `{tid : score(tid) ≥ τ}` — no qualifying tid is ever pruned.
 
 use dasp_core::{
-    Corpus, Exec, Params, PredicateKind, ScoredTid, SelectionEngine, ServeRequest, ServingEngine,
-    ShardedEngine, TokenizedCorpus,
+    Corpus, Exec, LiveEngine, Params, PredicateKind, ScoredTid, SelectionEngine, ServeRequest,
+    ServingEngine, ShardedEngine, TokenizedCorpus,
 };
 use dasp_datagen::presets::{cu_dataset_sized, cu_spec, dblp_dataset, f_dataset_sized, f_spec};
 use dasp_eval::{build_engine, sample_query_indices};
@@ -154,6 +154,54 @@ fn non_monotone_predicates_route_threshold_through_the_scan() {
                 &expected,
                 &format!("{kind} tau={tau} (scan)"),
             );
+        }
+    }
+}
+
+#[test]
+fn unreachable_bars_and_token_free_queries_select_nothing_on_every_backend() {
+    // Inputs the bounded traversal must answer empty by itself: a τ above
+    // the sum of every list maximum (`f64::MAX` exceeds any finite score
+    // sum), τ = +∞, and queries with no token at all. Each answer is empty
+    // and bit-identical to the exhaustive scan, on the monolith, a live
+    // engine with a tombstone, and a sharded engine.
+    let dataset = dblp_dataset(150);
+    let strings = dataset.strings();
+    let engine = build_engine(&dataset, &Params::default());
+    let sharded =
+        ShardedEngine::from_corpus(Corpus::from_strings(strings.clone()), &Params::default());
+    let (seed, appended) = strings.split_at(strings.len() - 2);
+    let live = LiveEngine::from_corpus(Corpus::from_strings(seed.to_vec()), &Params::default());
+    for text in appended {
+        live.append(text.clone());
+    }
+    assert!(live.delete(3));
+    let mut cases: Vec<(String, f64)> = Vec::new();
+    for &idx in &sample_query_indices(&dataset, 3, 0x0E_11) {
+        for tau in [f64::MAX, f64::INFINITY] {
+            cases.push((dataset.records[idx].text.clone(), tau));
+        }
+    }
+    for text in ["", "   "] {
+        for tau in [f64::NEG_INFINITY, 0.0, 0.5] {
+            cases.push((text.to_string(), tau));
+        }
+    }
+    for kind in BOUNDED_KINDS {
+        let handle = engine.predicate(kind);
+        for (text, tau) in &cases {
+            let query = engine.query(text);
+            let run = |backend: &str, exec: Exec| match backend {
+                "monolith" => handle.execute(&query, exec).unwrap(),
+                "live" => live.execute(kind, text, exec).unwrap(),
+                _ => sharded.execute(kind, text, exec).unwrap(),
+            };
+            for backend in ["monolith", "live", "sharded"] {
+                let context = format!("{backend}/{kind} tau={tau} query={text:?}");
+                let bounded = run(backend, Exec::Threshold(*tau));
+                assert!(bounded.is_empty(), "{context}: selected {} rows", bounded.len());
+                assert_bit_identical(&bounded, &run(backend, Exec::ThresholdScan(*tau)), &context);
+            }
         }
     }
 }

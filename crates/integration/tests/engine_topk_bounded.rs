@@ -8,7 +8,9 @@
 //! is never violated: no tid outside the returned set may outscore the
 //! returned k-th.
 
-use dasp_core::{Corpus, Exec, Params, PredicateKind, ScoredTid, SelectionEngine, ShardedEngine};
+use dasp_core::{
+    Corpus, Exec, LiveEngine, Params, PredicateKind, ScoredTid, SelectionEngine, ShardedEngine,
+};
 use dasp_datagen::presets::{cu_dataset_sized, cu_spec, dblp_dataset, f_dataset_sized, f_spec};
 use dasp_eval::{build_engine, sample_query_indices};
 
@@ -154,6 +156,50 @@ fn non_monotone_predicates_keep_the_heap_path_under_top_k() {
                 handle.execute(&query, Exec::TopKHeap(k)).unwrap(),
                 "{kind}: TopK and TopKHeap must coincide without a bounded plan"
             );
+        }
+    }
+}
+
+#[test]
+fn k_beyond_i64_saturates_to_the_full_ranking_on_every_backend() {
+    // A `k` past every corpus size — including ones a signed row count
+    // cannot hold — selects everything: `TopKHeap` is the `Rank` bytes and
+    // `TopK` its tie class, on the monolith, a live engine carrying a
+    // tombstone (its per-segment `k + dead` must not wrap), and a sharded
+    // engine.
+    let dataset = cu_dataset_sized(cu_spec("CU6").unwrap(), 120, 12);
+    let strings = dataset.strings();
+    let engine = build_engine(&dataset, &Params::default());
+    let sharded =
+        ShardedEngine::from_corpus(Corpus::from_strings(strings.clone()), &Params::default());
+    let (seed, appended) = strings.split_at(strings.len() - 2);
+    let live = LiveEngine::from_corpus(Corpus::from_strings(seed.to_vec()), &Params::default());
+    for text in appended {
+        live.append(text.clone());
+    }
+    assert!(live.delete(3));
+    let huge = [usize::MAX, 1usize << 63];
+    for (kind, handle) in engine.predicates() {
+        for &idx in &sample_query_indices(&dataset, 2, 0x0B16) {
+            let text = &dataset.records[idx].text;
+            let query = engine.query(text);
+            let run = |backend: &str, exec: Exec| match backend {
+                "monolith" => handle.execute(&query, exec).unwrap(),
+                "live" => live.execute(kind, text, exec).unwrap(),
+                _ => sharded.execute(kind, text, exec).unwrap(),
+            };
+            for backend in ["monolith", "live", "sharded"] {
+                let ranked = run(backend, Exec::Rank);
+                for k in huge {
+                    let context = format!("{backend}/{kind} k={k}");
+                    assert_eq!(
+                        run(backend, Exec::TopKHeap(k)),
+                        ranked,
+                        "{context}: heap must equal Rank"
+                    );
+                    assert_set_equal_mod_ties(&run(backend, Exec::TopK(k)), &ranked, k, &context);
+                }
+            }
         }
     }
 }

@@ -1329,159 +1329,6 @@ fn scored_tid_table(scored: Vec<(i64, f64)>) -> Table {
     Table::from_parts_unchecked(schema, rows)
 }
 
-/// Per-query statistics of a bounded-probe shape — the inputs a cost-based
-/// router needs to estimate how selective a bounded traversal would be,
-/// gathered **without** running one.
-///
-/// Produced by [`probe_stats`]. When the base table carries a posting index
-/// the statistics are exact (per-list lengths and weight maxima); without one
-/// the equality index still supplies the list lengths, but the weight maxima
-/// are unknown and `bound_sum` is `NaN` — callers supply their own analytic
-/// bound in that case, or fall back to a [`sample_probe`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProbeStats {
-    /// Probe rows that matched a non-empty base list.
-    pub lists: usize,
-    /// Total postings across the matched lists (the sum of their lengths).
-    pub postings: u64,
-    /// Upper bound on any candidate's score: the sum over matched lists of
-    /// `max stored weight × probe factor`. `NaN` when no posting index is
-    /// attached (the per-list maxima are only measured by a posting build).
-    pub bound_sum: f64,
-}
-
-/// Gather [`ProbeStats`] for a probe table's `(token, factor)` rows against
-/// `base`, using the posting index when one is attached (exact `bound_sum`)
-/// and the equality index on `token_col` otherwise (list lengths only,
-/// `bound_sum = NaN`). NULL tokens/factors are skipped exactly as the
-/// bounded operators skip them. This never builds an index and never touches
-/// execution limits — it is a pure read of registration-time statistics.
-pub fn probe_stats(
-    catalog: &Catalog,
-    base: &str,
-    probe: &Table,
-    token_col: &str,
-    factor_col: Option<&str>,
-) -> Result<ProbeStats> {
-    let token_idx = probe.schema().index_of(token_col)?;
-    let factor_idx = factor_col.map(|c| probe.schema().index_of(c)).transpose()?;
-    let posting = catalog.posting_for(base);
-    let key_cols = [token_col.to_string()];
-    let equality = if posting.is_none() { catalog.index_for(base, &key_cols) } else { None };
-    if posting.is_none() && equality.is_none() {
-        return Err(RelqError::MissingIndex {
-            table: base.to_string(),
-            keys: vec![token_col.to_string()],
-        });
-    }
-    let mut stats = ProbeStats { lists: 0, postings: 0, bound_sum: 0.0 };
-    for row in probe.rows() {
-        let token = &row[token_idx];
-        if token.is_null() {
-            continue;
-        }
-        let factor = match factor_idx {
-            None => 1.0,
-            Some(i) => match &row[i] {
-                Value::Null => continue,
-                v => v.as_f64()?,
-            },
-        };
-        match posting {
-            Some(p) => {
-                if let Some(list) = p.list(token) {
-                    stats.lists += 1;
-                    stats.postings += list.len() as u64;
-                    stats.bound_sum += factor * list.max_weight();
-                }
-            }
-            None => {
-                if let Some(matched) =
-                    equality.expect("checked above").lookup(std::slice::from_ref(token))
-                {
-                    if !matched.is_empty() {
-                        stats.lists += 1;
-                        stats.postings += matched.len() as u64;
-                    }
-                }
-            }
-        }
-    }
-    if posting.is_none() {
-        stats.bound_sum = f64::NAN;
-    }
-    Ok(stats)
-}
-
-/// The outcome of a [`sample_probe`]: how many of the first `limit`
-/// candidates (ascending tid — a deterministic, bar-independent enumeration)
-/// scored at or above the bar.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SampleProbe {
-    /// Candidates actually scored (≤ the sample limit).
-    pub sampled: u64,
-    /// Sampled candidates whose exact score reached the bar.
-    pub passing: u64,
-    /// Whether the sample limit cut the enumeration short — when `false`,
-    /// every candidate was scored and `passing / sampled` is the *exact*
-    /// pass fraction, not an extrapolation.
-    pub exhausted: bool,
-}
-
-/// Score a deterministic prefix of the candidate set exactly and count how
-/// many reach `bar` — the sampling-based selectivity estimate of a
-/// cost-based router. Candidates are enumerated in ascending tid order (the
-/// enumeration is independent of `bar`, so the passing count is monotone
-/// non-increasing in `bar` over a fixed corpus/query), each scored as the
-/// full factor-scaled sum over the query's posting lists — the same exact
-/// arithmetic the traversals use.
-///
-/// The probe requires a posting index on `base` (it reads the same lists the
-/// bounded traversal would). It holds only local cursors: it never touches a
-/// catalog, cache, or [`crate::ExecLimits`] — probing is free of side
-/// effects and charges no execution budget. The `relq.route.probe` fault
-/// site fires on entry (inert unless a fault hook is installed).
-pub fn sample_probe(
-    catalog: &Catalog,
-    base: &str,
-    probe: &Table,
-    token_col: &str,
-    factor_col: Option<&str>,
-    bar: f64,
-    limit: usize,
-) -> Result<SampleProbe> {
-    crate::fault::fault_point("relq.route.probe");
-    let probes = gather_probes(catalog, base, probe, token_col, factor_col)?;
-    let mut cursors = vec![0usize; probes.len()];
-    let mut out = SampleProbe { sampled: 0, passing: 0, exhausted: false };
-    loop {
-        // The next candidate is the smallest unconsumed tid across lists.
-        let mut next: Option<i64> = None;
-        for (i, (list, _)) in probes.iter().enumerate() {
-            if let Some(&tid) = list.tids().get(cursors[i]) {
-                next = Some(next.map_or(tid, |n: i64| n.min(tid)));
-            }
-        }
-        let Some(tid) = next else { break };
-        if out.sampled as usize >= limit {
-            out.exhausted = true;
-            break;
-        }
-        let mut score = 0.0;
-        for (i, (list, factor)) in probes.iter().enumerate() {
-            if list.tids().get(cursors[i]) == Some(&tid) {
-                score += factor * list.weights()[cursors[i]];
-                cursors[i] += 1;
-            }
-        }
-        out.sampled += 1;
-        if crate::posting::admits(score, bar) {
-            out.passing += 1;
-        }
-    }
-    Ok(out)
-}
-
 fn distinct(input: Rel) -> Table {
     // Borrow the input and clone only first-seen rows: duplicates (and a
     // shared input's row store) are never copied.
@@ -2220,117 +2067,5 @@ mod tests {
         assert!(execute(&plan, &catalog()).is_err());
         let plan = Plan::index_join("base_tokens", &["token"], Plan::scan("query_tokens"), &[]);
         assert!(execute(&plan, &catalog()).is_err());
-    }
-
-    /// Weighted corpus for the routing probes: three tokens, skewed lists.
-    ///   ab → {1: 0.1, 2: 0.7}    cd → {1: 0.3, 3: 0.9}    zz → {4: 0.5}
-    fn probe_catalog(with_posting: bool) -> Catalog {
-        let weights = TableBuilder::new()
-            .column("tid", DataType::Int)
-            .column("token", DataType::Str)
-            .column("weight", DataType::Float)
-            .row(vec![1.into(), "ab".into(), 0.1.into()])
-            .row(vec![2.into(), "ab".into(), 0.7.into()])
-            .row(vec![1.into(), "cd".into(), 0.3.into()])
-            .row(vec![3.into(), "cd".into(), 0.9.into()])
-            .row(vec![4.into(), "zz".into(), 0.5.into()])
-            .build()
-            .unwrap();
-        let mut c = Catalog::new();
-        c.register_indexed("w", weights, &["token"]).unwrap();
-        if with_posting {
-            c.register_posting("w", "token", "tid", Some("weight")).unwrap();
-        }
-        c
-    }
-
-    fn probe_table(rows: &[(Option<&str>, Option<f64>)]) -> Table {
-        let mut b =
-            TableBuilder::new().column("token", DataType::Str).column("factor", DataType::Float);
-        for (token, factor) in rows {
-            b = b.row(vec![
-                token.map_or(Value::Null, Value::from),
-                factor.map_or(Value::Null, Value::from),
-            ]);
-        }
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn probe_stats_reads_posting_statistics_exactly() {
-        let catalog = probe_catalog(true);
-        let probe = probe_table(&[(Some("ab"), Some(2.0)), (Some("cd"), Some(1.0))]);
-        let stats = probe_stats(&catalog, "w", &probe, "token", Some("factor")).unwrap();
-        assert_eq!(stats.lists, 2);
-        assert_eq!(stats.postings, 4);
-        // 2.0 * max(ab) + 1.0 * max(cd) = 2.0 * 0.7 + 0.9
-        assert!((stats.bound_sum - (2.0 * 0.7 + 0.9)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn probe_stats_skips_null_tokens_and_factors_and_misses() {
-        let catalog = probe_catalog(true);
-        let probe = probe_table(&[
-            (None, Some(1.0)),            // NULL token: skipped
-            (Some("ab"), None),           // NULL factor: skipped
-            (Some("missing"), Some(1.0)), // no list: not counted
-            (Some("zz"), Some(3.0)),
-        ]);
-        let stats = probe_stats(&catalog, "w", &probe, "token", Some("factor")).unwrap();
-        assert_eq!(stats.lists, 1);
-        assert_eq!(stats.postings, 1);
-        assert!((stats.bound_sum - 3.0 * 0.5).abs() < 1e-12);
-        // Without a factor column every list counts with unit weight.
-        let unit = probe_table(&[(Some("ab"), None), (Some("cd"), None)]);
-        let stats = probe_stats(&catalog, "w", &unit, "token", None).unwrap();
-        assert_eq!((stats.lists, stats.postings), (2, 4));
-        assert!((stats.bound_sum - (0.7 + 0.9)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn probe_stats_without_posting_uses_equality_index_and_nan_bound() {
-        let catalog = probe_catalog(false);
-        let probe = probe_table(&[(Some("ab"), Some(1.0)), (Some("cd"), Some(1.0))]);
-        let stats = probe_stats(&catalog, "w", &probe, "token", Some("factor")).unwrap();
-        assert_eq!(stats.lists, 2);
-        assert_eq!(stats.postings, 4);
-        assert!(stats.bound_sum.is_nan());
-        // With neither index the probe is a typed error, not a guess.
-        let mut bare = Catalog::new();
-        bare.register("w", probe_catalog(false).get_shared("w").map(|t| (*t).clone()).unwrap());
-        let err = probe_stats(&bare, "w", &probe, "token", Some("factor"));
-        assert!(matches!(err, Err(RelqError::MissingIndex { .. })));
-    }
-
-    #[test]
-    fn sample_probe_scores_the_tid_prefix_exactly() {
-        let catalog = probe_catalog(true);
-        let probe = probe_table(&[(Some("ab"), Some(1.0)), (Some("cd"), Some(1.0))]);
-        // Candidate scores: tid 1 → 0.4, tid 2 → 0.7, tid 3 → 0.9.
-        let all = sample_probe(&catalog, "w", &probe, "token", Some("factor"), 0.5, 16).unwrap();
-        assert_eq!(all, SampleProbe { sampled: 3, passing: 2, exhausted: false });
-        // The limit cuts the enumeration short and reports it.
-        let cut = sample_probe(&catalog, "w", &probe, "token", Some("factor"), 0.5, 2).unwrap();
-        assert_eq!(cut, SampleProbe { sampled: 2, passing: 1, exhausted: true });
-        // passing is monotone non-increasing in the bar over the full sweep.
-        let mut last = u64::MAX;
-        for bar in [-1.0, 0.0, 0.4, 0.5, 0.7, 0.9, 1.0, f64::INFINITY] {
-            let got =
-                sample_probe(&catalog, "w", &probe, "token", Some("factor"), bar, 16).unwrap();
-            assert!(got.passing <= last, "passing jumped at bar {bar}");
-            last = got.passing;
-        }
-        // An empty probe (or one with only misses) samples nothing.
-        let none = probe_table(&[(Some("missing"), Some(1.0))]);
-        let got = sample_probe(&catalog, "w", &none, "token", Some("factor"), 0.0, 16).unwrap();
-        assert_eq!(got, SampleProbe { sampled: 0, passing: 0, exhausted: false });
-    }
-
-    #[test]
-    fn sample_probe_requires_a_posting_index() {
-        let catalog = probe_catalog(false);
-        let probe = probe_table(&[(Some("ab"), Some(1.0))]);
-        let err = sample_probe(&catalog, "w", &probe, "token", Some("factor"), 0.5, 16);
-        assert!(matches!(err, Err(RelqError::MissingPosting(_))));
     }
 }

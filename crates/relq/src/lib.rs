@@ -71,10 +71,7 @@ pub use agg::{AggFunc, Aggregate};
 pub use bindings::Bindings;
 pub use catalog::{Catalog, TableIndex};
 pub use error::{RelqError, Result};
-pub use exec::{
-    execute, execute_naive, execute_with, execute_with_limits, probe_stats, sample_probe,
-    ProbeStats, SampleProbe,
-};
+pub use exec::{execute, execute_naive, execute_with, execute_with_limits};
 pub use expr::{col, lit, param, BinaryOp, Expr, ScalarFn};
 pub use fault::{fault_point, set_fault_hook};
 pub use limits::{ExecLimits, ExecReport};
