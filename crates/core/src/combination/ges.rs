@@ -6,10 +6,12 @@
 //! minimum transformation cost by the total query weight.
 
 use crate::corpus::TokenizedCorpus;
+use crate::dict::TokenId;
 use crate::engine::{finalize_ranking, Exec, Query, SharedArtifacts};
 use crate::params::GesParams;
 use crate::record::ScoredTid;
-use dasp_text::edit_similarity;
+use dasp_text::{edit_similarity, EditPattern};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A word token paired with its weight, the unit GES aligns.
@@ -99,13 +101,150 @@ pub(crate) fn weighted_words_with_avg_idf(
         .collect()
 }
 
-/// Weighted word-token view of a base record.
+/// Weighted word-token view of a base record. The predicates score records
+/// from word ids instead (`GesScorer`); this string-level view, with
+/// [`ges_similarity`], is the reference they are tested against.
 pub fn weighted_record_words(corpus: &TokenizedCorpus, record_idx: usize) -> Vec<WeightedWord> {
     corpus
         .record_words(record_idx)
         .iter()
         .map(|&id| WeightedWord::new(corpus.word_dict().token(id), corpus.word_idf(id).max(1e-6)))
         .collect()
+}
+
+/// The GES weight of every vocabulary word, by word id: its IDF, floored
+/// like the query side (see [`weighted_words_with_avg_idf`]).
+pub(crate) fn word_weights(corpus: &TokenizedCorpus) -> Vec<f64> {
+    (0..corpus.num_word_tokens()).map(|id| corpus.word_idf(id as TokenId).max(1e-6)).collect()
+}
+
+/// Most 8-byte memo slots one [`GesScorer`] holds. A cached query word costs
+/// one similarity row over the vocabulary plus its 128-slot match masks;
+/// distinct query words past the cap are compared uncached, with the scalar
+/// kernel, so a hostile query costs bounded memory.
+pub(crate) const WORD_SIM_MEMO_CAP: usize = 1 << 20;
+
+/// Slots the match masks of one [`EditPattern`] take.
+const PATTERN_SLOTS: usize = 128;
+
+/// One query's exact GES scorer over records held as word ids.
+///
+/// Computes what [`ges_similarity`] computes over [`weighted_query_words`]
+/// and [`weighted_record_words`], bit for bit: the dynamic program visits
+/// cells in the same order with the same arithmetic. Only how a cell gets
+/// `edit_similarity(query word, record word)` differs: from a per-query memo
+/// keyed by (distinct query word, vocabulary word id), filled on first use
+/// by the bit-parallel [`EditPattern`] kernel.
+pub(crate) struct GesScorer<'a> {
+    corpus: &'a TokenizedCorpus,
+    /// Per vocabulary word id, its weight ([`word_weights`]).
+    word_weights: &'a [f64],
+    cins: f64,
+    /// `wt(Q)`, summed exactly as [`ges_similarity`] sums it.
+    wt_q: f64,
+    /// Per query position: its weight and the index of its distinct word.
+    positions: Vec<(f64, usize)>,
+    /// Distinct query words in first-seen order.
+    words: Vec<&'a str>,
+    /// Patterns of the first `patterns.len()` distinct words, the cached ones.
+    patterns: Vec<EditPattern>,
+    /// `patterns.len()` rows of one similarity per vocabulary word; NaN
+    /// marks a slot not computed yet (a similarity is never NaN).
+    memo: Vec<f64>,
+    /// Two rows of the dynamic program, reused across records.
+    prev: Vec<f64>,
+    curr: Vec<f64>,
+}
+
+impl<'a> GesScorer<'a> {
+    pub(crate) fn new(
+        corpus: &'a TokenizedCorpus,
+        word_weights: &'a [f64],
+        query: &'a [WeightedWord],
+        cins: f64,
+    ) -> Self {
+        let mut index: HashMap<&str, usize> = HashMap::new();
+        let mut words = Vec::new();
+        let positions = query
+            .iter()
+            .map(|w| {
+                let slot = *index.entry(w.word.as_str()).or_insert_with(|| {
+                    words.push(w.word.as_str());
+                    words.len() - 1
+                });
+                (w.weight, slot)
+            })
+            .collect();
+        let vocab = corpus.num_word_tokens();
+        let cached = words.len().min(WORD_SIM_MEMO_CAP / (vocab + PATTERN_SLOTS));
+        GesScorer {
+            corpus,
+            word_weights,
+            cins,
+            wt_q: query.iter().map(|w| w.weight).sum(),
+            positions,
+            patterns: words[..cached].iter().map(|w| EditPattern::new(w)).collect(),
+            words,
+            memo: vec![f64::NAN; cached * vocab],
+            prev: Vec::new(),
+            curr: Vec::new(),
+        }
+    }
+
+    /// Memo slots held (similarity rows plus match masks).
+    #[cfg(test)]
+    pub(crate) fn memo_slots(&self) -> usize {
+        self.memo.len() + self.patterns.len() * PATTERN_SLOTS
+    }
+
+    /// The edit similarity of distinct query word `slot` and vocabulary
+    /// word `id`.
+    fn word_similarity(&mut self, slot: usize, id: TokenId) -> f64 {
+        let vocab = self.corpus.word_dict();
+        match self.patterns.get(slot) {
+            Some(pattern) => {
+                let cell = &mut self.memo[slot * self.word_weights.len() + id as usize];
+                if cell.is_nan() {
+                    *cell = pattern.similarity(vocab.token(id));
+                }
+                *cell
+            }
+            None => edit_similarity(self.words[slot], vocab.token(id)),
+        }
+    }
+
+    /// GES similarity (Equation 3.14) of the query against record `idx`.
+    pub(crate) fn similarity(&mut self, idx: usize) -> f64 {
+        if self.wt_q <= 0.0 {
+            return 0.0;
+        }
+        let corpus = self.corpus;
+        let record = corpus.record_words(idx);
+        let mut prev = std::mem::take(&mut self.prev);
+        let mut curr = std::mem::take(&mut self.curr);
+        // Row 0: insert every record word.
+        prev.clear();
+        prev.push(0.0);
+        for (j, &t) in record.iter().enumerate() {
+            prev.push(prev[j] + self.cins * self.word_weights[t as usize]);
+        }
+        curr.resize(record.len() + 1, 0.0);
+        for i in 0..self.positions.len() {
+            let (weight, slot) = self.positions[i];
+            curr[0] = prev[0] + weight; // delete query word
+            for (j, &t) in record.iter().enumerate() {
+                let delete = prev[j + 1] + weight;
+                let insert = curr[j] + self.cins * self.word_weights[t as usize];
+                let replace = prev[j] + (1.0 - self.word_similarity(slot, t)) * weight;
+                curr[j + 1] = delete.min(insert).min(replace);
+            }
+            std::mem::swap(&mut prev, &mut curr);
+        }
+        let tc = prev[record.len()];
+        self.prev = prev;
+        self.curr = curr;
+        1.0 - (tc / self.wt_q).min(1.0)
+    }
 }
 
 /// The exact GES predicate: scores every tuple with Equation 3.14 (used by
@@ -115,7 +254,8 @@ pub fn weighted_record_words(corpus: &TokenizedCorpus, record_idx: usize) -> Vec
 /// paper computes it with a UDF because the word-alignment dynamic program
 /// cannot be expressed as joins — so it is also the only predicate that does
 /// not execute through a prepared `IndexJoin` plan: it scores every tuple
-/// natively from the shared weighted word views. [`Exec::TopK`] selects with
+/// natively from the record word ids and the shared GES word weights,
+/// through a per-query word-similarity memo. [`Exec::TopK`] selects with
 /// the bounded heap instead of a full sort; [`Exec::Threshold`] filters
 /// during scoring. Use [`super::GesJaccardPredicate`] /
 /// [`super::GesApxPredicate`] for the index-filtered realizations.
@@ -130,7 +270,7 @@ impl GesPredicate {
         Self::from_shared(SharedArtifacts::build(corpus, &params))
     }
 
-    /// Phase-2 preprocessing: nothing beyond the shared word views.
+    /// Phase-2 preprocessing: nothing beyond the shared word weights.
     pub(crate) fn from_shared(shared: Arc<SharedArtifacts>) -> Self {
         GesPredicate { shared }
     }
@@ -155,7 +295,12 @@ impl GesPredicate {
             return Ok(Vec::new());
         }
         let corpus = self.shared.corpus();
-        let record_words = self.shared.record_words();
+        let mut scorer = GesScorer::new(
+            corpus,
+            self.shared.ges_word_weights(),
+            query_words,
+            self.shared.params().ges.cins,
+        );
         let mut out = Vec::with_capacity(corpus.num_records());
         for (idx, record) in corpus.corpus().records().iter().enumerate() {
             // Budget boundary: one candidate per corpus record scored.
@@ -166,8 +311,7 @@ impl GesPredicate {
                     break;
                 }
             }
-            let sim =
-                ges_similarity(query_words, &record_words[idx], self.shared.params().ges.cins);
+            let sim = scorer.similarity(idx);
             if sim > 0.0 {
                 out.push(ScoredTid::new(record.tid, sim));
             }
@@ -267,6 +411,125 @@ mod tests {
         let words = weighted_query_words(&corpus, "alpha zzzz");
         assert_eq!(words.len(), 2);
         assert!(words[1].weight > 0.0);
+    }
+
+    use crate::combination::{GesApxPredicate, GesJaccardPredicate};
+    use crate::engine::SelectionEngine;
+    use crate::params::Params;
+    use crate::predicate::PredicateKind;
+
+    /// A seeded 500-record CU1-like corpus (company names with CU1's error
+    /// mix) and an engine over it.
+    fn cu1_engine() -> (Arc<TokenizedCorpus>, SelectionEngine) {
+        let spec = dasp_datagen::presets::cu_spec("CU1").expect("CU1 is a preset");
+        let dataset = dasp_datagen::presets::cu_dataset_sized(spec, 500, 50);
+        let params = Params::default();
+        let corpus =
+            Arc::new(TokenizedCorpus::build(Corpus::from_strings(dataset.strings()), params.qgram));
+        let engine = SelectionEngine::build(corpus.clone(), &params);
+        (corpus, engine)
+    }
+
+    /// Score `records` with the string-level reference: `ges_similarity`
+    /// over `weighted_query_words` / `weighted_record_words`, which runs the
+    /// scalar edit similarity in every cell of the dynamic program.
+    fn reference_scores(
+        corpus: &TokenizedCorpus,
+        text: &str,
+        records: impl Iterator<Item = usize>,
+    ) -> Vec<ScoredTid> {
+        let query = weighted_query_words(corpus, text);
+        records
+            .map(|idx| {
+                let tuple = weighted_record_words(corpus, idx);
+                ScoredTid::new(
+                    corpus.corpus().records()[idx].tid,
+                    ges_similarity(&query, &tuple, 0.5),
+                )
+            })
+            .collect()
+    }
+
+    fn assert_bit_identical(got: &[ScoredTid], want: &[ScoredTid], label: &str) {
+        assert_eq!(got.len(), want.len(), "{label}: result sizes differ");
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(g.tid, w.tid, "{label}: order differs");
+            assert_eq!(g.score.to_bits(), w.score.to_bits(), "{label}: tid {} score", g.tid);
+        }
+    }
+
+    #[test]
+    fn ges_family_rank_is_bit_identical_to_the_string_level_reference() {
+        let (corpus, engine) = cu1_engine();
+        let ges = GesParams::default();
+        let jaccard = GesJaccardPredicate::build(corpus.clone(), ges);
+        let apx = GesApxPredicate::build(corpus.clone(), ges);
+        for idx in (0..corpus.num_records()).step_by(25) {
+            let text = corpus.corpus().records()[idx].text.clone();
+            let query = engine.query(&text);
+
+            // GES scores the full scan and keeps positive scores.
+            let mut want = reference_scores(&corpus, &text, 0..corpus.num_records());
+            want.retain(|s| s.score > 0.0);
+            let got = engine.predicate(PredicateKind::Ges).execute(&query, Exec::Rank).unwrap();
+            assert_bit_identical(&got, &finalize_ranking(want, Exec::Rank), &format!("GES {text}"));
+
+            // The filtered variants re-score their filter survivors.
+            for (kind, filter) in [
+                (PredicateKind::GesJaccard, jaccard.filter_scores(&text)),
+                (PredicateKind::GesApx, apx.filter_scores(&text)),
+            ] {
+                let survivors = filter
+                    .iter()
+                    .filter(|s| s.score >= ges.filter_threshold)
+                    .map(|s| s.tid as usize);
+                let want = reference_scores(&corpus, &text, survivors);
+                let got = engine.predicate(kind).execute(&query, Exec::Rank).unwrap();
+                assert_bit_identical(
+                    &got,
+                    &finalize_ranking(want, Exec::Rank),
+                    &format!("{kind} {text}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_100kb_query_is_exact_and_stays_under_the_memo_cap() {
+        let (corpus, engine) = cu1_engine();
+        // More distinct words than the memo caches, some near vocabulary
+        // words, some longer than 64 bytes or non-ASCII (the scalar
+        // fallbacks), a repeated tail, and whitespace padding to 100 KB.
+        let vocab: Vec<&str> = corpus.word_dict().iter().map(|(_, w)| w).collect();
+        let cached = WORD_SIM_MEMO_CAP / (vocab.len() + PATTERN_SLOTS);
+        let mut words: Vec<String> = (0..cached + 100)
+            .map(|i| match i % 5 {
+                0 => format!("{}{}", vocab[i % vocab.len()], i),
+                1 => format!("{}{}", "Q".repeat(60), i),
+                2 => format!("\u{e9}{}", vocab[i % vocab.len()]),
+                _ => format!("W{i}X"),
+            })
+            .collect();
+        words.extend(words[..100].to_vec());
+        let mut text = words.join(" ");
+        assert!(text.len() < 100_000, "the words alone fill {} bytes", text.len());
+        text.push_str(&" ".repeat(100_000 - text.len()));
+
+        let query = engine.query(&text);
+        let weights = word_weights(&corpus);
+        let mut scorer = GesScorer::new(&corpus, &weights, query.weighted_words(), 0.5);
+        assert!(scorer.memo_slots() <= WORD_SIM_MEMO_CAP, "memo holds {}", scorer.memo_slots());
+        assert_eq!(scorer.patterns.len(), cached, "the cap must bind for this query");
+
+        let got = engine.predicate(PredicateKind::Ges).execute(&query, Exec::Rank).unwrap();
+        // Check a sample of records against the (slow) string reference.
+        let sample: Vec<usize> = (0..corpus.num_records()).step_by(50).collect();
+        let want = reference_scores(&corpus, &text, sample.iter().copied());
+        for (idx, w) in sample.iter().zip(&want) {
+            assert_eq!(scorer.similarity(*idx).to_bits(), w.score.to_bits(), "record {idx}");
+            let ranked = got.iter().find(|s| s.tid == w.tid).map_or(0.0, |s| s.score);
+            assert_eq!(ranked.to_bits(), w.score.max(0.0).to_bits(), "ranked record {idx}");
+        }
     }
 
     #[test]

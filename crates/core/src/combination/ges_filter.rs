@@ -6,7 +6,7 @@
 //! θ, and then re-score the candidates with the exact GES of Equation 3.14.
 //!
 //! **Shared-artifact contract:** the word table `BASE_WORDS` (indexed on
-//! wtoken), the weighted record word views used for exact re-scoring and the
+//! wtoken), the per-word GES weights used for exact re-scoring and the
 //! tid→index map all come from the engine's shared phase-1 artifacts; only
 //! the second-level token table — `BASE_QGRAMS` (indexed on qgram) or
 //! `BASE_MHSIG` (indexed on the composite `(fid, value)`) — is built here,
@@ -19,7 +19,7 @@
 //! exactly re-scored results (heap-based top-k, post-rescoring threshold),
 //! never to the estimates.
 
-use crate::combination::ges::ges_similarity;
+use crate::combination::ges::GesScorer;
 use crate::corpus::TokenizedCorpus;
 use crate::dict::{TokenDict, TokenId};
 use crate::engine::{finalize_ranking, Exec, Query, SharedArtifacts};
@@ -296,7 +296,12 @@ impl FilteredGes {
         if query_words.is_empty() {
             return Ok(Vec::new());
         }
-        let record_words = self.shared.record_words();
+        let mut scorer = GesScorer::new(
+            self.shared.corpus(),
+            self.shared.ges_word_weights(),
+            query_words,
+            self.shared.params().ges.cins,
+        );
         let mut out = Vec::new();
         for candidate in self.filter_scores_mode(query, naive)? {
             if candidate.score < self.shared.params().ges.filter_threshold {
@@ -310,9 +315,7 @@ impl FilteredGes {
                     break;
                 }
             }
-            let idx = self.shared.record_index(candidate.tid);
-            let exact =
-                ges_similarity(query_words, &record_words[idx], self.shared.params().ges.cins);
+            let exact = scorer.similarity(self.shared.record_index(candidate.tid));
             out.push(ScoredTid::new(candidate.tid, exact));
         }
         Ok(finalize_ranking(out, exec))
@@ -406,7 +409,7 @@ crate::engine::engine_predicate!(GesApxPredicate, crate::predicate::PredicateKin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::combination::ges::weighted_query_words;
+    use crate::combination::ges::{ges_similarity, weighted_query_words, weighted_record_words};
     use crate::corpus::Corpus;
     use crate::predicate::Predicate;
 
@@ -441,7 +444,8 @@ mod tests {
         let query_words = weighted_query_words(shared.corpus(), q);
         for s in &filter {
             let idx = shared.record_index(s.tid);
-            let exact = ges_similarity(&query_words, &shared.record_words()[idx], 0.5);
+            let record_words = weighted_record_words(shared.corpus(), idx);
+            let exact = ges_similarity(&query_words, &record_words, 0.5);
             assert!(
                 s.score >= exact - 0.15,
                 "filter {} should not be far below exact {} for tid {}",

@@ -43,14 +43,14 @@
 //!
 //! Every phase-1 artifact — the six shared token/weight tables with their
 //! equality indexes, the two shared posting indexes, the normalized strings
-//! and the weighted word views — is built on first use (`OnceLock` per
+//! and the GES word weights — is built on first use (`OnceLock` per
 //! artifact) and then shared by reference: a standalone single-predicate
 //! build pays only for the artifacts that predicate probes. Corpora are
 //! immutable, so the engine also keeps a small invalidation-free LRU of
 //! recent results keyed on `(predicate, query text, exec mode)`; see
 //! [`SelectionEngine::result_cache_stats`].
 
-use crate::combination::ges::{weighted_record_words, WeightedWord};
+use crate::combination::ges::WeightedWord;
 use crate::corpus::{QueryTokens, TokenizedCorpus};
 use crate::overlap::overlap_weight;
 use crate::params::Params;
@@ -154,8 +154,8 @@ fn posting_block_env(var: Option<&str>) -> Option<usize> {
 
 /// The phase-1 preprocessing artifacts every predicate shares: the tokenized
 /// corpus, the indexed token/weight tables, the score-ordered posting
-/// variants of `base_tokens`/`overlap_weights`, and the cached word-level
-/// views of the combination predicates.
+/// variants of `base_tokens`/`overlap_weights`, and the per-word weights of
+/// the GES family.
 ///
 /// Every artifact is **lazy** — a `OnceLock` built on the first probe and
 /// shared by `Arc` afterwards — so a standalone single-predicate build pays
@@ -178,8 +178,8 @@ pub(crate) struct SharedArtifacts {
     posting_overlap_weights: OnceLock<Arc<PostingIndex>>,
     /// Normalized record text, the strings the edit-distance UDF compares.
     normalized: OnceLock<Vec<String>>,
-    /// IDF-weighted word views of every record (GES family).
-    record_words: OnceLock<Vec<Vec<WeightedWord>>>,
+    /// Per word id, the GES weight of the word (GES family).
+    ges_word_weights: OnceLock<Vec<f64>>,
     /// Mean word IDF, the weight of query words unseen in the base (§4.5).
     avg_word_idf: OnceLock<f64>,
     /// Invalidation-free LRU of recent results (corpora are immutable).
@@ -211,7 +211,7 @@ impl SharedArtifacts {
             posting_base_tokens: OnceLock::new(),
             posting_overlap_weights: OnceLock::new(),
             normalized: OnceLock::new(),
-            record_words: OnceLock::new(),
+            ges_word_weights: OnceLock::new(),
             avg_word_idf: OnceLock::new(),
             cache: ResultCache::new(DEFAULT_RESULT_CACHE_CAPACITY),
         })
@@ -309,7 +309,6 @@ impl SharedArtifacts {
             "posting:base_tokens" => self.posting_base_tokens.get().is_some(),
             "posting:overlap_weights" => self.posting_overlap_weights.get().is_some(),
             "normalized" => self.normalized.get().is_some(),
-            "record_words" => self.record_words.get().is_some(),
             _ => {
                 let slot = SHARED_TABLES
                     .iter()
@@ -355,10 +354,8 @@ impl SharedArtifacts {
         })[idx]
     }
 
-    pub(crate) fn record_words(&self) -> &[Vec<WeightedWord>] {
-        self.record_words.get_or_init(|| {
-            (0..self.corpus.num_records()).map(|i| weighted_record_words(&self.corpus, i)).collect()
-        })
+    pub(crate) fn ges_word_weights(&self) -> &[f64] {
+        self.ges_word_weights.get_or_init(|| crate::combination::ges::word_weights(&self.corpus))
     }
 
     pub(crate) fn avg_word_idf(&self) -> f64 {
@@ -1330,7 +1327,6 @@ mod tests {
         assert!(shared.artifact_built("posting:base_tokens"));
         assert!(!shared.artifact_built("overlap_weights"));
         assert!(!shared.artifact_built("base_words"));
-        assert!(!shared.artifact_built("record_words"));
         // The edit predicate forces the normalized strings and base_tf only.
         let edit = engine.predicate(PredicateKind::EditSimilarity);
         edit.execute(&query, Exec::Rank).unwrap();

@@ -23,6 +23,21 @@ pub enum AggFunc {
     Avg(Expr),
 }
 
+impl AggFunc {
+    /// The argument expression (`None` for `COUNT(*)`).
+    pub(crate) fn arg(&self) -> Option<&Expr> {
+        match self {
+            AggFunc::CountStar => None,
+            AggFunc::Count(e)
+            | AggFunc::CountDistinct(e)
+            | AggFunc::Sum(e)
+            | AggFunc::Min(e)
+            | AggFunc::Max(e)
+            | AggFunc::Avg(e) => Some(e),
+        }
+    }
+}
+
 /// An aggregate paired with its output column name.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Aggregate {

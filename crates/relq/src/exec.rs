@@ -20,6 +20,7 @@ use crate::agg::{Accumulator, AggFunc, Aggregate};
 use crate::bindings::Bindings;
 use crate::catalog::Catalog;
 use crate::error::{RelqError, Result};
+use crate::group::Groups;
 use crate::plan::{Plan, ProjectItem, SortOrder};
 use crate::schema::{Field, Schema};
 use crate::table::Table;
@@ -549,15 +550,18 @@ fn eval_aggregate(
         }
     }
     let input = eval(input, ctx)?;
-    aggregate(input.as_table(), group_by, aggregates, ctx, output_filter)
+    if ctx.naive {
+        aggregate(input.as_table(), group_by, aggregates, ctx, output_filter)
+    } else {
+        group_aggregate(input.as_table(), group_by, aggregates, ctx, output_filter)
+    }
 }
 
 /// Compile an aggregate-output filter against the output schema, assemble
 /// each `group key ++ finished accumulators` row, and keep the rows the
-/// filter admits — shared tail of [`index_join_aggregate`] and
-/// [`aggregate`]. The filter is compiled only when there is at least one row
-/// to assemble, matching the unfused `Filter` operator (which never compiles
-/// its predicate over an empty input).
+/// filter admits — the tail of [`aggregate`]. The filter is compiled only
+/// when there is at least one row to assemble, matching the unfused `Filter`
+/// operator (which never compiles its predicate over an empty input).
 fn assemble_aggregate_rows(
     ctx: &ExecCtx,
     out_schema: &Schema,
@@ -594,6 +598,162 @@ fn assemble_aggregate_rows(
         rows.push(row);
     }
     Ok(rows)
+}
+
+/// [`assemble_aggregate_rows`] over [`Groups`]: the same filter, budget
+/// and fault-site semantics, with each row allocated once, when reached.
+fn assemble_group_rows(
+    ctx: &ExecCtx,
+    out_schema: &Schema,
+    groups: Groups,
+    output_filter: Option<&crate::expr::Expr>,
+) -> Result<Vec<Row>> {
+    let filter = match output_filter {
+        Some(expr) if groups.len() > 0 => Some(resolve(expr, ctx)?.compile(out_schema)?),
+        _ => None,
+    };
+    let n = groups.len();
+    let mut assembled = groups.into_rows();
+    let mut rows = Vec::with_capacity(n);
+    for _ in 0..n {
+        // Budget cut point, as in `assemble_aggregate_rows`.
+        if let Some(limits) = ctx.limits {
+            if !limits.charge_candidate() {
+                break;
+            }
+        }
+        crate::fault::fault_point("relq.aggregate.row");
+        let row = assembled.next().expect("one row per group");
+        if let Some(f) = &filter {
+            if !f.evaluate(&row)?.as_bool()? {
+                continue;
+            }
+        }
+        rows.push(row);
+    }
+    Ok(rows)
+}
+
+/// A compiled aggregate argument. SUM/MIN/MAX over float-safe expressions
+/// update their accumulators through the unboxed f64 evaluator (bit
+/// identical to the generic path, see `FloatExpr`); everything else goes
+/// through the compiled generic evaluator.
+enum FastAgg {
+    CountStar,
+    SumF(crate::expr::FloatExpr),
+    MinF(crate::expr::FloatExpr),
+    MaxF(crate::expr::FloatExpr),
+    Generic(crate::expr::CompiledExpr),
+}
+
+impl FastAgg {
+    fn compile(agg: &Aggregate, schema: &Schema, ctx: &ExecCtx) -> Result<FastAgg> {
+        use crate::expr::{FloatExpr, FloatExprType};
+        Ok(match &agg.func {
+            AggFunc::CountStar => FastAgg::CountStar,
+            AggFunc::Sum(e) => {
+                let e = resolve(e, ctx)?;
+                // SUM coerces every input to f64 and always emits Float,
+                // so any float-safe expression qualifies.
+                match FloatExpr::from_expr(&e, schema) {
+                    Some((f, _)) => FastAgg::SumF(f),
+                    None => FastAgg::Generic(e.compile(schema)?),
+                }
+            }
+            AggFunc::Min(e) | AggFunc::Max(e) => {
+                let is_max = matches!(&agg.func, AggFunc::Max(_));
+                let e = resolve(e, ctx)?;
+                // MIN/MAX return the input value itself, so the fast path
+                // additionally requires the result to be a computed Float:
+                // a bare column returns its values as stored, and a Float
+                // column may hold Ints.
+                match FloatExpr::from_expr(&e, schema) {
+                    Some((f, FloatExprType::Float))
+                        if !matches!(*e, crate::expr::Expr::Column(_)) =>
+                    {
+                        if is_max {
+                            FastAgg::MaxF(f)
+                        } else {
+                            FastAgg::MinF(f)
+                        }
+                    }
+                    _ => FastAgg::Generic(e.compile(schema)?),
+                }
+            }
+            AggFunc::Count(e) | AggFunc::CountDistinct(e) | AggFunc::Avg(e) => {
+                FastAgg::Generic(resolve(e, ctx)?.compile(schema)?)
+            }
+        })
+    }
+
+    /// Fold the virtual row `left ++ right` (`left` has `split` columns)
+    /// into one group's accumulators.
+    #[inline]
+    fn update_all(
+        fast: &[FastAgg],
+        accs: &mut [Accumulator],
+        left: &[Value],
+        right: &[Value],
+        split: usize,
+    ) -> Result<()> {
+        for (acc, fast) in accs.iter_mut().zip(fast) {
+            match (fast, acc) {
+                (FastAgg::CountStar, Accumulator::Count(n)) => *n += 1,
+                (FastAgg::SumF(e), Accumulator::Sum { total, seen }) => {
+                    if let Some(x) = e.evaluate_split(left, right, split)? {
+                        *total += x;
+                        *seen = true;
+                    }
+                }
+                (FastAgg::MinF(e), Accumulator::Min(current)) => {
+                    if let Some(x) = e.evaluate_split(left, right, split)? {
+                        let replace = match current {
+                            None => true,
+                            // Mirrors Value::total_cmp on floats: NaN
+                            // never displaces an existing minimum.
+                            Some(Value::Float(c)) => x < *c,
+                            Some(c) => Value::Float(x).total_cmp(c) == std::cmp::Ordering::Less,
+                        };
+                        if replace {
+                            *current = Some(Value::Float(x));
+                        }
+                    }
+                }
+                (FastAgg::MaxF(e), Accumulator::Max(current)) => {
+                    if let Some(x) = e.evaluate_split(left, right, split)? {
+                        let replace = match current {
+                            None => true,
+                            Some(Value::Float(c)) => x > *c,
+                            Some(c) => Value::Float(x).total_cmp(c) == std::cmp::Ordering::Greater,
+                        };
+                        if replace {
+                            *current = Some(Value::Float(x));
+                        }
+                    }
+                }
+                (FastAgg::Generic(e), acc) => {
+                    acc.update(Some(e.evaluate_split(left, right, split)?))?;
+                }
+                // FastAgg variants are constructed from the same AggFunc
+                // the accumulator was, so the pairs always line up.
+                _ => unreachable!("fast aggregate paired with mismatched accumulator"),
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Output schema of an aggregation: the group-by columns (with their input
+/// types), then one column per aggregate.
+fn aggregate_schema(input: &Schema, group_idx: &[usize], aggregates: &[Aggregate]) -> Schema {
+    let mut fields = Vec::new();
+    for &i in group_idx {
+        fields.push(input.field(i).clone());
+    }
+    for agg in aggregates {
+        fields.push(Field::new(agg.alias.clone(), agg.output_type()));
+    }
+    Schema::new(fields)
 }
 
 /// Fused execution of `Aggregate(IndexJoin(base, probe))`: probes the base
@@ -637,84 +797,21 @@ fn index_join_aggregate(
 
     let group_idx: Vec<usize> =
         group_by.iter().map(|k| joined_schema.index_of(k)).collect::<Result<_>>()?;
-    let mut fields = Vec::new();
-    for &i in &group_idx {
-        fields.push(joined_schema.field(i).clone());
-    }
-    for agg in aggregates {
-        fields.push(Field::new(agg.alias.clone(), agg.output_type()));
-    }
-    let out_schema = Schema::new(fields);
-
-    // Compile each aggregate once. SUM/MIN/MAX over float-safe expressions
-    // update their accumulators through the unboxed f64 evaluator (bit
-    // identical to the generic path, see `FloatExpr`); everything else goes
-    // through the compiled generic evaluator.
-    use crate::expr::{FloatExpr, FloatExprType};
-    enum FastAgg {
-        CountStar,
-        SumF(FloatExpr),
-        MinF(FloatExpr),
-        MaxF(FloatExpr),
-        Generic(crate::expr::CompiledExpr),
-    }
+    let out_schema = aggregate_schema(&joined_schema, &group_idx, aggregates);
     let fast_aggs: Vec<FastAgg> = aggregates
         .iter()
-        .map(|agg| {
-            Ok(match &agg.func {
-                AggFunc::CountStar => FastAgg::CountStar,
-                AggFunc::Sum(e) => {
-                    let e = resolve(e, ctx)?;
-                    // SUM coerces every input to f64 and always emits Float,
-                    // so any float-safe expression qualifies.
-                    match FloatExpr::from_expr(&e, &joined_schema) {
-                        Some((f, _)) => FastAgg::SumF(f),
-                        None => FastAgg::Generic(e.compile(&joined_schema)?),
-                    }
-                }
-                AggFunc::Min(e) | AggFunc::Max(e) => {
-                    let is_max = matches!(&agg.func, AggFunc::Max(_));
-                    let e = resolve(e, ctx)?;
-                    // MIN/MAX return the input value itself, so the fast path
-                    // additionally requires the result to be Float-typed
-                    // (a bare Int column must keep producing Value::Int).
-                    match FloatExpr::from_expr(&e, &joined_schema) {
-                        Some((f, FloatExprType::Float)) => {
-                            if is_max {
-                                FastAgg::MaxF(f)
-                            } else {
-                                FastAgg::MinF(f)
-                            }
-                        }
-                        _ => FastAgg::Generic(e.compile(&joined_schema)?),
-                    }
-                }
-                AggFunc::Count(e) | AggFunc::CountDistinct(e) | AggFunc::Avg(e) => {
-                    FastAgg::Generic(resolve(e, ctx)?.compile(&joined_schema)?)
-                }
-            })
-        })
+        .map(|agg| FastAgg::compile(agg, &joined_schema, ctx))
         .collect::<Result<_>>()?;
 
-    // Group slots in first-seen order, exactly like `aggregate`. Single-column
-    // keys (the dominant GROUP BY tid shape) skip the per-row key vector, and
-    // when that column is a base-side Int with a compact range (known from
-    // the registration-time statistics) the lookup is a dense array instead
-    // of a hash map — the layout the paper's native inverted-index engines
-    // use. The lookup structure never changes accumulation order, so all
-    // variants stay byte-identical.
-    enum Groups {
-        Dense { offset: i64, slots: Vec<u32>, other: HashMap<Value, usize> },
-        Single(HashMap<Value, usize>),
-        Multi(HashMap<Vec<Value>, usize>),
-    }
     let base_rows = base_table.rows();
     let mut probe_key: Vec<Value> = Vec::with_capacity(probe_idx.len());
     // Pre-size the probe: one cheap index lookup per probe row tells us the
-    // total number of matches this query will touch. The dense slot array is
-    // only worth its allocation + memset when the match volume justifies it —
-    // keyed on the *query's* work, not the corpus size, so a tiny query over
-    // a huge base never pays an O(corpus) setup cost.
+    // total number of matches this query will touch. A dense slot array for
+    // a base-side Int group key (its range known from the registration-time
+    // statistics) is only worth its allocation + memset when the match
+    // volume justifies it — keyed on the *query's* work, not the corpus
+    // size, so a tiny query over a huge base never pays an O(corpus) setup
+    // cost.
     let mut estimated_matches: usize = 0;
     for probe_row in probe.rows() {
         probe_key.clear();
@@ -735,16 +832,7 @@ fn index_join_aggregate(
     } else {
         None
     };
-    let mut groups = match dense_range {
-        Some((offset, span)) => {
-            Groups::Dense { offset, slots: vec![u32::MAX; span], other: HashMap::new() }
-        }
-        None if group_idx.len() == 1 => Groups::Single(HashMap::new()),
-        None => Groups::Multi(HashMap::new()),
-    };
-    let mut order: Vec<Row> = Vec::new();
-    let mut accumulators: Vec<Vec<Accumulator>> = Vec::new();
-    let mut key_buf: Vec<Value> = Vec::with_capacity(group_idx.len());
+    let mut groups = Groups::new(aggregates, group_idx.len(), dense_range);
 
     for probe_row in probe.rows() {
         probe_key.clear();
@@ -755,141 +843,64 @@ fn index_join_aggregate(
         let Some(ids) = index.lookup(&probe_key) else { continue };
         for &rid in ids {
             let base_row = &base_rows[rid as usize];
-            let col_at = |i: usize| -> &Value {
+            let accs = groups.accumulators(|k| {
+                let i = group_idx[k];
                 if i < split {
                     &base_row[i]
                 } else {
                     &probe_row[i - split]
                 }
-            };
-            let slot = match &mut groups {
-                Groups::Dense { offset, slots, other } => {
-                    let key = col_at(group_idx[0]);
-                    if let Value::Int(v) = key {
-                        let i = (*v - *offset) as usize;
-                        let s = slots[i];
-                        if s != u32::MAX {
-                            s as usize
-                        } else {
-                            let s = order.len();
-                            slots[i] = s as u32;
-                            order.push(vec![key.clone()]);
-                            accumulators.push(
-                                aggregates.iter().map(|a| Accumulator::for_func(&a.func)).collect(),
-                            );
-                            s
-                        }
-                    } else {
-                        // NULL group keys (the only non-Int values the stats
-                        // pass admits) go through a side map.
-                        match other.get(key) {
-                            Some(&s) => s,
-                            None => {
-                                let s = order.len();
-                                other.insert(key.clone(), s);
-                                order.push(vec![key.clone()]);
-                                accumulators.push(
-                                    aggregates
-                                        .iter()
-                                        .map(|a| Accumulator::for_func(&a.func))
-                                        .collect(),
-                                );
-                                s
-                            }
-                        }
-                    }
-                }
-                Groups::Single(map) => {
-                    let key = col_at(group_idx[0]);
-                    match map.get(key) {
-                        Some(&s) => s,
-                        None => {
-                            let s = order.len();
-                            map.insert(key.clone(), s);
-                            order.push(vec![key.clone()]);
-                            accumulators.push(
-                                aggregates.iter().map(|a| Accumulator::for_func(&a.func)).collect(),
-                            );
-                            s
-                        }
-                    }
-                }
-                Groups::Multi(map) => {
-                    key_buf.clear();
-                    key_buf.extend(group_idx.iter().map(|&i| col_at(i).clone()));
-                    match map.get(key_buf.as_slice()) {
-                        Some(&s) => s,
-                        None => {
-                            let s = order.len();
-                            map.insert(key_buf.clone(), s);
-                            order.push(key_buf.clone());
-                            accumulators.push(
-                                aggregates.iter().map(|a| Accumulator::for_func(&a.func)).collect(),
-                            );
-                            s
-                        }
-                    }
-                }
-            };
-            for (acc, fast) in accumulators[slot].iter_mut().zip(&fast_aggs) {
-                match (fast, acc) {
-                    (FastAgg::CountStar, Accumulator::Count(n)) => *n += 1,
-                    (FastAgg::SumF(e), Accumulator::Sum { total, seen }) => {
-                        if let Some(x) = e.evaluate_split(base_row, probe_row, split)? {
-                            *total += x;
-                            *seen = true;
-                        }
-                    }
-                    (FastAgg::MinF(e), Accumulator::Min(current)) => {
-                        if let Some(x) = e.evaluate_split(base_row, probe_row, split)? {
-                            let replace = match current {
-                                None => true,
-                                // Mirrors Value::total_cmp on floats: NaN
-                                // never displaces an existing minimum.
-                                Some(Value::Float(c)) => x < *c,
-                                Some(c) => Value::Float(x).total_cmp(c) == std::cmp::Ordering::Less,
-                            };
-                            if replace {
-                                *current = Some(Value::Float(x));
-                            }
-                        }
-                    }
-                    (FastAgg::MaxF(e), Accumulator::Max(current)) => {
-                        if let Some(x) = e.evaluate_split(base_row, probe_row, split)? {
-                            let replace = match current {
-                                None => true,
-                                Some(Value::Float(c)) => x > *c,
-                                Some(c) => {
-                                    Value::Float(x).total_cmp(c) == std::cmp::Ordering::Greater
-                                }
-                            };
-                            if replace {
-                                *current = Some(Value::Float(x));
-                            }
-                        }
-                    }
-                    (FastAgg::Generic(e), acc) => {
-                        acc.update(Some(e.evaluate_split(base_row, probe_row, split)?))?;
-                    }
-                    // FastAgg variants are constructed from the same AggFunc
-                    // the accumulator was, so the pairs always line up.
-                    _ => unreachable!("fast aggregate paired with mismatched accumulator"),
-                }
-            }
+            });
+            FastAgg::update_all(&fast_aggs, accs, base_row, probe_row, split)?;
         }
     }
-
-    // Global aggregation over an empty stream still produces one row of
-    // "empty" aggregates, matching SQL semantics (and `aggregate`).
-    if order.is_empty() && group_by.is_empty() {
-        order.push(Vec::new());
-        accumulators.push(aggregates.iter().map(|a| Accumulator::for_func(&a.func)).collect());
-    }
-
-    let rows = assemble_aggregate_rows(ctx, &out_schema, order, accumulators, output_filter)?;
+    groups.ensure_global_row();
+    let rows = assemble_group_rows(ctx, &out_schema, groups, output_filter)?;
     Ok(Table::from_parts_unchecked(out_schema, rows))
 }
 
+/// Indexed-mode aggregation over a materialized input, with the same group
+/// and accumulation order as [`aggregate`] and the lookups, arenas and
+/// compiled evaluators of [`index_join_aggregate`].
+fn group_aggregate(
+    input: &Table,
+    group_by: &[String],
+    aggregates: &[Aggregate],
+    ctx: &ExecCtx,
+    output_filter: Option<&crate::expr::Expr>,
+) -> Result<Table> {
+    let in_schema = input.schema();
+    let group_idx: Vec<usize> =
+        group_by.iter().map(|k| in_schema.index_of(k)).collect::<Result<_>>()?;
+    let out_schema = aggregate_schema(in_schema, &group_idx, aggregates);
+    let mut groups = Groups::new(aggregates, group_idx.len(), None);
+    if input.is_empty() {
+        // Bind parameters for their errors, as `aggregate` does; compiling
+        // would also reject unknown columns, which an empty input never
+        // evaluates.
+        for agg in aggregates {
+            if let Some(e) = agg.func.arg() {
+                resolve(e, ctx)?;
+            }
+        }
+    } else {
+        let fast_aggs: Vec<FastAgg> = aggregates
+            .iter()
+            .map(|agg| FastAgg::compile(agg, in_schema, ctx))
+            .collect::<Result<_>>()?;
+        for row in input.rows() {
+            let accs = groups.accumulators(|k| &row[group_idx[k]]);
+            FastAgg::update_all(&fast_aggs, accs, row, &[], row.len())?;
+        }
+    }
+    groups.ensure_global_row();
+    let rows = assemble_group_rows(ctx, &out_schema, groups, output_filter)?;
+    Ok(Table::from_parts_unchecked(out_schema, rows))
+}
+
+/// Reference aggregation: the naive mode's cost model (a `Vec` key and a
+/// `Vec` of accumulators per group, uncompiled expressions), kept as the
+/// baseline the indexed aggregation paths are checked against.
 fn aggregate(
     input: &Table,
     group_by: &[String],
@@ -2067,5 +2078,155 @@ mod tests {
         assert!(execute(&plan, &catalog()).is_err());
         let plan = Plan::index_join("base_tokens", &["token"], Plan::scan("query_tokens"), &[]);
         assert!(execute(&plan, &catalog()).is_err());
+    }
+
+    /// Debug rendering of a table: unlike `Value` equality, it tells
+    /// `Int(1)` from `Float(1.0)`, so equal renderings are byte-identical.
+    fn render(t: &Table) -> String {
+        format!("{:?} {:?}", t.schema(), t.rows())
+    }
+
+    /// A table whose grouping columns mix Int, integral Float, NULL and Str
+    /// values, indexed on `part` for the fused aggregation path.
+    fn grouping_catalog() -> Catalog {
+        let t = TableBuilder::new()
+            .column("part", DataType::Int)
+            .column("a", DataType::Float)
+            .column("b", DataType::Int)
+            .column("c", DataType::Str)
+            .column("d", DataType::Int)
+            .column("v", DataType::Float)
+            .row(vec![1.into(), Value::Int(1), 10.into(), "x".into(), 0.into(), 0.5.into()])
+            .row(vec![2.into(), Value::Float(1.0), 10.into(), "x".into(), 0.into(), 0.25.into()])
+            .row(vec![1.into(), 2.5.into(), 10.into(), "y".into(), 1.into(), 0.125.into()])
+            .row(vec![2.into(), Value::Null, 10.into(), "y".into(), 1.into(), 1.5.into()])
+            .row(vec![1.into(), Value::Null, Value::Null, "x".into(), 2.into(), 2.0.into()])
+            .row(vec![2.into(), Value::Int(1), 11.into(), Value::Null, 2.into(), 0.75.into()])
+            .row(vec![1.into(), 2.5.into(), 10.into(), "y".into(), 1.into(), 0.1.into()])
+            .row(vec![3.into(), Value::Int(3), 12.into(), "z".into(), 3.into(), Value::Null])
+            .build()
+            .unwrap();
+        let parts = TableBuilder::new()
+            .column("part", DataType::Int)
+            .row(vec![2.into()])
+            .row(vec![1.into()])
+            .row(vec![3.into()])
+            .build()
+            .unwrap();
+        let mut c = Catalog::new();
+        c.register_indexed("t", t, &["part"]).unwrap();
+        c.register("parts", parts);
+        c
+    }
+
+    fn grouping_aggregates() -> Vec<(AggFunc, &'static str)> {
+        vec![
+            (AggFunc::CountStar, "n"),
+            (AggFunc::Count(col("a")), "na"),
+            (AggFunc::CountDistinct(col("c")), "nc"),
+            (AggFunc::Sum(col("v")), "sv"),
+            (AggFunc::Avg(col("v")), "av"),
+            (AggFunc::Min(col("v").mul(lit(2.0))), "mv"),
+            (AggFunc::Max(col("a")), "xa"),
+            (AggFunc::Min(col("b")), "mb"),
+        ]
+    }
+
+    /// Both aggregation inputs the engine distinguishes: a materialized
+    /// scan (generic grouping) and an index probe (fused grouping).
+    fn grouping_plans(keys: &[&str]) -> Vec<Plan> {
+        vec![
+            Plan::scan("t").aggregate(keys, grouping_aggregates()),
+            Plan::index_join("t", &["part"], Plan::scan("parts"), &["part"])
+                .aggregate(keys, grouping_aggregates()),
+        ]
+    }
+
+    #[test]
+    fn grouping_is_byte_identical_to_the_naive_reference() {
+        let c = grouping_catalog();
+        let key_sets: [&[&str]; 8] = [
+            &[],
+            &["part"],
+            &["a"],
+            &["a", "b"],
+            &["b", "a"],
+            &["b", "d"],
+            &["d", "c"],
+            &["part", "a", "b", "c", "d"],
+        ];
+        for keys in key_sets {
+            for plan in grouping_plans(keys) {
+                let fast = execute(&plan, &c).unwrap();
+                let slow = execute_naive(&plan, &c, &Bindings::new()).unwrap();
+                assert_eq!(render(&fast), render(&slow), "keys {keys:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn int_and_float_keys_form_one_group() {
+        let c = grouping_catalog();
+        // Int(1) and Float(1.0) are equal values: one group in every mode,
+        // also when the Float arrives after the all-Int keys were packed.
+        for keys in [&["a"][..], &["a", "b"], &["b", "a"]] {
+            for plan in grouping_plans(keys) {
+                for t in [
+                    execute(&plan, &c).unwrap(),
+                    execute_naive(&plan, &c, &Bindings::new()).unwrap(),
+                ] {
+                    let ai = keys.iter().position(|&k| k == "a").unwrap();
+                    let b10 = |r: &&Row| keys.len() == 1 || r[1 - ai] == Value::Int(10);
+                    let ones: Vec<&Row> =
+                        t.rows().iter().filter(|r| r[ai] == Value::Int(1)).filter(b10).collect();
+                    assert_eq!(ones.len(), 1, "keys {keys:?}: {:?}", t.rows());
+                    let count = ones[0][keys.len()].clone();
+                    let expected = if keys.len() == 1 { 3 } else { 2 };
+                    assert_eq!(count, Value::Int(expected), "keys {keys:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_input_aggregates_match_the_naive_reference() {
+        let mut c = grouping_catalog();
+        let empty_parts = TableBuilder::new().column("part", DataType::Int).build().unwrap();
+        c.register("parts", empty_parts);
+        let empty_t = Table::empty(c.get("t").unwrap().schema().clone());
+        c.register("t_empty", empty_t);
+        for keys in [&[][..], &["a", "b"]] {
+            let probe_nothing = grouping_plans(keys).pop().unwrap();
+            let scan_nothing = Plan::scan("t_empty").aggregate(keys, grouping_aggregates());
+            for plan in [probe_nothing, scan_nothing] {
+                let fast = execute(&plan, &c).unwrap();
+                let slow = execute_naive(&plan, &c, &Bindings::new()).unwrap();
+                assert_eq!(render(&fast), render(&slow), "keys {keys:?}");
+                // A global aggregate still yields its one row of empty
+                // aggregates; a grouped one yields none.
+                assert_eq!(fast.num_rows(), usize::from(keys.is_empty()), "keys {keys:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn budget_truncated_grouping_is_a_prefix_of_the_reference() {
+        let c = grouping_catalog();
+        for keys in [&["part"][..], &["a", "b"], &["part", "a", "b", "c", "d"]] {
+            for plan in grouping_plans(keys) {
+                let full = execute_naive(&plan, &c, &Bindings::new()).unwrap();
+                for cap in 0..=full.num_rows() as u64 + 1 {
+                    let limits = crate::limits::ExecLimits::new(None, Some(cap));
+                    let cut =
+                        execute_with_limits(&plan, &c, &Bindings::new(), Some(&limits)).unwrap();
+                    let kept = full.num_rows().min(cap as usize);
+                    let prefix = Table::from_parts_unchecked(
+                        full.schema().clone(),
+                        full.rows()[..kept].to_vec(),
+                    );
+                    assert_eq!(render(&cut), render(&prefix), "keys {keys:?} cap {cap}");
+                }
+            }
+        }
     }
 }

@@ -58,6 +58,7 @@ mod error;
 mod exec;
 mod expr;
 pub mod fault;
+mod group;
 mod limits;
 mod plan;
 mod posting;

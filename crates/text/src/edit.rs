@@ -94,9 +94,94 @@ pub fn edit_similarity(a: &str, b: &str) -> f64 {
     1.0 - edit_distance(a, b) as f64 / max_len as f64
 }
 
+/// Longest pattern, in bytes, the bit-parallel kernel holds in one `u64`.
+const WORD_BITS: usize = 64;
+
+/// One word prepared for many edit-similarity comparisons against other
+/// words: the bit-parallel Levenshtein of Myers (JACM 1999), in Hyyrö's
+/// formulation, with the word as the pattern. The match masks are built once
+/// here, so each [`similarity`](Self::similarity) call costs one pass over
+/// the other word's bytes with a handful of word operations per byte.
+///
+/// The kernel covers ASCII patterns of up to 64 bytes compared with ASCII
+/// text of any length; every other pair goes through the scalar
+/// [`edit_similarity`]. Both compute the same integer distance and the same
+/// `1 - d / max_len` expression, so the results are bit-identical.
+#[derive(Debug, Clone)]
+pub struct EditPattern {
+    word: Box<str>,
+    /// Per ASCII byte, the bit set of pattern positions holding it; `None`
+    /// when the pattern is non-ASCII or longer than [`WORD_BITS`].
+    peq: Option<Box<[u64; 128]>>,
+}
+
+impl EditPattern {
+    /// Prepare `word` as the pattern side of later comparisons.
+    pub fn new(word: &str) -> Self {
+        let peq = (word.is_ascii() && word.len() <= WORD_BITS).then(|| {
+            let mut peq = Box::new([0u64; 128]);
+            for (i, &b) in word.as_bytes().iter().enumerate() {
+                peq[b as usize] |= 1 << i;
+            }
+            peq
+        });
+        EditPattern { word: word.into(), peq }
+    }
+
+    /// `edit_similarity(word, text)` for the `word` this pattern was built
+    /// from, bit for bit.
+    pub fn similarity(&self, text: &str) -> f64 {
+        match &self.peq {
+            Some(peq) if text.is_ascii() => {
+                let max_len = self.word.len().max(text.len());
+                if max_len == 0 {
+                    return 1.0;
+                }
+                let d = myers_distance(peq, self.word.len(), text.as_bytes());
+                1.0 - d as f64 / max_len as f64
+            }
+            _ => edit_similarity(&self.word, text),
+        }
+    }
+}
+
+/// Levenshtein distance between an ASCII pattern of `m <= 64` bytes (given
+/// by its match masks) and ASCII `text`: one column of the distance matrix
+/// per text byte, kept as vertical +1/-1 delta bit vectors, with the score
+/// tracked at the pattern's last row.
+fn myers_distance(peq: &[u64; 128], m: usize, text: &[u8]) -> usize {
+    if m == 0 {
+        return text.len();
+    }
+    let last = 1u64 << (m - 1);
+    let mut pv = !0u64;
+    let mut mv = 0u64;
+    let mut score = m;
+    for &c in text {
+        let eq = peq[usize::from(c & 0x7f)];
+        let xv = eq | mv;
+        let xh = ((eq & pv).wrapping_add(pv) ^ pv) | eq;
+        let ph = mv | !(xh | pv);
+        let mh = pv & xh;
+        if ph & last != 0 {
+            score += 1;
+        } else if mh & last != 0 {
+            score -= 1;
+        }
+        // Row 0 of the matrix grows by one per text byte (global distance),
+        // so a +1 horizontal delta enters at the bottom of every column.
+        let ph = (ph << 1) | 1;
+        let mh = mh << 1;
+        pv = mh | !(xv | ph);
+        mv = ph & xv;
+    }
+    score
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]
     fn classic_cases() {
@@ -149,6 +234,72 @@ mod tests {
         assert_eq!(edit_distance_within("", "ab", 1), None);
         assert_eq!(edit_distance_within("", "ab", 2), Some(2));
         assert_eq!(edit_distance_within("ab", "", 5), Some(2));
+    }
+
+    /// Random string over `alphabet` with `len` characters.
+    fn random_string(rng: &mut StdRng, alphabet: &[char], len: usize) -> String {
+        (0..len).map(|_| alphabet[rng.gen_range(0..alphabet.len())]).collect()
+    }
+
+    /// The bit-parallel kernel must equal the scalar `1 - d / max_len`
+    /// bit for bit, with either string as the pattern.
+    fn assert_kernel_agrees(a: &str, b: &str) {
+        for (x, y) in [(a, b), (b, a)] {
+            assert_eq!(
+                EditPattern::new(x).similarity(y).to_bits(),
+                edit_similarity(x, y).to_bits(),
+                "pattern {x:?} vs text {y:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn bit_parallel_kernel_equals_scalar_similarity() {
+        let mut rng = StdRng::seed_from_u64(0x4d79657273);
+        let upper: Vec<char> = ('A'..='Z').collect();
+        let repeats = ['A', 'B'];
+        let printable: Vec<char> = (b' '..=b'~').map(char::from).collect();
+        let lengths = [0, 1, 2, 5, 31, 32, 63, 64, 65, 100];
+        for alphabet in [&upper[..], &repeats[..], &printable[..]] {
+            for &la in &lengths {
+                for &lb in &lengths {
+                    let a = random_string(&mut rng, alphabet, la);
+                    let b = random_string(&mut rng, alphabet, lb);
+                    assert_kernel_agrees(&a, &b);
+                }
+            }
+            for _ in 0..2000 {
+                let len = rng.gen_range(0..=70);
+                let a = random_string(&mut rng, alphabet, len);
+                let len = rng.gen_range(0..=70);
+                let b = random_string(&mut rng, alphabet, len);
+                assert_kernel_agrees(&a, &b);
+            }
+        }
+        for la in 0..=65 {
+            for lb in [0, 1, la / 2, la, 64, 65, 130] {
+                assert_kernel_agrees(&"A".repeat(la), &"A".repeat(lb));
+                assert_kernel_agrees(&"A".repeat(la), &"B".repeat(lb));
+            }
+        }
+    }
+
+    #[test]
+    fn non_ascii_and_long_patterns_fall_back_to_the_scalar_path() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mixed = ['A', 'B', 'C', '\u{e9}', '\u{4e16}', '\u{1f600}'];
+        for _ in 0..2000 {
+            let len = rng.gen_range(0..=20);
+            let a = random_string(&mut rng, &mixed, len);
+            let len = rng.gen_range(0..=20);
+            let b = random_string(&mut rng, &mixed, len);
+            assert_kernel_agrees(&a, &b);
+        }
+        // Lengths count characters: a 3-character, 6-byte pattern.
+        assert_eq!(EditPattern::new("\u{e9}\u{e9}\u{e9}").similarity("EEE"), 0.0);
+        assert!(EditPattern::new(&"A".repeat(65)).peq.is_none());
+        assert!(EditPattern::new("CAF\u{c9}").peq.is_none());
+        assert!(EditPattern::new(&"A".repeat(64)).peq.is_some());
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub mod normalize;
 pub mod qgram;
 pub mod word;
 
-pub use edit::{edit_distance, edit_distance_within, edit_similarity};
+pub use edit::{edit_distance, edit_distance_within, edit_similarity, EditPattern};
 pub use jaro::{jaro, jaro_winkler};
 pub use minhash::MinHasher;
 pub use normalize::normalize;
