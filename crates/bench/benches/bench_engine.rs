@@ -29,8 +29,8 @@
 //! the default-seal append against rebuilding a monolithic engine per
 //! ingested record (the >= 10x acceptance bar at 10k). A `sharded` section
 //! runs the bounded top-k and fixed-τ threshold through the tid-range
-//! `ShardedEngine` (a fixed 4-shard partition fanned under the shared θ/τ
-//! bar) against a monolithic engine over the same frozen corpus stats, at
+//! `ShardedEngine` (a fixed 4-shard partition, one independent traversal
+//! per shard, merged) against a monolithic engine over the same frozen corpus stats, at
 //! the grid sizes and — not in smoke — at 100k and 1M scale points; every
 //! sharded answer is first cross-checked against the monolith (Rank and
 //! threshold bit-identical, top-k tie-class-equal). Writes
@@ -90,7 +90,7 @@ const WORKER_WIDTHS: [usize; 3] = [1, 2, 4];
 const LIVE_SEALS: [usize; 3] = [1, 64, 1000];
 /// Segment counts of the live query-latency rows: the same records held as
 /// 1 / 4 / 16 sealed segments, so the per-segment traversal + merge
-/// overhead of the shared-bar execution is isolated from corpus size.
+/// overhead of segmented execution is isolated from corpus size.
 const LIVE_SEGMENTS: [usize; 3] = [1, 4, 16];
 /// Shard count of the sharded-execution section: fixed (rather than the
 /// machine's core count) so recorded numbers stay comparable across runs
@@ -416,8 +416,8 @@ fn measure_sharded_rows(
     let stats = tokenize_dataset(dataset, params);
     let sharded = ShardedEngine::build(stats.clone(), &Params { shards: SHARD_COUNT, ..*params });
     let monolith = SelectionEngine::build(stats, params);
-    // Disable the merged cache AND every per-shard cache — the timing loops
-    // repeat identical executions, which any cache would short-circuit.
+    // Disable the merged cache (shard engines keep none) — the timing loops
+    // repeat identical executions, which a cache would short-circuit.
     sharded.set_result_cache_capacity(0);
     monolith.set_result_cache_capacity(0);
     let texts: Vec<String> =
@@ -442,7 +442,7 @@ fn measure_sharded_rows(
                     "{kind}: sharded rank score diverged at rank {rank}"
                 );
             }
-            // Bounded top-k under the shared θ bar: tie-class-equal.
+            // Bounded top-k, one traversal per shard: tie-class-equal.
             let b = sharded.execute(kind, text, Exec::TopK(TOP_K)).unwrap();
             let h = handle.execute(q, Exec::TopKHeap(TOP_K)).unwrap();
             assert_bounded_matches_heap(kind, &b, &h);
@@ -518,7 +518,7 @@ impl LiveAppendRow {
 
 /// Bounded top-k latency of one predicate with the same records held as
 /// `segments` sealed segments: each query runs the bounded traversal per
-/// segment under the shared θ bar and merges, so the row isolates the
+/// segment and merges, so the row isolates the
 /// per-segment overhead of segmented execution.
 struct LiveSegmentRow {
     predicate: &'static str,
@@ -1137,7 +1137,7 @@ fn main() {
         // 1 / 4 / 16 segments (seed chunk + seal-limit-sized appends). The
         // frozen vocabulary is the seed chunk's, so the variants' scores are
         // not mutually comparable — the latency of the per-segment traversal
-        // + shared-bar merge is what the rows record. Queries are drawn from
+        // + merge is what the rows record. Queries are drawn from
         // the seed chunk so every variant's vocabulary covers them, and each
         // variant is first cross-checked against its own rebuilt monolith
         // (append-only construction keeps the tid map the identity).
@@ -1223,8 +1223,8 @@ fn main() {
         live_rebuild_rows.push(row);
 
         // --- Sharded execution: tid-range shards vs the monolith -------------
-        // The same corpus partitioned into SHARD_COUNT tid-range shards
-        // fanned under the shared θ/τ bar, against a monolithic engine over
+        // The same corpus partitioned into SHARD_COUNT tid-range shards,
+        // fanned and merged, against a monolithic engine over
         // the same frozen stats. In smoke mode the in-place cross-checks
         // (Rank and threshold bit-identical, top-k tie-class-equal) double
         // as the CI differential guard between the sharded and monolithic
@@ -1771,7 +1771,7 @@ fn main() {
     json.push_str("  ],\n");
     // Sharded execution: the bounded top-k and selective-τ threshold
     // through a fixed SHARD_COUNT-shard tid-range `ShardedEngine` (shards
-    // fanned on scoped threads under the shared θ/τ bar) against a
+    // fanned on scoped threads, merged in shard order) against a
     // monolithic engine over the same frozen stats. `*_speedup` is
     // monolith-time / sharded-time; > 1.0 needs real cores — on a 1-core
     // runner the ratio records the fan-out + merge overhead instead (see
@@ -1849,7 +1849,7 @@ fn main() {
     // Live-corpus section. `append_throughput`: single-record appends at
     // three seal limits (the limit bounds the tail each append re-indexes).
     // `query_vs_segments`: bounded top-k latency with the same records held
-    // as 1/4/16 sealed segments — the per-segment cost of the shared-bar
+    // as 1/4/16 sealed segments — the per-segment cost of the fan and
     // merge. `rebuild_per_append`: the default-seal append against
     // rebuilding a monolithic engine per ingested record (`rebuild_ratio`
     // is the factor the live engine saves; the acceptance bar asks >= 10x

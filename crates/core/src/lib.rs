@@ -64,6 +64,7 @@ pub mod live;
 pub mod native;
 pub mod overlap;
 pub mod params;
+mod parts;
 pub mod predicate;
 pub mod pruning;
 pub mod record;

@@ -41,37 +41,19 @@
 //! novel vocabulary is unsearchable until the next [`compact`] — the same
 //! staleness window Lucene-style engines accept between segment merges.
 //!
-//! ## Deterministic parallel merging
+//! ## Deterministic merging
 //!
-//! An unbudgeted query runs one *independent* traversal per segment — fanned
-//! across the bounded scoped-thread pool of `fan_units`, the
-//! same machinery the tid-range [`crate::shard::ShardedEngine`] uses — and
-//! merges the per-segment results deterministically:
-//!
-//! * [`Exec::Rank`] / [`Exec::Threshold`] / [`Exec::ThresholdScan`] run the
-//!   same mode per segment (a fixed τ bar passes through unchanged) and the
-//!   mapped live results are concatenated and ranked — bit-identical to the
-//!   monolith, because per-candidate scores are independent of which
-//!   segment holds the candidate.
-//! * [`Exec::TopKHeap`]`(k)` asks each segment for its `k + dead(segment)`
-//!   best (tombstoned rows may occupy up to `dead` of the local top slots),
-//!   then ranks the merged survivors — exact.
-//! * [`Exec::TopK`]`(k)` (the bounded operator) likewise asks each segment
-//!   for its own `TopK(k + dead)` and re-ranks the union. Any global top-`k`
-//!   member excluded from its segment's local answer implies `k + dead`
-//!   local entries at or above its score, at least `k` of them live — which
-//!   both contradicts strict membership above the global boundary and fills
-//!   the boundary score multiset, so the merge preserves the operator's
-//!   tie-class contract at the `k` boundary.
-//!
-//! Because every per-segment traversal is independent and results merge in
-//! segment order, the answer is **byte-deterministic regardless of thread
-//! scheduling** — the live engine deliberately does *not* use the
-//! [`relq::SharedBar`] θ-exchange of the sharded engine, whose cold bounded
-//! top-k answers are only tie-class-determined. Budgeted queries keep a
-//! strictly sequential segment loop for the same reason: a serial cut under
-//! a candidate cap is byte-reproducible, a racing one is not (see
-//! [`execute_budgeted`]).
+//! The segments and the tid-range [`crate::shard::ShardedEngine`]'s shards
+//! execute through one fan-and-merge. An unbudgeted query runs one
+//! *independent* traversal per segment on a bounded scoped-thread pool and
+//! merges the per-segment results in segment order: [`Exec::Rank`],
+//! [`Exec::Threshold`], [`Exec::ThresholdScan`] and [`Exec::TopKHeap`] are
+//! bit-identical to the monolith, and [`Exec::TopK`]`(k)` — each segment's
+//! own `TopK(k + dead)` (tombstoned rows may occupy up to `dead` local top
+//! slots), re-ranked — is tie-class-equal at the `k` boundary. Budgeted
+//! queries run the segments strictly sequentially under one shared budget
+//! (see [`execute_budgeted`]). Either way the answer is
+//! **byte-deterministic regardless of thread scheduling**.
 //!
 //! [`append`]: LiveEngine::append
 //! [`delete`]: LiveEngine::delete
@@ -80,11 +62,12 @@
 //! [`execute_budgeted`]: LiveEngine::execute_budgeted
 
 use crate::corpus::{Corpus, TokenizedCorpus};
-use crate::engine::{CacheStats, Exec, ExecKey, ResultCache, SelectionEngine};
-use crate::params::Params;
+use crate::engine::{BudgetedRun, CacheStats, Exec, ExecKey, ResultCache, SelectionEngine};
+use crate::params::{ExecBudget, Params};
+use crate::parts::{Part, PartSet};
 use crate::predicate::PredicateKind;
-use crate::record::{sort_ranked, top_k_ranked, Record, ScoredTid, Tid};
-use std::collections::{BTreeSet, HashMap};
+use crate::record::{Record, ScoredTid, Tid};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -102,20 +85,6 @@ fn segment_seal_env(var: Option<&str>) -> Option<usize> {
     crate::envknob::positive_usize("DASP_SEGMENT_SEAL", var)
 }
 
-/// One immutable segment: a slice of the appended stream plus a full
-/// [`SelectionEngine`] over it. `records[i]` is the record the segment
-/// engine knows as local tid `i` (the corpus dense-tid invariant), carrying
-/// its **global** tid — the local→global map is the records list itself.
-struct Segment {
-    /// Segment records in ascending global-tid order.
-    records: Vec<Record>,
-    /// The engine over this slice, tokenized against the frozen statistics.
-    engine: SelectionEngine,
-    /// Sealed segments are never rebuilt; the (single, last) unsealed
-    /// segment is the tail that [`LiveEngine::append`] replaces.
-    sealed: bool,
-}
-
 /// An immutable view of the live corpus at one epoch. Queries pin one
 /// snapshot for their whole execution; writers install a fresh snapshot per
 /// mutation and never mutate an installed one.
@@ -125,28 +94,29 @@ struct LiveSnapshot {
     /// The frozen-statistics donor every segment projects against (the
     /// tokenized corpus of the last compaction or construction).
     stats: Arc<TokenizedCorpus>,
-    /// Sealed segments in append order, then the tail (if non-empty) last.
-    segments: Vec<Arc<Segment>>,
-    /// Per-segment count of tombstoned records, aligned with `segments`.
-    dead: Vec<usize>,
-    /// Global tids deleted since the last compaction.
-    tombstones: Arc<BTreeSet<Tid>>,
+    /// Sealed segments in append order, then the tail (if non-empty) last,
+    /// with the tombstones deleted since the last compaction.
+    segments: PartSet,
+    /// Whether the last segment is the unsealed tail that
+    /// [`LiveEngine::append`] replaces. Sealed segments are never rebuilt.
+    tail_open: bool,
     /// The next global tid [`LiveEngine::append`] will assign.
     next_tid: Tid,
 }
 
 impl LiveSnapshot {
     /// The mutable tail, if the last segment is unsealed.
-    fn tail(&self) -> Option<&Arc<Segment>> {
-        self.segments.last().filter(|s| !s.sealed)
+    fn tail(&self) -> Option<&Arc<Part>> {
+        self.segments.parts.last().filter(|_| self.tail_open)
     }
 
     /// All live (non-tombstoned) records, ascending global tid.
     fn live_records(&self) -> Vec<Record> {
         self.segments
+            .parts
             .iter()
             .flat_map(|s| s.records.iter())
-            .filter(|r| !self.tombstones.contains(&r.tid))
+            .filter(|r| !self.segments.tombstones.contains(&r.tid))
             .cloned()
             .collect()
     }
@@ -269,11 +239,7 @@ impl LiveEngine {
         let segments = if records.is_empty() {
             Vec::new()
         } else {
-            vec![Arc::new(Segment {
-                records,
-                engine: SelectionEngine::build(stats.clone(), params),
-                sealed: true,
-            })]
+            vec![Arc::new(Part { records, engine: SelectionEngine::build(stats.clone(), params) })]
         };
         Self::with_state(params, stats, segments, next_tid)
     }
@@ -281,22 +247,20 @@ impl LiveEngine {
     fn with_state(
         params: &Params,
         stats: Arc<TokenizedCorpus>,
-        segments: Vec<Arc<Segment>>,
+        segments: Vec<Arc<Part>>,
         next_tid: Tid,
     ) -> Self {
         let seal_limit = segment_seal_env(std::env::var("DASP_SEGMENT_SEAL").ok().as_deref())
             .unwrap_or(params.segment_seal)
             .max(1);
-        let dead = vec![0; segments.len()];
         LiveEngine {
             params: *params,
             seal_limit,
             snapshot: RwLock::new(Arc::new(LiveSnapshot {
                 epoch: 0,
                 stats,
-                segments,
-                dead,
-                tombstones: Arc::new(BTreeSet::new()),
+                segments: PartSet::frozen(segments),
+                tail_open: false,
                 next_tid,
             })),
             writer: Mutex::new(()),
@@ -318,35 +282,11 @@ impl LiveEngine {
             Arc::new(snapshot);
     }
 
-    /// A segment engine over `corpus`, its result cache sized like every
-    /// other segment's.
-    fn segment_engine(&self, corpus: Arc<TokenizedCorpus>) -> SelectionEngine {
-        let engine = SelectionEngine::build(corpus, &self.params);
-        engine.set_result_cache_capacity(self.segment_cache_capacity.load(Ordering::Relaxed));
-        engine
-    }
-
-    /// Build a segment over `records` (global tids) by projecting them
-    /// against the frozen statistics — `O(records)`, independent of corpus
-    /// size, which is what keeps [`append`](Self::append) `O(tail)`.
-    fn build_segment(
-        &self,
-        stats: &Arc<TokenizedCorpus>,
-        records: Vec<Record>,
-        sealed: bool,
-    ) -> Segment {
-        let dense: Vec<Record> = records
-            .iter()
-            .enumerate()
-            .map(|(i, r)| Record::new(i as Tid, r.text.clone()))
-            .collect();
-        let corpus = Arc::new(stats.project(dense));
-        Segment { records, engine: self.segment_engine(corpus), sealed }
-    }
-
     /// Append one record, returning its (stable, never reused) global tid.
-    /// Costs one tail-segment rebuild — `O(tail)` — and seals the tail in
-    /// place once it reaches the seal threshold. Bumps the epoch.
+    /// Costs one tail-segment rebuild — `O(tail)`, independent of corpus
+    /// size, because the tail is projected onto the frozen statistics — and
+    /// seals the tail in place once it reaches the seal threshold. Bumps the
+    /// epoch.
     pub fn append(&self, text: impl Into<String>) -> Tid {
         let text = text.into();
         let _w = self.writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -358,19 +298,20 @@ impl LiveEngine {
         };
         tail_records.push(Record::new(tid, text));
         let sealed = tail_records.len() >= self.seal_limit;
-        let tail_dead = tail_records.iter().filter(|r| snap.tombstones.contains(&r.tid)).count();
-        let tail = Arc::new(self.build_segment(&snap.stats, tail_records, sealed));
-        let keep = snap.segments.len() - usize::from(snap.tail().is_some());
-        let mut segments: Vec<Arc<Segment>> = snap.segments[..keep].to_vec();
-        let mut dead = snap.dead[..keep].to_vec();
-        segments.push(tail);
+        let tail_dead =
+            tail_records.iter().filter(|r| snap.segments.tombstones.contains(&r.tid)).count();
+        let capacity = self.segment_cache_capacity.load(Ordering::Relaxed);
+        let tail = Arc::new(Part::project(&snap.stats, tail_records, &self.params, capacity));
+        let keep = snap.segments.parts.len() - usize::from(snap.tail_open);
+        let mut parts = snap.segments.parts[..keep].to_vec();
+        let mut dead = snap.segments.dead[..keep].to_vec();
+        parts.push(tail);
         dead.push(tail_dead);
         self.install(LiveSnapshot {
             epoch: snap.epoch + 1,
             stats: snap.stats.clone(),
-            segments,
-            dead,
-            tombstones: snap.tombstones.clone(),
+            segments: PartSet { parts, dead, tombstones: snap.segments.tombstones.clone() },
+            tail_open: !sealed,
             next_tid: tid + 1,
         });
         self.appends.fetch_add(1, Ordering::Relaxed);
@@ -388,26 +329,30 @@ impl LiveEngine {
     pub fn delete(&self, tid: Tid) -> bool {
         let _w = self.writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let snap = self.snapshot();
-        if snap.tombstones.contains(&tid) {
+        if snap.segments.tombstones.contains(&tid) {
             return false;
         }
         let Some(seg) = snap
             .segments
+            .parts
             .iter()
             .position(|s| s.records.binary_search_by_key(&tid, |r| r.tid).is_ok())
         else {
             return false;
         };
-        let mut tombstones = (*snap.tombstones).clone();
+        let mut tombstones = (*snap.segments.tombstones).clone();
         tombstones.insert(tid);
-        let mut dead = snap.dead.clone();
+        let mut dead = snap.segments.dead.clone();
         dead[seg] += 1;
         self.install(LiveSnapshot {
             epoch: snap.epoch + 1,
             stats: snap.stats.clone(),
-            segments: snap.segments.clone(),
-            dead,
-            tombstones: Arc::new(tombstones),
+            segments: PartSet {
+                parts: snap.segments.parts.clone(),
+                dead,
+                tombstones: Arc::new(tombstones),
+            },
+            tail_open: snap.tail_open,
             next_tid: snap.next_tid,
         });
         self.deletes.fetch_add(1, Ordering::Relaxed);
@@ -420,22 +365,14 @@ impl LiveEngine {
     pub fn seal(&self) -> bool {
         let _w = self.writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let snap = self.snapshot();
-        let Some(tail) = snap.tail() else {
+        if !snap.tail_open {
             return false;
-        };
-        let sealed = Arc::new(Segment {
-            records: tail.records.clone(),
-            engine: tail.engine.clone(),
-            sealed: true,
-        });
-        let mut segments = snap.segments.clone();
-        *segments.last_mut().expect("tail exists") = sealed;
+        }
         self.install(LiveSnapshot {
             epoch: snap.epoch + 1,
             stats: snap.stats.clone(),
-            segments,
-            dead: snap.dead.clone(),
-            tombstones: snap.tombstones.clone(),
+            segments: snap.segments.clone(),
+            tail_open: false,
             next_tid: snap.next_tid,
         });
         self.seals.fetch_add(1, Ordering::Relaxed);
@@ -455,217 +392,21 @@ impl LiveEngine {
             live.iter().enumerate().map(|(i, r)| Record::new(i as Tid, r.text.clone())).collect();
         let stats =
             Arc::new(TokenizedCorpus::build(Corpus::from_records(dense), self.params.qgram));
-        let (segments, dead) = if live.is_empty() {
-            (Vec::new(), Vec::new())
+        let segments = if live.is_empty() {
+            Vec::new()
         } else {
-            let segment = Arc::new(Segment {
-                records: live,
-                engine: self.segment_engine(stats.clone()),
-                sealed: true,
-            });
-            (vec![segment], vec![0])
+            let engine = SelectionEngine::build(stats.clone(), &self.params);
+            engine.set_result_cache_capacity(self.segment_cache_capacity.load(Ordering::Relaxed));
+            vec![Arc::new(Part { records: live, engine })]
         };
         self.install(LiveSnapshot {
             epoch: snap.epoch + 1,
             stats,
-            segments,
-            dead,
-            tombstones: Arc::new(BTreeSet::new()),
+            segments: PartSet::frozen(segments),
+            tail_open: false,
             next_tid: snap.next_tid,
         });
         self.compactions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Run one segment's engine in `exec` mode. The query text is tokenized
-    /// against the segment's corpus; token ids agree across segments because
-    /// every segment shares the frozen dictionaries.
-    fn run_segment(
-        segment: &Segment,
-        kind: PredicateKind,
-        text: &str,
-        exec: Exec,
-        limits: Option<&relq::ExecLimits>,
-    ) -> crate::error::Result<Vec<ScoredTid>> {
-        let handle = segment.engine.predicate(kind);
-        let query = segment.engine.query(text);
-        match limits {
-            // Budgeted: bypass the per-segment result cache in both
-            // directions — a partial answer must never be cached, and a
-            // cached full answer would make degradation nondeterministic.
-            Some(_) => handle.execute_with_limits(&query, exec, limits),
-            None => handle.execute(&query, exec),
-        }
-    }
-
-    /// Map a segment-local result to global tids, dropping tombstoned rows.
-    fn map_live(
-        segment: &Segment,
-        tombstones: &BTreeSet<Tid>,
-        local: Vec<ScoredTid>,
-    ) -> Vec<ScoredTid> {
-        local
-            .into_iter()
-            .filter_map(|s| {
-                let global = segment.records[s.tid as usize].tid;
-                (!tombstones.contains(&global)).then_some(ScoredTid::new(global, s.score))
-            })
-            .collect()
-    }
-
-    /// Run one independent traversal per segment through
-    /// `fan_units` (bounded scoped-thread pool, results
-    /// indexed by segment) and map each local result to live global tids.
-    /// `mode` picks the per-segment execution mode from its dead count.
-    fn fan_segments(
-        snap: &LiveSnapshot,
-        kind: PredicateKind,
-        text: &str,
-        mode: impl Fn(usize) -> Exec,
-    ) -> crate::error::Result<Vec<Vec<ScoredTid>>> {
-        let units: Vec<_> = snap
-            .segments
-            .iter()
-            .zip(&snap.dead)
-            .map(|(segment, &dead)| {
-                let exec = mode(dead);
-                move || {
-                    Self::run_segment(segment, kind, text, exec, None)
-                        .map(|local| Self::map_live(segment, &snap.tombstones, local))
-                }
-            })
-            .collect();
-        crate::shard::fan_units(units)
-    }
-
-    /// The deterministic merge over one pinned snapshot (see module docs):
-    /// unbudgeted queries fan independent per-segment traversals across the
-    /// worker pool; budgeted ones take the sequential path so the anytime
-    /// cut stays byte-reproducible.
-    fn execute_on_snapshot(
-        snap: &LiveSnapshot,
-        kind: PredicateKind,
-        text: &str,
-        exec: Exec,
-        limits: Option<&relq::ExecLimits>,
-    ) -> crate::error::Result<Vec<ScoredTid>> {
-        if let Some(limits) = limits {
-            return Self::execute_budgeted_on_snapshot(snap, kind, text, exec, limits);
-        }
-        match exec {
-            Exec::Rank | Exec::Threshold(_) | Exec::ThresholdScan(_) => {
-                let locals = Self::fan_segments(snap, kind, text, |_| exec)?;
-                let mut merged: Vec<ScoredTid> = locals.into_iter().flatten().collect();
-                sort_ranked(&mut merged);
-                Ok(merged)
-            }
-            Exec::TopKHeap(k) => {
-                if k == 0 {
-                    return Ok(Vec::new());
-                }
-                let locals = Self::fan_segments(snap, kind, text, |dead| {
-                    Exec::TopKHeap(k.saturating_add(dead))
-                })?;
-                Ok(top_k_ranked(locals.concat(), k))
-            }
-            Exec::TopK(k) => {
-                if k == 0 {
-                    return Ok(Vec::new());
-                }
-                // Independent per-segment bounded top-k (k + dead covers
-                // tombstoned rows occupying local top slots), then one
-                // global re-rank — tie-class-correct at the k boundary and,
-                // unlike a shared-θ exchange, byte-deterministic under any
-                // thread interleaving.
-                let locals = Self::fan_segments(snap, kind, text, |dead| {
-                    Exec::TopK(k.saturating_add(dead))
-                })?;
-                Ok(top_k_ranked(locals.concat(), k))
-            }
-        }
-    }
-
-    /// The budgeted merge: **one** [`relq::ExecLimits`] is shared across
-    /// every segment so the budget bounds the whole request, not each
-    /// segment, and segments run strictly sequentially — a serial cut under
-    /// a candidate cap is byte-reproducible, a racing one is not. The loop
-    /// stops early once the budget trips (later segments would only add
-    /// charged-and-refused probes); segments processed before the trip
-    /// contribute exactly-scored rows, so the merged prefix is a valid
-    /// anytime answer.
-    fn execute_budgeted_on_snapshot(
-        snap: &LiveSnapshot,
-        kind: PredicateKind,
-        text: &str,
-        exec: Exec,
-        limits: &relq::ExecLimits,
-    ) -> crate::error::Result<Vec<ScoredTid>> {
-        let limits = Some(limits);
-        let tripped = || limits.is_some_and(|l| l.exhausted());
-        match exec {
-            Exec::Rank | Exec::Threshold(_) | Exec::ThresholdScan(_) => {
-                let mut merged = Vec::new();
-                for segment in &snap.segments {
-                    if tripped() {
-                        break;
-                    }
-                    let local = Self::run_segment(segment, kind, text, exec, limits)?;
-                    merged.extend(Self::map_live(segment, &snap.tombstones, local));
-                }
-                sort_ranked(&mut merged);
-                Ok(merged)
-            }
-            Exec::TopKHeap(k) => {
-                if k == 0 {
-                    return Ok(Vec::new());
-                }
-                let mut merged = Vec::new();
-                for (segment, &dead) in snap.segments.iter().zip(&snap.dead) {
-                    if tripped() {
-                        break;
-                    }
-                    let mode = Exec::TopKHeap(k.saturating_add(dead));
-                    let local = Self::run_segment(segment, kind, text, mode, limits)?;
-                    merged.extend(Self::map_live(segment, &snap.tombstones, local));
-                }
-                Ok(top_k_ranked(merged, k))
-            }
-            Exec::TopK(k) => {
-                if k == 0 {
-                    return Ok(Vec::new());
-                }
-                // θ-carry: once k live candidates exist, later segments run
-                // the (bit-exact) threshold operator at the running k-th
-                // best score instead of a fresh top-k.
-                let mut collected: Vec<ScoredTid> = Vec::new();
-                for (segment, &dead) in snap.segments.iter().zip(&snap.dead) {
-                    if tripped() {
-                        break;
-                    }
-                    let mode = if collected.len() >= k {
-                        Exec::Threshold(collected[k - 1].score)
-                    } else {
-                        Exec::TopK(k.saturating_add(dead))
-                    };
-                    let local = Self::run_segment(segment, kind, text, mode, limits)?;
-                    collected.extend(Self::map_live(segment, &snap.tombstones, local));
-                    collected = top_k_ranked(collected, k);
-                }
-                Ok(collected)
-            }
-        }
-    }
-
-    /// Attribute final result rows to the tail vs sealed segments. Tail
-    /// tids are the largest in the snapshot (appends are tid-monotone), so
-    /// membership is one comparison per row.
-    fn attribute_hits(snap: &LiveSnapshot, results: &[ScoredTid], stats: &mut LiveQueryStats) {
-        let tail_start = snap.tail().and_then(|t| t.records.first()).map(|r| r.tid);
-        for s in results {
-            match tail_start {
-                Some(t0) if s.tid >= t0 => stats.tail_hits += 1,
-                _ => stats.sealed_hits += 1,
-            }
-        }
     }
 
     /// Execute `kind` over the query `text` in mode `exec` against the
@@ -689,75 +430,45 @@ impl LiveEngine {
         text: &str,
         exec: Exec,
     ) -> crate::error::Result<(Vec<ScoredTid>, LiveQueryStats)> {
-        let snap = self.snapshot();
-        let mut stats = LiveQueryStats {
-            epoch: snap.epoch,
-            segments_probed: 0,
-            sealed_hits: 0,
-            tail_hits: 0,
-            cache_hit: false,
-        };
-        let cached = self.cache.enabled();
-        if cached {
-            if let Some(hit) = self.cache.get(snap.epoch, kind, text, exec) {
-                stats.cache_hit = true;
-                Self::attribute_hits(&snap, &hit, &mut stats);
-                return Ok((hit.as_ref().clone(), stats));
-            }
-        }
-        let results = Self::execute_on_snapshot(&snap, kind, text, exec, None)?;
-        stats.segments_probed = snap.segments.len();
-        Self::attribute_hits(&snap, &results, &mut stats);
-        if cached {
-            self.cache.insert(snap.epoch, kind, text, exec, Arc::new(results.clone()));
-        }
-        Ok((results, stats))
+        self.execute_budgeted(kind, text, exec, ExecBudget::unlimited())
+            .map(|(run, stats)| (run.results, stats))
     }
 
     /// [`execute_tracked`](Self::execute_tracked) under an execution budget.
     ///
     /// An unlimited budget takes the normal cache-enabled path. A capped one
-    /// shares a single [`relq::ExecLimits`] across every segment (the budget
-    /// bounds the request, not each segment) and bypasses the epoch-keyed
-    /// result cache in both directions — a degraded partial must never
-    /// answer an unbudgeted request, and a cached full answer would make
-    /// degradation nondeterministic. On exhaustion the merged prefix is the
-    /// anytime answer: every returned score is exactly what the monolith
-    /// computes for that tid, only coverage is truncated.
+    /// shares a single [`relq::ExecLimits`] across the segments (the budget
+    /// bounds the request, not each segment), runs them sequentially — a
+    /// serial cut under a candidate cap is byte-reproducible, a racing one
+    /// is not — and stops at the first segment that finds the budget
+    /// tripped; [`LiveQueryStats::segments_probed`] counts the segments that
+    /// ran. It bypasses the epoch-keyed result cache in both directions — a
+    /// degraded partial must never answer an unbudgeted request, and a
+    /// cached full answer would make degradation nondeterministic. On
+    /// exhaustion the merged prefix is the anytime answer: every returned
+    /// score is exactly what the monolith computes for that tid, only
+    /// coverage is truncated.
     pub fn execute_budgeted(
         &self,
         kind: PredicateKind,
         text: &str,
         exec: Exec,
-        budget: crate::params::ExecBudget,
-    ) -> crate::error::Result<(crate::engine::BudgetedRun, LiveQueryStats)> {
-        if budget.is_unlimited() {
-            let (results, stats) = self.execute_tracked(kind, text, exec)?;
-            let run = crate::engine::BudgetedRun {
-                results,
-                cache_hit: stats.cache_hit,
-                degraded: false,
-                report: None,
-            };
-            return Ok((run, stats));
-        }
+        budget: ExecBudget,
+    ) -> crate::error::Result<(BudgetedRun, LiveQueryStats)> {
         let snap = self.snapshot();
-        let mut stats = LiveQueryStats {
+        let (run, segments_probed) =
+            snap.segments.execute_budgeted(&self.cache, snap.epoch, kind, text, exec, budget)?;
+        // Tail tids are the largest in the snapshot (appends are
+        // tid-monotone), so attribution is one comparison per row.
+        let tail_start = snap.tail().and_then(|t| t.records.first()).map(|r| r.tid);
+        let tail_hits =
+            run.results.iter().filter(|s| tail_start.is_some_and(|t0| s.tid >= t0)).count();
+        let stats = LiveQueryStats {
             epoch: snap.epoch,
-            segments_probed: snap.segments.len(),
-            sealed_hits: 0,
-            tail_hits: 0,
-            cache_hit: false,
-        };
-        let limits =
-            relq::ExecLimits::new(budget.deadline, budget.max_candidates.map(|n| n as u64));
-        let results = Self::execute_on_snapshot(&snap, kind, text, exec, Some(&limits))?;
-        Self::attribute_hits(&snap, &results, &mut stats);
-        let run = crate::engine::BudgetedRun {
-            results,
-            cache_hit: false,
-            degraded: limits.exhausted(),
-            report: Some(crate::engine::BudgetReport::from_limits(&limits)),
+            segments_probed,
+            sealed_hits: run.results.len() - tail_hits,
+            tail_hits,
+            cache_hit: run.cache_hit,
         };
         Ok((run, stats))
     }
@@ -796,7 +507,7 @@ impl LiveEngine {
                 continue;
             }
             let (kind, text, exec) = batch[i];
-            let result = Self::execute_on_snapshot(&snap, kind, text, exec, None);
+            let result = snap.segments.execute(kind, text, exec, None).map(|(results, _)| results);
             if cached {
                 if let Ok(results) = &result {
                     inserts.push((kind, text.to_string(), exec, Arc::new(results.clone())));
@@ -826,12 +537,9 @@ impl LiveEngine {
     /// design amortizes away, which is what the bench baseline measures.
     pub fn rebuild_monolith(&self) -> (SelectionEngine, Vec<Tid>) {
         let snap = self.snapshot();
-        let live = snap.live_records();
-        let map: Vec<Tid> = live.iter().map(|r| r.tid).collect();
-        let dense: Vec<Record> =
-            live.iter().enumerate().map(|(i, r)| Record::new(i as Tid, r.text.clone())).collect();
-        let corpus = Arc::new(snap.stats.project(dense));
-        (SelectionEngine::build(corpus, &self.params), map)
+        let capacity = crate::engine::DEFAULT_RESULT_CACHE_CAPACITY;
+        let monolith = Part::project(&snap.stats, snap.live_records(), &self.params, capacity);
+        (monolith.engine, monolith.records.iter().map(|r| r.tid).collect())
     }
 
     /// The current epoch: total successful mutations since construction.
@@ -841,9 +549,7 @@ impl LiveEngine {
 
     /// Live (non-tombstoned) record count.
     pub fn len(&self) -> usize {
-        let snap = self.snapshot();
-        snap.segments.iter().map(|s| s.records.len()).sum::<usize>()
-            - snap.dead.iter().sum::<usize>()
+        self.snapshot().segments.live_len()
     }
 
     /// Whether no live records exist.
@@ -869,15 +575,13 @@ impl LiveEngine {
     /// Point-in-time segment layout, mutation counters, and cache stats.
     pub fn metrics(&self) -> LiveMetrics {
         let snap = self.snapshot();
-        let total_records: usize = snap.segments.iter().map(|s| s.records.len()).sum();
-        let dead: usize = snap.dead.iter().sum();
         LiveMetrics {
             epoch: snap.epoch,
-            sealed_segments: snap.segments.iter().filter(|s| s.sealed).count(),
+            sealed_segments: snap.segments.parts.len() - usize::from(snap.tail_open),
             tail_len: snap.tail().map_or(0, |t| t.records.len()),
-            live_records: total_records - dead,
-            total_records,
-            tombstones: snap.tombstones.len(),
+            live_records: snap.segments.live_len(),
+            total_records: snap.segments.total_records(),
+            tombstones: snap.segments.tombstones.len(),
             appends: self.appends.load(Ordering::Relaxed),
             deletes: self.deletes.load(Ordering::Relaxed),
             seals: self.seals.load(Ordering::Relaxed),
@@ -900,7 +604,7 @@ impl LiveEngine {
         let _w = self.writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         self.cache.set_capacity(capacity);
         self.segment_cache_capacity.store(capacity, Ordering::Relaxed);
-        for segment in &self.snapshot().segments {
+        for segment in &self.snapshot().segments.parts {
             segment.engine.set_result_cache_capacity(capacity);
         }
     }
@@ -1071,8 +775,8 @@ mod tests {
         live.append("Morgan Stanley Capital");
         let segment_hits = |live: &LiveEngine| {
             let snap = live.snapshot();
-            assert!(!snap.segments.is_empty());
-            snap.segments.iter().map(|s| s.engine.result_cache_stats()).collect::<Vec<_>>()
+            assert!(!snap.segments.parts.is_empty());
+            snap.segments.parts.iter().map(|s| s.engine.result_cache_stats()).collect::<Vec<_>>()
         };
         for _ in 0..3 {
             for exec in [Exec::TopK(2), Exec::Threshold(0.1), Exec::Rank] {
@@ -1093,6 +797,23 @@ mod tests {
             assert_eq!((stats.hits, stats.entries, stats.capacity), (0, 0, 0), "{stats:?}");
         }
         assert_eq!(live.result_cache_stats().hits, 0);
+    }
+
+    #[test]
+    fn budgeted_reads_count_only_the_segments_that_ran() {
+        let live = live_engine(1); // every append is its own segment
+        live.append("Morgan Stanley Dean Witter");
+        live.append("Morgan Stanley Capital");
+        let segments = live.metrics().sealed_segments;
+        assert_eq!(segments, 3);
+        let cap = crate::params::ExecBudget { max_candidates: Some(1), ..Default::default() };
+        let (run, stats) =
+            live.execute_budgeted(PredicateKind::Bm25, "Morgan Stanley", Exec::Rank, cap).unwrap();
+        assert!(run.degraded, "two seed records match, so a one-candidate cap trips");
+        assert_eq!(stats.segments_probed, 1, "the loop stops at the first tripped segment");
+        let (_, stats) =
+            live.execute_tracked(PredicateKind::Bm25, "Morgan Stanley", Exec::Rank).unwrap();
+        assert_eq!(stats.segments_probed, segments);
     }
 
     #[test]

@@ -1,0 +1,368 @@
+//! One fan-and-merge for engines split into parts: the live engine's
+//! segments and the sharded engine's tid-range shards.
+//!
+//! A [`Part`] is a contiguous slice of the records (carrying **global**
+//! tids) plus a full [`SelectionEngine`] over their projection onto one
+//! frozen statistics provider, so every per-candidate score is bit-identical
+//! to the monolithic engine over the same statistics. A [`PartSet`] adds the
+//! per-part count of tombstoned records and the tombstone set itself (both
+//! empty for shards) and executes a request over every part:
+//!
+//! * **Unbudgeted** requests run one *independent* traversal per part,
+//!   fanned across the bounded scoped-thread pool of [`fan_units`], and
+//!   merge the results in part order:
+//!   * [`Exec::Rank`] / [`Exec::Threshold`] / [`Exec::ThresholdScan`] run
+//!     the same mode per part (a fixed τ bar passes through unchanged); the
+//!     mapped results are concatenated and ranked — bit-identical to the
+//!     monolith, because per-candidate scores do not depend on which part
+//!     holds the candidate.
+//!   * [`Exec::TopKHeap`]`(k)` asks each part for its `k + dead` best
+//!     (tombstoned rows may occupy up to `dead` of the local top slots),
+//!     then ranks the merged survivors — exact.
+//!   * [`Exec::TopK`]`(k)` (the bounded operator) likewise asks each part
+//!     for its own `TopK(k + dead)` and re-ranks the union. A global top-`k`
+//!     member missing from its part's local answer implies `k + dead` local
+//!     entries at or above its score, at least `k` of them live — which both
+//!     contradicts strict membership above the global boundary and fills the
+//!     boundary score multiset, so the merge keeps the operator's tie-class
+//!     contract at the `k` boundary.
+//! * **Budgeted** requests share **one** [`relq::ExecLimits`] across every
+//!   part, so the budget bounds the request, not each part, and run the
+//!   parts strictly sequentially: a serial cut under a candidate cap is
+//!   byte-reproducible, a racing one is not. The loop stops once the budget
+//!   trips; parts processed before the trip contribute exactly-scored rows,
+//!   so the merged prefix is a valid anytime answer. `TopK` carries θ: once
+//!   `k` live candidates exist, later parts run the (bit-exact) threshold
+//!   operator at the running k-th best score instead of a fresh top-k.
+//!
+//! No traversal reads another's state, and results merge in part order, so
+//! every answer — bounded top-k included — is **byte-deterministic under any
+//! thread schedule**.
+
+use crate::corpus::TokenizedCorpus;
+use crate::engine::{BudgetReport, BudgetedRun, Exec, ResultCache, SelectionEngine};
+use crate::error::{DaspError, Result};
+use crate::params::{ExecBudget, Params};
+use crate::predicate::PredicateKind;
+use crate::record::{sort_ranked, top_k_ranked, Record, ScoredTid, Tid};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+
+/// Best-effort stringification of a caught panic payload (shared with the
+/// serving layer's per-request boundary).
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// Run every unit closure and return their results **indexed by unit**, so
+/// the caller's merge order never depends on thread scheduling.
+///
+/// A single unit runs inline on the caller (no thread, panics propagate —
+/// the serving layer's per-request `catch_unwind` still isolates them).
+/// More than one unit fans across at most
+/// [`std::thread::available_parallelism`] scoped threads claiming unit
+/// indexes from a shared cursor; each unit runs under `catch_unwind`, and
+/// the first failing unit (in unit order, not completion order) decides the
+/// returned error — a panic surfaces as the typed [`DaspError::Panicked`].
+/// On a 1-core host the pool degenerates to the caller running every unit
+/// sequentially, with identical results by construction.
+pub(crate) fn fan_units<T, F>(units: Vec<F>) -> Result<Vec<T>>
+where
+    T: Send,
+    F: FnOnce() -> Result<T> + Send,
+{
+    let n = units.len();
+    if n == 0 {
+        return Ok(Vec::new());
+    }
+    if n == 1 {
+        let unit = units.into_iter().next().expect("one unit");
+        return unit().map(|value| vec![value]);
+    }
+    let workers = std::thread::available_parallelism().map_or(1, |p| p.get()).min(n);
+    let units: Vec<Mutex<Option<F>>> = units.into_iter().map(|u| Mutex::new(Some(u))).collect();
+    type Outcome<T> = std::thread::Result<Result<T>>;
+    let outcomes: Vec<Mutex<Option<Outcome<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let cursor = AtomicUsize::new(0);
+    let drain = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
+        let unit = units[i]
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .take()
+            .expect("each unit is claimed exactly once");
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(unit));
+        *outcomes[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(outcome);
+    };
+    if workers <= 1 {
+        drain();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(drain);
+            }
+            drain();
+        });
+    }
+    let mut out = Vec::with_capacity(n);
+    for slot in outcomes {
+        let outcome = slot
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .expect("every unit index below the cursor has run");
+        match outcome {
+            Ok(Ok(value)) => out.push(value),
+            Ok(Err(e)) => return Err(e),
+            Err(payload) => return Err(DaspError::Panicked(panic_message(payload.as_ref()))),
+        }
+    }
+    Ok(out)
+}
+
+/// One slice of the records and a full engine over it. `records[i]` is the
+/// record the part engine knows as local tid `i` (the corpus dense-tid
+/// invariant), carrying its **global** tid — the local→global map is the
+/// record list itself.
+pub(crate) struct Part {
+    /// Part records in ascending global-tid order.
+    pub(crate) records: Vec<Record>,
+    /// The engine over this slice, scoring against the frozen statistics.
+    pub(crate) engine: SelectionEngine,
+}
+
+impl Part {
+    /// Build a part over `records` (global tids) by projecting them onto
+    /// the frozen statistics of `stats` — `O(records)`, independent of the
+    /// corpus size. The part engine's result cache holds `cache_capacity`
+    /// entries.
+    pub(crate) fn project(
+        stats: &TokenizedCorpus,
+        records: Vec<Record>,
+        params: &Params,
+        cache_capacity: usize,
+    ) -> Part {
+        let dense: Vec<Record> = records
+            .iter()
+            .enumerate()
+            .map(|(i, r)| Record::new(i as Tid, r.text.clone()))
+            .collect();
+        let engine = SelectionEngine::build(Arc::new(stats.project(dense)), params);
+        engine.set_result_cache_capacity(cache_capacity);
+        Part { records, engine }
+    }
+
+    /// Run this part's engine in `exec` mode and map the local result to
+    /// global tids, dropping tombstoned rows. The query text is tokenized
+    /// against the part's corpus; token ids agree across parts because
+    /// every part shares the frozen dictionaries. With `limits` the run
+    /// bypasses the part's result cache in both directions — a partial
+    /// answer must never be cached, and a cached full answer would make
+    /// degradation nondeterministic.
+    fn run(
+        &self,
+        kind: PredicateKind,
+        text: &str,
+        exec: Exec,
+        limits: Option<&relq::ExecLimits>,
+        tombstones: &BTreeSet<Tid>,
+    ) -> Result<Vec<ScoredTid>> {
+        let handle = self.engine.predicate(kind);
+        let query = self.engine.query(text);
+        let local = match limits {
+            Some(_) => handle.execute_with_limits(&query, exec, limits)?,
+            None => handle.execute(&query, exec)?,
+        };
+        Ok(local
+            .into_iter()
+            .filter_map(|s| {
+                let global = self.records[s.tid as usize].tid;
+                (!tombstones.contains(&global)).then_some(ScoredTid::new(global, s.score))
+            })
+            .collect())
+    }
+}
+
+/// The mode each part runs for a request in mode `exec` when `dead` of its
+/// records are tombstoned: top-k modes ask for `k + dead` so tombstoned rows
+/// cannot crowd live ones out of the local answer.
+fn local_mode(exec: Exec, dead: usize) -> Exec {
+    match exec {
+        Exec::TopKHeap(k) => Exec::TopKHeap(k.saturating_add(dead)),
+        Exec::TopK(k) => Exec::TopK(k.saturating_add(dead)),
+        Exec::Rank | Exec::Threshold(_) | Exec::ThresholdScan(_) => exec,
+    }
+}
+
+/// Merge the mapped per-part rows of a request in mode `exec` into its
+/// global answer.
+fn merge(exec: Exec, mut rows: Vec<ScoredTid>) -> Vec<ScoredTid> {
+    match exec {
+        Exec::TopKHeap(k) | Exec::TopK(k) => top_k_ranked(rows, k),
+        Exec::Rank | Exec::Threshold(_) | Exec::ThresholdScan(_) => {
+            sort_ranked(&mut rows);
+            rows
+        }
+    }
+}
+
+/// Parts in ascending global-tid order, with their tombstones. See the
+/// [module docs](self) for the execution contract.
+#[derive(Clone)]
+pub(crate) struct PartSet {
+    pub(crate) parts: Vec<Arc<Part>>,
+    /// Per-part count of tombstoned records, aligned with `parts`.
+    pub(crate) dead: Vec<usize>,
+    /// Global tids deleted from the parts (filtered out of every result).
+    pub(crate) tombstones: Arc<BTreeSet<Tid>>,
+}
+
+impl PartSet {
+    /// A frozen set of parts: no tombstones, none dead.
+    pub(crate) fn frozen(parts: Vec<Arc<Part>>) -> PartSet {
+        let dead = vec![0; parts.len()];
+        PartSet { parts, dead, tombstones: Arc::default() }
+    }
+
+    /// Records held in parts, tombstoned ones included.
+    pub(crate) fn total_records(&self) -> usize {
+        self.parts.iter().map(|p| p.records.len()).sum()
+    }
+
+    /// Live (non-tombstoned) records.
+    pub(crate) fn live_len(&self) -> usize {
+        self.total_records() - self.dead.iter().sum::<usize>()
+    }
+
+    /// Execute `kind` over `text` in mode `exec` across every part: fanned
+    /// when `limits` is `None`, sequential under the shared limits
+    /// otherwise. Returns the merged answer and how many parts actually ran
+    /// (fewer than all when a budget tripped, none for `k = 0`).
+    pub(crate) fn execute(
+        &self,
+        kind: PredicateKind,
+        text: &str,
+        exec: Exec,
+        limits: Option<&relq::ExecLimits>,
+    ) -> Result<(Vec<ScoredTid>, usize)> {
+        if let Exec::TopK(0) | Exec::TopKHeap(0) = exec {
+            return Ok((Vec::new(), 0));
+        }
+        let parts = self.parts.iter().zip(&self.dead);
+        let Some(limits) = limits else {
+            let units: Vec<_> = parts
+                .map(|(part, &dead)| {
+                    let mode = local_mode(exec, dead);
+                    move || part.run(kind, text, mode, None, &self.tombstones)
+                })
+                .collect();
+            return Ok((merge(exec, fan_units(units)?.concat()), self.parts.len()));
+        };
+        let mut rows: Vec<ScoredTid> = Vec::new();
+        let mut ran = 0;
+        for (part, &dead) in parts {
+            if limits.exhausted() {
+                break;
+            }
+            let mode = match exec {
+                Exec::TopK(k) if rows.len() >= k => Exec::Threshold(rows[k - 1].score),
+                _ => local_mode(exec, dead),
+            };
+            rows.extend(part.run(kind, text, mode, Some(limits), &self.tombstones)?);
+            ran += 1;
+            if let Exec::TopK(k) = exec {
+                rows = top_k_ranked(rows, k);
+            }
+        }
+        Ok((merge(exec, rows), ran))
+    }
+
+    /// [`execute`](Self::execute) under `budget`, as a [`BudgetedRun`]. An
+    /// unlimited budget probes `cache` (keyed at `epoch`) first, fans on a
+    /// miss and caches the answer. A capped one runs uncached under one
+    /// fresh [`relq::ExecLimits`] — a degraded partial must never answer an
+    /// unbudgeted request, and a cached full answer would make degradation
+    /// nondeterministic. Also returns how many parts ran (0 on a cache hit).
+    pub(crate) fn execute_budgeted(
+        &self,
+        cache: &ResultCache,
+        epoch: u64,
+        kind: PredicateKind,
+        text: &str,
+        exec: Exec,
+        budget: ExecBudget,
+    ) -> Result<(BudgetedRun, usize)> {
+        if budget.is_unlimited() {
+            let cached = cache.enabled();
+            if cached {
+                if let Some(hit) = cache.get(epoch, kind, text, exec) {
+                    let run = BudgetedRun {
+                        results: hit.as_ref().clone(),
+                        cache_hit: true,
+                        degraded: false,
+                        report: None,
+                    };
+                    return Ok((run, 0));
+                }
+            }
+            let (results, ran) = self.execute(kind, text, exec, None)?;
+            if cached {
+                cache.insert(epoch, kind, text, exec, Arc::new(results.clone()));
+            }
+            let run = BudgetedRun { results, cache_hit: false, degraded: false, report: None };
+            return Ok((run, ran));
+        }
+        let limits =
+            relq::ExecLimits::new(budget.deadline, budget.max_candidates.map(|n| n as u64));
+        let (results, ran) = self.execute(kind, text, exec, Some(&limits))?;
+        let run = BudgetedRun {
+            results,
+            cache_hit: false,
+            degraded: limits.exhausted(),
+            report: Some(BudgetReport::from_limits(&limits)),
+        };
+        Ok((run, ran))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fan_units_preserves_unit_order_and_runs_everything() {
+        assert_eq!(fan_units(Vec::<fn() -> Result<u32>>::new()).unwrap(), vec![]);
+        let one = vec![|| Ok(7u32)];
+        assert_eq!(fan_units(one).unwrap(), vec![7]);
+        let many: Vec<_> = (0..37u32).map(|i| move || Ok(i * i)).collect();
+        let out = fan_units(many).unwrap();
+        assert_eq!(out, (0..37u32).map(|i| i * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn fan_units_surfaces_typed_errors_and_panics() {
+        let failing: Vec<Box<dyn FnOnce() -> Result<u32> + Send>> = vec![
+            Box::new(|| Ok(1)),
+            Box::new(|| Err(DaspError::EngineMismatch)),
+            Box::new(|| Ok(3)),
+        ];
+        assert_eq!(fan_units(failing).unwrap_err(), DaspError::EngineMismatch);
+        let panicking: Vec<Box<dyn FnOnce() -> Result<u32> + Send>> =
+            vec![Box::new(|| Ok(1)), Box::new(|| panic!("shard worker down")), Box::new(|| Ok(3))];
+        match fan_units(panicking).unwrap_err() {
+            DaspError::Panicked(msg) => {
+                assert!(msg.contains("shard worker down"), "payload survives: {msg}")
+            }
+            other => panic!("expected Panicked, got {other:?}"),
+        }
+    }
+}

@@ -41,9 +41,10 @@
 use crate::engine::{BudgetReport, Exec, SelectionEngine};
 use crate::live::{LiveEngine, LiveMetrics, LiveQueryStats};
 use crate::params::ExecBudget;
+use crate::parts::panic_message;
 use crate::predicate::PredicateKind;
 use crate::record::ScoredTid;
-use crate::shard::{panic_message, ShardedEngine};
+use crate::shard::ShardedEngine;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -262,11 +263,10 @@ impl ServingEngine {
     }
 
     /// Serve a [`ShardedEngine`]: each request fans across the backend's
-    /// tid-range shards under their shared θ/τ bar. Exact modes return the
-    /// monolith's bytes; a *cold* bounded top-k answer is tie-class-equal at
-    /// the k boundary (repeats are byte-stable through the merged-result
-    /// cache). The handle is shared, so other consumers keep querying
-    /// through their own clone.
+    /// tid-range shards. Exact modes return the monolith's bytes; a bounded
+    /// top-k answer is tie-class-equal at the k boundary and byte-identical
+    /// across repeats, cold or cached. The handle is shared, so other
+    /// consumers keep querying through their own clone.
     pub fn new_sharded(sharded: Arc<ShardedEngine>, workers: usize) -> Self {
         Self::with_backend(Backend::Sharded(sharded), workers)
     }

@@ -1,148 +1,40 @@
-//! Tid-range sharded execution under a shared θ/τ bar.
+//! Tid-range sharded execution.
 //!
 //! A [`ShardedEngine`] splits one corpus into [`Params::shards`] contiguous
 //! tid ranges (`DASP_SHARDS` env override, like the other knobs) and builds
 //! a full [`SelectionEngine`] per range — its own flat posting arenas and
 //! lazily built shared artifacts — while every shard scores against **one**
 //! frozen statistics provider via [`TokenizedCorpus::project`] (the same
-//! trick the live engine's segments use). Per-candidate scores are therefore
-//! bit-identical to the monolithic engine over the same corpus, and the
-//! merges preserve the execution-mode contracts:
+//! trick the live engine's segments use). A request fans across the shards
+//! and merges through the same code as the live engine's segments: the
+//! shards are a frozen part set with nothing tombstoned, so they inherit the
+//! live engine's contracts unchanged (see [`LiveEngine`](crate::LiveEngine)):
 //!
-//! * [`Exec::Rank`] / [`Exec::Threshold`] / [`Exec::ThresholdScan`] are
-//!   embarrassingly parallel: the mode runs per shard unchanged (a fixed τ
-//!   bar passes through), the mapped results are concatenated and re-sorted
-//!   into the canonical ranking order — **bit-identical** to the monolith at
-//!   every shard count.
-//! * [`Exec::TopKHeap`]`(k)` takes each shard's exact local top `k` and
-//!   re-ranks the union — the global top `k` members are each in their
-//!   shard's top `k`, so this too is **bit-identical**.
-//! * [`Exec::TopK`]`(k)` (the bounded operator) runs per shard under a
-//!   shared [`relq::SharedBar`]: every worker prunes against
-//!   `max(local θ, bar)` and publishes its own heap-full θ (a lower bound on
-//!   the global k-th best score, so pruning against it never skips a global
-//!   top-k member). Which ties at the k boundary survive depends on thread
-//!   interleaving *inside each shard's own result only via its local
-//!   deterministic traversal* — the merge itself is a deterministic re-rank
-//!   of per-shard results — so the output is **tie-class-equal** to the
-//!   monolith: same score multiset, identical membership strictly above the
-//!   boundary, every returned score exact.
+//! * [`Exec::Rank`] / [`Exec::Threshold`] / [`Exec::ThresholdScan`] /
+//!   [`Exec::TopKHeap`] are **bit-identical** to the monolith at every shard
+//!   count.
+//! * [`Exec::TopK`]`(k)` runs an independent bounded top-k per shard and
+//!   re-ranks the union: **tie-class-equal** to the monolith at the `k`
+//!   boundary (same score multiset, identical membership strictly above the
+//!   boundary, every returned score exact) and byte-deterministic under any
+//!   thread schedule.
+//! * A budgeted request shares **one** [`relq::ExecLimits`] across the
+//!   shards, which run sequentially, so a capped run cuts byte-reproducibly
+//!   and every returned score is exact.
 //!
-//! Shard workers fan across scoped threads through `fan_units`, the same
-//! bounded worker pool the live engine's per-segment merge uses: unit
-//! closures are claimed from an atomic cursor by at most
-//! `available_parallelism` threads, results return indexed by unit so merge
-//! order never depends on scheduling, and a panicking unit becomes a typed
+//! Unbudgeted shard traversals fan across a bounded scoped-thread pool whose
+//! results return indexed by shard, so merge order never depends on
+//! scheduling, and a panicking shard becomes a typed
 //! [`DaspError::Panicked`](crate::error::DaspError::Panicked) instead of
 //! poisoning the process.
-//!
-//! Budgeted execution shares **one** [`relq::ExecLimits`] across all shard
-//! workers, so a request's budget bounds the request, not each shard: the
-//! candidate cap's compare-exchange grants exactly `max` charges across
-//! threads. The anytime answer keeps its score-exactness guarantee (every
-//! returned `(tid, score)` is bit-identical to the exhaustive run's entry),
-//! but *which* candidates fit under a shared cap is scheduling-dependent —
-//! unlike the serial monolith, a degraded sharded run's coverage is not
-//! byte-reproducible.
 
 use crate::corpus::{Corpus, TokenizedCorpus};
 use crate::engine::{CacheStats, Exec, ResultCache, SelectionEngine};
-use crate::params::Params;
+use crate::params::{ExecBudget, Params};
+use crate::parts::{Part, PartSet};
 use crate::predicate::PredicateKind;
-use crate::record::{sort_ranked, top_k_ranked, Record, ScoredTid, Tid};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Best-effort stringification of a caught panic payload (shared with the
-/// serving layer's per-request boundary).
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Run every unit closure and return their results **indexed by unit**, so
-/// the caller's merge order never depends on thread scheduling.
-///
-/// A single unit runs inline on the caller (no thread, panics propagate —
-/// the serving layer's per-request `catch_unwind` still isolates them).
-/// More than one unit fans across at most
-/// [`std::thread::available_parallelism`] scoped threads claiming unit
-/// indexes from a shared cursor; each unit runs under `catch_unwind`, and
-/// the first failing unit (in unit order, not completion order) decides the
-/// returned error — a panic surfaces as the typed
-/// [`DaspError::Panicked`](crate::error::DaspError::Panicked). On a 1-core
-/// host the pool degenerates to the caller running every unit sequentially,
-/// with identical results by construction.
-pub(crate) fn fan_units<T, F>(units: Vec<F>) -> crate::error::Result<Vec<T>>
-where
-    T: Send,
-    F: FnOnce() -> crate::error::Result<T> + Send,
-{
-    let n = units.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    if n == 1 {
-        let unit = units.into_iter().next().expect("one unit");
-        return unit().map(|value| vec![value]);
-    }
-    let workers = std::thread::available_parallelism().map_or(1, |p| p.get()).min(n);
-    let units: Vec<Mutex<Option<F>>> = units.into_iter().map(|u| Mutex::new(Some(u))).collect();
-    type Outcome<T> = std::thread::Result<crate::error::Result<T>>;
-    let outcomes: Vec<Mutex<Option<Outcome<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let drain = || loop {
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
-        }
-        let unit = units[i]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take()
-            .expect("each unit is claimed exactly once");
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(unit));
-        *outcomes[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(outcome);
-    };
-    if workers <= 1 {
-        drain();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 1..workers {
-                scope.spawn(drain);
-            }
-            drain();
-        });
-    }
-    let mut out = Vec::with_capacity(n);
-    for slot in outcomes {
-        let outcome = slot
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .expect("every unit index below the cursor has run");
-        match outcome {
-            Ok(Ok(value)) => out.push(value),
-            Ok(Err(e)) => return Err(e),
-            Err(payload) => {
-                return Err(crate::error::DaspError::Panicked(panic_message(payload.as_ref())))
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// One contiguous tid range of the corpus: its records (carrying **global**
-/// tids — the local→global map is the record list itself, exactly like a
-/// live segment) and a full engine over their projection.
-struct Shard {
-    records: Vec<Record>,
-    engine: SelectionEngine,
-}
+use crate::record::ScoredTid;
+use std::sync::Arc;
 
 /// Parse a `DASP_SHARDS` environment override: a positive integer selects
 /// that shard count; anything else leaves [`Params::shards`] in charge —
@@ -154,9 +46,9 @@ fn shards_env(var: Option<&str>) -> Option<usize> {
 
 /// A selection engine split into tid-range shards that execute in parallel
 /// and merge deterministically — see the [module docs](self) for the
-/// partitioning, the shared-bar protocol, and the per-mode equivalence
-/// contract. Exact modes are bit-identical to the monolith at every shard
-/// count; bounded top-k is tie-class-equal at the k boundary.
+/// partitioning and the per-mode equivalence contract. Exact modes are
+/// bit-identical to the monolith at every shard count; bounded top-k is
+/// tie-class-equal at the k boundary.
 ///
 /// # Examples
 ///
@@ -177,9 +69,11 @@ pub struct ShardedEngine {
     /// The frozen statistics provider every shard projects against (and the
     /// monolithic reference engine is built over).
     stats: Arc<TokenizedCorpus>,
-    shards: Vec<Shard>,
-    /// Merged-result cache over the whole corpus (per-shard engines also
-    /// keep their own). The corpus is immutable, so entries never go stale.
+    shards: PartSet,
+    /// Merged-result cache over the whole corpus. Shard engines keep none:
+    /// every request probes this cache first, so a per-shard entry could
+    /// only ever answer a key this one has evicted. The corpus is
+    /// immutable, so entries never go stale.
     cache: ResultCache,
 }
 
@@ -204,20 +98,12 @@ impl ShardedEngine {
             .corpus()
             .records()
             .chunks(chunk)
-            .map(|slice| {
-                let dense: Vec<Record> = slice
-                    .iter()
-                    .enumerate()
-                    .map(|(i, r)| Record::new(i as Tid, r.text.clone()))
-                    .collect();
-                let corpus = Arc::new(stats.project(dense));
-                Shard { records: slice.to_vec(), engine: SelectionEngine::build(corpus, params) }
-            })
+            .map(|slice| Arc::new(Part::project(&stats, slice.to_vec(), params, 0)))
             .collect();
         ShardedEngine {
             params: *params,
             stats,
-            shards,
+            shards: PartSet::frozen(shards),
             cache: ResultCache::new(SHARDED_RESULT_CACHE_CAPACITY),
         }
     }
@@ -239,147 +125,25 @@ impl ShardedEngine {
         text: &str,
         exec: Exec,
     ) -> crate::error::Result<Vec<ScoredTid>> {
-        self.execute_tracked(kind, text, exec).map(|(results, _)| results)
-    }
-
-    /// [`execute`](Self::execute), also reporting whether the merged-result
-    /// cache answered the request. Repeats of a bounded top-k request are
-    /// byte-stable through the cache even though a cold run is only
-    /// tie-class-determined.
-    pub fn execute_tracked(
-        &self,
-        kind: PredicateKind,
-        text: &str,
-        exec: Exec,
-    ) -> crate::error::Result<(Vec<ScoredTid>, bool)> {
-        let cached = self.cache.enabled();
-        if cached {
-            if let Some(hit) = self.cache.get(0, kind, text, exec) {
-                return Ok((hit.as_ref().clone(), true));
-            }
-        }
-        let results = self.execute_on_shards(kind, text, exec, None)?;
-        if cached {
-            self.cache.insert(0, kind, text, exec, Arc::new(results.clone()));
-        }
-        Ok((results, false))
+        self.execute_budgeted(kind, text, exec, ExecBudget::unlimited()).map(|run| run.results)
     }
 
     /// [`execute`](Self::execute) under an execution budget. An unlimited
-    /// budget takes the normal cache-enabled path. A capped one shares a
-    /// single [`relq::ExecLimits`] across every shard worker — the budget
-    /// bounds the request, not each shard — and bypasses the result caches
-    /// in both directions (same rationale as
+    /// budget probes the merged-result cache first (`cache_hit` reports
+    /// whether it answered). A capped one shares a single
+    /// [`relq::ExecLimits`] across the shards — the budget bounds the
+    /// request, not each shard — runs them sequentially, and bypasses the
+    /// cache in both directions (same rationale as
     /// [`LiveEngine::execute_budgeted`](crate::live::LiveEngine::execute_budgeted)).
-    /// Every returned score in a degraded answer is exact; under a shared
-    /// cap the covered candidate set is scheduling-dependent (see the
-    /// [module docs](self)).
+    /// A degraded answer is byte-reproducible and every score in it exact.
     pub fn execute_budgeted(
         &self,
         kind: PredicateKind,
         text: &str,
         exec: Exec,
-        budget: crate::params::ExecBudget,
+        budget: ExecBudget,
     ) -> crate::error::Result<crate::engine::BudgetedRun> {
-        if budget.is_unlimited() {
-            let (results, cache_hit) = self.execute_tracked(kind, text, exec)?;
-            return Ok(crate::engine::BudgetedRun {
-                results,
-                cache_hit,
-                degraded: false,
-                report: None,
-            });
-        }
-        let mut limits =
-            relq::ExecLimits::new(budget.deadline, budget.max_candidates.map(|n| n as u64));
-        if let Exec::TopK(_) = exec {
-            limits = limits.with_topk_bar(Arc::new(relq::SharedBar::new()));
-        }
-        let results = self.execute_on_shards(kind, text, exec, Some(&limits))?;
-        Ok(crate::engine::BudgetedRun {
-            results,
-            cache_hit: false,
-            degraded: limits.exhausted(),
-            report: Some(crate::engine::BudgetReport::from_limits(&limits)),
-        })
-    }
-
-    /// The per-mode fan-and-merge (see the module docs for why each merge
-    /// preserves its mode's equivalence contract).
-    fn execute_on_shards(
-        &self,
-        kind: PredicateKind,
-        text: &str,
-        exec: Exec,
-        limits: Option<&relq::ExecLimits>,
-    ) -> crate::error::Result<Vec<ScoredTid>> {
-        match exec {
-            Exec::Rank | Exec::Threshold(_) | Exec::ThresholdScan(_) => {
-                let locals = self.fan(kind, text, exec, limits)?;
-                let mut merged: Vec<ScoredTid> = locals.into_iter().flatten().collect();
-                sort_ranked(&mut merged);
-                Ok(merged)
-            }
-            Exec::TopKHeap(k) => {
-                if k == 0 {
-                    return Ok(Vec::new());
-                }
-                let locals = self.fan(kind, text, exec, limits)?;
-                Ok(top_k_ranked(locals.concat(), k))
-            }
-            Exec::TopK(k) => {
-                if k == 0 {
-                    return Ok(Vec::new());
-                }
-                // The shared θ bar rides inside the ExecLimits; when the
-                // caller brought none (the unbudgeted path), attach one to a
-                // fresh unlimited budget so shard workers still exchange θ.
-                let owned;
-                let limits = match limits {
-                    Some(l) => l,
-                    None => {
-                        owned = relq::ExecLimits::unlimited()
-                            .with_topk_bar(Arc::new(relq::SharedBar::new()));
-                        &owned
-                    }
-                };
-                let locals = self.fan(kind, text, exec, Some(limits))?;
-                Ok(top_k_ranked(locals.concat(), k))
-            }
-        }
-    }
-
-    /// Run one traversal per shard through `fan_units` and map each local
-    /// result to global tids. With `limits` the execution bypasses the
-    /// per-shard result caches (a bar- or budget-shaped local result must
-    /// never answer a later unshaped request); without, the per-shard cached
-    /// path serves exact modes.
-    fn fan(
-        &self,
-        kind: PredicateKind,
-        text: &str,
-        exec: Exec,
-        limits: Option<&relq::ExecLimits>,
-    ) -> crate::error::Result<Vec<Vec<ScoredTid>>> {
-        let units: Vec<_> = self
-            .shards
-            .iter()
-            .map(|shard| {
-                move || -> crate::error::Result<Vec<ScoredTid>> {
-                    let handle = shard.engine.predicate(kind);
-                    let query = shard.engine.query(text);
-                    let local = match limits {
-                        Some(_) => handle.execute_with_limits(&query, exec, limits)?,
-                        None => handle.execute(&query, exec)?,
-                    };
-                    Ok(local
-                        .into_iter()
-                        .map(|s| ScoredTid::new(shard.records[s.tid as usize].tid, s.score))
-                        .collect())
-                }
-            })
-            .collect();
-        fan_units(units)
+        self.shards.execute_budgeted(&self.cache, 0, kind, text, exec, budget).map(|(run, _)| run)
     }
 
     /// Build the monolithic differential reference: one [`SelectionEngine`]
@@ -397,17 +161,17 @@ impl ShardedEngine {
 
     /// The resolved shard count (env override and `1..=N` clamp applied).
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.shards.parts.len()
     }
 
     /// Total records across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.records.len()).sum()
+        self.shards.total_records()
     }
 
     /// Whether the corpus is empty (no shards are built then).
     pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
+        self.shards.parts.is_empty()
     }
 
     /// Counters and occupancy of the merged-result cache.
@@ -415,21 +179,17 @@ impl ShardedEngine {
         self.cache.stats()
     }
 
-    /// Resize the merged-result cache AND every per-shard engine's result
-    /// cache (0 disables caching everywhere — the bench needs repeat
-    /// executions to really execute on every shard).
+    /// Resize the merged-result cache (0 disables caching — the bench needs
+    /// repeat executions to really execute on every shard).
     pub fn set_result_cache_capacity(&self, capacity: usize) {
         self.cache.set_capacity(capacity);
-        for shard in &self.shards {
-            shard.engine.set_result_cache_capacity(capacity);
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::ExecBudget;
+    use crate::record::Tid;
 
     fn seed_texts() -> Vec<&'static str> {
         vec![
@@ -446,34 +206,6 @@ mod tests {
     fn sharded(shards: usize) -> ShardedEngine {
         let params = Params { shards, ..Params::default() };
         ShardedEngine::from_corpus(Corpus::from_strings(seed_texts()), &params)
-    }
-
-    #[test]
-    fn fan_units_preserves_unit_order_and_runs_everything() {
-        assert_eq!(fan_units(Vec::<fn() -> crate::error::Result<u32>>::new()).unwrap(), vec![]);
-        let one = vec![|| Ok(7u32)];
-        assert_eq!(fan_units(one).unwrap(), vec![7]);
-        let many: Vec<_> = (0..37u32).map(|i| move || Ok(i * i)).collect();
-        let out = fan_units(many).unwrap();
-        assert_eq!(out, (0..37u32).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fan_units_surfaces_typed_errors_and_panics() {
-        let failing: Vec<Box<dyn FnOnce() -> crate::error::Result<u32> + Send>> = vec![
-            Box::new(|| Ok(1)),
-            Box::new(|| Err(crate::error::DaspError::EngineMismatch)),
-            Box::new(|| Ok(3)),
-        ];
-        assert_eq!(fan_units(failing).unwrap_err(), crate::error::DaspError::EngineMismatch);
-        let panicking: Vec<Box<dyn FnOnce() -> crate::error::Result<u32> + Send>> =
-            vec![Box::new(|| Ok(1)), Box::new(|| panic!("shard worker down")), Box::new(|| Ok(3))];
-        match fan_units(panicking).unwrap_err() {
-            crate::error::DaspError::Panicked(msg) => {
-                assert!(msg.contains("shard worker down"), "payload survives: {msg}")
-            }
-            other => panic!("expected Panicked, got {other:?}"),
-        }
     }
 
     #[test]
@@ -544,17 +276,24 @@ mod tests {
     #[test]
     fn merged_cache_makes_repeats_byte_stable() {
         let engine = sharded(3);
-        let (first, hit1) =
-            engine.execute_tracked(PredicateKind::Bm25, "Beijing", Exec::TopK(2)).unwrap();
-        let (second, hit2) =
-            engine.execute_tracked(PredicateKind::Bm25, "Beijing", Exec::TopK(2)).unwrap();
-        assert!(!hit1 && hit2);
+        let run = || {
+            engine
+                .execute_budgeted(
+                    PredicateKind::Bm25,
+                    "Beijing",
+                    Exec::TopK(2),
+                    ExecBudget::unlimited(),
+                )
+                .unwrap()
+        };
+        let (first, second) = (run(), run());
+        assert!(!first.cache_hit && second.cache_hit);
         let bits =
             |v: &[ScoredTid]| v.iter().map(|s| (s.tid, s.score.to_bits())).collect::<Vec<_>>();
-        assert_eq!(bits(&first), bits(&second));
+        assert_eq!(bits(&first.results), bits(&second.results));
         assert_eq!(engine.result_cache_stats().hits, 1);
         engine.set_result_cache_capacity(0);
-        assert!(!engine.execute_tracked(PredicateKind::Bm25, "Beijing", Exec::TopK(2)).unwrap().1);
+        assert!(!run().cache_hit);
     }
 
     #[test]

@@ -28,7 +28,8 @@
 use dasp_core::fault::{self, FaultPlan};
 use dasp_core::serve::{ServeRequest, ServingEngine};
 use dasp_core::{
-    Corpus, DaspError, Exec, ExecBudget, LiveEngine, Params, PredicateKind, ScoredTid, Tid,
+    BudgetedRun, Corpus, DaspError, Exec, ExecBudget, LiveEngine, Params, PredicateKind, ScoredTid,
+    ShardedEngine, Tid,
 };
 use dasp_datagen::presets::{cu_dataset_sized, cu_spec};
 use dasp_datagen::Dataset;
@@ -148,6 +149,49 @@ fn chaos_mix(
 // Degradation determinism (no faults involved)
 // ---------------------------------------------------------------------------
 
+/// Run `run` twice under each cap and check the degradation contract: the
+/// two runs agree byte for byte, bypass the result cache, score at most
+/// `cap` candidates and return an anytime subset of `exact_rank`; an
+/// untripped run equals `exact` under `key`, and the generous cap never
+/// trips.
+fn assert_capped_runs_degrade_deterministically<K: PartialEq + std::fmt::Debug>(
+    label: &str,
+    exact_rank: &[ScoredTid],
+    exact: &[ScoredTid],
+    key: impl Fn(&[ScoredTid]) -> K,
+    run: impl Fn(ExecBudget) -> BudgetedRun,
+) {
+    for cap in [0usize, 1, 3, 17, 1_000_000] {
+        let budget = ExecBudget { max_candidates: Some(cap), ..ExecBudget::default() };
+        let (a, b) = (run(budget), run(budget));
+        let label = format!("{label}/cap={cap}");
+        assert_eq!(
+            as_bits(&a.results),
+            as_bits(&b.results),
+            "{label}: partial bytes are nondeterministic"
+        );
+        assert_eq!(a.degraded, b.degraded, "{label}: degraded flag unstable");
+        assert!(!a.cache_hit && !b.cache_hit, "{label}: capped runs must bypass the result cache");
+        let report = a.report.expect("{label}: capped runs report accounting");
+        assert!(
+            report.candidates_scored <= cap as u64,
+            "{label}: scored {} candidates past the cap",
+            report.candidates_scored
+        );
+        assert_anytime_subset(&a.results, exact_rank, &label);
+        if !a.degraded {
+            assert_eq!(
+                key(&a.results),
+                key(exact),
+                "{label}: untripped budget must return the exact answer"
+            );
+        }
+        if cap == 1_000_000 {
+            assert!(!a.degraded, "{label}: generous budget must never degrade");
+        }
+    }
+}
+
 #[test]
 fn degraded_results_are_deterministic_anytime_answers() {
     let _guard = serialize();
@@ -161,39 +205,50 @@ fn degraded_results_are_deterministic_anytime_answers() {
             let exact_rank = handle.execute(&query, Exec::Rank).unwrap();
             for exec in modes_for(&exact_rank) {
                 let exact = handle.execute(&query, exec).unwrap();
-                for cap in [0usize, 1, 3, 17, 1_000_000] {
-                    let budget = ExecBudget { max_candidates: Some(cap), ..ExecBudget::default() };
-                    let a = handle.execute_budgeted(&query, exec, budget).unwrap();
-                    let b = handle.execute_budgeted(&query, exec, budget).unwrap();
-                    let label = format!("{kind}/{exec:?}/cap={cap}");
-                    assert_eq!(
-                        as_bits(&a.results),
-                        as_bits(&b.results),
-                        "{label}: partial bytes are nondeterministic"
-                    );
-                    assert_eq!(a.degraded, b.degraded, "{label}: degraded flag unstable");
-                    assert!(
-                        !a.cache_hit && !b.cache_hit,
-                        "{label}: capped runs must bypass the result cache"
-                    );
-                    let report = a.report.expect("{label}: capped runs report accounting");
-                    assert!(
-                        report.candidates_scored <= cap as u64,
-                        "{label}: scored {} candidates past the cap",
-                        report.candidates_scored
-                    );
-                    assert_anytime_subset(&a.results, &exact_rank, &label);
-                    if !a.degraded {
-                        assert_eq!(
-                            as_bits(&a.results),
-                            as_bits(&exact),
-                            "{label}: untripped budget must return the exact answer"
-                        );
-                    }
-                    if cap == 1_000_000 {
-                        assert!(!a.degraded, "{label}: generous budget must never degrade");
-                    }
-                }
+                let label = format!("{kind}/{exec:?}");
+                assert_capped_runs_degrade_deterministically(
+                    &label,
+                    &exact_rank,
+                    &exact,
+                    as_bits,
+                    |budget| handle.execute_budgeted(&query, exec, budget).unwrap(),
+                );
+            }
+        }
+    }
+}
+
+/// The same contract through a [`ShardedEngine`]: a capped run shares one
+/// budget across the shards and runs them in order, so its cut is
+/// byte-reproducible too. Two shards by default; CI's `DASP_SHARDS=3` leg
+/// fans three ways.
+#[test]
+fn degraded_sharded_results_are_deterministic_anytime_answers() {
+    let _guard = serialize();
+    let dataset = dataset();
+    let params = Params { shards: 2, ..Params::default() };
+    let sharded = ShardedEngine::from_corpus(seed_corpus(&dataset, dataset.records.len()), &params);
+    assert!(sharded.shards() >= 2, "the case must fan");
+    let texts = query_texts(&dataset, 2, 0xD15C);
+    for &kind in PredicateKind::all() {
+        for text in &texts {
+            let exact_rank = sharded.execute(kind, text, Exec::Rank).unwrap();
+            for exec in modes_for(&exact_rank) {
+                let exact = sharded.execute(kind, text, exec).unwrap();
+                // An untripped capped TopK carries θ from shard to shard, so
+                // it may settle a k-boundary tie on another tid than the
+                // fanned run: compare its scores only.
+                let tids = !matches!(exec, Exec::TopK(_));
+                let key = |v: &[ScoredTid]| {
+                    v.iter().map(|s| (tids.then_some(s.tid), s.score.to_bits())).collect::<Vec<_>>()
+                };
+                assert_capped_runs_degrade_deterministically(
+                    &format!("sharded {kind}/{exec:?}"),
+                    &exact_rank,
+                    &exact,
+                    key,
+                    |budget| sharded.execute_budgeted(kind, text, exec, budget).unwrap(),
+                );
             }
         }
     }

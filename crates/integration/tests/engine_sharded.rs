@@ -8,12 +8,14 @@
 //!    `ThresholdScan` answers from the sharded engine — at 1 shard, a few
 //!    shards, one shard per core, and more shards than records — carry the
 //!    same `(tid, score)` bytes as the monolith, in the same order.
-//! 2. **Bounded top-k is tie-class-equal.** `TopK(k)` under the shared θ bar
-//!    returns the same score multiset as the exhaustive heap, identical
-//!    membership strictly above the k-boundary score, and every returned
-//!    score bit-identical to that tuple's exact `Rank` score. This holds
-//!    both for direct serial calls and through an 8-thread
-//!    [`ServingEngine::new_sharded`] pool.
+//! 2. **Bounded top-k is tie-class-equal and byte-deterministic.** `TopK(k)`
+//!    (one independent bounded traversal per shard, re-ranked) returns the
+//!    same score multiset as the exhaustive heap, identical membership
+//!    strictly above the k-boundary score, and every returned score
+//!    bit-identical to that tuple's exact `Rank` score. This holds both for
+//!    direct serial calls and through an 8-thread
+//!    [`ServingEngine::new_sharded`] pool, and a cold answer repeats byte
+//!    for byte under any thread schedule.
 //! 3. **Panic isolation.** A fault plan that panics a shard worker surfaces
 //!    as one clean typed [`DaspError::Panicked`] per request — no poisoned
 //!    process, no lost slot — and after the plan clears, the same engine
@@ -171,6 +173,31 @@ fn shard_sweep_matches_monolith_for_all_predicates() {
             }
         }
     }
+}
+
+#[test]
+fn cold_bounded_topk_is_byte_deterministic() {
+    let _guard = serialize();
+    let dataset = dataset();
+    let texts = query_texts(&dataset, 2, 0xC01D);
+    let sharded =
+        ShardedEngine::from_corpus(corpus(&dataset), &Params { shards: 3, ..Params::default() });
+    sharded.set_result_cache_capacity(0); // every run is cold
+    let monolith = sharded.rebuild_monolith();
+    for &kind in PredicateKind::all() {
+        for text in &texts {
+            let label = format!("{kind}/TopK({K}) on {text:?}");
+            let first = sharded.execute(kind, text, Exec::TopK(K)).unwrap();
+            for _ in 1..20 {
+                let again = sharded.execute(kind, text, Exec::TopK(K)).unwrap();
+                assert_eq!(as_bits(&again), as_bits(&first), "{label}: cold repeat diverged");
+            }
+            let expected = run_monolith(&monolith, kind, text, Exec::TopKHeap(K));
+            let truth = run_monolith(&monolith, kind, text, Exec::Rank);
+            assert_tie_class_equal(&first, &expected, &truth, &label);
+        }
+    }
+    assert_eq!(sharded.result_cache_stats().hits, 0, "no run was answered from a cache");
 }
 
 #[test]

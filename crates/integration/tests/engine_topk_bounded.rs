@@ -78,7 +78,7 @@ fn assert_bounded_equivalent(dataset: &dasp_datagen::Dataset, label: &str) {
     // The shard count comes from `Params::shards` (default 1 — the inline
     // path) or the `DASP_SHARDS` override; CI re-runs this tier under
     // `DASP_SHARDS=3`, which fans every execution below across three
-    // tid-range shards under the shared θ bar.
+    // tid-range shards.
     let sharded =
         ShardedEngine::from_corpus(Corpus::from_strings(dataset.strings()), &Params::default());
     let indices = sample_query_indices(dataset, 5, 0x7A_11);

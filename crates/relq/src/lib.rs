@@ -81,5 +81,5 @@ pub use posting::{PostingIndex, PostingList, DEFAULT_POSTING_BLOCK};
 pub use prepared::PreparedPlan;
 pub use schema::{Field, Schema};
 pub use table::{Table, TableBuilder};
-pub use topk::{decode_score_key, encode_score_key, BoundedHeap, SharedBar};
+pub use topk::BoundedHeap;
 pub use value::{DataType, Row, Value};

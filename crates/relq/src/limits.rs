@@ -3,9 +3,10 @@
 //!
 //! An [`ExecLimits`] is created per *request* and carried by reference
 //! through the execution context. The counters are relaxed atomics, so one
-//! `ExecLimits` may be shared across the scoped worker threads of a sharded
-//! or segmented execution: the request's budget then bounds the request as a
-//! whole, not each worker. Operators that score candidates call
+//! `ExecLimits` may be shared across threads and across operators: the live
+//! and sharded engines thread one through every part of a budgeted request,
+//! so the budget bounds the request as a whole, not each part. Operators
+//! that score candidates call
 //! [`charge_candidate`](ExecLimits::charge_candidate) *before* evaluating
 //! each one and stop cleanly when it returns `false`, leaving whatever they
 //! have produced so far as the **anytime answer**: every emitted `(tid,
@@ -13,7 +14,7 @@
 //! for that tid), the budget only truncates *which* candidates were visited.
 //!
 //! Exhaustion is sticky: once a cap trips, every later charge refuses, so a
-//! multi-operator pipeline (or a multi-shard execution sharing one
+//! multi-operator pipeline (or a multi-part execution sharing one
 //! `ExecLimits`) stops everywhere without re-checking clocks.
 //!
 //! Two caps exist:
@@ -32,15 +33,8 @@
 //!   deadline by at most one in-flight verification — not by 63 of them.
 //!   (Inherently nondeterministic in *where* it cuts, but every cut point is
 //!   a valid anytime answer.)
-//!
-//! An `ExecLimits` may also carry a [`SharedBar`] (see
-//! [`with_topk_bar`](ExecLimits::with_topk_bar)): concurrent bounded top-k
-//! traversals sharing the limits then exchange their running θ through it,
-//! pruning against the best k-th-score bound published by *any* worker.
 
-use crate::topk::SharedBar;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How often the deadline is polled on the cheap path: on every charge where
@@ -64,7 +58,6 @@ pub struct ExecLimits {
     exhausted: AtomicBool,
     /// Sticky flag: a deadline poll has observed `half_deadline` passing.
     past_half: AtomicBool,
-    topk_bar: Option<Arc<SharedBar>>,
 }
 
 /// What one limited execution actually did — attached to degraded results so
@@ -94,28 +87,12 @@ impl ExecLimits {
             postings: AtomicU64::new(0),
             exhausted: AtomicBool::new(false),
             past_half: AtomicBool::new(false),
-            topk_bar: None,
         }
     }
 
     /// A budget with no caps: charges always succeed, only the counters run.
     pub fn unlimited() -> Self {
         Self::new(None, None)
-    }
-
-    /// Attach a shared top-k θ bar: bounded top-k traversals executing under
-    /// these limits will prune against `max(local θ, bar)` and publish their
-    /// own θ into it. Used by sharded execution, where every shard worker
-    /// shares one `ExecLimits` (and therefore one bar).
-    pub fn with_topk_bar(mut self, bar: Arc<SharedBar>) -> Self {
-        self.topk_bar = Some(bar);
-        self
-    }
-
-    /// The shared θ bar, if one is attached.
-    #[inline]
-    pub fn topk_bar(&self) -> Option<&SharedBar> {
-        self.topk_bar.as_deref()
     }
 
     /// Ask permission to score one more candidate. `true` means go ahead
@@ -308,14 +285,5 @@ mod tests {
         assert!(!l.charge_candidate());
         l.charge_postings(2);
         assert_eq!(l.report().postings, 7);
-    }
-
-    #[test]
-    fn topk_bar_rides_along_and_stays_shared() {
-        let bar = Arc::new(SharedBar::new());
-        let l = ExecLimits::unlimited().with_topk_bar(Arc::clone(&bar));
-        assert!(ExecLimits::unlimited().topk_bar().is_none());
-        l.topk_bar().expect("bar attached").raise(4.25);
-        assert_eq!(bar.get(), 4.25);
     }
 }

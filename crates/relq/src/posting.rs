@@ -766,16 +766,6 @@ impl<'a> ProbedLists<'a> {
 /// boundary. Surviving candidates consult the non-essential prefix via
 /// bounded random accesses that abandon as soon as the remaining upper
 /// bounds cannot lift the partial score past θ (see [`ProbedLists`]).
-///
-/// When the execution limits carry a [`SharedBar`](crate::SharedBar)
-/// (sharded execution), the pruning bar is `max(local θ, shared bar)`: each
-/// worker publishes its local θ once its heap fills, and every published
-/// value is a lower bound on the *global* k-th best score, so pruning
-/// against it can only drop candidates outside the global top k. Because the
-/// bar arrives asynchronously, *which* candidates get skipped depends on
-/// thread interleaving — the merged result is tie-class-equal at the k
-/// boundary rather than byte-stable (the monolithic, bar-free traversal
-/// stays fully deterministic).
 pub(crate) struct MaxScoreTraversal<'a> {
     probed: ProbedLists<'a>,
     /// `lists[0..first_essential]` are non-essential under the current θ.
@@ -869,38 +859,26 @@ impl<'a> MaxScoreTraversal<'a> {
         if self.k == 0 || self.probed.len() == 0 {
             return (Vec::new(), self.probed.stats);
         }
-        // The shared θ bar of a sharded execution, if the limits carry one.
-        // `max(local θ, shared bar)` is the pruning bar everywhere below:
-        // both components are monotone lower bounds on the global k-th best
-        // score, so the combined bar only ever drops candidates that cannot
-        // enter the (global) top k. Without a bar this reduces exactly to
-        // the bar-free traversal: θ is −∞ until the heap fills, and
-        // `hopeless(·, −∞)` never holds.
-        let shared_bar = limits.and_then(|l| l.topk_bar());
         loop {
+            // θ is −∞ until the heap fills, and `hopeless(·, −∞)` never
+            // holds, so nothing is pruned before k candidates are scored.
             let theta = self.theta();
-            let bar = match shared_bar {
-                Some(b) => theta.max(b.get()),
-                None => theta,
-            };
             // Grow the non-essential prefix: lists[0..first_essential] alone
             // can no longer produce a heap entry.
             while self.first_essential < self.probed.len()
-                && hopeless(self.probed.prefix_bound[self.first_essential], bar)
+                && hopeless(self.probed.prefix_bound[self.first_essential], theta)
             {
                 self.first_essential += 1;
             }
             if self.first_essential == self.probed.len() {
-                break; // Even the sum of all remaining bounds is below the bar.
+                break; // Even the sum of all remaining bounds is below θ.
             }
             // The block-max gate: either the next candidate to evaluate, a
             // wholesale skip past a hopeless block range, or the end. Top-k
-            // skips score-ties too (`tie_skip`): locally, a range tid scoring
-            // exactly θ has a higher tid than every heap entry and cannot
-            // displace the worst one; at a shared bar value B, the worker
-            // that published B holds k entries scoring ≥ B, so a tie at B can
-            // only trade places inside the k-boundary tie class.
-            let tid = match self.probed.block_step(self.first_essential, bar, true) {
+            // skips score-ties too (`tie_skip`): a range tid scoring exactly
+            // θ has a higher tid than every heap entry and cannot displace
+            // the worst one.
+            let tid = match self.probed.block_step(self.first_essential, theta, true) {
                 BlockStep::Exhausted => break,
                 BlockStep::Skipped => continue,
                 BlockStep::Evaluate(tid) => tid,
@@ -918,28 +896,17 @@ impl<'a> MaxScoreTraversal<'a> {
             if let Some(limits) = limits {
                 limits.charge_postings(self.probed.on_candidate.len() as u64);
             }
-            let Some(partial) = self.probed.descend_prefix(tid, partial, self.first_essential, bar)
+            let Some(partial) =
+                self.probed.descend_prefix(tid, partial, self.first_essential, theta)
             else {
-                continue; // Abandoned mid-descent: cannot reach the bar.
+                continue; // Abandoned mid-descent: cannot reach θ.
             };
-            // With no shared bar this is the classic heap-full θ check
-            // (`bar` is −∞ until the heap fills); with one, a candidate
-            // hopeless against the shared bar is skipped even before the
-            // local heap fills — another shard already proved it cannot be
-            // global top-k.
-            if hopeless(partial, bar) {
+            if hopeless(partial, theta) {
                 continue;
             }
             // Survivor: re-score exactly in probe order before admission.
             let exact = self.probed.exact_score(tid);
             self.push_heap(exact, tid);
-            // Publish the new local θ: the heap holds k exact scores ≥ θ,
-            // so θ lower-bounds the global k-th best score.
-            if let Some(b) = shared_bar {
-                if self.heap.len() == self.k {
-                    b.raise(self.heap[0].0);
-                }
-            }
         }
         // Drain the max-heap worst-first, then reverse into ranking order.
         let mut out = Vec::with_capacity(self.heap.len());

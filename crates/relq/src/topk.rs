@@ -1,6 +1,4 @@
-//! A bounded heap for top-k selection under an arbitrary total order, plus
-//! the shared θ bar that lets concurrent bounded traversals exchange their
-//! running top-k thresholds.
+//! A bounded heap for top-k selection under an arbitrary total order.
 //!
 //! [`BoundedHeap`] keeps the `k` smallest elements under a caller-supplied
 //! comparator (`Ordering::Less` = ranks earlier) and returns them in
@@ -10,76 +8,8 @@
 //! paths use. When the comparator is a total order (callers break ties with
 //! a unique final key, e.g. a row id), the result is element-for-element
 //! identical to a full stable sort followed by `truncate(k)`.
-//!
-//! [`SharedBar`] is a monotone `AtomicU64` holding an order-preserving
-//! encoding of an `f64` score ([`encode_score_key`]). Shard workers running
-//! the bounded top-k traversal publish their local θ (the k-th best score so
-//! far) with [`SharedBar::raise`] and prune against
-//! `max(local θ, bar.get())`; because every published value is a *lower*
-//! bound on the global k-th best score, the combined bar can only skip
-//! candidates that cannot enter the global top k — the traversal stays
-//! exact, only faster. The bar is deliberately racy (relaxed ordering, no
-//! coordination beyond `fetch_max`): readers may observe a stale (lower)
-//! value, which costs work but never correctness.
 
 use std::cmp::Ordering;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-
-/// Map an `f64` score to a `u64` whose unsigned order matches the IEEE-754
-/// total order of the floats: negative values have all bits flipped,
-/// non-negative values have the sign bit set. The same trick the executor's
-/// sort-key encoding uses, exposed here so the shared θ bar can live in one
-/// `AtomicU64` and still be raised with `fetch_max`.
-#[inline]
-pub fn encode_score_key(score: f64) -> u64 {
-    let bits = score.to_bits();
-    if bits & (1 << 63) != 0 {
-        !bits
-    } else {
-        bits ^ (1 << 63)
-    }
-}
-
-/// Inverse of [`encode_score_key`].
-#[inline]
-pub fn decode_score_key(key: u64) -> f64 {
-    let bits = if key & (1 << 63) != 0 { key ^ (1 << 63) } else { !key };
-    f64::from_bits(bits)
-}
-
-/// A monotonically increasing score threshold shared between concurrent
-/// bounded top-k traversals (see the module docs for the protocol and why
-/// staleness is safe). Starts at `-∞` so an untouched bar never prunes.
-#[derive(Debug)]
-pub struct SharedBar {
-    key: AtomicU64,
-}
-
-impl SharedBar {
-    /// A bar that admits everything until the first [`raise`](Self::raise).
-    pub fn new() -> Self {
-        SharedBar { key: AtomicU64::new(encode_score_key(f64::NEG_INFINITY)) }
-    }
-
-    /// Publish a lower bound on the global k-th best score. The bar only
-    /// moves up: raising it below the current value is a no-op.
-    #[inline]
-    pub fn raise(&self, score: f64) {
-        self.key.fetch_max(encode_score_key(score), AtomicOrdering::Relaxed);
-    }
-
-    /// The highest score published so far (`-∞` before any raise).
-    #[inline]
-    pub fn get(&self) -> f64 {
-        decode_score_key(self.key.load(AtomicOrdering::Relaxed))
-    }
-}
-
-impl Default for SharedBar {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// Keeps the `cap` smallest elements under `cmp`, internally arranged as a
 /// max-heap so the current worst kept element sits at the root.
@@ -248,67 +178,5 @@ mod tests {
         heap.offer(1);
         assert!(heap.is_empty());
         assert!(heap.into_sorted().is_empty());
-    }
-
-    #[test]
-    fn score_key_encoding_is_order_preserving_and_invertible() {
-        let scores = [
-            f64::NEG_INFINITY,
-            -1e300,
-            -3.5,
-            -1.0,
-            -f64::MIN_POSITIVE,
-            -0.0,
-            0.0,
-            f64::MIN_POSITIVE,
-            0.25,
-            1.0,
-            7.5,
-            1e300,
-            f64::INFINITY,
-        ];
-        for pair in scores.windows(2) {
-            assert!(
-                encode_score_key(pair[0]) <= encode_score_key(pair[1]),
-                "encoding must preserve order: {} vs {}",
-                pair[0],
-                pair[1]
-            );
-        }
-        for &s in &scores {
-            assert_eq!(decode_score_key(encode_score_key(s)).to_bits(), s.to_bits(), "{s}");
-        }
-        // -0.0 < 0.0 in the IEEE total order the encoding follows.
-        assert!(encode_score_key(-0.0) < encode_score_key(0.0));
-    }
-
-    #[test]
-    fn shared_bar_is_monotone_and_starts_open() {
-        let bar = SharedBar::new();
-        assert_eq!(bar.get(), f64::NEG_INFINITY);
-        bar.raise(2.5);
-        assert_eq!(bar.get(), 2.5);
-        bar.raise(1.0); // lowering is a no-op
-        assert_eq!(bar.get(), 2.5);
-        bar.raise(3.75);
-        assert_eq!(bar.get(), 3.75);
-        bar.raise(f64::NEG_INFINITY);
-        assert_eq!(bar.get(), 3.75);
-    }
-
-    #[test]
-    fn shared_bar_fetch_max_survives_concurrent_raises() {
-        let bar = SharedBar::new();
-        std::thread::scope(|scope| {
-            for t in 0..4u32 {
-                let bar = &bar;
-                scope.spawn(move || {
-                    for i in 0..1000u32 {
-                        bar.raise(f64::from(t * 1000 + i) / 128.0);
-                    }
-                });
-            }
-        });
-        assert_eq!(bar.get(), f64::from(3999u32) / 128.0);
     }
 }
