@@ -67,16 +67,21 @@ impl FilteredGes {
         // Word-level q-gram sets (interned) and their sizes. The word table
         // itself (`base_words`) is a shared phase-1 artifact.
         let mut word_qgram_sizes = vec![0usize; corpus.num_word_tokens()];
-        let mut base_qgrams = Table::empty(Schema::from_pairs(&[
-            ("wtoken", DataType::Int),
-            ("qgram", DataType::Int),
-            ("wsize", DataType::Int),
-        ]));
-        let mut base_mhsig = Table::empty(Schema::from_pairs(&[
-            ("wtoken", DataType::Int),
-            ("fid", DataType::Int),
-            ("value", DataType::Int),
-        ]));
+        let min_hash_rows = match filter {
+            GesFilterKind::Jaccard => 0,
+            GesFilterKind::MinHash => corpus.word_dict().len() * hasher.num_hashes(),
+        };
+        let mut base_mhsig = Table::with_capacity(
+            Schema::from_pairs(&[
+                ("wtoken", DataType::Int),
+                ("fid", DataType::Int),
+                ("value", DataType::Int),
+            ]),
+            min_hash_rows,
+        );
+        // The interned ids of every word's distinct q-grams, back to back in
+        // word order, so the Jaccard table is sized once they are all known.
+        let mut word_gids: Vec<TokenId> = Vec::new();
         for (wid, word) in corpus.word_dict().iter() {
             let mut grams = word_qgrams(word, qcfg);
             grams.sort();
@@ -84,22 +89,13 @@ impl FilteredGes {
             word_qgram_sizes[wid as usize] = grams.len();
             match filter {
                 GesFilterKind::Jaccard => {
-                    for g in &grams {
-                        let gid = qgram_dict.intern(g);
-                        base_qgrams
-                            .push_row(vec![
-                                Value::Int(wid as i64),
-                                Value::Int(gid as i64),
-                                Value::Int(grams.len() as i64),
-                            ])
-                            .expect("schema matches");
-                    }
+                    word_gids.extend(grams.iter().map(|g| qgram_dict.intern(g)));
                 }
                 GesFilterKind::MinHash => {
                     let sig = hasher.signature(grams.iter());
                     for (fid, &v) in sig.iter().enumerate() {
                         base_mhsig
-                            .push_row(vec![
+                            .push([
                                 Value::Int(wid as i64),
                                 Value::Int(fid as i64),
                                 Value::Int((v % (i64::MAX as u64)) as i64),
@@ -111,6 +107,23 @@ impl FilteredGes {
                         qgram_dict.intern(g);
                     }
                 }
+            }
+        }
+        let mut base_qgrams = Table::with_capacity(
+            Schema::from_pairs(&[
+                ("wtoken", DataType::Int),
+                ("qgram", DataType::Int),
+                ("wsize", DataType::Int),
+            ]),
+            word_gids.len(),
+        );
+        let mut gids = word_gids.into_iter();
+        for (wid, _) in corpus.word_dict().iter() {
+            let size = word_qgram_sizes[wid as usize];
+            for gid in gids.by_ref().take(size) {
+                base_qgrams
+                    .push([Value::Int(wid as i64), Value::Int(gid as i64), Value::Int(size as i64)])
+                    .expect("schema matches");
             }
         }
 
@@ -216,12 +229,12 @@ impl FilteredGes {
         }
 
         // QUERY_IDF(qword, idf)
-        let mut query_idf =
-            Table::empty(Schema::from_pairs(&[("qword", DataType::Int), ("idf", DataType::Float)]));
+        let mut query_idf = Table::with_capacity(
+            Schema::from_pairs(&[("qword", DataType::Int), ("idf", DataType::Float)]),
+            query_words.len(),
+        );
         for (i, w) in query_words.iter().enumerate() {
-            query_idf
-                .push_row(vec![Value::Int(i as i64), Value::Float(w.weight)])
-                .expect("schema matches");
+            query_idf.push([Value::Int(i as i64), Value::Float(w.weight)]).expect("schema matches");
         }
         let mut bindings =
             Bindings::new().with_table("query_idf", query_idf).with_scalar("sum_idf", sum_idf);
@@ -243,7 +256,7 @@ impl FilteredGes {
                     for g in &grams {
                         if let Some(gid) = self.qgram_dict.get(g) {
                             query_qgrams
-                                .push_row(vec![
+                                .push([
                                     Value::Int(i as i64),
                                     Value::Int(gid as i64),
                                     Value::Int(size),
@@ -256,11 +269,14 @@ impl FilteredGes {
             }
             GesFilterKind::MinHash => {
                 // QUERY_MHSIG(qword, fid, value)
-                let mut query_sig = Table::empty(Schema::from_pairs(&[
-                    ("qword", DataType::Int),
-                    ("fid", DataType::Int),
-                    ("value", DataType::Int),
-                ]));
+                let mut query_sig = Table::with_capacity(
+                    Schema::from_pairs(&[
+                        ("qword", DataType::Int),
+                        ("fid", DataType::Int),
+                        ("value", DataType::Int),
+                    ]),
+                    query_words.len() * self.hasher.num_hashes(),
+                );
                 for (i, w) in query_words.iter().enumerate() {
                     let mut grams = word_qgrams(&w.word, qcfg);
                     grams.sort();
@@ -268,7 +284,7 @@ impl FilteredGes {
                     let sig = self.hasher.signature(grams.iter());
                     for (fid, &v) in sig.iter().enumerate() {
                         query_sig
-                            .push_row(vec![
+                            .push([
                                 Value::Int(i as i64),
                                 Value::Int(fid as i64),
                                 Value::Int((v % (i64::MAX as u64)) as i64),

@@ -43,7 +43,10 @@ impl SoftTfIdfPredicate {
             ("wtoken", DataType::Int),
             ("weight", DataType::Float),
         ]);
-        let mut table = Table::empty(schema);
+        // One row per distinct word of a tuple at most: the word
+        // occurrences bound the arena.
+        let word_occurrences = (0..corpus.corpus().len()).map(|i| corpus.record_words(i).len());
+        let mut table = Table::with_capacity(schema, word_occurrences.sum());
         for (idx, record) in corpus.corpus().records().iter().enumerate() {
             // Word term frequencies of this tuple.
             let mut counts: Vec<(u32, u32)> = Vec::new();
@@ -68,7 +71,7 @@ impl SoftTfIdfPredicate {
                 let weight = tf as f64 * corpus.word_idf(w) / norm;
                 if weight > 0.0 {
                     table
-                        .push_row(vec![
+                        .push([
                             Value::Int(record.tid as i64),
                             Value::Int(w as i64),
                             Value::Float(weight),
@@ -177,11 +180,7 @@ impl SoftTfIdfPredicate {
                 let sim = jaro_winkler(base_word, qword);
                 if sim >= self.shared.params().soft_tfidf.theta {
                     close
-                        .push_row(vec![
-                            Value::Int(wid as i64),
-                            Value::Int(*qidx as i64),
-                            Value::Float(sim),
-                        ])
+                        .push([Value::Int(wid as i64), Value::Int(*qidx as i64), Value::Float(sim)])
                         .expect("schema matches");
                 }
             }
@@ -191,13 +190,12 @@ impl SoftTfIdfPredicate {
         }
 
         // QUERY_WEIGHTS(qword, qweight)
-        let mut qw = Table::empty(Schema::from_pairs(&[
-            ("qword", DataType::Int),
-            ("qweight", DataType::Float),
-        ]));
+        let mut qw = Table::with_capacity(
+            Schema::from_pairs(&[("qword", DataType::Int), ("qweight", DataType::Float)]),
+            query_weights.len(),
+        );
         for (qidx, _, weight) in &query_weights {
-            qw.push_row(vec![Value::Int(*qidx as i64), Value::Float(*weight)])
-                .expect("schema matches");
+            qw.push([Value::Int(*qidx as i64), Value::Float(*weight)]).expect("schema matches");
         }
 
         let bindings = Bindings::new().with_table("close", close).with_table("query_weights", qw);

@@ -73,10 +73,9 @@ impl EditPredicate {
     /// Build the query tf table.
     fn query_tf_table(q: &crate::corpus::QueryTokens) -> Table {
         let schema = Schema::from_pairs(&[("token", DataType::Int), ("tf", DataType::Int)]);
-        let mut t = Table::empty(schema);
+        let mut t = Table::with_capacity(schema, q.tokens.len());
         for &(token, tf) in &q.tokens {
-            t.push_row(vec![Value::Int(token as i64), Value::Int(tf as i64)])
-                .expect("schema matches");
+            t.push([Value::Int(token as i64), Value::Int(tf as i64)]).expect("schema matches");
         }
         t
     }

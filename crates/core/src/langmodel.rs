@@ -71,7 +71,7 @@ impl LanguageModelPredicate {
             ("log_compm", DataType::Float),
             ("log_cfcs", DataType::Float),
         ]);
-        let mut base_pm = Table::empty(schema);
+        let mut base_pm = Table::with_capacity(schema, tables::token_rows(&corpus));
         let mut sumcompm = vec![0.0f64; corpus.num_records()];
         for (idx, record) in corpus.corpus().records().iter().enumerate() {
             let dl = corpus.record_dl(idx) as f64;
@@ -85,7 +85,7 @@ impl LanguageModelPredicate {
                 let cfcs = (corpus.cf(token) as f64 / cs).clamp(PM_EPS, 1.0 - PM_EPS);
                 sumcompm[idx] += (1.0 - pm).ln();
                 base_pm
-                    .push_row(vec![
+                    .push([
                         Value::Int(record.tid as i64),
                         Value::Int(token as i64),
                         Value::Float(pm.ln()),

@@ -332,7 +332,9 @@ impl ServingEngine {
     /// Execute a request stream over the worker pool, returning one response
     /// per request **in submission order**. Workers claim requests from a
     /// shared cursor (dynamic load balancing); results are byte-identical to
-    /// a serial execution of the same requests in any pool width.
+    /// a serial execution of the same requests in any pool width. The pool
+    /// is never wider than the batch, and a pool of one (one worker, or one
+    /// request) runs on the calling thread.
     ///
     /// ## Fault isolation
     ///
@@ -344,7 +346,8 @@ impl ServingEngine {
     /// only the one request it was serving — the batch loop respawns
     /// replacement workers until the cursor drains, and a claimed slot left
     /// unwritten by a dead worker is reported as `Panicked` rather than
-    /// retried (a deterministic panic must not retry forever).
+    /// retried (a deterministic panic must not retry forever). On the
+    /// calling thread only the per-request boundary applies.
     pub fn serve(&self, requests: &[ServeRequest]) -> Vec<ServeResponse> {
         let n = requests.len();
         if n == 0 {
@@ -354,52 +357,55 @@ impl ServingEngine {
         let cursor = AtomicUsize::new(0);
         let pool = self.workers.min(n);
         let slots: Vec<OnceLock<ServeResponse>> = (0..n).map(|_| OnceLock::new()).collect();
-        // Respawn rounds: a dead worker has always already claimed its
-        // request (the claim is its first operation), so the cursor strictly
-        // advances every round and the loop terminates in at most `n`
-        // rounds.
-        loop {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..pool)
-                    .map(|worker| {
-                        let cursor = &cursor;
-                        let slots = &slots;
-                        scope.spawn(move || loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let queue_wait = submitted.elapsed();
-                            let response = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                self.serve_one(&requests[i], queue_wait, worker)
-                            }))
-                            .unwrap_or_else(|payload| ServeResponse {
-                                results: Err(crate::error::DaspError::Panicked(panic_message(
-                                    payload.as_ref(),
-                                ))),
-                                stats: ServeStats {
-                                    queue_wait,
-                                    exec_time: Duration::ZERO,
-                                    cache_hit: false,
-                                    worker,
-                                    live: None,
-                                    degraded: false,
-                                    budget: None,
-                                },
-                            });
-                            let _ = slots[i].set(response);
-                        })
-                    })
-                    .collect();
-                // Join explicitly and swallow worker deaths — an Err here is
-                // a panic that escaped the per-request catch; the claimed
-                // slot it abandoned is reported below.
-                for handle in handles {
-                    let _ = handle.join();
-                }
-            });
-            if cursor.load(Ordering::Relaxed) >= n {
+        // One worker's claim loop: take the next unclaimed request, serve it
+        // under the per-request panic boundary, write its slot.
+        let work = |worker: usize| loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
                 break;
+            }
+            let queue_wait = submitted.elapsed();
+            let response = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                self.serve_one(&requests[i], queue_wait, worker)
+            }))
+            .unwrap_or_else(|payload| ServeResponse {
+                results: Err(crate::error::DaspError::Panicked(panic_message(payload.as_ref()))),
+                stats: ServeStats {
+                    queue_wait,
+                    exec_time: Duration::ZERO,
+                    cache_hit: false,
+                    worker,
+                    live: None,
+                    degraded: false,
+                    budget: None,
+                },
+            });
+            let _ = slots[i].set(response);
+        };
+        if pool == 1 {
+            // A one-worker batch runs on the caller thread: spawning a
+            // thread to serve it would only add its start-up to every
+            // request's latency.
+            work(0);
+        } else {
+            // Respawn rounds: a dead worker has always already claimed its
+            // request (the claim is its first operation), so the cursor
+            // strictly advances every round and the loop terminates in at
+            // most `n` rounds.
+            loop {
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> =
+                        (0..pool).map(|worker| scope.spawn(move || work(worker))).collect();
+                    // Join explicitly and swallow worker deaths — an Err here
+                    // is a panic that escaped the per-request catch; the
+                    // claimed slot it abandoned is reported below.
+                    for handle in handles {
+                        let _ = handle.join();
+                    }
+                });
+                if cursor.load(Ordering::Relaxed) >= n {
+                    break;
+                }
             }
         }
         let responses: Vec<ServeResponse> = slots
@@ -696,6 +702,38 @@ mod tests {
             serving.serve(&[ServeRequest::new(PredicateKind::Jaccard, "Beijing", Exec::Rank)]);
         assert_eq!(responses.len(), 1);
         assert!(responses[0].results.is_ok());
+    }
+
+    #[test]
+    fn one_worker_batch_runs_on_the_caller_and_survives_a_panic() {
+        use std::cell::Cell;
+        thread_local! {
+            static PANIC_HERE: Cell<bool> = const { Cell::new(false) };
+        }
+        // Panics at the request boundary, but only on a thread that asked
+        // for it: the fault fires only if the request runs on this thread.
+        fn panic_here(site: &'static str) {
+            if site == "serve.request" && PANIC_HERE.with(Cell::get) {
+                panic!("injected fault at {site}");
+            }
+        }
+        let serving = ServingEngine::new(engine(), 4);
+        let request = ServeRequest::new(PredicateKind::Jaccard, "Beijing Hotel", Exec::Rank);
+        relq::set_fault_hook(Some(panic_here));
+        PANIC_HERE.with(|p| p.set(true));
+        let panicked = serving.serve(std::slice::from_ref(&request));
+        PANIC_HERE.with(|p| p.set(false));
+        relq::set_fault_hook(None);
+        assert!(
+            matches!(
+                &panicked[0].results,
+                Err(crate::error::DaspError::Panicked(m)) if m.contains("injected fault")
+            ),
+            "{:?}",
+            panicked[0].results
+        );
+        let answered = serving.serve(&[request]);
+        assert!(answered[0].results.as_ref().is_ok_and(|r| !r.is_empty()));
     }
 
     #[test]

@@ -78,15 +78,21 @@ impl PostingCatalog {
     }
 }
 
+/// Number of `(tuple, distinct token)` pairs: the row count of every
+/// per-token base table, so each one sizes its arena once.
+pub(crate) fn token_rows(tc: &TokenizedCorpus) -> usize {
+    (0..tc.corpus().len()).map(|idx| tc.record_tokens(idx).len()).sum()
+}
+
 /// `BASE_TOKENS(tid, token)` with *distinct* tokens per tuple, as the paper
 /// stores for the unweighted overlap predicates.
 pub fn base_tokens_distinct(tc: &TokenizedCorpus) -> Table {
     let schema = Schema::from_pairs(&[("tid", DataType::Int), ("token", DataType::Int)]);
-    let mut table = Table::empty(schema);
+    let mut table = Table::with_capacity(schema, token_rows(tc));
     for (idx, record) in tc.corpus().records().iter().enumerate() {
         for &(token, _tf) in tc.record_tokens(idx) {
             table
-                .push_row(vec![Value::Int(record.tid as i64), Value::Int(token as i64)])
+                .push([Value::Int(record.tid as i64), Value::Int(token as i64)])
                 .expect("schema matches");
         }
     }
@@ -100,11 +106,11 @@ pub fn base_tf(tc: &TokenizedCorpus) -> Table {
         ("token", DataType::Int),
         ("tf", DataType::Int),
     ]);
-    let mut table = Table::empty(schema);
+    let mut table = Table::with_capacity(schema, token_rows(tc));
     for (idx, record) in tc.corpus().records().iter().enumerate() {
         for &(token, tf) in tc.record_tokens(idx) {
             table
-                .push_row(vec![
+                .push([
                     Value::Int(record.tid as i64),
                     Value::Int(token as i64),
                     Value::Int(tf as i64),
@@ -118,10 +124,10 @@ pub fn base_tf(tc: &TokenizedCorpus) -> Table {
 /// `BASE_DL(tid, dl)` — number of token occurrences per tuple.
 pub fn base_dl(tc: &TokenizedCorpus) -> Table {
     let schema = Schema::from_pairs(&[("tid", DataType::Int), ("dl", DataType::Int)]);
-    let mut table = Table::empty(schema);
+    let mut table = Table::with_capacity(schema, tc.corpus().len());
     for (idx, record) in tc.corpus().records().iter().enumerate() {
         table
-            .push_row(vec![Value::Int(record.tid as i64), Value::Int(tc.record_dl(idx) as i64)])
+            .push([Value::Int(record.tid as i64), Value::Int(tc.record_dl(idx) as i64)])
             .expect("schema matches");
     }
     table
@@ -139,12 +145,12 @@ where
         ("token", DataType::Int),
         ("weight", DataType::Float),
     ]);
-    let mut table = Table::empty(schema);
+    let mut table = Table::with_capacity(schema, token_rows(tc));
     for (idx, record) in tc.corpus().records().iter().enumerate() {
         for &(token, tf) in tc.record_tokens(idx) {
             if let Some(w) = weight_fn(idx, token, tf) {
                 table
-                    .push_row(vec![
+                    .push([
                         Value::Int(record.tid as i64),
                         Value::Int(token as i64),
                         Value::Float(w),
@@ -162,10 +168,10 @@ where
     F: FnMut(usize) -> f64,
 {
     let schema = Schema::from_pairs(&[("tid", DataType::Int), (alias, DataType::Float)]);
-    let mut table = Table::empty(schema);
+    let mut table = Table::with_capacity(schema, tc.corpus().len());
     for (idx, record) in tc.corpus().records().iter().enumerate() {
         table
-            .push_row(vec![Value::Int(record.tid as i64), Value::Float(value_fn(idx))])
+            .push([Value::Int(record.tid as i64), Value::Float(value_fn(idx))])
             .expect("schema matches");
     }
     table
@@ -176,16 +182,29 @@ where
 /// GES predicates.
 pub fn base_words_distinct(tc: &TokenizedCorpus) -> Table {
     let schema = Schema::from_pairs(&[("tid", DataType::Int), ("wtoken", DataType::Int)]);
-    let mut table = Table::empty(schema);
-    for (idx, record) in tc.corpus().records().iter().enumerate() {
-        let mut seen: Vec<TokenId> = Vec::new();
+    // The distinct words of tuple `idx`, in first-seen order, into `seen`.
+    let distinct = |idx: usize, seen: &mut Vec<TokenId>| {
+        seen.clear();
         for &w in tc.record_words(idx) {
             if !seen.contains(&w) {
                 seen.push(w);
-                table
-                    .push_row(vec![Value::Int(record.tid as i64), Value::Int(w as i64)])
-                    .expect("schema matches");
             }
+        }
+    };
+    let mut seen: Vec<TokenId> = Vec::new();
+    let rows = (0..tc.corpus().len())
+        .map(|idx| {
+            distinct(idx, &mut seen);
+            seen.len()
+        })
+        .sum();
+    let mut table = Table::with_capacity(schema, rows);
+    for (idx, record) in tc.corpus().records().iter().enumerate() {
+        distinct(idx, &mut seen);
+        for &w in &seen {
+            table
+                .push([Value::Int(record.tid as i64), Value::Int(w as i64)])
+                .expect("schema matches");
         }
     }
     table
@@ -196,11 +215,12 @@ pub fn base_words_distinct(tc: &TokenizedCorpus) -> Table {
 /// variant used by HMM); unknown tokens are omitted because they cannot join.
 pub fn query_tokens(tokens: &QueryTokens, distinct: bool) -> Table {
     let schema = Schema::from_pairs(&[("token", DataType::Int)]);
-    let mut table = Table::empty(schema);
+    let repeats = |tf: u32| if distinct { 1 } else { tf as usize };
+    let rows = tokens.tokens.iter().map(|&(_, tf)| repeats(tf)).sum();
+    let mut table = Table::with_capacity(schema, rows);
     for &(token, tf) in &tokens.tokens {
-        let repeats = if distinct { 1 } else { tf };
-        for _ in 0..repeats {
-            table.push_row(vec![Value::Int(token as i64)]).expect("schema matches");
+        for _ in 0..repeats(tf) {
+            table.push([Value::Int(token as i64)]).expect("schema matches");
         }
     }
     table
@@ -209,9 +229,9 @@ pub fn query_tokens(tokens: &QueryTokens, distinct: bool) -> Table {
 /// `QUERY_WEIGHTS(token, weight)` built from `(token, weight)` pairs.
 pub fn query_weights(weights: &[(TokenId, f64)]) -> Table {
     let schema = Schema::from_pairs(&[("token", DataType::Int), ("weight", DataType::Float)]);
-    let mut table = Table::empty(schema);
+    let mut table = Table::with_capacity(schema, weights.len());
     for &(token, w) in weights {
-        table.push_row(vec![Value::Int(token as i64), Value::Float(w)]).expect("schema matches");
+        table.push([Value::Int(token as i64), Value::Float(w)]).expect("schema matches");
     }
     table
 }

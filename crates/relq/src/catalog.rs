@@ -3,15 +3,16 @@
 //!
 //! ## The indexed-catalog contract
 //!
-//! Tables are stored as `Arc<Table>`: [`Plan::Scan`](crate::Plan::Scan) hands
-//! out a shared handle, so scanning never copies rows. Registration is the
-//! *only* time a table's rows are walked — [`Catalog::register_indexed`]
-//! builds a persistent [`TableIndex`] (key values → row ids) right then,
-//! which is the preprocessing-time analogue of the paper's clustered index on
-//! the token/weight relations. At query time
-//! [`Plan::IndexJoin`](crate::Plan::IndexJoin) probes that index, so a lookup
-//! costs O(matching rows) instead of O(table) — the base relation is never
-//! re-hashed or re-scanned per query.
+//! Tables are stored as `Arc<Table>`, each one flat arena of cells (see
+//! [`Table`]): [`Plan::Scan`](crate::Plan::Scan) hands out a shared handle,
+//! so scanning never copies rows. Registration is the *only* time a table's
+//! rows are walked — [`Catalog::register_indexed`] builds a persistent
+//! [`TableIndex`] (key values → row ids) right then, which is the
+//! preprocessing-time analogue of the paper's clustered index on the
+//! token/weight relations. A row id addresses one `width`-cell slice of the
+//! arena. At query time [`Plan::IndexJoin`](crate::Plan::IndexJoin) probes
+//! that index, so a lookup costs O(matching rows) instead of O(table) — the
+//! base relation is never re-hashed or re-scanned per query.
 
 use crate::error::{RelqError, Result};
 use crate::posting::PostingIndex;
@@ -23,11 +24,15 @@ use std::sync::Arc;
 /// A persistent inverted index over one or more key columns of a table: maps
 /// each distinct non-NULL key to the ids of the rows carrying it, in table
 /// order (so index probes enumerate matches exactly as a hash join built on
-/// the full table would).
+/// the full table would). The ids of all keys share one arena, each key's
+/// run contiguous, so the index holds one allocation per key (the key
+/// itself) rather than two.
 #[derive(Debug, Clone)]
 pub struct TableIndex {
     key_cols: Vec<String>,
-    map: HashMap<Vec<Value>, Vec<u32>>,
+    /// Key → its run `(start, len)` in `row_ids`.
+    map: HashMap<Vec<Value>, (u32, u32)>,
+    row_ids: Vec<u32>,
 }
 
 impl TableIndex {
@@ -39,15 +44,54 @@ impl TableIndex {
         }
         let key_idx: Vec<usize> =
             key_cols.iter().map(|c| table.schema().index_of(c)).collect::<Result<_>>()?;
-        let mut map: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
-        for (row_no, row) in table.rows().iter().enumerate() {
-            let key: Vec<Value> = key_idx.iter().map(|&i| row[i].clone()).collect();
+        // Pass 1: number the distinct keys in first-seen order, count their
+        // rows, and note each row's key number (`u32::MAX` for a NULL key,
+        // which SQL equality never matches). One scratch key serves every
+        // row: a key is copied into the map only when it is new.
+        let mut map: HashMap<Vec<Value>, (u32, u32)> = HashMap::new();
+        let mut counts: Vec<u32> = Vec::new();
+        let mut row_keys: Vec<u32> = Vec::with_capacity(table.num_rows());
+        let mut key: Vec<Value> = Vec::with_capacity(key_idx.len());
+        for row in table.rows() {
+            key.clear();
+            key.extend(key_idx.iter().map(|&i| row[i].clone()));
             if key.iter().any(Value::is_null) {
-                continue; // SQL equality never matches NULL keys.
+                row_keys.push(u32::MAX);
+                continue;
             }
-            map.entry(key).or_default().push(row_no as u32);
+            let slot = match map.get(key.as_slice()) {
+                Some(&(slot, _)) => slot,
+                None => {
+                    let slot = counts.len() as u32;
+                    map.insert(key.clone(), (slot, 0));
+                    counts.push(0);
+                    slot
+                }
+            };
+            counts[slot as usize] += 1;
+            row_keys.push(slot);
         }
-        Ok(TableIndex { key_cols: key_cols.to_vec(), map })
+        // Pass 2: lay the runs out back to back in key-number order and
+        // scatter the row ids into them, in table order.
+        let mut starts: Vec<u32> = Vec::with_capacity(counts.len());
+        let mut total = 0u32;
+        for &c in &counts {
+            starts.push(total);
+            total += c;
+        }
+        let mut row_ids = vec![0u32; total as usize];
+        let mut next = starts.clone();
+        for (row_no, &slot) in row_keys.iter().enumerate() {
+            if slot != u32::MAX {
+                row_ids[next[slot as usize] as usize] = row_no as u32;
+                next[slot as usize] += 1;
+            }
+        }
+        for run in map.values_mut() {
+            let slot = run.0 as usize;
+            *run = (starts[slot], counts[slot]);
+        }
+        Ok(TableIndex { key_cols: key_cols.to_vec(), map, row_ids })
     }
 
     /// The indexed key columns, in key order.
@@ -57,7 +101,8 @@ impl TableIndex {
 
     /// Row ids whose key equals `key`, in table order.
     pub fn lookup(&self, key: &[Value]) -> Option<&[u32]> {
-        self.map.get(key).map(Vec::as_slice)
+        let &(start, len) = self.map.get(key)?;
+        Some(&self.row_ids[start as usize..(start + len) as usize])
     }
 
     /// Number of distinct keys.

@@ -79,8 +79,8 @@ struct ExecCtx<'a> {
 
 /// An intermediate relation: either a shared base table or an operator's own
 /// materialized output. Operators borrow rows; only the ones that truly need
-/// owned rows (sort, limit, distinct, union) pay a copy, and only when their
-/// input is shared.
+/// owned cells (sort, limit, union) pay a copy, and only when their input is
+/// shared.
 enum Rel {
     Shared(Arc<Table>),
     Owned(Table),
@@ -101,13 +101,12 @@ impl Rel {
         }
     }
 
-    fn into_schema_and_rows(self) -> (Schema, Vec<Row>) {
+    /// The relation as an owned table: an operator's output moves, a shared
+    /// table is copied.
+    fn into_table(self) -> Table {
         match self {
-            Rel::Shared(t) => (t.schema().clone(), t.rows().to_vec()),
-            Rel::Owned(t) => {
-                let schema = t.schema().clone();
-                (schema, t.into_rows())
-            }
+            Rel::Shared(t) => Arc::unwrap_or_clone(t),
+            Rel::Owned(t) => t,
         }
     }
 }
@@ -170,16 +169,17 @@ fn eval(plan: &Plan, ctx: &ExecCtx) -> Result<Rel> {
             let input = eval(input, ctx)?;
             let table = input.as_table();
             let schema = table.schema();
-            let mut rows = Vec::new();
+            let (mut cells, mut n) = (Vec::new(), 0);
             if !table.is_empty() {
                 let predicate = resolve(predicate, ctx)?.compile(schema)?;
                 for row in table.rows() {
                     if predicate.evaluate(row)?.as_bool()? {
-                        rows.push(row.clone());
+                        cells.extend_from_slice(row);
+                        n += 1;
                     }
                 }
             }
-            Ok(Rel::Owned(Table::from_parts_unchecked(schema.clone(), rows)))
+            Ok(Rel::Owned(Table::from_cells_unchecked(schema.clone(), cells, n)))
         }
         Plan::Project { input, items } => {
             let input = eval(input, ctx)?;
@@ -233,19 +233,15 @@ fn eval(plan: &Plan, ctx: &ExecCtx) -> Result<Rel> {
             Ok(Rel::Owned(sort(input, keys)?))
         }
         Plan::Limit { input, count } => {
-            // Clone only the rows that survive the limit; a shared input must
-            // not pay for the rows being dropped.
+            // Clone only the cells that survive the limit; a shared input
+            // must not pay for the rows being dropped.
             let limited = match eval(input, ctx)? {
                 Rel::Shared(t) => {
-                    let rows: Vec<Row> = t.rows().iter().take(*count).cloned().collect();
-                    Table::from_parts_unchecked(t.schema().clone(), rows)
+                    let n = t.num_rows().min(*count);
+                    let cells = t.cells()[..n * t.width()].to_vec();
+                    Table::from_cells_unchecked(t.schema().clone(), cells, n)
                 }
-                Rel::Owned(t) => {
-                    let schema = t.schema().clone();
-                    let mut rows = t.into_rows();
-                    rows.truncate(*count);
-                    Table::from_parts_unchecked(schema, rows)
-                }
+                Rel::Owned(t) => truncated(t, *count),
             };
             Ok(Rel::Owned(limited))
         }
@@ -254,9 +250,9 @@ fn eval(plan: &Plan, ctx: &ExecCtx) -> Result<Rel> {
             // Fused fast path: top-k directly over a projection evaluates
             // the projected row into a reusable scratch buffer and allocates
             // an owned row only when it enters the heap — the full projected
-            // candidate table (one allocation per candidate) is never
-            // materialized. Row-wise evaluation order is unchanged, so
-            // results and errors are identical to the unfused pipeline.
+            // candidate table is never materialized. Row-wise evaluation
+            // order is unchanged, so results and errors are identical to the
+            // unfused pipeline.
             if !ctx.naive {
                 if let Plan::Project { input: inner, items } = input.as_ref() {
                     return Ok(Rel::Owned(top_k_project(ctx, inner, items, k, keys)?));
@@ -267,10 +263,7 @@ fn eval(plan: &Plan, ctx: &ExecCtx) -> Result<Rel> {
             if ctx.naive {
                 // Pre-refactor cost model: full stable sort, then truncate —
                 // the rank-everything-then-cut baseline TopK replaces.
-                let (schema, mut rows) = input.into_schema_and_rows();
-                sort_rows(&mut rows, &key_idx);
-                rows.truncate(k);
-                Ok(Rel::Owned(Table::from_parts_unchecked(schema, rows)))
+                Ok(Rel::Owned(truncated(sort_table(input.into_table(), &key_idx), k)))
             } else {
                 Ok(Rel::Owned(top_k(input.as_table(), k, &key_idx)))
             }
@@ -307,9 +300,10 @@ fn eval(plan: &Plan, ctx: &ExecCtx) -> Result<Rel> {
             let left = eval(left, ctx)?;
             let right = eval(right, ctx)?;
             left.as_table().schema().check_union_compatible(right.as_table().schema())?;
-            let (schema, mut rows) = left.into_schema_and_rows();
-            rows.extend(right.into_schema_and_rows().1);
-            Ok(Rel::Owned(Table::from_parts_unchecked(schema, rows)))
+            let (schema, mut cells, n) = left.into_table().into_parts();
+            let (_, right_cells, m) = right.into_table().into_parts();
+            cells.extend(right_cells);
+            Ok(Rel::Owned(Table::from_cells_unchecked(schema, cells, n + m)))
         }
     }
 }
@@ -333,7 +327,7 @@ fn projection_schema(
             .or_else(|| {
                 input
                     .rows()
-                    .first()
+                    .next()
                     .and_then(|row| expr.evaluate(row, in_schema).ok())
                     .and_then(|v| v.data_type())
             })
@@ -356,15 +350,13 @@ fn project(input: &Table, items: &[ProjectItem], ctx: &ExecCtx) -> Result<Table>
     // first row would have produced.
     let compiled: Vec<crate::expr::CompiledExpr> =
         exprs.iter().map(|e| e.compile(in_schema)).collect::<Result<_>>()?;
-    let mut rows = Vec::with_capacity(input.num_rows());
+    let mut cells = Vec::with_capacity(input.num_rows() * compiled.len());
     for row in input.rows() {
-        let mut out = Vec::with_capacity(items.len());
         for expr in &compiled {
-            out.push(expr.evaluate(row)?);
+            cells.push(expr.evaluate(row)?);
         }
-        rows.push(out);
     }
-    Ok(Table::from_parts_unchecked(out_schema, rows))
+    Ok(Table::from_cells_unchecked(out_schema, cells, input.num_rows()))
 }
 
 /// Which side a hash join builds its table on. The build side is a pure
@@ -415,7 +407,7 @@ fn hash_join(
     };
 
     let mut hash_table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-    for (row_no, row) in build.rows().iter().enumerate() {
+    for (row_no, row) in build.rows().enumerate() {
         let key: Vec<Value> = build_idx.iter().map(|&i| row[i].clone()).collect();
         if key.iter().any(Value::is_null) {
             continue; // SQL equality never matches NULL keys.
@@ -424,13 +416,12 @@ fn hash_join(
     }
 
     let out_schema = left.schema().join(right.schema(), suffix);
-    let emit = |lrow: &Row, rrow: &Row| {
-        let mut out = Vec::with_capacity(out_schema.len());
-        out.extend(lrow.iter().cloned());
-        out.extend(rrow.iter().cloned());
-        out
+    let (mut cells, mut n) = (Vec::new(), 0);
+    let mut emit = |lrow: &[Value], rrow: &[Value]| {
+        cells.extend_from_slice(lrow);
+        cells.extend_from_slice(rrow);
+        n += 1;
     };
-    let mut rows = Vec::new();
     if build_side == BuildSide::Smaller && build_left {
         // The probe side is the RIGHT input here, but emission must stay
         // left-major (the order a build-on-right probe would produce):
@@ -439,7 +430,7 @@ fn hash_join(
         // exactly "for each left row in order, its right matches in table
         // order" — byte-identical to the build-on-right emission.
         let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for (probe_no, probe_row) in probe.rows().iter().enumerate() {
+        for (probe_no, probe_row) in probe.rows().enumerate() {
             let key: Vec<Value> = probe_idx.iter().map(|&i| probe_row[i].clone()).collect();
             if key.iter().any(Value::is_null) {
                 continue;
@@ -449,7 +440,9 @@ fn hash_join(
             }
         }
         pairs.sort_unstable();
-        rows.extend(pairs.into_iter().map(|(l, r)| emit(&left.rows()[l], &right.rows()[r])));
+        for (l, r) in pairs {
+            emit(left.row(l), right.row(r));
+        }
     } else {
         for probe_row in probe.rows() {
             let key: Vec<Value> = probe_idx.iter().map(|&i| probe_row[i].clone()).collect();
@@ -458,15 +451,15 @@ fn hash_join(
             }
             if let Some(matches) = hash_table.get(&key) {
                 for &build_no in matches {
-                    let build_row = &build.rows()[build_no];
+                    let build_row = build.row(build_no);
                     let (lrow, rrow) =
                         if build_left { (build_row, probe_row) } else { (probe_row, build_row) };
-                    rows.push(emit(lrow, rrow));
+                    emit(lrow, rrow);
                 }
             }
         }
     }
-    Ok(Table::from_parts_unchecked(out_schema, rows))
+    Ok(Table::from_cells_unchecked(out_schema, cells, n))
 }
 
 /// Probe the persistent index of `base` with the probe table's key values.
@@ -496,8 +489,7 @@ fn index_join(
     let probe_idx: Vec<usize> =
         probe_keys.iter().map(|k| probe.schema().index_of(k)).collect::<Result<_>>()?;
     let out_schema = base_table.schema().join(probe.schema(), suffix);
-    let base_rows = base_table.rows();
-    let mut rows = Vec::new();
+    let (mut cells, mut n) = (Vec::new(), 0);
     let mut key = Vec::with_capacity(probe_idx.len());
     for probe_row in probe.rows() {
         key.clear();
@@ -507,15 +499,13 @@ fn index_join(
         }
         if let Some(ids) = index.lookup(&key) {
             for &rid in ids {
-                let base_row = &base_rows[rid as usize];
-                let mut out = Vec::with_capacity(out_schema.len());
-                out.extend(base_row.iter().cloned());
-                out.extend(probe_row.iter().cloned());
-                rows.push(out);
+                cells.extend_from_slice(base_table.row(rid as usize));
+                cells.extend_from_slice(probe_row);
+                n += 1;
             }
         }
     }
-    Ok(Table::from_parts_unchecked(out_schema, rows))
+    Ok(Table::from_cells_unchecked(out_schema, cells, n))
 }
 
 /// Evaluate an aggregation node, dispatching to the fused
@@ -557,24 +547,28 @@ fn eval_aggregate(
     }
 }
 
-/// Compile an aggregate-output filter against the output schema, assemble
-/// each `group key ++ finished accumulators` row, and keep the rows the
-/// filter admits — the tail of [`aggregate`]. The filter is compiled only
-/// when there is at least one row to assemble, matching the unfused `Filter`
-/// operator (which never compiles its predicate over an empty input).
-fn assemble_aggregate_rows(
+/// Assemble the `len` output rows of an aggregation into one arena:
+/// `write_row` appends the next group's `key ++ finished accumulators`
+/// cells, and the optional output filter keeps or drops the row just
+/// written. The filter is compiled only when there is at least one row to
+/// assemble, matching the unfused `Filter` operator (which never compiles
+/// its predicate over an empty input).
+fn assemble_rows(
     ctx: &ExecCtx,
-    out_schema: &Schema,
-    order: Vec<Row>,
-    accumulators: Vec<Vec<Accumulator>>,
+    out_schema: Schema,
+    len: usize,
     output_filter: Option<&crate::expr::Expr>,
-) -> Result<Vec<Row>> {
+    mut write_row: impl FnMut(&mut Vec<Value>),
+) -> Result<Table> {
     let filter = match output_filter {
-        Some(expr) if !order.is_empty() => Some(resolve(expr, ctx)?.compile(out_schema)?),
+        Some(expr) if len > 0 => Some(resolve(expr, ctx)?.compile(&out_schema)?),
         _ => None,
     };
-    let mut rows = Vec::with_capacity(order.len());
-    for (key, accs) in order.into_iter().zip(accumulators) {
+    // A filtered aggregation (a threshold plan) keeps few of its groups, so
+    // only an unfiltered one sizes the arena up front.
+    let reserve = if filter.is_none() { len * out_schema.len() } else { 0 };
+    let (mut cells, mut n) = (Vec::with_capacity(reserve), 0);
+    for _ in 0..len {
         // Budget cut point for the exhaustive scoring pipelines: each
         // assembled row is one fully-accumulated candidate (its aggregates
         // finished before assembly began), so stopping here truncates
@@ -586,52 +580,17 @@ fn assemble_aggregate_rows(
             }
         }
         crate::fault::fault_point("relq.aggregate.row");
-        let mut row = key;
-        for acc in accs {
-            row.push(acc.finish());
-        }
+        let start = cells.len();
+        write_row(&mut cells);
         if let Some(f) = &filter {
-            if !f.evaluate(&row)?.as_bool()? {
+            if !f.evaluate(&cells[start..])?.as_bool()? {
+                cells.truncate(start);
                 continue;
             }
         }
-        rows.push(row);
+        n += 1;
     }
-    Ok(rows)
-}
-
-/// [`assemble_aggregate_rows`] over [`Groups`]: the same filter, budget
-/// and fault-site semantics, with each row allocated once, when reached.
-fn assemble_group_rows(
-    ctx: &ExecCtx,
-    out_schema: &Schema,
-    groups: Groups,
-    output_filter: Option<&crate::expr::Expr>,
-) -> Result<Vec<Row>> {
-    let filter = match output_filter {
-        Some(expr) if groups.len() > 0 => Some(resolve(expr, ctx)?.compile(out_schema)?),
-        _ => None,
-    };
-    let n = groups.len();
-    let mut assembled = groups.into_rows();
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
-        // Budget cut point, as in `assemble_aggregate_rows`.
-        if let Some(limits) = ctx.limits {
-            if !limits.charge_candidate() {
-                break;
-            }
-        }
-        crate::fault::fault_point("relq.aggregate.row");
-        let row = assembled.next().expect("one row per group");
-        if let Some(f) = &filter {
-            if !f.evaluate(&row)?.as_bool()? {
-                continue;
-            }
-        }
-        rows.push(row);
-    }
-    Ok(rows)
+    Ok(Table::from_cells_unchecked(out_schema, cells, n))
 }
 
 /// A compiled aggregate argument. SUM/MIN/MAX over float-safe expressions
@@ -803,28 +762,26 @@ fn index_join_aggregate(
         .map(|agg| FastAgg::compile(agg, &joined_schema, ctx))
         .collect::<Result<_>>()?;
 
-    let base_rows = base_table.rows();
     let mut probe_key: Vec<Value> = Vec::with_capacity(probe_idx.len());
-    // Pre-size the probe: one cheap index lookup per probe row tells us the
-    // total number of matches this query will touch. A dense slot array for
-    // a base-side Int group key (its range known from the registration-time
-    // statistics) is only worth its allocation + memset when the match
-    // volume justifies it — keyed on the *query's* work, not the corpus
-    // size, so a tiny query over a huge base never pays an O(corpus) setup
-    // cost.
-    let mut estimated_matches: usize = 0;
-    for probe_row in probe.rows() {
-        probe_key.clear();
-        probe_key.extend(probe_idx.iter().map(|&i| probe_row[i].clone()));
-        if probe_key.iter().any(Value::is_null) {
-            continue;
-        }
-        if let Some(ids) = index.lookup(&probe_key) {
-            estimated_matches += ids.len();
-        }
-    }
+    // A dense slot array serves a single base-side Int group key, its range
+    // known from the registration-time statistics. It is only worth its
+    // allocation + memset when the match volume justifies it — keyed on the
+    // *query's* work, not the corpus size, so a tiny query over a huge base
+    // never pays an O(corpus) setup cost. One cheap index lookup per probe
+    // row counts that volume; no other key shape pays for the count.
     let dense_range = if group_idx.len() == 1 && group_idx[0] < split {
         ctx.catalog.int_column_range(base, group_idx[0]).and_then(|(lo, hi)| {
+            let mut estimated_matches: usize = 0;
+            for probe_row in probe.rows() {
+                probe_key.clear();
+                probe_key.extend(probe_idx.iter().map(|&i| probe_row[i].clone()));
+                if probe_key.iter().any(Value::is_null) {
+                    continue;
+                }
+                if let Some(ids) = index.lookup(&probe_key) {
+                    estimated_matches += ids.len();
+                }
+            }
             let span = (hi as i128 - lo as i128) as u128 + 1;
             let budget = (32 * estimated_matches).max(1024) as u128;
             (span <= budget).then_some((lo, span as usize))
@@ -842,7 +799,7 @@ fn index_join_aggregate(
         }
         let Some(ids) = index.lookup(&probe_key) else { continue };
         for &rid in ids {
-            let base_row = &base_rows[rid as usize];
+            let base_row = base_table.row(rid as usize);
             let accs = groups.accumulators(|k| {
                 let i = group_idx[k];
                 if i < split {
@@ -855,8 +812,7 @@ fn index_join_aggregate(
         }
     }
     groups.ensure_global_row();
-    let rows = assemble_group_rows(ctx, &out_schema, groups, output_filter)?;
-    Ok(Table::from_parts_unchecked(out_schema, rows))
+    assemble_rows(ctx, out_schema, groups.len(), output_filter, groups.into_row_writer())
 }
 
 /// Indexed-mode aggregation over a materialized input, with the same group
@@ -894,8 +850,7 @@ fn group_aggregate(
         }
     }
     groups.ensure_global_row();
-    let rows = assemble_group_rows(ctx, &out_schema, groups, output_filter)?;
-    Ok(Table::from_parts_unchecked(out_schema, rows))
+    assemble_rows(ctx, out_schema, groups.len(), output_filter, groups.into_row_writer())
 }
 
 /// Reference aggregation: the naive mode's cost model (a `Vec` key and a
@@ -971,15 +926,35 @@ fn aggregate(
         accumulators.push(aggregates.iter().map(|a| Accumulator::for_func(&a.func)).collect());
     }
 
-    let rows = assemble_aggregate_rows(ctx, &out_schema, order, accumulators, output_filter)?;
-    Ok(Table::from_parts_unchecked(out_schema, rows))
+    let len = order.len();
+    let mut rows = order.into_iter().zip(accumulators);
+    assemble_rows(ctx, out_schema, len, output_filter, |cells| {
+        let (key, accs) = rows.next().expect("one row per group");
+        cells.extend(key);
+        cells.extend(accs.into_iter().map(Accumulator::finish));
+    })
 }
 
 fn sort(input: Rel, keys: &[(String, SortOrder)]) -> Result<Table> {
-    let (schema, mut rows) = input.into_schema_and_rows();
-    let key_idx = key_indices(&schema, keys)?;
-    sort_rows(&mut rows, &key_idx);
-    Ok(Table::from_parts_unchecked(schema, rows))
+    let key_idx = key_indices(input.as_table().schema(), keys)?;
+    Ok(sort_table(input.into_table(), &key_idx))
+}
+
+/// Stable multi-key sort shared by `Sort` and the naive lowering of `TopK`:
+/// orders a row-index permutation, then moves the cells into that order.
+fn sort_table(mut table: Table, key_idx: &[(usize, SortOrder)]) -> Table {
+    let mut order: Vec<usize> = (0..table.num_rows()).collect();
+    order.sort_by(|&a, &b| compare_rows(table.row(a), table.row(b), key_idx));
+    table.permute(&order);
+    table
+}
+
+/// The first `count` rows of an owned table, in place.
+fn truncated(table: Table, count: usize) -> Table {
+    let (schema, mut cells, n) = table.into_parts();
+    let n = n.min(count);
+    cells.truncate(n * schema.len());
+    Table::from_cells_unchecked(schema, cells, n)
 }
 
 fn key_indices(schema: &Schema, keys: &[(String, SortOrder)]) -> Result<Vec<(usize, SortOrder)>> {
@@ -1000,7 +975,7 @@ fn compare_sort_values(a: &Value, b: &Value) -> std::cmp::Ordering {
     }
 }
 
-fn compare_rows(a: &Row, b: &Row, key_idx: &[(usize, SortOrder)]) -> std::cmp::Ordering {
+fn compare_rows(a: &[Value], b: &[Value], key_idx: &[(usize, SortOrder)]) -> std::cmp::Ordering {
     for &(idx, order) in key_idx {
         let ord = compare_sort_values(&a[idx], &b[idx]);
         let ord = match order {
@@ -1014,16 +989,10 @@ fn compare_rows(a: &Row, b: &Row, key_idx: &[(usize, SortOrder)]) -> std::cmp::O
     std::cmp::Ordering::Equal
 }
 
-/// Stable multi-key sort shared by `Sort` and the naive lowering of `TopK`.
-fn sort_rows(rows: &mut [Row], key_idx: &[(usize, SortOrder)]) {
-    rows.sort_by(|a, b| compare_rows(a, b, key_idx));
-}
-
 /// Resolve the `k` of a `TopK` node: a column-free scalar expression (a
 /// literal or a bound parameter), evaluated once per execution.
 fn eval_top_k_count(k: &crate::expr::Expr, ctx: &ExecCtx) -> Result<usize> {
-    let empty_row: Row = Vec::new();
-    let k = resolve(k, ctx)?.evaluate(&empty_row, &Schema::new(Vec::new()))?.as_i64()?;
+    let k = resolve(k, ctx)?.evaluate(&[], &Schema::new(Vec::new()))?.as_i64()?;
     usize::try_from(k)
         .map_err(|_| RelqError::InvalidPlan(format!("TopK with negative row count {k}")))
 }
@@ -1032,14 +1001,13 @@ fn eval_top_k_count(k: &crate::expr::Expr, ctx: &ExecCtx) -> Result<usize> {
 /// expression (a literal or a bound parameter, possibly transformed — e.g.
 /// `param(τ).ln()` for log-space selections), evaluated once per execution.
 fn eval_scalar_f64(expr: &crate::expr::Expr, ctx: &ExecCtx) -> Result<f64> {
-    let empty_row: Row = Vec::new();
-    resolve(expr, ctx)?.evaluate(&empty_row, &Schema::new(Vec::new()))?.as_f64()
+    resolve(expr, ctx)?.evaluate(&[], &Schema::new(Vec::new()))?.as_f64()
 }
 
-/// Fused `Filter(Project(input))`: evaluates each projected row into a
-/// scratch buffer, tests the filter predicate immediately, and materializes
-/// only passing rows — the full projected table (one allocation per input
-/// row) is never built just to be filtered down. Rows are evaluated in input
+/// Fused `Filter(Project(input))`: evaluates each projected row at the end
+/// of the output arena, tests the filter predicate immediately, and cuts a
+/// failing row off again — the full projected table is never built just to
+/// be filtered down. Rows are evaluated in input
 /// order exactly as the unfused pipeline does, so output rows and bytes are
 /// identical; only the interleaving of projection-vs-filter *errors* can
 /// differ (the unfused pipeline fully projects before filtering).
@@ -1061,27 +1029,28 @@ fn filter_project(
     let compiled: Vec<crate::expr::CompiledExpr> =
         exprs.iter().map(|e| e.compile(in_schema)).collect::<Result<_>>()?;
     let predicate = resolve(predicate, ctx)?.compile(&out_schema)?;
-    let mut rows = Vec::new();
-    let mut scratch: Row = Vec::with_capacity(compiled.len());
+    let (mut cells, mut n) = (Vec::new(), 0);
     for row in input.rows() {
-        scratch.clear();
+        // Project straight into the arena; a rejected row is cut off again.
+        let start = cells.len();
         for expr in &compiled {
-            scratch.push(expr.evaluate(row)?);
+            cells.push(expr.evaluate(row)?);
         }
-        if predicate.evaluate(&scratch)?.as_bool()? {
-            rows.push(scratch.clone());
+        if predicate.evaluate(&cells[start..])?.as_bool()? {
+            n += 1;
+        } else {
+            cells.truncate(start);
         }
     }
-    Ok(Table::from_parts_unchecked(out_schema, rows))
+    Ok(Table::from_cells_unchecked(out_schema, cells, n))
 }
 
 /// Fused `TopK(Project(input))`: evaluates each projected row into a scratch
 /// buffer, consults the heap's current worst entry, and allocates an owned
 /// row only on acceptance. Every input row is still evaluated exactly once in
 /// input order (so errors and results match the unfused `project` + `top_k`
-/// pipeline byte for byte), but the `O(candidates)` projected table — one
-/// small allocation per candidate — is never built; only `O(k log n)`
-/// accepted rows are.
+/// pipeline byte for byte), but the `O(candidates)` projected table is never
+/// built; only `O(k log n)` accepted rows are.
 fn top_k_project(
     ctx: &ExecCtx,
     inner: &Plan,
@@ -1106,7 +1075,7 @@ fn top_k_project(
         compare_rows(&a.0, &b.0, &key_idx).then_with(|| a.1.cmp(&b.1))
     });
     let mut scratch: Row = Vec::with_capacity(compiled.len());
-    for (row_no, row) in input.rows().iter().enumerate() {
+    for (row_no, row) in input.rows().enumerate() {
         scratch.clear();
         for expr in &compiled {
             scratch.push(expr.evaluate(row)?);
@@ -1130,8 +1099,10 @@ fn top_k_project(
             heap.offer((scratch.clone(), row_no as u32));
         }
     }
-    let rows: Vec<Row> = heap.into_sorted().into_iter().map(|(row, _)| row).collect();
-    Ok(Table::from_parts_unchecked(out_schema, rows))
+    let kept = heap.into_sorted();
+    let n = kept.len();
+    let cells = kept.into_iter().flat_map(|(row, _)| row).collect();
+    Ok(Table::from_cells_unchecked(out_schema, cells, n))
 }
 
 /// Order-preserving `u64` encoding of one sort-key value: unsigned compare
@@ -1171,24 +1142,25 @@ fn encode_sort_key(value: &Value, as_float: bool, order: SortOrder) -> Option<u6
 /// comparison — the fix for the heap pushdown occasionally measuring slower
 /// than rank-then-truncate on aggregate-heavy plans.
 fn top_k(input: &Table, k: usize, key_idx: &[(usize, SortOrder)]) -> Table {
-    let rows = input.rows();
+    let num_rows = input.num_rows();
     let kept_ids: Vec<u32> = (|| {
         // Typed fast path: per-column representation decided by the first
         // row; any NULL or off-type value falls back to the generic compare.
-        if rows.is_empty() || key_idx.is_empty() {
+        if num_rows == 0 || key_idx.is_empty() {
             return None;
         }
+        let first = input.row(0);
         let as_float: Vec<bool> = key_idx
             .iter()
-            .map(|&(idx, _)| match &rows[0][idx] {
+            .map(|&(idx, _)| match &first[idx] {
                 Value::Float(_) => Some(true),
                 Value::Int(_) => Some(false),
                 _ => None,
             })
             .collect::<Option<_>>()?;
         let stride = key_idx.len();
-        let mut encoded: Vec<u64> = Vec::with_capacity(rows.len() * stride);
-        for row in rows {
+        let mut encoded: Vec<u64> = Vec::with_capacity(num_rows * stride);
+        for row in input.rows() {
             for (&(idx, order), &is_float) in key_idx.iter().zip(&as_float) {
                 encoded.push(encode_sort_key(&row[idx], is_float, order)?);
             }
@@ -1200,22 +1172,26 @@ fn top_k(input: &Table, k: usize, key_idx: &[(usize, SortOrder)]) -> Table {
         let mut heap = crate::topk::BoundedHeap::new(k, |a: &u32, b: &u32| {
             key_of(*a).cmp(key_of(*b)).then_with(|| a.cmp(b))
         });
-        for row_no in 0..rows.len() as u32 {
+        for row_no in 0..num_rows as u32 {
             heap.offer(row_no);
         }
         Some(heap.into_sorted())
     })()
     .unwrap_or_else(|| {
         let mut heap = crate::topk::BoundedHeap::new(k, |a: &u32, b: &u32| {
-            compare_rows(&rows[*a as usize], &rows[*b as usize], key_idx).then_with(|| a.cmp(b))
+            compare_rows(input.row(*a as usize), input.row(*b as usize), key_idx)
+                .then_with(|| a.cmp(b))
         });
-        for row_no in 0..rows.len() as u32 {
+        for row_no in 0..num_rows as u32 {
             heap.offer(row_no);
         }
         heap.into_sorted()
     });
-    let kept: Vec<Row> = kept_ids.into_iter().map(|i| rows[i as usize].clone()).collect();
-    Table::from_parts_unchecked(input.schema().clone(), kept)
+    let mut cells = Vec::with_capacity(kept_ids.len() * input.width());
+    for &i in &kept_ids {
+        cells.extend_from_slice(input.row(i as usize));
+    }
+    Table::from_cells_unchecked(input.schema().clone(), cells, kept_ids.len())
 }
 
 /// Execute [`Plan::TopKBounded`]: resolve the probe's `(token, factor)` rows
@@ -1335,23 +1311,27 @@ fn score_exhaustive(probes: Vec<(crate::posting::PostingList<'_>, f64)>) -> Vec<
 /// bounded operators.
 fn scored_tid_table(scored: Vec<(i64, f64)>) -> Table {
     let schema = Schema::from_pairs(&[("tid", DataType::Int), ("score", DataType::Float)]);
-    let rows: Vec<Row> =
-        scored.into_iter().map(|(tid, score)| vec![Value::Int(tid), Value::Float(score)]).collect();
-    Table::from_parts_unchecked(schema, rows)
+    let n = scored.len();
+    let mut cells = Vec::with_capacity(2 * n);
+    for (tid, score) in scored {
+        cells.extend([Value::Int(tid), Value::Float(score)]);
+    }
+    Table::from_cells_unchecked(schema, cells, n)
 }
 
 fn distinct(input: Rel) -> Table {
     // Borrow the input and clone only first-seen rows: duplicates (and a
-    // shared input's row store) are never copied.
+    // shared input's arena) are never copied.
     let table = input.as_table();
-    let mut seen: std::collections::HashSet<&Row> = Default::default();
-    let mut out: Vec<Row> = Vec::new();
+    let mut seen: std::collections::HashSet<&[Value]> = Default::default();
+    let (mut cells, mut n) = (Vec::new(), 0);
     for row in table.rows() {
         if seen.insert(row) {
-            out.push(row.clone());
+            cells.extend_from_slice(row);
+            n += 1;
         }
     }
-    Table::from_parts_unchecked(table.schema().clone(), out)
+    Table::from_cells_unchecked(table.schema().clone(), cells, n)
 }
 
 #[cfg(test)]
@@ -1838,7 +1818,7 @@ mod tests {
         let boundary = all.value(all.num_rows() / 2, "score").unwrap().as_f64().unwrap();
         let bindings = Bindings::new().with_table("q", probe.clone()).with_scalar("tau", boundary);
         let at = execute_with(&bounded, &c, &bindings).unwrap();
-        assert!(at.rows().iter().any(|r| r[1].as_f64().unwrap().to_bits() == boundary.to_bits()));
+        assert!(at.rows().any(|r| r[1].as_f64().unwrap().to_bits() == boundary.to_bits()));
         assert_eq!(at.rows(), execute_naive(&bounded, &c, &bindings).unwrap().rows());
         // Negative factors are rejected by the traversal; the posting index
         // is required.
@@ -2176,9 +2156,9 @@ mod tests {
                     execute_naive(&plan, &c, &Bindings::new()).unwrap(),
                 ] {
                     let ai = keys.iter().position(|&k| k == "a").unwrap();
-                    let b10 = |r: &&Row| keys.len() == 1 || r[1 - ai] == Value::Int(10);
-                    let ones: Vec<&Row> =
-                        t.rows().iter().filter(|r| r[ai] == Value::Int(1)).filter(b10).collect();
+                    let b10 = |r: &&[Value]| keys.len() == 1 || r[1 - ai] == Value::Int(10);
+                    let ones: Vec<&[Value]> =
+                        t.rows().filter(|r| r[ai] == Value::Int(1)).filter(b10).collect();
                     assert_eq!(ones.len(), 1, "keys {keys:?}: {:?}", t.rows());
                     let count = ones[0][keys.len()].clone();
                     let expected = if keys.len() == 1 { 3 } else { 2 };
@@ -2209,6 +2189,88 @@ mod tests {
         }
     }
 
+    /// Str, NULL and mixed Int/Float cells, with one duplicated row.
+    fn mixed_table() -> Table {
+        TableBuilder::new()
+            .column("s", DataType::Str)
+            .column("x", DataType::Float)
+            .column("n", DataType::Int)
+            .row(vec!["b".into(), 1.5.into(), 3.into()])
+            .row(vec![Value::Null, Value::Int(2), Value::Null])
+            .row(vec!["a".into(), Value::Null, 1.into()])
+            .row(vec!["b".into(), 1.5.into(), 3.into()])
+            .row(vec!["".into(), Value::Float(2.0), 2.into()])
+            .row(vec!["c".into(), Value::Float(-0.0), Value::Null])
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn reshaping_operators_match_the_naive_reference_on_mixed_cells() {
+        let mut c = Catalog::new();
+        c.register("mixed", mixed_table());
+        // A scan hands the operators a shared input, a values leaf an owned
+        // one: both arms of every operator run.
+        for input in [Plan::scan("mixed"), Plan::values(mixed_table())] {
+            for keys in [
+                vec![("x", SortOrder::Descending), ("n", SortOrder::Ascending)],
+                vec![("s", SortOrder::Ascending)],
+                vec![("n", SortOrder::Descending), ("s", SortOrder::Descending)],
+            ] {
+                let empty = Plan::values(Table::empty(mixed_table().schema().clone()));
+                for plan in [
+                    input.clone().sort_by_many(keys.clone()),
+                    input.clone().top_k(lit(3i64), keys.clone()),
+                    input.clone().top_k(lit(100i64), keys),
+                    input.clone().distinct(),
+                    input.clone().union_all(input.clone()),
+                    input.clone().union_all(empty),
+                    input.clone().limit(0),
+                    input.clone().limit(2),
+                    input.clone().limit(100),
+                ] {
+                    let fast = execute(&plan, &c).unwrap();
+                    let slow = execute_naive(&plan, &c, &Bindings::new()).unwrap();
+                    assert_eq!(render(&fast), render(&slow), "{plan:?}");
+                    assert_eq!(fast.rows().len(), fast.num_rows());
+                }
+            }
+        }
+        let distinct = execute(&Plan::scan("mixed").distinct(), &c).unwrap();
+        assert_eq!(distinct.num_rows(), 5);
+        let sorted = execute(&Plan::scan("mixed").sort_by("s", SortOrder::Ascending), &c).unwrap();
+        assert_eq!(sorted.row(0), &[Value::Null, Value::Int(2), Value::Null][..]);
+    }
+
+    #[test]
+    fn zero_width_and_empty_tables_keep_their_row_counts() {
+        let zero_width = Table::new(Schema::new(Vec::new()), vec![Vec::new(); 3]).unwrap();
+        let empty = Table::empty(Schema::from_pairs(&[("a", DataType::Int)]));
+        let mut c = Catalog::new();
+        c.register("zero_width", zero_width.clone());
+        c.register("empty", empty.clone());
+        for (name, table, limited, distinct) in
+            [("zero_width", zero_width, 2, 1), ("empty", empty, 0, 0)]
+        {
+            let rows = table.num_rows();
+            for input in [Plan::scan(name), Plan::values(table)] {
+                for (plan, expected) in [
+                    (input.clone().limit(2), limited),
+                    (input.clone().limit(0), 0),
+                    (input.clone().distinct(), distinct),
+                    (input.clone().union_all(input.clone()), 2 * rows),
+                    (input.clone().union_all(input.clone()).limit(5), (2 * rows).min(5)),
+                ] {
+                    let fast = execute(&plan, &c).unwrap();
+                    let slow = execute_naive(&plan, &c, &Bindings::new()).unwrap();
+                    assert_eq!(fast.num_rows(), expected, "{name}: {plan:?}");
+                    assert_eq!(fast.rows().count(), expected, "{name}: {plan:?}");
+                    assert_eq!(*fast, *slow, "{name}: {plan:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn budget_truncated_grouping_is_a_prefix_of_the_reference() {
         let c = grouping_catalog();
@@ -2220,9 +2282,10 @@ mod tests {
                     let cut =
                         execute_with_limits(&plan, &c, &Bindings::new(), Some(&limits)).unwrap();
                     let kept = full.num_rows().min(cap as usize);
-                    let prefix = Table::from_parts_unchecked(
+                    let prefix = Table::from_cells_unchecked(
                         full.schema().clone(),
-                        full.rows()[..kept].to_vec(),
+                        full.cells()[..kept * full.width()].to_vec(),
+                        kept,
                     );
                     assert_eq!(render(&cut), render(&prefix), "keys {keys:?} cap {cap}");
                 }

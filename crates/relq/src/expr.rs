@@ -6,7 +6,7 @@
 use crate::bindings::Bindings;
 use crate::error::{RelqError, Result};
 use crate::schema::Schema;
-use crate::value::{DataType, Row, Value};
+use crate::value::{DataType, Value};
 
 /// Binary arithmetic and comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,7 +205,7 @@ impl Expr {
     }
 
     /// Evaluate the expression against one row with the given schema.
-    pub fn evaluate(&self, row: &Row, schema: &Schema) -> Result<Value> {
+    pub fn evaluate(&self, row: &[Value], schema: &Schema) -> Result<Value> {
         match self {
             Expr::Column(name) => {
                 let idx = schema.index_of(name)?;
@@ -599,7 +599,7 @@ fn eval_binary(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::DataType;
+    use crate::value::Row;
 
     fn schema() -> Schema {
         Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Float), ("s", DataType::Str)])

@@ -8,7 +8,7 @@
 //! are opened in, so every layout gives byte-identical output.
 
 use crate::agg::{Accumulator, Aggregate};
-use crate::value::{Row, Value};
+use crate::value::Value;
 use std::collections::HashMap;
 
 /// Widest key the packed all-Int lookup holds.
@@ -161,19 +161,17 @@ impl<'a> Groups<'a> {
         }
     }
 
-    /// One output row per group in first-seen order: its key values, then
-    /// its finished aggregates. Each row is built, in one allocation, only
-    /// when the iterator reaches it.
-    pub(crate) fn into_rows(self) -> impl Iterator<Item = Row> {
+    /// A writer of the output rows, one per call in first-seen group order:
+    /// it appends the group's key values, then its finished aggregates, to
+    /// the caller's arena. Called at most [`Self::len`] times.
+    pub(crate) fn into_row_writer(self) -> impl FnMut(&mut Vec<Value>) {
         let (width, a) = (self.width, self.aggregates.len());
         let mut keys = self.keys.into_iter();
         let mut accs = self.accs.into_iter();
-        (0..self.len).map(move |_| {
-            let mut row = Vec::with_capacity(width + a);
-            row.extend(keys.by_ref().take(width));
-            row.extend(accs.by_ref().take(a).map(Accumulator::finish));
-            row
-        })
+        move |cells| {
+            cells.extend(keys.by_ref().take(width));
+            cells.extend(accs.by_ref().take(a).map(Accumulator::finish));
+        }
     }
 }
 

@@ -5,8 +5,10 @@
 //! every similarity predicate as SQL over token and weight tables executed by
 //! a relational DBMS; this crate provides the equivalent building blocks:
 //!
-//! * typed in-memory [`Table`]s with a [`Catalog`] of named relations stored
-//!   behind `Arc` (scans share storage, they never copy rows),
+//! * typed in-memory [`Table`]s, each one flat row-major arena of cells that
+//!   hands rows out as `&[Value]` slices, with a [`Catalog`] of named
+//!   relations stored behind `Arc` (scans share storage, they never copy
+//!   rows),
 //! * persistent inverted indexes built at registration time
 //!   ([`Catalog::register_indexed`]) and probed by [`Plan::IndexJoin`],
 //! * scalar [`Expr`]essions (arithmetic, `LOG`, `EXP`, `POWER`, comparisons),
@@ -80,6 +82,6 @@ pub use plan::{Plan, ProjectItem, SortOrder};
 pub use posting::{PostingIndex, PostingList, DEFAULT_POSTING_BLOCK};
 pub use prepared::PreparedPlan;
 pub use schema::{Field, Schema};
-pub use table::{Table, TableBuilder};
+pub use table::{Rows, Table, TableBuilder};
 pub use topk::BoundedHeap;
 pub use value::{DataType, Row, Value};

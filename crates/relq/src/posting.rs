@@ -258,20 +258,19 @@ impl PostingIndex {
         let token_idx = table.schema().index_of(token_col)?;
         let tid_idx = table.schema().index_of(tid_col)?;
         let weight_idx = weight_col.map(|c| table.schema().index_of(c)).transpose()?;
-        // Pass 1: group `(tid, weight)` pairs per token. Probing with
-        // `get_mut` before inserting clones each token Value exactly once per
-        // distinct token — the `entry` API would clone it on every row.
-        let mut grouped: HashMap<Value, Vec<(i64, f64)>> = HashMap::new();
-        for row in table.rows() {
+        // A row's posting: `None` when it contributes nothing (a NULL key
+        // never matches under SQL equality, a NULL weight vanishes under
+        // SUM).
+        let posting = |row: &[Value]| -> Result<Option<(i64, f64)>> {
             let token = &row[token_idx];
             if token.is_null() || row[tid_idx].is_null() {
-                continue; // SQL equality never matches NULL keys.
+                return Ok(None);
             }
             let tid = row[tid_idx].as_i64()?;
             let weight = match weight_idx {
                 None => 1.0,
                 Some(i) => match &row[i] {
-                    Value::Null => continue, // NULL contributions vanish under SUM.
+                    Value::Null => return Ok(None),
                     v => v.as_f64()?,
                 },
             };
@@ -280,51 +279,92 @@ impl PostingIndex {
                     "posting weight for token {token} / tid {tid} is not finite"
                 )));
             }
-            match grouped.get_mut(token) {
-                Some(pairs) => pairs.push((tid, weight)),
+            Ok(Some((tid, weight)))
+        };
+        // Pass 1: number the distinct tokens in first-seen order and count
+        // their postings, keeping each row's token number (`u32::MAX` for a
+        // row without a posting). A token Value is cloned once per distinct
+        // token.
+        let mut slots: HashMap<Value, u32> = HashMap::new();
+        let mut counts: Vec<usize> = Vec::new();
+        let mut row_slots: Vec<u32> = Vec::with_capacity(table.num_rows());
+        for row in table.rows() {
+            if posting(row)?.is_none() {
+                row_slots.push(u32::MAX);
+                continue;
+            }
+            let token = &row[token_idx];
+            let slot = match slots.get(token) {
+                Some(&slot) => slot,
                 None => {
-                    grouped.insert(token.clone(), vec![(tid, weight)]);
+                    let slot = counts.len() as u32;
+                    slots.insert(token.clone(), slot);
+                    counts.push(0);
+                    slot
                 }
+            };
+            counts[slot as usize] += 1;
+            row_slots.push(slot);
+        }
+        // Pass 2: scatter every posting into its list's run of the flat
+        // arenas, in table order, so no per-token list is ever allocated.
+        let mut offsets: Vec<usize> = Vec::with_capacity(counts.len());
+        let mut total = 0;
+        for &count in &counts {
+            offsets.push(total);
+            total += count;
+        }
+        let mut tids = vec![0i64; total];
+        let mut weights = vec![0f64; total];
+        let mut next = offsets.clone();
+        for (row, &slot) in table.rows().zip(&row_slots) {
+            if slot != u32::MAX {
+                let (tid, weight) = posting(row)?.expect("pass 1 found a posting in this row");
+                let at = &mut next[slot as usize];
+                (tids[*at], weights[*at]) = (tid, weight);
+                *at += 1;
             }
         }
-        // Pass 2: lay the lists out back to back in the flat arenas, sorting
-        // each in place (no permuted scratch vectors) and folding the block
-        // maxima in the same walk that copies the postings over.
-        let num_postings = grouped.values().map(Vec::len).sum();
-        let mut tids: Vec<i64> = Vec::with_capacity(num_postings);
-        let mut weights: Vec<f64> = Vec::with_capacity(num_postings);
+        // Pass 3, per list: sort by tid where table order left the run
+        // unsorted, reject duplicate pairs, fold the block maxima.
         let mut block_maxes: Vec<f64> = Vec::new();
-        let mut map: HashMap<Value, ListMeta> = HashMap::with_capacity(grouped.len());
-        for (token, mut pairs) in grouped {
-            if !pairs.windows(2).all(|w| w[0].0 < w[1].0) {
+        let mut metas: Vec<ListMeta> = Vec::with_capacity(counts.len());
+        for (slot, (&offset, &len)) in offsets.iter().zip(&counts).enumerate() {
+            let run = offset..offset + len;
+            if !tids[run.clone()].windows(2).all(|w| w[0] < w[1]) {
+                let mut pairs: Vec<(i64, f64)> = tids[run.clone()]
+                    .iter()
+                    .copied()
+                    .zip(weights[run.clone()].iter().copied())
+                    .collect();
                 pairs.sort_unstable_by_key(|&(tid, _)| tid);
+                for (i, (tid, weight)) in pairs.into_iter().enumerate() {
+                    (tids[offset + i], weights[offset + i]) = (tid, weight);
+                }
             }
-            if let Some(dup) = pairs.windows(2).find(|w| w[0].0 == w[1].0) {
+            if let Some(dup) = tids[run.clone()].windows(2).find(|w| w[0] == w[1]) {
+                let token = slots.iter().find(|&(_, &s)| s as usize == slot).map(|(t, _)| t);
                 return Err(RelqError::InvalidPlan(format!(
-                    "duplicate posting ({token}, {}): posting lists need distinct \
+                    "duplicate posting ({}, {}): posting lists need distinct \
                      (token, tid) pairs",
-                    dup[0].0
+                    token.expect("every slot has a token"),
+                    dup[0]
                 )));
             }
-            let offset = tids.len();
             let block_offset = block_maxes.len();
             let mut max_weight = f64::NEG_INFINITY;
-            for (i, &(tid, weight)) in pairs.iter().enumerate() {
-                if i % block_size == 0 {
-                    block_maxes.push(f64::NEG_INFINITY);
+            for block in weights[run].chunks(block_size) {
+                let block_max =
+                    block.iter().fold(f64::NEG_INFINITY, |m, &w| if w > m { w } else { m });
+                block_maxes.push(block_max);
+                if block_max > max_weight {
+                    max_weight = block_max;
                 }
-                let block_max = block_maxes.last_mut().expect("pushed above");
-                if weight > *block_max {
-                    *block_max = weight;
-                }
-                if weight > max_weight {
-                    max_weight = weight;
-                }
-                tids.push(tid);
-                weights.push(weight);
             }
-            map.insert(token, ListMeta { offset, len: pairs.len(), block_offset, max_weight });
+            metas.push(ListMeta { offset, len, block_offset, max_weight });
         }
+        let map: HashMap<Value, ListMeta> =
+            slots.into_iter().map(|(token, slot)| (token, metas[slot as usize])).collect();
         Ok(PostingIndex {
             token_col: token_col.to_string(),
             tid_col: tid_col.to_string(),
