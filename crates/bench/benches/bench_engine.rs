@@ -19,9 +19,9 @@
 //! `bounded_100k` section records the bounded-vs-exhaustive speedups at a
 //! 100k-record scale point (bounded predicates only, not run in smoke). A
 //! `batch_throughput` section runs a mixed bounded-top-k request stream
-//! through single-threaded `execute_many` and through `ServingEngine` pools
-//! of 1/2/4 workers (queries/sec; worker scaling is bounded by the cores
-//! the machine grants, recorded alongside as `serving_cores`). A `live`
+//! through `ServingEngine` pools of 1/2/4 workers (queries/sec; worker
+//! scaling is bounded by the cores the machine grants, recorded alongside
+//! as `serving_cores`). A `live`
 //! section measures the segmented `LiveEngine`: append throughput at seal
 //! limits 1/64/1000 (the limit bounds the tail each append re-indexes),
 //! bounded top-k latency with the same records held as 1/4/16 sealed
@@ -612,8 +612,7 @@ fn tau_at_rank(ranked: &[ScoredTid], rank: usize) -> f64 {
 }
 
 /// One batch-serving throughput measurement: a fixed request stream through
-/// a `ServingEngine` of the given pool width (or through single-threaded
-/// `execute_many` for the `workers == 0` row).
+/// a `ServingEngine` of the given pool width.
 struct BatchRow {
     size: usize,
     workers: usize,
@@ -956,17 +955,17 @@ fn main() {
 
         // --- Batch / concurrent serving throughput ---------------------------
         // A fixed mixed stream of bounded-top-k requests (the serving-shaped
-        // workload: many lookups, small k) through `execute_many` and through
-        // `ServingEngine` pools of 1/2/4 workers. The cache stays disabled, so
-        // every request really executes; worker scaling therefore measures the
-        // engine's shared artifacts under true parallelism and tops out at the
-        // machine's core count.
+        // workload: many lookups, small k) through `ServingEngine` pools of
+        // 1/2/4 workers. The cache stays disabled, so every request really
+        // executes; worker scaling therefore measures the engine's shared
+        // artifacts under true parallelism and tops out at the machine's
+        // core count.
         let n_requests = if smoke { 60 } else { 240 };
         // 48 distinct texts against 5 kinds: kind cycles fastest, text
         // advances per kind-cycle, and 5 ∤ 48 keeps every (kind, text) pair
-        // of the stream distinct — no intra-batch duplicates, so neither
-        // `execute_many`'s dedup nor the (disabled) cache can answer any
-        // request and every row below measures real executions.
+        // of the stream distinct — no duplicates, so the (disabled) cache
+        // could not answer any request anyway and every row below measures
+        // real executions.
         let mut texts: Vec<String> = Vec::new();
         let mut seen = std::collections::HashSet::new();
         for i in 0.. {
@@ -1001,21 +1000,6 @@ fn main() {
             .iter()
             .map(|r| engine.predicate(r.kind).execute(&engine.query(&r.text), r.exec).unwrap())
             .collect();
-
-        // Single-threaded batch API over prepared queries (workers = 0 row).
-        let prepared: Vec<(PredicateKind, Query, Exec)> =
-            requests.iter().map(|r| (r.kind, engine.query(&r.text), r.exec)).collect();
-        for (result, expected) in engine.execute_many(&prepared).iter().zip(&reference) {
-            assert_eq!(result.as_ref().unwrap(), expected, "execute_many diverged from serial");
-        }
-        let em = measure(samples, || {
-            engine.execute_many(&prepared).iter().map(|r| r.as_ref().unwrap().len()).sum::<usize>()
-        });
-        let execute_many_qps = n_requests as f64 / em.median.as_secs_f64();
-        println!(
-            "bench engine/batch        n={size:<6} execute_many {execute_many_qps:>9.0} q/s ({n_requests} prepared requests, 1 thread)"
-        );
-        batch_rows.push(BatchRow { size, workers: 0, requests: n_requests, qps: execute_many_qps });
 
         for workers in WORKER_WIDTHS {
             let serving = ServingEngine::new(engine.clone(), workers);
@@ -1541,8 +1525,7 @@ fn main() {
         );
     }
     println!(
-        "batch serving at {summary_size} records: execute_many {:.0} q/s; {:.0} q/s @ 1 worker -> {:.0} q/s @ 4 workers ({batch_scaling_4w:.2}x scaling on {serving_cores} available core{})",
-        batch_qps(0),
+        "batch serving at {summary_size} records: {:.0} q/s @ 1 worker -> {:.0} q/s @ 4 workers ({batch_scaling_4w:.2}x scaling on {serving_cores} available core{})",
         batch_qps(1),
         batch_qps(4),
         if serving_cores == 1 { "" } else { "s" }
@@ -1692,8 +1675,7 @@ fn main() {
     let _ = writeln!(json, "  \"posting_block\": {},", Params::default().posting_block);
     let _ = writeln!(
         json,
-        "  \"summary\": {{ \"min_plan_speedup_10k\": {min_speedup:.3}, \"median_plan_speedup_10k\": {median_speedup:.3}, \"min_topk_speedup_10k\": {min_topk:.3}, \"median_topk_speedup_10k\": {median_topk:.3}, \"min_ta_speedup_10k\": {min_ta:.3}, \"median_ta_speedup_10k\": {median_ta:.3}, \"min_threshold_speedup_10k\": {min_threshold:.3}, \"median_threshold_speedup_10k\": {median_threshold:.3}, \"min_ta_speedup_100k\": {min_ta_100k:.3}, \"median_ta_speedup_100k\": {median_ta_100k:.3}, \"min_threshold_speedup_100k\": {min_threshold_100k:.3}, \"median_threshold_speedup_100k\": {median_threshold_100k:.3}, \"shard_count\": {SHARD_COUNT}, \"median_sharded_topk_speedup_100k\": {median_sharded_topk_100k:.3}, \"median_sharded_threshold_speedup_100k\": {median_sharded_threshold_100k:.3}, \"median_sharded_topk_speedup_1m\": {median_sharded_topk_1m:.3}, \"median_sharded_threshold_speedup_1m\": {median_sharded_threshold_1m:.3}, \"hmm_block_max_topk_gain_100k\": {hmm_block_topk:.3}, \"min_block_max_topk_gain_100k\": {min_block_topk:.3}, \"median_block_max_topk_gain_100k\": {median_block_topk:.3}, \"min_block_max_loose_threshold_gain_100k\": {min_block_loose:.3}, \"median_block_max_loose_threshold_gain_100k\": {median_block_loose:.3}, \"median_block_max_topk_gain_uniform_10k\": {median_block_topk_uniform:.3}, \"median_block_max_loose_threshold_gain_uniform_10k\": {median_block_loose_uniform:.3}, \"execute_many_qps_10k\": {:.1}, \"batch_qps_1w_10k\": {:.1}, \"batch_qps_4w_10k\": {:.1}, \"batch_scaling_4w_10k\": {batch_scaling_4w:.3}, \"serving_cores\": {serving_cores}, \"live_append_us_10k\": {live_append_us:.1}, \"live_rebuild_ratio_10k\": {live_rebuild_ratio:.3}, \"degradation_latency_ratio_25_10k\": {degradation_latency_25:.3}, \"degradation_latency_ratio_50_10k\": {degradation_latency_50:.3} }},",
-        batch_qps(0),
+        "  \"summary\": {{ \"min_plan_speedup_10k\": {min_speedup:.3}, \"median_plan_speedup_10k\": {median_speedup:.3}, \"min_topk_speedup_10k\": {min_topk:.3}, \"median_topk_speedup_10k\": {median_topk:.3}, \"min_ta_speedup_10k\": {min_ta:.3}, \"median_ta_speedup_10k\": {median_ta:.3}, \"min_threshold_speedup_10k\": {min_threshold:.3}, \"median_threshold_speedup_10k\": {median_threshold:.3}, \"min_ta_speedup_100k\": {min_ta_100k:.3}, \"median_ta_speedup_100k\": {median_ta_100k:.3}, \"min_threshold_speedup_100k\": {min_threshold_100k:.3}, \"median_threshold_speedup_100k\": {median_threshold_100k:.3}, \"shard_count\": {SHARD_COUNT}, \"median_sharded_topk_speedup_100k\": {median_sharded_topk_100k:.3}, \"median_sharded_threshold_speedup_100k\": {median_sharded_threshold_100k:.3}, \"median_sharded_topk_speedup_1m\": {median_sharded_topk_1m:.3}, \"median_sharded_threshold_speedup_1m\": {median_sharded_threshold_1m:.3}, \"hmm_block_max_topk_gain_100k\": {hmm_block_topk:.3}, \"min_block_max_topk_gain_100k\": {min_block_topk:.3}, \"median_block_max_topk_gain_100k\": {median_block_topk:.3}, \"min_block_max_loose_threshold_gain_100k\": {min_block_loose:.3}, \"median_block_max_loose_threshold_gain_100k\": {median_block_loose:.3}, \"median_block_max_topk_gain_uniform_10k\": {median_block_topk_uniform:.3}, \"median_block_max_loose_threshold_gain_uniform_10k\": {median_block_loose_uniform:.3}, \"batch_qps_1w_10k\": {:.1}, \"batch_qps_4w_10k\": {:.1}, \"batch_scaling_4w_10k\": {batch_scaling_4w:.3}, \"serving_cores\": {serving_cores}, \"live_append_us_10k\": {live_append_us:.1}, \"live_rebuild_ratio_10k\": {live_rebuild_ratio:.3}, \"degradation_latency_ratio_25_10k\": {degradation_latency_25:.3}, \"degradation_latency_ratio_50_10k\": {degradation_latency_50:.3} }},",
         batch_qps(1),
         batch_qps(4)
     );
@@ -1795,10 +1777,9 @@ fn main() {
         json.push_str(if i + 1 < sharded_rows.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n");
-    // Batch serving throughput: the `workers == 0` rows are single-threaded
-    // `execute_many` over prepared queries; `workers >= 1` rows are the
-    // thread-pooled `ServingEngine` over raw request strings. Worker scaling
-    // is bounded by `serving_cores` (the cores this run actually had).
+    // Batch serving throughput: the thread-pooled `ServingEngine` over raw
+    // request strings. Worker scaling is bounded by `serving_cores` (the
+    // cores this run actually had).
     json.push_str("  \"batch_throughput\": [\n");
     for (i, b) in batch_rows.iter().enumerate() {
         let scaling = batch_rows
@@ -1808,10 +1789,9 @@ fn main() {
             .unwrap_or(1.0);
         let _ = write!(
             json,
-            "    {{ \"size\": {}, \"api\": \"{}\", \"workers\": {}, \"requests\": {}, \"qps\": {:.1}, \"scaling_vs_1_worker\": {:.3} }}",
+            "    {{ \"size\": {}, \"api\": \"serving_engine\", \"workers\": {}, \"requests\": {}, \"qps\": {:.1}, \"scaling_vs_1_worker\": {:.3} }}",
             b.size,
-            if b.workers == 0 { "execute_many" } else { "serving_engine" },
-            b.workers.max(1),
+            b.workers,
             b.requests,
             b.qps,
             scaling

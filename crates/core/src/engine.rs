@@ -52,8 +52,9 @@
 
 use crate::combination::ges::WeightedWord;
 use crate::corpus::{QueryTokens, TokenizedCorpus};
+use crate::error::{DaspError, Result};
 use crate::overlap::overlap_weight;
-use crate::params::Params;
+use crate::params::{ExecBudget, Params};
 use crate::predicate::{Predicate, PredicateKind};
 use crate::record::{sort_ranked, top_k_ranked, ScoredTid, Tid};
 use crate::tables;
@@ -398,7 +399,7 @@ pub(crate) const STATIC_EPOCH: u64 = 0;
 /// their bit pattern; distinct NaN payloads are distinct keys, which only
 /// costs a duplicate entry, never a wrong hit).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum ExecKey {
+enum ExecKey {
     Rank,
     TopK(usize),
     TopKHeap(usize),
@@ -440,6 +441,22 @@ struct CacheState {
     capacity: usize,
 }
 
+impl CacheState {
+    /// Evict least recently used entries (smallest stamp) until at most
+    /// `keep` remain. A linear scan over a few hundred entries is cheaper
+    /// than the pointer chasing of a linked LRU at these capacities.
+    fn evict_to(&mut self, keep: usize) {
+        while self.map.len() > keep {
+            let Some(lru) =
+                self.map.iter().min_by_key(|(_, (stamp, _))| *stamp).map(|(k, _)| k.clone())
+            else {
+                break;
+            };
+            self.map.remove(&lru);
+        }
+    }
+}
+
 /// Hit/miss counters and occupancy of an engine's result cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
@@ -453,11 +470,13 @@ pub struct CacheStats {
     pub capacity: usize,
 }
 
-/// A small LRU of recent results. Corpora are immutable and executions
-/// deterministic, so there is no invalidation: a hit returns exactly the
-/// bytes a re-execution would produce. Shared across all handles of one
-/// engine; the indexed path of [`PredicateHandle::execute`] is the only
-/// consumer (`execute_naive` stays uncached — it exists to be measured).
+/// A small LRU of recent results, keyed by epoch so a mutable corpus needs
+/// no invalidation: a hit returns exactly the bytes a re-execution at that
+/// epoch would produce. Each backend owns one and serves every request
+/// through [`ResultCache::run`]: a [`SelectionEngine`] (shared by all its
+/// handles), and the merged cache of a live or sharded engine, whose part
+/// engines keep none. `execute_naive` stays uncached — it exists to be
+/// measured.
 #[derive(Debug)]
 pub(crate) struct ResultCache {
     state: Mutex<CacheState>,
@@ -472,14 +491,6 @@ impl ResultCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
-    }
-
-    /// Whether the cache currently admits entries. Callers use this to skip
-    /// the result clone a miss-then-insert would need — when disabled (the
-    /// bench sets capacity 0 so measurements stay honest), execution must
-    /// not pay any cache overhead at all.
-    pub(crate) fn enabled(&self) -> bool {
-        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner).capacity > 0
     }
 
     fn key(epoch: u64, kind: PredicateKind, text: &str, exec: Exec) -> CacheKey {
@@ -519,82 +530,74 @@ impl ResultCache {
         }
     }
 
+    /// Cache a freshly computed result (a no-op while caching is disabled,
+    /// so a disabled cache never pays for the copy). Re-inserting a key the
+    /// cache already holds — two workers racing the same miss — replaces
+    /// that entry and evicts nothing else.
     pub(crate) fn insert(
         &self,
         epoch: u64,
         kind: PredicateKind,
         text: &str,
         exec: Exec,
-        results: Arc<Vec<ScoredTid>>,
-    ) {
-        self.insert_many(epoch, vec![(kind, text.to_string(), exec, results)]);
-    }
-
-    /// Probe a whole batch of keys under **one** lock acquisition — the
-    /// cache-amortization half of [`SelectionEngine::execute_many`]. Returns
-    /// one entry per key, in order; hit/miss counters advance by one per key
-    /// exactly as a [`Self::get`] loop would. When caching is disabled every
-    /// probe is `None` and no counter moves.
-    pub(crate) fn get_many(
-        &self,
-        epoch: u64,
-        keys: &[(PredicateKind, &str, Exec)],
-    ) -> Vec<Option<Arc<Vec<ScoredTid>>>> {
-        let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if state.capacity == 0 {
-            return vec![None; keys.len()];
-        }
-        let mut out = Vec::with_capacity(keys.len());
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for &(kind, text, exec) in keys {
-            state.tick += 1;
-            let tick = state.tick;
-            match state.map.get_mut(&Self::key(epoch, kind, text, exec)) {
-                Some(entry) => {
-                    entry.0 = tick;
-                    hits += 1;
-                    out.push(Some(entry.1.clone()));
-                }
-                None => {
-                    misses += 1;
-                    out.push(None);
-                }
-            }
-        }
-        drop(state);
-        self.hits.fetch_add(hits, Ordering::Relaxed);
-        self.misses.fetch_add(misses, Ordering::Relaxed);
-        out
-    }
-
-    /// Insert a batch of freshly computed results under one lock, evicting
-    /// LRU entries as each insert lands (identical occupancy to an insert
-    /// loop; later entries of the batch are the more recently used).
-    pub(crate) fn insert_many(
-        &self,
-        epoch: u64,
-        entries: Vec<(PredicateKind, String, Exec, Arc<Vec<ScoredTid>>)>,
+        results: &[ScoredTid],
     ) {
         let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         if state.capacity == 0 {
             return;
         }
-        for (kind, text, exec, results) in entries {
-            while state.map.len() >= state.capacity {
-                // Evict the least recently used entry (smallest stamp). A
-                // linear scan over a few hundred entries is cheaper than the
-                // pointer chasing of a linked LRU at these capacities.
-                let Some(lru) =
-                    state.map.iter().min_by_key(|(_, (stamp, _))| *stamp).map(|(k, _)| k.clone())
-                else {
-                    break;
-                };
-                state.map.remove(&lru);
-            }
-            state.tick += 1;
-            let tick = state.tick;
-            state.map.insert(CacheKey { epoch, kind, exec: exec.into(), text }, (tick, results));
+        let key = Self::key(epoch, kind, text, exec);
+        if !state.map.contains_key(&key) {
+            let keep = state.capacity - 1;
+            state.evict_to(keep);
         }
+        state.tick += 1;
+        let tick = state.tick;
+        state.map.insert(key, (tick, Arc::new(results.to_vec())));
+    }
+
+    /// The one request path of every backend: answer `(kind, text, exec)`
+    /// at `epoch` under `budget`, where `f` computes the rows under the
+    /// given limits and reports how many parts ran.
+    ///
+    /// An unlimited budget probes the cache first (0 parts ran on a hit),
+    /// runs `f(None)` on a miss and caches its rows. A capped budget runs
+    /// `f` under one fresh [`relq::ExecLimits`] and bypasses the cache in
+    /// both directions: a degraded partial must never answer a later
+    /// unbudgeted request, and a cached full answer would make degradation
+    /// nondeterministic under cache pressure — the partial bytes are part of
+    /// the contract. Its run is flagged `degraded` when the cap tripped and
+    /// carries the [`BudgetReport`] of the work done.
+    pub(crate) fn run(
+        &self,
+        epoch: u64,
+        kind: PredicateKind,
+        text: &str,
+        exec: Exec,
+        budget: ExecBudget,
+        f: impl FnOnce(Option<&relq::ExecLimits>) -> Result<(Vec<ScoredTid>, usize)>,
+    ) -> Result<(BudgetedRun, usize)> {
+        if budget.is_unlimited() {
+            let (results, cache_hit, ran) = match self.get(epoch, kind, text, exec) {
+                Some(hit) => (hit.as_ref().clone(), true, 0),
+                None => {
+                    let (results, ran) = f(None)?;
+                    self.insert(epoch, kind, text, exec, &results);
+                    (results, false, ran)
+                }
+            };
+            return Ok((BudgetedRun { results, cache_hit, degraded: false, report: None }, ran));
+        }
+        let limits =
+            relq::ExecLimits::new(budget.deadline, budget.max_candidates.map(|n| n as u64));
+        let (results, ran) = f(Some(&limits))?;
+        let run = BudgetedRun {
+            results,
+            cache_hit: false,
+            degraded: limits.exhausted(),
+            report: Some(BudgetReport::from_limits(&limits)),
+        };
+        Ok((run, ran))
     }
 
     pub(crate) fn stats(&self) -> CacheStats {
@@ -610,18 +613,7 @@ impl ResultCache {
     pub(crate) fn set_capacity(&self, capacity: usize) {
         let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         state.capacity = capacity;
-        if capacity == 0 {
-            state.map.clear();
-        } else {
-            while state.map.len() > capacity {
-                let Some(lru) =
-                    state.map.iter().min_by_key(|(_, (stamp, _))| *stamp).map(|(k, _)| k.clone())
-                else {
-                    break;
-                };
-                state.map.remove(&lru);
-            }
-        }
+        state.evict_to(capacity);
     }
 }
 
@@ -744,7 +736,7 @@ pub(crate) trait EngineOps: Send + Sync {
         exec: Exec,
         naive: bool,
         limits: Option<&relq::ExecLimits>,
-    ) -> crate::error::Result<Vec<ScoredTid>>;
+    ) -> Result<Vec<ScoredTid>>;
     /// The catalog the predicate's plans run against, when it has one.
     fn plan_catalog(&self) -> Option<&Catalog> {
         None
@@ -929,95 +921,6 @@ impl SelectionEngine {
     pub fn predicates(&self) -> Vec<(PredicateKind, PredicateHandle)> {
         PredicateKind::all().iter().map(|&kind| (kind, self.predicate(kind))).collect()
     }
-
-    /// Execute a batch of `(predicate, query, exec)` requests through the
-    /// indexed engine, returning one result per request in submission order —
-    /// byte-identical to a [`PredicateHandle::execute`] loop over the same
-    /// requests, with the per-request bookkeeping amortized across the
-    /// vector:
-    ///
-    /// * the result cache is probed for every distinct request under **one**
-    ///   lock acquisition, and all fresh results are inserted under one more
-    ///   (each distinct key moves the hit/miss counters exactly once);
-    /// * duplicate requests inside the batch — same predicate, query text
-    ///   and mode — execute once and share the computed result (executions
-    ///   are deterministic, so the shared bytes are the loop's bytes).
-    ///
-    /// A query prepared against a different engine fails its own slot with
-    /// [`DaspError::EngineMismatch`](crate::error::DaspError::EngineMismatch)
-    /// without disturbing the rest of the batch.
-    pub fn execute_many(
-        &self,
-        batch: &[(PredicateKind, Query, Exec)],
-    ) -> Vec<crate::error::Result<Vec<ScoredTid>>> {
-        let shared = &self.inner.shared;
-        let cache = shared.cache();
-        let cache_on = cache.enabled();
-        let mut out: Vec<Option<crate::error::Result<Vec<ScoredTid>>>> = vec![None; batch.len()];
-
-        // Requests with a foreign query fail individually; every valid
-        // request maps to the canonical (first) occurrence of its
-        // (kind, text, exec) key, so intra-batch duplicates execute once.
-        let mut canon: Vec<usize> = (0..batch.len()).collect();
-        let mut first: HashMap<(PredicateKind, ExecKey, &str), usize> = HashMap::new();
-        for (i, (kind, query, exec)) in batch.iter().enumerate() {
-            if !query.tokenized_against(shared.corpus()) {
-                out[i] = Some(Err(crate::error::DaspError::EngineMismatch));
-                continue;
-            }
-            canon[i] = *first.entry((*kind, ExecKey::from(*exec), query.text())).or_insert(i);
-        }
-        // The distinct valid requests, in submission order.
-        let distinct: Vec<usize> =
-            (0..batch.len()).filter(|&i| out[i].is_none() && canon[i] == i).collect();
-
-        // One locked pass answers every cached request.
-        if cache_on {
-            let keys: Vec<(PredicateKind, &str, Exec)> =
-                distinct.iter().map(|&i| (batch[i].0, batch[i].1.text(), batch[i].2)).collect();
-            for (&i, hit) in distinct.iter().zip(cache.get_many(STATIC_EPOCH, &keys)) {
-                if let Some(results) = hit {
-                    out[i] = Some(Ok(results.as_ref().clone()));
-                }
-            }
-        }
-
-        // Execute the misses (each kind's handle and prepared plans come out
-        // of the engine's per-kind cache); insert every fresh result under
-        // one lock.
-        let mut inserts: Vec<(PredicateKind, String, Exec, Arc<Vec<ScoredTid>>)> = Vec::new();
-        for &i in &distinct {
-            if out[i].is_some() {
-                continue;
-            }
-            let (kind, query, exec) = &batch[i];
-            let result = self.predicate(*kind).core.execute_mode(query, *exec, false, None);
-            if cache_on {
-                if let Ok(results) = &result {
-                    inserts.push((
-                        *kind,
-                        query.text().to_string(),
-                        *exec,
-                        Arc::new(results.clone()),
-                    ));
-                }
-            }
-            out[i] = Some(result);
-        }
-        if !inserts.is_empty() {
-            cache.insert_many(STATIC_EPOCH, inserts);
-        }
-
-        // Duplicates share their canonical result (errors included — the
-        // error type is `Clone` precisely for paths like this).
-        for i in 0..batch.len() {
-            if out[i].is_none() {
-                let canonical = out[canon[i]].clone().expect("canonical requests are resolved");
-                out[i] = Some(canonical);
-            }
-        }
-        out.into_iter().map(|slot| slot.expect("every request is resolved")).collect()
-    }
 }
 
 /// Phase-2 preprocessing: build one predicate's core over the shared
@@ -1074,8 +977,9 @@ impl BudgetReport {
     }
 }
 
-/// The outcome of [`PredicateHandle::execute_budgeted`]: the (possibly
-/// partial) results plus the degradation flag and work report.
+/// The outcome of a request under an [`ExecBudget`] on any backend: the
+/// (possibly partial) results plus the cache-hit and degradation flags and
+/// the work report.
 #[derive(Debug, Clone)]
 pub struct BudgetedRun {
     /// The ranking/selection produced. When `degraded`, a strict subset of
@@ -1118,91 +1022,59 @@ impl PredicateHandle {
     /// Execute a prepared query in the given mode through the indexed
     /// engine (prepared plans, index probes, pushdown operators), consulting
     /// the engine's result cache first.
-    pub fn execute(&self, query: &Query, exec: Exec) -> crate::error::Result<Vec<ScoredTid>> {
-        self.execute_tracked(query, exec).map(|(results, _)| results)
+    pub fn execute(&self, query: &Query, exec: Exec) -> Result<Vec<ScoredTid>> {
+        self.execute_budgeted(query, exec, ExecBudget::unlimited()).map(|run| run.results)
     }
 
     /// [`execute`](Self::execute), additionally reporting whether the result
     /// was answered from the engine's result cache — the flag the serving
     /// layer surfaces as [`ServeStats::cache_hit`](crate::serve::ServeStats).
-    pub fn execute_tracked(
-        &self,
-        query: &Query,
-        exec: Exec,
-    ) -> crate::error::Result<(Vec<ScoredTid>, bool)> {
-        let shared = self.core.shared_artifacts();
-        // The cache is keyed by query text, so a query prepared against a
-        // different engine must be rejected before the lookup.
-        if !query.tokenized_against(shared.corpus()) {
-            return Err(crate::error::DaspError::EngineMismatch);
-        }
-        if !shared.cache().enabled() {
-            return self
-                .core
-                .execute_mode(query, exec, false, None)
-                .map(|results| (results, false));
-        }
-        let kind = self.core.predicate_kind();
-        if let Some(hit) = shared.cache().get(STATIC_EPOCH, kind, query.text(), exec) {
-            return Ok((hit.as_ref().clone(), true));
-        }
-        let results = self.core.execute_mode(query, exec, false, None)?;
-        shared.cache().insert(STATIC_EPOCH, kind, query.text(), exec, Arc::new(results.clone()));
-        Ok((results, false))
+    pub fn execute_tracked(&self, query: &Query, exec: Exec) -> Result<(Vec<ScoredTid>, bool)> {
+        self.execute_budgeted(query, exec, ExecBudget::unlimited())
+            .map(|run| (run.results, run.cache_hit))
     }
 
     /// [`execute`](Self::execute) under the pre-refactor cost model
     /// (clone-per-scan, per-query hash builds, sort-then-truncate top-k) —
     /// byte-identical output, kept as the equivalence and bench baseline.
-    pub fn execute_naive(&self, query: &Query, exec: Exec) -> crate::error::Result<Vec<ScoredTid>> {
+    pub fn execute_naive(&self, query: &Query, exec: Exec) -> Result<Vec<ScoredTid>> {
         self.core.execute_mode(query, exec, true, None)
     }
 
-    /// Execute under a cooperative [`ExecBudget`](crate::params::ExecBudget).
-    /// An unlimited budget takes
-    /// the normal cached path ([`execute_tracked`](Self::execute_tracked));
-    /// with any cap set, the execution runs uncached under a fresh
-    /// [`relq::ExecLimits`] and returns a [`BudgetedRun`]: on exhaustion the
-    /// results are the **anytime answer** — every `(tid, score)` pair
-    /// bit-identical to that tid's entry in the exhaustive run, only
-    /// coverage truncated — flagged `degraded` with a [`BudgetReport`] of the
-    /// work done.
-    ///
-    /// Budgeted (cap-active) executions bypass the result cache in both
-    /// directions: a degraded partial must never answer a later unbudgeted
-    /// request, and a budgeted request must not be answered with bytes whose
-    /// cost the cap was meant to bound (a cached full answer would be
-    /// correct, but would make degradation nondeterministic under cache
-    /// pressure — determinism of the partial bytes is part of the contract).
+    /// Execute under a cooperative [`ExecBudget`]. An unlimited budget takes
+    /// the cached path; with any cap set, the execution runs uncached under
+    /// a fresh [`relq::ExecLimits`] and on exhaustion returns the **anytime
+    /// answer** — every `(tid, score)` pair bit-identical to that tid's
+    /// entry in the exhaustive run, only coverage truncated — flagged
+    /// `degraded` with a [`BudgetReport`] of the work done. Capped runs
+    /// bypass the result cache in both directions, as every backend's do.
     pub fn execute_budgeted(
         &self,
         query: &Query,
         exec: Exec,
-        budget: crate::params::ExecBudget,
-    ) -> crate::error::Result<BudgetedRun> {
-        if budget.is_unlimited() {
-            let (results, cache_hit) = self.execute_tracked(query, exec)?;
-            return Ok(BudgetedRun { results, cache_hit, degraded: false, report: None });
+        budget: ExecBudget,
+    ) -> Result<BudgetedRun> {
+        let shared = self.core.shared_artifacts();
+        // The cache is keyed by query text, so a query prepared against a
+        // different engine must be rejected before the probe.
+        if !query.tokenized_against(shared.corpus()) {
+            return Err(DaspError::EngineMismatch);
         }
-        let limits =
-            relq::ExecLimits::new(budget.deadline, budget.max_candidates.map(|n| n as u64));
-        let results = self.core.execute_mode(query, exec, false, Some(&limits))?;
-        Ok(BudgetedRun {
-            results,
-            cache_hit: false,
-            degraded: limits.exhausted(),
-            report: Some(BudgetReport::from_limits(&limits)),
-        })
+        let run = |limits: Option<&relq::ExecLimits>| {
+            self.core.execute_mode(query, exec, false, limits).map(|results| (results, 1))
+        };
+        shared.cache().run(STATIC_EPOCH, self.kind(), query.text(), exec, budget, run).map(|r| r.0)
     }
 
-    /// Execute uncached under caller-owned limits (the live engine threads
-    /// one `ExecLimits` across every segment of a budgeted query this way).
+    /// Execute uncached under caller-owned limits: how every part of a live
+    /// or sharded engine runs, with one `ExecLimits` shared across the parts
+    /// of a budgeted request.
     pub(crate) fn execute_with_limits(
         &self,
         query: &Query,
         exec: Exec,
         limits: Option<&relq::ExecLimits>,
-    ) -> crate::error::Result<Vec<ScoredTid>> {
+    ) -> Result<Vec<ScoredTid>> {
         self.core.execute_mode(query, exec, false, limits)
     }
 
@@ -1220,15 +1092,15 @@ impl Predicate for PredicateHandle {
         self.core.predicate_kind()
     }
 
-    fn try_rank(&self, query: &str) -> crate::error::Result<Vec<ScoredTid>> {
+    fn try_rank(&self, query: &str) -> Result<Vec<ScoredTid>> {
         self.execute(&self.query(query), Exec::Rank)
     }
 
-    fn try_rank_naive(&self, query: &str) -> crate::error::Result<Vec<ScoredTid>> {
+    fn try_rank_naive(&self, query: &str) -> Result<Vec<ScoredTid>> {
         self.execute_naive(&self.query(query), Exec::Rank)
     }
 
-    fn try_execute(&self, query: &str, exec: Exec) -> crate::error::Result<Vec<ScoredTid>> {
+    fn try_execute(&self, query: &str, exec: Exec) -> Result<Vec<ScoredTid>> {
         self.execute(&self.query(query), exec)
     }
 }
@@ -1535,91 +1407,18 @@ mod tests {
     }
 
     #[test]
-    fn execute_many_matches_a_per_item_execute_loop() {
-        let reference = engine();
-        let engine = engine();
-        let texts = ["Morgan Stanley Group Inc.", "Beijing Hotel", "AT&T Inc."];
-        let mut batch = Vec::new();
-        for &kind in &[PredicateKind::Cosine, PredicateKind::EditSimilarity, PredicateKind::Ges] {
-            for text in texts {
-                for exec in [Exec::Rank, Exec::TopK(2), Exec::TopKHeap(2), Exec::Threshold(0.05)] {
-                    batch.push((kind, engine.query(text), exec));
-                }
-            }
-        }
-        let batched = engine.execute_many(&batch);
-        assert_eq!(batched.len(), batch.len());
-        for ((kind, query, exec), result) in batch.iter().zip(&batched) {
-            let expected =
-                reference.predicate(*kind).execute(&reference.query(query.text()), *exec).unwrap();
-            assert_eq!(
-                result.as_ref().unwrap(),
-                &expected,
-                "{kind}/{exec:?}: batch result diverged from the per-item loop"
-            );
-        }
-    }
-
-    #[test]
-    fn execute_many_counts_each_distinct_key_once_and_shares_duplicates() {
-        let engine = engine();
-        let query = engine.query("Morgan Stanley Group Inc.");
-        let other = engine.query("Beijing Hotel");
-        // Four distinct keys, two of them duplicated within the batch.
-        let batch = vec![
-            (PredicateKind::Cosine, query.clone(), Exec::TopK(3)),
-            (PredicateKind::Cosine, query.clone(), Exec::TopK(3)), // duplicate
-            (PredicateKind::Bm25, query.clone(), Exec::TopK(3)),
-            (PredicateKind::Cosine, other.clone(), Exec::TopK(3)),
-            (PredicateKind::Cosine, other.clone(), Exec::TopK(3)), // duplicate
-            (PredicateKind::Cosine, query.clone(), Exec::Rank),
-        ];
-        let results = engine.execute_many(&batch);
-        assert_eq!(results[0].as_ref().unwrap(), results[1].as_ref().unwrap());
-        assert_eq!(results[3].as_ref().unwrap(), results[4].as_ref().unwrap());
-        // Each of the 4 distinct keys moved the counters exactly once;
-        // intra-batch duplicates share the computed result without probing.
-        let stats = engine.result_cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 4, 4));
-        // The same batch again answers every distinct key from the cache.
-        let again = engine.execute_many(&batch);
-        let stats = engine.result_cache_stats();
-        assert_eq!((stats.hits, stats.misses), (4, 4));
-        for (a, b) in results.iter().zip(&again) {
-            assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());
-        }
-        // With caching disabled the batch still executes (and still dedups),
-        // leaving the counters untouched.
-        engine.set_result_cache_capacity(0);
-        let uncached = engine.execute_many(&batch);
-        for (a, b) in results.iter().zip(&uncached) {
-            assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());
-        }
-        let stats = engine.result_cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (4, 4, 0));
-    }
-
-    #[test]
-    fn execute_many_fails_foreign_queries_without_disturbing_the_batch() {
-        let engine = engine();
-        let other = SelectionEngine::build(
-            Arc::new(TokenizedCorpus::build(
-                Corpus::from_strings(vec!["Beijing Hotel", "another corpus"]),
-                dasp_text::QgramConfig::new(2),
-            )),
-            &Params::default(),
-        );
-        // The foreign query shares its text with a valid request: the
-        // duplicate-sharing logic must not let one answer the other.
-        let batch = vec![
-            (PredicateKind::Bm25, engine.query("Beijing Hotel"), Exec::TopK(2)),
-            (PredicateKind::Bm25, other.query("Beijing Hotel"), Exec::TopK(2)),
-            (PredicateKind::Bm25, engine.query("Beijing Hotel"), Exec::TopK(2)),
-        ];
-        let results = engine.execute_many(&batch);
-        assert!(results[0].is_ok());
-        assert!(matches!(results[1], Err(crate::error::DaspError::EngineMismatch)));
-        assert_eq!(results[0].as_ref().unwrap(), results[2].as_ref().unwrap());
+    fn reinserting_a_held_key_evicts_nothing_else() {
+        // Two workers racing the same miss both insert it: the second insert
+        // must replace the entry, not evict an unrelated one to make room.
+        let cache = ResultCache::new(2);
+        let kind = PredicateKind::Bm25;
+        let rows = [ScoredTid::new(0, 1.0)];
+        cache.insert(STATIC_EPOCH, kind, "A", Exec::Rank, &rows);
+        cache.insert(STATIC_EPOCH, kind, "B", Exec::Rank, &rows);
+        assert!(cache.get(STATIC_EPOCH, kind, "A", Exec::Rank).is_some());
+        cache.insert(STATIC_EPOCH, kind, "A", Exec::Rank, &rows);
+        assert_eq!(cache.stats().entries, 2);
+        assert!(cache.get(STATIC_EPOCH, kind, "B", Exec::Rank).is_some(), "B was evicted");
     }
 
     #[test]
@@ -1668,12 +1467,18 @@ mod tests {
         );
         let foreign = b.query("different");
         let handle = a.predicate(PredicateKind::Bm25);
-        assert!(matches!(
-            handle.execute(&foreign, Exec::Rank),
-            Err(crate::error::DaspError::EngineMismatch)
-        ));
-        // A query from the same engine is accepted.
+        // A query from the same engine is accepted, and its answer cached.
         assert!(handle.execute(&a.query("different"), Exec::Rank).is_ok());
+        // A foreign query with the same text fails before the cache probe,
+        // on the cached and the budgeted path alike.
+        let capped = ExecBudget { max_candidates: Some(1), ..ExecBudget::default() };
+        for budget in [ExecBudget::unlimited(), capped] {
+            assert!(matches!(
+                handle.execute_budgeted(&foreign, Exec::Rank, budget),
+                Err(DaspError::EngineMismatch)
+            ));
+        }
+        assert_eq!(a.result_cache_stats().hits, 0);
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! [`LiveEngine`] replaces that with an LSM-flavored segment design:
 //!
 //! * **Sealed segments** — immutable, each a full [`SelectionEngine`] (six
-//!   shared tables, posting arenas, result cache) over a contiguous slice of
-//!   the appended stream. Once sealed, a segment is never touched again
-//!   until compaction folds it away, so its lazily built artifacts and warm
-//!   caches survive across epochs.
+//!   shared tables, posting arenas) over a contiguous slice of the appended
+//!   stream. Once sealed, a segment is never touched again until compaction
+//!   folds it away, so its lazily built artifacts survive across epochs.
+//!   Segment engines keep no result cache: the live engine's one
+//!   epoch-keyed cache of merged answers sits above them.
 //! * **One tail segment** — the only segment that changes. [`append`]
 //!   rebuilds it from its (small) record list, so an append costs `O(tail)`,
 //!   never `O(corpus)`; when the tail reaches the seal threshold
@@ -62,13 +63,12 @@
 //! [`execute_budgeted`]: LiveEngine::execute_budgeted
 
 use crate::corpus::{Corpus, TokenizedCorpus};
-use crate::engine::{BudgetedRun, CacheStats, Exec, ExecKey, ResultCache, SelectionEngine};
+use crate::engine::{BudgetedRun, CacheStats, Exec, ResultCache, SelectionEngine};
 use crate::params::{ExecBudget, Params};
 use crate::parts::{Part, PartSet};
 use crate::predicate::PredicateKind;
 use crate::record::{Record, ScoredTid, Tid};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Default tail-seal threshold: appends per tail segment before it freezes.
@@ -204,10 +204,6 @@ pub struct LiveEngine {
     /// from before a mutation are unreachable afterwards by key, so a stale
     /// hit is impossible by construction.
     cache: ResultCache,
-    /// Result-cache capacity of every segment engine, applied to segments
-    /// built after a [`set_result_cache_capacity`](Self::set_result_cache_capacity)
-    /// call as well as to those serving at the time.
-    segment_cache_capacity: AtomicUsize,
     appends: AtomicU64,
     deletes: AtomicU64,
     seals: AtomicU64,
@@ -239,7 +235,7 @@ impl LiveEngine {
         let segments = if records.is_empty() {
             Vec::new()
         } else {
-            vec![Arc::new(Part { records, engine: SelectionEngine::build(stats.clone(), params) })]
+            vec![Arc::new(Part::new(records, stats.clone(), params))]
         };
         Self::with_state(params, stats, segments, next_tid)
     }
@@ -265,7 +261,6 @@ impl LiveEngine {
             })),
             writer: Mutex::new(()),
             cache: ResultCache::new(LIVE_RESULT_CACHE_CAPACITY),
-            segment_cache_capacity: AtomicUsize::new(crate::engine::DEFAULT_RESULT_CACHE_CAPACITY),
             appends: AtomicU64::new(0),
             deletes: AtomicU64::new(0),
             seals: AtomicU64::new(0),
@@ -300,8 +295,7 @@ impl LiveEngine {
         let sealed = tail_records.len() >= self.seal_limit;
         let tail_dead =
             tail_records.iter().filter(|r| snap.segments.tombstones.contains(&r.tid)).count();
-        let capacity = self.segment_cache_capacity.load(Ordering::Relaxed);
-        let tail = Arc::new(Part::project(&snap.stats, tail_records, &self.params, capacity));
+        let tail = Arc::new(Part::project(&snap.stats, tail_records, &self.params));
         let keep = snap.segments.parts.len() - usize::from(snap.tail_open);
         let mut parts = snap.segments.parts[..keep].to_vec();
         let mut dead = snap.segments.dead[..keep].to_vec();
@@ -395,9 +389,7 @@ impl LiveEngine {
         let segments = if live.is_empty() {
             Vec::new()
         } else {
-            let engine = SelectionEngine::build(stats.clone(), &self.params);
-            engine.set_result_cache_capacity(self.segment_cache_capacity.load(Ordering::Relaxed));
-            vec![Arc::new(Part { records: live, engine })]
+            vec![Arc::new(Part::new(live, stats.clone(), &self.params))]
         };
         self.install(LiveSnapshot {
             epoch: snap.epoch + 1,
@@ -457,7 +449,9 @@ impl LiveEngine {
     ) -> crate::error::Result<(BudgetedRun, LiveQueryStats)> {
         let snap = self.snapshot();
         let (run, segments_probed) =
-            snap.segments.execute_budgeted(&self.cache, snap.epoch, kind, text, exec, budget)?;
+            self.cache.run(snap.epoch, kind, text, exec, budget, |limits| {
+                snap.segments.execute(kind, text, exec, limits)
+            })?;
         // Tail tids are the largest in the snapshot (appends are
         // tid-monotone), so attribution is one comparison per row.
         let tail_start = snap.tail().and_then(|t| t.records.first()).map(|r| r.tid);
@@ -473,60 +467,6 @@ impl LiveEngine {
         Ok((run, stats))
     }
 
-    /// Execute a whole batch against **one** pinned snapshot (every request
-    /// sees the same epoch), with intra-batch deduplication and single-lock
-    /// cache probing — the live analogue of
-    /// [`SelectionEngine::execute_many`]. Responses come back in submission
-    /// order.
-    pub fn execute_many(
-        &self,
-        batch: &[(PredicateKind, &str, Exec)],
-    ) -> Vec<crate::error::Result<Vec<ScoredTid>>> {
-        let snap = self.snapshot();
-        let n = batch.len();
-        let mut out: Vec<Option<crate::error::Result<Vec<ScoredTid>>>> = vec![None; n];
-        let mut canon: Vec<usize> = (0..n).collect();
-        let mut first: HashMap<(PredicateKind, ExecKey, &str), usize> = HashMap::new();
-        for (i, &(kind, text, exec)) in batch.iter().enumerate() {
-            canon[i] = *first.entry((kind, ExecKey::from(exec), text)).or_insert(i);
-        }
-        let distinct: Vec<usize> = (0..n).filter(|&i| canon[i] == i).collect();
-        let cached = self.cache.enabled();
-        if cached {
-            let keys: Vec<(PredicateKind, &str, Exec)> =
-                distinct.iter().map(|&i| batch[i]).collect();
-            for (&i, hit) in distinct.iter().zip(self.cache.get_many(snap.epoch, &keys)) {
-                if let Some(results) = hit {
-                    out[i] = Some(Ok(results.as_ref().clone()));
-                }
-            }
-        }
-        let mut inserts: Vec<(PredicateKind, String, Exec, Arc<Vec<ScoredTid>>)> = Vec::new();
-        for &i in &distinct {
-            if out[i].is_some() {
-                continue;
-            }
-            let (kind, text, exec) = batch[i];
-            let result = snap.segments.execute(kind, text, exec, None).map(|(results, _)| results);
-            if cached {
-                if let Ok(results) = &result {
-                    inserts.push((kind, text.to_string(), exec, Arc::new(results.clone())));
-                }
-            }
-            out[i] = Some(result);
-        }
-        if !inserts.is_empty() {
-            self.cache.insert_many(snap.epoch, inserts);
-        }
-        for i in 0..n {
-            if out[i].is_none() {
-                let canonical = out[canon[i]].clone().expect("canonical requests are resolved");
-                out[i] = Some(canonical);
-            }
-        }
-        out.into_iter().map(|slot| slot.expect("every request is resolved")).collect()
-    }
-
     /// Rebuild the differential reference for the current snapshot: one
     /// monolithic [`SelectionEngine`] over exactly the live records,
     /// tokenized against the **same frozen statistics**, plus the
@@ -537,8 +477,8 @@ impl LiveEngine {
     /// design amortizes away, which is what the bench baseline measures.
     pub fn rebuild_monolith(&self) -> (SelectionEngine, Vec<Tid>) {
         let snap = self.snapshot();
-        let capacity = crate::engine::DEFAULT_RESULT_CACHE_CAPACITY;
-        let monolith = Part::project(&snap.stats, snap.live_records(), &self.params, capacity);
+        let monolith = Part::project(&snap.stats, snap.live_records(), &self.params);
+        monolith.engine.set_result_cache_capacity(crate::engine::DEFAULT_RESULT_CACHE_CAPACITY);
         (monolith.engine, monolith.records.iter().map(|r| r.tid).collect())
     }
 
@@ -595,18 +535,10 @@ impl LiveEngine {
         self.cache.stats()
     }
 
-    /// Resize the merged-result cache and every segment engine's result
-    /// cache, including segments sealed or compacted later (0 disables
-    /// caching at both levels, as in the bench).
+    /// Resize the merged-result cache (0 disables caching, as in the bench;
+    /// segment engines keep no cache of their own).
     pub fn set_result_cache_capacity(&self, capacity: usize) {
-        // Under the writer lock, so no segment built concurrently misses
-        // the new capacity.
-        let _w = self.writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         self.cache.set_capacity(capacity);
-        self.segment_cache_capacity.store(capacity, Ordering::Relaxed);
-        for segment in &self.snapshot().segments.parts {
-            segment.engine.set_result_cache_capacity(capacity);
-        }
     }
 }
 
@@ -765,38 +697,38 @@ mod tests {
     }
 
     #[test]
-    fn cache_capacity_reaches_every_segment_engine() {
+    fn segment_engines_never_cache() {
         let live = live_engine(64);
         live.append("Morgan Stanley Dean Witter");
-        live.set_result_cache_capacity(0);
-        // Segments sealed, appended and compacted after the call are
-        // cache-less too.
-        assert!(live.seal());
-        live.append("Morgan Stanley Capital");
-        let segment_hits = |live: &LiveEngine| {
+        let assert_segments_uncached = |live: &LiveEngine| {
             let snap = live.snapshot();
             assert!(!snap.segments.parts.is_empty());
-            snap.segments.parts.iter().map(|s| s.engine.result_cache_stats()).collect::<Vec<_>>()
-        };
-        for _ in 0..3 {
-            for exec in [Exec::TopK(2), Exec::Threshold(0.1), Exec::Rank] {
-                let (_, stats) =
-                    live.execute_tracked(PredicateKind::Bm25, "Morgan Stanley", exec).unwrap();
-                assert!(!stats.cache_hit);
+            for segment in &snap.segments.parts {
+                let stats = segment.engine.result_cache_stats();
+                assert_eq!((stats.hits, stats.entries, stats.capacity), (0, 0, 0), "{stats:?}");
             }
-        }
+        };
+        // Reads at the default capacity, repeated: the merged cache answers
+        // the repeats, and no segment engine — seed, sealed, tail or
+        // compacted — holds an entry.
+        let read_twice = |live: &LiveEngine| {
+            for exec in [Exec::TopK(2), Exec::Threshold(0.1), Exec::Rank] {
+                let (_, first) =
+                    live.execute_tracked(PredicateKind::Bm25, "Morgan Stanley", exec).unwrap();
+                let (_, second) =
+                    live.execute_tracked(PredicateKind::Bm25, "Morgan Stanley", exec).unwrap();
+                assert!(!first.cache_hit && second.cache_hit, "{exec:?}");
+            }
+            assert_segments_uncached(live);
+        };
+        read_twice(&live);
+        assert!(live.seal());
+        live.append("Morgan Stanley Capital");
         assert_eq!(live.metrics().sealed_segments, 2);
-        for stats in segment_hits(&live) {
-            assert_eq!((stats.hits, stats.entries, stats.capacity), (0, 0, 0), "{stats:?}");
-        }
+        read_twice(&live);
         live.compact();
-        for _ in 0..3 {
-            live.execute(PredicateKind::Bm25, "Morgan Stanley", Exec::TopK(2)).unwrap();
-        }
-        for stats in segment_hits(&live) {
-            assert_eq!((stats.hits, stats.entries, stats.capacity), (0, 0, 0), "{stats:?}");
-        }
-        assert_eq!(live.result_cache_stats().hits, 0);
+        read_twice(&live);
+        assert_eq!(live.result_cache_stats().hits, 9);
     }
 
     #[test]
@@ -814,26 +746,6 @@ mod tests {
         let (_, stats) =
             live.execute_tracked(PredicateKind::Bm25, "Morgan Stanley", Exec::Rank).unwrap();
         assert_eq!(stats.segments_probed, segments);
-    }
-
-    #[test]
-    fn execute_many_pins_one_epoch_and_dedups() {
-        let live = live_engine(64);
-        live.append("Morgan Stanley Dean Witter");
-        let batch = [
-            (PredicateKind::Bm25, "Morgan Stanley", Exec::TopK(2)),
-            (PredicateKind::Jaccard, "Beijing Hotel", Exec::Rank),
-            (PredicateKind::Bm25, "Morgan Stanley", Exec::TopK(2)),
-        ];
-        let results = live.execute_many(&batch);
-        assert_eq!(results.len(), 3);
-        let bits = |r: &crate::error::Result<Vec<ScoredTid>>| {
-            r.as_ref().unwrap().iter().map(|s| (s.tid, s.score.to_bits())).collect::<Vec<_>>()
-        };
-        assert_eq!(bits(&results[0]), bits(&results[2]));
-        for (i, (kind, text, exec)) in batch.iter().enumerate() {
-            assert_eq!(bits(&results[i]), bits(&live.execute(*kind, text, *exec)));
-        }
     }
 
     #[test]

@@ -40,14 +40,14 @@
 //! thread schedule**.
 
 use crate::corpus::TokenizedCorpus;
-use crate::engine::{BudgetReport, BudgetedRun, Exec, ResultCache, SelectionEngine};
+use crate::engine::{Exec, SelectionEngine};
 use crate::error::{DaspError, Result};
-use crate::params::{ExecBudget, Params};
+use crate::params::Params;
 use crate::predicate::PredicateKind;
 use crate::record::{sort_ranked, top_k_ranked, Record, ScoredTid, Tid};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Best-effort stringification of a caught panic payload (shared with the
 /// serving layer's per-request boundary).
@@ -61,16 +61,24 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// [`std::thread::available_parallelism`], resolved once per process: std
+/// re-reads the cgroup limits on every call, which a multi-part request
+/// would otherwise pay each time.
+fn parallelism() -> usize {
+    static PARALLELISM: OnceLock<usize> = OnceLock::new();
+    *PARALLELISM.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+}
+
 /// Run every unit closure and return their results **indexed by unit**, so
 /// the caller's merge order never depends on thread scheduling.
 ///
 /// A single unit runs inline on the caller (no thread, panics propagate —
 /// the serving layer's per-request `catch_unwind` still isolates them).
-/// More than one unit fans across at most
-/// [`std::thread::available_parallelism`] scoped threads claiming unit
-/// indexes from a shared cursor; each unit runs under `catch_unwind`, and
-/// the first failing unit (in unit order, not completion order) decides the
-/// returned error — a panic surfaces as the typed [`DaspError::Panicked`].
+/// More than one unit fans across at most `parallelism()` scoped threads
+/// claiming unit indexes from a shared cursor; each unit runs under
+/// `catch_unwind`, and the first failing unit (in unit order, not
+/// completion order) decides the returned error — a panic surfaces as the
+/// typed [`DaspError::Panicked`].
 /// On a 1-core host the pool degenerates to the caller running every unit
 /// sequentially, with identical results by construction.
 pub(crate) fn fan_units<T, F>(units: Vec<F>) -> Result<Vec<T>>
@@ -86,7 +94,7 @@ where
         let unit = units.into_iter().next().expect("one unit");
         return unit().map(|value| vec![value]);
     }
-    let workers = std::thread::available_parallelism().map_or(1, |p| p.get()).min(n);
+    let workers = parallelism().min(n);
     let units: Vec<Mutex<Option<F>>> = units.into_iter().map(|u| Mutex::new(Some(u))).collect();
     type Outcome<T> = std::thread::Result<Result<T>>;
     let outcomes: Vec<Mutex<Option<Outcome<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
@@ -141,33 +149,32 @@ pub(crate) struct Part {
 }
 
 impl Part {
+    /// A part over `records` (global tids) served by an engine over
+    /// `corpus`, whose record `i` is `records[i]`. Part engines keep no
+    /// result cache: every request probes its backend's merged cache first,
+    /// so a per-part entry could only answer a key that cache has evicted.
+    pub(crate) fn new(records: Vec<Record>, corpus: Arc<TokenizedCorpus>, params: &Params) -> Part {
+        let engine = SelectionEngine::build(corpus, params);
+        engine.set_result_cache_capacity(0);
+        Part { records, engine }
+    }
+
     /// Build a part over `records` (global tids) by projecting them onto
     /// the frozen statistics of `stats` — `O(records)`, independent of the
-    /// corpus size. The part engine's result cache holds `cache_capacity`
-    /// entries.
-    pub(crate) fn project(
-        stats: &TokenizedCorpus,
-        records: Vec<Record>,
-        params: &Params,
-        cache_capacity: usize,
-    ) -> Part {
+    /// corpus size.
+    pub(crate) fn project(stats: &TokenizedCorpus, records: Vec<Record>, params: &Params) -> Part {
         let dense: Vec<Record> = records
             .iter()
             .enumerate()
             .map(|(i, r)| Record::new(i as Tid, r.text.clone()))
             .collect();
-        let engine = SelectionEngine::build(Arc::new(stats.project(dense)), params);
-        engine.set_result_cache_capacity(cache_capacity);
-        Part { records, engine }
+        Part::new(records, Arc::new(stats.project(dense)), params)
     }
 
-    /// Run this part's engine in `exec` mode and map the local result to
-    /// global tids, dropping tombstoned rows. The query text is tokenized
-    /// against the part's corpus; token ids agree across parts because
-    /// every part shares the frozen dictionaries. With `limits` the run
-    /// bypasses the part's result cache in both directions — a partial
-    /// answer must never be cached, and a cached full answer would make
-    /// degradation nondeterministic.
+    /// Run this part's engine in `exec` mode under `limits` and map the
+    /// local result to global tids, dropping tombstoned rows. The query text
+    /// is tokenized against the part's corpus; token ids agree across parts
+    /// because every part shares the frozen dictionaries.
     fn run(
         &self,
         kind: PredicateKind,
@@ -176,12 +183,8 @@ impl Part {
         limits: Option<&relq::ExecLimits>,
         tombstones: &BTreeSet<Tid>,
     ) -> Result<Vec<ScoredTid>> {
-        let handle = self.engine.predicate(kind);
         let query = self.engine.query(text);
-        let local = match limits {
-            Some(_) => handle.execute_with_limits(&query, exec, limits)?,
-            None => handle.execute(&query, exec)?,
-        };
+        let local = self.engine.predicate(kind).execute_with_limits(&query, exec, limits)?;
         Ok(local
             .into_iter()
             .filter_map(|s| {
@@ -284,53 +287,6 @@ impl PartSet {
             }
         }
         Ok((merge(exec, rows), ran))
-    }
-
-    /// [`execute`](Self::execute) under `budget`, as a [`BudgetedRun`]. An
-    /// unlimited budget probes `cache` (keyed at `epoch`) first, fans on a
-    /// miss and caches the answer. A capped one runs uncached under one
-    /// fresh [`relq::ExecLimits`] — a degraded partial must never answer an
-    /// unbudgeted request, and a cached full answer would make degradation
-    /// nondeterministic. Also returns how many parts ran (0 on a cache hit).
-    pub(crate) fn execute_budgeted(
-        &self,
-        cache: &ResultCache,
-        epoch: u64,
-        kind: PredicateKind,
-        text: &str,
-        exec: Exec,
-        budget: ExecBudget,
-    ) -> Result<(BudgetedRun, usize)> {
-        if budget.is_unlimited() {
-            let cached = cache.enabled();
-            if cached {
-                if let Some(hit) = cache.get(epoch, kind, text, exec) {
-                    let run = BudgetedRun {
-                        results: hit.as_ref().clone(),
-                        cache_hit: true,
-                        degraded: false,
-                        report: None,
-                    };
-                    return Ok((run, 0));
-                }
-            }
-            let (results, ran) = self.execute(kind, text, exec, None)?;
-            if cached {
-                cache.insert(epoch, kind, text, exec, Arc::new(results.clone()));
-            }
-            let run = BudgetedRun { results, cache_hit: false, degraded: false, report: None };
-            return Ok((run, ran));
-        }
-        let limits =
-            relq::ExecLimits::new(budget.deadline, budget.max_candidates.map(|n| n as u64));
-        let (results, ran) = self.execute(kind, text, exec, Some(&limits))?;
-        let run = BudgetedRun {
-            results,
-            cache_hit: false,
-            degraded: limits.exhausted(),
-            report: Some(BudgetReport::from_limits(&limits)),
-        };
-        Ok((run, ran))
     }
 }
 

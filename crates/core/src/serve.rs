@@ -14,14 +14,17 @@
 //!
 //! ## Execution model
 //!
-//! [`ServingEngine::serve`] spawns `workers` scoped `std::thread` workers
-//! (no external runtime — the workspace builds offline) over a shared atomic
-//! cursor into the request slice. Workers claim requests one at a time, so
-//! load balances even when per-request cost varies by orders of magnitude
-//! across predicates; each worker tokenizes the query string, resolves the
-//! predicate handle and executes through the engine's cached, pushdown
-//! execution path. Results return **in submission order**, each with a
-//! [`ServeStats`] record (queue wait, execution time, cache hit, worker id).
+//! [`ServingEngine::serve`] runs a pool of `min(workers, batch size)`
+//! workers over a shared atomic cursor into the request slice. A pool of
+//! one (one worker, or one request) runs on the calling thread; a wider
+//! pool spawns that many scoped `std::thread` workers per call (no
+//! external runtime — the workspace builds offline). Workers claim requests
+//! one at a time, so load balances even when per-request cost varies by
+//! orders of magnitude across predicates; each worker tokenizes the query
+//! string, resolves the predicate handle and executes through the backend's
+//! one cached, budgeted request path. Results return **in submission
+//! order**, each with a [`ServeStats`] record (queue wait, execution time,
+//! cache hit, worker id).
 //!
 //! ## Determinism
 //!
@@ -38,7 +41,8 @@
 //! per-predicate costs that cost-aware scheduling over expensive predicates
 //! assumes as its input.
 
-use crate::engine::{BudgetReport, Exec, SelectionEngine};
+use crate::engine::{BudgetReport, BudgetedRun, Exec, SelectionEngine};
+use crate::error::{DaspError, Result};
 use crate::live::{LiveEngine, LiveMetrics, LiveQueryStats};
 use crate::params::ExecBudget;
 use crate::parts::panic_message;
@@ -114,7 +118,7 @@ pub struct ServeStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeResponse {
     /// The ranked selection, or the per-request error.
-    pub results: crate::error::Result<Vec<ScoredTid>>,
+    pub results: Result<Vec<ScoredTid>>,
     /// Queue/execution accounting for this request.
     pub stats: ServeStats,
 }
@@ -199,10 +203,11 @@ impl KindMetrics {
 
 /// A thread-pooled serving layer over one [`SelectionEngine`].
 ///
-/// Construction is free — workers are scoped threads spawned per
-/// [`serve`](Self::serve) call, so an idle `ServingEngine` holds no thread
-/// resources, and the engine handle it wraps can be shared with any other
-/// consumer (all state that matters is inside the engine and protected).
+/// Construction is free — a one-worker batch runs on the caller and wider
+/// pools are scoped threads spawned per [`serve`](Self::serve) call, so an
+/// idle `ServingEngine` holds no thread resources, and the engine handle it
+/// wraps can be shared with any other consumer (all state that matters is
+/// inside the engine and protected).
 ///
 /// Latency metrics accumulate across `serve` calls until
 /// [`reset_metrics`](Self::reset_metrics).
@@ -368,17 +373,9 @@ impl ServingEngine {
             let response = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 self.serve_one(&requests[i], queue_wait, worker)
             }))
-            .unwrap_or_else(|payload| ServeResponse {
-                results: Err(crate::error::DaspError::Panicked(panic_message(payload.as_ref()))),
-                stats: ServeStats {
-                    queue_wait,
-                    exec_time: Duration::ZERO,
-                    cache_hit: false,
-                    worker,
-                    live: None,
-                    degraded: false,
-                    budget: None,
-                },
+            .unwrap_or_else(|payload| {
+                let panicked = DaspError::Panicked(panic_message(payload.as_ref()));
+                respond(Err(panicked), queue_wait, Duration::ZERO, worker)
             });
             let _ = slots[i].set(response);
         };
@@ -411,19 +408,9 @@ impl ServingEngine {
         let responses: Vec<ServeResponse> = slots
             .into_iter()
             .map(|slot| {
-                slot.into_inner().unwrap_or_else(|| ServeResponse {
-                    results: Err(crate::error::DaspError::Panicked(
-                        "worker died while serving this request".to_string(),
-                    )),
-                    stats: ServeStats {
-                        queue_wait: Duration::ZERO,
-                        exec_time: Duration::ZERO,
-                        cache_hit: false,
-                        worker: 0,
-                        live: None,
-                        degraded: false,
-                        budget: None,
-                    },
+                slot.into_inner().unwrap_or_else(|| {
+                    let died = DaspError::Panicked("worker died while serving this request".into());
+                    respond(Err(died), Duration::ZERO, Duration::ZERO, 0)
                 })
             })
             .collect();
@@ -459,59 +446,26 @@ impl ServingEngine {
         // shed it with a typed error instead of executing it.
         if let Some(deadline) = budget.deadline {
             if queue_wait > deadline {
-                return ServeResponse {
-                    results: Err(crate::error::DaspError::Timeout { waited: queue_wait, deadline }),
-                    stats: ServeStats {
-                        queue_wait,
-                        exec_time: Duration::ZERO,
-                        cache_hit: false,
-                        worker,
-                        live: None,
-                        degraded: false,
-                        budget: None,
-                    },
-                };
+                let shed = DaspError::Timeout { waited: queue_wait, deadline };
+                return respond(Err(shed), queue_wait, Duration::ZERO, worker);
             }
         }
         relq::fault_point("serve.request");
         let started = Instant::now();
-        let (results, cache_hit, live, degraded, report) = match &self.backend {
-            Backend::Static(engine) => {
-                let handle = engine.predicate(request.kind);
-                let query = engine.query(&request.text);
-                match handle.execute_budgeted(&query, request.exec, budget) {
-                    Ok(run) => (Ok(run.results), run.cache_hit, None, run.degraded, run.report),
-                    Err(e) => (Err(e), false, None, false, None),
-                }
-            }
-            Backend::Live(engine) => {
-                match engine.execute_budgeted(request.kind, &request.text, request.exec, budget) {
-                    Ok((run, stats)) => {
-                        (Ok(run.results), run.cache_hit, Some(stats), run.degraded, run.report)
-                    }
-                    Err(e) => (Err(e), false, None, false, None),
-                }
-            }
-            Backend::Sharded(engine) => {
-                match engine.execute_budgeted(request.kind, &request.text, request.exec, budget) {
-                    Ok(run) => (Ok(run.results), run.cache_hit, None, run.degraded, run.report),
-                    Err(e) => (Err(e), false, None, false, None),
-                }
+        let (kind, text, exec) = (request.kind, request.text.as_str(), request.exec);
+        let outcome = match &self.backend {
+            Backend::Static(engine) => engine
+                .predicate(kind)
+                .execute_budgeted(&engine.query(text), exec, budget)
+                .map(|run| (run, None)),
+            Backend::Live(live) => live
+                .execute_budgeted(kind, text, exec, budget)
+                .map(|(run, stats)| (run, Some(stats))),
+            Backend::Sharded(sharded) => {
+                sharded.execute_budgeted(kind, text, exec, budget).map(|run| (run, None))
             }
         };
-        let exec_time = started.elapsed();
-        ServeResponse {
-            results,
-            stats: ServeStats {
-                queue_wait,
-                exec_time,
-                cache_hit,
-                worker,
-                live,
-                degraded,
-                budget: report,
-            },
-        }
+        respond(outcome, queue_wait, started.elapsed(), worker)
     }
 
     /// Per-predicate execution-latency aggregation over everything served so
@@ -530,6 +484,24 @@ impl ServingEngine {
     pub fn reset_metrics(&self) {
         let mut inner = self.metrics.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         *inner = std::array::from_fn(|_| KindMetrics::default());
+    }
+}
+
+/// The one place a [`ServeResponse`] is built: from a backend's outcome, or
+/// from the error of a shed, panicked or abandoned request.
+fn respond(
+    outcome: Result<(BudgetedRun, Option<LiveQueryStats>)>,
+    queue_wait: Duration,
+    exec_time: Duration,
+    worker: usize,
+) -> ServeResponse {
+    let (results, cache_hit, live, degraded, budget) = match outcome {
+        Ok((run, live)) => (Ok(run.results), run.cache_hit, live, run.degraded, run.report),
+        Err(e) => (Err(e), false, None, false, None),
+    };
+    ServeResponse {
+        results,
+        stats: ServeStats { queue_wait, exec_time, cache_hit, worker, live, degraded, budget },
     }
 }
 

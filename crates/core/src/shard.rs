@@ -29,7 +29,7 @@
 //! poisoning the process.
 
 use crate::corpus::{Corpus, TokenizedCorpus};
-use crate::engine::{CacheStats, Exec, ResultCache, SelectionEngine};
+use crate::engine::{CacheStats, Exec, ResultCache, SelectionEngine, STATIC_EPOCH};
 use crate::params::{ExecBudget, Params};
 use crate::parts::{Part, PartSet};
 use crate::predicate::PredicateKind;
@@ -98,7 +98,7 @@ impl ShardedEngine {
             .corpus()
             .records()
             .chunks(chunk)
-            .map(|slice| Arc::new(Part::project(&stats, slice.to_vec(), params, 0)))
+            .map(|slice| Arc::new(Part::project(&stats, slice.to_vec(), params)))
             .collect();
         ShardedEngine {
             params: *params,
@@ -143,7 +143,8 @@ impl ShardedEngine {
         exec: Exec,
         budget: ExecBudget,
     ) -> crate::error::Result<crate::engine::BudgetedRun> {
-        self.shards.execute_budgeted(&self.cache, 0, kind, text, exec, budget).map(|(run, _)| run)
+        let run = |limits: Option<&relq::ExecLimits>| self.shards.execute(kind, text, exec, limits);
+        self.cache.run(STATIC_EPOCH, kind, text, exec, budget, run).map(|(run, _)| run)
     }
 
     /// Build the monolithic differential reference: one [`SelectionEngine`]

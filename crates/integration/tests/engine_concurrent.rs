@@ -18,7 +18,7 @@
 //! observed here is a real race.
 
 use dasp_core::serve::{ServeRequest, ServingEngine};
-use dasp_core::{Exec, Params, PredicateKind, Query, ScoredTid};
+use dasp_core::{Exec, Params, PredicateKind, ScoredTid};
 use dasp_datagen::presets::{cu_dataset_sized, cu_spec, dblp_dataset, f_dataset_sized, f_spec};
 use dasp_datagen::Dataset;
 use dasp_eval::{build_engine, sample_query_indices};
@@ -194,28 +194,4 @@ fn serving_engine_matches_the_serial_run_on_a_fresh_engine() {
     let metrics = serving.metrics();
     assert_eq!(metrics.iter().map(|(_, m)| m.count).sum::<usize>(), requests.len());
     assert_eq!(metrics.len(), PredicateKind::all().len(), "every kind saw traffic");
-}
-
-#[test]
-fn execute_many_matches_the_serial_run_under_shuffled_duplicates() {
-    // The batch API over the same shuffled mixed stream: prepared queries,
-    // per-batch amortization, intra-batch dedup — byte-identical to the
-    // per-item serial loop.
-    let dataset = f_dataset_sized(f_spec("F4").unwrap(), 150, 15);
-    let (requests, expected) = requests_and_serial_results(&dataset, 2, 0xFACE);
-    let engine = build_engine(&dataset, &Params::default());
-    let batch: Vec<(PredicateKind, Query, Exec)> =
-        requests.iter().map(|(kind, text, exec)| (*kind, engine.query(text), *exec)).collect();
-    let results = engine.execute_many(&batch);
-    let results: Vec<Vec<ScoredTid>> = results.into_iter().map(|r| r.unwrap()).collect();
-    assert_identical(&results, &expected, &requests, "F4/execute_many");
-    // Every request was duplicated once: the distinct half executed, the
-    // duplicate half shared, so the cache counters moved once per distinct
-    // key even though the batch is twice that size.
-    let stats = engine.result_cache_stats();
-    assert_eq!(
-        (stats.hits + stats.misses) as usize,
-        requests.len() / 2,
-        "each distinct key probes the cache exactly once per batch"
-    );
 }

@@ -13,9 +13,9 @@
 //!
 //! The tier covers all 13 predicates × all five `Exec` modes, tombstone
 //! edge cases (delete in tail vs sealed, delete-then-reinsert, delete
-//! everything), the batch API, compaction, and an 8-thread `ServingEngine`
-//! racing a concurrently appending writer — where each response's epoch
-//! (from `ServeStats::live`) selects the rebuilt reference it must match.
+//! everything), compaction, and an 8-thread `ServingEngine` racing a
+//! concurrently appending writer — where each response's epoch (from
+//! `ServeStats::live`) selects the rebuilt reference it must match.
 //!
 //! CI runs this tier in debug and release with `DASP_SEGMENT_SEAL=7`,
 //! forcing many tiny segments; the assertions hold at every seal threshold
@@ -281,48 +281,6 @@ fn tombstone_edge_cases_hold_the_differential() {
     live.compact();
     assert!(live.is_empty());
     assert!(live.execute(PredicateKind::Bm25, &texts[0], Exec::Rank).unwrap().is_empty());
-}
-
-#[test]
-fn execute_many_pins_one_epoch_and_matches_per_item() {
-    let dataset = cu_dataset_sized(cu_spec("CU6").unwrap(), 110, 11);
-    let seed_n = 100;
-    let live = LiveEngine::from_corpus(seed_corpus(&dataset, seed_n), &live_params());
-    for record in &dataset.records[seed_n..] {
-        live.append(record.text.clone());
-    }
-    live.delete(2);
-    let texts = query_texts(&dataset, 2, 0xBA7C);
-    // All kinds × all modes × both texts, duplicated, shuffled.
-    let mut batch: Vec<(PredicateKind, &str, Exec)> = Vec::new();
-    for &kind in PredicateKind::all() {
-        for text in &texts {
-            for exec in [
-                Exec::Rank,
-                Exec::TopK(K),
-                Exec::TopKHeap(K),
-                Exec::Threshold(0.25),
-                Exec::ThresholdScan(0.25),
-            ] {
-                batch.push((kind, text.as_str(), exec));
-                batch.push((kind, text.as_str(), exec));
-            }
-        }
-    }
-    batch.shuffle(&mut StdRng::seed_from_u64(0xBA7C));
-    let results = live.execute_many(&batch);
-    assert_eq!(results.len(), batch.len());
-    // No mutation between the batch and this loop: per-item execution runs
-    // the identical merge at the same epoch, so even the tie-class mode is
-    // deterministic-equal.
-    for ((kind, text, exec), result) in batch.iter().zip(&results) {
-        let expected = live.execute(*kind, text, *exec).unwrap();
-        assert_eq!(
-            as_bits(result.as_ref().unwrap()),
-            as_bits(&expected),
-            "{kind}/{exec:?}: batch result diverged from the per-item path"
-        );
-    }
 }
 
 #[test]

@@ -6,10 +6,10 @@
 //! fixed τ has no tie class) to the exhaustive `Exec::ThresholdScan(τ)` and
 //! to `Exec::Rank` filtered post hoc, in both engine modes, across a τ sweep
 //! that includes exact-score boundaries, below-minimum and above-maximum
-//! bars. The same differential runs through `SelectionEngine::execute_many`
-//! and the thread-pooled `ServingEngine`, and a property test over random
-//! corpora asserts the pruning contract directly: the selected set is
-//! exactly `{tid : score(tid) ≥ τ}` — no qualifying tid is ever pruned.
+//! bars. The same differential runs through the thread-pooled
+//! `ServingEngine`, and a property test over random corpora asserts the
+//! pruning contract directly: the selected set is exactly
+//! `{tid : score(tid) ≥ τ}` — no qualifying tid is ever pruned.
 
 use dasp_core::{
     Corpus, Exec, LiveEngine, Params, PredicateKind, ScoredTid, SelectionEngine, ServeRequest,
@@ -284,12 +284,11 @@ fn one_hot_document_corpus_stays_bit_identical_under_block_skipping() {
 }
 
 #[test]
-fn threshold_differential_holds_through_execute_many_and_serving() {
-    // The batch and serving surfaces must return the same bounded-threshold
-    // bytes as per-item execution — including when worker threads race the
+fn threshold_differential_holds_through_serving() {
+    // The serving surface must return the same bounded-threshold bytes as
+    // per-item execution — including when worker threads race the
     // first-touch posting attach of a fresh engine.
     let dataset = dblp_dataset(160);
-    let engine = build_engine(&dataset, &Params::default());
     let indices = sample_query_indices(&dataset, 3, 0xD1_07);
 
     // Expected bytes from a per-item loop over a reference engine.
@@ -314,17 +313,6 @@ fn threshold_differential_holds_through_execute_many_and_serving() {
                 }
             }
         }
-    }
-
-    // execute_many over prepared queries, batched against one engine.
-    let batch: Vec<(PredicateKind, dasp_core::Query, Exec)> =
-        requests.iter().map(|r| (r.kind, engine.query(&r.text), r.exec)).collect();
-    for (i, (result, exp)) in engine.execute_many(&batch).iter().zip(&expected).enumerate() {
-        assert_bit_identical(
-            result.as_ref().unwrap(),
-            exp,
-            &format!("execute_many request {i} ({:?})", requests[i].exec),
-        );
     }
 
     // ServingEngine over a FRESH engine: worker threads spawn before any

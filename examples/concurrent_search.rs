@@ -90,20 +90,4 @@ fn main() {
         "\nresult cache: {} hits / {} misses ({} entries cached)",
         cache.hits, cache.misses, cache.entries
     );
-
-    // The same stream through the single-threaded batch API: queries are
-    // prepared once, handle lookups and cache probes amortized per batch.
-    let prepared: Vec<_> =
-        requests.iter().map(|r| (r.kind, engine.query(&r.text), r.exec)).collect();
-    let started = std::time::Instant::now();
-    let batched = engine.execute_many(&prepared);
-    println!(
-        "execute_many over the same {} prepared requests: {:.1} ms (all byte-identical: {})",
-        prepared.len(),
-        started.elapsed().as_secs_f64() * 1e3,
-        batched
-            .iter()
-            .zip(&responses)
-            .all(|(b, r)| b.as_ref().unwrap() == r.results.as_ref().unwrap())
-    );
 }
