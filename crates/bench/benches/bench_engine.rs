@@ -4,18 +4,11 @@
 //! per-query full-table hash builds), plus the pushdown operators against
 //! their exhaustive baselines: the heap top-k (`Exec::TopKHeap`) vs
 //! rank-then-truncate, and — for the five monotone-sum predicates (Xect,
-//! WM, Cosine, BM25, HMM) — the two score-bounded max-score traversals,
+//! WM, Cosine, BM25, HMM) — the two posting-driven bounded operators,
 //! `Exec::TopK` → `Plan::TopKBounded` vs the heap and `Exec::Threshold` →
 //! `Plan::ThresholdBounded` vs the exhaustive `Exec::ThresholdScan` at a
 //! selective τ (`threshold_bounded_us` / `threshold_speedup`, with a
-//! per-selectivity `threshold_sweep` section across τ bars). A `block_max`
-//! section re-measures the bounded operators against a same-corpus engine
-//! whose posting blocks exceed every list — per-block maxima degenerate to
-//! the per-list max, so the `block_max_*_gain` fields isolate what the
-//! block-max layer buys over the previous global-bound traversal — on both
-//! the plain corpus (overhead bound) and a hot variant with placeholder
-//! families and fragment shards (the gain case; headline numbers taken at
-//! the 100k scale point) — and a
+//! per-selectivity `threshold_sweep` section across τ bars). A
 //! `bounded_100k` section records the bounded-vs-exhaustive speedups at a
 //! 100k-record scale point (bounded predicates only, not run in smoke). A
 //! `batch_throughput` section runs a mixed bounded-top-k request stream
@@ -29,11 +22,11 @@
 //! the default-seal append against rebuilding a monolithic engine per
 //! ingested record (the >= 10x acceptance bar at 10k). A `sharded` section
 //! runs the bounded top-k and fixed-τ threshold through the tid-range
-//! `ShardedEngine` (a fixed 4-shard partition, one independent traversal
+//! `ShardedEngine` (a fixed 4-shard partition, one independent run
 //! per shard, merged) against a monolithic engine over the same frozen corpus stats, at
 //! the grid sizes and — not in smoke — at 100k and 1M scale points; every
-//! sharded answer is first cross-checked against the monolith (Rank and
-//! threshold bit-identical, top-k tie-class-equal). Writes
+//! sharded answer is first cross-checked against the monolith (Rank,
+//! threshold and top-k bit-identical). Writes
 //! `BENCH_engine.json` at the workspace root so future PRs have a perf
 //! trajectory to compare against.
 //!
@@ -53,12 +46,9 @@
 //! bounded heap over the scored tuples, is still measured).
 //!
 //! Smoke mode doubles as the CI regression guard: it cross-checks the
-//! bounded top-k against the heap path (set-equal modulo score ties; panics
-//! on any bound violation), the bounded threshold against the exhaustive
-//! scan (bit-identical — no ties exist at a fixed τ), the block-max
-//! traversals against the global-max configuration (same contracts, at
-//! both the selective and the loose τ), and fails on gross performance
-//! regressions of any pushdown operator.
+//! bounded top-k against the heap path and the bounded threshold against
+//! the exhaustive scan (both bit-identical; panics on any divergence), and
+//! fails on gross performance regressions of any pushdown operator.
 
 use criterion::{measure, Measurement};
 use dasp_core::{
@@ -77,11 +67,6 @@ const TOP_K: usize = 10;
 /// The 100k scale point: bounded operators only (the exhaustive baselines
 /// of the full grid would dominate the run at this size). Not run in smoke.
 const SCALE_SIZE: usize = 100_000;
-/// A block size beyond every posting list: each block max degenerates to
-/// the per-list max, i.e. the global-bound (plain max-score) traversal the
-/// previous PRs shipped. Used as the baseline configuration the block-max
-/// deltas are measured against.
-const GLOBAL_MAX_BLOCK: usize = 1 << 30;
 /// Worker-pool widths of the batch-serving throughput section.
 const WORKER_WIDTHS: [usize; 3] = [1, 2, 4];
 /// Seal limits of the live-append throughput rows: the tail cycles between
@@ -103,131 +88,6 @@ const SHARD_COUNT: usize = 4;
 /// runner both record the fan-out + merge overhead instead.
 const SHARDED_SCALE_SIZES: [usize; 2] = [100_000, 1_000_000];
 
-/// Placeholder families of the hot corpus: three batches of records whose
-/// text collapsed to a constant stub (the NULL-substitute shape dirty
-/// ingests actually produce). The three words are pairwise gram-disjoint,
-/// so each query's bounds are owned entirely by its own family, and every
-/// gram is common in the clean corpus (rare grams would hand the real
-/// documents a higher background-model weight than the stubs and blunt the
-/// skew the section exists to measure).
-const HOT_FAMILIES: [&str; 3] = ["na", "tes", "empty"];
-/// One truncated shard per family near the corpus tail: a single-word
-/// fragment whose 2-3 gram length gives its boundary gram a higher
-/// per-token weight than any stub. Each fragment inflates the *global*
-/// maximum of exactly one gram of its family's query — the list the
-/// traversal keeps essential — while its remaining grams appear in no
-/// query. One posting therefore poisons the whole list's global bound but
-/// stays confined to one ~64-posting block, which is the case the
-/// per-block maxima exist for.
-const HOT_FRAGMENTS: [&str; 3] = ["a", "t", "y"];
-
-/// The hot-corpus variant: `min(1050, n/5)` records per family (>= 1000 at
-/// 10k+ so even the rank-1000 loose τ lands on the stub score) overwritten
-/// in three contiguous batches at the head, plus the three fragment shards
-/// at the tail.
-fn hot_variant(dataset: &dasp_datagen::Dataset) -> dasp_datagen::Dataset {
-    let mut hot = dataset.clone();
-    let per = 1050.min(hot.records.len() / 5);
-    for (f, family) in HOT_FAMILIES.iter().enumerate() {
-        for n in 0..per {
-            hot.records[f * per + n].text = family.to_string();
-        }
-    }
-    let tail = hot.records.len() - HOT_FRAGMENTS.len() - 1;
-    for (f, fragment) in HOT_FRAGMENTS.iter().enumerate() {
-        hot.records[tail + f].text = fragment.to_string();
-    }
-    hot
-}
-
-/// Build the block-max and global-max configurations over the hot variant
-/// of `dataset`, cross-check both traversals' contracts per family query
-/// (top-k set-equal modulo score ties, thresholds bit-identical at the
-/// selective and loose τ), then record one `"dblp_hot"` [`BlockMaxRow`]
-/// per bounded predicate. Both configurations are built fresh on the hot
-/// corpus (nothing reused), so the deltas stay an apples-to-apples
-/// isolation of the per-block bounds. Shared by the per-size grid and the
-/// 100k scale point.
-fn measure_hot_block_rows(
-    dataset: &dasp_datagen::Dataset,
-    params: &Params,
-    size: usize,
-    samples: usize,
-    block_rows: &mut Vec<BlockMaxRow>,
-) {
-    let hot = hot_variant(dataset);
-    let hot_block = SelectionEngine::build(tokenize_dataset(&hot, params), params);
-    let hot_global = SelectionEngine::build(
-        tokenize_dataset(&hot, params),
-        &Params { posting_block: GLOBAL_MAX_BLOCK, ..*params },
-    );
-    hot_block.set_result_cache_capacity(0);
-    hot_global.set_result_cache_capacity(0);
-    let hot_queries: Vec<String> = HOT_FAMILIES.iter().map(|f| f.to_string()).collect();
-    for &kind in &BOUNDED {
-        let handle = hot_block.predicate(kind);
-        let ghandle = hot_global.predicate(kind);
-        let qs: Vec<Query> = hot_queries.iter().map(|t| hot_block.query(t)).collect();
-        let gqs: Vec<Query> = hot_queries.iter().map(|t| hot_global.query(t)).collect();
-        let rankings: Vec<Vec<ScoredTid>> =
-            qs.iter().map(|q| handle.execute(q, Exec::Rank).unwrap()).collect();
-        let taus: Vec<f64> = rankings.iter().map(|r| tau_at_rank(r, TOP_K)).collect();
-        let loose_rank = 1000;
-        let loose_taus: Vec<f64> = rankings.iter().map(|r| tau_at_rank(r, loose_rank)).collect();
-
-        for (i, (q, gq)) in qs.iter().zip(&gqs).enumerate() {
-            let b = handle.execute(q, Exec::TopK(TOP_K)).unwrap();
-            let g = ghandle.execute(gq, Exec::TopK(TOP_K)).unwrap();
-            assert_bounded_matches_heap(kind, &b, &g);
-            for &tau in &[taus[i], loose_taus[i]] {
-                let tb = handle.execute(q, Exec::Threshold(tau)).unwrap();
-                let tg = ghandle.execute(gq, Exec::Threshold(tau)).unwrap();
-                assert_threshold_matches_scan(kind, &tb, &tg);
-            }
-        }
-
-        let topk = |handle: &dasp_core::PredicateHandle, qs: &[Query]| {
-            let m = measure(samples, || {
-                let mut n = 0;
-                for q in qs {
-                    n += handle.execute(q, Exec::TopK(TOP_K)).unwrap().len();
-                }
-                n
-            });
-            per_query_us(&m, qs.len())
-        };
-        let thr = |handle: &dasp_core::PredicateHandle, qs: &[Query], taus: &[f64]| {
-            let m = measure(samples, || {
-                let mut n = 0;
-                for (q, &tau) in qs.iter().zip(taus) {
-                    n += handle.execute(q, Exec::Threshold(tau)).unwrap().len();
-                }
-                n
-            });
-            per_query_us(&m, qs.len())
-        };
-        let brow = BlockMaxRow {
-            predicate: kind.short_name(),
-            corpus: "dblp_hot",
-            size,
-            topk_block_us: topk(&handle, &qs),
-            topk_global_us: topk(&ghandle, &gqs),
-            threshold_block_us: thr(&handle, &qs, &taus),
-            threshold_global_us: thr(&ghandle, &gqs, &taus),
-            loose_threshold_block_us: thr(&handle, &qs, &loose_taus),
-            loose_threshold_global_us: thr(&ghandle, &gqs, &loose_taus),
-        };
-        println!(
-            "bench engine/{:<12} n={:<6} [dblp_hot] block-max vs global-max: top{TOP_K} {:>9.1} us vs {:>9.1} us ({:>5.2}x)   thr@rank{TOP_K} {:>9.1} us vs {:>9.1} us ({:>5.2}x)   thr@rank{loose_rank} {:>9.1} us vs {:>9.1} us ({:>5.2}x)",
-            brow.predicate, size, brow.topk_block_us, brow.topk_global_us, brow.topk_gain(),
-            brow.threshold_block_us, brow.threshold_global_us, brow.threshold_gain(),
-            brow.loose_threshold_block_us, brow.loose_threshold_global_us,
-            brow.loose_threshold_gain()
-        );
-        block_rows.push(brow);
-    }
-}
-
 /// The predicates `Exec::TopK` routes through the bounded operator.
 const BOUNDED: [PredicateKind; 5] = [
     PredicateKind::IntersectSize,
@@ -236,16 +96,6 @@ const BOUNDED: [PredicateKind; 5] = [
     PredicateKind::Bm25,
     PredicateKind::Hmm,
 ];
-
-/// The bounded predicates whose posting weights vary *within* a list
-/// (document-length or language-model normalization). Only these can gain
-/// from per-block maxima: IntersectSize and WeightedMatch weight a token
-/// identically in every document, so each of their blocks' maxima equal
-/// the list maximum by construction and block-max == global-max modulo
-/// gate overhead. The hot-corpus summary medians aggregate over this trio;
-/// the invariant kinds' rows are still recorded (they bound the overhead).
-const DOC_WEIGHTED: [PredicateKind; 3] =
-    [PredicateKind::Cosine, PredicateKind::Bm25, PredicateKind::Hmm];
 
 struct BenchRow {
     predicate: &'static str,
@@ -258,7 +108,7 @@ struct BenchRow {
     top_k_bounded_us: f64,
     rank_truncate_us: f64,
     /// `Exec::Threshold` at the selective τ (the rank-`TOP_K` score): the
-    /// fixed-bar traversal for the five bounded predicates, the plan-level
+    /// bounded operator for the five bounded predicates, the plan-level
     /// score filter otherwise.
     threshold_bounded_us: f64,
     /// `Exec::ThresholdScan` at the same τ — always the exhaustive path.
@@ -303,47 +153,6 @@ struct ThresholdSweepRow {
 impl ThresholdSweepRow {
     fn speedup(&self) -> f64 {
         ratio(self.threshold_scan_us, self.threshold_bounded_us)
-    }
-}
-
-/// Block-max vs global-max delta for one bounded predicate: the default
-/// (block-max) engine's numbers next to a second engine over the same corpus
-/// whose posting blocks exceed every list — per-block maxima degenerate to
-/// the per-list max, so the pair isolates exactly what block-level bounds
-/// buy inside the essential lists.
-struct BlockMaxRow {
-    predicate: &'static str,
-    /// `"dblp"` — the plain benchmark corpus (near-uniform within-list
-    /// weights, so block maxima barely tighten the global bound; these rows
-    /// mostly measure the gate's overhead) — or `"dblp_hot"`, the same
-    /// corpus with placeholder families and fragment shards planted
-    /// ([`hot_variant`]): each fragment inflates the *global* maximum of a
-    /// family's essential posting list but stays confined to one block,
-    /// which is the case the block-max layer exists for.
-    corpus: &'static str,
-    size: usize,
-    topk_block_us: f64,
-    topk_global_us: f64,
-    /// Threshold at the selective (rank-`TOP_K`) τ.
-    threshold_block_us: f64,
-    threshold_global_us: f64,
-    /// Threshold at the loose (rank-1000) τ — the bar that admits ~10% of a
-    /// 10k corpus, where the global bound keeps every list essential.
-    loose_threshold_block_us: f64,
-    loose_threshold_global_us: f64,
-}
-
-impl BlockMaxRow {
-    fn topk_gain(&self) -> f64 {
-        ratio(self.topk_global_us, self.topk_block_us)
-    }
-
-    fn threshold_gain(&self) -> f64 {
-        ratio(self.threshold_global_us, self.threshold_block_us)
-    }
-
-    fn loose_threshold_gain(&self) -> f64 {
-        ratio(self.loose_threshold_global_us, self.loose_threshold_block_us)
     }
 }
 
@@ -399,8 +208,8 @@ impl ShardedRow {
 /// Build a `SHARD_COUNT`-shard `ShardedEngine` and a monolithic engine over
 /// the SAME tokenized corpus (the shards project the monolith's frozen
 /// stats, so scores are comparable bit-for-bit), cross-check every query in
-/// every mode the section times — Rank and fixed-τ threshold bit-identical,
-/// bounded top-k tie-class-equal against the monolith's heap — then record
+/// every mode the section times — Rank, fixed-τ threshold and bounded
+/// top-k (against the monolith's heap) bit-identical — then record
 /// one [`ShardedRow`] per bounded predicate. Shared by the per-size grid
 /// (smoke's differential guard) and the non-smoke scale points. The sharded
 /// side takes query *text* (each shard tokenizes against its own corpus
@@ -442,14 +251,13 @@ fn measure_sharded_rows(
                     "{kind}: sharded rank score diverged at rank {rank}"
                 );
             }
-            // Bounded top-k, one traversal per shard: tie-class-equal.
+            // Bounded top-k, one run per shard, and fixed-τ threshold.
             let b = sharded.execute(kind, text, Exec::TopK(TOP_K)).unwrap();
             let h = handle.execute(q, Exec::TopKHeap(TOP_K)).unwrap();
-            assert_bounded_matches_heap(kind, &b, &h);
-            // Fixed-τ threshold: bit-identical (no tie class at a fixed bar).
+            assert_bit_identical(kind, "sharded top-k", &b, &h);
             let tb = sharded.execute(kind, text, Exec::Threshold(taus[i])).unwrap();
             let tm = handle.execute(q, Exec::Threshold(taus[i])).unwrap();
-            assert_threshold_matches_scan(kind, &tb, &tm);
+            assert_bit_identical(kind, "sharded threshold", &tb, &tm);
         }
 
         let s_topk = measure(samples, || {
@@ -517,7 +325,7 @@ impl LiveAppendRow {
 }
 
 /// Bounded top-k latency of one predicate with the same records held as
-/// `segments` sealed segments: each query runs the bounded traversal per
+/// `segments` sealed segments: each query runs the bounded operator per
 /// segment and merges, so the row isolates the
 /// per-segment overhead of segmented execution.
 struct LiveSegmentRow {
@@ -559,43 +367,20 @@ fn median(sorted: &[(String, f64)]) -> f64 {
     sorted.get(sorted.len() / 2).map(|(_, s)| *s).unwrap_or(0.0)
 }
 
-/// Smoke-mode correctness guard: the bounded result must be set-equal
-/// modulo exact score ties to the heap result (bit-equal score sequences,
-/// same tids outside boundary tie runs) — a violated pruning bound shows up
-/// here as a diverging score and fails CI.
-fn assert_bounded_matches_heap(kind: PredicateKind, bounded: &[ScoredTid], heap: &[ScoredTid]) {
-    assert_eq!(bounded.len(), heap.len(), "{kind}: bounded top-k returned a different size");
-    for (i, (b, h)) in bounded.iter().zip(heap).enumerate() {
+/// Smoke-mode correctness guard: `got` must carry `expected`'s bytes — tids
+/// and score bits at every rank. Bounded top-k is checked against the heap
+/// path, bounded threshold against the exhaustive scan; any divergence
+/// fails CI here.
+fn assert_bit_identical(kind: PredicateKind, op: &str, got: &[ScoredTid], expected: &[ScoredTid]) {
+    assert_eq!(got.len(), expected.len(), "{kind}: {op} returned a different size");
+    for (i, (g, e)) in got.iter().zip(expected).enumerate() {
+        assert_eq!(g.tid, e.tid, "{kind}: {op} tid diverged at rank {i}");
         assert_eq!(
-            b.score.to_bits(),
-            h.score.to_bits(),
-            "{kind}: bounded top-k score diverged at rank {i} ({} vs {})",
-            b.score,
-            h.score
-        );
-        if i + 1 < heap.len()
-            && heap[i].score.to_bits() != heap[i + 1].score.to_bits()
-            && (i == 0 || heap[i - 1].score.to_bits() != heap[i].score.to_bits())
-        {
-            assert_eq!(b.tid, h.tid, "{kind}: uniquely-scored rank {i} picked a different tid");
-        }
-    }
-}
-
-/// Smoke-mode correctness guard for the threshold routes: the bounded
-/// selection must be **bit-identical** to the exhaustive scan — tids and
-/// score bits at every rank, no modulo-ties allowance (a fixed τ has no tie
-/// class). A violated pruning bound or slack admission fails CI here.
-fn assert_threshold_matches_scan(kind: PredicateKind, bounded: &[ScoredTid], scan: &[ScoredTid]) {
-    assert_eq!(bounded.len(), scan.len(), "{kind}: bounded threshold returned a different size");
-    for (i, (b, s)) in bounded.iter().zip(scan).enumerate() {
-        assert_eq!(b.tid, s.tid, "{kind}: bounded threshold tid diverged at rank {i}");
-        assert_eq!(
-            b.score.to_bits(),
-            s.score.to_bits(),
-            "{kind}: bounded threshold score diverged at rank {i} ({} vs {})",
-            b.score,
-            s.score
+            g.score.to_bits(),
+            e.score.to_bits(),
+            "{kind}: {op} score diverged at rank {i} ({} vs {})",
+            g.score,
+            e.score
         );
     }
 }
@@ -638,7 +423,6 @@ fn main() {
 
     let mut rows: Vec<BenchRow> = Vec::new();
     let mut sweep_rows: Vec<ThresholdSweepRow> = Vec::new();
-    let mut block_rows: Vec<BlockMaxRow> = Vec::new();
     let mut scale_rows: Vec<ScaleRow> = Vec::new();
     let mut sharded_rows: Vec<ShardedRow> = Vec::new();
     let mut batch_rows: Vec<BatchRow> = Vec::new();
@@ -693,16 +477,15 @@ fn main() {
             let taus: Vec<f64> = rankings.iter().map(|r| tau_at_rank(r, TOP_K)).collect();
 
             if bounded {
-                // Correctness guards (every mode, before timing): top-k is
-                // set-equal modulo ties, threshold is bit-identical; both
-                // panic on a violated pruning bound.
+                // Correctness guards (every mode, before timing): both
+                // bounded operators return their exhaustive twin's bytes.
                 for (q, &tau) in qs.iter().zip(&taus) {
                     let b = handle.execute(q, Exec::TopK(TOP_K)).unwrap();
                     let h = handle.execute(q, Exec::TopKHeap(TOP_K)).unwrap();
-                    assert_bounded_matches_heap(kind, &b, &h);
+                    assert_bit_identical(kind, "top-k", &b, &h);
                     let tb = handle.execute(q, Exec::Threshold(tau)).unwrap();
                     let ts = handle.execute(q, Exec::ThresholdScan(tau)).unwrap();
-                    assert_threshold_matches_scan(kind, &tb, &ts);
+                    assert_bit_identical(kind, "threshold", &tb, &ts);
                 }
             }
 
@@ -746,7 +529,7 @@ fn main() {
                 n
             });
             // The two threshold routes at the selective τ: `Threshold` is
-            // the fixed-bar traversal for the bounded five (the scan for the
+            // the bounded operator for the bounded five (the scan for the
             // rest), `ThresholdScan` always the exhaustive filter.
             let threshold_bounded = measure(samples, || {
                 let mut n = 0;
@@ -788,7 +571,7 @@ fn main() {
             // Threshold-selectivity sweep (bounded predicates): the bar at
             // the rank-10 / rank-100 / rank-1000 scores — from "a handful of
             // strong matches" to "a tenth of the corpus". The speedup of the
-            // fixed-bar traversal shrinks as τ admits more of the corpus;
+            // bounded operator shrinks as τ admits more of the corpus;
             // the sweep records that curve. The rank-TOP_K bar is exactly
             // the workload the row's threshold columns just measured, so it
             // reuses those numbers instead of re-measuring.
@@ -842,116 +625,6 @@ fn main() {
                 }
             }
         }
-
-        // --- Block-max vs global-max pruning ---------------------------------
-        // A second engine over the SAME corpus with `GLOBAL_MAX_BLOCK`-sized
-        // posting blocks: every block max degenerates to the per-list max,
-        // i.e. the global-bound max-score traversal of the previous PRs. The
-        // block-max numbers are the default-engine rows just measured; only
-        // the global engine is re-measured, so the deltas isolate what
-        // per-block maxima buy inside the essential lists. Every query is
-        // first cross-checked between the two configurations (top-k
-        // set-equal modulo ties, threshold bit-identical at both bars) — in
-        // smoke mode this doubles as the CI differential guard between the
-        // block-max and global-max code paths.
-        let global_engine = SelectionEngine::build(
-            tokenize_dataset(&dataset, &params),
-            &Params { posting_block: GLOBAL_MAX_BLOCK, ..params },
-        );
-        global_engine.set_result_cache_capacity(0);
-        for &kind in &BOUNDED {
-            let handle = engine.predicate(kind);
-            let ghandle = global_engine.predicate(kind);
-            let qs: &[Query] = if kind.uses_word_tokens() { &short_queries } else { &queries };
-            let gqs: Vec<Query> = qs.iter().map(|q| global_engine.query(q.text())).collect();
-            let rankings: Vec<Vec<ScoredTid>> =
-                qs.iter().map(|q| handle.execute(q, Exec::Rank).unwrap()).collect();
-            let taus: Vec<f64> = rankings.iter().map(|r| tau_at_rank(r, TOP_K)).collect();
-            let loose_rank = 1000;
-            let loose_taus: Vec<f64> =
-                rankings.iter().map(|r| tau_at_rank(r, loose_rank)).collect();
-
-            for (i, (q, gq)) in qs.iter().zip(&gqs).enumerate() {
-                let b = handle.execute(q, Exec::TopK(TOP_K)).unwrap();
-                let g = ghandle.execute(gq, Exec::TopK(TOP_K)).unwrap();
-                assert_bounded_matches_heap(kind, &b, &g);
-                for &tau in &[taus[i], loose_taus[i]] {
-                    let tb = handle.execute(q, Exec::Threshold(tau)).unwrap();
-                    let tg = ghandle.execute(gq, Exec::Threshold(tau)).unwrap();
-                    assert_threshold_matches_scan(kind, &tb, &tg);
-                }
-            }
-
-            let g_topk = measure(samples, || {
-                let mut n = 0;
-                for gq in &gqs {
-                    n += ghandle.execute(gq, Exec::TopK(TOP_K)).unwrap().len();
-                }
-                n
-            });
-            let g_threshold = measure(samples, || {
-                let mut n = 0;
-                for (gq, &tau) in gqs.iter().zip(&taus) {
-                    n += ghandle.execute(gq, Exec::Threshold(tau)).unwrap().len();
-                }
-                n
-            });
-            let g_loose = measure(samples, || {
-                let mut n = 0;
-                for (gq, &tau) in gqs.iter().zip(&loose_taus) {
-                    n += ghandle.execute(gq, Exec::Threshold(tau)).unwrap().len();
-                }
-                n
-            });
-
-            let row = rows
-                .iter()
-                .find(|r| r.size == size && r.predicate == kind.short_name())
-                .expect("bounded row measured above");
-            // The loose-bar block-engine number is exactly the rank-1000
-            // sweep row measured above — reuse it rather than re-measuring.
-            let loose_block_us = sweep_rows
-                .iter()
-                .find(|s| {
-                    s.size == size
-                        && s.predicate == kind.short_name()
-                        && s.target_rank == loose_rank
-                })
-                .map(|s| s.threshold_bounded_us)
-                .unwrap_or(row.threshold_bounded_us);
-            let brow = BlockMaxRow {
-                predicate: kind.short_name(),
-                corpus: "dblp",
-                size,
-                topk_block_us: row.top_k_bounded_us,
-                topk_global_us: per_query_us(&g_topk, qs.len()),
-                threshold_block_us: row.threshold_bounded_us,
-                threshold_global_us: per_query_us(&g_threshold, qs.len()),
-                loose_threshold_block_us: loose_block_us,
-                loose_threshold_global_us: per_query_us(&g_loose, qs.len()),
-            };
-            println!(
-                "bench engine/{:<12} n={:<6} [dblp    ] block-max vs global-max: top{TOP_K} {:>9.1} us vs {:>9.1} us ({:>5.2}x)   thr@rank{TOP_K} {:>9.1} us vs {:>9.1} us ({:>5.2}x)   thr@rank{loose_rank} {:>9.1} us vs {:>9.1} us ({:>5.2}x)",
-                brow.predicate, size, brow.topk_block_us, brow.topk_global_us, brow.topk_gain(),
-                brow.threshold_block_us, brow.threshold_global_us, brow.threshold_gain(),
-                brow.loose_threshold_block_us, brow.loose_threshold_global_us,
-                brow.loose_threshold_gain()
-            );
-            block_rows.push(brow);
-        }
-        drop(global_engine);
-
-        // The hot variant of the same corpus: three placeholder families
-        // plus three fragment shards ([`hot_variant`]). Queried with the
-        // family words themselves, each fragment keeps the global-bound
-        // baseline from ever tie-skipping its essential list (the global
-        // maximum sits above the stub score everywhere) while the block-max
-        // gate confines the poison to the fragment's single block — exactly
-        // the single-hot-document pathology this section isolates. Both
-        // configurations are built on this corpus and both are measured
-        // (nothing reused), so the deltas stay an apples-to-apples
-        // isolation of the per-block bounds.
-        measure_hot_block_rows(&dataset, &params, size, samples, &mut block_rows);
 
         // --- Batch / concurrent serving throughput ---------------------------
         // A fixed mixed stream of bounded-top-k requests (the serving-shaped
@@ -1151,7 +824,7 @@ fn main() {
                         .into_iter()
                         .map(|s| ScoredTid { tid: map[s.tid as usize], score: s.score })
                         .collect();
-                    assert_bounded_matches_heap(kind, &lv, &mv);
+                    assert_bit_identical(kind, "live top-k", &lv, &mv);
                 }
                 let m = measure(samples, || {
                     let mut n = 0;
@@ -1208,11 +881,10 @@ fn main() {
 
         // --- Sharded execution: tid-range shards vs the monolith -------------
         // The same corpus partitioned into SHARD_COUNT tid-range shards,
-        // fanned and merged, against a monolithic engine over
-        // the same frozen stats. In smoke mode the in-place cross-checks
-        // (Rank and threshold bit-identical, top-k tie-class-equal) double
-        // as the CI differential guard between the sharded and monolithic
-        // code paths.
+        // fanned and merged, against a monolithic engine over the same
+        // frozen stats. In smoke mode the in-place cross-checks (Rank,
+        // threshold and top-k bit-identical) double as the CI differential
+        // guard between the sharded and monolithic code paths.
         measure_sharded_rows(&dataset, &params, size, samples, &mut sharded_rows);
     }
 
@@ -1246,10 +918,10 @@ fn main() {
             for (q, &tau) in queries.iter().zip(&taus) {
                 let b = handle.execute(q, Exec::TopK(TOP_K)).unwrap();
                 let h = handle.execute(q, Exec::TopKHeap(TOP_K)).unwrap();
-                assert_bounded_matches_heap(kind, &b, &h);
+                assert_bit_identical(kind, "top-k", &b, &h);
                 let tb = handle.execute(q, Exec::Threshold(tau)).unwrap();
                 let ts = handle.execute(q, Exec::ThresholdScan(tau)).unwrap();
-                assert_threshold_matches_scan(kind, &tb, &ts);
+                assert_bit_identical(kind, "threshold", &tb, &ts);
             }
             let heap = measure(scale_samples, || {
                 let mut n = 0;
@@ -1296,15 +968,6 @@ fn main() {
             scale_rows.push(srow);
         }
         drop(engine);
-
-        // The hot-corpus comparison repeats at this scale. 100k is where the
-        // pathology actually bites: the essential lists are ~15k-19k entries
-        // long, so the global-bound baseline's extra traversal dwarfs the
-        // shared cost of exact-scoring the emitted family stubs. (At 10k the
-        // stub floor dominates both configurations and the threshold rows
-        // converge toward 1x; the grid rows above record that overhead
-        // regime, this row records the gain regime.)
-        measure_hot_block_rows(&dataset, &params, size, scale_samples, &mut block_rows);
 
         // --- Sharded execution at scale --------------------------------------
         // 100k re-uses the scale corpus; 1M is built fresh (only this
@@ -1366,48 +1029,6 @@ fn main() {
     threshold_speedups.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
     let min_threshold = threshold_speedups.first().map(|(_, s)| *s).unwrap_or(0.0);
     let median_threshold = median(&threshold_speedups);
-
-    // Block-max deltas. The headline gains come from the hot-document
-    // corpus — the pathology the per-block bounds exist for (HMM top-k and
-    // the loose-τ threshold are the weak cases the global bound leaves on
-    // the table) — and are taken at the 100k scale point, where the
-    // essential lists are long enough for traversal to dominate the shared
-    // exact-scoring floor (in smoke mode only the grid sizes exist, so the
-    // summary falls back to the last grid size). Only the document-weighted
-    // predicates enter the hot aggregates: Xect and WM weight a token
-    // identically in every document, so their block maxima equal the list
-    // maximum by construction and their rows sit at parity (they are
-    // recorded as an overhead bound, like the uniform corpus). The
-    // plain-corpus (near-uniform weights) medians are recorded alongside at
-    // the grid summary size: there block maxima barely tighten anything, so
-    // those numbers bound the gate's overhead.
-    let hot_summary_size = if scale_rows.is_empty() { summary_size } else { SCALE_SIZE };
-    let doc_weighted_names: Vec<&str> = DOC_WEIGHTED.iter().map(|k| k.short_name()).collect();
-    let block_gains = |corpus: &str, at: usize, gain: fn(&BlockMaxRow) -> f64| {
-        let mut gains: Vec<(String, f64)> = block_rows
-            .iter()
-            .filter(|b| {
-                b.size == at
-                    && b.corpus == corpus
-                    && (corpus == "dblp" || doc_weighted_names.contains(&b.predicate))
-            })
-            .map(|b| (b.predicate.to_string(), gain(b)))
-            .collect();
-        gains.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-        (gains.first().map(|(_, s)| *s).unwrap_or(0.0), median(&gains))
-    };
-    let (min_block_topk, median_block_topk) =
-        block_gains("dblp_hot", hot_summary_size, BlockMaxRow::topk_gain);
-    let (min_block_loose, median_block_loose) =
-        block_gains("dblp_hot", hot_summary_size, BlockMaxRow::loose_threshold_gain);
-    let hmm_block_topk = block_rows
-        .iter()
-        .find(|b| b.size == hot_summary_size && b.corpus == "dblp_hot" && b.predicate == "HMM")
-        .map(|b| b.topk_gain())
-        .unwrap_or(0.0);
-    let (_, median_block_topk_uniform) = block_gains("dblp", summary_size, BlockMaxRow::topk_gain);
-    let (_, median_block_loose_uniform) =
-        block_gains("dblp", summary_size, BlockMaxRow::loose_threshold_gain);
 
     // 100k scale summary (empty in smoke mode).
     let mut scale_ta: Vec<(String, f64)> =
@@ -1504,16 +1125,10 @@ fn main() {
         "top-{TOP_K} heap pushdown vs rank-then-truncate at {summary_size} records: min {min_topk:.2}x, median {median_topk:.2}x"
     );
     println!(
-        "top-{TOP_K} bounded (TA/max-score) vs heap pushdown at {summary_size} records: min {min_ta:.2}x, median {median_ta:.2}x"
+        "top-{TOP_K} bounded (dense kernel) vs heap pushdown at {summary_size} records: min {min_ta:.2}x, median {median_ta:.2}x"
     );
     println!(
-        "threshold bounded (fixed-bar max-score) vs exhaustive scan at {summary_size} records (selective tau): min {min_threshold:.2}x, median {median_threshold:.2}x"
-    );
-    println!(
-        "block-max vs global-max at {hot_summary_size} records (hot corpus, doc-weighted predicates): top-{TOP_K} min {min_block_topk:.2}x / median {median_block_topk:.2}x (HMM {hmm_block_topk:.2}x); loose-tau threshold min {min_block_loose:.2}x / median {median_block_loose:.2}x"
-    );
-    println!(
-        "block-max vs global-max at {summary_size} records (uniform corpus, overhead bound): top-{TOP_K} median {median_block_topk_uniform:.2}x; loose-tau threshold median {median_block_loose_uniform:.2}x"
+        "threshold bounded (dense kernel) vs exhaustive scan at {summary_size} records (selective tau): min {min_threshold:.2}x, median {median_threshold:.2}x"
     );
     if !scale_rows.is_empty() {
         println!(
@@ -1587,25 +1202,6 @@ fn main() {
         // grants 4+ cores, a pool that stopped scaling — e.g. a global lock
         // slipped into the execution path — must fail the job. The
         // byte-identity of every pool width was already asserted above.
-        // The block-vs-global section's per-query cross-checks already ran
-        // (they panic in place); this asserts the section itself wasn't
-        // accidentally skipped, and that block-max bookkeeping hasn't made
-        // the bounded operators grossly slower than the global-max baseline
-        // (one 1k sample is noisy, so the bar only catches a collapse).
-        for corpus in ["dblp", "dblp_hot"] {
-            assert!(
-                block_rows
-                    .iter()
-                    .filter(|b| b.size == summary_size && b.corpus == corpus)
-                    .count()
-                    == BOUNDED.len(),
-                "block-max vs global-max cross-check section did not cover every bounded predicate on {corpus}"
-            );
-        }
-        assert!(
-            median_block_topk >= 0.4 && median_block_topk_uniform >= 0.4,
-            "block-max top-k collapsed vs the global-max baseline (hot median {median_block_topk:.2}x, uniform median {median_block_topk_uniform:.2}x)"
-        );
         assert!(
             batch_scaling_4w >= 0.4,
             "4-worker serving throughput collapsed vs 1 worker ({batch_scaling_4w:.2}x)"
@@ -1672,10 +1268,9 @@ fn main() {
     let _ = writeln!(json, "  \"num_queries\": {NUM_QUERIES},");
     let _ = writeln!(json, "  \"samples\": {samples},");
     let _ = writeln!(json, "  \"top_k\": {TOP_K},");
-    let _ = writeln!(json, "  \"posting_block\": {},", Params::default().posting_block);
     let _ = writeln!(
         json,
-        "  \"summary\": {{ \"min_plan_speedup_10k\": {min_speedup:.3}, \"median_plan_speedup_10k\": {median_speedup:.3}, \"min_topk_speedup_10k\": {min_topk:.3}, \"median_topk_speedup_10k\": {median_topk:.3}, \"min_ta_speedup_10k\": {min_ta:.3}, \"median_ta_speedup_10k\": {median_ta:.3}, \"min_threshold_speedup_10k\": {min_threshold:.3}, \"median_threshold_speedup_10k\": {median_threshold:.3}, \"min_ta_speedup_100k\": {min_ta_100k:.3}, \"median_ta_speedup_100k\": {median_ta_100k:.3}, \"min_threshold_speedup_100k\": {min_threshold_100k:.3}, \"median_threshold_speedup_100k\": {median_threshold_100k:.3}, \"shard_count\": {SHARD_COUNT}, \"median_sharded_topk_speedup_100k\": {median_sharded_topk_100k:.3}, \"median_sharded_threshold_speedup_100k\": {median_sharded_threshold_100k:.3}, \"median_sharded_topk_speedup_1m\": {median_sharded_topk_1m:.3}, \"median_sharded_threshold_speedup_1m\": {median_sharded_threshold_1m:.3}, \"hmm_block_max_topk_gain_100k\": {hmm_block_topk:.3}, \"min_block_max_topk_gain_100k\": {min_block_topk:.3}, \"median_block_max_topk_gain_100k\": {median_block_topk:.3}, \"min_block_max_loose_threshold_gain_100k\": {min_block_loose:.3}, \"median_block_max_loose_threshold_gain_100k\": {median_block_loose:.3}, \"median_block_max_topk_gain_uniform_10k\": {median_block_topk_uniform:.3}, \"median_block_max_loose_threshold_gain_uniform_10k\": {median_block_loose_uniform:.3}, \"batch_qps_1w_10k\": {:.1}, \"batch_qps_4w_10k\": {:.1}, \"batch_scaling_4w_10k\": {batch_scaling_4w:.3}, \"serving_cores\": {serving_cores}, \"live_append_us_10k\": {live_append_us:.1}, \"live_rebuild_ratio_10k\": {live_rebuild_ratio:.3}, \"degradation_latency_ratio_25_10k\": {degradation_latency_25:.3}, \"degradation_latency_ratio_50_10k\": {degradation_latency_50:.3} }},",
+        "  \"summary\": {{ \"min_plan_speedup_10k\": {min_speedup:.3}, \"median_plan_speedup_10k\": {median_speedup:.3}, \"min_topk_speedup_10k\": {min_topk:.3}, \"median_topk_speedup_10k\": {median_topk:.3}, \"min_ta_speedup_10k\": {min_ta:.3}, \"median_ta_speedup_10k\": {median_ta:.3}, \"min_threshold_speedup_10k\": {min_threshold:.3}, \"median_threshold_speedup_10k\": {median_threshold:.3}, \"min_ta_speedup_100k\": {min_ta_100k:.3}, \"median_ta_speedup_100k\": {median_ta_100k:.3}, \"min_threshold_speedup_100k\": {min_threshold_100k:.3}, \"median_threshold_speedup_100k\": {median_threshold_100k:.3}, \"shard_count\": {SHARD_COUNT}, \"median_sharded_topk_speedup_100k\": {median_sharded_topk_100k:.3}, \"median_sharded_threshold_speedup_100k\": {median_sharded_threshold_100k:.3}, \"median_sharded_topk_speedup_1m\": {median_sharded_topk_1m:.3}, \"median_sharded_threshold_speedup_1m\": {median_sharded_threshold_1m:.3}, \"batch_qps_1w_10k\": {:.1}, \"batch_qps_4w_10k\": {:.1}, \"batch_scaling_4w_10k\": {batch_scaling_4w:.3}, \"serving_cores\": {serving_cores}, \"live_append_us_10k\": {live_append_us:.1}, \"live_rebuild_ratio_10k\": {live_rebuild_ratio:.3}, \"degradation_latency_ratio_25_10k\": {degradation_latency_25:.3}, \"degradation_latency_ratio_50_10k\": {degradation_latency_50:.3} }},",
         batch_qps(1),
         batch_qps(4)
     );
@@ -1697,39 +1292,6 @@ fn main() {
             s.speedup()
         );
         json.push_str(if i + 1 < sweep_rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    // Block-max vs global-max deltas: the default (block-max) engine's
-    // bounded operators against a same-corpus engine whose posting blocks
-    // exceed every list (block maxima == per-list max, the previous global-
-    // bound traversal). `*_gain` fields are global-time / block-time, so
-    // > 1.0 means the per-block bounds paid off. "dblp" is the plain
-    // near-uniform corpus (block maxima barely tighten the bound, so these
-    // rows bound the gate's overhead); "dblp_hot" plants placeholder
-    // families plus single fragment shards that inflate the global maxima
-    // of the families' essential lists — the skew the per-block bounds
-    // exist for. Hot rows appear at the grid sizes (overhead regime: the
-    // shared stub-scoring floor dominates) and at the 100k scale point
-    // (gain regime, the summary's headline `*_100k` fields).
-    json.push_str("  \"block_max\": [\n");
-    for (i, b) in block_rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{ \"predicate\": \"{}\", \"corpus\": \"{}\", \"size\": {}, \"topk_block_us\": {:.1}, \"topk_global_us\": {:.1}, \"block_max_topk_gain\": {:.3}, \"threshold_block_us\": {:.1}, \"threshold_global_us\": {:.1}, \"block_max_threshold_gain\": {:.3}, \"loose_threshold_block_us\": {:.1}, \"loose_threshold_global_us\": {:.1}, \"block_max_loose_threshold_gain\": {:.3} }}",
-            b.predicate,
-            b.corpus,
-            b.size,
-            b.topk_block_us,
-            b.topk_global_us,
-            b.topk_gain(),
-            b.threshold_block_us,
-            b.threshold_global_us,
-            b.threshold_gain(),
-            b.loose_threshold_block_us,
-            b.loose_threshold_global_us,
-            b.loose_threshold_gain()
-        );
-        json.push_str(if i + 1 < block_rows.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n");
     // The 100k scale point: bounded operators vs their exhaustive baselines

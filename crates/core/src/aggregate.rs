@@ -4,20 +4,17 @@
 //!
 //! **Shared-artifact contract:** each predicate registers only its own
 //! weight table — `cosine_weights` / `bm25_weights`, indexed on token, plus
-//! the score-ordered posting variant of the same rows — in a private
+//! the tid-ordered posting variant of the same rows — in a private
 //! catalog; nothing from the shared phase-1 tables is referenced, so neither
 //! predicate forces any of them to build. The weight-product plan is
 //! prepared once in every [`Exec`] mode; execution binds the per-query
 //! `QUERY_WEIGHTS` table and probes the token index.
 //!
-//! **Bounded selection:** both scores are monotone sums of non-negative
-//! `w_d · w_q` products, so `Exec::TopK` routes through
-//! [`relq::Plan::TopKBounded`] and `Exec::Threshold` through the fixed-bar
-//! [`relq::Plan::ThresholdBounded`]. The per-list upper bound is the largest
-//! stored document weight scaled by the query weight — for BM25 that is
-//! exactly the per-term tf-saturation maximum `w_1(t)·(k_1+1)·tf/(K(D)+tf)`
-//! over the documents containing `t`, for cosine the largest normalized
-//! tf·idf — no analytic bound needs deriving, the posting build measures it.
+//! **Bounded selection:** both scores are sums of non-negative `w_d · w_q`
+//! products per tid, so `Exec::TopK` routes through
+//! [`relq::Plan::TopKBounded`] and `Exec::Threshold` through
+//! [`relq::Plan::ThresholdBounded`], which sum the query-weight-scaled
+//! posting weights in relq's windowed dense accumulator.
 
 use crate::corpus::{QueryTokens, TokenizedCorpus};
 use crate::dict::TokenId;
@@ -31,17 +28,16 @@ use std::sync::Arc;
 /// Register a `(tid, token, weight)` table under `name` (indexed on token)
 /// in a fresh catalog and prepare the shared aggregate-weighted plan — join
 /// with query weights on token and sum the weight products per tuple — plus
-/// its score-bounded top-k and threshold variants. The posting lists behind
+/// its posting-driven top-k and threshold variants. The posting lists behind
 /// the bounded plans are deferred to the first bounded execution.
 fn weight_product_catalog(
     name: &'static str,
     weights: relq::Table,
-    posting_block: usize,
 ) -> (PostingCatalog, RankingPlans) {
     let mut catalog = Catalog::new();
     catalog.register_indexed(name, weights, &["token"]).expect("weights have a token column");
     let catalog = PostingCatalog::new(catalog, move |c| {
-        c.register_posting_with_block(name, "token", "tid", Some("weight"), posting_block)
+        c.register_posting(name, "token", "tid", Some("weight"))
             .expect("weights are distinct per (token, tid) and finite")
     });
     let plan = Plan::index_join(name, &["token"], Plan::param("query_weights"), &["token"])
@@ -119,8 +115,7 @@ impl CosinePredicate {
             }
             Some(tf as f64 * corpus.idf(token) / norm)
         });
-        let (catalog, plans) =
-            weight_product_catalog("cosine_weights", weights, shared.params().posting_block);
+        let (catalog, plans) = weight_product_catalog("cosine_weights", weights);
         CosinePredicate { shared, catalog, plans }
     }
 
@@ -198,8 +193,7 @@ impl Bm25Predicate {
             let tf = tf as f64;
             Some(w1 * (params.k1 + 1.0) * tf / (k_d + tf))
         });
-        let (catalog, plans) =
-            weight_product_catalog("bm25_weights", weights, shared.params().posting_block);
+        let (catalog, plans) = weight_product_catalog("bm25_weights", weights);
         Bm25Predicate { shared, catalog, plans }
     }
 

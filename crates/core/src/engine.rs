@@ -17,19 +17,16 @@
 //!
 //! [`Exec`] is the declarative selection spec: `Rank` materializes the full
 //! ranking; `TopK(k)` and `Threshold(τ)` select through the fastest eligible
-//! operator — the score-bounded max-score traversals
-//! ([`relq::Plan::TopKBounded`] with a running θ, and
-//! [`relq::Plan::ThresholdBounded`] with the bar fixed at τ) for the
+//! operator — the posting-driven bounded operators
+//! ([`relq::Plan::TopKBounded`] and [`relq::Plan::ThresholdBounded`], one
+//! windowed dense accumulator over the query's posting lists) for the
 //! monotone-sum predicates (Xect, WM, Cosine, BM25, HMM), the heap pushdown
 //! / plan-level score filter otherwise. `TopKHeap(k)` and `ThresholdScan(τ)`
 //! force the exhaustive paths for every predicate and exist as the
-//! differential baselines. `TopKHeap`, `Threshold`, and `ThresholdScan`
-//! return the same bytes their rank-then-post-process equivalents would —
-//! threshold selection at a fixed τ has no tie class, so even the bounded
-//! traversal is bit-identical; `TopK(k)` returns the same bytes whenever the
-//! k-th score is unique, and an equally-scored member of the boundary tie
-//! class otherwise (the set-equal-modulo-ties contract the bounded test
-//! tier asserts).
+//! differential baselines. Every mode returns the same bytes its
+//! rank-then-post-process equivalent would: the bounded operators sum each
+//! tuple's contributions in the exhaustive order and break score ties by
+//! ascending tid, exactly like the heap.
 //!
 //! ## Queries
 //!
@@ -80,7 +77,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// let query = engine.query("Morgan Stanley Group Incorporated");
 ///
 /// let ranking = bm25.execute(&query, Exec::Rank).unwrap();
-/// // Threshold(τ) routes through the score-bounded traversal for BM25 and
+/// // Threshold(τ) routes through the bounded operator for BM25 and
 /// // stays bit-identical to the exhaustive scan and to rank-then-filter.
 /// let tau = ranking[0].score * 0.5;
 /// let bounded = bm25.execute(&query, Exec::Threshold(tau)).unwrap();
@@ -94,24 +91,20 @@ pub enum Exec {
     /// The full ranking, best match first.
     Rank,
     /// The `k` best matches through the fastest eligible operator: the
-    /// score-bounded max-score traversal for the monotone-sum predicates
-    /// (early termination, sublinear in candidates), the bounded heap for
-    /// the rest. Equal to [`Exec::TopKHeap`] wherever the k-th score is
-    /// unique; exact ties at the boundary may resolve to a different
-    /// equally-scored tuple.
+    /// posting-driven bounded operator for the monotone-sum predicates, the
+    /// bounded heap for the rest. Byte-identical to [`Exec::TopKHeap`],
+    /// exact score ties at the k boundary included.
     TopK(usize),
     /// The `k` best matches through the exhaustive heap pushdown —
     /// byte-identical to `Rank` truncated to `k` for every predicate.
     TopKHeap(usize),
     /// Every match with `score >= τ`, best first, through the fastest
-    /// eligible operator: the score-bounded traversal with the bar fixed at
-    /// τ ([`relq::Plan::ThresholdBounded`]) for the monotone-sum predicates
-    /// (Xect, WM, Cosine, BM25, HMM — skipping every candidate whose list
-    /// upper bounds cannot reach τ), the plan-level score filter otherwise;
+    /// eligible operator: the posting-driven bounded operator
+    /// ([`relq::Plan::ThresholdBounded`]) for the monotone-sum predicates
+    /// (Xect, WM, Cosine, BM25, HMM), the plan-level score filter otherwise;
     /// the edit predicate additionally tightens its q-gram count filter and
     /// banded verification to τ. **Bit-identical** to [`Exec::ThresholdScan`]
-    /// and to `Rank` filtered post-hoc for every predicate and every τ — a
-    /// fixed bar has no tie class, unlike the top-k boundary.
+    /// and to `Rank` filtered post-hoc for every predicate and every τ.
     Threshold(f64),
     /// Every match with `score >= τ` through the exhaustive path: score all
     /// candidates, filter at τ before materialization, never consult posting
@@ -144,17 +137,8 @@ pub(crate) fn finalize_ranking(mut results: Vec<ScoredTid>, exec: Exec) -> Vec<S
 pub(crate) const SHARED_TABLES: [&str; 6] =
     ["base_tokens", "base_tf", "base_len", "overlap_weights", "overlap_len", "base_words"];
 
-/// Parse a `DASP_POSTING_BLOCK` environment override: a positive integer
-/// selects that block-max granularity for the shared posting indexes;
-/// anything else leaves [`Params::posting_block`] in charge — loudly for
-/// malformed input (see [`crate::envknob`]). Separated from `std::env` for
-/// tests.
-fn posting_block_env(var: Option<&str>) -> Option<usize> {
-    crate::envknob::positive_usize("DASP_POSTING_BLOCK", var)
-}
-
 /// The phase-1 preprocessing artifacts every predicate shares: the tokenized
-/// corpus, the indexed token/weight tables, the score-ordered posting
+/// corpus, the indexed token/weight tables, the tid-ordered posting
 /// variants of `base_tokens`/`overlap_weights`, and the per-word weights of
 /// the GES family.
 ///
@@ -173,7 +157,7 @@ pub(crate) struct SharedArtifacts {
     table_cells: [OnceLock<Catalog>; SHARED_TABLES.len()],
     /// The full phase-1 catalog (all six tables), for introspection.
     full_catalog: OnceLock<Catalog>,
-    /// Weight-descending posting variants of `base_tokens` (unit weights)
+    /// Tid-ordered posting variants of `base_tokens` (unit weights)
     /// and `overlap_weights`, the lists `Plan::TopKBounded` traverses.
     posting_base_tokens: OnceLock<Arc<PostingIndex>>,
     posting_overlap_weights: OnceLock<Arc<PostingIndex>>,
@@ -190,23 +174,10 @@ pub(crate) struct SharedArtifacts {
 impl SharedArtifacts {
     /// Set up the shared-artifact store over an already tokenized corpus.
     /// Nothing is materialized here: each artifact builds on first probe.
-    /// The posting-block knob resolves once, here: a valid
-    /// `DASP_POSTING_BLOCK` environment variable overrides
-    /// [`Params::posting_block`] (the CI hook for exercising non-default
-    /// block boundaries), and a zero from either source falls back to the
-    /// library default rather than poisoning every later build.
     pub(crate) fn build(corpus: Arc<TokenizedCorpus>, params: &Params) -> Arc<Self> {
-        let mut params = *params;
-        if let Some(block) = posting_block_env(std::env::var("DASP_POSTING_BLOCK").ok().as_deref())
-        {
-            params.posting_block = block;
-        }
-        if params.posting_block == 0 {
-            params.posting_block = relq::DEFAULT_POSTING_BLOCK;
-        }
         Arc::new(SharedArtifacts {
             corpus,
-            params,
+            params: *params,
             table_cells: std::array::from_fn(|_| OnceLock::new()),
             full_catalog: OnceLock::new(),
             posting_base_tokens: OnceLock::new(),
@@ -336,14 +307,8 @@ impl SharedArtifacts {
                 .get_shared(name)
                 .expect("mini-catalog holds its own table");
             Arc::new(
-                PostingIndex::build_with_block_size(
-                    &table,
-                    "token",
-                    "tid",
-                    weight_col,
-                    self.params.posting_block,
-                )
-                .expect("shared tables have distinct finite-weight postings"),
+                PostingIndex::build(&table, "token", "tid", weight_col)
+                    .expect("shared tables have distinct finite-weight postings"),
             )
         })
         .clone()
@@ -960,7 +925,7 @@ fn build_predicate_core(kind: PredicateKind, shared: &Arc<SharedArtifacts>) -> A
 pub struct BudgetReport {
     /// Candidates that reached the scoring path.
     pub candidates_scored: u64,
-    /// Posting entries consumed while scoring them (bounded traversals).
+    /// Posting entries consumed while scoring them (bounded operators).
     pub postings_touched: u64,
     /// Wall-clock time from budget creation to the report.
     pub elapsed: std::time::Duration,
@@ -1240,70 +1205,6 @@ mod tests {
     }
 
     #[test]
-    fn posting_block_env_parses_only_positive_integers() {
-        assert_eq!(posting_block_env(None), None);
-        assert_eq!(posting_block_env(Some("")), None);
-        assert_eq!(posting_block_env(Some("not a number")), None);
-        assert_eq!(posting_block_env(Some("0")), None);
-        assert_eq!(posting_block_env(Some("-3")), None);
-        assert_eq!(posting_block_env(Some("3")), Some(3));
-        assert_eq!(posting_block_env(Some(" 128 ")), Some(128));
-    }
-
-    #[test]
-    fn posting_block_param_reaches_the_shared_indexes_and_preserves_results() {
-        let build_at = |block: usize| {
-            let corpus = Arc::new(TokenizedCorpus::build(
-                Corpus::from_strings(vec![
-                    "Morgan Stanley Group Inc.",
-                    "Morgan Stanle Grop Inc.",
-                    "Silicon Valley Group, Inc.",
-                    "Beijing Hotel",
-                    "Beijing Labs Limited",
-                    "AT&T Incorporated",
-                ]),
-                QgramConfig::new(2),
-            ));
-            let params = Params { posting_block: block, ..Params::default() };
-            SelectionEngine::build(corpus, &params)
-        };
-        let default_engine = engine();
-        assert_eq!(
-            default_engine.inner.shared.posting("base_tokens").block_size(),
-            relq::DEFAULT_POSTING_BLOCK
-        );
-        // Zero falls back to the default instead of poisoning index builds.
-        assert_eq!(build_at(0).params().posting_block, relq::DEFAULT_POSTING_BLOCK);
-        for block in [1usize, 3, 1 << 20] {
-            let tuned = build_at(block);
-            assert_eq!(tuned.params().posting_block, block);
-            assert_eq!(tuned.inner.shared.posting("base_tokens").block_size(), block);
-            assert_eq!(tuned.inner.shared.posting("overlap_weights").block_size(), block);
-            // The block size is a pure performance knob: bounded executions
-            // return the same bytes at every granularity.
-            for kind in [PredicateKind::IntersectSize, PredicateKind::WeightedMatch] {
-                let query_text = "Morgan Stanley Group";
-                let expect = default_engine
-                    .predicate(kind)
-                    .execute(&default_engine.query(query_text), Exec::TopK(3))
-                    .unwrap();
-                let got =
-                    tuned.predicate(kind).execute(&tuned.query(query_text), Exec::TopK(3)).unwrap();
-                assert_eq!(expect, got, "kind={kind:?} block={block}");
-                let expect = default_engine
-                    .predicate(kind)
-                    .execute(&default_engine.query(query_text), Exec::Threshold(1.0))
-                    .unwrap();
-                let got = tuned
-                    .predicate(kind)
-                    .execute(&tuned.query(query_text), Exec::Threshold(1.0))
-                    .unwrap();
-                assert_eq!(expect, got, "kind={kind:?} block={block}");
-            }
-        }
-    }
-
-    #[test]
     fn result_cache_hits_repeat_queries_and_reports_stats() {
         let engine = engine();
         let handle = engine.predicate(PredicateKind::Cosine);
@@ -1510,7 +1411,7 @@ mod tests {
         );
         // The bounded plans attach postings on first use and answer the
         // same bytes; a τ above every reachable score and a token-free query
-        // come back empty from the traversal itself.
+        // come back empty from the bounded operator itself.
         assert_eq!(xect.execute(&query, Exec::Threshold(1.0)).unwrap(), scan);
         assert!(shared.artifact_built("posting:base_tokens"));
         assert!(xect.execute(&query, Exec::Threshold(1e6)).unwrap().is_empty());

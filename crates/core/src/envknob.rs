@@ -8,7 +8,6 @@
 //! matrix must not pass as a non-default configuration). The knobs routed
 //! through here:
 //!
-//! * `DASP_POSTING_BLOCK` — block-max granularity ([`Params::posting_block`](crate::Params::posting_block))
 //! * `DASP_SEGMENT_SEAL` — live tail-seal threshold ([`Params::segment_seal`](crate::Params::segment_seal))
 //! * `DASP_SHARDS` — tid-range shard count ([`Params::shards`](crate::Params::shards))
 //! * `DASP_FAULT_SEED` — chaos seed (any `u64`; zero is a *valid* seed, so
@@ -110,15 +109,15 @@ mod tests {
 
     /// The negative test of the override-plumbing sweep: malformed input
     /// must *fire the warning*, not silently fall back — a typo'd CI matrix
-    /// (`DASP_POSTING_BLOCK=abc`, `=0`) used to test the defaults without a
+    /// (`DASP_SEGMENT_SEAL=abc`, `=0`) used to test the defaults without a
     /// word.
     #[test]
     fn malformed_input_fires_the_warning() {
         for bad in ["abc", "0", "-3", "3.5", "1e3"] {
-            let (value, warning) = parse_positive_usize("DASP_POSTING_BLOCK", Some(bad));
+            let (value, warning) = parse_positive_usize("DASP_SEGMENT_SEAL", Some(bad));
             assert_eq!(value, None, "{bad:?} must not parse");
             let warning = warning.unwrap_or_else(|| panic!("{bad:?} must warn"));
-            assert!(warning.contains("DASP_POSTING_BLOCK"), "warning names the variable");
+            assert!(warning.contains("DASP_SEGMENT_SEAL"), "warning names the variable");
             assert!(warning.contains(bad), "warning echoes the rejected value: {warning}");
         }
         let (_, warning) = parse_u64("DASP_FAULT_SEED", Some("banana"));

@@ -1,7 +1,7 @@
 //! Deterministic fault injection for chaos testing the serving stack.
 //!
 //! A [`FaultPlan`] installs a process-global hook at the named fault sites
-//! the hot paths expose ([`relq::fault_point`] — posting traversals,
+//! the hot paths expose ([`relq::fault_point`] — the bounded operators,
 //! aggregate assembly, and the serving request boundary). Each time
 //! execution passes a site the plan draws one deterministic decision from
 //! `splitmix64(seed ^ hash(site) ^ counter)` and either does nothing,

@@ -24,11 +24,10 @@ use std::sync::Arc;
 ///
 /// **Bounded selection:** the stored weight `log(1 + a1·pml/(a0·P(t|GE)))`
 /// is strictly positive, and `exp` is monotone, so ranking by the log-space
-/// sum is ranking by the final score: `Exec::TopK` runs the max-score
-/// traversal over the log-weight posting lists — each list's upper bound is
-/// the per-word maximum emission factor — and a projection applies `exp` to
-/// the k surviving sums. `Exec::Threshold(τ)` runs the fixed-bar traversal
-/// the same way, thresholding on log-sums: the traversal's bar is
+/// sum is ranking by the final score: `Exec::TopK` runs the bounded top-k
+/// operator over the log-weight posting lists and a projection applies
+/// `exp` to the k surviving sums. `Exec::Threshold(τ)` runs the bounded
+/// threshold operator the same way, thresholding on log-sums: its bar is
 /// `ln(max(τ, ε)) − 1e-9` (clamped so a non-positive τ stays defined, and
 /// relaxed by an absolute log-space slack that dwarfs the `ln`/`exp`
 /// round-trip error), and an exact plan-level `score ≥ τ` filter over the
@@ -71,22 +70,15 @@ impl HmmPredicate {
             .expect("weights have a token column");
         // The posting lists behind the bounded plans are deferred to the
         // first bounded execution (`Exec::TopK` or `Exec::Threshold`).
-        let posting_block = shared.params().posting_block;
-        let catalog = PostingCatalog::new(catalog, move |c| {
-            c.register_posting_with_block(
-                "hmm_weights",
-                "token",
-                "tid",
-                Some("weight"),
-                posting_block,
-            )
-            .expect("weights are distinct per (token, tid) and finite")
+        let catalog = PostingCatalog::new(catalog, |c| {
+            c.register_posting("hmm_weights", "token", "tid", Some("weight"))
+                .expect("weights are distinct per (token, tid) and finite")
         });
         let plan =
             Plan::index_join("hmm_weights", &["token"], Plan::param("query_tokens"), &["token"])
                 .aggregate(&["tid"], vec![(AggFunc::Sum(col("weight")), "logscore")])
                 .project(vec![(col("tid"), "tid"), (col("logscore").exp(), "score")]);
-        // The bounded traversals select by the log-space sum (same order as
+        // The bounded operators select by the log-space sum (same order as
         // the exp'd score); the projection then exponentiates the surviving
         // sums. The probe keeps one row per query-token occurrence, so
         // repeated tokens probe their list once per occurrence, exactly like
@@ -99,12 +91,12 @@ impl HmmPredicate {
             param(TOP_K_PARAM),
         )
         .project(vec![(col("tid"), "tid"), (col("score").exp(), "score")]);
-        // Fixed-bar traversal in log space: the inner bar clamps τ away from
+        // Threshold in log space: the inner bar clamps τ away from
         // zero (`ln` is undefined at τ ≤ 0, and `GREATEST` maps a NaN τ to
         // the clamp) and subtracts an absolute log-space slack of 1e-9 —
         // seven orders of magnitude above the `ln`/`exp` round-trip error —
         // so no tid whose exponentiated sum reaches τ is ever cut by the
-        // traversal. The outer filter then applies the exact `score >= τ`
+        // bounded operator. The outer filter then applies the exact `score >= τ`
         // test on the exponentiated sums, trimming the slack margin back to
         // precisely the exhaustive plan's selection.
         let threshold_bounded = Plan::threshold_bounded(

@@ -46,12 +46,11 @@
 //!
 //! The segments and the tid-range [`crate::shard::ShardedEngine`]'s shards
 //! execute through one fan-and-merge. An unbudgeted query runs one
-//! *independent* traversal per segment on a bounded scoped-thread pool and
-//! merges the per-segment results in segment order: [`Exec::Rank`],
-//! [`Exec::Threshold`], [`Exec::ThresholdScan`] and [`Exec::TopKHeap`] are
-//! bit-identical to the monolith, and [`Exec::TopK`]`(k)` — each segment's
-//! own `TopK(k + dead)` (tombstoned rows may occupy up to `dead` local top
-//! slots), re-ranked — is tie-class-equal at the `k` boundary. Budgeted
+//! *independent* run per segment on a bounded scoped-thread pool and
+//! merges the per-segment results in segment order. Every mode is
+//! bit-identical to the monolith: [`Exec::TopKHeap`]`(k)` and
+//! [`Exec::TopK`]`(k)` re-rank each segment's own top `k + dead`
+//! (tombstoned rows may occupy up to `dead` local top slots). Budgeted
 //! queries run the segments strictly sequentially under one shared budget
 //! (see [`execute_budgeted`]). Either way the answer is
 //! **byte-deterministic regardless of thread scheduling**.
@@ -127,7 +126,7 @@ impl LiveSnapshot {
 pub struct LiveQueryStats {
     /// The epoch the query executed at (the snapshot it pinned).
     pub epoch: u64,
-    /// Segments the query actually ran traversals over (0 on a cache hit).
+    /// Segments the query actually ran over (0 on a cache hit).
     pub segments_probed: usize,
     /// Result rows that came from sealed segments.
     pub sealed_hits: usize,
@@ -471,10 +470,10 @@ impl LiveEngine {
     /// monolithic [`SelectionEngine`] over exactly the live records,
     /// tokenized against the **same frozen statistics**, plus the
     /// dense-local-tid → global-tid map its results need. Every execution
-    /// mode on the live engine is bit-identical (threshold/rank) or
-    /// tie-class-equal (top-k) to this engine at the same epoch — and
-    /// rebuilding it per append is exactly the `O(corpus)` cost the segment
-    /// design amortizes away, which is what the bench baseline measures.
+    /// mode on the live engine is bit-identical to this engine at the same
+    /// epoch — and rebuilding it per append is exactly the `O(corpus)` cost
+    /// the segment design amortizes away, which is what the bench baseline
+    /// measures.
     pub fn rebuild_monolith(&self) -> (SelectionEngine, Vec<Tid>) {
         let snap = self.snapshot();
         let monolith = Part::project(&snap.stats, snap.live_records(), &self.params);
@@ -563,10 +562,8 @@ mod tests {
         LiveEngine::from_corpus(Corpus::from_strings(seed_texts()), &params)
     }
 
-    /// The live engine's results must match the frozen-stats monolith:
-    /// bit-for-bit in the exact modes, tie-class at the `k` boundary for the
-    /// bounded top-k operator (both sides may legally pick either member of
-    /// a score tie straddling the boundary).
+    /// The live engine's results must match the frozen-stats monolith
+    /// bit-for-bit in every mode.
     fn assert_matches_monolith(live: &LiveEngine, kind: PredicateKind, text: &str, exec: Exec) {
         let got = live.execute(kind, text, exec).unwrap();
         let (reference, map) = live.rebuild_monolith();
@@ -577,30 +574,7 @@ mod tests {
             globalize(reference.predicate(kind).execute(&reference.query(text), exec).unwrap());
         let as_bits =
             |v: &[ScoredTid]| v.iter().map(|s| (s.tid, s.score.to_bits())).collect::<Vec<_>>();
-        if let Exec::TopK(_) = exec {
-            // Same score multiset…
-            let scores = |v: &[ScoredTid]| v.iter().map(|s| s.score.to_bits()).collect::<Vec<_>>();
-            assert_eq!(scores(&got), scores(&expected), "{kind:?} {exec:?} on {text:?}");
-            // …identical membership strictly above the boundary…
-            if let Some(boundary) = expected.last().map(|s| s.score) {
-                let above = |v: &[ScoredTid]| {
-                    v.iter().filter(|s| s.score > boundary).map(|s| s.tid).collect::<Vec<_>>()
-                };
-                assert_eq!(above(&got), above(&expected), "{kind:?} {exec:?} on {text:?}");
-            }
-            // …and every returned score is that tid's true score.
-            let truth: std::collections::HashMap<Tid, u64> = globalize(
-                reference.predicate(kind).execute(&reference.query(text), Exec::Rank).unwrap(),
-            )
-            .into_iter()
-            .map(|s| (s.tid, s.score.to_bits()))
-            .collect();
-            for s in &got {
-                assert_eq!(truth.get(&s.tid), Some(&s.score.to_bits()), "{kind:?} on {text:?}");
-            }
-        } else {
-            assert_eq!(as_bits(&got), as_bits(&expected), "{kind:?} {exec:?} on {text:?}");
-        }
+        assert_eq!(as_bits(&got), as_bits(&expected), "{kind:?} {exec:?} on {text:?}");
     }
 
     #[test]

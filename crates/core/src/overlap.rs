@@ -13,11 +13,9 @@
 //! **Bounded selection:** IntersectSize and WeightedMatch score monotone
 //! sums of non-negative contributions (a unit per common token; the RSJ/IDF
 //! token weight), so both attach the shared posting variant of their base
-//! table and route `Exec::TopK` through the max-score traversal of
-//! [`relq::Plan::TopKBounded`] and `Exec::Threshold` through the fixed-bar
-//! [`relq::Plan::ThresholdBounded`]. The per-list upper bound is exact: 1
-//! for IntersectSize, the token's stored weight for WeightedMatch (weights
-//! are per-token constants, so max = the weight itself). Jaccard and WJ
+//! table and route `Exec::TopK` through [`relq::Plan::TopKBounded`] and
+//! `Exec::Threshold` through [`relq::Plan::ThresholdBounded`], which sum
+//! the postings per tid in relq's windowed dense accumulator. Jaccard and WJ
 //! normalize by a union weight that *shrinks* the score as documents grow —
 //! not a monotone sum — and keep the heap / plan-filter paths.
 
@@ -64,10 +62,7 @@ impl IntersectSize {
                 .aggregate(&["tid"], vec![(AggFunc::CountStar, "cnt")])
                 .project(vec![(col("tid"), "tid"), (col("cnt"), "score")]);
         // Bounded selection over unit-weight posting lists: every common
-        // token contributes exactly 1, so each list's upper bound is 1 and
-        // the max-score traversals skip the long lists of frequent q-grams
-        // once the bar (the k-th best count, or the fixed τ) exceeds their
-        // remaining sum.
+        // token contributes exactly 1, so the per-tid sum is the count.
         let bounded = Plan::top_k_bounded(
             "base_tokens",
             Plan::param("query_tokens"),
@@ -205,11 +200,9 @@ impl WeightedMatch {
             &["token"],
         )
         .aggregate(&["tid"], vec![(AggFunc::Sum(col("weight")), "score")]);
-        // Bounded selection over the shared weight posting lists. RSJ/IDF
-        // weights are non-negative per-token constants, so every posting in
-        // a list carries the same contribution and the per-list upper bound
-        // is exact — precisely the shape where frequent (low-weight,
-        // long-list) tokens become non-essential the moment the bar is set.
+        // Bounded selection over the shared weight posting lists: RSJ/IDF
+        // weights are non-negative per-token constants, so the per-tid sum
+        // of the postings is the WM score.
         let bounded = Plan::top_k_bounded(
             "overlap_weights",
             Plan::param("query_tokens"),

@@ -155,13 +155,6 @@ pub struct Params {
     pub soft_tfidf: SoftTfIdfParams,
     /// Weighting scheme for the weighted overlap predicates.
     pub overlap_weighting: OverlapWeighting,
-    /// Block-max granularity of the shared posting indexes (postings per
-    /// block; see [`relq::PostingIndex::build_with_block_size`]). Exactness
-    /// holds at every value — this only moves the skip/overhead trade-off of
-    /// the bounded operators. A `DASP_POSTING_BLOCK` environment variable
-    /// overrides it at engine construction (CI exercises non-default block
-    /// boundaries that way).
-    pub posting_block: usize,
     /// Seal threshold of the live-corpus tail segment (records appended to
     /// the mutable tail before it is frozen into an immutable sealed
     /// segment; see [`crate::live::LiveEngine`]). Correctness holds at every
@@ -172,8 +165,8 @@ pub struct Params {
     /// Number of tid-range shards a [`crate::shard::ShardedEngine`] splits
     /// the corpus into (default 1 — monolithic execution). Correctness
     /// holds at every value: every shard scores against the same frozen
-    /// corpus statistics, so exact modes merge bit-identically to the
-    /// monolith and bounded top-k stays tie-class-equal at the k boundary.
+    /// corpus statistics, so every mode, bounded top-k included, merges
+    /// bit-identically to the monolith.
     /// A `DASP_SHARDS` environment variable overrides it at sharded-engine
     /// construction (CI exercises non-default shard counts that way).
     pub shards: usize,
@@ -192,7 +185,6 @@ impl Default for Params {
             ges: GesParams::default(),
             soft_tfidf: SoftTfIdfParams::default(),
             overlap_weighting: OverlapWeighting::default(),
-            posting_block: relq::DEFAULT_POSTING_BLOCK,
             segment_seal: crate::live::DEFAULT_SEGMENT_SEAL,
             shards: 1,
             budget: ExecBudget::unlimited(),
@@ -231,7 +223,6 @@ mod tests {
         assert_eq!(p.ges.num_hashes, 5);
         assert_eq!(p.soft_tfidf.theta, 0.8);
         assert_eq!(p.overlap_weighting, OverlapWeighting::RobertsonSparckJones);
-        assert_eq!(p.posting_block, relq::DEFAULT_POSTING_BLOCK);
         assert_eq!(p.segment_seal, crate::live::DEFAULT_SEGMENT_SEAL);
         assert_eq!(p.shards, 1);
         assert!(p.budget.is_unlimited());

@@ -8,7 +8,7 @@
 //! per-part count of tombstoned records and the tombstone set itself (both
 //! empty for shards) and executes a request over every part:
 //!
-//! * **Unbudgeted** requests run one *independent* traversal per part,
+//! * **Unbudgeted** requests run one *independent* execution per part,
 //!   fanned across the bounded scoped-thread pool of [`fan_units`], and
 //!   merge the results in part order:
 //!   * [`Exec::Rank`] / [`Exec::Threshold`] / [`Exec::ThresholdScan`] run
@@ -20,12 +20,12 @@
 //!     (tombstoned rows may occupy up to `dead` of the local top slots),
 //!     then ranks the merged survivors — exact.
 //!   * [`Exec::TopK`]`(k)` (the bounded operator) likewise asks each part
-//!     for its own `TopK(k + dead)` and re-ranks the union. A global top-`k`
-//!     member missing from its part's local answer implies `k + dead` local
-//!     entries at or above its score, at least `k` of them live — which both
-//!     contradicts strict membership above the global boundary and fills the
-//!     boundary score multiset, so the merge keeps the operator's tie-class
-//!     contract at the `k` boundary.
+//!     for its own `TopK(k + dead)` and re-ranks the union — exact too. Both
+//!     sides rank by (score desc, tid asc), and a part's local tid order is
+//!     its global tid order. A global top-`k` row missing from its part's
+//!     local answer would need `k + dead` local rows ranked ahead of it, at
+//!     least `k` of them live, which would push it out of the global top
+//!     `k`.
 //! * **Budgeted** requests share **one** [`relq::ExecLimits`] across every
 //!   part, so the budget bounds the request, not each part, and run the
 //!   parts strictly sequentially: a serial cut under a candidate cap is
@@ -35,9 +35,8 @@
 //!   `k` live candidates exist, later parts run the (bit-exact) threshold
 //!   operator at the running k-th best score instead of a fresh top-k.
 //!
-//! No traversal reads another's state, and results merge in part order, so
-//! every answer — bounded top-k included — is **byte-deterministic under any
-//! thread schedule**.
+//! No part's run reads another's state, and results merge in part order, so
+//! every answer is **byte-deterministic under any thread schedule**.
 
 use crate::corpus::TokenizedCorpus;
 use crate::engine::{Exec, SelectionEngine};

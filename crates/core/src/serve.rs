@@ -268,9 +268,8 @@ impl ServingEngine {
     }
 
     /// Serve a [`ShardedEngine`]: each request fans across the backend's
-    /// tid-range shards. Exact modes return the monolith's bytes; a bounded
-    /// top-k answer is tie-class-equal at the k boundary and byte-identical
-    /// across repeats, cold or cached. The handle is shared, so other
+    /// tid-range shards. Every mode returns the monolith's bytes, bounded
+    /// top-k included, byte-identical across repeats, cold or cached. The handle is shared, so other
     /// consumers keep querying through their own clone.
     pub fn new_sharded(sharded: Arc<ShardedEngine>, workers: usize) -> Self {
         Self::with_backend(Backend::Sharded(sharded), workers)

@@ -331,24 +331,21 @@ fn top_k_param(k: usize) -> i64 {
 ///   [`Exec::ThresholdScan`], and behind [`Exec::Threshold`] for the
 ///   predicates without a bounded variant.
 /// * `bounded` (monotone-sum predicates only) — a
-///   [`Plan::TopKBounded`](relq::Plan::TopKBounded) max-score traversal over
-///   the predicate's posting lists, the early-terminating operator
-///   `Exec::TopK` routes to when present.
-/// * `threshold_bounded` (monotone-sum predicates only) — the fixed-bar
-///   [`Plan::ThresholdBounded`](relq::Plan::ThresholdBounded) traversal over
-///   the same posting lists, taking τ from [`THRESHOLD_PARAM`]; the operator
+///   [`Plan::TopKBounded`](relq::Plan::TopKBounded) over the predicate's
+///   posting lists, the posting-driven operator `Exec::TopK` routes to when
+///   present.
+/// * `threshold_bounded` (monotone-sum predicates only) — a
+///   [`Plan::ThresholdBounded`](relq::Plan::ThresholdBounded) over the same
+///   posting lists, taking τ from [`THRESHOLD_PARAM`]; the operator
 ///   [`Exec::Threshold`] routes to when present.
 ///
 /// Every mode runs over the same candidate pipeline and the same canonical
 /// `(score DESC, tid ASC)` order as [`crate::record::sort_ranked`], which is
 /// what makes the heap `TopK` byte-identical to rank-then-truncate and
-/// `Threshold(τ)` byte-identical to rank-then-filter. The bounded top-k
-/// operator re-accumulates every emitted score in probe order, so it matches
-/// the heap path bit-for-bit except possibly at exact score ties on the k
-/// boundary; the bounded threshold operator admits by the exact `score ≥ τ`
-/// test after the same probe-order re-scoring, so it is bit-identical to
-/// the exhaustive `threshold` plan for **every** τ — no tie class exists at
-/// a fixed bar.
+/// `Threshold(τ)` byte-identical to rank-then-filter. The bounded operators
+/// accumulate every score in probe order and select exactly — top-k by
+/// (score desc, tid asc), threshold by the exact `score ≥ τ` — so both are
+/// bit-identical to their exhaustive plans for every `k` and τ.
 pub(crate) struct RankingPlans {
     rank: PreparedPlan,
     top_k: PreparedPlan,
@@ -365,11 +362,10 @@ impl RankingPlans {
         Self::build(plan, None)
     }
 
-    /// Prepare all modes plus the two score-bounded plans: a top-k traversal
-    /// taking `k` from [`TOP_K_PARAM`] and a fixed-bar threshold traversal
-    /// taking τ from [`THRESHOLD_PARAM`] (transformed inside the plan when
-    /// the predicate selects in a different score space, e.g. HMM's
-    /// log-sums).
+    /// Prepare all modes plus the two bounded plans: a top-k operator taking
+    /// `k` from [`TOP_K_PARAM`] and a threshold operator taking τ from
+    /// [`THRESHOLD_PARAM`] (transformed inside the plan when the predicate
+    /// selects in a different score space, e.g. HMM's log-sums).
     pub(crate) fn with_bounded(plan: Plan, bounded: Plan, threshold_bounded: Plan) -> Self {
         Self::build(plan, Some((bounded, threshold_bounded)))
     }
@@ -421,7 +417,7 @@ impl RankingPlans {
             }
             Exec::Threshold(tau) => {
                 let bindings = bindings.with_scalar(THRESHOLD_PARAM, tau);
-                // The fixed-bar traversal when the predicate qualifies (its
+                // The bounded operator when the predicate qualifies (its
                 // naive lowering is exhaustive scoring + the same exact
                 // filter), the plan-level score filter otherwise.
                 let plan = self.threshold_bounded.as_ref().unwrap_or(&self.threshold);

@@ -2,14 +2,9 @@
 //! appends, deletes, seals and queries against a `LiveEngine` must agree
 //! with a **monolithic engine rebuilt at the same epoch** over exactly the
 //! live records (sharing the epoch's frozen statistics, which is what
-//! `LiveEngine::rebuild_monolith` constructs):
-//!
-//! * bit-identical for `Rank`, `TopKHeap`, `Threshold`, `ThresholdScan`
-//!   (per-candidate scores are independent of segment layout);
-//! * tie-class-equal at the `k` boundary for the bounded `TopK` (both
-//!   sides may legally pick either member of a score tie straddling the
-//!   boundary — same score multiset, identical membership strictly above
-//!   the boundary, and every returned score is that tid's true score).
+//! `LiveEngine::rebuild_monolith` constructs): bit-identical in every mode,
+//! because per-candidate scores are independent of segment layout and every
+//! mode breaks score ties by ascending tid.
 //!
 //! The tier covers all 13 predicates × all five `Exec` modes, tombstone
 //! edge cases (delete in tail vs sealed, delete-then-reinsert, delete
@@ -87,34 +82,6 @@ fn as_bits(results: &[ScoredTid]) -> Vec<(Tid, u64)> {
     results.iter().map(|s| (s.tid, s.score.to_bits())).collect()
 }
 
-/// Bounded top-k tie-class equality: same score multiset, identical
-/// membership strictly above the boundary, and every returned score is the
-/// tid's true (Rank-mode) score.
-fn assert_tie_class_equal(
-    got: &[ScoredTid],
-    expected: &[ScoredTid],
-    truth: &[ScoredTid],
-    label: &str,
-) {
-    let scores = |v: &[ScoredTid]| v.iter().map(|s| s.score.to_bits()).collect::<Vec<_>>();
-    assert_eq!(scores(got), scores(expected), "{label}: top-k score multiset diverged");
-    if let Some(boundary) = expected.last().map(|s| s.score) {
-        let above = |v: &[ScoredTid]| {
-            v.iter().filter(|s| s.score > boundary).map(|s| s.tid).collect::<Vec<_>>()
-        };
-        assert_eq!(above(got), above(expected), "{label}: membership above the boundary diverged");
-    }
-    let truth: HashMap<Tid, u64> = truth.iter().map(|s| (s.tid, s.score.to_bits())).collect();
-    for s in got {
-        assert_eq!(
-            truth.get(&s.tid),
-            Some(&s.score.to_bits()),
-            "{label}: tid {} returned with a wrong score",
-            s.tid
-        );
-    }
-}
-
 /// The full 13-predicate × 5-mode differential at the live engine's current
 /// epoch, against a monolith rebuilt right here — and against a sharded
 /// session over the same snapshot (the rebuilt monolith's frozen stats Arc,
@@ -141,9 +108,13 @@ fn assert_live_matches_monolith(live: &LiveEngine, texts: &[String], label: &str
             // A bar in the middle of the score range, so Threshold selects a
             // non-trivial subset of the live records.
             let tau = truth.get(truth.len() / 2).map(|s| s.score).unwrap_or(0.0);
-            for exec in
-                [Exec::Rank, Exec::TopKHeap(K), Exec::Threshold(tau), Exec::ThresholdScan(tau)]
-            {
+            for exec in [
+                Exec::Rank,
+                Exec::TopK(K),
+                Exec::TopKHeap(K),
+                Exec::Threshold(tau),
+                Exec::ThresholdScan(tau),
+            ] {
                 let expected = reference.run(kind, text, exec);
                 let got = live.execute(kind, text, exec).unwrap();
                 assert_eq!(
@@ -158,15 +129,6 @@ fn assert_live_matches_monolith(live: &LiveEngine, texts: &[String], label: &str
                     sharded.shards()
                 );
             }
-            let got = live.execute(kind, text, Exec::TopK(K)).unwrap();
-            let expected = reference.run(kind, text, Exec::TopK(K));
-            assert_tie_class_equal(&got, &expected, &truth, &format!("{label}/{kind}"));
-            assert_tie_class_equal(
-                &sharded_run(kind, text, Exec::TopK(K)),
-                &expected,
-                &truth,
-                &format!("{label}/{kind} (sharded x{})", sharded.shards()),
-            );
         }
     }
 }
@@ -329,7 +291,7 @@ fn concurrent_serving_races_a_live_writer() {
     assert_eq!(live.epoch(), appended.len() as u64);
     // The writer is append-only from epoch 0, so epoch e ⇔ the seed corpus
     // plus the first e appended texts: rebuild that replica's monolith and
-    // the response must match it (exactly, or tie-class for bounded top-k).
+    // the response must match it exactly.
     let mut replicas: HashMap<u64, Reference> = HashMap::new();
     let mut epochs_seen: Vec<u64> = Vec::new();
     for (request, response) in requests.iter().zip(&responses) {
@@ -345,17 +307,11 @@ fn concurrent_serving_races_a_live_writer() {
         });
         let got = response.results.as_ref().unwrap();
         let label = format!("CU8/{}/{:?}@{}", request.kind, request.exec, stats.epoch);
-        if let Exec::TopK(_) = request.exec {
-            let truth = reference.run(request.kind, &request.text, Exec::Rank);
-            let expected = reference.run(request.kind, &request.text, request.exec);
-            assert_tie_class_equal(got, &expected, &truth, &label);
-        } else {
-            assert_eq!(
-                as_bits(got),
-                as_bits(&reference.run(request.kind, &request.text, request.exec)),
-                "{label} diverged from the epoch's rebuilt monolith"
-            );
-        }
+        assert_eq!(
+            as_bits(got),
+            as_bits(&reference.run(request.kind, &request.text, request.exec)),
+            "{label} diverged from the epoch's rebuilt monolith"
+        );
     }
     // The epoch stream a worker observes is monotone per worker but the
     // batch as a whole must have executed against real snapshots only.

@@ -4,15 +4,13 @@
 //!
 //! Three contracts are enforced differentially, for **all 13 predicates**:
 //!
-//! 1. **Exact modes are bit-identical.** `Rank`, `TopKHeap`, `Threshold` and
+//! 1. **Every mode is bit-identical.** `Rank`, `TopKHeap`, `Threshold` and
 //!    `ThresholdScan` answers from the sharded engine — at 1 shard, a few
 //!    shards, one shard per core, and more shards than records — carry the
 //!    same `(tid, score)` bytes as the monolith, in the same order.
-//! 2. **Bounded top-k is tie-class-equal and byte-deterministic.** `TopK(k)`
-//!    (one independent bounded traversal per shard, re-ranked) returns the
-//!    same score multiset as the exhaustive heap, identical membership
-//!    strictly above the k-boundary score, and every returned score
-//!    bit-identical to that tuple's exact `Rank` score. This holds both for
+//! 2. **Bounded top-k is byte-identical and byte-deterministic.** `TopK(k)`
+//!    (one independent bounded run per shard, re-ranked) returns exactly
+//!    the bytes of the monolith's exhaustive heap `TopKHeap(k)`, both for
 //!    direct serial calls and through an 8-thread
 //!    [`ServingEngine::new_sharded`] pool, and a cold answer repeats byte
 //!    for byte under any thread schedule.
@@ -36,7 +34,6 @@ use dasp_eval::sample_query_indices;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Worker threads of the sharded serving pool (the ISSUE's 8-thread bar).
@@ -105,37 +102,6 @@ fn run_monolith(
     monolith.predicate(kind).execute(&monolith.query(text), exec).unwrap()
 }
 
-/// Tie-class equality at the k boundary (the bounded-TopK contract): same
-/// score multiset as `expected`, identical membership strictly above the
-/// boundary score, and every returned score bit-identical to that tuple's
-/// exact score in the `Rank` `truth`.
-fn assert_tie_class_equal(
-    got: &[ScoredTid],
-    expected: &[ScoredTid],
-    truth: &[ScoredTid],
-    label: &str,
-) {
-    let scores = |v: &[ScoredTid]| v.iter().map(|s| s.score.to_bits()).collect::<Vec<u64>>();
-    assert_eq!(scores(got), scores(expected), "{label}: score multiset diverged");
-    let boundary = expected.last().map(|s| s.score).unwrap_or(f64::NEG_INFINITY);
-    let above = |v: &[ScoredTid]| {
-        v.iter()
-            .filter(|s| s.score > boundary)
-            .map(|s| (s.tid, s.score.to_bits()))
-            .collect::<std::collections::BTreeSet<_>>()
-    };
-    assert_eq!(above(got), above(expected), "{label}: membership above the k boundary diverged");
-    let exact: HashMap<Tid, u64> = truth.iter().map(|s| (s.tid, s.score.to_bits())).collect();
-    for s in got {
-        assert_eq!(
-            exact.get(&s.tid),
-            Some(&s.score.to_bits()),
-            "{label}: tid {} score is not its exact score",
-            s.tid
-        );
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Serial shard-count sweep
 // ---------------------------------------------------------------------------
@@ -169,7 +135,7 @@ fn shard_sweep_matches_monolith_for_all_predicates() {
                 let label = format!("{kind}/TopK({K}) x{shards}");
                 let got = sharded.execute(kind, text, Exec::TopK(K)).unwrap();
                 let expected = run_monolith(&monolith, kind, text, Exec::TopKHeap(K));
-                assert_tie_class_equal(&got, &expected, &truth, &label);
+                assert_eq!(as_bits(&got), as_bits(&expected), "{label}: bounded top-k diverged");
             }
         }
     }
@@ -193,8 +159,7 @@ fn cold_bounded_topk_is_byte_deterministic() {
                 assert_eq!(as_bits(&again), as_bits(&first), "{label}: cold repeat diverged");
             }
             let expected = run_monolith(&monolith, kind, text, Exec::TopKHeap(K));
-            let truth = run_monolith(&monolith, kind, text, Exec::Rank);
-            assert_tie_class_equal(&first, &expected, &truth, &label);
+            assert_eq!(as_bits(&first), as_bits(&expected), "{label}: diverged from the heap");
         }
     }
     assert_eq!(sharded.result_cache_stats().hits, 0, "no run was answered from a cache");
@@ -239,7 +204,6 @@ fn sharded_serving_pool_matches_monolith() {
     // All 13 predicates × texts × all five modes, each twice (repeats land
     // on the merged-result cache under concurrency too), shuffled.
     let mut requests = Vec::new();
-    let mut truths: HashMap<(PredicateKind, String), Vec<ScoredTid>> = HashMap::new();
     for &kind in PredicateKind::all() {
         for text in &texts {
             let truth = run_monolith(&monolith, kind, text, Exec::Rank);
@@ -254,7 +218,6 @@ fn sharded_serving_pool_matches_monolith() {
                 requests.push(ServeRequest::new(kind, text.clone(), exec));
                 requests.push(ServeRequest::new(kind, text.clone(), exec));
             }
-            truths.insert((kind, text.clone()), truth);
         }
     }
     requests.shuffle(&mut StdRng::seed_from_u64(0x5E47 ^ 0x5EED));
@@ -267,19 +230,9 @@ fn sharded_serving_pool_matches_monolith() {
             .unwrap_or_else(|e| panic!("request {i} ({request:?}) failed: {e:?}"));
         assert!(!response.stats.degraded, "unbudgeted requests never degrade");
         assert!(response.stats.live.is_none(), "sharded backend carries no live stats");
-        let truth = &truths[&(request.kind, request.text.clone())];
         let label = format!("request {i} ({}/{:?})", request.kind, request.exec);
-        match request.exec {
-            Exec::TopK(k) => {
-                let expected =
-                    run_monolith(&monolith, request.kind, &request.text, Exec::TopKHeap(k));
-                assert_tie_class_equal(results, &expected, truth, &label);
-            }
-            exec => {
-                let expected = run_monolith(&monolith, request.kind, &request.text, exec);
-                assert_eq!(as_bits(results), as_bits(&expected), "{label}: exact mode diverged");
-            }
-        }
+        let expected = run_monolith(&monolith, request.kind, &request.text, request.exec);
+        assert_eq!(as_bits(results), as_bits(&expected), "{label}: diverged from the monolith");
     }
     // Repeats were served byte-stably through the merged-result cache.
     assert!(sharded.result_cache_stats().hits > 0, "repeat requests must hit the merged cache");

@@ -1,15 +1,13 @@
-//! Equivalence tier for the score-bounded threshold operator: for the five
+//! Equivalence tier for the posting-driven threshold operator: for the five
 //! monotone-sum predicates (Xect, WM, Cosine, BM25, HMM) over seeded
-//! `dasp-datagen` corpora, `Exec::Threshold(τ)` — the fixed-bar max-score
-//! traversal of `relq::Plan::ThresholdBounded` — must return results
-//! **bit-identical** (tids and score bits, no modulo-ties escape hatch: a
-//! fixed τ has no tie class) to the exhaustive `Exec::ThresholdScan(τ)` and
-//! to `Exec::Rank` filtered post hoc, in both engine modes, across a τ sweep
-//! that includes exact-score boundaries, below-minimum and above-maximum
-//! bars. The same differential runs through the thread-pooled
-//! `ServingEngine`, and a property test over random corpora asserts the
-//! pruning contract directly: the selected set is exactly
-//! `{tid : score(tid) ≥ τ}` — no qualifying tid is ever pruned.
+//! `dasp-datagen` corpora, `Exec::Threshold(τ)` — the windowed dense
+//! accumulator behind `relq::Plan::ThresholdBounded` — must return results
+//! **bit-identical** (tids and score bits) to the exhaustive
+//! `Exec::ThresholdScan(τ)` and to `Exec::Rank` filtered post hoc, in both
+//! engine modes, across a τ sweep that includes exact-score boundaries,
+//! below-minimum and above-maximum bars. The same differential runs through
+//! the thread-pooled `ServingEngine`, and a property test over random
+//! corpora asserts the selected set is exactly `{tid : score(tid) ≥ τ}`.
 
 use dasp_core::{
     Corpus, Exec, LiveEngine, Params, PredicateKind, ScoredTid, SelectionEngine, ServeRequest,
@@ -160,9 +158,9 @@ fn non_monotone_predicates_route_threshold_through_the_scan() {
 
 #[test]
 fn unreachable_bars_and_token_free_queries_select_nothing_on_every_backend() {
-    // Inputs the bounded traversal must answer empty by itself: a τ above
-    // the sum of every list maximum (`f64::MAX` exceeds any finite score
-    // sum), τ = +∞, and queries with no token at all. Each answer is empty
+    // Inputs the bounded operator must answer empty by itself: a τ above
+    // every score (`f64::MAX` exceeds any finite score sum), τ = +∞, and
+    // queries with no token at all. Each answer is empty
     // and bit-identical to the exhaustive scan, on the monolith, a live
     // engine with a tombstone, and a sharded engine.
     let dataset = dblp_dataset(150);
@@ -207,43 +205,11 @@ fn unreachable_bars_and_token_free_queries_select_nothing_on_every_backend() {
 }
 
 #[test]
-fn block_size_sweep_stays_bit_identical() {
-    // The posting block-max granularity is a pure performance knob: the
-    // fixed-τ operator stays bit-identical to rank-then-filter at every
-    // setting, including per-posting maxima (1), an odd size misaligning
-    // block boundaries with list lengths (3), and beyond-every-list
-    // (1 << 20 ≙ global-max / plain WAND).
-    let dataset = cu_dataset_sized(cu_spec("CU2").unwrap(), 160, 16);
-    let indices = sample_query_indices(&dataset, 3, 0xB10C);
-    for block in [1usize, 3, 64, 1 << 20] {
-        let engine = build_engine(&dataset, &Params { posting_block: block, ..Params::default() });
-        for kind in BOUNDED_KINDS {
-            let handle = engine.predicate(kind);
-            for &idx in &indices {
-                let query = engine.query(&dataset.records[idx].text);
-                let ranked = handle.execute(&query, Exec::Rank).unwrap();
-                for tau in tau_sweep(&ranked) {
-                    let expected: Vec<_> =
-                        ranked.iter().copied().filter(|s| s.score >= tau).collect();
-                    let bounded = handle.execute(&query, Exec::Threshold(tau)).unwrap();
-                    assert_bit_identical(
-                        &bounded,
-                        &expected,
-                        &format!("block={block}/{kind} tau={tau}"),
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn one_hot_document_corpus_stays_bit_identical_under_block_skipping() {
-    // Adversarial corpus for global-max pruning: one record repeats a rare
-    // word many times, giving the tf-sensitive predicates (BM25, HMM) one
-    // enormous posting in otherwise featherweight lists. Block skipping must
-    // stay bit-identical at every granularity, including τ bars that only
-    // the hot document clears.
+    // A skewed corpus: one record repeats a rare word many times, giving the
+    // tf-sensitive predicates (BM25, HMM) one enormous posting in otherwise
+    // featherweight lists. The operator must stay bit-identical on it,
+    // including at τ bars that only the hot document clears.
     let hot_word = "zephyr ".repeat(12);
     let mut strings: Vec<String> =
         (0..120).map(|i| format!("zephyr common record number {i}")).collect();
@@ -261,23 +227,16 @@ fn one_hot_document_corpus_stays_bit_identical_under_block_skipping() {
             })
             .collect(),
     };
-    for block in [1usize, 64, 1 << 20] {
-        let engine = build_engine(&dataset, &Params { posting_block: block, ..Params::default() });
-        for kind in BOUNDED_KINDS {
-            let handle = engine.predicate(kind);
-            for query_text in ["zephyr common record", hot_word.as_str()] {
-                let query = engine.query(query_text);
-                let ranked = handle.execute(&query, Exec::Rank).unwrap();
-                for tau in tau_sweep(&ranked) {
-                    let expected: Vec<_> =
-                        ranked.iter().copied().filter(|s| s.score >= tau).collect();
-                    let bounded = handle.execute(&query, Exec::Threshold(tau)).unwrap();
-                    assert_bit_identical(
-                        &bounded,
-                        &expected,
-                        &format!("one-hot block={block}/{kind} tau={tau}"),
-                    );
-                }
+    let engine = build_engine(&dataset, &Params::default());
+    for kind in BOUNDED_KINDS {
+        let handle = engine.predicate(kind);
+        for query_text in ["zephyr common record", hot_word.as_str()] {
+            let query = engine.query(query_text);
+            let ranked = handle.execute(&query, Exec::Rank).unwrap();
+            for tau in tau_sweep(&ranked) {
+                let expected: Vec<_> = ranked.iter().copied().filter(|s| s.score >= tau).collect();
+                let bounded = handle.execute(&query, Exec::Threshold(tau)).unwrap();
+                assert_bit_identical(&bounded, &expected, &format!("one-hot/{kind} tau={tau}"));
             }
         }
     }
@@ -328,8 +287,8 @@ fn threshold_differential_holds_through_serving() {
 }
 
 /// Property test over random corpora: the bounded threshold selection is
-/// exactly `{tid : score(tid) >= τ}` — pruning never drops a qualifying tid
-/// and the slack never admits an unqualified one.
+/// exactly `{tid : score(tid) >= τ}` — it never drops a qualifying tid and
+/// never admits an unqualified one.
 #[test]
 fn pruned_tids_never_reach_tau_on_random_corpora() {
     use proptest::prelude::*;

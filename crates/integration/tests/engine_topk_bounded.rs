@@ -1,16 +1,12 @@
-//! Equivalence tier for the score-bounded top-k operator: for the five
+//! Equivalence tier for the posting-driven top-k operator: for the five
 //! monotone-sum predicates (Xect, WM, Cosine, BM25, HMM) over seeded
-//! `dasp-datagen` corpora, `Exec::TopK(k)` — the max-score/WAND traversal —
-//! must return results **set-equal modulo exact score ties** to the
-//! exhaustive heap pushdown `Exec::TopKHeap(k)` in both engine modes, and
-//! byte-identical wherever scores are distinct. A property test additionally
-//! drives random corpora through the operator and asserts the pruning bound
-//! is never violated: no tid outside the returned set may outscore the
-//! returned k-th.
+//! `dasp-datagen` corpora, `Exec::TopK(k)` — relq's windowed dense
+//! accumulator — must return exactly the bytes of the exhaustive heap
+//! pushdown `Exec::TopKHeap(k)` in both engine modes and on every backend,
+//! exact score ties at the k boundary included. A property test
+//! additionally drives random corpora through the operator.
 
-use dasp_core::{
-    Corpus, Exec, LiveEngine, Params, PredicateKind, ScoredTid, SelectionEngine, ShardedEngine,
-};
+use dasp_core::{Corpus, Exec, LiveEngine, Params, PredicateKind, SelectionEngine, ShardedEngine};
 use dasp_datagen::presets::{cu_dataset_sized, cu_spec, dblp_dataset, f_dataset_sized, f_spec};
 use dasp_eval::{build_engine, sample_query_indices};
 
@@ -23,53 +19,6 @@ const BOUNDED_KINDS: [PredicateKind; 5] = [
     PredicateKind::Bm25,
     PredicateKind::Hmm,
 ];
-
-/// Assert the tie-aware equivalence contract: same length, bit-identical
-/// score sequences, and identical tids everywhere except inside a tie run
-/// actually cut by the k boundary, where the two sides may pick different
-/// members of the tie class. `k` decides whether the final run was cut: a
-/// result shorter than `k` contains *every* candidate, so even its last
-/// run must select identical tids.
-fn assert_set_equal_mod_ties(bounded: &[ScoredTid], heap: &[ScoredTid], k: usize, context: &str) {
-    assert_eq!(bounded.len(), heap.len(), "{context}: result sizes differ");
-    for (i, (b, h)) in bounded.iter().zip(heap).enumerate() {
-        assert_eq!(
-            b.score.to_bits(),
-            h.score.to_bits(),
-            "{context}: score at rank {i} differs ({} vs {})",
-            b.score,
-            h.score
-        );
-    }
-    // Within each maximal run of equal scores, the tid sets must agree
-    // unless the run is truncated by the k boundary. Runs are delimited on
-    // the heap side; scores are bit-equal by the check above.
-    let mut start = 0;
-    while start < heap.len() {
-        let mut end = start + 1;
-        while end < heap.len() && heap[end].score.to_bits() == heap[start].score.to_bits() {
-            end += 1;
-        }
-        let truncated = end == heap.len() && heap.len() == k;
-        if !truncated {
-            let mut b_tids: Vec<_> = bounded[start..end].iter().map(|s| s.tid).collect();
-            let mut h_tids: Vec<_> = heap[start..end].iter().map(|s| s.tid).collect();
-            b_tids.sort_unstable();
-            h_tids.sort_unstable();
-            assert_eq!(
-                b_tids, h_tids,
-                "{context}: tie class at ranks {start}..{end} selected different tids"
-            );
-        }
-        start = end;
-    }
-}
-
-/// True when every score in the ranking is distinct (then the contract
-/// strengthens to byte-identity).
-fn all_distinct(scores: &[ScoredTid]) -> bool {
-    scores.windows(2).all(|w| w[0].score.to_bits() != w[1].score.to_bits())
-}
 
 fn assert_bounded_equivalent(dataset: &dasp_datagen::Dataset, label: &str) {
     let engine = build_engine(dataset, &Params::default());
@@ -96,26 +45,15 @@ fn assert_bounded_equivalent(dataset: &dasp_datagen::Dataset, label: &str) {
                 );
                 let bounded = handle.execute(&query, Exec::TopK(k)).unwrap();
                 let context = format!("{label}/{kind} k={k}");
-                assert_set_equal_mod_ties(&bounded, &heap, k, &context);
-                if all_distinct(&heap) {
-                    assert_eq!(
-                        bounded, heap,
-                        "{context}: distinct scores require byte-identical results"
-                    );
-                }
+                assert_eq!(bounded, heap, "{context}");
                 // The naive lowering (exhaustive scoring + sort + truncate)
-                // obeys the same contract.
+                // returns the same bytes.
                 let bounded_naive = handle.execute_naive(&query, Exec::TopK(k)).unwrap();
-                assert_set_equal_mod_ties(&bounded_naive, &heap, k, &format!("{context} (naive)"));
+                assert_eq!(bounded_naive, heap, "{context} (naive)");
                 // The sharded merge at whatever shard count resolved.
                 let bounded_sharded =
                     sharded.execute(kind, &dataset.records[idx].text, Exec::TopK(k)).unwrap();
-                assert_set_equal_mod_ties(
-                    &bounded_sharded,
-                    &heap,
-                    k,
-                    &format!("{context} (sharded x{})", sharded.shards()),
-                );
+                assert_eq!(bounded_sharded, heap, "{context} (sharded x{})", sharded.shards());
             }
         }
     }
@@ -163,8 +101,8 @@ fn non_monotone_predicates_keep_the_heap_path_under_top_k() {
 #[test]
 fn k_beyond_i64_saturates_to_the_full_ranking_on_every_backend() {
     // A `k` past every corpus size — including ones a signed row count
-    // cannot hold — selects everything: `TopKHeap` is the `Rank` bytes and
-    // `TopK` its tie class, on the monolith, a live engine carrying a
+    // cannot hold — selects everything: `TopKHeap` and `TopK` are the `Rank`
+    // bytes, on the monolith, a live engine carrying a
     // tombstone (its per-segment `k + dead` must not wrap), and a sharded
     // engine.
     let dataset = cu_dataset_sized(cu_spec("CU6").unwrap(), 120, 12);
@@ -197,7 +135,11 @@ fn k_beyond_i64_saturates_to_the_full_ranking_on_every_backend() {
                         ranked,
                         "{context}: heap must equal Rank"
                     );
-                    assert_set_equal_mod_ties(&run(backend, Exec::TopK(k)), &ranked, k, &context);
+                    assert_eq!(
+                        run(backend, Exec::TopK(k)),
+                        ranked,
+                        "{context}: TopK must equal Rank"
+                    );
                 }
             }
         }
@@ -210,9 +152,8 @@ fn tie_classes_straddling_the_k_boundary_honor_the_contract() {
     // to happen to produce exact ties: four byte-identical records form one
     // exact tie class (identical token multisets score bit-identically under
     // every predicate), and k is chosen to cut through that class. The
-    // documented contract: bit-identical score sequences, and the truncated
-    // boundary run may resolve to any members of the tie class — but only to
-    // members of the tie class.
+    // contract: the boundary run resolves by ascending tid, exactly as the
+    // heap path does, so the bytes are the heap path's.
     let tie_class = ["morgan co", "morgan co", "morgan co", "morgan co"];
     let mut strings = vec![
         "morgan stanley group inc".to_string(), // the unique best match
@@ -257,59 +198,16 @@ fn tie_classes_straddling_the_k_boundary_honor_the_contract() {
             ("indexed", handle.execute(&query, Exec::TopK(k)).unwrap()),
             ("naive", handle.execute_naive(&query, Exec::TopK(k)).unwrap()),
         ] {
-            let context = format!("tie-regression/{kind}/{label} k={k}");
-            assert_set_equal_mod_ties(&bounded, &heap, k, &context);
-            // The truncated boundary run may pick *different* members than
-            // the heap path — but never a tid outside the tie class.
-            for s in &bounded[start..k] {
-                assert!(
-                    tie_tids.contains(&s.tid),
-                    "{context}: boundary rank returned tid {} from outside the tie class",
-                    s.tid
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn block_size_sweep_preserves_the_contract() {
-    // The posting block-max granularity is a pure performance knob: the
-    // bounded operator obeys the same tie-class contract at every setting,
-    // including the degenerate per-posting (1) and beyond-every-list
-    // (1 << 20 ≙ global-max / plain WAND) configurations, and odd sizes that
-    // misalign block boundaries with list lengths.
-    let dataset = cu_dataset_sized(cu_spec("CU2").unwrap(), 160, 16);
-    let indices = sample_query_indices(&dataset, 3, 0xB10C);
-    for block in [1usize, 3, 64, 1 << 20] {
-        let engine = build_engine(&dataset, &Params { posting_block: block, ..Params::default() });
-        for kind in BOUNDED_KINDS {
-            let handle = engine.predicate(kind);
-            for &idx in &indices {
-                let query = engine.query(&dataset.records[idx].text);
-                let ranked = handle.execute(&query, Exec::Rank).unwrap();
-                for k in [1, 7, ranked.len()] {
-                    let heap = handle.execute(&query, Exec::TopKHeap(k)).unwrap();
-                    let bounded = handle.execute(&query, Exec::TopK(k)).unwrap();
-                    assert_set_equal_mod_ties(
-                        &bounded,
-                        &heap,
-                        k,
-                        &format!("block={block}/{kind} k={k}"),
-                    );
-                }
-            }
+            assert_eq!(bounded, heap, "tie-regression/{kind}/{label} k={k}");
         }
     }
 }
 
 #[test]
 fn one_hot_document_corpus_stays_exact_under_block_skipping() {
-    // Adversarial corpus for global-max pruning: one record repeats a rare
-    // word many times, giving the tf-sensitive predicates (BM25, HMM) one
-    // enormous posting in otherwise featherweight lists — the shape where a
-    // per-list bound is useless and block-max skipping has to carry the
-    // load. The contract must hold at every granularity.
+    // A skewed corpus: one record repeats a rare word many times, giving the
+    // tf-sensitive predicates (BM25, HMM) one enormous posting in otherwise
+    // featherweight lists. The operator must stay byte-exact on it.
     let hot_word = "zephyr ".repeat(12);
     let mut strings: Vec<String> =
         (0..120).map(|i| format!("zephyr common record number {i}")).collect();
@@ -327,29 +225,22 @@ fn one_hot_document_corpus_stays_exact_under_block_skipping() {
             })
             .collect(),
     };
-    for block in [1usize, 64, 1 << 20] {
-        let engine = build_engine(&dataset, &Params { posting_block: block, ..Params::default() });
-        for kind in BOUNDED_KINDS {
-            let handle = engine.predicate(kind);
-            for query_text in ["zephyr common record", hot_word.as_str()] {
-                let query = engine.query(query_text);
-                for k in [1, 5, 20] {
-                    let heap = handle.execute(&query, Exec::TopKHeap(k)).unwrap();
-                    let bounded = handle.execute(&query, Exec::TopK(k)).unwrap();
-                    assert_set_equal_mod_ties(
-                        &bounded,
-                        &heap,
-                        k,
-                        &format!("one-hot block={block}/{kind} k={k}"),
-                    );
-                }
+    let engine = build_engine(&dataset, &Params::default());
+    for kind in BOUNDED_KINDS {
+        let handle = engine.predicate(kind);
+        for query_text in ["zephyr common record", hot_word.as_str()] {
+            let query = engine.query(query_text);
+            for k in [1, 5, 20] {
+                let heap = handle.execute(&query, Exec::TopKHeap(k)).unwrap();
+                let bounded = handle.execute(&query, Exec::TopK(k)).unwrap();
+                assert_eq!(bounded, heap, "one-hot/{kind} k={k}");
             }
         }
     }
 }
 
 /// Property test over random corpora: the bounded operator may never skip a
-/// tid that outscores the returned k-th result — the pruning-bound contract.
+/// tid that outscores the returned k-th result.
 #[test]
 fn pruning_bound_is_never_violated_on_random_corpora() {
     use proptest::prelude::*;
@@ -375,6 +266,7 @@ fn pruning_bound_is_never_violated_on_random_corpora() {
         let ranked = handle.execute(&query, Exec::Rank).unwrap();
         let bounded = handle.execute(&query, Exec::TopK(k)).unwrap();
         assert_eq!(bounded.len(), ranked.len().min(k), "{kind}: wrong result size");
+        assert_eq!(bounded, ranked[..bounded.len()], "{kind}: TopK must be the Rank prefix");
         if let Some(kth) = bounded.last() {
             let returned: std::collections::HashSet<u32> = bounded.iter().map(|s| s.tid).collect();
             for s in &ranked {

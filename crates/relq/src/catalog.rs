@@ -157,7 +157,7 @@ pub struct Catalog {
     tables: BTreeMap<String, Arc<Table>>,
     indexes: BTreeMap<String, Vec<Arc<TableIndex>>>,
     int_stats: BTreeMap<String, Vec<Option<(i64, i64)>>>,
-    /// Score-ordered posting lists (see [`PostingIndex`]), the registration
+    /// Tid-ordered posting lists (see [`PostingIndex`]), the registration
     /// artifact behind [`Plan::TopKBounded`](crate::Plan::TopKBounded).
     postings: BTreeMap<String, Arc<PostingIndex>>,
 }
@@ -199,13 +199,11 @@ impl Catalog {
         Ok(())
     }
 
-    /// Additionally build score-ordered posting lists over an already
+    /// Additionally build tid-ordered posting lists over an already
     /// registered table (`weight_col: None` = unit contributions): the
     /// registration-time artifact [`Plan::TopKBounded`](crate::Plan::TopKBounded)
-    /// traverses. No-op when the table already carries a posting index.
-    /// Uses the default block-max granularity
-    /// ([`DEFAULT_POSTING_BLOCK`](crate::DEFAULT_POSTING_BLOCK)); see
-    /// [`register_posting_with_block`](Self::register_posting_with_block).
+    /// and [`Plan::ThresholdBounded`](crate::Plan::ThresholdBounded) read.
+    /// No-op when the table already carries a posting index.
     pub fn register_posting(
         &mut self,
         name: &str,
@@ -213,37 +211,11 @@ impl Catalog {
         tid_col: &str,
         weight_col: Option<&str>,
     ) -> Result<()> {
-        self.register_posting_with_block(
-            name,
-            token_col,
-            tid_col,
-            weight_col,
-            crate::posting::DEFAULT_POSTING_BLOCK,
-        )
-    }
-
-    /// [`register_posting`](Self::register_posting) with an explicit
-    /// block-max granularity (see
-    /// [`PostingIndex::build_with_block_size`]). No-op when the table
-    /// already carries a posting index built at `block_size`; an existing
-    /// index at a *different* block size is rebuilt.
-    pub fn register_posting_with_block(
-        &mut self,
-        name: &str,
-        token_col: &str,
-        tid_col: &str,
-        weight_col: Option<&str>,
-        block_size: usize,
-    ) -> Result<()> {
-        if let Some(existing) = self.postings.get(name) {
-            if existing.block_size() == block_size {
-                return Ok(());
-            }
+        if self.postings.contains_key(name) {
+            return Ok(());
         }
         let table = self.get_shared(name)?;
-        let posting = PostingIndex::build_with_block_size(
-            &table, token_col, tid_col, weight_col, block_size,
-        )?;
+        let posting = PostingIndex::build(&table, token_col, tid_col, weight_col)?;
         self.postings.insert(name.to_string(), Arc::new(posting));
         Ok(())
     }

@@ -42,7 +42,7 @@ pub fn execute_with(plan: &Plan, catalog: &Catalog, bindings: &Bindings) -> Resu
 }
 
 /// [`execute_with`], under an optional cooperative budget. Candidate-scoring
-/// operators (the bounded traversals and the aggregate-row assembly every
+/// operators (the bounded operators and the aggregate-row assembly every
 /// scan-mode scoring pipeline funnels through) charge the limits per
 /// candidate and stop cleanly on exhaustion, returning the anytime answer
 /// built so far — every emitted row fully scored, only coverage truncated.
@@ -269,28 +269,14 @@ fn eval(plan: &Plan, ctx: &ExecCtx) -> Result<Rel> {
             }
         }
         Plan::TopKBounded { base, probe, token_col, factor_col, k } => {
-            let k = eval_top_k_count(k, ctx)?;
-            let probe_rel = eval(probe, ctx)?;
-            Ok(Rel::Owned(top_k_bounded(
-                ctx,
-                base,
-                probe_rel.as_table(),
-                token_col,
-                factor_col.as_deref(),
-                k,
-            )?))
+            let select = Select::TopK(eval_top_k_count(k, ctx)?);
+            let probe = eval(probe, ctx)?;
+            bounded(ctx, base, probe.as_table(), token_col, factor_col.as_deref(), select)
         }
         Plan::ThresholdBounded { base, probe, token_col, factor_col, tau } => {
-            let tau = eval_scalar_f64(tau, ctx)?;
-            let probe_rel = eval(probe, ctx)?;
-            Ok(Rel::Owned(threshold_bounded(
-                ctx,
-                base,
-                probe_rel.as_table(),
-                token_col,
-                factor_col.as_deref(),
-                tau,
-            )?))
+            let select = Select::Threshold(eval_scalar_f64(tau, ctx)?);
+            let probe = eval(probe, ctx)?;
+            bounded(ctx, base, probe.as_table(), token_col, factor_col.as_deref(), select)
         }
         Plan::Distinct { input } => {
             let input = eval(input, ctx)?;
@@ -1194,63 +1180,169 @@ fn top_k(input: &Table, k: usize, key_idx: &[(usize, SortOrder)]) -> Table {
     Table::from_cells_unchecked(input.schema().clone(), cells, kept_ids.len())
 }
 
-/// Execute [`Plan::TopKBounded`]: resolve the probe's `(token, factor)` rows
-/// against the posting index of `base` and select the k best tids by their
-/// summed scaled contributions.
+/// Execute [`Plan::TopKBounded`] / [`Plan::ThresholdBounded`]: resolve the
+/// probe's `(token, factor)` rows against the posting index of `base` and
+/// select by the tids' summed scaled contributions.
 ///
-/// The indexed mode runs the early-terminating max-score traversal
-/// ([`crate::posting::MaxScoreTraversal`]); the naive mode keeps the
-/// pre-refactor cost model — exhaustively score every posting in probe-major
-/// order, stable-sort, truncate — which is byte-identical to the equivalent
-/// `Aggregate + TopK` heap pipeline and serves as the equivalence baseline.
-fn top_k_bounded(
+/// The indexed mode runs the windowed dense accumulator
+/// ([`score_windowed`]); the naive mode keeps the pre-refactor cost model —
+/// exhaustively score every posting in probe-major order, filter by the
+/// exact `score >= τ` or sort and truncate to `k`. Both modes return the
+/// bytes of the equivalent `Aggregate(IndexJoin)` pipeline topped by a heap
+/// `TopK` or a `Filter(score >= τ)`.
+fn bounded(
     ctx: &ExecCtx,
     base: &str,
     probe: &Table,
     token_col: &str,
     factor_col: Option<&str>,
-    k: usize,
-) -> Result<Table> {
+    select: Select,
+) -> Result<Rel> {
     let probes = gather_probes(ctx.catalog, base, probe, token_col, factor_col)?;
-    let ranked: Vec<(i64, f64)> = if ctx.naive {
-        let mut scores = score_exhaustive(probes);
-        scores.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        scores.truncate(k);
+    let selected = if ctx.naive {
+        let mut scores = score_exhaustive(&probes);
+        if let Select::Threshold(tau) = select {
+            scores.retain(|&(_, score)| admits(score, tau));
+        }
+        scores.sort_by(ranking);
+        if let Select::TopK(k) = select {
+            scores.truncate(k);
+        }
         scores
     } else {
-        crate::posting::MaxScoreTraversal::new(probes, k)?.run(ctx.limits)
+        score_windowed(&probes, select, ctx.limits)?
     };
-    Ok(scored_tid_table(ranked))
+    Ok(Rel::Owned(scored_tid_table(selected)))
 }
 
-/// Execute [`Plan::ThresholdBounded`]: resolve the probe's `(token, factor)`
-/// rows against the posting index of `base` and select every tid whose
-/// summed scaled contribution reaches `tau`.
+/// Result ordering of the bounded operators: descending score (ties by
+/// ascending tid), the one canonical ranking order of the predicate layer.
+fn ranking(a: &(i64, f64), b: &(i64, f64)) -> std::cmp::Ordering {
+    b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0))
+}
+
+/// The exact `score ≥ τ` admission test of [`Plan::ThresholdBounded`], with
+/// the same NaN semantics as the relational filter it replaces: `Filter`
+/// comparisons go through [`Value::total_cmp`], under which NaN compares
+/// equal to everything — so a NaN τ admits every candidate.
+fn admits(score: f64, tau: f64) -> bool {
+    !matches!(score.partial_cmp(&tau), Some(std::cmp::Ordering::Less))
+}
+
+/// Tids per accumulator window: 4,096 `f64` slots (32 KiB) stay in L1/L2
+/// however large the corpus is.
+const WINDOW: usize = 4096;
+
+/// What [`score_windowed`] keeps of the tids it scores.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Select {
+    /// The `k` best, by [`ranking`].
+    TopK(usize),
+    /// Every tid whose score [`admits`] τ.
+    Threshold(f64),
+}
+
+/// Score-at-a-time evaluation of the bounded operators: the physical form
+/// of `SUM(factor × weight) … GROUP BY tid` over the probed posting lists.
 ///
-/// The indexed mode runs the fixed-bar max-score traversal
-/// ([`crate::posting::ThresholdTraversal`]); the naive mode keeps the
-/// pre-refactor cost model — exhaustively score every posting in probe-major
-/// order, filter by the exact `score >= τ`, sort. The two modes and the
-/// equivalent `Filter(score >= τ, Aggregate(IndexJoin))` pipeline are all
-/// bit-identical: a fixed τ has no tie class (see the posting-layer docs).
-fn threshold_bounded(
-    ctx: &ExecCtx,
-    base: &str,
-    probe: &Table,
-    token_col: &str,
-    factor_col: Option<&str>,
-    tau: f64,
-) -> Result<Table> {
-    let probes = gather_probes(ctx.catalog, base, probe, token_col, factor_col)?;
-    let selected: Vec<(i64, f64)> = if ctx.naive {
-        let mut scores = score_exhaustive(probes);
-        scores.retain(|&(_, score)| crate::posting::admits(score, tau));
-        scores.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        scores
-    } else {
-        crate::posting::ThresholdTraversal::new(probes, tau)?.run(ctx.limits)
+/// The kernel works in windows of [`WINDOW`] consecutive tids. Each window
+/// starts at the smallest tid no list has consumed yet, so sparse or
+/// negative tids cost no empty windows. Within a window it walks each
+/// probed list's cursor in probe order and adds `factor × weight` into a
+/// dense slot; the first contribution to a slot is *stored*, not added to
+/// `0.0`, so every score has the bits of [`score_exhaustive`]'s (which sums
+/// each tid's contributions in the same probe order). The window's touched
+/// tids are then emitted in ascending order: `TopK` keeps at most
+/// `k + WINDOW` entries, trimmed to the `k` best after each window;
+/// `Threshold` admits each tid as it is emitted. Results come back in
+/// [`ranking`] order, so `TopK` returns exactly the bytes of the exhaustive
+/// top-k and `Threshold` those of the exhaustive filter.
+///
+/// With `limits`, each window charges its postings once and each emitted
+/// tid one candidate. A refused charge stops the kernel: the answer is then
+/// the exact one over an ascending prefix of the touched tids, the same for
+/// every run under the same cap. Factors must be finite and non-negative.
+pub(crate) fn score_windowed(
+    probes: &[(crate::posting::PostingList<'_>, f64)],
+    select: Select,
+    limits: Option<&crate::limits::ExecLimits>,
+) -> Result<Vec<(i64, f64)>> {
+    let (op, site) = match select {
+        Select::TopK(_) => ("TopKBounded", "relq.topk.candidate"),
+        Select::Threshold(_) => ("ThresholdBounded", "relq.threshold.candidate"),
     };
-    Ok(scored_tid_table(selected))
+    if let Some(&(_, factor)) = probes.iter().find(|&&(_, f)| !(f >= 0.0 && f.is_finite())) {
+        return Err(RelqError::InvalidPlan(format!(
+            "{op} requires finite non-negative query factors, got {factor}"
+        )));
+    }
+    let mut out: Vec<(i64, f64)> = Vec::new();
+    if let Select::TopK(0) = select {
+        return Ok(out);
+    }
+    let mut cursors = vec![0usize; probes.len()];
+    let mut slots = vec![0f64; WINDOW];
+    let mut touched = [0u64; WINDOW / 64];
+    'windows: loop {
+        let heads =
+            probes.iter().zip(&cursors).filter_map(|((list, _), &pos)| list.tids().get(pos));
+        let Some(&start) = heads.min() else { break };
+        let mut postings = 0;
+        for ((list, factor), pos) in probes.iter().zip(&mut cursors) {
+            let (tids, weights) = (list.tids(), list.weights());
+            let from = *pos;
+            while let Some(&tid) = tids.get(*pos) {
+                // `tid ≥ start`, so the wrapping difference is the exact
+                // offset even when the two straddle zero.
+                let offset = tid.wrapping_sub(start) as u64;
+                if offset >= WINDOW as u64 {
+                    break;
+                }
+                let offset = offset as usize;
+                let contribution = factor * weights[*pos];
+                let (word, bit) = (offset / 64, 1u64 << (offset % 64));
+                if touched[word] & bit == 0 {
+                    touched[word] |= bit;
+                    slots[offset] = contribution;
+                } else {
+                    slots[offset] += contribution;
+                }
+                *pos += 1;
+            }
+            postings += (*pos - from) as u64;
+        }
+        if let Some(limits) = limits {
+            limits.charge_postings(postings);
+        }
+        for (word, bits) in touched.iter_mut().enumerate() {
+            let mut bits = std::mem::take(bits);
+            while bits != 0 {
+                let offset = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if limits.is_some_and(|limits| !limits.charge_candidate()) {
+                    break 'windows;
+                }
+                crate::fault::fault_point(site);
+                let (tid, score) = (start.wrapping_add(offset as i64), slots[offset]);
+                match select {
+                    Select::TopK(_) => out.push((tid, score)),
+                    Select::Threshold(tau) if admits(score, tau) => out.push((tid, score)),
+                    Select::Threshold(_) => {}
+                }
+            }
+        }
+        if let Select::TopK(k) = select {
+            if out.len() > k {
+                out.select_nth_unstable_by(k, ranking);
+                out.truncate(k);
+            }
+        }
+    }
+    out.sort_unstable_by(ranking);
+    if let Select::TopK(k) = select {
+        out.truncate(k);
+    }
+    Ok(out)
 }
 
 /// Resolve a probe table's `(token, factor)` rows against the posting index
@@ -1289,11 +1381,14 @@ fn gather_probes<'c>(
 
 /// Exhaustive scoring of every posting in probe-major order — the
 /// accumulation order of the materializing aggregation pipeline, hence
-/// byte-identical to it. The naive lowering of both bounded operators.
-fn score_exhaustive(probes: Vec<(crate::posting::PostingList<'_>, f64)>) -> Vec<(i64, f64)> {
+/// byte-identical to it. The naive lowering of both bounded operators and
+/// the reference [`score_windowed`] is checked against.
+pub(crate) fn score_exhaustive(
+    probes: &[(crate::posting::PostingList<'_>, f64)],
+) -> Vec<(i64, f64)> {
     let mut slots: HashMap<i64, usize> = HashMap::new();
     let mut scores: Vec<(i64, f64)> = Vec::new();
-    for (list, factor) in probes {
+    for &(list, factor) in probes {
         for (i, &tid) in list.tids().iter().enumerate() {
             match slots.get(&tid) {
                 Some(&s) => scores[s].1 += factor * list.weights()[i],
@@ -1676,7 +1771,7 @@ mod tests {
     #[test]
     fn top_k_bounded_matches_aggregate_top_k_pipeline() {
         // Weighted token table with skewed lists: token 0 is frequent/light,
-        // token 9 rare/heavy — the shape max-score pruning exploits.
+        // token 9 rare/heavy.
         let mut weights = TableBuilder::new()
             .column("tid", DataType::Int)
             .column("token", DataType::Int)
@@ -1820,7 +1915,7 @@ mod tests {
         let at = execute_with(&bounded, &c, &bindings).unwrap();
         assert!(at.rows().any(|r| r[1].as_f64().unwrap().to_bits() == boundary.to_bits()));
         assert_eq!(at.rows(), execute_naive(&bounded, &c, &bindings).unwrap().rows());
-        // Negative factors are rejected by the traversal; the posting index
+        // Negative factors are rejected by the indexed kernel; the posting index
         // is required.
         let neg_probe = TableBuilder::new()
             .column("token", DataType::Int)

@@ -1,4 +1,4 @@
-//! A process-global fault-injection hook for the traversal hot paths.
+//! A process-global fault-injection hook for the scoring hot paths.
 //!
 //! Production code never pays more than one relaxed atomic load per site:
 //! the hook is behind an [`AtomicBool`] that is only set while a harness

@@ -11,6 +11,11 @@
 //!   rows),
 //! * persistent inverted indexes built at registration time
 //!   ([`Catalog::register_indexed`]) and probed by [`Plan::IndexJoin`],
+//! * tid-ordered [`PostingIndex`]es ([`Catalog::register_posting`]) behind
+//!   the bounded operators [`Plan::TopKBounded`] and
+//!   [`Plan::ThresholdBounded`], which sum a probe's scaled contributions
+//!   per tid in a windowed dense accumulator — the same bytes as the
+//!   `Aggregate`-then-select pipeline they replace,
 //! * scalar [`Expr`]essions (arithmetic, `LOG`, `EXP`, `POWER`, comparisons),
 //! * grouped aggregation ([`AggFunc`]: `COUNT`, `SUM`, `MIN`, `MAX`, `AVG`),
 //! * composable logical [`Plan`]s (scan, filter, project, hash join, index
@@ -79,7 +84,7 @@ pub use expr::{col, lit, param, BinaryOp, Expr, ScalarFn};
 pub use fault::{fault_point, set_fault_hook};
 pub use limits::{ExecLimits, ExecReport};
 pub use plan::{Plan, ProjectItem, SortOrder};
-pub use posting::{PostingIndex, PostingList, DEFAULT_POSTING_BLOCK};
+pub use posting::{PostingIndex, PostingList};
 pub use prepared::PreparedPlan;
 pub use schema::{Field, Schema};
 pub use table::{Rows, Table, TableBuilder};

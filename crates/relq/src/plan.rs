@@ -83,26 +83,21 @@ pub enum Plan {
     /// aggregated candidate stream, so top-k cost scales with the number of
     /// candidates kept, never with the base-relation size.
     TopK { input: Box<Plan>, k: Expr, keys: Vec<(String, SortOrder)> },
-    /// Score-bounded top-k over the posting lists of catalog table `base`
-    /// (built by [`Catalog::register_posting`](crate::Catalog::register_posting)):
-    /// the early-terminating alternative to `TopK` for scores that are
-    /// monotone sums of non-negative per-token contributions. The `probe`
-    /// input supplies one row per query token — `token_col` joins the posting
-    /// lists, `factor_col` scales their contributions (`None` = 1.0) — and
-    /// the operator emits the `k` best `(tid, score)` rows, score-descending
-    /// with ties by ascending tid, where
+    /// Top-k over the posting lists of catalog table `base` (built by
+    /// [`Catalog::register_posting`](crate::Catalog::register_posting)): the
+    /// posting-driven alternative to `TopK` over `Aggregate(IndexJoin)` for
+    /// scores that are sums of non-negative per-token contributions. The
+    /// `probe` input supplies one row per query token — `token_col` joins the
+    /// posting lists, `factor_col` scales their contributions (`None` = 1.0)
+    /// — and the operator emits the `k` best `(tid, score)` rows,
+    /// score-descending with ties by ascending tid, where
     /// `score(tid) = Σ_probe factor · weight(base, tid, token)`.
     ///
-    /// Execution is a document-at-a-time max-score/WAND traversal: a k-sized
-    /// heap maintains the running threshold θ, cursors are ordered by their
-    /// list upper bound (`factor · max weight`), and any tid whose remaining
-    /// upper bounds cannot beat θ is skipped without being scored — top-k
-    /// cost becomes sublinear in the candidate count. Every emitted score is
-    /// re-accumulated in probe order, so results are bit-identical to the
-    /// equivalent `Aggregate + TopK` pipeline whenever scores are distinct;
-    /// exact score ties may resolve to a different member of the tie class.
-    /// The naive executor lowers this node to exhaustive scoring plus
-    /// sort-and-truncate (byte-identical to the heap pipeline).
+    /// Execution sums each tid's contributions in probe order into a dense
+    /// accumulator, one window of consecutive tids at a time, and keeps the
+    /// `k` best; memory stays O(window + k). Results are byte-identical to
+    /// the equivalent `Aggregate + TopK` pipeline, ties included. The naive
+    /// executor lowers this node to exhaustive scoring plus sort-and-truncate.
     TopKBounded {
         base: String,
         probe: Box<Plan>,
@@ -110,24 +105,18 @@ pub enum Plan {
         factor_col: Option<String>,
         k: Expr,
     },
-    /// Score-bounded *threshold* selection over the posting lists of catalog
-    /// table `base`: every `(tid, score)` with `score ≥ τ`, score-descending
-    /// with ties by ascending tid, where `score(tid) = Σ_probe factor ·
-    /// weight(base, tid, token)` exactly as in [`Plan::TopKBounded`]. The
-    /// early-terminating alternative to `Filter(score ≥ τ)` over the
-    /// exhaustive aggregation pipeline for the same monotone-sum scores.
+    /// Threshold selection over the posting lists of catalog table `base`:
+    /// every `(tid, score)` with `score ≥ τ`, score-descending with ties by
+    /// ascending tid, where `score(tid) = Σ_probe factor · weight(base, tid,
+    /// token)` exactly as in [`Plan::TopKBounded`]. The posting-driven
+    /// alternative to `Filter(score ≥ τ)` over the exhaustive aggregation
+    /// pipeline for the same sums.
     ///
-    /// Execution is the same document-at-a-time max-score traversal with the
-    /// threshold **fixed** at τ from the start: no heap, the non-essential
-    /// list prefix (lists whose summed upper bounds cannot reach τ) is
-    /// computed once, and candidates appearing only there are never visited.
-    /// Pruning carries the shared relative slack, survivors are re-scored in
-    /// probe order, and admission is the exact `score ≥ τ` test — so,
-    /// unlike top-k (where the running θ creates a tie class at the k
-    /// boundary), results are **bit-identical** to the exhaustive
-    /// score-then-filter pipeline for every τ, including non-finite ones.
-    /// The naive executor lowers this node to exhaustive probe-major scoring
-    /// plus the same exact filter, byte-identical to the traversal.
+    /// Execution is the same windowed dense accumulator, admitting each tid
+    /// by the exact `score ≥ τ` test as its window is emitted, so results are
+    /// **bit-identical** to the exhaustive score-then-filter pipeline for
+    /// every τ, including non-finite ones. The naive executor lowers this
+    /// node to exhaustive probe-major scoring plus the same exact filter.
     ///
     /// `tau` is a column-free scalar expression (a literal or a bound
     /// parameter, possibly transformed — e.g. `param(τ).ln()` for scores
@@ -251,9 +240,9 @@ impl Plan {
         }
     }
 
-    /// Score-bounded top-k over the posting lists of `base`, probed by the
-    /// `probe` plan's `(token_col, factor_col)` rows (see
-    /// [`Plan::TopKBounded`]). `k` may be a literal or a scalar parameter.
+    /// Top-k over the posting lists of `base`, probed by the `probe` plan's
+    /// `(token_col, factor_col)` rows (see [`Plan::TopKBounded`]). `k` may
+    /// be a literal or a scalar parameter.
     pub fn top_k_bounded(
         base: &str,
         probe: Plan,
@@ -270,8 +259,8 @@ impl Plan {
         }
     }
 
-    /// Score-bounded threshold selection over the posting lists of `base`,
-    /// probed by the `probe` plan's `(token_col, factor_col)` rows (see
+    /// Threshold selection over the posting lists of `base`, probed by the
+    /// `probe` plan's `(token_col, factor_col)` rows (see
     /// [`Plan::ThresholdBounded`]). `tau` may be a literal or a scalar
     /// parameter expression.
     pub fn threshold_bounded(

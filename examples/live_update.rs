@@ -55,8 +55,8 @@ fn main() {
     // window — so later appends start a fresh tail.
     live.seal();
 
-    // Queries run the existing bounded traversals per segment and merge
-    // under one shared top-k bar; results are globally ranked.
+    // Queries run the bounded operators per segment and merge the
+    // answers; results are globally ranked.
     let queries = [
         (PredicateKind::Cosine, &stream.records[410].text),
         (PredicateKind::Bm25, &stream.records[7].text),

@@ -66,9 +66,9 @@ fn main() {
     }
 
     // 7. Threshold selection (the approximate selection operator): for BM25
-    //    this runs the score-bounded traversal with the bar fixed at τ —
-    //    candidates whose posting-list upper bounds cannot reach τ are never
-    //    scored — and returns bit-identical results to the exhaustive scan.
+    //    this sums the query's posting lists per tuple in a dense
+    //    accumulator and admits every score >= τ — bit-identical results to
+    //    the exhaustive scan.
     let selected = bm25.execute(&query, Exec::Threshold(5.0)).unwrap();
     let scanned = bm25.execute(&query, Exec::ThresholdScan(5.0)).unwrap();
     assert_eq!(selected, scanned, "bounded threshold must match the exhaustive scan");
