@@ -16,7 +16,7 @@
 //! scaling is bounded by the cores the machine grants, recorded alongside
 //! as `serving_cores`). A `live`
 //! section measures the segmented `LiveEngine`: append throughput at seal
-//! limits 1/64/1000 (the limit bounds the tail each append re-indexes),
+//! limits 1/64/1000 (the limit bounds the tail each append shares),
 //! bounded top-k latency with the same records held as 1/4/16 sealed
 //! segments (cross-checked against each variant's rebuilt monolith), and
 //! the default-seal append against rebuilding a monolithic engine per
@@ -70,8 +70,9 @@ const SCALE_SIZE: usize = 100_000;
 /// Worker-pool widths of the batch-serving throughput section.
 const WORKER_WIDTHS: [usize; 3] = [1, 2, 4];
 /// Seal limits of the live-append throughput rows: the tail cycles between
-/// 0 and the limit, so the limit bounds the tail each append re-tokenizes
-/// (1 = a fresh segment per append, 1000 = a large mostly-unsealed tail).
+/// 0 and the limit, so the limit bounds the tail each append shares with
+/// the new tail (1 = a fresh segment per append, 1000 = a large
+/// mostly-unsealed tail).
 const LIVE_SEALS: [usize; 3] = [1, 64, 1000];
 /// Segment counts of the live query-latency rows: the same records held as
 /// 1 / 4 / 16 sealed segments, so the per-segment traversal + merge
@@ -309,8 +310,8 @@ fn measure_sharded_rows(
 
 /// Live-engine append throughput at one seal limit: single-record appends
 /// into a `LiveEngine` whose tail cycles between 0 and `seal` records (each
-/// append re-tokenizes and re-indexes only the tail, so the seal limit
-/// bounds the per-append work).
+/// append tokenizes only the new record and copies one pointer per tail
+/// record, so the seal limit bounds only that copy).
 struct LiveAppendRow {
     size: usize,
     seal: usize,
@@ -337,7 +338,7 @@ struct LiveSegmentRow {
 
 /// Append cost vs the naive alternative — rebuilding a monolithic
 /// `SelectionEngine` over the whole corpus after every ingested record.
-/// `ratio()` is the factor the O(tail) live append saves over the O(n)
+/// `ratio()` is the factor the live append saves over the O(n)
 /// rebuild; the acceptance bar asks >= 10x at 10k records.
 struct LiveRebuildRow {
     size: usize,
@@ -757,11 +758,11 @@ fn main() {
         }
 
         // --- Live corpus: appends, segmented queries, rebuild baseline -------
-        // Append throughput at three seal limits. Every append re-tokenizes
-        // and re-indexes only the mutable tail (the engine build itself is
-        // lazy), so the seal limit — the tail size at which the engine
-        // freezes a segment — bounds the per-append work; the corpus behind
-        // the sealed segments never matters.
+        // Append throughput at three seal limits. Every append tokenizes
+        // only the new record and shares the tail's other records (the
+        // engine build itself is lazy), so the seal limit — the tail size at
+        // which the engine freezes a segment — bounds only a pointer copy;
+        // the corpus behind the sealed segments never matters.
         let append_batch = if smoke { 48 } else { 192 };
         for seal in LIVE_SEALS {
             let live = LiveEngine::from_corpus(
@@ -1212,7 +1213,7 @@ fn main() {
         );
         // The live section's per-query cross-checks vs the rebuilt monolith
         // already ran in place; this asserts the section wasn't skipped and
-        // that the O(tail) append keeps a clear margin over rebuilding the
+        // that the live append keeps a clear margin over rebuilding the
         // monolith per record (the >= 10x acceptance bar binds at 10k; one
         // 1k sample only guards against the advantage collapsing outright).
         assert!(

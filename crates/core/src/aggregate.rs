@@ -2,13 +2,18 @@
 //! BM25. Both share the query-time shape of Figure 4.3: a single join of
 //! `BASE_WEIGHTS` with `QUERY_WEIGHTS` followed by `SUM(w_d * w_q)` per tid.
 //!
-//! **Shared-artifact contract:** each predicate registers only its own
-//! weight table — `cosine_weights` / `bm25_weights`, indexed on token, plus
-//! the tid-ordered posting variant of the same rows — in a private
-//! catalog; nothing from the shared phase-1 tables is referenced, so neither
-//! predicate forces any of them to build. The weight-product plan is
-//! prepared once in every [`Exec`] mode; execution binds the per-query
-//! `QUERY_WEIGHTS` table and probes the token index.
+//! **Shared-artifact contract:** each predicate has one per-(record, token)
+//! weight function (`cosine_weight`, `bm25_weight`) and builds both of
+//! its private artifacts from it, each on first use: the weight table
+//! `cosine_weights` / `bm25_weights` indexed on token (for `Rank`,
+//! `TopKHeap`, `ThresholdScan` and introspection), and the tid-ordered
+//! posting lists of the same rows, built straight from the tokenized rows
+//! (for `TopK` and `Threshold`). The two hold the same weight bits by
+//! construction, and a workload of bounded reads never builds the table.
+//! Nothing from the shared phase-1 tables is referenced, so neither
+//! predicate forces any of them to build. The weight-product plans are
+//! prepared once per process in every [`Exec`] mode; execution binds the
+//! per-query `QUERY_WEIGHTS` table.
 //!
 //! **Bounded selection:** both scores are sums of non-negative `w_d · w_q`
 //! products per tid, so `Exec::TopK` routes through
@@ -21,25 +26,29 @@ use crate::dict::TokenId;
 use crate::engine::{Exec, Query, SharedArtifacts};
 use crate::params::Bm25Params;
 use crate::record::ScoredTid;
-use crate::tables::{self, PostingCatalog, RankingPlans, THRESHOLD_PARAM, TOP_K_PARAM};
+use crate::tables::{
+    self, PostingCatalog, RankingPlans, TokenWeight, THRESHOLD_PARAM, TOP_K_PARAM,
+};
 use relq::{col, param, AggFunc, Bindings, Catalog, Plan};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// Register a `(tid, token, weight)` table under `name` (indexed on token)
-/// in a fresh catalog and prepare the shared aggregate-weighted plan — join
-/// with query weights on token and sum the weight products per tuple — plus
-/// its posting-driven top-k and threshold variants. The posting lists behind
-/// the bounded plans are deferred to the first bounded execution.
+/// The private catalogs of a `(tid, token, weight)` table `name` built
+/// from `weight` (see [`PostingCatalog::private`]), and the shared
+/// aggregate-weighted plan — join with query weights on token and sum the
+/// weight products per tuple — plus its posting-driven top-k and threshold
+/// variants, prepared once per process in `plans`.
 fn weight_product_catalog(
     name: &'static str,
-    weights: relq::Table,
-) -> (PostingCatalog, RankingPlans) {
-    let mut catalog = Catalog::new();
-    catalog.register_indexed(name, weights, &["token"]).expect("weights have a token column");
-    let catalog = PostingCatalog::new(catalog, move |c| {
-        c.register_posting(name, "token", "tid", Some("weight"))
-            .expect("weights are distinct per (token, tid) and finite")
-    });
+    corpus: &Arc<TokenizedCorpus>,
+    weight: Arc<TokenWeight>,
+    plans: &'static OnceLock<RankingPlans>,
+) -> (PostingCatalog, &'static RankingPlans) {
+    let catalog = PostingCatalog::private(name, corpus.clone(), weight);
+    (catalog, plans.get_or_init(|| weight_product_plans(name)))
+}
+
+/// The prepared plans of [`weight_product_catalog`] over table `name`.
+fn weight_product_plans(name: &'static str) -> RankingPlans {
     let plan = Plan::index_join(name, &["token"], Plan::param("query_weights"), &["token"])
         .aggregate(&["tid"], vec![(AggFunc::Sum(col("weight").mul(col("weight_r"))), "score")]);
     let bounded = Plan::top_k_bounded(
@@ -56,7 +65,7 @@ fn weight_product_catalog(
         Some("weight"),
         param(THRESHOLD_PARAM),
     );
-    (catalog, RankingPlans::with_bounded(plan, bounded, threshold_bounded))
+    RankingPlans::with_bounded(plan, bounded, threshold_bounded)
 }
 
 /// Run the shared plan for one query's weights.
@@ -76,12 +85,59 @@ fn run_weight_product_plan(
     plans.execute(catalog.for_exec(exec), bindings, exec, naive, limits)
 }
 
+/// Cosine's per-(record, token) weight: `tf · idf / ‖D‖`, with the tuple's
+/// normalization constant `‖D‖ = sqrt(Σ (tf · idf)²)` computed once per
+/// record here. A record whose norm is 0 stores no row.
+pub(crate) fn cosine_weight(
+    corpus: &Arc<TokenizedCorpus>,
+) -> impl Fn(usize, TokenId, u32) -> Option<f64> + Send + Sync + 'static {
+    let norms: Vec<f64> = (0..corpus.num_records())
+        .map(|idx| {
+            corpus
+                .record_tokens(idx)
+                .iter()
+                .map(|&(t, tf)| {
+                    let w = tf as f64 * corpus.idf(t);
+                    w * w
+                })
+                .sum::<f64>()
+                .sqrt()
+        })
+        .collect();
+    let corpus = corpus.clone();
+    move |idx, token, tf| {
+        let norm = norms[idx];
+        if norm <= 0.0 {
+            return None;
+        }
+        Some(tf as f64 * corpus.idf(token) / norm)
+    }
+}
+
+/// BM25's per-(record, token) weight:
+/// `w_d(t, D) = w1(t) * (k1 + 1) tf / (K(D) + tf)` where `w1` is the
+/// Robertson–Sparck Jones weight and `K(D) = k1((1-b) + b |D|/avgdl)`.
+pub(crate) fn bm25_weight(
+    corpus: &Arc<TokenizedCorpus>,
+    params: Bm25Params,
+) -> impl Fn(usize, TokenId, u32) -> Option<f64> + Send + Sync + 'static {
+    let corpus = corpus.clone();
+    let avgdl = corpus.avgdl();
+    move |idx, token, tf| {
+        let dl = corpus.record_dl(idx) as f64;
+        let k_d = params.k1 * ((1.0 - params.b) + params.b * dl / avgdl.max(1e-12));
+        let w1 = corpus.rsj_weight(token);
+        let tf = tf as f64;
+        Some(w1 * (params.k1 + 1.0) * tf / (k_d + tf))
+    }
+}
+
 /// tf-idf cosine similarity (§3.2.1): normalized `tf * idf` weights on both
 /// sides, summed over common tokens.
 pub struct CosinePredicate {
     shared: Arc<SharedArtifacts>,
     catalog: PostingCatalog,
-    plans: RankingPlans,
+    plans: &'static RankingPlans,
 }
 
 impl CosinePredicate {
@@ -90,32 +146,13 @@ impl CosinePredicate {
         Self::from_shared(SharedArtifacts::build(corpus, &crate::params::Params::default()))
     }
 
-    /// Phase-2 preprocessing: register `COSINE_WEIGHTS` with L2-normalized
-    /// tf-idf weights over the shared catalog.
+    /// Phase-2 preprocessing: `COSINE_WEIGHTS` with L2-normalized tf-idf
+    /// weights ([`cosine_weight`]).
     pub(crate) fn from_shared(shared: Arc<SharedArtifacts>) -> Self {
-        let corpus = shared.corpus();
-        // Per-tuple normalization constant sqrt(sum (tf*idf)^2).
-        let norms: Vec<f64> = (0..corpus.num_records())
-            .map(|idx| {
-                corpus
-                    .record_tokens(idx)
-                    .iter()
-                    .map(|&(t, tf)| {
-                        let w = tf as f64 * corpus.idf(t);
-                        w * w
-                    })
-                    .sum::<f64>()
-                    .sqrt()
-            })
-            .collect();
-        let weights = tables::base_weights(corpus, |idx, token, tf| {
-            let norm = norms[idx];
-            if norm <= 0.0 {
-                return None;
-            }
-            Some(tf as f64 * corpus.idf(token) / norm)
-        });
-        let (catalog, plans) = weight_product_catalog("cosine_weights", weights);
+        static PLANS: OnceLock<RankingPlans> = OnceLock::new();
+        let weight = Arc::new(cosine_weight(shared.corpus()));
+        let (catalog, plans) =
+            weight_product_catalog("cosine_weights", shared.corpus(), weight, &PLANS);
         CosinePredicate { shared, catalog, plans }
     }
 
@@ -153,7 +190,7 @@ impl CosinePredicate {
     ) -> crate::error::Result<Vec<ScoredTid>> {
         run_weight_product_plan(
             &self.catalog,
-            &self.plans,
+            self.plans,
             self.query_weights(query.tokens()),
             exec,
             naive,
@@ -162,14 +199,14 @@ impl CosinePredicate {
     }
 }
 
-crate::engine::engine_predicate!(CosinePredicate, crate::predicate::PredicateKind::Cosine);
+crate::engine::engine_predicate!(CosinePredicate, crate::predicate::PredicateKind::Cosine, catalog);
 
 /// Okapi BM25 (§3.2.2), the weighting scheme the paper introduces to data
 /// cleaning and finds to be among the most accurate and efficient.
 pub struct Bm25Predicate {
     shared: Arc<SharedArtifacts>,
     catalog: PostingCatalog,
-    plans: RankingPlans,
+    plans: &'static RankingPlans,
 }
 
 impl Bm25Predicate {
@@ -179,21 +216,12 @@ impl Bm25Predicate {
         Self::from_shared(SharedArtifacts::build(corpus, &params))
     }
 
-    /// Phase-2 preprocessing: register `BM25_WEIGHTS` with
-    /// `w_d(t, D) = w1(t) * (k1 + 1) tf / (K(D) + tf)` where `w1` is the
-    /// Robertson–Sparck Jones weight and `K(D) = k1((1-b) + b |D|/avgdl)`.
+    /// Phase-2 preprocessing: `BM25_WEIGHTS` ([`bm25_weight`]).
     pub(crate) fn from_shared(shared: Arc<SharedArtifacts>) -> Self {
-        let corpus = shared.corpus();
-        let params = shared.params().bm25;
-        let avgdl = corpus.avgdl();
-        let weights = tables::base_weights(corpus, |idx, token, tf| {
-            let dl = corpus.record_dl(idx) as f64;
-            let k_d = params.k1 * ((1.0 - params.b) + params.b * dl / avgdl.max(1e-12));
-            let w1 = corpus.rsj_weight(token);
-            let tf = tf as f64;
-            Some(w1 * (params.k1 + 1.0) * tf / (k_d + tf))
-        });
-        let (catalog, plans) = weight_product_catalog("bm25_weights", weights);
+        static PLANS: OnceLock<RankingPlans> = OnceLock::new();
+        let weight = Arc::new(bm25_weight(shared.corpus(), shared.params().bm25));
+        let (catalog, plans) =
+            weight_product_catalog("bm25_weights", shared.corpus(), weight, &PLANS);
         Bm25Predicate { shared, catalog, plans }
     }
 
@@ -225,7 +253,7 @@ impl Bm25Predicate {
     ) -> crate::error::Result<Vec<ScoredTid>> {
         run_weight_product_plan(
             &self.catalog,
-            &self.plans,
+            self.plans,
             self.query_weights(query.tokens()),
             exec,
             naive,
@@ -234,7 +262,7 @@ impl Bm25Predicate {
     }
 }
 
-crate::engine::engine_predicate!(Bm25Predicate, crate::predicate::PredicateKind::Bm25);
+crate::engine::engine_predicate!(Bm25Predicate, crate::predicate::PredicateKind::Bm25, catalog);
 
 #[cfg(test)]
 mod tests {

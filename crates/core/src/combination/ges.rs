@@ -9,7 +9,7 @@ use crate::corpus::TokenizedCorpus;
 use crate::dict::TokenId;
 use crate::engine::{finalize_ranking, Exec, Query, SharedArtifacts};
 use crate::params::GesParams;
-use crate::record::ScoredTid;
+use crate::record::{ScoredTid, Tid};
 use dasp_text::{edit_similarity, EditPattern};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -71,23 +71,19 @@ pub fn ges_similarity(query: &[WeightedWord], tuple: &[WeightedWord], cins: f64)
 /// known words get their IDF weight, unknown words the average word IDF
 /// (§4.5).
 pub fn weighted_query_words(corpus: &TokenizedCorpus, query: &str) -> Vec<WeightedWord> {
-    weighted_words_with_avg_idf(
-        corpus,
-        dasp_text::word_tokens(query).into_iter(),
-        corpus.avg_word_idf(),
-    )
+    weighted_words(corpus, dasp_text::word_tokens(query).into_iter())
 }
 
 /// The one weighting rule behind every query-side word view: known words get
-/// their IDF, unknown words the (caller-supplied, usually precomputed)
-/// average word IDF of §4.5. [`weighted_query_words`] and the engine's
-/// prepared [`Query`](crate::engine::Query) both go through here, so the
-/// rule cannot drift between the two paths.
-pub(crate) fn weighted_words_with_avg_idf(
+/// their IDF, unknown words the corpus's stored average word IDF (§4.5).
+/// [`weighted_query_words`] and the engine's prepared
+/// [`Query`](crate::engine::Query) both go through here, so the rule cannot
+/// drift between the two paths.
+pub(crate) fn weighted_words(
     corpus: &TokenizedCorpus,
     words: impl Iterator<Item = String>,
-    avg_idf: f64,
 ) -> Vec<WeightedWord> {
+    let avg_idf = corpus.avg_word_idf();
     words
         .map(|w| {
             let weight = match corpus.word_dict().get(&w) {
@@ -113,7 +109,7 @@ pub fn weighted_record_words(corpus: &TokenizedCorpus, record_idx: usize) -> Vec
 }
 
 /// The GES weight of every vocabulary word, by word id: its IDF, floored
-/// like the query side (see [`weighted_words_with_avg_idf`]).
+/// like the query side (see [`weighted_words`]).
 pub(crate) fn word_weights(corpus: &TokenizedCorpus) -> Vec<f64> {
     (0..corpus.num_word_tokens()).map(|id| corpus.word_idf(id as TokenId).max(1e-6)).collect()
 }
@@ -302,7 +298,7 @@ impl GesPredicate {
             self.shared.params().ges.cins,
         );
         let mut out = Vec::with_capacity(corpus.num_records());
-        for (idx, record) in corpus.corpus().records().iter().enumerate() {
+        for idx in 0..corpus.num_records() {
             // Budget boundary: one candidate per corpus record scored.
             // Scores already pushed are exact, so breaking leaves a valid
             // anytime answer.
@@ -313,7 +309,7 @@ impl GesPredicate {
             }
             let sim = scorer.similarity(idx);
             if sim > 0.0 {
-                out.push(ScoredTid::new(record.tid, sim));
+                out.push(ScoredTid::new(idx as Tid, sim));
             }
         }
         Ok(finalize_ranking(out, exec))
@@ -442,10 +438,7 @@ mod tests {
         records
             .map(|idx| {
                 let tuple = weighted_record_words(corpus, idx);
-                ScoredTid::new(
-                    corpus.corpus().records()[idx].tid,
-                    ges_similarity(&query, &tuple, 0.5),
-                )
+                ScoredTid::new(idx as Tid, ges_similarity(&query, &tuple, 0.5))
             })
             .collect()
     }
@@ -465,7 +458,7 @@ mod tests {
         let jaccard = GesJaccardPredicate::build(corpus.clone(), ges);
         let apx = GesApxPredicate::build(corpus.clone(), ges);
         for idx in (0..corpus.num_records()).step_by(25) {
-            let text = corpus.corpus().records()[idx].text.clone();
+            let text = corpus.record_text(idx).to_string();
             let query = engine.query(&text);
 
             // GES scores the full scan and keeps positive scores.

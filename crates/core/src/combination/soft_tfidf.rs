@@ -45,9 +45,9 @@ impl SoftTfIdfPredicate {
         ]);
         // One row per distinct word of a tuple at most: the word
         // occurrences bound the arena.
-        let word_occurrences = (0..corpus.corpus().len()).map(|i| corpus.record_words(i).len());
+        let word_occurrences = (0..corpus.num_records()).map(|i| corpus.record_words(i).len());
         let mut table = Table::with_capacity(schema, word_occurrences.sum());
-        for (idx, record) in corpus.corpus().records().iter().enumerate() {
+        for idx in 0..corpus.num_records() {
             // Word term frequencies of this tuple.
             let mut counts: Vec<(u32, u32)> = Vec::new();
             for &w in corpus.record_words(idx) {
@@ -71,11 +71,7 @@ impl SoftTfIdfPredicate {
                 let weight = tf as f64 * corpus.word_idf(w) / norm;
                 if weight > 0.0 {
                     table
-                        .push([
-                            Value::Int(record.tid as i64),
-                            Value::Int(w as i64),
-                            Value::Float(weight),
-                        ])
+                        .push([Value::Int(idx as i64), Value::Int(w as i64), Value::Float(weight)])
                         .expect("schema matches");
                 }
             }

@@ -7,7 +7,7 @@
 
 use crate::dict::{TokenDict, TokenId};
 use crate::record::{Record, Tid};
-use dasp_text::{qgrams, word_tokens, QgramConfig};
+use dasp_text::{for_each_qgram, word_tokens, QgramConfig};
 use std::sync::Arc;
 
 /// The base relation `R`: a collection of string tuples.
@@ -135,6 +135,64 @@ struct CorpusStats {
     pml_sum: Vec<f64>,
     /// Per word id: number of records containing it.
     word_df: Vec<u32>,
+    /// Per token id: `idf` over `n` and `df`, computed once (see
+    /// [`TokenizedCorpus::idf`]).
+    idf: Vec<f64>,
+    /// Per token id: the clamped Robertson–Sparck Jones weight over `n` and
+    /// `df`, computed once (see [`TokenizedCorpus::rsj_weight`]).
+    rsj: Vec<f64>,
+    /// Mean word IDF over the word vocabulary, computed once (see
+    /// [`TokenizedCorpus::avg_word_idf`]).
+    avg_word_idf: f64,
+}
+
+impl CorpusStats {
+    /// Freeze the statistics, computing the two token-only weights — the
+    /// `ln` calls every weight-table and posting build would otherwise pay
+    /// per (record, token) pair — once per token, and the mean word IDF
+    /// every query preparation would otherwise pay over the whole word
+    /// vocabulary.
+    fn new(
+        n: usize,
+        df: Vec<u32>,
+        cf: Vec<u64>,
+        cs: u64,
+        avgdl: f64,
+        pml_sum: Vec<f64>,
+        word_df: Vec<u32>,
+    ) -> Self {
+        let nf = n as f64;
+        let idf =
+            df.iter().map(|&df| if df == 0 { 0.0 } else { nf.ln() - (df as f64).ln() }).collect();
+        let rsj = df
+            .iter()
+            .map(|&df| {
+                let nt = df as f64;
+                ((nf - nt + 0.5) / (nt + 0.5)).ln().max(0.0)
+            })
+            .collect();
+        let word_idf = |df: u32| if df == 0 { 0.0 } else { nf.ln() - (df as f64).ln() };
+        let avg_word_idf = if word_df.is_empty() {
+            0.0
+        } else {
+            word_df.iter().map(|&df| word_idf(df)).sum::<f64>() / word_df.len() as f64
+        };
+        CorpusStats { n, df, cf, cs, avgdl, pml_sum, word_df, idf, rsj, avg_word_idf }
+    }
+}
+
+/// One record of a tokenized corpus: its text and its rows, in one
+/// allocation shared by `Arc` between a projection and every projection
+/// that extends it ([`TokenizedCorpus::project_append`]).
+#[derive(Debug)]
+struct RecordRows {
+    text: String,
+    /// (token id, term frequency) pairs, sorted by token id.
+    tokens: Box<[(TokenId, u32)]>,
+    /// Total number of q-gram token occurrences (`dl`).
+    dl: u32,
+    /// Word tokens in order (with duplicates).
+    words: Box<[TokenId]>,
 }
 
 /// The tokenized base relation plus all corpus-level statistics every
@@ -143,22 +201,19 @@ struct CorpusStats {
 /// The dictionaries and statistics live behind `Arc`s: cloning a tokenized
 /// corpus, or projecting a record subset through it
 /// ([`project`](Self::project)), shares them by reference — O(records), never
-/// O(vocabulary).
+/// O(vocabulary). Each record's text and rows sit behind one `Arc` of their
+/// own, so [`project_append`](Self::project_append) shares the records it
+/// extends instead of copying them.
 #[derive(Debug, Clone)]
 pub struct TokenizedCorpus {
-    corpus: Corpus,
     config: QgramConfig,
     dict: Arc<TokenDict>,
-    /// Per record: (token id, term frequency) pairs, sorted by token id.
-    rec_tokens: Vec<Vec<(TokenId, u32)>>,
-    /// Per record: total number of q-gram token occurrences (`dl`).
-    rec_dl: Vec<u32>,
+    /// Per record (index = tid): its text and rows.
+    rows: Vec<Arc<RecordRows>>,
     /// Frozen collection statistics (shared with projections).
     stats: Arc<CorpusStats>,
     /// Word-token dictionary (combination predicates).
     word_dict: Arc<TokenDict>,
-    /// Per record: word tokens in order (with duplicates).
-    rec_words: Vec<Vec<TokenId>>,
     /// Per word id: distinct q-gram set of the word (second-level tokens).
     word_qgram_sets: Arc<Vec<Vec<String>>>,
 }
@@ -170,20 +225,18 @@ impl TokenizedCorpus {
         let n = corpus.len();
         let mut dict = TokenDict::new();
         let mut word_dict = TokenDict::new();
-        let mut rec_tokens = Vec::with_capacity(n);
-        let mut rec_dl = Vec::with_capacity(n);
-        let mut rec_words = Vec::with_capacity(n);
+        let mut rows = Vec::with_capacity(n);
         let mut df: Vec<u32> = Vec::new();
         let mut cf: Vec<u64> = Vec::new();
         let mut pml_sum: Vec<f64> = Vec::new();
         let mut word_df: Vec<u32> = Vec::new();
         let mut cs: u64 = 0;
 
-        for record in corpus.records() {
+        for record in corpus.records {
             // Q-gram tokens with multiplicity.
-            let grams = qgrams(&record.text, config);
             let mut counts: Vec<(TokenId, u32)> = Vec::new();
-            for gram in &grams {
+            let mut grams = 0u32;
+            for_each_qgram(&record.text, config, |gram| {
                 let id = dict.intern(gram);
                 if id as usize >= cf.len() {
                     cf.push(0);
@@ -191,19 +244,18 @@ impl TokenizedCorpus {
                     pml_sum.push(0.0);
                 }
                 cf[id as usize] += 1;
+                grams += 1;
                 match counts.binary_search_by_key(&id, |(t, _)| *t) {
                     Ok(pos) => counts[pos].1 += 1,
                     Err(pos) => counts.insert(pos, (id, 1)),
                 }
-            }
-            let dl = (grams.len() as f64).max(1.0);
+            });
+            let dl = (grams as f64).max(1.0);
             for (id, tf) in &counts {
                 df[*id as usize] += 1;
                 pml_sum[*id as usize] += *tf as f64 / dl;
             }
-            cs += grams.len() as u64;
-            rec_dl.push(grams.len() as u32);
-            rec_tokens.push(counts);
+            cs += grams as u64;
 
             // Word tokens.
             let words = word_tokens(&record.text);
@@ -220,7 +272,12 @@ impl TokenizedCorpus {
                     word_df[id as usize] += 1;
                 }
             }
-            rec_words.push(ids);
+            rows.push(Arc::new(RecordRows {
+                text: record.text,
+                tokens: counts.into(),
+                dl: grams,
+                words: ids.into(),
+            }));
         }
 
         // Second-level tokenization: q-grams of each distinct word token.
@@ -237,14 +294,11 @@ impl TokenizedCorpus {
 
         let avgdl = if n == 0 { 0.0 } else { cs as f64 / n as f64 };
         TokenizedCorpus {
-            corpus,
             config,
             dict: Arc::new(dict),
-            rec_tokens,
-            rec_dl,
-            stats: Arc::new(CorpusStats { n, df, cf, cs, avgdl, pml_sum, word_df }),
+            rows,
+            stats: Arc::new(CorpusStats::new(n, df, cf, cs, avgdl, pml_sum, word_df)),
             word_dict: Arc::new(word_dict),
-            rec_words,
             word_qgram_sets: Arc::new(word_qgram_sets),
         }
     }
@@ -268,39 +322,62 @@ impl TokenizedCorpus {
     /// [`Corpus::from_records`] invariant); the cost is O(records' text), never
     /// O(frozen vocabulary).
     pub fn project(&self, records: Vec<Record>) -> TokenizedCorpus {
-        let corpus = Corpus::from_records(records);
-        let n = corpus.len();
-        let mut rec_tokens = Vec::with_capacity(n);
-        let mut rec_dl = Vec::with_capacity(n);
-        let mut rec_words = Vec::with_capacity(n);
-        for record in corpus.records() {
-            let grams = qgrams(&record.text, self.config);
-            let mut counts: Vec<(TokenId, u32)> = Vec::new();
-            let mut dl = 0u32;
-            for gram in &grams {
-                let Some(id) = self.dict.get(gram) else { continue };
-                dl += 1;
-                match counts.binary_search_by_key(&id, |(t, _)| *t) {
-                    Ok(pos) => counts[pos].1 += 1,
-                    Err(pos) => counts.insert(pos, (id, 1)),
-                }
-            }
-            rec_tokens.push(counts);
-            rec_dl.push(dl);
-            let words = word_tokens(&record.text);
-            rec_words.push(words.iter().filter_map(|w| self.word_dict.get(w)).collect());
+        debug_assert!(
+            records.iter().enumerate().all(|(i, r)| r.tid == i as Tid),
+            "projected tids must be dense from 0 in record order"
+        );
+        let mut out = self.empty_projection(records.len());
+        for record in records {
+            out.push_projected(record.text);
         }
+        out
+    }
+
+    /// This corpus plus one record, as a projection onto the same frozen
+    /// dictionaries and statistics: the new record (tid
+    /// [`num_records`](Self::num_records)) is tokenized exactly as
+    /// [`project`](Self::project) would, and the rows of the records already
+    /// held are shared, never re-tokenized or copied. The result equals
+    /// `self.project(records + [text])` for a projection `self`. This is the
+    /// live tail's append: one record's tokenization plus a reference per
+    /// record already held.
+    pub fn project_append(&self, text: impl Into<String>) -> TokenizedCorpus {
+        let mut out = self.empty_projection(self.rows.len() + 1);
+        out.rows.extend_from_slice(&self.rows);
+        out.push_projected(text.into());
+        out
+    }
+
+    /// A projection holding no records yet, with room for `capacity`.
+    fn empty_projection(&self, capacity: usize) -> TokenizedCorpus {
         TokenizedCorpus {
-            corpus,
             config: self.config,
             dict: self.dict.clone(),
-            rec_tokens,
-            rec_dl,
+            rows: Vec::with_capacity(capacity),
             stats: self.stats.clone(),
             word_dict: self.word_dict.clone(),
-            rec_words,
             word_qgram_sets: self.word_qgram_sets.clone(),
         }
+    }
+
+    /// Tokenize one record's text against the frozen dictionaries and push
+    /// it with its rows: `(token, tf)` pairs sorted by token, `dl` counting
+    /// only known q-grams, and the known word ids in order.
+    fn push_projected(&mut self, text: String) {
+        let mut counts: Vec<(TokenId, u32)> = Vec::new();
+        let mut dl = 0u32;
+        for_each_qgram(&text, self.config, |gram| {
+            let Some(id) = self.dict.get(gram) else { return };
+            dl += 1;
+            match counts.binary_search_by_key(&id, |(t, _)| *t) {
+                Ok(pos) => counts[pos].1 += 1,
+                Err(pos) => counts.insert(pos, (id, 1)),
+            }
+        });
+        let words: Vec<TokenId> =
+            word_tokens(&text).iter().filter_map(|w| self.word_dict.get(w)).collect();
+        let rows = RecordRows { text, tokens: counts.into(), dl, words: words.into() };
+        self.rows.push(Arc::new(rows));
     }
 
     /// True when `other` shares this corpus's frozen dictionaries and
@@ -311,9 +388,9 @@ impl TokenizedCorpus {
         Arc::ptr_eq(&self.stats, &other.stats) && Arc::ptr_eq(&self.dict, &other.dict)
     }
 
-    /// The underlying base relation.
-    pub fn corpus(&self) -> &Corpus {
-        &self.corpus
+    /// The text of record `idx` (whose tid is `idx`).
+    pub fn record_text(&self, idx: usize) -> &str {
+        &self.rows[idx].text
     }
 
     /// Q-gram configuration used for tokenization.
@@ -323,7 +400,7 @@ impl TokenizedCorpus {
 
     /// Number of tuples `N`.
     pub fn num_records(&self) -> usize {
-        self.corpus.len()
+        self.rows.len()
     }
 
     /// Number of distinct q-gram tokens in the collection.
@@ -348,17 +425,17 @@ impl TokenizedCorpus {
 
     /// Per-record `(token, tf)` pairs.
     pub fn record_tokens(&self, idx: usize) -> &[(TokenId, u32)] {
-        &self.rec_tokens[idx]
+        &self.rows[idx].tokens
     }
 
     /// Record length `dl` in token occurrences.
     pub fn record_dl(&self, idx: usize) -> u32 {
-        self.rec_dl[idx]
+        self.rows[idx].dl
     }
 
     /// Word tokens of a record, in order, with duplicates.
     pub fn record_words(&self, idx: usize) -> &[TokenId] {
-        &self.rec_words[idx]
+        &self.rows[idx].words
     }
 
     /// The statistical number of tuples `N` the IDF/RSJ formulas divide by.
@@ -413,13 +490,10 @@ impl TokenizedCorpus {
     }
 
     /// IDF of a q-gram token: `log(N) - log(df)` (zero for unseen tokens),
-    /// over the frozen statistical `N` ([`stat_n`](Self::stat_n)).
+    /// over the frozen statistical `N` ([`stat_n`](Self::stat_n)). Stored per
+    /// token when the statistics freeze.
     pub fn idf(&self, token: TokenId) -> f64 {
-        let df = self.df(token);
-        if df == 0 {
-            return 0.0;
-        }
-        (self.stats.n as f64).ln() - (df as f64).ln()
+        self.stats.idf[token as usize]
     }
 
     /// IDF of a word token (frozen statistics).
@@ -432,42 +506,36 @@ impl TokenizedCorpus {
     }
 
     /// Average IDF over all word tokens: the weight the paper assigns to
-    /// query words never seen in the base relation (§4.5).
+    /// query words never seen in the base relation (§4.5). Stored when the
+    /// statistics freeze.
     pub fn avg_word_idf(&self) -> f64 {
-        if self.stats.word_df.is_empty() {
-            return 0.0;
-        }
-        let len = self.stats.word_df.len();
-        let total: f64 = (0..len).map(|i| self.word_idf(i as TokenId)).sum();
-        total / len as f64
+        self.stats.avg_word_idf
     }
 
-    /// Robertson–Sparck Jones weight of a token (Equation 3.5), clamped at 0,
-    /// over the frozen `N` and `df`.
+    /// Robertson–Sparck Jones weight of a token (Equation 3.5),
+    /// `ln((N − n_t + 0.5) / (n_t + 0.5))` clamped at 0, over the frozen `N`
+    /// and `df`. Stored per token when the statistics freeze.
     pub fn rsj_weight(&self, token: TokenId) -> f64 {
-        let n = self.stats.n as f64;
-        let nt = self.df(token) as f64;
-        ((n - nt + 0.5) / (nt + 0.5)).ln().max(0.0)
+        self.stats.rsj[token as usize]
     }
 
     /// Tokenize a query string against the corpus dictionary.
     pub fn tokenize_query(&self, query: &str) -> QueryTokens {
-        let grams = qgrams(query, self.config);
         let mut tokens: Vec<(TokenId, u32)> = Vec::new();
         let mut unknown_occurrences = 0u32;
-        let mut unknown: std::collections::HashSet<&str> = Default::default();
-        for gram in &grams {
-            match self.dict.get(gram) {
-                Some(id) => match tokens.binary_search_by_key(&id, |(t, _)| *t) {
-                    Ok(pos) => tokens[pos].1 += 1,
-                    Err(pos) => tokens.insert(pos, (id, 1)),
-                },
-                None => {
-                    unknown_occurrences += 1;
-                    unknown.insert(gram.as_str());
+        let mut unknown: std::collections::HashSet<String> = Default::default();
+        for_each_qgram(query, self.config, |gram| match self.dict.get(gram) {
+            Some(id) => match tokens.binary_search_by_key(&id, |(t, _)| *t) {
+                Ok(pos) => tokens[pos].1 += 1,
+                Err(pos) => tokens.insert(pos, (id, 1)),
+            },
+            None => {
+                unknown_occurrences += 1;
+                if !unknown.contains(gram) {
+                    unknown.insert(gram.to_string());
                 }
             }
-        }
+        });
         QueryTokens { tokens, unknown_occurrences, unknown_distinct: unknown.len() as u32 }
     }
 
@@ -549,9 +617,9 @@ impl TokenizedCorpus {
         let mut cf = vec![0u64; self.stats.cf.len()];
         let mut pml_sum = vec![0.0f64; self.stats.pml_sum.len()];
         let mut cs = 0u64;
-        for (idx, tokens) in self.rec_tokens.iter().enumerate() {
+        for (rows, out_rows) in self.rows.iter().zip(&mut out.rows) {
             let kept: Vec<(TokenId, u32)> =
-                tokens.iter().copied().filter(|&(t, _)| keep(t)).collect();
+                rows.tokens.iter().copied().filter(|&(t, _)| keep(t)).collect();
             let dl: u32 = kept.iter().map(|&(_, tf)| tf).sum();
             for &(t, tf) in &kept {
                 df[t as usize] += 1;
@@ -559,20 +627,17 @@ impl TokenizedCorpus {
                 pml_sum[t as usize] += tf as f64 / (dl as f64).max(1.0);
             }
             cs += dl as u64;
-            out.rec_tokens[idx] = kept;
-            out.rec_dl[idx] = dl;
+            *out_rows = Arc::new(RecordRows {
+                text: rows.text.clone(),
+                tokens: kept.into(),
+                dl,
+                words: rows.words.clone(),
+            });
         }
         let n = self.stats.n;
         let avgdl = if n == 0 { 0.0 } else { cs as f64 / n as f64 };
-        out.stats = Arc::new(CorpusStats {
-            n,
-            df,
-            cf,
-            cs,
-            avgdl,
-            pml_sum,
-            word_df: self.stats.word_df.clone(),
-        });
+        out.stats =
+            Arc::new(CorpusStats::new(n, df, cf, cs, avgdl, pml_sum, self.stats.word_df.clone()));
         out
     }
 
@@ -713,6 +778,31 @@ mod tests {
         assert!(TokenizedCorpus::build(Corpus::default(), QgramConfig::default())
             .idf_occurrence_histogram(4)
             .is_empty());
+    }
+
+    #[test]
+    fn stored_token_weights_have_the_bits_of_their_formulas() {
+        let tc = small_corpus();
+        let records = vec![Record::new(0, "Beijing Morgan"), Record::new(1, "zzz qqq")];
+        let projected = tc.project(records);
+        let retained = tc.retain_tokens(|t| t % 3 != 0);
+        for corpus in [&tc, &projected, &retained] {
+            let n = corpus.stat_n() as f64;
+            for t in 0..corpus.num_tokens() as TokenId {
+                let df = corpus.df(t);
+                let idf = if df == 0 { 0.0 } else { n.ln() - (df as f64).ln() };
+                let nt = df as f64;
+                let rsj = ((n - nt + 0.5) / (nt + 0.5)).ln().max(0.0);
+                assert_eq!(corpus.idf(t).to_bits(), idf.to_bits(), "idf of token {t}");
+                assert_eq!(corpus.rsj_weight(t).to_bits(), rsj.to_bits(), "rsj of token {t}");
+            }
+            let words = corpus.num_word_tokens();
+            let total: f64 = (0..words).map(|w| corpus.word_idf(w as TokenId)).sum();
+            let avg = total / words as f64;
+            assert_eq!(corpus.avg_word_idf().to_bits(), avg.to_bits());
+        }
+        assert!(projected.shares_stats(&tc));
+        assert!((0..tc.num_tokens() as TokenId).any(|t| retained.df(t) == 0));
     }
 
     #[test]

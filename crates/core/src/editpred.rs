@@ -210,7 +210,7 @@ mod tests {
         // Verify the reported similarity equals 1 - ed/max_len.
         for s in &ranking {
             let idx = s.tid as usize;
-            let text = normalize(&corpus().corpus().records()[idx].text);
+            let text = normalize(corpus().record_text(idx));
             let qn = normalize("Morgan Stanley Group Inc.");
             let expected = 1.0
                 - edit_distance(&qn, &text) as f64
@@ -244,8 +244,9 @@ mod tests {
         let q = "Morgan Stanley Group Inc.";
         let qn = normalize(q);
         let returned: Vec<u32> = p.rank(q).iter().map(|s| s.tid).collect();
-        for (idx, rec) in corpus().corpus().records().iter().enumerate() {
-            let text = normalize(&rec.text);
+        let corpus = corpus();
+        for idx in 0..corpus.num_records() {
+            let text = normalize(corpus.record_text(idx));
             let sim = 1.0
                 - edit_distance(&qn, &text) as f64
                     / qn.chars().count().max(text.chars().count()) as f64;

@@ -42,7 +42,9 @@
 //! equality indexes, the two shared posting indexes, the normalized strings
 //! and the GES word weights — is built on first use (`OnceLock` per
 //! artifact) and then shared by reference: a standalone single-predicate
-//! build pays only for the artifacts that predicate probes. Corpora are
+//! build pays only for the artifacts that predicate probes. The posting
+//! indexes are built from the tokenized rows, not from the tables, so a
+//! workload of bounded reads builds no table at all. Corpora are
 //! immutable, so the engine also keeps a small invalidation-free LRU of
 //! recent results keyed on `(predicate, query text, exec mode)`; see
 //! [`SelectionEngine::result_cache_stats`].
@@ -50,7 +52,7 @@
 use crate::combination::ges::WeightedWord;
 use crate::corpus::{QueryTokens, TokenizedCorpus};
 use crate::error::{DaspError, Result};
-use crate::overlap::overlap_weight;
+use crate::overlap::{overlap_token_weight, overlap_weight, unit_weight};
 use crate::params::{ExecBudget, Params};
 use crate::predicate::{Predicate, PredicateKind};
 use crate::record::{sort_ranked, top_k_ranked, ScoredTid, Tid};
@@ -157,16 +159,15 @@ pub(crate) struct SharedArtifacts {
     table_cells: [OnceLock<Catalog>; SHARED_TABLES.len()],
     /// The full phase-1 catalog (all six tables), for introspection.
     full_catalog: OnceLock<Catalog>,
-    /// Tid-ordered posting variants of `base_tokens` (unit weights)
-    /// and `overlap_weights`, the lists `Plan::TopKBounded` traverses.
+    /// Tid-ordered posting lists over the rows of `base_tokens` (unit
+    /// weights) and `overlap_weights`, the lists `Plan::TopKBounded`
+    /// traverses, built from the tokenized rows (see [`Self::posting`]).
     posting_base_tokens: OnceLock<Arc<PostingIndex>>,
     posting_overlap_weights: OnceLock<Arc<PostingIndex>>,
     /// Normalized record text, the strings the edit-distance UDF compares.
     normalized: OnceLock<Vec<String>>,
     /// Per word id, the GES weight of the word (GES family).
     ges_word_weights: OnceLock<Vec<f64>>,
-    /// Mean word IDF, the weight of query words unseen in the base (§4.5).
-    avg_word_idf: OnceLock<f64>,
     /// Invalidation-free LRU of recent results (corpora are immutable).
     cache: ResultCache,
 }
@@ -184,7 +185,6 @@ impl SharedArtifacts {
             posting_overlap_weights: OnceLock::new(),
             normalized: OnceLock::new(),
             ges_word_weights: OnceLock::new(),
-            avg_word_idf: OnceLock::new(),
             cache: ResultCache::new(DEFAULT_RESULT_CACHE_CAPACITY),
         })
     }
@@ -221,9 +221,7 @@ impl SharedArtifacts {
             "overlap_weights" => catalog
                 .register_indexed(
                     "overlap_weights",
-                    tables::base_weights(corpus, |_, token, _| {
-                        Some(overlap_weight(corpus, weighting, token))
-                    }),
+                    tables::base_weights(corpus, overlap_token_weight(corpus, weighting)),
                     &["token"],
                 )
                 .expect("overlap_weights has a token column"),
@@ -291,32 +289,32 @@ impl SharedArtifacts {
         }
     }
 
-    /// The shared posting index over one of the weight-bearing shared tables
-    /// (`base_tokens` with unit contributions, `overlap_weights` with its
-    /// RSJ/IDF weights), built lazily and shared across every predicate
-    /// catalog it is attached to.
+    /// The shared posting index over the rows of one of the two shared
+    /// tables the bounded predicates probe (`base_tokens` with
+    /// IntersectSize's unit contributions, `overlap_weights` with
+    /// WeightedMatch's RSJ/IDF weights), built lazily straight from the
+    /// tokenized rows — the table itself stays unbuilt — and shared across
+    /// every predicate catalog it is attached to.
     pub(crate) fn posting(&self, name: &str) -> Arc<PostingIndex> {
-        let (cell, weight_col) = match name {
-            "base_tokens" => (&self.posting_base_tokens, None),
-            "overlap_weights" => (&self.posting_overlap_weights, Some("weight")),
+        let corpus = &self.corpus;
+        let built = match name {
+            "base_tokens" => self
+                .posting_base_tokens
+                .get_or_init(|| Arc::new(tables::postings(corpus, unit_weight))),
+            "overlap_weights" => self.posting_overlap_weights.get_or_init(|| {
+                let weight = overlap_token_weight(corpus, self.params.overlap_weighting);
+                Arc::new(tables::postings(corpus, weight))
+            }),
             other => panic!("no shared posting index for {other}"),
         };
-        cell.get_or_init(|| {
-            let table = self
-                .table_catalog(name)
-                .get_shared(name)
-                .expect("mini-catalog holds its own table");
-            Arc::new(
-                PostingIndex::build(&table, "token", "tid", weight_col)
-                    .expect("shared tables have distinct finite-weight postings"),
-            )
-        })
-        .clone()
+        built.clone()
     }
 
     pub(crate) fn normalized(&self, idx: usize) -> &str {
         &self.normalized.get_or_init(|| {
-            self.corpus.corpus().records().iter().map(|r| normalize(&r.text)).collect()
+            (0..self.corpus.num_records())
+                .map(|idx| normalize(self.corpus.record_text(idx)))
+                .collect()
         })[idx]
     }
 
@@ -324,24 +322,16 @@ impl SharedArtifacts {
         self.ges_word_weights.get_or_init(|| crate::combination::ges::word_weights(&self.corpus))
     }
 
-    pub(crate) fn avg_word_idf(&self) -> f64 {
-        *self.avg_word_idf.get_or_init(|| self.corpus.avg_word_idf())
-    }
-
     pub(crate) fn cache(&self) -> &ResultCache {
         &self.cache
     }
 
-    /// The record index carrying `tid`. Tids are dense from 0 (asserted at
-    /// corpus construction in debug builds), so this is a direct cast — no
+    /// The record index carrying `tid`. Tids are dense from 0 (a tokenized
+    /// corpus numbers its records by index), so this is a direct cast — no
     /// per-candidate hash lookup in the UDF verification loops.
     pub(crate) fn record_index(&self, tid: Tid) -> usize {
         let idx = tid as usize;
-        debug_assert_eq!(
-            self.corpus.corpus().records()[idx].tid,
-            tid,
-            "corpus tids must be dense from 0"
-        );
+        debug_assert!(idx < self.corpus.num_records(), "tid {tid} outside the corpus");
         idx
     }
 }
@@ -628,13 +618,8 @@ impl Query {
         let norm = normalize(text);
         let norm_chars = norm.chars().count();
         let word_tokens = dasp_text::word_tokens(text);
-        // Same rule as `weighted_query_words`, with the corpus-level average
-        // IDF computed once per engine (lazily) instead of per query.
-        let weighted_words = crate::combination::ges::weighted_words_with_avg_idf(
-            corpus,
-            word_tokens.iter().cloned(),
-            shared.avg_word_idf(),
-        );
+        let weighted_words =
+            crate::combination::ges::weighted_words(corpus, word_tokens.iter().cloned());
         Query {
             corpus: corpus.clone(),
             text: text.to_string(),
@@ -706,14 +691,20 @@ pub(crate) trait EngineOps: Send + Sync {
     fn plan_catalog(&self) -> Option<&Catalog> {
         None
     }
+    /// The lazy catalogs of a bounded predicate (laziness tests).
+    #[cfg(test)]
+    fn posting_catalog(&self) -> Option<&tables::PostingCatalog> {
+        None
+    }
 }
 
 /// Implements [`EngineOps`] and the [`Predicate`] compatibility shim for a
 /// predicate type exposing `shared: Arc<SharedArtifacts>`-style access via
 /// `engine_shared()`, a `catalog()` accessor, and a mode-aware
-/// `execute(&Query, Exec, naive, limits)`.
+/// `execute(&Query, Exec, naive, limits)`. A bounded predicate also names
+/// its lazy `PostingCatalog` field, which the laziness tests inspect.
 macro_rules! engine_predicate {
-    ($ty:ty, $kind:expr) => {
+    ($ty:ty, $kind:expr $(, $posting_catalog:ident)?) => {
         impl crate::engine::EngineOps for $ty {
             fn predicate_kind(&self) -> crate::predicate::PredicateKind {
                 $kind
@@ -739,6 +730,12 @@ macro_rules! engine_predicate {
             fn plan_catalog(&self) -> Option<&relq::Catalog> {
                 self.engine_catalog()
             }
+            $(
+                #[cfg(test)]
+                fn posting_catalog(&self) -> Option<&crate::tables::PostingCatalog> {
+                    Some(&self.$posting_catalog)
+                }
+            )?
         }
 
         impl crate::predicate::Predicate for $ty {
@@ -1156,12 +1153,15 @@ mod tests {
             assert!(!shared.artifact_built(table), "{table} built by a standalone BM25 engine");
         }
         assert!(!shared.artifact_built("normalized"));
-        // IntersectSize forces exactly its own tables: base_tokens plus the
-        // posting variant, nothing else.
+        // A bounded IntersectSize read forces exactly its posting lists,
+        // built from the tokenized rows; its Rank then forces base_tokens,
+        // nothing else.
         let xect = engine.predicate(PredicateKind::IntersectSize);
         xect.execute(&query, Exec::TopK(3)).unwrap();
-        assert!(shared.artifact_built("base_tokens"));
         assert!(shared.artifact_built("posting:base_tokens"));
+        assert!(!shared.artifact_built("base_tokens"));
+        xect.execute(&query, Exec::Rank).unwrap();
+        assert!(shared.artifact_built("base_tokens"));
         assert!(!shared.artifact_built("overlap_weights"));
         assert!(!shared.artifact_built("base_words"));
         // The edit predicate forces the normalized strings and base_tf only.
@@ -1388,6 +1388,46 @@ mod tests {
         assert_send_sync::<SelectionEngine>();
         assert_send_sync::<PredicateHandle>();
         assert_send_sync::<Query>();
+    }
+
+    #[test]
+    fn bounded_reads_on_a_fresh_engine_build_no_weight_table() {
+        let engine = engine();
+        let shared = &engine.inner.shared;
+        let query = engine.query("Morgan Stanley Group");
+        let bounded = [
+            PredicateKind::IntersectSize,
+            PredicateKind::WeightedMatch,
+            PredicateKind::Cosine,
+            PredicateKind::Bm25,
+            PredicateKind::Hmm,
+        ];
+        let mut answers = Vec::new();
+        for kind in bounded {
+            let handle = engine.predicate(kind);
+            let top = handle.execute(&query, Exec::TopK(3)).unwrap();
+            let tau = top[top.len() - 1].score;
+            let selected = handle.execute(&query, Exec::Threshold(tau)).unwrap();
+            let catalog = handle.core.posting_catalog().expect("a bounded predicate");
+            assert!(catalog.posting_built(), "{kind}: no posting lists after bounded reads");
+            assert!(!catalog.base_built(), "{kind}: a bounded read built its weight table");
+            answers.push((handle, top, tau, selected));
+        }
+        // The shared tables stay unbuilt too: IntersectSize and WeightedMatch
+        // read postings built from the tokenized rows.
+        for table in crate::engine::SHARED_TABLES {
+            assert!(!shared.artifact_built(table), "{table} built by a bounded read");
+        }
+        assert!(shared.artifact_built("posting:base_tokens"));
+        assert!(shared.artifact_built("posting:overlap_weights"));
+        // The exhaustive modes build the tables and return the same bytes.
+        for (handle, top, tau, selected) in answers {
+            let kind = handle.kind();
+            assert_eq!(handle.execute(&query, Exec::TopKHeap(3)).unwrap(), top, "{kind}");
+            assert_eq!(handle.execute(&query, Exec::ThresholdScan(tau)).unwrap(), selected);
+            assert!(handle.core.posting_catalog().unwrap().base_built(), "{kind}");
+        }
+        assert!(shared.artifact_built("base_tokens") && shared.artifact_built("overlap_weights"));
     }
 
     #[test]

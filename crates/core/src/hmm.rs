@@ -12,15 +12,39 @@ use crate::params::HmmParams;
 use crate::record::ScoredTid;
 use crate::tables::{self, PostingCatalog, RankingPlans, THRESHOLD_PARAM, TOP_K_PARAM};
 use relq::{col, lit, param, AggFunc, Bindings, Catalog, Plan};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// HMM's per-(record, token) weight:
+/// `weight(tid, t) = log(1 + a1·pml(t, D) / (a0·P(t|GE)))`
+/// where `P(t|GE) = cf_t / cs` is the General-English probability.
+pub(crate) fn hmm_weight(
+    corpus: &Arc<TokenizedCorpus>,
+    params: HmmParams,
+) -> impl Fn(usize, crate::dict::TokenId, u32) -> Option<f64> + Send + Sync + 'static {
+    let corpus = corpus.clone();
+    let cs = corpus.cs() as f64;
+    let a0 = params.a0;
+    let a1 = params.a1();
+    move |idx, token, tf| {
+        let dl = corpus.record_dl(idx) as f64;
+        let pml = tf as f64 / dl.max(1.0);
+        let ptge = corpus.cf(token) as f64 / cs.max(1.0);
+        if ptge <= 0.0 {
+            return None;
+        }
+        Some((1.0 + a1 * pml / (a0 * ptge)).ln())
+    }
+}
 
 /// Hidden Markov model predicate.
 ///
-/// **Shared-artifact contract:** `HMM_WEIGHTS` is registered indexed on
-/// token (with its posting lists) in a private catalog — the predicate
-/// references no shared phase-1 table; execution binds the
-/// multiplicity-preserving query token table into plans prepared once in
-/// every [`Exec`] mode.
+/// **Shared-artifact contract:** `HMM_WEIGHTS` (`hmm_weight`) and its
+/// posting lists are private artifacts built from the one weight function,
+/// each on first use — the table, indexed on token, for the exhaustive
+/// modes; the posting lists, straight from the tokenized rows, for the
+/// bounded ones. The predicate references no shared phase-1 table;
+/// execution binds the multiplicity-preserving query token table into plans
+/// prepared once per process in every [`Exec`] mode.
 ///
 /// **Bounded selection:** the stored weight `log(1 + a1·pml/(a0·P(t|GE)))`
 /// is strictly positive, and `exp` is monotone, so ranking by the log-space
@@ -36,7 +60,7 @@ use std::sync::Arc;
 pub struct HmmPredicate {
     shared: Arc<SharedArtifacts>,
     catalog: PostingCatalog,
-    plans: RankingPlans,
+    plans: &'static RankingPlans,
 }
 
 impl HmmPredicate {
@@ -46,73 +70,55 @@ impl HmmPredicate {
         Self::from_shared(SharedArtifacts::build(corpus, &params))
     }
 
-    /// Phase-2 preprocessing:
-    /// `weight(tid, t) = log(1 + a1·pml(t, D) / (a0·P(t|GE)))`
-    /// where `P(t|GE) = cf_t / cs` is the General-English probability.
+    /// Phase-2 preprocessing: `HMM_WEIGHTS` ([`hmm_weight`]). The table
+    /// and the posting lists behind the bounded plans are each built on
+    /// first use.
     pub(crate) fn from_shared(shared: Arc<SharedArtifacts>) -> Self {
-        let corpus = shared.corpus();
-        let params = shared.params().hmm;
-        let cs = corpus.cs() as f64;
-        let a0 = params.a0;
-        let a1 = params.a1();
-        let weights = tables::base_weights(corpus, |idx, token, tf| {
-            let dl = corpus.record_dl(idx) as f64;
-            let pml = tf as f64 / dl.max(1.0);
-            let ptge = corpus.cf(token) as f64 / cs.max(1.0);
-            if ptge <= 0.0 {
-                return None;
-            }
-            Some((1.0 + a1 * pml / (a0 * ptge)).ln())
+        let weight = Arc::new(hmm_weight(shared.corpus(), shared.params().hmm));
+        let catalog = PostingCatalog::private("hmm_weights", shared.corpus().clone(), weight);
+        static PLANS: OnceLock<RankingPlans> = OnceLock::new();
+        let plans = PLANS.get_or_init(|| {
+            let plan = Plan::index_join(
+                "hmm_weights",
+                &["token"],
+                Plan::param("query_tokens"),
+                &["token"],
+            )
+            .aggregate(&["tid"], vec![(AggFunc::Sum(col("weight")), "logscore")])
+            .project(vec![(col("tid"), "tid"), (col("logscore").exp(), "score")]);
+            // The bounded operators select by the log-space sum (same order as
+            // the exp'd score); the projection then exponentiates the surviving
+            // sums. The probe keeps one row per query-token occurrence, so
+            // repeated tokens probe their list once per occurrence, exactly like
+            // the join.
+            let bounded = Plan::top_k_bounded(
+                "hmm_weights",
+                Plan::param("query_tokens"),
+                "token",
+                None,
+                param(TOP_K_PARAM),
+            )
+            .project(vec![(col("tid"), "tid"), (col("score").exp(), "score")]);
+            // Threshold in log space: the inner bar clamps τ away from
+            // zero (`ln` is undefined at τ ≤ 0, and `GREATEST` maps a NaN τ to
+            // the clamp) and subtracts an absolute log-space slack of 1e-9 —
+            // seven orders of magnitude above the `ln`/`exp` round-trip error —
+            // so no tid whose exponentiated sum reaches τ is ever cut by the
+            // bounded operator. The outer filter then applies the exact `score >= τ`
+            // test on the exponentiated sums, trimming the slack margin back to
+            // precisely the exhaustive plan's selection.
+            let threshold_bounded = Plan::threshold_bounded(
+                "hmm_weights",
+                Plan::param("query_tokens"),
+                "token",
+                None,
+                param(THRESHOLD_PARAM).greatest(lit(f64::MIN_POSITIVE)).ln().sub(lit(1e-9)),
+            )
+            .project(vec![(col("tid"), "tid"), (col("score").exp(), "score")])
+            .filter(col("score").gt_eq(param(THRESHOLD_PARAM)));
+            RankingPlans::with_bounded(plan, bounded, threshold_bounded)
         });
-        let mut catalog = Catalog::new();
-        catalog
-            .register_indexed("hmm_weights", weights, &["token"])
-            .expect("weights have a token column");
-        // The posting lists behind the bounded plans are deferred to the
-        // first bounded execution (`Exec::TopK` or `Exec::Threshold`).
-        let catalog = PostingCatalog::new(catalog, |c| {
-            c.register_posting("hmm_weights", "token", "tid", Some("weight"))
-                .expect("weights are distinct per (token, tid) and finite")
-        });
-        let plan =
-            Plan::index_join("hmm_weights", &["token"], Plan::param("query_tokens"), &["token"])
-                .aggregate(&["tid"], vec![(AggFunc::Sum(col("weight")), "logscore")])
-                .project(vec![(col("tid"), "tid"), (col("logscore").exp(), "score")]);
-        // The bounded operators select by the log-space sum (same order as
-        // the exp'd score); the projection then exponentiates the surviving
-        // sums. The probe keeps one row per query-token occurrence, so
-        // repeated tokens probe their list once per occurrence, exactly like
-        // the join.
-        let bounded = Plan::top_k_bounded(
-            "hmm_weights",
-            Plan::param("query_tokens"),
-            "token",
-            None,
-            param(TOP_K_PARAM),
-        )
-        .project(vec![(col("tid"), "tid"), (col("score").exp(), "score")]);
-        // Threshold in log space: the inner bar clamps τ away from
-        // zero (`ln` is undefined at τ ≤ 0, and `GREATEST` maps a NaN τ to
-        // the clamp) and subtracts an absolute log-space slack of 1e-9 —
-        // seven orders of magnitude above the `ln`/`exp` round-trip error —
-        // so no tid whose exponentiated sum reaches τ is ever cut by the
-        // bounded operator. The outer filter then applies the exact `score >= τ`
-        // test on the exponentiated sums, trimming the slack margin back to
-        // precisely the exhaustive plan's selection.
-        let threshold_bounded = Plan::threshold_bounded(
-            "hmm_weights",
-            Plan::param("query_tokens"),
-            "token",
-            None,
-            param(THRESHOLD_PARAM).greatest(lit(f64::MIN_POSITIVE)).ln().sub(lit(1e-9)),
-        )
-        .project(vec![(col("tid"), "tid"), (col("score").exp(), "score")])
-        .filter(col("score").gt_eq(param(THRESHOLD_PARAM)));
-        HmmPredicate {
-            shared,
-            catalog,
-            plans: RankingPlans::with_bounded(plan, bounded, threshold_bounded),
-        }
+        HmmPredicate { shared, catalog, plans }
     }
 
     fn engine_shared(&self) -> &SharedArtifacts {
@@ -142,7 +148,7 @@ impl HmmPredicate {
     }
 }
 
-crate::engine::engine_predicate!(HmmPredicate, crate::predicate::PredicateKind::Hmm);
+crate::engine::engine_predicate!(HmmPredicate, crate::predicate::PredicateKind::Hmm, catalog);
 
 #[cfg(test)]
 mod tests {

@@ -73,7 +73,7 @@ impl LanguageModelPredicate {
         ]);
         let mut base_pm = Table::with_capacity(schema, tables::token_rows(&corpus));
         let mut sumcompm = vec![0.0f64; corpus.num_records()];
-        for (idx, record) in corpus.corpus().records().iter().enumerate() {
+        for (idx, sumcompm) in sumcompm.iter_mut().enumerate() {
             let dl = corpus.record_dl(idx) as f64;
             for &(token, tf) in corpus.record_tokens(idx) {
                 let pml = tf as f64 / dl.max(1.0);
@@ -83,10 +83,10 @@ impl LanguageModelPredicate {
                 let pm = pml.powf(1.0 - risk) * pa.powf(risk);
                 let pm = pm.clamp(PM_EPS, 1.0 - PM_EPS);
                 let cfcs = (corpus.cf(token) as f64 / cs).clamp(PM_EPS, 1.0 - PM_EPS);
-                sumcompm[idx] += (1.0 - pm).ln();
+                *sumcompm += (1.0 - pm).ln();
                 base_pm
                     .push([
-                        Value::Int(record.tid as i64),
+                        Value::Int(idx as i64),
                         Value::Int(token as i64),
                         Value::Float(pm.ln()),
                         Value::Float((1.0 - pm).ln()),

@@ -11,11 +11,10 @@
 //!   folds it away, so its lazily built artifacts survive across epochs.
 //!   Segment engines keep no result cache: the live engine's one
 //!   epoch-keyed cache of merged answers sits above them.
-//! * **One tail segment** — the only segment that changes. [`append`]
-//!   rebuilds it from its (small) record list, so an append costs `O(tail)`,
-//!   never `O(corpus)`; when the tail reaches the seal threshold
-//!   ([`Params::segment_seal`], `DASP_SEGMENT_SEAL` env override) it is
-//!   frozen in place and the next append starts a fresh tail.
+//! * **One tail segment** — the only segment that changes. When the tail
+//!   reaches the seal threshold ([`Params::segment_seal`],
+//!   `DASP_SEGMENT_SEAL` env override) it is frozen in place and the next
+//!   append starts a fresh tail.
 //! * **Tombstones** — [`delete`] marks a tuple id dead in a shared set that
 //!   is checked when per-segment results are mapped to global ids; the
 //!   record's postings stay in its segment until [`compact`].
@@ -26,6 +25,21 @@
 //!   [`crate::serve::ServingEngine`] pool) never block on, or observe a
 //!   torn state from, a concurrent append/delete/seal/compaction.
 //!
+//! ## What an append costs
+//!
+//! [`append`] tokenizes **only the new record**, against the frozen
+//! dictionaries ([`TokenizedCorpus::project_append`]). Every record the old
+//! tail held keeps its text and rows behind one `Arc`, so the new tail
+//! copies one pointer per tail record and re-tokenizes none of them. The
+//! new tail's engine starts with no artifacts, and the old tail's engine is
+//! dropped with everything its reads built. An append therefore does
+//! O(record) tokenization plus an O(tail) pointer copy, and never touches a
+//! sealed segment. The first bounded read of a predicate on the new tail
+//! builds that predicate's posting lists straight from the tail's rows
+//! (the predicate's `PostingCatalog`: no weight table, no index), in
+//! O(tail rows). `Rank` and the other exhaustive modes build the weight
+//! table instead.
+//!
 //! ## Frozen statistics and the differential contract
 //!
 //! Corpus-level statistics (`N`, `df`, `cf`, the token dictionaries, …)
@@ -35,9 +49,10 @@
 //! vocabulary. That is what makes the segmented engine *bit-identical* to a
 //! monolithic engine over the same live records **sharing the same frozen
 //! statistics** ([`rebuild_monolith`] builds exactly that reference), while
-//! keeping appends `O(tail)` — per-record statistics (lengths, term
-//! frequencies) are always exact, and scores of tokens the frozen epoch
-//! knows about are exactly what the monolith computes. Text appended after
+//! no append ever recomputes a corpus-wide statistic — per-record
+//! statistics (lengths, term frequencies) are always exact, and scores of
+//! tokens the frozen epoch knows about are exactly what the monolith
+//! computes. Text appended after
 //! the last compaction contributes nothing to the frozen statistics and its
 //! novel vocabulary is unsearchable until the next [`compact`] — the same
 //! staleness window Lucene-style engines accept between segment merges.
@@ -114,9 +129,8 @@ impl LiveSnapshot {
         self.segments
             .parts
             .iter()
-            .flat_map(|s| s.records.iter())
+            .flat_map(|s| s.records())
             .filter(|r| !self.segments.tombstones.contains(&r.tid))
-            .cloned()
             .collect()
     }
 }
@@ -228,13 +242,12 @@ impl LiveEngine {
     /// from it and its records become the first sealed segment, with their
     /// corpus tids as global tids.
     pub fn from_corpus(corpus: Corpus, params: &Params) -> Self {
-        let records = corpus.records().to_vec();
-        let next_tid = records.len() as Tid;
+        let next_tid = corpus.len() as Tid;
         let stats = Arc::new(TokenizedCorpus::build(corpus, params.qgram));
-        let segments = if records.is_empty() {
+        let segments = if next_tid == 0 {
             Vec::new()
         } else {
-            vec![Arc::new(Part::new(records, stats.clone(), params))]
+            vec![Arc::new(Part::new((0..next_tid).collect(), stats.clone(), params))]
         };
         Self::with_state(params, stats, segments, next_tid)
     }
@@ -277,28 +290,30 @@ impl LiveEngine {
     }
 
     /// Append one record, returning its (stable, never reused) global tid.
-    /// Costs one tail-segment rebuild — `O(tail)`, independent of corpus
-    /// size, because the tail is projected onto the frozen statistics — and
-    /// seals the tail in place once it reaches the seal threshold. Bumps the
-    /// epoch.
+    /// Tokenizes only the new record against the frozen statistics and
+    /// shares the old tail's records with the new tail (see the
+    /// [module docs](self#what-an-append-costs)), independent of corpus
+    /// size, and seals the tail in place once it reaches the seal
+    /// threshold. Bumps the epoch.
     pub fn append(&self, text: impl Into<String>) -> Tid {
-        let text = text.into();
         let _w = self.writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let snap = self.snapshot();
         let tid = snap.next_tid;
-        let mut tail_records = match snap.tail() {
-            Some(tail) => tail.records.clone(),
-            None => Vec::new(),
+        let record = Record::new(tid, text);
+        // The new tail: the old tail's rows plus one tokenized record; a
+        // fresh tail projects just the record. The new record is live, so
+        // the tail keeps its dead count.
+        let (tail, tail_dead) = match snap.tail() {
+            Some(tail) => {
+                (tail.append(record), *snap.segments.dead.last().expect("tail is a part"))
+            }
+            None => (Part::project(&snap.stats, vec![record], &self.params), 0),
         };
-        tail_records.push(Record::new(tid, text));
-        let sealed = tail_records.len() >= self.seal_limit;
-        let tail_dead =
-            tail_records.iter().filter(|r| snap.segments.tombstones.contains(&r.tid)).count();
-        let tail = Arc::new(Part::project(&snap.stats, tail_records, &self.params));
+        let sealed = tail.tids.len() >= self.seal_limit;
         let keep = snap.segments.parts.len() - usize::from(snap.tail_open);
         let mut parts = snap.segments.parts[..keep].to_vec();
         let mut dead = snap.segments.dead[..keep].to_vec();
-        parts.push(tail);
+        parts.push(Arc::new(tail));
         dead.push(tail_dead);
         self.install(LiveSnapshot {
             epoch: snap.epoch + 1,
@@ -325,11 +340,7 @@ impl LiveEngine {
         if snap.segments.tombstones.contains(&tid) {
             return false;
         }
-        let Some(seg) = snap
-            .segments
-            .parts
-            .iter()
-            .position(|s| s.records.binary_search_by_key(&tid, |r| r.tid).is_ok())
+        let Some(seg) = snap.segments.parts.iter().position(|s| s.tids.binary_search(&tid).is_ok())
         else {
             return false;
         };
@@ -381,14 +392,15 @@ impl LiveEngine {
         let _w = self.writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let snap = self.snapshot();
         let live = snap.live_records();
+        let tids: Vec<Tid> = live.iter().map(|r| r.tid).collect();
         let dense: Vec<Record> =
-            live.iter().enumerate().map(|(i, r)| Record::new(i as Tid, r.text.clone())).collect();
+            live.into_iter().enumerate().map(|(i, r)| Record::new(i as Tid, r.text)).collect();
         let stats =
             Arc::new(TokenizedCorpus::build(Corpus::from_records(dense), self.params.qgram));
-        let segments = if live.is_empty() {
+        let segments = if tids.is_empty() {
             Vec::new()
         } else {
-            vec![Arc::new(Part::new(live, stats.clone(), &self.params))]
+            vec![Arc::new(Part::new(tids, stats.clone(), &self.params))]
         };
         self.install(LiveSnapshot {
             epoch: snap.epoch + 1,
@@ -453,7 +465,7 @@ impl LiveEngine {
             })?;
         // Tail tids are the largest in the snapshot (appends are
         // tid-monotone), so attribution is one comparison per row.
-        let tail_start = snap.tail().and_then(|t| t.records.first()).map(|r| r.tid);
+        let tail_start = snap.tail().and_then(|t| t.tids.first().copied());
         let tail_hits =
             run.results.iter().filter(|s| tail_start.is_some_and(|t0| s.tid >= t0)).count();
         let stats = LiveQueryStats {
@@ -478,7 +490,7 @@ impl LiveEngine {
         let snap = self.snapshot();
         let monolith = Part::project(&snap.stats, snap.live_records(), &self.params);
         monolith.engine.set_result_cache_capacity(crate::engine::DEFAULT_RESULT_CACHE_CAPACITY);
-        (monolith.engine, monolith.records.iter().map(|r| r.tid).collect())
+        (monolith.engine, monolith.tids)
     }
 
     /// The current epoch: total successful mutations since construction.
@@ -517,7 +529,7 @@ impl LiveEngine {
         LiveMetrics {
             epoch: snap.epoch,
             sealed_segments: snap.segments.parts.len() - usize::from(snap.tail_open),
-            tail_len: snap.tail().map_or(0, |t| t.records.len()),
+            tail_len: snap.tail().map_or(0, |t| t.tids.len()),
             live_records: snap.segments.live_len(),
             total_records: snap.segments.total_records(),
             tombstones: snap.segments.tombstones.len(),
@@ -720,6 +732,191 @@ mod tests {
         let (_, stats) =
             live.execute_tracked(PredicateKind::Bm25, "Morgan Stanley", Exec::Rank).unwrap();
         assert_eq!(stats.segments_probed, segments);
+    }
+
+    /// The bounded predicates, in the order the tests below visit them.
+    const BOUNDED: [PredicateKind; 5] = [
+        PredicateKind::IntersectSize,
+        PredicateKind::WeightedMatch,
+        PredicateKind::Cosine,
+        PredicateKind::Bm25,
+        PredicateKind::Hmm,
+    ];
+
+    /// Two tokenized corpora hold the same records with the same rows over
+    /// the same frozen statistics.
+    fn assert_same_rows(a: &TokenizedCorpus, b: &TokenizedCorpus) {
+        assert!(a.shares_stats(b));
+        assert_eq!(a.num_records(), b.num_records());
+        for idx in 0..a.num_records() {
+            assert_eq!(a.record_text(idx), b.record_text(idx), "text of record {idx}");
+            assert_eq!(a.record_tokens(idx), b.record_tokens(idx), "tokens of record {idx}");
+            assert_eq!(a.record_dl(idx), b.record_dl(idx), "dl of record {idx}");
+            assert_eq!(a.record_words(idx), b.record_words(idx), "words of record {idx}");
+        }
+    }
+
+    #[test]
+    fn incremental_tail_projection_equals_a_fresh_projection() {
+        let seal = 10;
+        let live = live_engine(seal);
+        let texts = [
+            "Morgan Stanley Dean Witter",
+            "",
+            "Quixotic Zebra Holdings",
+            "Beijing  Hotel",
+            "Morgan Stanley Dean Witter",
+            "   ",
+            "AT&T",
+            "zzz qqq",
+            "Silicon Valley Bank",
+            "Stanley Morgan Group",
+        ];
+        assert_eq!(texts.len(), seal);
+        for (len, text) in (1..=seal).zip(texts) {
+            live.append(text);
+            let snap = live.snapshot();
+            let tail = snap.segments.parts.last().expect("the tail is a part");
+            assert_eq!(tail.tids.len(), len);
+            assert_eq!(snap.tail_open, len < seal, "the tail seals at the limit");
+            let dense = tail.records().enumerate().map(|(i, r)| Record::new(i as Tid, r.text));
+            let fresh = snap.stats.project(dense.collect());
+            assert_same_rows(tail.engine.corpus(), &fresh);
+        }
+    }
+
+    /// For each bounded predicate, the posting lists built straight from
+    /// `tc`'s rows equal those built from its weight table, list by list
+    /// and weight bit by weight bit.
+    fn assert_postings_from_rows_match_tables(tc: &Arc<TokenizedCorpus>, params: &Params) {
+        use crate::aggregate::{bm25_weight, cosine_weight};
+        use crate::overlap::{overlap_token_weight, unit_weight};
+        use crate::tables::{base_tokens_distinct, base_weights, postings, TokenWeight};
+        use relq::{PostingIndex, Value};
+        let from_table = |table: &relq::Table, weight: Option<&str>| {
+            PostingIndex::build(table, "token", "tid", weight).unwrap()
+        };
+        let mut cases = vec![(
+            PredicateKind::IntersectSize,
+            from_table(&base_tokens_distinct(tc), None),
+            postings(tc, unit_weight),
+        )];
+        let weights: [(PredicateKind, Box<TokenWeight>); 4] = [
+            (
+                PredicateKind::WeightedMatch,
+                Box::new(overlap_token_weight(tc, params.overlap_weighting)),
+            ),
+            (PredicateKind::Cosine, Box::new(cosine_weight(tc))),
+            (PredicateKind::Bm25, Box::new(bm25_weight(tc, params.bm25))),
+            (PredicateKind::Hmm, Box::new(crate::hmm::hmm_weight(tc, params.hmm))),
+        ];
+        for (kind, weight) in &weights {
+            let table = base_weights(tc, &**weight);
+            cases.push((*kind, from_table(&table, Some("weight")), postings(tc, &**weight)));
+        }
+        let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (kind, table, rows) in cases {
+            assert_eq!(table.num_tokens(), rows.num_tokens(), "{kind}");
+            assert_eq!(table.num_postings(), rows.num_postings(), "{kind}");
+            for token in 0..tc.num_tokens() as i64 {
+                let key = Value::Int(token);
+                match (table.list(&key), rows.list(&key)) {
+                    (None, None) => {}
+                    (Some(a), Some(b)) => {
+                        assert_eq!(a.tids(), b.tids(), "{kind} token {token}");
+                        assert_eq!(bits(a.weights()), bits(b.weights()), "{kind} token {token}");
+                    }
+                    (a, b) => panic!("{kind} token {token}: {a:?} vs {b:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tail_postings_from_rows_equal_postings_from_weight_tables() {
+        let live = live_engine(8);
+        let params = *live.params();
+        let stats = live.snapshot().stats.clone();
+        // The frozen corpus itself and an empty tail.
+        assert_postings_from_rows_match_tables(&stats, &params);
+        assert_postings_from_rows_match_tables(&Arc::new(stats.project(Vec::new())), &params);
+        // A one-record tail.
+        live.append("Morgan Stanley Dean Witter");
+        let tail = |live: &LiveEngine| live.snapshot().tail().unwrap().engine.corpus().clone();
+        assert_postings_from_rows_match_tables(&tail(&live), &params);
+        // A tail whose records are all tombstoned: its postings still hold
+        // every record, and every bounded read filters them out.
+        let added = [live.append("Beijing Grand Hotel"), live.append("Morgan Stanley Capital")];
+        let first = live.snapshot().tail().unwrap().tids[0];
+        for tid in [first, added[0], added[1]] {
+            assert!(live.delete(tid));
+        }
+        assert_eq!(live.snapshot().segments.dead.last(), Some(&3));
+        assert_postings_from_rows_match_tables(&tail(&live), &params);
+        for kind in BOUNDED {
+            for exec in [Exec::TopK(3), Exec::Threshold(0.0)] {
+                assert_matches_monolith(&live, kind, "Morgan Stanley Group", exec);
+                let rows = live.execute(kind, "Morgan Stanley Group", exec).unwrap();
+                assert!(rows.iter().all(|s| s.tid < first), "{kind} {exec:?} kept a tombstone");
+            }
+        }
+    }
+
+    #[test]
+    fn budgeted_top_k_is_exact_over_the_candidates_it_charged() {
+        // Four parts: the seed segment, two sealed pairs and a one-record
+        // tail, with a tombstone in the seed segment and one in a pair.
+        let live = live_engine(2);
+        for text in [
+            "Morgan Stanley Dean Witter",
+            "Morgan Stanley Capital Group",
+            "Stanley Morgan Group Inc.",
+            "Beijing Morgan Hotel",
+            "Morgan Stanley Group",
+        ] {
+            live.append(text);
+        }
+        assert!(live.delete(0) && live.delete(8));
+        let snap = live.snapshot();
+        assert_eq!(snap.segments.parts.len(), 4);
+        let text = "Morgan Stanley Group Inc.";
+        for kind in BOUNDED {
+            // Every part's exhaustive scores under global tids: the tids a
+            // bounded read touches, in the order it charges them.
+            let mut scored: Vec<ScoredTid> = Vec::new();
+            for part in &snap.segments.parts {
+                let handle = part.engine.predicate(kind);
+                let local = handle.execute(&part.engine.query(text), Exec::Rank).unwrap();
+                let mut rows: Vec<_> = local
+                    .iter()
+                    .map(|s| ScoredTid::new(part.tids[s.tid as usize], s.score))
+                    .collect();
+                rows.sort_by_key(|s| s.tid);
+                scored.extend(rows);
+            }
+            for k in [1, 3] {
+                let unbudgeted = live.execute(kind, text, Exec::TopK(k)).unwrap();
+                for cap in 0..=scored.len() {
+                    let budget = ExecBudget { max_candidates: Some(cap), ..ExecBudget::default() };
+                    let (run, _) =
+                        live.execute_budgeted(kind, text, Exec::TopK(k), budget).unwrap();
+                    let charged = scored[..cap].iter().copied();
+                    let live_rows = charged.filter(|s| !snap.segments.tombstones.contains(&s.tid));
+                    let expected = crate::record::top_k_ranked(live_rows.collect(), k);
+                    let bits = |v: &[ScoredTid]| {
+                        v.iter().map(|s| (s.tid, s.score.to_bits())).collect::<Vec<_>>()
+                    };
+                    assert_eq!(bits(&run.results), bits(&expected), "{kind} k={k} cap={cap}");
+                    assert_eq!(run.degraded, cap < scored.len(), "{kind} k={k} cap={cap}");
+                }
+                let uncapped =
+                    ExecBudget { max_candidates: Some(usize::MAX), ..Default::default() };
+                let (run, stats) =
+                    live.execute_budgeted(kind, text, Exec::TopK(k), uncapped).unwrap();
+                assert_eq!(run.results, unbudgeted, "{kind} k={k}");
+                assert!(!run.degraded && stats.segments_probed == 4);
+            }
+        }
     }
 
     #[test]

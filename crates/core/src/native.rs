@@ -9,7 +9,7 @@ use crate::corpus::TokenizedCorpus;
 use crate::dict::TokenId;
 use crate::params::{Bm25Params, HmmParams, OverlapWeighting};
 use crate::predicate::{Predicate, PredicateKind};
-use crate::record::{sort_ranked, ScoredTid};
+use crate::record::{sort_ranked, ScoredTid, Tid};
 use std::sync::Arc;
 
 /// An inverted index from token id to postings of `(record index, tf)`.
@@ -199,9 +199,9 @@ impl NativePredicate {
         }
 
         let mut out = Vec::new();
-        for (idx, record) in self.corpus.corpus().records().iter().enumerate() {
-            if touched[idx] {
-                out.push(ScoredTid::new(record.tid, scores[idx]));
+        for (idx, &hit) in touched.iter().enumerate() {
+            if hit {
+                out.push(ScoredTid::new(idx as Tid, scores[idx]));
             }
         }
         sort_ranked(&mut out);

@@ -11,9 +11,12 @@
 //! per-query scalars like `|Q|`) and probes the token index.
 //!
 //! **Bounded selection:** IntersectSize and WeightedMatch score monotone
-//! sums of non-negative contributions (a unit per common token; the RSJ/IDF
-//! token weight), so both attach the shared posting variant of their base
-//! table and route `Exec::TopK` through [`relq::Plan::TopKBounded`] and
+//! sums of non-negative contributions (a unit per common token,
+//! `unit_weight`; the RSJ/IDF token weight, `overlap_token_weight`), so
+//! both attach the engine-shared posting lists of their base table — built
+//! from the tokenized rows with that weight, leaving the table itself
+//! unbuilt until an exhaustive mode asks — and route `Exec::TopK` through
+//! [`relq::Plan::TopKBounded`] and
 //! `Exec::Threshold` through [`relq::Plan::ThresholdBounded`], which sum
 //! the postings per tid in relq's windowed dense accumulator. Jaccard and WJ
 //! normalize by a union weight that *shrinks* the score as documents grow —
@@ -25,7 +28,7 @@ use crate::params::OverlapWeighting;
 use crate::record::ScoredTid;
 use crate::tables::{self, PostingCatalog, RankingPlans, THRESHOLD_PARAM, TOP_K_PARAM};
 use relq::{col, lit, param, AggFunc, Bindings, Catalog, Plan};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The token weight the weighted overlap predicates use (§5.3.1).
 pub(crate) fn overlap_weight(
@@ -39,12 +42,39 @@ pub(crate) fn overlap_weight(
     }
 }
 
+/// IntersectSize's per-(record, token) weight: every distinct token of a
+/// record contributes exactly 1, so the per-tid sum is the count. The
+/// `base_tokens` table stores no weight column; its posting lists carry
+/// this unit weight.
+pub(crate) fn unit_weight(_: usize, _: crate::dict::TokenId, _: u32) -> Option<f64> {
+    Some(1.0)
+}
+
+/// WeightedMatch's per-(record, token) weight: the token's
+/// [`overlap_weight`], whatever the record — the rows of the shared
+/// `overlap_weights` table and of its posting lists.
+pub(crate) fn overlap_token_weight(
+    corpus: &Arc<TokenizedCorpus>,
+    weighting: OverlapWeighting,
+) -> impl Fn(usize, crate::dict::TokenId, u32) -> Option<f64> + Send + Sync + 'static {
+    let corpus = corpus.clone();
+    move |_, token, _| Some(overlap_weight(&corpus, weighting, token))
+}
+
+/// The catalogs of a predicate whose plans probe the one shared table
+/// `name`: the engine-shared table and its engine-shared posting lists,
+/// each aliased on first use.
+fn shared_posting_catalog(shared: &Arc<SharedArtifacts>, name: &'static str) -> PostingCatalog {
+    let (base, posting) = (shared.clone(), shared.clone());
+    PostingCatalog::new(name, move || base.catalog_with(&[name]), move || posting.posting(name))
+}
+
 /// IntersectSize: the number of common distinct tokens between query and
 /// tuple (Equation 3.1, Figure 4.1).
 pub struct IntersectSize {
     shared: Arc<SharedArtifacts>,
     catalog: PostingCatalog,
-    plans: RankingPlans,
+    plans: &'static RankingPlans,
 }
 
 impl IntersectSize {
@@ -56,37 +86,37 @@ impl IntersectSize {
     }
 
     pub(crate) fn from_shared(shared: Arc<SharedArtifacts>) -> Self {
-        // SELECT tid, COUNT(*) FROM base_tokens JOIN query_tokens USING (token) GROUP BY tid
-        let plan =
-            Plan::index_join("base_tokens", &["token"], Plan::param("query_tokens"), &["token"])
-                .aggregate(&["tid"], vec![(AggFunc::CountStar, "cnt")])
-                .project(vec![(col("tid"), "tid"), (col("cnt"), "score")]);
-        // Bounded selection over unit-weight posting lists: every common
-        // token contributes exactly 1, so the per-tid sum is the count.
-        let bounded = Plan::top_k_bounded(
-            "base_tokens",
-            Plan::param("query_tokens"),
-            "token",
-            None,
-            param(TOP_K_PARAM),
-        );
-        let threshold_bounded = Plan::threshold_bounded(
-            "base_tokens",
-            Plan::param("query_tokens"),
-            "token",
-            None,
-            param(THRESHOLD_PARAM),
-        );
-        let posting_shared = shared.clone();
-        let catalog = PostingCatalog::new(shared.catalog_with(&["base_tokens"]), move |c| {
-            c.attach_posting("base_tokens", posting_shared.posting("base_tokens"))
-                .expect("base_tokens is registered")
+        static PLANS: OnceLock<RankingPlans> = OnceLock::new();
+        let plans = PLANS.get_or_init(|| {
+            // SELECT tid, COUNT(*) FROM base_tokens JOIN query_tokens USING (token) GROUP BY tid
+            let plan = Plan::index_join(
+                "base_tokens",
+                &["token"],
+                Plan::param("query_tokens"),
+                &["token"],
+            )
+            .aggregate(&["tid"], vec![(AggFunc::CountStar, "cnt")])
+            .project(vec![(col("tid"), "tid"), (col("cnt"), "score")]);
+            // Bounded selection over unit-weight posting lists: every common
+            // token contributes exactly 1, so the per-tid sum is the count.
+            let bounded = Plan::top_k_bounded(
+                "base_tokens",
+                Plan::param("query_tokens"),
+                "token",
+                None,
+                param(TOP_K_PARAM),
+            );
+            let threshold_bounded = Plan::threshold_bounded(
+                "base_tokens",
+                Plan::param("query_tokens"),
+                "token",
+                None,
+                param(THRESHOLD_PARAM),
+            );
+            RankingPlans::with_bounded(plan, bounded, threshold_bounded)
         });
-        IntersectSize {
-            shared,
-            catalog,
-            plans: RankingPlans::with_bounded(plan, bounded, threshold_bounded),
-        }
+        let catalog = shared_posting_catalog(&shared, "base_tokens");
+        IntersectSize { shared, catalog, plans }
     }
 
     fn engine_shared(&self) -> &SharedArtifacts {
@@ -113,7 +143,11 @@ impl IntersectSize {
     }
 }
 
-crate::engine::engine_predicate!(IntersectSize, crate::predicate::PredicateKind::IntersectSize);
+crate::engine::engine_predicate!(
+    IntersectSize,
+    crate::predicate::PredicateKind::IntersectSize,
+    catalog
+);
 
 /// Jaccard coefficient over distinct token sets (Equation 3.2, Figure 4.2).
 pub struct JaccardPredicate {
@@ -182,7 +216,7 @@ crate::engine::engine_predicate!(JaccardPredicate, crate::predicate::PredicateKi
 pub struct WeightedMatch {
     shared: Arc<SharedArtifacts>,
     catalog: PostingCatalog,
-    plans: RankingPlans,
+    plans: &'static RankingPlans,
 }
 
 impl WeightedMatch {
@@ -193,40 +227,36 @@ impl WeightedMatch {
     }
 
     pub(crate) fn from_shared(shared: Arc<SharedArtifacts>) -> Self {
-        let plan = Plan::index_join(
-            "overlap_weights",
-            &["token"],
-            Plan::param("query_tokens"),
-            &["token"],
-        )
-        .aggregate(&["tid"], vec![(AggFunc::Sum(col("weight")), "score")]);
-        // Bounded selection over the shared weight posting lists: RSJ/IDF
-        // weights are non-negative per-token constants, so the per-tid sum
-        // of the postings is the WM score.
-        let bounded = Plan::top_k_bounded(
-            "overlap_weights",
-            Plan::param("query_tokens"),
-            "token",
-            None,
-            param(TOP_K_PARAM),
-        );
-        let threshold_bounded = Plan::threshold_bounded(
-            "overlap_weights",
-            Plan::param("query_tokens"),
-            "token",
-            None,
-            param(THRESHOLD_PARAM),
-        );
-        let posting_shared = shared.clone();
-        let catalog = PostingCatalog::new(shared.catalog_with(&["overlap_weights"]), move |c| {
-            c.attach_posting("overlap_weights", posting_shared.posting("overlap_weights"))
-                .expect("overlap_weights is registered")
+        static PLANS: OnceLock<RankingPlans> = OnceLock::new();
+        let plans = PLANS.get_or_init(|| {
+            let plan = Plan::index_join(
+                "overlap_weights",
+                &["token"],
+                Plan::param("query_tokens"),
+                &["token"],
+            )
+            .aggregate(&["tid"], vec![(AggFunc::Sum(col("weight")), "score")]);
+            // Bounded selection over the shared weight posting lists: RSJ/IDF
+            // weights are non-negative per-token constants, so the per-tid sum
+            // of the postings is the WM score.
+            let bounded = Plan::top_k_bounded(
+                "overlap_weights",
+                Plan::param("query_tokens"),
+                "token",
+                None,
+                param(TOP_K_PARAM),
+            );
+            let threshold_bounded = Plan::threshold_bounded(
+                "overlap_weights",
+                Plan::param("query_tokens"),
+                "token",
+                None,
+                param(THRESHOLD_PARAM),
+            );
+            RankingPlans::with_bounded(plan, bounded, threshold_bounded)
         });
-        WeightedMatch {
-            shared,
-            catalog,
-            plans: RankingPlans::with_bounded(plan, bounded, threshold_bounded),
-        }
+        let catalog = shared_posting_catalog(&shared, "overlap_weights");
+        WeightedMatch { shared, catalog, plans }
     }
 
     fn engine_shared(&self) -> &SharedArtifacts {
@@ -253,7 +283,11 @@ impl WeightedMatch {
     }
 }
 
-crate::engine::engine_predicate!(WeightedMatch, crate::predicate::PredicateKind::WeightedMatch);
+crate::engine::engine_predicate!(
+    WeightedMatch,
+    crate::predicate::PredicateKind::WeightedMatch,
+    catalog
+);
 
 /// WeightedJaccard: weight of common tokens over weight of the union (§3.1).
 pub struct WeightedJaccard {

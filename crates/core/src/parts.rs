@@ -31,9 +31,11 @@
 //!   parts strictly sequentially: a serial cut under a candidate cap is
 //!   byte-reproducible, a racing one is not. The loop stops once the budget
 //!   trips; parts processed before the trip contribute exactly-scored rows,
-//!   so the merged prefix is a valid anytime answer. `TopK` carries θ: once
-//!   `k` live candidates exist, later parts run the (bit-exact) threshold
-//!   operator at the running k-th best score instead of a fresh top-k.
+//!   so the merged prefix is a valid anytime answer. Each part runs the same
+//!   local mode as in the unbudgeted fan — `TopK(k + dead)` for `TopK` —
+//!   so a request that never trips returns the unbudgeted bytes. No bar
+//!   is carried from part to part: the bounded kernel charges every tid it
+//!   touches whatever the bar, so a carried bar would save no work.
 //!
 //! No part's run reads another's state, and results merge in part order, so
 //! every answer is **byte-deterministic under any thread schedule**.
@@ -136,38 +138,54 @@ where
     Ok(out)
 }
 
-/// One slice of the records and a full engine over it. `records[i]` is the
-/// record the part engine knows as local tid `i` (the corpus dense-tid
-/// invariant), carrying its **global** tid — the local→global map is the
-/// record list itself.
+/// One slice of the records and a full engine over it. The engine's corpus
+/// holds the records under dense local tids; `tids[i]` is the **global**
+/// tid of local record `i` — the local→global map.
 pub(crate) struct Part {
-    /// Part records in ascending global-tid order.
-    pub(crate) records: Vec<Record>,
+    /// Global tids of the part's records, ascending.
+    pub(crate) tids: Vec<Tid>,
     /// The engine over this slice, scoring against the frozen statistics.
     pub(crate) engine: SelectionEngine,
 }
 
 impl Part {
-    /// A part over `records` (global tids) served by an engine over
-    /// `corpus`, whose record `i` is `records[i]`. Part engines keep no
-    /// result cache: every request probes its backend's merged cache first,
-    /// so a per-part entry could only answer a key that cache has evicted.
-    pub(crate) fn new(records: Vec<Record>, corpus: Arc<TokenizedCorpus>, params: &Params) -> Part {
+    /// A part whose local record `i` has global tid `tids[i]`, served by an
+    /// engine over `corpus`. Part engines keep no result cache: every
+    /// request probes its backend's merged cache first, so a per-part entry
+    /// could only answer a key that cache has evicted.
+    pub(crate) fn new(tids: Vec<Tid>, corpus: Arc<TokenizedCorpus>, params: &Params) -> Part {
         let engine = SelectionEngine::build(corpus, params);
         engine.set_result_cache_capacity(0);
-        Part { records, engine }
+        Part { tids, engine }
     }
 
     /// Build a part over `records` (global tids) by projecting them onto
     /// the frozen statistics of `stats` — `O(records)`, independent of the
     /// corpus size.
     pub(crate) fn project(stats: &TokenizedCorpus, records: Vec<Record>, params: &Params) -> Part {
-        let dense: Vec<Record> = records
-            .iter()
-            .enumerate()
-            .map(|(i, r)| Record::new(i as Tid, r.text.clone()))
-            .collect();
-        Part::new(records, Arc::new(stats.project(dense)), params)
+        let tids = records.iter().map(|r| r.tid).collect();
+        let dense =
+            records.into_iter().enumerate().map(|(i, r)| Record::new(i as Tid, r.text)).collect();
+        Part::new(tids, Arc::new(stats.project(dense)), params)
+    }
+
+    /// This part plus `record` (a global tid above every tid it holds), over
+    /// the same frozen statistics: only the new record is tokenized, and the
+    /// rows of the records already held are shared
+    /// ([`TokenizedCorpus::project_append`]). The new part's engine starts
+    /// with no artifacts, like every fresh engine.
+    pub(crate) fn append(&self, record: Record) -> Part {
+        let corpus = self.engine.corpus().project_append(record.text);
+        let mut tids = Vec::with_capacity(self.tids.len() + 1);
+        tids.extend_from_slice(&self.tids);
+        tids.push(record.tid);
+        Part::new(tids, Arc::new(corpus), self.engine.params())
+    }
+
+    /// The part's records under their global tids.
+    pub(crate) fn records(&self) -> impl Iterator<Item = Record> + '_ {
+        let corpus = self.engine.corpus();
+        self.tids.iter().enumerate().map(|(i, &tid)| Record::new(tid, corpus.record_text(i)))
     }
 
     /// Run this part's engine in `exec` mode under `limits` and map the
@@ -187,7 +205,7 @@ impl Part {
         Ok(local
             .into_iter()
             .filter_map(|s| {
-                let global = self.records[s.tid as usize].tid;
+                let global = self.tids[s.tid as usize];
                 (!tombstones.contains(&global)).then_some(ScoredTid::new(global, s.score))
             })
             .collect())
@@ -237,7 +255,7 @@ impl PartSet {
 
     /// Records held in parts, tombstoned ones included.
     pub(crate) fn total_records(&self) -> usize {
-        self.parts.iter().map(|p| p.records.len()).sum()
+        self.parts.iter().map(|p| p.tids.len()).sum()
     }
 
     /// Live (non-tombstoned) records.
@@ -275,15 +293,9 @@ impl PartSet {
             if limits.exhausted() {
                 break;
             }
-            let mode = match exec {
-                Exec::TopK(k) if rows.len() >= k => Exec::Threshold(rows[k - 1].score),
-                _ => local_mode(exec, dead),
-            };
+            let mode = local_mode(exec, dead);
             rows.extend(part.run(kind, text, mode, Some(limits), &self.tombstones)?);
             ran += 1;
-            if let Exec::TopK(k) = exec {
-                rows = top_k_ranked(rows, k);
-            }
         }
         Ok((merge(exec, rows), ran))
     }

@@ -28,7 +28,7 @@ use crate::engine::{CacheStats, Exec, ResultCache, SelectionEngine, STATIC_EPOCH
 use crate::params::{ExecBudget, Params};
 use crate::parts::{Part, PartSet};
 use crate::predicate::PredicateKind;
-use crate::record::ScoredTid;
+use crate::record::{Record, ScoredTid, Tid};
 use std::sync::Arc;
 
 /// Parse a `DASP_SHARDS` environment override: a positive integer selects
@@ -88,11 +88,14 @@ impl ShardedEngine {
             .max(1)
             .min(n.max(1));
         let chunk = n.div_ceil(count).max(1);
-        let shards = stats
-            .corpus()
-            .records()
-            .chunks(chunk)
-            .map(|slice| Arc::new(Part::project(&stats, slice.to_vec(), params)))
+        let shards = (0..n)
+            .step_by(chunk)
+            .map(|start| {
+                let records = (start..n.min(start + chunk))
+                    .map(|idx| Record::new(idx as Tid, stats.record_text(idx)))
+                    .collect();
+                Arc::new(Part::project(&stats, records, params))
+            })
             .collect();
         ShardedEngine {
             params: *params,

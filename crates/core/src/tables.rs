@@ -17,71 +17,130 @@ use crate::corpus::{QueryTokens, TokenizedCorpus};
 use crate::dict::TokenId;
 use crate::engine::Exec;
 use relq::{
-    col, param, Bindings, Catalog, DataType, Plan, PreparedPlan, Schema, SortOrder, Table, Value,
+    col, param, Bindings, Catalog, DataType, Plan, PostingIndex, PreparedPlan, Schema, SortOrder,
+    Table, Value,
 };
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-/// A predicate's execution catalog with its posting index deferred to the
-/// first bounded execution: `Exec::TopK` and `Exec::Threshold` see a clone
-/// of the base catalog with the posting attached (built or fetched once,
-/// then cached), while Rank/scan-only workloads never pay the posting build
-/// at all — the per-handle analogue of the engine's lazy shared artifacts.
+/// A bounded predicate's per-(record, token) weight: `weight(record index,
+/// token, tf)`, `None` for a pair that stores nothing. Each of the five
+/// bounded predicates has exactly one; its weight table ([`base_weights`])
+/// and its posting lists ([`postings`]) are both built from it, so the two
+/// hold the same bits by construction.
+pub(crate) type TokenWeight = dyn Fn(usize, TokenId, u32) -> Option<f64> + Send + Sync;
+
+/// A bounded predicate's two execution catalogs, each built on first use:
+///
+/// * the **base** catalog — its tables with their `TableIndex`es — for
+///   `Rank`, `TopKHeap`, `ThresholdScan` and introspection;
+/// * the **posting** catalog, holding only the posting lists under the
+///   table's name, for `TopK` and `Threshold`: the bounded plans read
+///   nothing else.
+///
+/// A workload of bounded reads never builds a weight table or its index,
+/// and a scan-only one never builds a posting — the per-handle analogue of
+/// the engine's lazy shared artifacts.
 pub(crate) struct PostingCatalog {
-    base: Catalog,
-    attach: Box<dyn Fn(&mut Catalog) + Send + Sync>,
-    with_posting: OnceLock<Catalog>,
+    name: &'static str,
+    build_base: Box<dyn Fn() -> Catalog + Send + Sync>,
+    build_posting: Box<dyn Fn() -> Arc<PostingIndex> + Send + Sync>,
+    base: OnceLock<Catalog>,
+    posting: OnceLock<Catalog>,
+    /// The base catalog with the posting attached, for introspection once
+    /// both exist.
+    both: OnceLock<Catalog>,
 }
 
 impl PostingCatalog {
-    /// Wrap `base`; `attach` adds the posting index (building it, or
-    /// attaching an engine-shared one) when a bounded execution first asks.
+    /// The catalogs of the table `name`: `base` builds the base catalog
+    /// (or aliases engine-shared tables), `posting` the posting lists over
+    /// the same rows.
     pub(crate) fn new(
-        base: Catalog,
-        attach: impl Fn(&mut Catalog) + Send + Sync + 'static,
+        name: &'static str,
+        base: impl Fn() -> Catalog + Send + Sync + 'static,
+        posting: impl Fn() -> Arc<PostingIndex> + Send + Sync + 'static,
     ) -> Self {
-        PostingCatalog { base, attach: Box::new(attach), with_posting: OnceLock::new() }
+        PostingCatalog {
+            name,
+            build_base: Box::new(base),
+            build_posting: Box::new(posting),
+            base: OnceLock::new(),
+            posting: OnceLock::new(),
+            both: OnceLock::new(),
+        }
     }
 
-    /// The catalog to execute `exec` against: with postings for the two
-    /// bounded operators, the plain base catalog for everything else
+    /// A predicate-private weight table `name(tid, token, weight)`, indexed
+    /// on token, and its posting lists, both from the one `weight` function.
+    pub(crate) fn private(
+        name: &'static str,
+        corpus: Arc<TokenizedCorpus>,
+        weight: Arc<TokenWeight>,
+    ) -> Self {
+        let (table_corpus, table_weight) = (corpus.clone(), weight.clone());
+        let base = move || {
+            let mut catalog = Catalog::new();
+            catalog
+                .register_indexed(name, base_weights(&table_corpus, &*table_weight), &["token"])
+                .expect("weights have a token column");
+            catalog
+        };
+        Self::new(name, base, move || Arc::new(postings(&corpus, &*weight)))
+    }
+
+    /// The catalog to execute `exec` against: the posting catalog for the
+    /// two bounded operators, the base catalog for everything else
     /// (including `ThresholdScan`, whose whole point is to never consult
     /// posting lists).
     pub(crate) fn for_exec(&self, exec: Exec) -> &Catalog {
         match exec {
-            Exec::TopK(_) | Exec::Threshold(_) => self.with_posting.get_or_init(|| {
-                let mut catalog = self.base.clone();
-                (self.attach)(&mut catalog);
+            Exec::TopK(_) | Exec::Threshold(_) => self.posting.get_or_init(|| {
+                let mut catalog = Catalog::new();
+                catalog.attach_posting(self.name, (self.build_posting)());
                 catalog
             }),
             _ => self.base(),
         }
     }
 
-    /// The catalog as currently materialized (postings included once some
-    /// bounded execution forced them) — the introspection surface.
+    /// The base catalog with the posting lists attached once some bounded
+    /// execution built them — the introspection surface. Builds the base
+    /// tables.
     pub(crate) fn current(&self) -> &Catalog {
-        self.with_posting.get().unwrap_or(&self.base)
+        match self.posting.get() {
+            Some(posting) => self.both.get_or_init(|| {
+                let mut catalog = self.base().clone();
+                catalog.merge_from(posting);
+                catalog
+            }),
+            None => self.base(),
+        }
     }
 
-    /// The plain base catalog, posting-free by construction — the catalog
-    /// the exhaustive modes (`Rank`, `TopKHeap`, `ThresholdScan`) execute
-    /// against, so they never attach a posting arena.
+    /// The base catalog, posting-free by construction — the catalog the
+    /// exhaustive modes (`Rank`, `TopKHeap`, `ThresholdScan`) execute
+    /// against, so they never build a posting arena.
     pub(crate) fn base(&self) -> &Catalog {
-        &self.base
+        self.base.get_or_init(&self.build_base)
     }
 
-    /// Whether some bounded execution already forced the posting build
-    /// (statistics read through [`Self::current`] are then exact).
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Whether some bounded execution already built the posting lists.
+    #[cfg(test)]
     pub(crate) fn posting_built(&self) -> bool {
-        self.with_posting.get().is_some()
+        self.posting.get().is_some()
+    }
+
+    /// Whether something already built the base tables.
+    #[cfg(test)]
+    pub(crate) fn base_built(&self) -> bool {
+        self.base.get().is_some()
     }
 }
 
 /// Number of `(tuple, distinct token)` pairs: the row count of every
 /// per-token base table, so each one sizes its arena once.
 pub(crate) fn token_rows(tc: &TokenizedCorpus) -> usize {
-    (0..tc.corpus().len()).map(|idx| tc.record_tokens(idx).len()).sum()
+    (0..tc.num_records()).map(|idx| tc.record_tokens(idx).len()).sum()
 }
 
 /// `BASE_TOKENS(tid, token)` with *distinct* tokens per tuple, as the paper
@@ -89,11 +148,9 @@ pub(crate) fn token_rows(tc: &TokenizedCorpus) -> usize {
 pub fn base_tokens_distinct(tc: &TokenizedCorpus) -> Table {
     let schema = Schema::from_pairs(&[("tid", DataType::Int), ("token", DataType::Int)]);
     let mut table = Table::with_capacity(schema, token_rows(tc));
-    for (idx, record) in tc.corpus().records().iter().enumerate() {
+    for idx in 0..tc.num_records() {
         for &(token, _tf) in tc.record_tokens(idx) {
-            table
-                .push([Value::Int(record.tid as i64), Value::Int(token as i64)])
-                .expect("schema matches");
+            table.push([Value::Int(idx as i64), Value::Int(token as i64)]).expect("schema matches");
         }
     }
     table
@@ -107,14 +164,10 @@ pub fn base_tf(tc: &TokenizedCorpus) -> Table {
         ("tf", DataType::Int),
     ]);
     let mut table = Table::with_capacity(schema, token_rows(tc));
-    for (idx, record) in tc.corpus().records().iter().enumerate() {
+    for idx in 0..tc.num_records() {
         for &(token, tf) in tc.record_tokens(idx) {
             table
-                .push([
-                    Value::Int(record.tid as i64),
-                    Value::Int(token as i64),
-                    Value::Int(tf as i64),
-                ])
+                .push([Value::Int(idx as i64), Value::Int(token as i64), Value::Int(tf as i64)])
                 .expect("schema matches");
         }
     }
@@ -124,10 +177,10 @@ pub fn base_tf(tc: &TokenizedCorpus) -> Table {
 /// `BASE_DL(tid, dl)` — number of token occurrences per tuple.
 pub fn base_dl(tc: &TokenizedCorpus) -> Table {
     let schema = Schema::from_pairs(&[("tid", DataType::Int), ("dl", DataType::Int)]);
-    let mut table = Table::with_capacity(schema, tc.corpus().len());
-    for (idx, record) in tc.corpus().records().iter().enumerate() {
+    let mut table = Table::with_capacity(schema, tc.num_records());
+    for idx in 0..tc.num_records() {
         table
-            .push([Value::Int(record.tid as i64), Value::Int(tc.record_dl(idx) as i64)])
+            .push([Value::Int(idx as i64), Value::Int(tc.record_dl(idx) as i64)])
             .expect("schema matches");
     }
     table
@@ -146,20 +199,33 @@ where
         ("weight", DataType::Float),
     ]);
     let mut table = Table::with_capacity(schema, token_rows(tc));
-    for (idx, record) in tc.corpus().records().iter().enumerate() {
+    for idx in 0..tc.num_records() {
         for &(token, tf) in tc.record_tokens(idx) {
             if let Some(w) = weight_fn(idx, token, tf) {
                 table
-                    .push([
-                        Value::Int(record.tid as i64),
-                        Value::Int(token as i64),
-                        Value::Float(w),
-                    ])
+                    .push([Value::Int(idx as i64), Value::Int(token as i64), Value::Float(w)])
                     .expect("schema matches");
             }
         }
     }
     table
+}
+
+/// The posting lists of the rows [`base_weights`] stores for the same
+/// `weight_fn`, built straight from the tokenized rows: one `(tid, token,
+/// weight)` posting per pair the function keeps, with no table in between.
+pub(crate) fn postings<F>(tc: &TokenizedCorpus, weight_fn: F) -> PostingIndex
+where
+    F: Fn(usize, TokenId, u32) -> Option<f64>,
+{
+    let weight_fn = &weight_fn;
+    let rows = (0..tc.num_records()).flat_map(|idx| {
+        tc.record_tokens(idx).iter().filter_map(move |&(token, tf)| {
+            let w = weight_fn(idx, token, tf)?;
+            Some((idx as i64, Value::Int(token as i64), w))
+        })
+    });
+    PostingIndex::from_rows(rows).expect("token rows are distinct per (token, tid) and finite")
 }
 
 /// A generic per-tuple scalar table `(tid, <alias>)`.
@@ -168,11 +234,9 @@ where
     F: FnMut(usize) -> f64,
 {
     let schema = Schema::from_pairs(&[("tid", DataType::Int), (alias, DataType::Float)]);
-    let mut table = Table::with_capacity(schema, tc.corpus().len());
-    for (idx, record) in tc.corpus().records().iter().enumerate() {
-        table
-            .push([Value::Int(record.tid as i64), Value::Float(value_fn(idx))])
-            .expect("schema matches");
+    let mut table = Table::with_capacity(schema, tc.num_records());
+    for idx in 0..tc.num_records() {
+        table.push([Value::Int(idx as i64), Value::Float(value_fn(idx))]).expect("schema matches");
     }
     table
 }
@@ -192,19 +256,17 @@ pub fn base_words_distinct(tc: &TokenizedCorpus) -> Table {
         }
     };
     let mut seen: Vec<TokenId> = Vec::new();
-    let rows = (0..tc.corpus().len())
+    let rows = (0..tc.num_records())
         .map(|idx| {
             distinct(idx, &mut seen);
             seen.len()
         })
         .sum();
     let mut table = Table::with_capacity(schema, rows);
-    for (idx, record) in tc.corpus().records().iter().enumerate() {
+    for idx in 0..tc.num_records() {
         distinct(idx, &mut seen);
         for &w in &seen {
-            table
-                .push([Value::Int(record.tid as i64), Value::Int(w as i64)])
-                .expect("schema matches");
+            table.push([Value::Int(idx as i64), Value::Int(w as i64)]).expect("schema matches");
         }
     }
     table
@@ -338,6 +400,11 @@ fn top_k_param(k: usize) -> i64 {
 ///   [`Plan::ThresholdBounded`](relq::Plan::ThresholdBounded) over the same
 ///   posting lists, taking τ from [`THRESHOLD_PARAM`]; the operator
 ///   [`Exec::Threshold`] routes to when present.
+///
+/// The plans name only tables and parameters, never the corpus: each
+/// bounded predicate prepares its set once per process (a `static`) and
+/// every engine shares it, so the fresh engine a live tail gets per append
+/// neither prepares nor frees any plan.
 ///
 /// Every mode runs over the same candidate pipeline and the same canonical
 /// `(score DESC, tid ASC)` order as [`crate::record::sort_ranked`], which is

@@ -152,13 +152,12 @@ fn chaos_mix(
 /// Run `run` twice under each cap and check the degradation contract: the
 /// two runs agree byte for byte, bypass the result cache, score at most
 /// `cap` candidates and return an anytime subset of `exact_rank`; an
-/// untripped run equals `exact` under `key`, and the generous cap never
+/// untripped run returns the bytes of `exact`, and the generous cap never
 /// trips.
-fn assert_capped_runs_degrade_deterministically<K: PartialEq + std::fmt::Debug>(
+fn assert_capped_runs_degrade_deterministically(
     label: &str,
     exact_rank: &[ScoredTid],
     exact: &[ScoredTid],
-    key: impl Fn(&[ScoredTid]) -> K,
     run: impl Fn(ExecBudget) -> BudgetedRun,
 ) {
     for cap in [0usize, 1, 3, 17, 1_000_000] {
@@ -181,8 +180,8 @@ fn assert_capped_runs_degrade_deterministically<K: PartialEq + std::fmt::Debug>(
         assert_anytime_subset(&a.results, exact_rank, &label);
         if !a.degraded {
             assert_eq!(
-                key(&a.results),
-                key(exact),
+                as_bits(&a.results),
+                as_bits(exact),
                 "{label}: untripped budget must return the exact answer"
             );
         }
@@ -210,7 +209,6 @@ fn degraded_results_are_deterministic_anytime_answers() {
                     &label,
                     &exact_rank,
                     &exact,
-                    as_bits,
                     |budget| handle.execute_budgeted(&query, exec, budget).unwrap(),
                 );
             }
@@ -235,18 +233,10 @@ fn degraded_sharded_results_are_deterministic_anytime_answers() {
             let exact_rank = sharded.execute(kind, text, Exec::Rank).unwrap();
             for exec in modes_for(&exact_rank) {
                 let exact = sharded.execute(kind, text, exec).unwrap();
-                // An untripped capped TopK carries θ from shard to shard, so
-                // it may settle a k-boundary tie on another tid than the
-                // fanned run: compare its scores only.
-                let tids = !matches!(exec, Exec::TopK(_));
-                let key = |v: &[ScoredTid]| {
-                    v.iter().map(|s| (tids.then_some(s.tid), s.score.to_bits())).collect::<Vec<_>>()
-                };
                 assert_capped_runs_degrade_deterministically(
                     &format!("sharded {kind}/{exec:?}"),
                     &exact_rank,
                     &exact,
-                    key,
                     |budget| sharded.execute_budgeted(kind, text, exec, budget).unwrap(),
                 );
             }

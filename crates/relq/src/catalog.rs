@@ -220,15 +220,14 @@ impl Catalog {
         Ok(())
     }
 
-    /// Attach an already built (shared) posting index to a registered table —
-    /// the lazy-shared-artifact path: one engine builds the index once and
-    /// every predicate catalog aliases it.
-    pub fn attach_posting(&mut self, name: &str, posting: Arc<PostingIndex>) -> Result<()> {
-        if !self.tables.contains_key(name) {
-            return Err(RelqError::UnknownTable(name.to_string()));
-        }
+    /// Attach an already built (shared) posting index under `name` — the
+    /// lazy-shared-artifact path: one engine builds the index once and every
+    /// predicate catalog aliases it. No table need be registered under
+    /// `name`: the bounded operators read only the posting, so a catalog
+    /// that serves nothing else holds the posting alone. Registering a table
+    /// under `name` later drops the posting.
+    pub fn attach_posting(&mut self, name: &str, posting: Arc<PostingIndex>) {
         self.postings.insert(name.to_string(), posting);
-        Ok(())
     }
 
     /// The posting index of a table, if one was registered or attached.
@@ -255,6 +254,11 @@ impl Catalog {
             }
             if let Some(p) = other.postings.get(name) {
                 self.postings.insert(name.clone(), p.clone());
+            }
+        }
+        for (name, posting) in &other.postings {
+            if !other.tables.contains_key(name) {
+                self.postings.insert(name.clone(), posting.clone());
             }
         }
     }
@@ -466,11 +470,20 @@ mod tests {
         assert!(Arc::ptr_eq(merged.posting_for("w").unwrap(), &p));
         assert!(merged.index_for("w", &["token".to_string()]).is_some());
         assert_eq!(merged.int_column_range("w", 0), c.int_column_range("w", 0));
-        // Attaching to an unknown table fails; to a known one shares.
+        // A posting attaches with or without a table under its name, and
+        // merging carries a posting-only entry over to a catalog holding the
+        // table.
         let mut other = Catalog::new();
-        assert!(other.attach_posting("w", p.clone()).is_err());
+        other.attach_posting("w", p.clone());
+        assert!(Arc::ptr_eq(other.posting_for("w").unwrap(), &p));
+        assert!(!other.contains("w"));
+        let mut with_table = Catalog::new();
+        with_table.register("w", small_table(1));
+        with_table.merge_from(&other);
+        assert!(Arc::ptr_eq(with_table.posting_for("w").unwrap(), &p));
+        assert_eq!(with_table.get("w").unwrap().num_rows(), 1);
         other.register("w", small_table(1));
-        other.attach_posting("w", p.clone()).unwrap();
+        other.attach_posting("w", p.clone());
         assert!(Arc::ptr_eq(other.posting_for("w").unwrap(), &p));
         // Replacing the table drops the (now stale) posting index.
         other.register("w", small_table(2));

@@ -11,7 +11,9 @@
 //!   rows),
 //! * persistent inverted indexes built at registration time
 //!   ([`Catalog::register_indexed`]) and probed by [`Plan::IndexJoin`],
-//! * tid-ordered [`PostingIndex`]es ([`Catalog::register_posting`]) behind
+//! * tid-ordered [`PostingIndex`]es (built from `(tid, token, weight)` rows
+//!   by [`PostingIndex::from_rows`], or over a registered table by
+//!   [`Catalog::register_posting`]) behind
 //!   the bounded operators [`Plan::TopKBounded`] and
 //!   [`Plan::ThresholdBounded`], which sum a probe's scaled contributions
 //!   per tid in a windowed dense accumulator — the same bytes as the

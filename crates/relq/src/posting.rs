@@ -1,14 +1,19 @@
 //! Posting storage behind the bounded operators: a flat struct-of-arrays
 //! posting store, one tid-ascending list per token.
 //!
-//! A [`PostingIndex`] is the third registration-time artifact a catalog table
-//! can carry (after the shared `Arc<Table>` storage and the equality
-//! [`TableIndex`](crate::TableIndex)). Storage is **flat struct-of-arrays**:
-//! one contiguous `tids` arena and one parallel `weights` arena for the whole
-//! index, with each distinct key of the token column owning an
-//! `(offset, len)` slice of both — no per-list allocations, and a list
-//! walk reads one dense cache line after another instead of chasing a
+//! A [`PostingIndex`] is the third artifact a catalog name can carry (after
+//! the shared `Arc<Table>` storage and the equality
+//! [`TableIndex`](crate::TableIndex)), and the only one the bounded
+//! operators read, so a catalog may hold it under a name with no table.
+//! Storage is **flat struct-of-arrays**: one contiguous `tids` arena and one
+//! parallel `weights` arena for the whole index, with each distinct token
+//! owning an `(offset, len)` slice of both — no per-list allocations, and a
+//! list walk reads one dense cache line after another instead of chasing a
 //! `HashMap`-of-`Vec`s.
+//!
+//! [`PostingIndex::from_rows`] is the one builder: it lays `(tid, token,
+//! weight)` rows out count-then-scatter. [`PostingIndex::build`] feeds it
+//! the rows of a registered table.
 //!
 //! [`Plan::TopKBounded`](crate::Plan::TopKBounded) and
 //! [`Plan::ThresholdBounded`](crate::Plan::ThresholdBounded) read these
@@ -30,19 +35,15 @@ struct ListMeta {
     offset: usize,
     /// Number of postings.
     len: usize,
-    /// The largest weight of the list.
-    max_weight: f64,
 }
 
 /// A borrowed view of one token's posting list inside the flat
-/// struct-of-arrays store: parallel `tids` (ascending) / `weights` slices
-/// and the list-level maximum. `Copy` — cursors hold it by value, no
-/// indirection per access.
+/// struct-of-arrays store: parallel `tids` (ascending) / `weights` slices.
+/// `Copy` — cursors hold it by value, no indirection per access.
 #[derive(Debug, Clone, Copy)]
 pub struct PostingList<'a> {
     tids: &'a [i64],
     weights: &'a [f64],
-    max_weight: f64,
 }
 
 impl<'a> PostingList<'a> {
@@ -52,7 +53,7 @@ impl<'a> PostingList<'a> {
     }
 
     /// True when the list holds no postings (never the case for lists built
-    /// from table rows).
+    /// from rows).
     pub fn is_empty(&self) -> bool {
         self.tids.is_empty()
     }
@@ -66,23 +67,14 @@ impl<'a> PostingList<'a> {
     pub fn weights(&self) -> &'a [f64] {
         self.weights
     }
-
-    /// The largest contribution in the list.
-    pub fn max_weight(&self) -> f64 {
-        self.max_weight
-    }
 }
 
-/// Posting lists for every distinct key of a table's token column over one
-/// flat struct-of-arrays store, built once at registration time
-/// ([`Catalog::register_posting`](crate::Catalog::register_posting)) and
-/// read by [`Plan::TopKBounded`](crate::Plan::TopKBounded) /
+/// Posting lists for every distinct token over one flat struct-of-arrays
+/// store, built once ([`from_rows`](Self::from_rows)) and read by
+/// [`Plan::TopKBounded`](crate::Plan::TopKBounded) /
 /// [`Plan::ThresholdBounded`](crate::Plan::ThresholdBounded).
 #[derive(Debug, Clone)]
 pub struct PostingIndex {
-    token_col: String,
-    tid_col: String,
-    weight_col: Option<String>,
     /// All lists' tuple ids, list after list (each list's run ascending).
     tids: Vec<i64>,
     /// Contributions aligned with `tids`.
@@ -91,71 +83,35 @@ pub struct PostingIndex {
 }
 
 impl PostingIndex {
-    /// Build posting lists over `table`: one list per distinct non-NULL
-    /// value of `token_col`, each entry pairing the row's `tid_col` (an
-    /// integer) with its `weight_col` contribution (`None` = unit weight 1.0,
-    /// the unweighted-overlap case). `(token, tid)` pairs must be unique —
-    /// the token tables of the predicate layer are distinct-per-tuple by
-    /// construction — and weights must be finite.
-    pub fn build(
-        table: &Table,
-        token_col: &str,
-        tid_col: &str,
-        weight_col: Option<&str>,
-    ) -> Result<Self> {
-        let token_idx = table.schema().index_of(token_col)?;
-        let tid_idx = table.schema().index_of(tid_col)?;
-        let weight_idx = weight_col.map(|c| table.schema().index_of(c)).transpose()?;
-        // A row's posting: `None` when it contributes nothing (a NULL key
-        // never matches under SQL equality, a NULL weight vanishes under
-        // SUM).
-        let posting = |row: &[Value]| -> Result<Option<(i64, f64)>> {
-            let token = &row[token_idx];
-            if token.is_null() || row[tid_idx].is_null() {
-                return Ok(None);
-            }
-            let tid = row[tid_idx].as_i64()?;
-            let weight = match weight_idx {
-                None => 1.0,
-                Some(i) => match &row[i] {
-                    Value::Null => return Ok(None),
-                    v => v.as_f64()?,
-                },
-            };
+    /// Build posting lists from `(tid, token, weight)` rows: one list per
+    /// distinct token, each entry pairing a tid with its contribution.
+    /// `(token, tid)` pairs must be unique — the token rows of the predicate
+    /// layer are distinct per tuple by construction — and weights must be
+    /// finite. Rows may arrive in any order; rows in ascending tid order
+    /// (a tokenized corpus walked record by record) skip the per-list sort.
+    ///
+    /// Count-then-scatter: one pass numbers the distinct tokens in
+    /// first-seen order and counts their postings, a second lays every list
+    /// out back to back in the two arenas, so no per-token list is ever
+    /// allocated.
+    pub fn from_rows(rows: impl IntoIterator<Item = (i64, Value, f64)>) -> Result<Self> {
+        let mut slots: HashMap<Value, u32> = HashMap::new();
+        let mut counts: Vec<usize> = Vec::new();
+        let mut postings: Vec<(u32, i64, f64)> = Vec::new();
+        for (tid, token, weight) in rows {
             if !weight.is_finite() {
                 return Err(RelqError::InvalidPlan(format!(
                     "posting weight for token {token} / tid {tid} is not finite"
                 )));
             }
-            Ok(Some((tid, weight)))
-        };
-        // Pass 1: number the distinct tokens in first-seen order and count
-        // their postings, keeping each row's token number (`u32::MAX` for a
-        // row without a posting). A token Value is cloned once per distinct
-        // token.
-        let mut slots: HashMap<Value, u32> = HashMap::new();
-        let mut counts: Vec<usize> = Vec::new();
-        let mut row_slots: Vec<u32> = Vec::with_capacity(table.num_rows());
-        for row in table.rows() {
-            if posting(row)?.is_none() {
-                row_slots.push(u32::MAX);
-                continue;
+            let next = counts.len() as u32;
+            let slot = *slots.entry(token).or_insert(next);
+            if slot == next {
+                counts.push(0);
             }
-            let token = &row[token_idx];
-            let slot = match slots.get(token) {
-                Some(&slot) => slot,
-                None => {
-                    let slot = counts.len() as u32;
-                    slots.insert(token.clone(), slot);
-                    counts.push(0);
-                    slot
-                }
-            };
             counts[slot as usize] += 1;
-            row_slots.push(slot);
+            postings.push((slot, tid, weight));
         }
-        // Pass 2: scatter every posting into its list's run of the flat
-        // arenas, in table order, so no per-token list is ever allocated.
         let mut offsets: Vec<usize> = Vec::with_capacity(counts.len());
         let mut total = 0;
         for &count in &counts {
@@ -165,17 +121,13 @@ impl PostingIndex {
         let mut tids = vec![0i64; total];
         let mut weights = vec![0f64; total];
         let mut next = offsets.clone();
-        for (row, &slot) in table.rows().zip(&row_slots) {
-            if slot != u32::MAX {
-                let (tid, weight) = posting(row)?.expect("pass 1 found a posting in this row");
-                let at = &mut next[slot as usize];
-                (tids[*at], weights[*at]) = (tid, weight);
-                *at += 1;
-            }
+        for (slot, tid, weight) in postings {
+            let at = &mut next[slot as usize];
+            (tids[*at], weights[*at]) = (tid, weight);
+            *at += 1;
         }
-        // Pass 3, per list: sort by tid where table order left the run
-        // unsorted, reject duplicate pairs, fold the list maximum.
-        let mut metas: Vec<ListMeta> = Vec::with_capacity(counts.len());
+        // Per list: sort by tid where row order left the run unsorted, and
+        // reject duplicate pairs.
         for (slot, (&offset, &len)) in offsets.iter().zip(&counts).enumerate() {
             let run = offset..offset + len;
             if !tids[run.clone()].windows(2).all(|w| w[0] < w[1]) {
@@ -189,7 +141,7 @@ impl PostingIndex {
                     (tids[offset + i], weights[offset + i]) = (tid, weight);
                 }
             }
-            if let Some(dup) = tids[run.clone()].windows(2).find(|w| w[0] == w[1]) {
+            if let Some(dup) = tids[run].windows(2).find(|w| w[0] == w[1]) {
                 let token = slots.iter().find(|&(_, &s)| s as usize == slot).map(|(t, _)| t);
                 return Err(RelqError::InvalidPlan(format!(
                     "duplicate posting ({}, {}): posting lists need distinct \
@@ -198,35 +150,50 @@ impl PostingIndex {
                     dup[0]
                 )));
             }
-            let max_weight =
-                weights[run].iter().fold(f64::NEG_INFINITY, |m, &w| if w > m { w } else { m });
-            metas.push(ListMeta { offset, len, max_weight });
         }
-        let map: HashMap<Value, ListMeta> =
-            slots.into_iter().map(|(token, slot)| (token, metas[slot as usize])).collect();
-        Ok(PostingIndex {
-            token_col: token_col.to_string(),
-            tid_col: tid_col.to_string(),
-            weight_col: weight_col.map(str::to_string),
-            tids,
-            weights,
-            map,
-        })
+        let map = slots
+            .into_iter()
+            .map(|(token, slot)| {
+                let slot = slot as usize;
+                (token, ListMeta { offset: offsets[slot], len: counts[slot] })
+            })
+            .collect();
+        Ok(PostingIndex { tids, weights, map })
     }
 
-    /// The token column the lists are keyed on.
-    pub fn token_col(&self) -> &str {
-        &self.token_col
-    }
-
-    /// The tid column the postings carry.
-    pub fn tid_col(&self) -> &str {
-        &self.tid_col
-    }
-
-    /// The contribution column (`None` = unit weights).
-    pub fn weight_col(&self) -> Option<&str> {
-        self.weight_col.as_deref()
+    /// Build posting lists over the rows of `table`: one list per distinct
+    /// non-NULL value of `token_col`, each entry pairing the row's `tid_col`
+    /// (an integer) with its `weight_col` contribution (`None` = unit weight
+    /// 1.0, the unweighted-overlap case). A row with a NULL token, tid or
+    /// weight contributes nothing (a NULL key never matches under SQL
+    /// equality, a NULL weight vanishes under SUM). The rows then go through
+    /// [`from_rows`](Self::from_rows).
+    pub fn build(
+        table: &Table,
+        token_col: &str,
+        tid_col: &str,
+        weight_col: Option<&str>,
+    ) -> Result<Self> {
+        let token_idx = table.schema().index_of(token_col)?;
+        let tid_idx = table.schema().index_of(tid_col)?;
+        let weight_idx = weight_col.map(|c| table.schema().index_of(c)).transpose()?;
+        let posting = |row: &[Value]| -> Result<Option<(i64, Value, f64)>> {
+            let token = &row[token_idx];
+            if token.is_null() || row[tid_idx].is_null() {
+                return Ok(None);
+            }
+            let weight = match weight_idx {
+                None => 1.0,
+                Some(i) => match &row[i] {
+                    Value::Null => return Ok(None),
+                    v => v.as_f64()?,
+                },
+            };
+            Ok(Some((row[tid_idx].as_i64()?, token.clone(), weight)))
+        };
+        let rows: Vec<_> =
+            table.rows().filter_map(|row| posting(row).transpose()).collect::<Result<_>>()?;
+        Self::from_rows(rows)
     }
 
     /// Number of distinct tokens with a posting list.
@@ -243,11 +210,7 @@ impl PostingIndex {
     pub fn list(&self, token: &Value) -> Option<PostingList<'_>> {
         let meta = self.map.get(token)?;
         let run = meta.offset..meta.offset + meta.len;
-        Some(PostingList {
-            tids: &self.tids[run.clone()],
-            weights: &self.weights[run],
-            max_weight: meta.max_weight,
-        })
+        Some(PostingList { tids: &self.tids[run.clone()], weights: &self.weights[run] })
     }
 }
 
@@ -275,21 +238,43 @@ mod tests {
         t
     }
 
+    /// `(tids, weights)` of one list: equality here is list-content equality.
+    fn content(ix: &PostingIndex, token: i64) -> Option<(Vec<i64>, Vec<f64>)> {
+        ix.list(&Value::Int(token)).map(|l| (l.tids().to_vec(), l.weights().to_vec()))
+    }
+
     #[test]
-    fn build_produces_tid_sorted_lists_with_max() {
-        let t = weights_table(&[(3, 7, 0.5), (1, 7, 0.25), (2, 9, 1.5), (1, 9, 0.75)]);
-        let ix = PostingIndex::build(&t, "token", "tid", Some("weight")).unwrap();
+    fn build_produces_tid_sorted_lists() {
+        let rows = [(3, 7, 0.5), (1, 7, 0.25), (2, 9, 1.5), (1, 9, 0.75)];
+        let ix =
+            PostingIndex::build(&weights_table(&rows), "token", "tid", Some("weight")).unwrap();
         assert_eq!(ix.num_tokens(), 2);
         assert_eq!(ix.num_postings(), 4);
-        let l7 = ix.list(&Value::Int(7)).unwrap();
-        assert_eq!(l7.tids(), &[1, 3]);
-        assert_eq!(l7.weights(), &[0.25, 0.5]);
-        assert_eq!(l7.max_weight(), 0.5);
-        let l9 = ix.list(&Value::Int(9)).unwrap();
-        assert_eq!(l9.tids(), &[1, 2]);
-        assert_eq!(l9.weights(), &[0.75, 1.5]);
-        assert_eq!(l9.max_weight(), 1.5);
-        assert!(ix.list(&Value::Int(42)).is_none());
+        assert_eq!(content(&ix, 7), Some((vec![1, 3], vec![0.25, 0.5])));
+        assert_eq!(content(&ix, 9), Some((vec![1, 2], vec![0.75, 1.5])));
+        assert_eq!(content(&ix, 42), None);
+        // The row builder lays out the same lists from the same rows.
+        let direct = PostingIndex::from_rows(
+            rows.iter().map(|&(tid, token, weight)| (tid, Value::Int(token), weight)),
+        )
+        .unwrap();
+        for token in [7, 9, 42] {
+            assert_eq!(content(&direct, token), content(&ix, token));
+        }
+        // Keys equal as `Value`s share one list.
+        let mixed = PostingIndex::from_rows([
+            (2, Value::Float(7.0), 0.5),
+            (1, Value::Int(7), 0.25),
+            (1, Value::Int(-3), 1.0),
+            (2, Value::Float(-3.0), 2.0),
+            (1, Value::Str("ab".into()), 4.0),
+        ])
+        .unwrap();
+        assert_eq!(mixed.num_tokens(), 3);
+        assert_eq!(content(&mixed, 7), Some((vec![1, 2], vec![0.25, 0.5])));
+        assert_eq!(content(&mixed, -3), Some((vec![1, 2], vec![1.0, 2.0])));
+        let ab = mixed.list(&Value::Str("ab".into())).unwrap();
+        assert_eq!((ab.tids(), ab.weights()), (&[1][..], &[4.0][..]));
     }
 
     #[test]
@@ -301,7 +286,7 @@ mod tests {
         t.push_row(vec![Value::Null, Value::Int(5)]).unwrap();
         let ix = PostingIndex::build(&t, "token", "tid", None).unwrap();
         assert_eq!(ix.num_postings(), 1);
-        assert_eq!(ix.list(&Value::Int(5)).unwrap().max_weight(), 1.0);
+        assert_eq!(content(&ix, 5), Some((vec![1], vec![1.0])));
     }
 
     #[test]
@@ -312,6 +297,9 @@ mod tests {
         assert!(PostingIndex::build(&t, "token", "tid", Some("weight")).is_err());
         let t = weights_table(&[]);
         assert!(PostingIndex::build(&t, "nope", "tid", Some("weight")).is_err());
+        assert!(PostingIndex::from_rows([(1, Value::Int(7), f64::NAN)]).is_err());
+        let dup = [(1, Value::Int(7), 0.5), (1, Value::Int(7), 0.25)];
+        assert!(PostingIndex::from_rows(dup).is_err());
     }
 
     /// The probed lists of `probes` (`(token, factor)`, in probe order;

@@ -23,5 +23,5 @@ pub use edit::{edit_distance, edit_distance_within, edit_similarity, EditPattern
 pub use jaro::{jaro, jaro_winkler};
 pub use minhash::MinHasher;
 pub use normalize::normalize;
-pub use qgram::{qgram_set, qgrams, word_qgrams, QgramConfig, PAD_CHAR};
+pub use qgram::{for_each_qgram, qgram_set, qgrams, word_qgrams, QgramConfig, PAD_CHAR};
 pub use word::{word_token_set, word_tokens};

@@ -60,27 +60,35 @@ pub fn padded_chars(s: &str, config: QgramConfig) -> Vec<char> {
 /// that every tuple has at least one token (mirroring the paper's generator,
 /// which never produces empty strings, but keeps our pipeline total).
 pub fn qgrams(s: &str, config: QgramConfig) -> Vec<String> {
+    let mut grams = Vec::new();
+    for_each_qgram(s, config, |gram| grams.push(gram.to_string()));
+    grams
+}
+
+/// Call `f` on every q-gram of `s`, in the order [`qgrams`] returns them,
+/// without allocating a `String` per gram: each gram is assembled in one
+/// reused buffer. Tokenizers that only look grams up in a dictionary use
+/// this.
+pub fn for_each_qgram(s: &str, config: QgramConfig, mut f: impl FnMut(&str)) {
     let chars = padded_chars(s, config);
     let q = config.q;
     if chars.iter().all(|&c| c == PAD_CHAR) {
         // Empty / whitespace-only input: one all-padding gram.
-        return vec![PAD_CHAR.to_string().repeat(q)];
+        return f(&PAD_CHAR.to_string().repeat(q));
     }
     if chars.len() < q {
-        if chars.is_empty() {
-            return vec![PAD_CHAR.to_string().repeat(q)];
-        }
         let mut only: String = chars.iter().collect();
         while only.chars().count() < q {
             only.push(PAD_CHAR);
         }
-        return vec![only];
+        return f(&only);
     }
-    let mut grams = Vec::with_capacity(chars.len() - q + 1);
+    let mut gram = String::new();
     for window in chars.windows(q) {
-        grams.push(window.iter().collect::<String>());
+        gram.clear();
+        gram.extend(window);
+        f(&gram);
     }
-    grams
 }
 
 /// Extract the distinct set of q-grams of a string (used by the overlap

@@ -30,8 +30,8 @@ fn main() {
         live.seal_limit()
     );
 
-    // Ingest a stream of new titles. Each append is O(tail): only the small
-    // mutable tail segment is re-tokenized and re-indexed.
+    // Ingest a stream of new titles. Each append tokenizes only the new
+    // title; the tail's other records are shared, never re-tokenized.
     let stream = dblp_dataset(560);
     let mut appended = Vec::new();
     for record in &stream.records[400..] {

@@ -50,7 +50,7 @@ fn main() {
             "  tid {:>2}  score {:8.4}  {}",
             s.tid,
             s.score,
-            tokenized.corpus().records()[s.tid as usize].text
+            tokenized.record_text(s.tid as usize)
         );
     }
 
@@ -61,7 +61,7 @@ fn main() {
             "  tid {:>2}  score {:8.4}  {}",
             s.tid,
             s.score,
-            tokenized.corpus().records()[s.tid as usize].text
+            tokenized.record_text(s.tid as usize)
         );
     }
 
