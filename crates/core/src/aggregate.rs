@@ -75,7 +75,7 @@ fn run_weight_product_plan(
     query_weights: Vec<(TokenId, f64)>,
     exec: Exec,
     naive: bool,
-    limits: Option<&relq::ExecLimits>,
+    limits: &relq::ExecLimits,
 ) -> crate::error::Result<Vec<ScoredTid>> {
     if query_weights.is_empty() {
         return Ok(Vec::new());
@@ -186,7 +186,7 @@ impl CosinePredicate {
         query: &Query,
         exec: Exec,
         naive: bool,
-        limits: Option<&relq::ExecLimits>,
+        limits: &relq::ExecLimits,
     ) -> crate::error::Result<Vec<ScoredTid>> {
         run_weight_product_plan(
             &self.catalog,
@@ -249,7 +249,7 @@ impl Bm25Predicate {
         query: &Query,
         exec: Exec,
         naive: bool,
-        limits: Option<&relq::ExecLimits>,
+        limits: &relq::ExecLimits,
     ) -> crate::error::Result<Vec<ScoredTid>> {
         run_weight_product_plan(
             &self.catalog,

@@ -284,7 +284,7 @@ impl GesPredicate {
         query: &Query,
         exec: Exec,
         _naive: bool,
-        limits: Option<&relq::ExecLimits>,
+        limits: &relq::ExecLimits,
     ) -> crate::error::Result<Vec<ScoredTid>> {
         let query_words = query.weighted_words();
         if query_words.is_empty() {
@@ -302,10 +302,8 @@ impl GesPredicate {
             // Budget boundary: one candidate per corpus record scored.
             // Scores already pushed are exact, so breaking leaves a valid
             // anytime answer.
-            if let Some(limits) = limits {
-                if !limits.charge_candidate() {
-                    break;
-                }
+            if !limits.charge_candidate() {
+                break;
             }
             let sim = scorer.similarity(idx);
             if sim > 0.0 {

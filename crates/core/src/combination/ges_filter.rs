@@ -208,7 +208,7 @@ impl FilteredGes {
     /// The over-estimating filter scores per tuple (Equation 4.7 / 4.8),
     /// computed declaratively. Returns `(tid, estimate)` pairs.
     pub fn filter_scores(&self, query: &str) -> Vec<ScoredTid> {
-        let query = Query::build(&self.shared, query);
+        let query = Query::build(self.shared.corpus(), query);
         self.filter_scores_mode(&query, false)
             .expect("prepared ges filter plans over registered catalogs are infallible")
     }
@@ -296,7 +296,11 @@ impl FilteredGes {
             }
         }
 
-        crate::tables::run_ranking_plan(&self.plan, &self.catalog, &bindings, naive)
+        // The filter plan runs unbudgeted: its survivors are charged one by
+        // one in `execute`, where each costs an exact GES re-scoring, so the
+        // deadline overshoots by at most one of them.
+        let unlimited = relq::ExecLimits::unlimited();
+        crate::tables::run_ranking_plan(&self.plan, &self.catalog, &bindings, naive, &unlimited)
     }
 
     /// Execute: filter by the over-estimate at the build-time θ, re-score
@@ -306,7 +310,7 @@ impl FilteredGes {
         query: &Query,
         exec: Exec,
         naive: bool,
-        limits: Option<&relq::ExecLimits>,
+        limits: &relq::ExecLimits,
     ) -> crate::error::Result<Vec<ScoredTid>> {
         let query_words = query.weighted_words();
         if query_words.is_empty() {
@@ -326,10 +330,8 @@ impl FilteredGes {
             // Budget boundary: one candidate per filter survivor re-scored.
             // Entries already pushed carry exact GES scores, so breaking
             // leaves a valid anytime answer.
-            if let Some(limits) = limits {
-                if !limits.charge_candidate() {
-                    break;
-                }
+            if !limits.charge_candidate() {
+                break;
             }
             let exact = scorer.similarity(self.shared.record_index(candidate.tid));
             out.push(ScoredTid::new(candidate.tid, exact));
@@ -372,7 +374,7 @@ impl GesJaccardPredicate {
         query: &Query,
         exec: Exec,
         naive: bool,
-        limits: Option<&relq::ExecLimits>,
+        limits: &relq::ExecLimits,
     ) -> crate::error::Result<Vec<ScoredTid>> {
         self.inner.execute(query, exec, naive, limits)
     }
@@ -414,7 +416,7 @@ impl GesApxPredicate {
         query: &Query,
         exec: Exec,
         naive: bool,
-        limits: Option<&relq::ExecLimits>,
+        limits: &relq::ExecLimits,
     ) -> crate::error::Result<Vec<ScoredTid>> {
         self.inner.execute(query, exec, naive, limits)
     }

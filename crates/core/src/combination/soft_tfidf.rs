@@ -156,7 +156,7 @@ impl SoftTfIdfPredicate {
         query: &Query,
         exec: Exec,
         naive: bool,
-        limits: Option<&relq::ExecLimits>,
+        limits: &relq::ExecLimits,
     ) -> crate::error::Result<Vec<ScoredTid>> {
         let query_weights = self.query_word_weights(query);
         if query_weights.is_empty() {

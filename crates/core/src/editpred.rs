@@ -85,7 +85,7 @@ impl EditPredicate {
         query: &Query,
         exec: Exec,
         naive: bool,
-        limits: Option<&relq::ExecLimits>,
+        limits: &relq::ExecLimits,
     ) -> crate::error::Result<Vec<ScoredTid>> {
         let q = query.tokens();
         if q.tokens.is_empty() {
@@ -103,10 +103,13 @@ impl EditPredicate {
         };
 
         let bindings = Bindings::new().with_table("query_tf", Self::query_tf_table(q));
+        // The count filter runs unbudgeted: its survivors are charged one
+        // by one below, where each costs a banded verification, so the
+        // deadline overshoots by at most one of them.
         let candidates = if naive {
             self.plan.execute_unindexed(&self.catalog, &bindings)?
         } else {
-            self.plan.execute(&self.catalog, &bindings)?
+            self.plan.execute(&self.catalog, &bindings, &relq::ExecLimits::unlimited())?
         };
 
         let corpus = self.shared.corpus();
@@ -115,10 +118,8 @@ impl EditPredicate {
             // Budget boundary: each filter survivor is one candidate. Entries
             // already pushed carry exact similarities, so breaking here
             // leaves a valid anytime answer.
-            if let Some(limits) = limits {
-                if !limits.charge_candidate() {
-                    break;
-                }
+            if !limits.charge_candidate() {
+                break;
             }
             let tid = row[0].as_i64().map_err(|_| {
                 crate::error::DaspError::MalformedResult(format!("non-integer tid {}", row[0]))

@@ -515,14 +515,14 @@ impl ResultCache {
     /// at `epoch` under `budget`, where `f` computes the rows under the
     /// given limits and reports how many parts ran.
     ///
-    /// An unlimited budget probes the cache first (0 parts ran on a hit),
-    /// runs `f(None)` on a miss and caches its rows. A capped budget runs
-    /// `f` under one fresh [`relq::ExecLimits`] and bypasses the cache in
-    /// both directions: a degraded partial must never answer a later
-    /// unbudgeted request, and a cached full answer would make degradation
-    /// nondeterministic under cache pressure — the partial bytes are part of
-    /// the contract. Its run is flagged `degraded` when the cap tripped and
-    /// carries the [`BudgetReport`] of the work done.
+    /// Every executed request runs `f` under one fresh [`relq::ExecLimits`]
+    /// built from `budget`. An unlimited budget probes the cache first (0
+    /// parts ran on a hit) and caches the rows of a miss. A capped budget
+    /// bypasses the cache in both directions: a degraded partial must never
+    /// answer a later unbudgeted request, and a cached full answer would
+    /// make degradation nondeterministic under cache pressure — the partial
+    /// bytes are part of the contract. Its run is flagged `degraded` when
+    /// the cap tripped and carries the [`BudgetReport`] of the work done.
     pub(crate) fn run(
         &self,
         epoch: u64,
@@ -530,27 +530,27 @@ impl ResultCache {
         text: &str,
         exec: Exec,
         budget: ExecBudget,
-        f: impl FnOnce(Option<&relq::ExecLimits>) -> Result<(Vec<ScoredTid>, usize)>,
+        f: impl FnOnce(&relq::ExecLimits) -> Result<(Vec<ScoredTid>, usize)>,
     ) -> Result<(BudgetedRun, usize)> {
-        if budget.is_unlimited() {
-            let (results, cache_hit, ran) = match self.get(epoch, kind, text, exec) {
-                Some(hit) => (hit.as_ref().clone(), true, 0),
-                None => {
-                    let (results, ran) = f(None)?;
-                    self.insert(epoch, kind, text, exec, &results);
-                    (results, false, ran)
-                }
-            };
-            return Ok((BudgetedRun { results, cache_hit, degraded: false, report: None }, ran));
+        let capped = !budget.is_unlimited();
+        if let Some(hit) = (!capped).then(|| self.get(epoch, kind, text, exec)).flatten() {
+            let results = hit.to_vec();
+            return Ok((
+                BudgetedRun { results, cache_hit: true, degraded: false, report: None },
+                0,
+            ));
         }
         let limits =
             relq::ExecLimits::new(budget.deadline, budget.max_candidates.map(|n| n as u64));
-        let (results, ran) = f(Some(&limits))?;
+        let (results, ran) = f(&limits)?;
+        if !capped {
+            self.insert(epoch, kind, text, exec, &results);
+        }
         let run = BudgetedRun {
             results,
             cache_hit: false,
             degraded: limits.exhausted(),
-            report: Some(BudgetReport::from_limits(&limits)),
+            report: capped.then(|| BudgetReport::from_limits(&limits)),
         };
         Ok((run, ran))
     }
@@ -576,10 +576,11 @@ impl ResultCache {
 /// every predicate and execution mode of that engine.
 ///
 /// All views (q-gram tokens, normalized text, word tokens, weighted words)
-/// are computed eagerly at build time: for realistic query strings that is
-/// single-digit microseconds against sub-millisecond-and-up executions, and
-/// it keeps `Query` a plain `Clone + Send + Sync` value with no interior
-/// mutability.
+/// are computed eagerly at build time — a few to a few tens of microseconds,
+/// paid once per request however many predicates, modes or parts it runs —
+/// keeping `Query` a plain `Clone + Send + Sync` value. Every view depends
+/// only on the frozen dictionaries and statistics, so one query serves every
+/// corpus sharing them: each live segment and each shard.
 ///
 /// # Examples
 ///
@@ -612,8 +613,7 @@ pub struct Query {
 }
 
 impl Query {
-    pub(crate) fn build(shared: &SharedArtifacts, text: &str) -> Query {
-        let corpus = &shared.corpus;
+    pub(crate) fn build(corpus: &Arc<TokenizedCorpus>, text: &str) -> Query {
         let tokens = corpus.tokenize_query(text);
         let norm = normalize(text);
         let norm_chars = norm.chars().count();
@@ -661,10 +661,12 @@ impl Query {
         &self.weighted_words
     }
 
-    /// True when this query was tokenized against `corpus`'s dictionary —
-    /// executing it against a different engine would resolve token ids wrong.
-    pub(crate) fn tokenized_against(&self, corpus: &Arc<TokenizedCorpus>) -> bool {
-        Arc::ptr_eq(&self.corpus, corpus)
+    /// True when this query was tokenized against `corpus`'s frozen
+    /// dictionaries and statistics (see [`TokenizedCorpus::shares_stats`]) —
+    /// executing it against a corpus with others would resolve token ids
+    /// wrong.
+    pub(crate) fn tokenized_against(&self, corpus: &TokenizedCorpus) -> bool {
+        self.corpus.shares_stats(corpus)
     }
 }
 
@@ -676,16 +678,17 @@ pub(crate) trait EngineOps: Send + Sync {
     fn shared_artifacts(&self) -> &SharedArtifacts;
     /// Execute one query in the given mode; `naive` selects the
     /// pre-refactor engine cost model (the equivalence/bench baseline).
-    /// `limits` is the optional cooperative budget the candidate-scoring
-    /// paths charge (see [`relq::ExecLimits`]); on exhaustion the execution
-    /// returns the anytime answer built so far. Only the indexed mode is
-    /// budgeted — the naive baseline stays exhaustive.
+    /// `limits` is the request's cooperative budget, which the
+    /// candidate-scoring paths charge (see [`relq::ExecLimits`]); on
+    /// exhaustion the execution returns the anytime answer built so far.
+    /// Pass [`relq::ExecLimits::unlimited`] to run to completion. The
+    /// naive baseline's plans are never budgeted.
     fn execute_mode(
         &self,
         query: &Query,
         exec: Exec,
         naive: bool,
-        limits: Option<&relq::ExecLimits>,
+        limits: &relq::ExecLimits,
     ) -> Result<Vec<ScoredTid>>;
     /// The catalog the predicate's plans run against, when it has one.
     fn plan_catalog(&self) -> Option<&Catalog> {
@@ -717,7 +720,7 @@ macro_rules! engine_predicate {
                 query: &crate::engine::Query,
                 exec: crate::engine::Exec,
                 naive: bool,
-                limits: Option<&relq::ExecLimits>,
+                limits: &relq::ExecLimits,
             ) -> crate::error::Result<Vec<crate::record::ScoredTid>> {
                 // A query tokenized against another engine's dictionary would
                 // resolve token ids wrong and return plausible-looking but
@@ -749,22 +752,16 @@ macro_rules! engine_predicate {
                 &self,
                 query: &str,
             ) -> crate::error::Result<Vec<crate::record::ScoredTid>> {
-                let query = crate::engine::Query::build(self.engine_shared(), query);
-                crate::engine::EngineOps::execute_mode(
-                    self,
-                    &query,
-                    crate::engine::Exec::Rank,
-                    true,
-                    None,
-                )
+                let query = crate::engine::Query::build(self.engine_shared().corpus(), query);
+                self.execute(&query, crate::engine::Exec::Rank, true, &relq::ExecLimits::unlimited())
             }
             fn try_execute(
                 &self,
                 query: &str,
                 exec: crate::engine::Exec,
             ) -> crate::error::Result<Vec<crate::record::ScoredTid>> {
-                let query = crate::engine::Query::build(self.engine_shared(), query);
-                crate::engine::EngineOps::execute_mode(self, &query, exec, false, None)
+                let query = crate::engine::Query::build(self.engine_shared().corpus(), query);
+                self.execute(&query, exec, false, &relq::ExecLimits::unlimited())
             }
         }
     };
@@ -866,7 +863,7 @@ impl SelectionEngine {
 
     /// Prepare a query once for use with every predicate of this engine.
     pub fn query(&self, text: &str) -> Query {
-        Query::build(&self.inner.shared, text)
+        Query::build(self.inner.shared.corpus(), text)
     }
 
     /// The handle for one predicate, running its phase-2 preprocessing on
@@ -978,7 +975,7 @@ impl PredicateHandle {
     /// Prepare a query against this handle's engine (equivalent to
     /// [`SelectionEngine::query`]).
     pub fn query(&self, text: &str) -> Query {
-        Query::build(self.core.shared_artifacts(), text)
+        Query::build(self.core.shared_artifacts().corpus(), text)
     }
 
     /// Execute a prepared query in the given mode through the indexed
@@ -1000,7 +997,7 @@ impl PredicateHandle {
     /// (clone-per-scan, per-query hash builds, sort-then-truncate top-k) —
     /// byte-identical output, kept as the equivalence and bench baseline.
     pub fn execute_naive(&self, query: &Query, exec: Exec) -> Result<Vec<ScoredTid>> {
-        self.core.execute_mode(query, exec, true, None)
+        self.core.execute_mode(query, exec, true, &relq::ExecLimits::unlimited())
     }
 
     /// Execute under a cooperative [`ExecBudget`]. An unlimited budget takes
@@ -1017,12 +1014,12 @@ impl PredicateHandle {
         budget: ExecBudget,
     ) -> Result<BudgetedRun> {
         let shared = self.core.shared_artifacts();
-        // The cache is keyed by query text, so a query prepared against a
-        // different engine must be rejected before the probe.
+        // The cache is keyed by query text, so a query prepared against
+        // other statistics must be rejected before the probe.
         if !query.tokenized_against(shared.corpus()) {
             return Err(DaspError::EngineMismatch);
         }
-        let run = |limits: Option<&relq::ExecLimits>| {
+        let run = |limits: &relq::ExecLimits| {
             self.core.execute_mode(query, exec, false, limits).map(|results| (results, 1))
         };
         shared.cache().run(STATIC_EPOCH, self.kind(), query.text(), exec, budget, run).map(|r| r.0)
@@ -1030,12 +1027,12 @@ impl PredicateHandle {
 
     /// Execute uncached under caller-owned limits: how every part of a live
     /// or sharded engine runs, with one `ExecLimits` shared across the parts
-    /// of a budgeted request.
+    /// of a request.
     pub(crate) fn execute_with_limits(
         &self,
         query: &Query,
         exec: Exec,
-        limits: Option<&relq::ExecLimits>,
+        limits: &relq::ExecLimits,
     ) -> Result<Vec<ScoredTid>> {
         self.core.execute_mode(query, exec, false, limits)
     }

@@ -134,7 +134,7 @@ impl HmmPredicate {
         query: &Query,
         exec: Exec,
         naive: bool,
-        limits: Option<&relq::ExecLimits>,
+        limits: &relq::ExecLimits,
     ) -> crate::error::Result<Vec<ScoredTid>> {
         let q = query.tokens();
         if q.tokens.is_empty() {
@@ -232,15 +232,16 @@ mod tests {
     #[test]
     fn scan_route_keeps_the_private_posting_catalog_unbuilt() {
         let p = HmmPredicate::build(corpus(), HmmParams::default());
-        let query = crate::engine::Query::build(&p.shared, "Morgan Stanley");
+        let query = crate::engine::Query::build(p.shared.corpus(), "Morgan Stanley");
+        let unlimited = relq::ExecLimits::unlimited();
         // The exhaustive modes answer from the posting-free base catalog.
-        let reference = p.execute(&query, Exec::ThresholdScan(1.5), false, None).unwrap();
+        let reference = p.execute(&query, Exec::ThresholdScan(1.5), false, &unlimited).unwrap();
         assert!(!reference.is_empty());
-        let heap = p.execute(&query, Exec::TopKHeap(2), false, None).unwrap();
+        let heap = p.execute(&query, Exec::TopKHeap(2), false, &unlimited).unwrap();
         assert_eq!(heap.len(), 2);
         assert!(!p.catalog.posting_built(), "scan modes must not build HMM posting lists");
         // The bounded threshold then forces the build, same results.
-        let bounded = p.execute(&query, Exec::Threshold(1.5), false, None).unwrap();
+        let bounded = p.execute(&query, Exec::Threshold(1.5), false, &unlimited).unwrap();
         assert_eq!(bounded, reference);
         assert!(p.catalog.posting_built(), "bounded threshold builds the private posting lists");
     }

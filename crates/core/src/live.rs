@@ -77,7 +77,7 @@
 //! [`execute_budgeted`]: LiveEngine::execute_budgeted
 
 use crate::corpus::{Corpus, TokenizedCorpus};
-use crate::engine::{BudgetedRun, CacheStats, Exec, ResultCache, SelectionEngine};
+use crate::engine::{BudgetedRun, CacheStats, Exec, Query, ResultCache, SelectionEngine};
 use crate::params::{ExecBudget, Params};
 use crate::parts::{Part, PartSet};
 use crate::predicate::PredicateKind;
@@ -414,8 +414,10 @@ impl LiveEngine {
 
     /// Execute `kind` over the query `text` in mode `exec` against the
     /// current snapshot, returning globally ranked results with **global**
-    /// tids. Takes the query as text (not a [`crate::Query`]) because each
-    /// segment tokenizes it against its own corpus view.
+    /// tids. Takes the query as text (not a [`crate::Query`]) because the
+    /// frozen statistics change at every compaction: the text is prepared
+    /// once per executed request, against the snapshot's statistics, and
+    /// that one query runs on every segment.
     pub fn execute(
         &self,
         kind: PredicateKind,
@@ -461,7 +463,7 @@ impl LiveEngine {
         let snap = self.snapshot();
         let (run, segments_probed) =
             self.cache.run(snap.epoch, kind, text, exec, budget, |limits| {
-                snap.segments.execute(kind, text, exec, limits)
+                snap.segments.execute(kind, &Query::build(&snap.stats, text), exec, limits)
             })?;
         // Tail tids are the largest in the snapshot (appends are
         // tid-monotone), so attribution is one comparison per row.

@@ -132,7 +132,7 @@ impl IntersectSize {
         query: &Query,
         exec: Exec,
         naive: bool,
-        limits: Option<&relq::ExecLimits>,
+        limits: &relq::ExecLimits,
     ) -> crate::error::Result<Vec<ScoredTid>> {
         let q = query.tokens();
         if q.tokens.is_empty() {
@@ -194,7 +194,7 @@ impl JaccardPredicate {
         query: &Query,
         exec: Exec,
         naive: bool,
-        limits: Option<&relq::ExecLimits>,
+        limits: &relq::ExecLimits,
     ) -> crate::error::Result<Vec<ScoredTid>> {
         let q = query.tokens();
         if q.tokens.is_empty() {
@@ -272,7 +272,7 @@ impl WeightedMatch {
         query: &Query,
         exec: Exec,
         naive: bool,
-        limits: Option<&relq::ExecLimits>,
+        limits: &relq::ExecLimits,
     ) -> crate::error::Result<Vec<ScoredTid>> {
         let q = query.tokens();
         if q.tokens.is_empty() {
@@ -340,7 +340,7 @@ impl WeightedJaccard {
         query: &Query,
         exec: Exec,
         naive: bool,
-        limits: Option<&relq::ExecLimits>,
+        limits: &relq::ExecLimits,
     ) -> crate::error::Result<Vec<ScoredTid>> {
         let q = query.tokens();
         if q.tokens.is_empty() {

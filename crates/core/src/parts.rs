@@ -6,7 +6,10 @@
 //! frozen statistics provider, so every per-candidate score is bit-identical
 //! to the monolithic engine over the same statistics. A [`PartSet`] adds the
 //! per-part count of tombstoned records and the tombstone set itself (both
-//! empty for shards) and executes a request over every part:
+//! empty for shards) and executes a request over every part. The request's
+//! [`Query`] is prepared once, against the frozen statistics provider, and
+//! every part runs it as is: token ids and weights agree across parts
+//! because every part shares the provider's dictionaries and statistics.
 //!
 //! * **Unbudgeted** requests run one *independent* execution per part,
 //!   fanned across the bounded scoped-thread pool of [`fan_units`], and
@@ -26,10 +29,10 @@
 //!     local answer would need `k + dead` local rows ranked ahead of it, at
 //!     least `k` of them live, which would push it out of the global top
 //!     `k`.
-//! * **Budgeted** requests share **one** [`relq::ExecLimits`] across every
-//!   part, so the budget bounds the request, not each part, and run the
-//!   parts strictly sequentially: a serial cut under a candidate cap is
-//!   byte-reproducible, a racing one is not. The loop stops once the budget
+//! * **Budgeted** (capped) requests share **one** [`relq::ExecLimits`]
+//!   across every part, so the budget bounds the request, not each part,
+//!   and run the parts strictly sequentially: a serial cut under a
+//!   candidate cap is byte-reproducible, a racing one is not. The loop stops once the budget
 //!   trips; parts processed before the trip contribute exactly-scored rows,
 //!   so the merged prefix is a valid anytime answer. Each part runs the same
 //!   local mode as in the unbudgeted fan — `TopK(k + dead)` for `TopK` —
@@ -41,7 +44,7 @@
 //! every answer is **byte-deterministic under any thread schedule**.
 
 use crate::corpus::TokenizedCorpus;
-use crate::engine::{Exec, SelectionEngine};
+use crate::engine::{Exec, Query, SelectionEngine};
 use crate::error::{DaspError, Result};
 use crate::params::Params;
 use crate::predicate::PredicateKind;
@@ -189,19 +192,18 @@ impl Part {
     }
 
     /// Run this part's engine in `exec` mode under `limits` and map the
-    /// local result to global tids, dropping tombstoned rows. The query text
-    /// is tokenized against the part's corpus; token ids agree across parts
-    /// because every part shares the frozen dictionaries.
+    /// local result to global tids, dropping tombstoned rows. `query` must
+    /// be prepared against the part's frozen statistics provider (else
+    /// [`DaspError::EngineMismatch`]).
     fn run(
         &self,
         kind: PredicateKind,
-        text: &str,
+        query: &Query,
         exec: Exec,
-        limits: Option<&relq::ExecLimits>,
+        limits: &relq::ExecLimits,
         tombstones: &BTreeSet<Tid>,
     ) -> Result<Vec<ScoredTid>> {
-        let query = self.engine.query(text);
-        let local = self.engine.predicate(kind).execute_with_limits(&query, exec, limits)?;
+        let local = self.engine.predicate(kind).execute_with_limits(query, exec, limits)?;
         Ok(local
             .into_iter()
             .filter_map(|s| {
@@ -263,30 +265,30 @@ impl PartSet {
         self.total_records() - self.dead.iter().sum::<usize>()
     }
 
-    /// Execute `kind` over `text` in mode `exec` across every part: fanned
-    /// when `limits` is `None`, sequential under the shared limits
+    /// Execute `kind` over `query` in mode `exec` across every part under
+    /// the shared `limits`: fanned when they are uncapped, sequential
     /// otherwise. Returns the merged answer and how many parts actually ran
     /// (fewer than all when a budget tripped, none for `k = 0`).
     pub(crate) fn execute(
         &self,
         kind: PredicateKind,
-        text: &str,
+        query: &Query,
         exec: Exec,
-        limits: Option<&relq::ExecLimits>,
+        limits: &relq::ExecLimits,
     ) -> Result<(Vec<ScoredTid>, usize)> {
         if let Exec::TopK(0) | Exec::TopKHeap(0) = exec {
             return Ok((Vec::new(), 0));
         }
         let parts = self.parts.iter().zip(&self.dead);
-        let Some(limits) = limits else {
+        if !limits.is_capped() {
             let units: Vec<_> = parts
                 .map(|(part, &dead)| {
                     let mode = local_mode(exec, dead);
-                    move || part.run(kind, text, mode, None, &self.tombstones)
+                    move || part.run(kind, query, mode, limits, &self.tombstones)
                 })
                 .collect();
             return Ok((merge(exec, fan_units(units)?.concat()), self.parts.len()));
-        };
+        }
         let mut rows: Vec<ScoredTid> = Vec::new();
         let mut ran = 0;
         for (part, &dead) in parts {
@@ -294,7 +296,7 @@ impl PartSet {
                 break;
             }
             let mode = local_mode(exec, dead);
-            rows.extend(part.run(kind, text, mode, Some(limits), &self.tombstones)?);
+            rows.extend(part.run(kind, query, mode, limits, &self.tombstones)?);
             ran += 1;
         }
         Ok((merge(exec, rows), ran))
@@ -304,6 +306,64 @@ impl PartSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::Corpus;
+
+    #[test]
+    fn one_query_prepared_against_the_provider_runs_on_every_part() {
+        let texts = vec![
+            "Morgan Stanley Group Inc.",
+            "Morgan Stanle Grop Inc.",
+            "Silicon Valley Group, Inc.",
+            "Beijing Hotel",
+            "Beijing Labs Limited",
+            "AT&T Incorporated",
+            "Morgan Stanley Dean Witter",
+        ];
+        let params = Params::default();
+        let build =
+            || Arc::new(TokenizedCorpus::build(Corpus::from_strings(texts.clone()), params.qgram));
+        let stats = build();
+        let monolith = SelectionEngine::build(stats.clone(), &params);
+        let part = |range: std::ops::Range<usize>| {
+            let records = range.map(|i| Record::new(i as Tid, stats.record_text(i))).collect();
+            Arc::new(Part::project(&stats, records, &params))
+        };
+        let parts = PartSet::frozen(vec![part(0..3), part(3..5), part(5..7)]);
+        let text = "Morgan Stanley Group";
+        let query = Query::build(&stats, text);
+        let unlimited = relq::ExecLimits::unlimited();
+        let bits =
+            |v: &[ScoredTid]| v.iter().map(|s| (s.tid, s.score.to_bits())).collect::<Vec<_>>();
+        for &kind in PredicateKind::all() {
+            let handle = monolith.predicate(kind);
+            let tau = handle.execute(&query, Exec::Rank).unwrap().get(2).map_or(0.0, |s| s.score);
+            for exec in [
+                Exec::Rank,
+                Exec::TopK(2),
+                Exec::TopKHeap(2),
+                Exec::Threshold(tau),
+                Exec::ThresholdScan(tau),
+            ] {
+                // Every part accepts the one query...
+                for p in &parts.parts {
+                    p.engine.predicate(kind).execute(&query, exec).unwrap();
+                }
+                // ...and the merged answer is the monolith's.
+                let (got, ran) = parts.execute(kind, &query, exec, &unlimited).unwrap();
+                assert_eq!(ran, parts.parts.len());
+                let expected = handle.execute(&query, exec).unwrap();
+                assert_eq!(bits(&got), bits(&expected), "{kind} {exec:?}");
+            }
+        }
+        // A query prepared against other statistics is refused.
+        let foreign = Query::build(&build(), text);
+        for p in &parts.parts {
+            let refused = p.engine.predicate(PredicateKind::Bm25).execute(&foreign, Exec::Rank);
+            assert_eq!(refused.unwrap_err(), DaspError::EngineMismatch);
+        }
+        let refused = parts.execute(PredicateKind::Bm25, &foreign, Exec::Rank, &unlimited);
+        assert_eq!(refused.unwrap_err(), DaspError::EngineMismatch);
+    }
 
     #[test]
     fn fan_units_preserves_unit_order_and_runs_everything() {

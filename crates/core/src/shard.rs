@@ -24,7 +24,7 @@
 //! poisoning the process.
 
 use crate::corpus::{Corpus, TokenizedCorpus};
-use crate::engine::{CacheStats, Exec, ResultCache, SelectionEngine, STATIC_EPOCH};
+use crate::engine::{CacheStats, Exec, Query, ResultCache, SelectionEngine, STATIC_EPOCH};
 use crate::params::{ExecBudget, Params};
 use crate::parts::{Part, PartSet};
 use crate::predicate::PredicateKind;
@@ -112,10 +112,10 @@ impl ShardedEngine {
     }
 
     /// Execute `kind` over the query `text` in mode `exec` across all
-    /// shards, returning globally ranked results with global tids. Takes the
-    /// query as text (like [`crate::live::LiveEngine::execute`]) because
-    /// each shard tokenizes it against its own corpus view — token ids agree
-    /// across shards through the shared frozen dictionaries.
+    /// shards, returning globally ranked results with global tids. The text
+    /// is prepared once per executed request, against the frozen statistics
+    /// every shard shares, and that one [`crate::Query`] runs on every
+    /// shard.
     pub fn execute(
         &self,
         kind: PredicateKind,
@@ -140,7 +140,9 @@ impl ShardedEngine {
         exec: Exec,
         budget: ExecBudget,
     ) -> crate::error::Result<crate::engine::BudgetedRun> {
-        let run = |limits: Option<&relq::ExecLimits>| self.shards.execute(kind, text, exec, limits);
+        let run = |limits: &relq::ExecLimits| {
+            self.shards.execute(kind, &Query::build(&self.stats, text), exec, limits)
+        };
         self.cache.run(STATIC_EPOCH, kind, text, exec, budget, run).map(|(run, _)| run)
     }
 

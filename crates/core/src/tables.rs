@@ -338,34 +338,24 @@ pub fn scores_from_table(table: &Table) -> Vec<crate::record::ScoredTid> {
     try_scores_from_table(table).expect("result table has the (tid, score) shape")
 }
 
-/// Execute a prepared ranking plan — through the indexed engine or, when
-/// `naive` is set, the pre-refactor clone-and-hash baseline — and convert its
-/// `(tid, score)` output into a sorted ranking.
+/// Execute a prepared ranking plan — through the indexed engine under
+/// `limits` or, when `naive` is set, the pre-refactor clone-and-hash
+/// baseline — and convert its `(tid, score)` output into a sorted ranking.
+/// The naive baseline is never budgeted (it is the exhaustive reference
+/// anytime answers are checked against); the indexed path threads `limits`
+/// into the plan's candidate-scoring operators, which stop cleanly on
+/// exhaustion and return the partial built so far.
 pub fn run_ranking_plan(
     plan: &relq::PreparedPlan,
     catalog: &relq::Catalog,
     bindings: &relq::Bindings,
     naive: bool,
-) -> crate::error::Result<Vec<crate::record::ScoredTid>> {
-    run_ranking_plan_limited(plan, catalog, bindings, naive, None)
-}
-
-/// [`run_ranking_plan`] under an optional cooperative budget. The naive
-/// baseline is never budgeted (it is the exhaustive reference anytime
-/// answers are checked against); the indexed path threads `limits` into the
-/// plan's candidate-scoring operators, which stop cleanly on exhaustion and
-/// return the partial built so far.
-pub fn run_ranking_plan_limited(
-    plan: &relq::PreparedPlan,
-    catalog: &relq::Catalog,
-    bindings: &relq::Bindings,
-    naive: bool,
-    limits: Option<&relq::ExecLimits>,
+    limits: &relq::ExecLimits,
 ) -> crate::error::Result<Vec<crate::record::ScoredTid>> {
     let result = if naive {
         plan.execute_unindexed(catalog, bindings)?
     } else {
-        plan.execute_limited(catalog, bindings, limits)?
+        plan.execute(catalog, bindings, limits)?
     };
     try_scores_from_table(&result)
 }
@@ -457,30 +447,29 @@ impl RankingPlans {
     }
 
     /// Execute the plan for `exec`, adding the mode's scalar parameter to the
-    /// per-query bindings. `limits` is the optional cooperative budget the
-    /// indexed candidate-scoring operators charge (see
-    /// [`run_ranking_plan_limited`]).
+    /// per-query bindings. `limits` is the cooperative budget the indexed
+    /// candidate-scoring operators charge (see [`run_ranking_plan`]).
     pub(crate) fn execute(
         &self,
         catalog: &Catalog,
         bindings: Bindings,
         exec: Exec,
         naive: bool,
-        limits: Option<&relq::ExecLimits>,
+        limits: &relq::ExecLimits,
     ) -> crate::error::Result<Vec<crate::record::ScoredTid>> {
         match exec {
-            Exec::Rank => run_ranking_plan_limited(&self.rank, catalog, &bindings, naive, limits),
+            Exec::Rank => run_ranking_plan(&self.rank, catalog, &bindings, naive, limits),
             Exec::TopK(k) => {
                 let bindings = bindings.with_scalar(TOP_K_PARAM, top_k_param(k));
                 // The bounded operator when the predicate qualifies (its
                 // naive lowering is exhaustive scoring — same cost model as
                 // the heap baseline), the heap pushdown otherwise.
                 let plan = self.bounded.as_ref().unwrap_or(&self.top_k);
-                run_ranking_plan_limited(plan, catalog, &bindings, naive, limits)
+                run_ranking_plan(plan, catalog, &bindings, naive, limits)
             }
             Exec::TopKHeap(k) => {
                 let bindings = bindings.with_scalar(TOP_K_PARAM, top_k_param(k));
-                run_ranking_plan_limited(&self.top_k, catalog, &bindings, naive, limits)
+                run_ranking_plan(&self.top_k, catalog, &bindings, naive, limits)
             }
             Exec::Threshold(tau) => {
                 let bindings = bindings.with_scalar(THRESHOLD_PARAM, tau);
@@ -488,11 +477,11 @@ impl RankingPlans {
                 // naive lowering is exhaustive scoring + the same exact
                 // filter), the plan-level score filter otherwise.
                 let plan = self.threshold_bounded.as_ref().unwrap_or(&self.threshold);
-                run_ranking_plan_limited(plan, catalog, &bindings, naive, limits)
+                run_ranking_plan(plan, catalog, &bindings, naive, limits)
             }
             Exec::ThresholdScan(tau) => {
                 let bindings = bindings.with_scalar(THRESHOLD_PARAM, tau);
-                run_ranking_plan_limited(&self.threshold, catalog, &bindings, naive, limits)
+                run_ranking_plan(&self.threshold, catalog, &bindings, naive, limits)
             }
         }
     }

@@ -21,6 +21,7 @@ use crate::bindings::Bindings;
 use crate::catalog::Catalog;
 use crate::error::{RelqError, Result};
 use crate::group::Groups;
+use crate::limits::ExecLimits;
 use crate::plan::{Plan, ProjectItem, SortOrder};
 use crate::schema::{Field, Schema};
 use crate::table::Table;
@@ -38,20 +39,20 @@ pub fn execute(plan: &Plan, catalog: &Catalog) -> Result<Arc<Table>> {
 
 /// Execute a plan with per-query [`Bindings`] for its `Param` leaves.
 pub fn execute_with(plan: &Plan, catalog: &Catalog, bindings: &Bindings) -> Result<Arc<Table>> {
-    execute_with_limits(plan, catalog, bindings, None)
+    execute_with_limits(plan, catalog, bindings, &ExecLimits::unlimited())
 }
 
-/// [`execute_with`], under an optional cooperative budget. Candidate-scoring
-/// operators (the bounded operators and the aggregate-row assembly every
-/// scan-mode scoring pipeline funnels through) charge the limits per
-/// candidate and stop cleanly on exhaustion, returning the anytime answer
+/// [`execute_with`], under a cooperative budget. Candidate-scoring operators
+/// (the bounded operators and the aggregate-row assembly every scan-mode
+/// scoring pipeline funnels through) charge the limits for each batch of
+/// candidates and stop cleanly on exhaustion, returning the anytime answer
 /// built so far — every emitted row fully scored, only coverage truncated.
-/// Callers detect degradation via [`ExecLimits::exhausted`](crate::ExecLimits::exhausted).
+/// Callers detect degradation via [`ExecLimits::exhausted`].
 pub fn execute_with_limits(
     plan: &Plan,
     catalog: &Catalog,
     bindings: &Bindings,
-    limits: Option<&crate::limits::ExecLimits>,
+    limits: &ExecLimits,
 ) -> Result<Arc<Table>> {
     let ctx = ExecCtx { catalog, bindings, naive: false, limits };
     Ok(eval(plan, &ctx)?.into_shared())
@@ -65,7 +66,7 @@ pub fn execute_with_limits(
 /// Never budgeted: it is the exhaustive reference the anytime answers are
 /// differentially checked against.
 pub fn execute_naive(plan: &Plan, catalog: &Catalog, bindings: &Bindings) -> Result<Arc<Table>> {
-    let ctx = ExecCtx { catalog, bindings, naive: true, limits: None };
+    let ctx = ExecCtx { catalog, bindings, naive: true, limits: &ExecLimits::unlimited() };
     Ok(eval(plan, &ctx)?.into_shared())
 }
 
@@ -73,8 +74,8 @@ struct ExecCtx<'a> {
     catalog: &'a Catalog,
     bindings: &'a Bindings,
     naive: bool,
-    /// Cooperative budget for candidate-scoring operators (`None` = no caps).
-    limits: Option<&'a crate::limits::ExecLimits>,
+    /// Cooperative budget the candidate-scoring operators charge.
+    limits: &'a ExecLimits,
 }
 
 /// An intermediate relation: either a shared base table or an operator's own
@@ -554,17 +555,13 @@ fn assemble_rows(
     // only an unfiltered one sizes the arena up front.
     let reserve = if filter.is_none() { len * out_schema.len() } else { 0 };
     let (mut cells, mut n) = (Vec::with_capacity(reserve), 0);
-    for _ in 0..len {
-        // Budget cut point for the exhaustive scoring pipelines: each
-        // assembled row is one fully-accumulated candidate (its aggregates
-        // finished before assembly began), so stopping here truncates
-        // coverage without ever emitting a partially-scored row — the rows
-        // assembled so far are a valid anytime answer.
-        if let Some(limits) = ctx.limits {
-            if !limits.charge_candidate() {
-                break;
-            }
-        }
+    // Budget cut point for the exhaustive scoring pipelines: each assembled
+    // row is one fully-accumulated candidate (its aggregates finished before
+    // assembly began), so assembling only the granted prefix truncates
+    // coverage without ever emitting a partially-scored row — a valid
+    // anytime answer. Assembly is cheap, so one charge covers every row.
+    let granted = ctx.limits.charge_candidates(len as u64) as usize;
+    for _ in 0..granted {
         crate::fault::fault_point("relq.aggregate.row");
         let start = cells.len();
         write_row(&mut cells);
@@ -1258,14 +1255,15 @@ pub(crate) enum Select {
 /// [`ranking`] order, so `TopK` returns exactly the bytes of the exhaustive
 /// top-k and `Threshold` those of the exhaustive filter.
 ///
-/// With `limits`, each window charges its postings once and each emitted
-/// tid one candidate. A refused charge stops the kernel: the answer is then
-/// the exact one over an ascending prefix of the touched tids, the same for
-/// every run under the same cap. Factors must be finite and non-negative.
+/// Each window charges `limits` once for its postings and once for its
+/// touched tids, and emits only the granted prefix of those tids. A charge
+/// cut short stops the kernel: the answer is then the exact one over an
+/// ascending prefix of the touched tids, the same for every run under the
+/// same cap. Factors must be finite and non-negative.
 pub(crate) fn score_windowed(
     probes: &[(crate::posting::PostingList<'_>, f64)],
     select: Select,
-    limits: Option<&crate::limits::ExecLimits>,
+    limits: &ExecLimits,
 ) -> Result<Vec<(i64, f64)>> {
     let (op, site) = match select {
         Select::TopK(_) => ("TopKBounded", "relq.topk.candidate"),
@@ -1311,17 +1309,18 @@ pub(crate) fn score_windowed(
             }
             postings += (*pos - from) as u64;
         }
-        if let Some(limits) = limits {
-            limits.charge_postings(postings);
-        }
+        limits.charge_postings(postings);
+        let count: u32 = touched.iter().map(|bits| bits.count_ones()).sum();
+        let mut granted = limits.charge_candidates(count.into());
         for (word, bits) in touched.iter_mut().enumerate() {
             let mut bits = std::mem::take(bits);
             while bits != 0 {
                 let offset = word * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                if limits.is_some_and(|limits| !limits.charge_candidate()) {
+                if granted == 0 {
                     break 'windows;
                 }
+                granted -= 1;
                 crate::fault::fault_point(site);
                 let (tid, score) = (start.wrapping_add(offset as i64), slots[offset]);
                 match select {
@@ -2374,8 +2373,7 @@ mod tests {
                 let full = execute_naive(&plan, &c, &Bindings::new()).unwrap();
                 for cap in 0..=full.num_rows() as u64 + 1 {
                     let limits = crate::limits::ExecLimits::new(None, Some(cap));
-                    let cut =
-                        execute_with_limits(&plan, &c, &Bindings::new(), Some(&limits)).unwrap();
+                    let cut = execute_with_limits(&plan, &c, &Bindings::new(), &limits).unwrap();
                     let kept = full.num_rows().min(cap as usize);
                     let prefix = Table::from_cells_unchecked(
                         full.schema().clone(),

@@ -26,7 +26,7 @@
 //!   built once at preprocessing time and executed per query.
 //!
 //! ```
-//! use relq::{Bindings, Catalog, Plan, PreparedPlan, TableBuilder, DataType, AggFunc, col};
+//! use relq::{Bindings, Catalog, ExecLimits, Plan, PreparedPlan, TableBuilder, DataType, AggFunc, col};
 //!
 //! let tokens = TableBuilder::new()
 //!     .column("tid", DataType::Int)
@@ -53,7 +53,7 @@
 //! );
 //! // Query time: bind this query's token table and probe the index.
 //! let bindings = Bindings::new().with_table("query_tokens", query);
-//! let scores = plan.execute(&catalog, &bindings).unwrap();
+//! let scores = plan.execute(&catalog, &bindings, &ExecLimits::unlimited()).unwrap();
 //! assert_eq!(scores.num_rows(), 2);
 //! # let _ = col("tid");
 //! ```

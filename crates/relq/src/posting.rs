@@ -334,7 +334,7 @@ mod tests {
     }
 
     fn kernel(ix: &PostingIndex, probes: &[(i64, f64)], select: Select) -> Vec<(i64, f64)> {
-        score_windowed(&gather(ix, probes), select, None).unwrap()
+        score_windowed(&gather(ix, probes), select, &ExecLimits::unlimited()).unwrap()
     }
 
     /// `(tid, score bits)`: equality here is byte equality, `-0.0` included.
@@ -388,9 +388,12 @@ mod tests {
         let list = ix.list(&Value::Int(7)).unwrap();
         for select in [Select::TopK(3), Select::Threshold(0.1)] {
             for bad in [-0.5, f64::NAN, f64::INFINITY] {
-                assert!(score_windowed(&[(list, bad)], select, None).is_err(), "{bad}");
+                assert!(
+                    score_windowed(&[(list, bad)], select, &ExecLimits::unlimited()).is_err(),
+                    "{bad}"
+                );
             }
-            assert!(score_windowed(&[(list, 0.0)], select, None).is_ok());
+            assert!(score_windowed(&[(list, 0.0)], select, &ExecLimits::unlimited()).is_ok());
         }
     }
 
@@ -480,7 +483,7 @@ mod tests {
                 let in_prefix = |tid: i64| touched[..cap].binary_search(&tid).is_ok();
                 for select in [Select::TopK(k), Select::Threshold(tau)] {
                     let limits = ExecLimits::new(None, Some(cap as u64));
-                    let got = score_windowed(&gather(&ix, &probes), select, Some(&limits)).unwrap();
+                    let got = score_windowed(&gather(&ix, &probes), select, &limits).unwrap();
                     let expect = reference(&ix, &probes, select, in_prefix);
                     assert_eq!(bits(&got), bits(&expect), "cap={cap} {select:?}");
                     assert_eq!(limits.report().candidates, cap as u64, "cap={cap}");

@@ -11,7 +11,8 @@
 use crate::bindings::Bindings;
 use crate::catalog::Catalog;
 use crate::error::Result;
-use crate::exec::{execute_naive, execute_with};
+use crate::exec::{execute_naive, execute_with_limits};
+use crate::limits::ExecLimits;
 use crate::plan::Plan;
 use crate::table::Table;
 use std::sync::Arc;
@@ -33,23 +34,18 @@ impl PreparedPlan {
         &self.plan
     }
 
-    /// Execute with the default engine: zero-clone scans and index-probing
-    /// `IndexJoin`s.
-    pub fn execute(&self, catalog: &Catalog, bindings: &Bindings) -> Result<Arc<Table>> {
-        execute_with(&self.plan, catalog, bindings)
-    }
-
-    /// [`Self::execute`] under an optional cooperative budget: the
-    /// candidate-scoring operators charge `limits` per candidate and stop
-    /// cleanly on exhaustion, returning the anytime answer built so far (see
-    /// [`crate::execute_with_limits`]).
-    pub fn execute_limited(
+    /// Execute with the default engine — zero-clone scans and index-probing
+    /// `IndexJoin`s — under a cooperative budget: the candidate-scoring
+    /// operators charge `limits` and stop cleanly on exhaustion, returning
+    /// the anytime answer built so far (see [`crate::execute_with_limits`]).
+    /// Pass [`ExecLimits::unlimited`] to run to completion.
+    pub fn execute(
         &self,
         catalog: &Catalog,
         bindings: &Bindings,
-        limits: Option<&crate::limits::ExecLimits>,
+        limits: &ExecLimits,
     ) -> Result<Arc<Table>> {
-        crate::exec::execute_with_limits(&self.plan, catalog, bindings, limits)
+        execute_with_limits(&self.plan, catalog, bindings, limits)
     }
 
     /// Execute under the pre-refactor cost model (clone-per-scan, per-query
@@ -91,7 +87,10 @@ mod tests {
             .build()
             .unwrap();
         let b1 = Bindings::new().with_table("q", q1);
-        assert_eq!(prepared.execute(&catalog, &b1).unwrap().num_rows(), 2);
+        assert_eq!(
+            prepared.execute(&catalog, &b1, &ExecLimits::unlimited()).unwrap().num_rows(),
+            2
+        );
         assert_eq!(prepared.execute_unindexed(&catalog, &b1).unwrap().num_rows(), 2);
 
         let q2 = TableBuilder::new()
@@ -100,7 +99,7 @@ mod tests {
             .build()
             .unwrap();
         let b2 = Bindings::new().with_table("q", q2);
-        let r2 = prepared.execute(&catalog, &b2).unwrap();
+        let r2 = prepared.execute(&catalog, &b2, &ExecLimits::unlimited()).unwrap();
         assert_eq!(r2.num_rows(), 1);
         assert_eq!(r2.value(0, "tid").unwrap().as_i64().unwrap(), 2);
     }
