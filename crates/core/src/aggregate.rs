@@ -5,20 +5,20 @@
 //! **Shared-artifact contract:** each predicate has one per-(record, token)
 //! weight function (`cosine_weight`, `bm25_weight`) and builds both of
 //! its private artifacts from it, each on first use: the weight table
-//! `cosine_weights` / `bm25_weights` indexed on token (for `Rank`,
-//! `TopKHeap`, `ThresholdScan` and introspection), and the tid-ordered
-//! posting lists of the same rows, built straight from the tokenized rows
-//! (for `TopK` and `Threshold`). The two hold the same weight bits by
-//! construction, and a workload of bounded reads never builds the table.
-//! Nothing from the shared phase-1 tables is referenced, so neither
-//! predicate forces any of them to build. The weight-product plans are
-//! prepared once per process in every [`Exec`] mode; execution binds the
-//! per-query `QUERY_WEIGHTS` table.
+//! `cosine_weights` / `bm25_weights` indexed on token (for the reference
+//! modes — naive `Rank`, `TopKHeap`, `ThresholdScan` — and introspection),
+//! and the tid-ordered posting lists of the same rows, built straight from
+//! the tokenized rows (for the indexed `Rank`, `TopK` and `Threshold`). The
+//! two hold the same weight bits by construction, and a workload of indexed
+//! reads never builds the table. Nothing from the shared phase-1 tables is
+//! referenced, so neither predicate forces any of them to build. The
+//! weight-product plans are prepared once per process in every [`Exec`]
+//! mode; execution binds the per-query `QUERY_WEIGHTS` table.
 //!
-//! **Bounded selection:** both scores are sums of non-negative `w_d · w_q`
-//! products per tid, so `Exec::TopK` routes through
-//! [`relq::Plan::TopKBounded`] and `Exec::Threshold` through
-//! [`relq::Plan::ThresholdBounded`], which sum the query-weight-scaled
+//! **Kernel execution:** both scores are sums of non-negative `w_d · w_q`
+//! products per tid, so the indexed `Exec::Rank` (as `TopK(∞)`) and
+//! `Exec::TopK` run [`relq::Plan::TopKBounded`] and `Exec::Threshold`
+//! runs [`relq::Plan::ThresholdBounded`], which sum the query-weight-scaled
 //! posting weights in relq's windowed dense accumulator.
 
 use crate::corpus::{QueryTokens, TokenizedCorpus};
@@ -82,7 +82,7 @@ fn run_weight_product_plan(
     }
     let bindings =
         Bindings::new().with_table("query_weights", tables::query_weights(&query_weights));
-    plans.execute(catalog.for_exec(exec), bindings, exec, naive, limits)
+    plans.execute(catalog.for_exec(exec, naive), bindings, exec, naive, limits)
 }
 
 /// Cosine's per-(record, token) weight: `tf · idf / ‖D‖`, with the tuple's

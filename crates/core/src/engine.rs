@@ -20,10 +20,12 @@
 //! operator — the posting-driven bounded operators
 //! ([`relq::Plan::TopKBounded`] and [`relq::Plan::ThresholdBounded`], one
 //! windowed dense accumulator over the query's posting lists) for the
-//! monotone-sum predicates (Xect, WM, Cosine, BM25, HMM), the heap pushdown
-//! / plan-level score filter otherwise. `TopKHeap(k)` and `ThresholdScan(τ)`
-//! force the exhaustive paths for every predicate and exist as the
-//! differential baselines. Every mode returns the same bytes its
+//! monotone-sum predicates (Xect, WM, Cosine, BM25, HMM), the same kernel
+//! at `k = ∞` under a length join for Jaccard and WJ, the heap pushdown /
+//! plan-level score filter otherwise. For those seven kernel predicates
+//! the indexed `Rank` is `TopK(∞)`. `TopKHeap(k)`, `ThresholdScan(τ)` and
+//! the naive `Rank` force the exhaustive join paths for every predicate
+//! and exist as the differential baselines. Every mode returns the same bytes its
 //! rank-then-post-process equivalent would: the bounded operators sum each
 //! tuple's contributions in the exhaustive order and break score ties by
 //! ascending tid, exactly like the heap.
@@ -44,7 +46,8 @@
 //! artifact) and then shared by reference: a standalone single-predicate
 //! build pays only for the artifacts that predicate probes. The posting
 //! indexes are built from the tokenized rows, not from the tables, so a
-//! workload of bounded reads builds no table at all. Corpora are
+//! workload of kernel reads (indexed `Rank`, `TopK`, `Threshold`) builds
+//! no token table at all. Corpora are
 //! immutable, so the engine also keeps a small invalidation-free LRU of
 //! recent results keyed on `(predicate, query text, exec mode)`; see
 //! [`SelectionEngine::result_cache_stats`].
@@ -90,10 +93,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Exec {
-    /// The full ranking, best match first.
+    /// The full ranking, best match first. For the seven kernel
+    /// predicates (Xect, Jaccard, WM, WJ, Cosine, BM25, HMM) the indexed
+    /// `Rank` is [`Exec::TopK`] at `k = ∞` over the posting kernel; the
+    /// naive `Rank` is their join-plan reference, byte-identical to it.
     Rank,
     /// The `k` best matches through the fastest eligible operator: the
-    /// posting-driven bounded operator for the monotone-sum predicates, the
+    /// posting-driven kernel for the seven kernel predicates (Jaccard and WJ
+    /// join their lengths on top of a `k = ∞` kernel and keep a heap), the
     /// bounded heap for the rest. Byte-identical to [`Exec::TopKHeap`],
     /// exact score ties at the k boundary included.
     TopK(usize),
@@ -103,7 +110,8 @@ pub enum Exec {
     /// Every match with `score >= τ`, best first, through the fastest
     /// eligible operator: the posting-driven bounded operator
     /// ([`relq::Plan::ThresholdBounded`]) for the monotone-sum predicates
-    /// (Xect, WM, Cosine, BM25, HMM), the plan-level score filter otherwise;
+    /// (Xect, WM, Cosine, BM25, HMM), a score filter over a `k = ∞` kernel
+    /// for Jaccard and WJ, the plan-level score filter otherwise;
     /// the edit predicate additionally tightens its q-gram count filter and
     /// banded verification to τ. **Bit-identical** to [`Exec::ThresholdScan`]
     /// and to `Rank` filtered post-hoc for every predicate and every τ.
@@ -1110,6 +1118,18 @@ mod tests {
     #[test]
     fn handles_share_phase1_tables_with_the_engine_catalog() {
         let engine = engine();
+        // An indexed Jaccard Rank runs against the shared base_len table and
+        // the shared base_tokens postings, both aliased: the base_tokens
+        // table itself stays unbuilt.
+        let shared = &engine.inner.shared;
+        let jaccard = engine.predicate(PredicateKind::Jaccard);
+        jaccard.execute(&engine.query("Morgan Stanley"), Exec::Rank).unwrap();
+        let kernel = jaccard.core.posting_catalog().unwrap().for_exec(Exec::Rank, false);
+        let shared_len = shared.catalog_with(&["base_len"]).get_shared("base_len").unwrap();
+        assert!(Arc::ptr_eq(&kernel.get_shared("base_len").unwrap(), &shared_len));
+        let posting = kernel.posting_for("base_tokens").unwrap();
+        assert!(Arc::ptr_eq(posting, &shared.posting("base_tokens")));
+        assert!(!kernel.contains("base_tokens") && !shared.artifact_built("base_tokens"));
         // Force the shared tables through two token-table consumers first so
         // the aliasing assertion is meaningful.
         let xect = engine.predicate(PredicateKind::IntersectSize);
@@ -1150,14 +1170,14 @@ mod tests {
             assert!(!shared.artifact_built(table), "{table} built by a standalone BM25 engine");
         }
         assert!(!shared.artifact_built("normalized"));
-        // A bounded IntersectSize read forces exactly its posting lists,
-        // built from the tokenized rows; its Rank then forces base_tokens,
-        // nothing else.
+        // An indexed IntersectSize Rank forces exactly its posting lists,
+        // built from the tokenized rows; the TopKHeap reference then forces
+        // base_tokens, nothing else.
         let xect = engine.predicate(PredicateKind::IntersectSize);
-        xect.execute(&query, Exec::TopK(3)).unwrap();
+        xect.execute(&query, Exec::Rank).unwrap();
         assert!(shared.artifact_built("posting:base_tokens"));
         assert!(!shared.artifact_built("base_tokens"));
-        xect.execute(&query, Exec::Rank).unwrap();
+        xect.execute(&query, Exec::TopKHeap(3)).unwrap();
         assert!(shared.artifact_built("base_tokens"));
         assert!(!shared.artifact_built("overlap_weights"));
         assert!(!shared.artifact_built("base_words"));
@@ -1174,16 +1194,19 @@ mod tests {
         let engine = engine();
         let shared = &engine.inner.shared;
         let xect = engine.predicate(PredicateKind::IntersectSize);
-        // Handles attach postings on first bounded execution, not at build —
-        // and the exhaustive modes never force them.
+        // Handles attach postings on first kernel execution, not at build —
+        // and the reference modes never force them.
         assert!(xect.catalog().unwrap().posting_for("base_tokens").is_none());
-        xect.execute(&engine.query("Morgan Stanley"), Exec::Rank).unwrap();
-        xect.execute(&engine.query("Morgan Stanley"), Exec::ThresholdScan(1.0)).unwrap();
+        let query = engine.query("Morgan Stanley");
+        xect.execute_naive(&query, Exec::Rank).unwrap();
+        xect.execute(&query, Exec::TopKHeap(2)).unwrap();
+        xect.execute(&query, Exec::ThresholdScan(1.0)).unwrap();
         assert!(
             xect.catalog().unwrap().posting_for("base_tokens").is_none(),
-            "Rank/ThresholdScan must not build posting lists"
+            "naive Rank/TopKHeap/ThresholdScan must not build posting lists"
         );
-        xect.execute(&engine.query("Morgan Stanley"), Exec::TopK(2)).unwrap();
+        // An indexed Rank is TopK(∞): it runs the kernel over the postings.
+        xect.execute(&query, Exec::Rank).unwrap();
         let attached = xect.catalog().unwrap().posting_for("base_tokens").unwrap().clone();
         let a = shared.posting("base_tokens");
         let b = shared.posting("base_tokens");
@@ -1422,6 +1445,47 @@ mod tests {
             let kind = handle.kind();
             assert_eq!(handle.execute(&query, Exec::TopKHeap(3)).unwrap(), top, "{kind}");
             assert_eq!(handle.execute(&query, Exec::ThresholdScan(tau)).unwrap(), selected);
+            assert!(handle.core.posting_catalog().unwrap().base_built(), "{kind}");
+        }
+        assert!(shared.artifact_built("base_tokens") && shared.artifact_built("overlap_weights"));
+    }
+
+    #[test]
+    fn rank_reads_build_postings_and_no_weight_table() {
+        let engine = engine();
+        let shared = &engine.inner.shared;
+        let query = engine.query("Morgan Stanley Group");
+        let kernel = [
+            PredicateKind::IntersectSize,
+            PredicateKind::Jaccard,
+            PredicateKind::WeightedMatch,
+            PredicateKind::WeightedJaccard,
+            PredicateKind::Cosine,
+            PredicateKind::Bm25,
+            PredicateKind::Hmm,
+        ];
+        let mut ranked = Vec::new();
+        for kind in kernel {
+            let handle = engine.predicate(kind);
+            let rank = handle.execute(&query, Exec::Rank).unwrap();
+            assert!(!rank.is_empty(), "{kind}");
+            let catalog = handle.core.posting_catalog().expect("a kernel predicate");
+            assert!(catalog.posting_built(), "{kind}: an indexed Rank built no posting lists");
+            assert!(!catalog.base_built(), "{kind}: an indexed Rank built its weight table");
+            ranked.push((handle, rank));
+        }
+        // Of the shared tables only the per-tuple lengths Jaccard and WJ
+        // join on top of the kernel are built.
+        for table in crate::engine::SHARED_TABLES {
+            let built = matches!(table, "base_len" | "overlap_len");
+            assert_eq!(shared.artifact_built(table), built, "{table}");
+        }
+        // The references build the tables and return the same bytes.
+        for (handle, rank) in ranked {
+            let kind = handle.kind();
+            assert_eq!(handle.execute_naive(&query, Exec::Rank).unwrap(), rank, "{kind}");
+            let heap = handle.execute(&query, Exec::TopKHeap(usize::MAX)).unwrap();
+            assert_eq!(heap, rank, "{kind}");
             assert!(handle.core.posting_catalog().unwrap().base_built(), "{kind}");
         }
         assert!(shared.artifact_built("base_tokens") && shared.artifact_built("overlap_weights"));

@@ -40,17 +40,19 @@ pub(crate) fn hmm_weight(
 ///
 /// **Shared-artifact contract:** `HMM_WEIGHTS` (`hmm_weight`) and its
 /// posting lists are private artifacts built from the one weight function,
-/// each on first use — the table, indexed on token, for the exhaustive
-/// modes; the posting lists, straight from the tokenized rows, for the
-/// bounded ones. The predicate references no shared phase-1 table;
+/// each on first use — the table, indexed on token, for the reference
+/// modes (naive `Rank`, `TopKHeap`, `ThresholdScan`); the posting lists,
+/// straight from the tokenized rows, for the indexed `Rank`, `TopK` and
+/// `Threshold`. The predicate references no shared phase-1 table;
 /// execution binds the multiplicity-preserving query token table into plans
 /// prepared once per process in every [`Exec`] mode.
 ///
-/// **Bounded selection:** the stored weight `log(1 + a1·pml/(a0·P(t|GE)))`
+/// **Kernel execution:** the stored weight `log(1 + a1·pml/(a0·P(t|GE)))`
 /// is strictly positive, and `exp` is monotone, so ranking by the log-space
 /// sum is ranking by the final score: `Exec::TopK` runs the bounded top-k
 /// operator over the log-weight posting lists and a projection applies
-/// `exp` to the k surviving sums. `Exec::Threshold(τ)` runs the bounded
+/// `exp` to the k surviving sums; the indexed `Exec::Rank` is the same plan
+/// at `k = ∞`. `Exec::Threshold(τ)` runs the bounded
 /// threshold operator the same way, thresholding on log-sums: its bar is
 /// `ln(max(τ, ε)) − 1e-9` (clamped so a non-positive τ stays defined, and
 /// relaxed by an absolute log-space slack that dwarfs the `ln`/`exp`
@@ -144,7 +146,7 @@ impl HmmPredicate {
         // query contributes its factor twice (the SQL joins the raw
         // QUERY_TOKENS table, which has one row per occurrence).
         let bindings = Bindings::new().with_table("query_tokens", tables::query_tokens(q, false));
-        self.plans.execute(self.catalog.for_exec(exec), bindings, exec, naive, limits)
+        self.plans.execute(self.catalog.for_exec(exec, naive), bindings, exec, naive, limits)
     }
 }
 

@@ -34,11 +34,12 @@
 //! new tail's engine starts with no artifacts, and the old tail's engine is
 //! dropped with everything its reads built. An append therefore does
 //! O(record) tokenization plus an O(tail) pointer copy, and never touches a
-//! sealed segment. The first bounded read of a predicate on the new tail
-//! builds that predicate's posting lists straight from the tail's rows
-//! (the predicate's `PostingCatalog`: no weight table, no index), in
-//! O(tail rows). `Rank` and the other exhaustive modes build the weight
-//! table instead.
+//! sealed segment. The first kernel read of a predicate on the new tail —
+//! an indexed `Rank`, `TopK` or `Threshold` of one of the seven kernel
+//! predicates — builds that predicate's posting lists straight from the
+//! tail's rows (the predicate's `PostingCatalog`: no weight table, no
+//! token index), in O(tail rows). `TopKHeap`, `ThresholdScan` and the
+//! other predicates' modes build the tables instead.
 //!
 //! ## Frozen statistics and the differential contract
 //!
@@ -882,13 +883,17 @@ mod tests {
         let snap = live.snapshot();
         assert_eq!(snap.segments.parts.len(), 4);
         let text = "Morgan Stanley Group Inc.";
-        for kind in BOUNDED {
+        // The kernel predicates: Jaccard and WJ join their lengths on top of
+        // the kernel, which charges the tids their intersections touch.
+        let kernel =
+            [BOUNDED.as_slice(), &[PredicateKind::Jaccard, PredicateKind::WeightedJaccard]];
+        for kind in kernel.concat() {
             // Every part's exhaustive scores under global tids: the tids a
-            // bounded read touches, in the order it charges them.
+            // kernel read touches, in the order it charges them.
             let mut scored: Vec<ScoredTid> = Vec::new();
             for part in &snap.segments.parts {
                 let handle = part.engine.predicate(kind);
-                let local = handle.execute(&part.engine.query(text), Exec::Rank).unwrap();
+                let local = handle.execute_naive(&part.engine.query(text), Exec::Rank).unwrap();
                 let mut rows: Vec<_> = local
                     .iter()
                     .map(|s| ScoredTid::new(part.tids[s.tid as usize], s.score))
@@ -896,26 +901,25 @@ mod tests {
                 rows.sort_by_key(|s| s.tid);
                 scored.extend(rows);
             }
-            for k in [1, 3] {
-                let unbudgeted = live.execute(kind, text, Exec::TopK(k)).unwrap();
+            // A full rank is `TopK(∞)`: the same anytime contract.
+            for (exec, k) in [(Exec::TopK(1), 1), (Exec::TopK(3), 3), (Exec::Rank, usize::MAX)] {
+                let unbudgeted = live.execute(kind, text, exec).unwrap();
                 for cap in 0..=scored.len() {
                     let budget = ExecBudget { max_candidates: Some(cap), ..ExecBudget::default() };
-                    let (run, _) =
-                        live.execute_budgeted(kind, text, Exec::TopK(k), budget).unwrap();
+                    let (run, _) = live.execute_budgeted(kind, text, exec, budget).unwrap();
                     let charged = scored[..cap].iter().copied();
                     let live_rows = charged.filter(|s| !snap.segments.tombstones.contains(&s.tid));
                     let expected = crate::record::top_k_ranked(live_rows.collect(), k);
                     let bits = |v: &[ScoredTid]| {
                         v.iter().map(|s| (s.tid, s.score.to_bits())).collect::<Vec<_>>()
                     };
-                    assert_eq!(bits(&run.results), bits(&expected), "{kind} k={k} cap={cap}");
-                    assert_eq!(run.degraded, cap < scored.len(), "{kind} k={k} cap={cap}");
+                    assert_eq!(bits(&run.results), bits(&expected), "{kind} {exec:?} cap={cap}");
+                    assert_eq!(run.degraded, cap < scored.len(), "{kind} {exec:?} cap={cap}");
                 }
                 let uncapped =
                     ExecBudget { max_candidates: Some(usize::MAX), ..Default::default() };
-                let (run, stats) =
-                    live.execute_budgeted(kind, text, Exec::TopK(k), uncapped).unwrap();
-                assert_eq!(run.results, unbudgeted, "{kind} k={k}");
+                let (run, stats) = live.execute_budgeted(kind, text, exec, uncapped).unwrap();
+                assert_eq!(run.results, unbudgeted, "{kind} {exec:?}");
                 assert!(!run.degraded && stats.segments_probed == 4);
             }
         }

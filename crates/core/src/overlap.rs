@@ -10,17 +10,23 @@
 //! mode (`RankingPlans`); execution binds only the query token table (plus
 //! per-query scalars like `|Q|`) and probes the token index.
 //!
-//! **Bounded selection:** IntersectSize and WeightedMatch score monotone
+//! **Kernel execution:** IntersectSize and WeightedMatch score monotone
 //! sums of non-negative contributions (a unit per common token,
 //! `unit_weight`; the RSJ/IDF token weight, `overlap_token_weight`), so
 //! both attach the engine-shared posting lists of their base table — built
 //! from the tokenized rows with that weight, leaving the table itself
-//! unbuilt until an exhaustive mode asks — and route `Exec::TopK` through
-//! [`relq::Plan::TopKBounded`] and
+//! unbuilt until a reference mode asks — and run the indexed `Exec::Rank`
+//! (as `TopK(∞)`) and `Exec::TopK` through [`relq::Plan::TopKBounded`] and
 //! `Exec::Threshold` through [`relq::Plan::ThresholdBounded`], which sum
-//! the postings per tid in relq's windowed dense accumulator. Jaccard and WJ
-//! normalize by a union weight that *shrinks* the score as documents grow —
-//! not a monotone sum — and keep the heap / plan-filter paths.
+//! the postings per tid in relq's windowed dense accumulator. Jaccard and
+//! WJ normalize by a union weight that *shrinks* the score as documents
+//! grow — not a monotone sum — but their intersection count or weight sum
+//! is exactly IntersectSize's or WeightedMatch's: a `k = ∞` kernel over the
+//! same shared posting lists computes it, and the `base_len`/`overlap_len`
+//! index join and the normalizing projection run on top, followed by a heap
+//! `TopK` or a `score ≥ τ` filter. Every predicate's naive `Rank`,
+//! `TopKHeap` and `ThresholdScan` stay the join plans over the shared
+//! tables — the references the kernel modes are checked against.
 
 use crate::corpus::TokenizedCorpus;
 use crate::engine::{Exec, Query, SharedArtifacts};
@@ -61,12 +67,62 @@ pub(crate) fn overlap_token_weight(
     move |_, token, _| Some(overlap_weight(&corpus, weighting, token))
 }
 
-/// The catalogs of a predicate whose plans probe the one shared table
-/// `name`: the engine-shared table and its engine-shared posting lists,
-/// each aliased on first use.
-fn shared_posting_catalog(shared: &Arc<SharedArtifacts>, name: &'static str) -> PostingCatalog {
+/// The catalogs of a predicate whose plans sum over the one shared table
+/// `name` and join the shared per-tuple tables `side` on top: the base
+/// catalog aliases `name` and `side`, the posting catalog aliases `side`
+/// and attaches the engine-shared posting lists of `name`, each on first
+/// use.
+fn shared_posting_catalog(
+    shared: &Arc<SharedArtifacts>,
+    name: &'static str,
+    side: &'static [&'static str],
+) -> PostingCatalog {
     let (base, posting) = (shared.clone(), shared.clone());
-    PostingCatalog::new(name, move || base.catalog_with(&[name]), move || posting.posting(name))
+    PostingCatalog::new(
+        move || base.catalog_with(&[&[name], side].concat()),
+        move || {
+            let mut catalog = posting.catalog_with(side);
+            catalog.attach_posting(name, posting.posting(name));
+            catalog
+        },
+    )
+}
+
+/// A normalized overlap score over the per-tid intersection in column
+/// `inter` of `intersection`: join the shared per-tuple table `len_table`
+/// on tid and project `inter / max(len + query_len − inter, 1e-9)`, the
+/// query side's size bound as the scalar parameter `query_len`. Jaccard's
+/// and WeightedJaccard's shape, over either the aggregation join or the
+/// kernel.
+fn normalized_overlap(len_table: &str, intersection: Plan, inter: &str, query_len: &str) -> Plan {
+    Plan::index_join(len_table, &["tid"], intersection, &["tid"]).project(vec![
+        (col("tid"), "tid"),
+        (
+            col(inter).div(col("len").add(param(query_len)).sub(col(inter)).greatest(lit(1e-9))),
+            "score",
+        ),
+    ])
+}
+
+/// The prepared plans of a normalized overlap predicate whose intersection
+/// is summed over the shared table `base` (see [`normalized_overlap`]).
+/// `join` is the aggregation join producing `(tid, inter)` for the
+/// reference modes; the kernel plans compute the same sums with the posting
+/// kernel at `k = ∞` and select on top of the projection.
+fn normalized_overlap_plans(
+    base: &'static str,
+    len_table: &str,
+    join: Plan,
+    query_len: &str,
+) -> RankingPlans {
+    let kernel =
+        Plan::top_k_bounded(base, Plan::param("query_tokens"), "token", None, lit(i64::MAX));
+    let scored = normalized_overlap(len_table, kernel, "score", query_len);
+    RankingPlans::with_bounded(
+        normalized_overlap(len_table, join, "inter", query_len),
+        scored.clone().top_k(param(TOP_K_PARAM), tables::ranking_keys()),
+        scored.filter(col("score").gt_eq(param(THRESHOLD_PARAM))),
+    )
 }
 
 /// IntersectSize: the number of common distinct tokens between query and
@@ -115,7 +171,7 @@ impl IntersectSize {
             );
             RankingPlans::with_bounded(plan, bounded, threshold_bounded)
         });
-        let catalog = shared_posting_catalog(&shared, "base_tokens");
+        let catalog = shared_posting_catalog(&shared, "base_tokens", &[]);
         IntersectSize { shared, catalog, plans }
     }
 
@@ -139,7 +195,7 @@ impl IntersectSize {
             return Ok(Vec::new());
         }
         let bindings = Bindings::new().with_table("query_tokens", tables::query_tokens(q, true));
-        self.plans.execute(self.catalog.for_exec(exec), bindings, exec, naive, limits)
+        self.plans.execute(self.catalog.for_exec(exec, naive), bindings, exec, naive, limits)
     }
 }
 
@@ -152,8 +208,8 @@ crate::engine::engine_predicate!(
 /// Jaccard coefficient over distinct token sets (Equation 3.2, Figure 4.2).
 pub struct JaccardPredicate {
     shared: Arc<SharedArtifacts>,
-    catalog: Catalog,
-    plans: RankingPlans,
+    catalog: PostingCatalog,
+    plans: &'static RankingPlans,
 }
 
 impl JaccardPredicate {
@@ -163,22 +219,22 @@ impl JaccardPredicate {
     }
 
     pub(crate) fn from_shared(shared: Arc<SharedArtifacts>) -> Self {
-        // Count the intersection per tuple over the shared token table, then
-        // probe the tid index of the shared per-tuple length table for |D| —
-        // no predicate-private BASE_DDL materialization.
-        let inner =
-            Plan::index_join("base_tokens", &["token"], Plan::param("query_tokens"), &["token"])
-                .aggregate(&["tid"], vec![(AggFunc::CountStar, "cnt")]);
-        let plan = Plan::index_join("base_len", &["tid"], inner, &["tid"]).project(vec![
-            (col("tid"), "tid"),
-            (
-                col("cnt")
-                    .div(col("len").add(param("query_len")).sub(col("cnt")).greatest(lit(1e-9))),
-                "score",
-            ),
-        ]);
-        let catalog = shared.catalog_with(&["base_tokens", "base_len"]);
-        JaccardPredicate { shared, catalog, plans: RankingPlans::new(plan) }
+        static PLANS: OnceLock<RankingPlans> = OnceLock::new();
+        let plans = PLANS.get_or_init(|| {
+            // Count the intersection per tuple over the shared token table,
+            // then probe the tid index of the shared per-tuple length table
+            // for |D| — no predicate-private BASE_DDL materialization.
+            let join = Plan::index_join(
+                "base_tokens",
+                &["token"],
+                Plan::param("query_tokens"),
+                &["token"],
+            )
+            .aggregate(&["tid"], vec![(AggFunc::CountStar, "inter")]);
+            normalized_overlap_plans("base_tokens", "base_len", join, "query_len")
+        });
+        let catalog = shared_posting_catalog(&shared, "base_tokens", &["base_len"]);
+        JaccardPredicate { shared, catalog, plans }
     }
 
     fn engine_shared(&self) -> &SharedArtifacts {
@@ -186,7 +242,7 @@ impl JaccardPredicate {
     }
 
     fn engine_catalog(&self) -> Option<&Catalog> {
-        Some(&self.catalog)
+        Some(self.catalog.current())
     }
 
     fn execute(
@@ -205,11 +261,15 @@ impl JaccardPredicate {
         let bindings = Bindings::new()
             .with_table("query_tokens", tables::query_tokens(q, true))
             .with_scalar("query_len", q.distinct_count() as f64);
-        self.plans.execute(&self.catalog, bindings, exec, naive, limits)
+        self.plans.execute(self.catalog.for_exec(exec, naive), bindings, exec, naive, limits)
     }
 }
 
-crate::engine::engine_predicate!(JaccardPredicate, crate::predicate::PredicateKind::Jaccard);
+crate::engine::engine_predicate!(
+    JaccardPredicate,
+    crate::predicate::PredicateKind::Jaccard,
+    catalog
+);
 
 /// WeightedMatch: total weight of common tokens (§3.1), using the
 /// Robertson–Sparck Jones weights the paper found superior to IDF (§5.3.1).
@@ -255,7 +315,7 @@ impl WeightedMatch {
             );
             RankingPlans::with_bounded(plan, bounded, threshold_bounded)
         });
-        let catalog = shared_posting_catalog(&shared, "overlap_weights");
+        let catalog = shared_posting_catalog(&shared, "overlap_weights", &[]);
         WeightedMatch { shared, catalog, plans }
     }
 
@@ -279,7 +339,7 @@ impl WeightedMatch {
             return Ok(Vec::new());
         }
         let bindings = Bindings::new().with_table("query_tokens", tables::query_tokens(q, true));
-        self.plans.execute(self.catalog.for_exec(exec), bindings, exec, naive, limits)
+        self.plans.execute(self.catalog.for_exec(exec, naive), bindings, exec, naive, limits)
     }
 }
 
@@ -292,8 +352,8 @@ crate::engine::engine_predicate!(
 /// WeightedJaccard: weight of common tokens over weight of the union (§3.1).
 pub struct WeightedJaccard {
     shared: Arc<SharedArtifacts>,
-    catalog: Catalog,
-    plans: RankingPlans,
+    catalog: PostingCatalog,
+    plans: &'static RankingPlans,
 }
 
 impl WeightedJaccard {
@@ -304,27 +364,23 @@ impl WeightedJaccard {
     }
 
     pub(crate) fn from_shared(shared: Arc<SharedArtifacts>) -> Self {
-        // Sum the intersection weight per tuple over the shared weight table,
-        // then probe the tid index of the shared per-tuple weight-sum table
-        // for wt(D) — as with Jaccard, no private joined table is built.
-        let inner = Plan::index_join(
-            "overlap_weights",
-            &["token"],
-            Plan::param("query_tokens"),
-            &["token"],
-        )
-        .aggregate(&["tid"], vec![(AggFunc::Sum(col("weight")), "inter")]);
-        let plan = Plan::index_join("overlap_len", &["tid"], inner, &["tid"]).project(vec![
-            (col("tid"), "tid"),
-            (
-                col("inter").div(
-                    col("len").add(param("query_weight_sum")).sub(col("inter")).greatest(lit(1e-9)),
-                ),
-                "score",
-            ),
-        ]);
-        let catalog = shared.catalog_with(&["overlap_weights", "overlap_len"]);
-        WeightedJaccard { shared, catalog, plans: RankingPlans::new(plan) }
+        static PLANS: OnceLock<RankingPlans> = OnceLock::new();
+        let plans = PLANS.get_or_init(|| {
+            // Sum the intersection weight per tuple over the shared weight
+            // table, then probe the tid index of the shared per-tuple
+            // weight-sum table for wt(D) — as with Jaccard, no private
+            // joined table is built.
+            let join = Plan::index_join(
+                "overlap_weights",
+                &["token"],
+                Plan::param("query_tokens"),
+                &["token"],
+            )
+            .aggregate(&["tid"], vec![(AggFunc::Sum(col("weight")), "inter")]);
+            normalized_overlap_plans("overlap_weights", "overlap_len", join, "query_weight_sum")
+        });
+        let catalog = shared_posting_catalog(&shared, "overlap_weights", &["overlap_len"]);
+        WeightedJaccard { shared, catalog, plans }
     }
 
     fn engine_shared(&self) -> &SharedArtifacts {
@@ -332,7 +388,7 @@ impl WeightedJaccard {
     }
 
     fn engine_catalog(&self) -> Option<&Catalog> {
-        Some(&self.catalog)
+        Some(self.catalog.current())
     }
 
     fn execute(
@@ -355,11 +411,15 @@ impl WeightedJaccard {
         let bindings = Bindings::new()
             .with_table("query_tokens", tables::query_tokens(q, true))
             .with_scalar("query_weight_sum", query_weight_sum);
-        self.plans.execute(&self.catalog, bindings, exec, naive, limits)
+        self.plans.execute(self.catalog.for_exec(exec, naive), bindings, exec, naive, limits)
     }
 }
 
-crate::engine::engine_predicate!(WeightedJaccard, crate::predicate::PredicateKind::WeightedJaccard);
+crate::engine::engine_predicate!(
+    WeightedJaccard,
+    crate::predicate::PredicateKind::WeightedJaccard,
+    catalog
+);
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,11 @@
 //! appropriate key), so the token index is built exactly once at
 //! preprocessing time; every query-time join against a base relation is a
 //! `Plan::IndexJoin` probing that index with the (small) query-side table,
-//! executed through a `PreparedPlan` constructed in `build()`.
+//! executed through a `PreparedPlan` constructed in `build()`. The seven
+//! kernel predicates read their summed table through its posting lists
+//! instead in the indexed `Rank`, `TopK` and `Threshold` (`RankingPlans`,
+//! `PostingCatalog`); their token-table joins remain the plans of the
+//! reference modes.
 
 use crate::corpus::{QueryTokens, TokenizedCorpus};
 use crate::dict::TokenId;
@@ -29,39 +33,38 @@ use std::sync::{Arc, OnceLock};
 /// hold the same bits by construction.
 pub(crate) type TokenWeight = dyn Fn(usize, TokenId, u32) -> Option<f64> + Send + Sync;
 
-/// A bounded predicate's two execution catalogs, each built on first use:
+/// A kernel predicate's two execution catalogs, each built on first use:
 ///
-/// * the **base** catalog — its tables with their `TableIndex`es — for
-///   `Rank`, `TopKHeap`, `ThresholdScan` and introspection;
-/// * the **posting** catalog, holding only the posting lists under the
-///   table's name, for `TopK` and `Threshold`: the bounded plans read
-///   nothing else.
+/// * the **base** catalog — its tables with their `TableIndex`es — for the
+///   reference modes (`TopKHeap`, `ThresholdScan`, naive `Rank`) and
+///   introspection;
+/// * the **posting** catalog, holding the posting lists under the summed
+///   table's name plus any per-tuple table the plans join on top (Jaccard's
+///   `base_len`, WeightedJaccard's `overlap_len`), for indexed `Rank`,
+///   `TopK` and `Threshold`: the kernel plans read nothing else.
 ///
-/// A workload of bounded reads never builds a weight table or its index,
-/// and a scan-only one never builds a posting — the per-handle analogue of
-/// the engine's lazy shared artifacts.
+/// A workload of indexed reads never builds a weight table or its token
+/// index, and a reference-only one never builds a posting — the per-handle
+/// analogue of the engine's lazy shared artifacts.
 pub(crate) struct PostingCatalog {
-    name: &'static str,
     build_base: Box<dyn Fn() -> Catalog + Send + Sync>,
-    build_posting: Box<dyn Fn() -> Arc<PostingIndex> + Send + Sync>,
+    build_posting: Box<dyn Fn() -> Catalog + Send + Sync>,
     base: OnceLock<Catalog>,
     posting: OnceLock<Catalog>,
-    /// The base catalog with the posting attached, for introspection once
-    /// both exist.
+    /// The base catalog with the posting catalog merged in, for
+    /// introspection once both exist.
     both: OnceLock<Catalog>,
 }
 
 impl PostingCatalog {
-    /// The catalogs of the table `name`: `base` builds the base catalog
-    /// (or aliases engine-shared tables), `posting` the posting lists over
-    /// the same rows.
+    /// The two catalogs of a kernel predicate: `base` builds the base
+    /// catalog (or aliases engine-shared tables), `posting` the catalog the
+    /// kernel plans run against.
     pub(crate) fn new(
-        name: &'static str,
         base: impl Fn() -> Catalog + Send + Sync + 'static,
-        posting: impl Fn() -> Arc<PostingIndex> + Send + Sync + 'static,
+        posting: impl Fn() -> Catalog + Send + Sync + 'static,
     ) -> Self {
         PostingCatalog {
-            name,
             build_base: Box::new(base),
             build_posting: Box::new(posting),
             base: OnceLock::new(),
@@ -85,27 +88,29 @@ impl PostingCatalog {
                 .expect("weights have a token column");
             catalog
         };
-        Self::new(name, base, move || Arc::new(postings(&corpus, &*weight)))
+        let posting = move || {
+            let mut catalog = Catalog::new();
+            catalog.attach_posting(name, Arc::new(postings(&corpus, &*weight)));
+            catalog
+        };
+        Self::new(base, posting)
     }
 
     /// The catalog to execute `exec` against: the posting catalog for the
-    /// two bounded operators, the base catalog for everything else
-    /// (including `ThresholdScan`, whose whole point is to never consult
-    /// posting lists).
-    pub(crate) fn for_exec(&self, exec: Exec) -> &Catalog {
-        match exec {
-            Exec::TopK(_) | Exec::Threshold(_) => self.posting.get_or_init(|| {
-                let mut catalog = Catalog::new();
-                catalog.attach_posting(self.name, (self.build_posting)());
-                catalog
-            }),
-            _ => self.base(),
+    /// modes that run the kernel plans ([`runs_kernel`]), the base catalog
+    /// for the reference modes (`TopKHeap`, `ThresholdScan`, naive `Rank`),
+    /// which never consult posting lists.
+    pub(crate) fn for_exec(&self, exec: Exec, naive: bool) -> &Catalog {
+        if runs_kernel(exec, naive) {
+            self.posting.get_or_init(&self.build_posting)
+        } else {
+            self.base()
         }
     }
 
-    /// The base catalog with the posting lists attached once some bounded
-    /// execution built them — the introspection surface. Builds the base
-    /// tables.
+    /// The base catalog with the posting catalog merged in once some
+    /// kernel execution built it — the introspection surface. Builds the
+    /// base tables.
     pub(crate) fn current(&self) -> &Catalog {
         match self.posting.get() {
             Some(posting) => self.both.get_or_init(|| {
@@ -117,14 +122,12 @@ impl PostingCatalog {
         }
     }
 
-    /// The base catalog, posting-free by construction — the catalog the
-    /// exhaustive modes (`Rank`, `TopKHeap`, `ThresholdScan`) execute
-    /// against, so they never build a posting arena.
+    /// The base catalog, posting-free by construction.
     pub(crate) fn base(&self) -> &Catalog {
         self.base.get_or_init(&self.build_base)
     }
 
-    /// Whether some bounded execution already built the posting lists.
+    /// Whether some kernel execution already built the posting catalog.
     #[cfg(test)]
     pub(crate) fn posting_built(&self) -> bool {
         self.posting.get().is_some()
@@ -134,6 +137,21 @@ impl PostingCatalog {
     #[cfg(test)]
     pub(crate) fn base_built(&self) -> bool {
         self.base.get().is_some()
+    }
+}
+
+/// Whether a kernel predicate runs `exec` on its kernel plans — the
+/// posting-driven [`RankingPlans`] `bounded`/`threshold_bounded` — rather
+/// than on the join plans over its base tables: `TopK` and `Threshold`
+/// always (the naive executor lowers the kernel nodes to exhaustive
+/// scoring), and an indexed `Rank`, which is `TopK(∞)`. Naive `Rank`,
+/// `TopKHeap` and `ThresholdScan` stay the independent join-plan
+/// references.
+fn runs_kernel(exec: Exec, naive: bool) -> bool {
+    match exec {
+        Exec::TopK(_) | Exec::Threshold(_) => true,
+        Exec::Rank => !naive,
+        Exec::TopKHeap(_) | Exec::ThresholdScan(_) => false,
     }
 }
 
@@ -374,35 +392,41 @@ fn top_k_param(k: usize) -> i64 {
 /// The prepared execution modes of one `(tid, score)`-producing ranking
 /// plan, built once at preprocessing time:
 ///
-/// * `rank` — the plan as given; conversion sorts the full candidate set.
-/// * `top_k` — the plan capped by a heap-based [`Plan::TopK`] on
+/// * `rank` — the join plan as given; conversion sorts the full candidate
+///   set. Behind every `Rank` of the predicates without kernel plans; for
+///   the kernel predicates only the naive `Rank` reference.
+/// * `top_k` — the join plan capped by a heap-based [`Plan::TopK`] on
 ///   `(score DESC, tid ASC)` with `k` as a scalar parameter, so only the `k`
-///   best candidate rows are ever materialized or sorted.
-/// * `threshold` — the plan filtered by `score >= τ` (scalar parameter)
-///   before result materialization; always the plan behind
-///   [`Exec::ThresholdScan`], and behind [`Exec::Threshold`] for the
-///   predicates without a bounded variant.
-/// * `bounded` (monotone-sum predicates only) — a
-///   [`Plan::TopKBounded`](relq::Plan::TopKBounded) over the predicate's
-///   posting lists, the posting-driven operator `Exec::TopK` routes to when
-///   present.
-/// * `threshold_bounded` (monotone-sum predicates only) — a
-///   [`Plan::ThresholdBounded`](relq::Plan::ThresholdBounded) over the same
-///   posting lists, taking τ from [`THRESHOLD_PARAM`]; the operator
-///   [`Exec::Threshold`] routes to when present.
+///   best candidate rows are ever materialized or sorted. Always the plan
+///   behind [`Exec::TopKHeap`].
+/// * `threshold` — the join plan filtered by `score >= τ` (scalar
+///   parameter) before result materialization; always the plan behind
+///   [`Exec::ThresholdScan`].
+/// * `bounded` (kernel predicates only) — the same scores with the sum per
+///   tid computed by the posting kernel
+///   ([`Plan::TopKBounded`](relq::Plan::TopKBounded)), selecting the `k`
+///   best by [`TOP_K_PARAM`]: the plan behind `Exec::TopK` and, at
+///   `k = ∞`, behind the indexed `Exec::Rank`.
+/// * `threshold_bounded` (kernel predicates only) — the kernel plan
+///   selecting `score ≥ τ` by [`THRESHOLD_PARAM`]; the plan behind
+///   [`Exec::Threshold`].
+///
+/// For the five monotone-sum predicates the kernel node is the whole plan
+/// (HMM adds an `exp` projection); Jaccard and WeightedJaccard run their
+/// per-tuple length join and score projection on top of a `k = ∞` kernel,
+/// then a heap `TopK` or a `score ≥ τ` filter.
 ///
 /// The plans name only tables and parameters, never the corpus: each
-/// bounded predicate prepares its set once per process (a `static`) and
-/// every engine shares it, so the fresh engine a live tail gets per append
+/// predicate prepares its set once per process (a `static`) and every
+/// engine shares it, so the fresh engine a live tail gets per append
 /// neither prepares nor frees any plan.
 ///
-/// Every mode runs over the same candidate pipeline and the same canonical
-/// `(score DESC, tid ASC)` order as [`crate::record::sort_ranked`], which is
-/// what makes the heap `TopK` byte-identical to rank-then-truncate and
-/// `Threshold(τ)` byte-identical to rank-then-filter. The bounded operators
-/// accumulate every score in probe order and select exactly — top-k by
-/// (score desc, tid asc), threshold by the exact `score ≥ τ` — so both are
-/// bit-identical to their exhaustive plans for every `k` and τ.
+/// Every mode produces the same scores — the kernel sums each tid's
+/// contributions in probe order, as the aggregation does — in the same
+/// canonical `(score DESC, tid ASC)` order as [`crate::record::sort_ranked`].
+/// That is what makes `TopK`/`TopKHeap` byte-identical to
+/// rank-then-truncate, `Threshold`/`ThresholdScan` to rank-then-filter, and
+/// the indexed `Rank` to the naive one, for every `k` and τ.
 pub(crate) struct RankingPlans {
     rank: PreparedPlan,
     top_k: PreparedPlan,
@@ -412,26 +436,24 @@ pub(crate) struct RankingPlans {
 }
 
 impl RankingPlans {
-    /// Prepare all modes of a `(tid, score)` ranking plan (no bounded
-    /// operators: `TopK`/`TopKHeap` both run the heap, and
-    /// `Threshold`/`ThresholdScan` both run the exhaustive score filter).
+    /// Prepare all modes of a `(tid, score)` ranking plan (no kernel plans:
+    /// `TopK`/`TopKHeap` both run the heap, and `Threshold`/`ThresholdScan`
+    /// both run the exhaustive score filter).
     pub(crate) fn new(plan: Plan) -> Self {
         Self::build(plan, None)
     }
 
-    /// Prepare all modes plus the two bounded plans: a top-k operator taking
-    /// `k` from [`TOP_K_PARAM`] and a threshold operator taking τ from
+    /// Prepare all modes plus the two kernel plans: a top-k plan taking
+    /// `k` from [`TOP_K_PARAM`] and a threshold plan taking τ from
     /// [`THRESHOLD_PARAM`] (transformed inside the plan when the predicate
-    /// selects in a different score space, e.g. HMM's log-sums).
+    /// selects in a different score space, e.g. HMM's log-sums). The kernel
+    /// predicates execute against a [`PostingCatalog`].
     pub(crate) fn with_bounded(plan: Plan, bounded: Plan, threshold_bounded: Plan) -> Self {
         Self::build(plan, Some((bounded, threshold_bounded)))
     }
 
     fn build(plan: Plan, bounded: Option<(Plan, Plan)>) -> Self {
-        let top_k = plan.clone().top_k(
-            param(TOP_K_PARAM),
-            vec![("score", SortOrder::Descending), ("tid", SortOrder::Ascending)],
-        );
+        let top_k = plan.clone().top_k(param(TOP_K_PARAM), ranking_keys());
         let threshold = plan.clone().filter(col("score").gt_eq(param(THRESHOLD_PARAM)));
         let (bounded, threshold_bounded) = match bounded {
             Some((b, t)) => (Some(b), Some(t)),
@@ -448,7 +470,8 @@ impl RankingPlans {
 
     /// Execute the plan for `exec`, adding the mode's scalar parameter to the
     /// per-query bindings. `limits` is the cooperative budget the indexed
-    /// candidate-scoring operators charge (see [`run_ranking_plan`]).
+    /// candidate-scoring operators charge (see [`run_ranking_plan`]). A
+    /// kernel predicate's `catalog` is its [`PostingCatalog::for_exec`].
     pub(crate) fn execute(
         &self,
         catalog: &Catalog,
@@ -457,34 +480,32 @@ impl RankingPlans {
         naive: bool,
         limits: &relq::ExecLimits,
     ) -> crate::error::Result<Vec<crate::record::ScoredTid>> {
-        match exec {
-            Exec::Rank => run_ranking_plan(&self.rank, catalog, &bindings, naive, limits),
-            Exec::TopK(k) => {
-                let bindings = bindings.with_scalar(TOP_K_PARAM, top_k_param(k));
-                // The bounded operator when the predicate qualifies (its
-                // naive lowering is exhaustive scoring — same cost model as
-                // the heap baseline), the heap pushdown otherwise.
-                let plan = self.bounded.as_ref().unwrap_or(&self.top_k);
-                run_ranking_plan(plan, catalog, &bindings, naive, limits)
+        let kernel = runs_kernel(exec, naive);
+        let (bounded, threshold_bounded) = (
+            self.bounded.as_ref().filter(|_| kernel),
+            self.threshold_bounded.as_ref().filter(|_| kernel),
+        );
+        let (plan, bindings) = match exec {
+            // A full rank is `TopK(∞)`.
+            Exec::Rank => match bounded {
+                Some(plan) => (plan, bindings.with_scalar(TOP_K_PARAM, i64::MAX)),
+                None => (&self.rank, bindings),
+            },
+            Exec::TopK(k) | Exec::TopKHeap(k) => {
+                (bounded.unwrap_or(&self.top_k), bindings.with_scalar(TOP_K_PARAM, top_k_param(k)))
             }
-            Exec::TopKHeap(k) => {
-                let bindings = bindings.with_scalar(TOP_K_PARAM, top_k_param(k));
-                run_ranking_plan(&self.top_k, catalog, &bindings, naive, limits)
+            Exec::Threshold(tau) | Exec::ThresholdScan(tau) => {
+                let plan = threshold_bounded.unwrap_or(&self.threshold);
+                (plan, bindings.with_scalar(THRESHOLD_PARAM, tau))
             }
-            Exec::Threshold(tau) => {
-                let bindings = bindings.with_scalar(THRESHOLD_PARAM, tau);
-                // The bounded operator when the predicate qualifies (its
-                // naive lowering is exhaustive scoring + the same exact
-                // filter), the plan-level score filter otherwise.
-                let plan = self.threshold_bounded.as_ref().unwrap_or(&self.threshold);
-                run_ranking_plan(plan, catalog, &bindings, naive, limits)
-            }
-            Exec::ThresholdScan(tau) => {
-                let bindings = bindings.with_scalar(THRESHOLD_PARAM, tau);
-                run_ranking_plan(&self.threshold, catalog, &bindings, naive, limits)
-            }
-        }
+        };
+        run_ranking_plan(plan, catalog, &bindings, naive, limits)
     }
+}
+
+/// The canonical `(score DESC, tid ASC)` ranking order as heap `TopK` keys.
+pub(crate) fn ranking_keys() -> Vec<(&'static str, SortOrder)> {
+    vec![("score", SortOrder::Descending), ("tid", SortOrder::Ascending)]
 }
 
 #[cfg(test)]

@@ -139,6 +139,31 @@ fn all_13_handles_share_phase1_artifacts() {
         }
     }
     assert_eq!(handles_with_catalogs, 12);
+    // An indexed Rank runs the seven kernel predicates over the posting
+    // lists of the table they sum, and attaches those lists to their
+    // catalogs; the other six never attach one.
+    let query = engine.query(&dataset.records[0].text);
+    let summed: &[(PredicateKind, &str)] = &[
+        (PredicateKind::IntersectSize, "base_tokens"),
+        (PredicateKind::Jaccard, "base_tokens"),
+        (PredicateKind::WeightedMatch, "overlap_weights"),
+        (PredicateKind::WeightedJaccard, "overlap_weights"),
+        (PredicateKind::Cosine, "cosine_weights"),
+        (PredicateKind::Bm25, "bm25_weights"),
+        (PredicateKind::Hmm, "hmm_weights"),
+    ];
+    for (kind, handle) in engine.predicates() {
+        handle.execute(&query, Exec::Rank).unwrap();
+        let Some(catalog) = handle.catalog() else { continue };
+        match summed.iter().find(|(k, _)| *k == kind) {
+            Some((_, table)) => assert!(catalog.posting_for(table).is_some(), "{kind}: {table}"),
+            None => {
+                for (_, table) in summed {
+                    assert!(catalog.posting_for(table).is_none(), "{kind}: {table}");
+                }
+            }
+        }
+    }
     // Aliasing: every shared table a handle carries is the engine's own
     // allocation, never a copy. (shared_catalog() forces all six tables, so
     // it is consulted only after the handles exist.)
@@ -166,6 +191,17 @@ fn all_13_handles_share_phase1_artifacts() {
     let wm_weights = wm.catalog().unwrap().get_shared("overlap_weights").unwrap();
     let wj_weights = wj.catalog().unwrap().get_shared("overlap_weights").unwrap();
     assert!(Arc::ptr_eq(&wm_weights, &wj_weights));
+    // So are their posting lists: Jaccard sums IntersectSize's, WJ WM's.
+    for (a, b, table) in [
+        (PredicateKind::IntersectSize, PredicateKind::Jaccard, "base_tokens"),
+        (PredicateKind::WeightedMatch, PredicateKind::WeightedJaccard, "overlap_weights"),
+    ] {
+        let (a, b) = (engine.predicate(a), engine.predicate(b));
+        let lists = |h: &dasp_core::PredicateHandle| {
+            h.catalog().unwrap().posting_for(table).unwrap().clone()
+        };
+        assert!(Arc::ptr_eq(&lists(&a), &lists(&b)), "{table} postings are copies");
+    }
 }
 
 #[test]

@@ -1033,7 +1033,10 @@ fn filter_project(
 /// row only on acceptance. Every input row is still evaluated exactly once in
 /// input order (so errors and results match the unfused `project` + `top_k`
 /// pipeline byte for byte), but the `O(candidates)` projected table is never
-/// built; only `O(k log n)` accepted rows are.
+/// built; only `O(k log n)` accepted rows are. When `k` keeps every input
+/// row (a full rank is `TopK(∞)`), it runs that unfused pipeline instead:
+/// the projected table is the answer's size anyway, and [`top_k`] orders it
+/// by encoded keys without an owned row per heap entry.
 fn top_k_project(
     ctx: &ExecCtx,
     inner: &Plan,
@@ -1043,6 +1046,11 @@ fn top_k_project(
 ) -> Result<Table> {
     let inner_rel = eval(inner, ctx)?;
     let input = inner_rel.as_table();
+    if k >= input.num_rows() {
+        let projected = project(input, items, ctx)?;
+        let key_idx = key_indices(projected.schema(), keys)?;
+        return Ok(top_k(&projected, k, &key_idx));
+    }
     let exprs: Vec<Cow<crate::expr::Expr>> =
         items.iter().map(|item| resolve(&item.expr, ctx)).collect::<Result<_>>()?;
     let out_schema = projection_schema(input, items, &exprs);
@@ -1152,29 +1160,35 @@ fn top_k(input: &Table, k: usize, key_idx: &[(usize, SortOrder)]) -> Table {
             let start = row as usize * stride;
             &encoded[start..start + stride]
         };
-        let mut heap = crate::topk::BoundedHeap::new(k, |a: &u32, b: &u32| {
-            key_of(*a).cmp(key_of(*b)).then_with(|| a.cmp(b))
-        });
-        for row_no in 0..num_rows as u32 {
-            heap.offer(row_no);
-        }
-        Some(heap.into_sorted())
+        Some(smallest_ids(num_rows, k, |a, b| key_of(*a).cmp(key_of(*b)).then_with(|| a.cmp(b))))
     })()
     .unwrap_or_else(|| {
-        let mut heap = crate::topk::BoundedHeap::new(k, |a: &u32, b: &u32| {
+        smallest_ids(num_rows, k, |a, b| {
             compare_rows(input.row(*a as usize), input.row(*b as usize), key_idx)
                 .then_with(|| a.cmp(b))
-        });
-        for row_no in 0..num_rows as u32 {
-            heap.offer(row_no);
-        }
-        heap.into_sorted()
+        })
     });
     let mut cells = Vec::with_capacity(kept_ids.len() * input.width());
     for &i in &kept_ids {
         cells.extend_from_slice(input.row(i as usize));
     }
     Table::from_cells_unchecked(input.schema().clone(), cells, kept_ids.len())
+}
+
+/// The `k` smallest of the row ids `0..n` under the total order `cmp`, in
+/// that order: a bounded heap, or one sort when `k` keeps every id (the
+/// same answer, since `cmp` is total).
+fn smallest_ids(n: usize, k: usize, cmp: impl Fn(&u32, &u32) -> std::cmp::Ordering) -> Vec<u32> {
+    if k >= n {
+        let mut ids: Vec<u32> = (0..n as u32).collect();
+        ids.sort_unstable_by(cmp);
+        return ids;
+    }
+    let mut heap = crate::topk::BoundedHeap::new(k, cmp);
+    for row_no in 0..n as u32 {
+        heap.offer(row_no);
+    }
+    heap.into_sorted()
 }
 
 /// Execute [`Plan::TopKBounded`] / [`Plan::ThresholdBounded`]: resolve the
@@ -1710,7 +1724,8 @@ mod tests {
             .aggregate(&["tid"], vec![(AggFunc::CountStar, "cnt")])
             .project(vec![(col("tid"), "tid"), (col("cnt").mul(lit(2i64)), "score")]);
         let ordering = vec![("score", SortOrder::Descending), ("tid", SortOrder::Ascending)];
-        for k in [0usize, 1, 2, 10] {
+        // The last k keeps every row: the full-sort path.
+        for k in [0usize, 1, 2, 10, i64::MAX as usize] {
             let top = projected.clone().top_k(lit(k as i64), ordering.clone());
             let reference = projected.clone().sort_by_many(ordering.clone()).limit(k);
             let fused = execute(&top, &catalog).unwrap();
@@ -1748,6 +1763,7 @@ mod tests {
         }
         let t = builder.build().unwrap();
         let ordering = vec![("score", SortOrder::Descending), ("tid", SortOrder::Ascending)];
+        // k = 8 and 20 keep every row: the full-sort path.
         for k in [0usize, 1, 3, 8, 20] {
             let top = Plan::values(t.clone()).top_k(lit(k as i64), ordering.clone());
             let reference = Plan::values(t.clone()).sort_by_many(ordering.clone()).limit(k);
