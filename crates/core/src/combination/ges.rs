@@ -465,10 +465,14 @@ mod tests {
             let got = engine.predicate(PredicateKind::Ges).execute(&query, Exec::Rank).unwrap();
             assert_bit_identical(&got, &finalize_ranking(want, Exec::Rank), &format!("GES {text}"));
 
-            // The filtered variants re-score their filter survivors.
+            // The filtered variants re-score their filter survivors, taken
+            // from the naive reference plan (the served memo is under test).
             for (kind, filter) in [
-                (PredicateKind::GesJaccard, jaccard.filter_scores(&text)),
-                (PredicateKind::GesApx, apx.filter_scores(&text)),
+                (
+                    PredicateKind::GesJaccard,
+                    jaccard.inner.filter_scores_mode(&query, true).unwrap(),
+                ),
+                (PredicateKind::GesApx, apx.inner.filter_scores_mode(&query, true).unwrap()),
             ] {
                 let survivors = filter
                     .iter()

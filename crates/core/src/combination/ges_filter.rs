@@ -1,35 +1,48 @@
 //! Filtered GES predicates (§4.5): `GES_Jaccard` and `GES_apx`.
 //!
 //! Both first compute the order-insensitive over-estimate of Equation 4.7 /
-//! 4.8 declaratively — a relq plan over word-level q-gram (or min-hash
-//! signature) tables — keep the tuples whose estimate reaches the threshold
-//! θ, and then re-score the candidates with the exact GES of Equation 3.14.
+//! 4.8 — word-level q-gram Jaccard, or its min-hash approximation — keep the
+//! tuples whose estimate reaches the threshold θ, and then re-score the
+//! candidates with the exact GES of Equation 3.14.
 //!
-//! **Shared-artifact contract:** the word table `BASE_WORDS` (indexed on
-//! wtoken), the per-word GES weights used for exact re-scoring and the
-//! tid→index map all come from the engine's shared phase-1 artifacts; only
-//! the second-level token table — `BASE_QGRAMS` (indexed on qgram) or
-//! `BASE_MHSIG` (indexed on the composite `(fid, value)`) — is built here,
-//! registered over a clone of the shared catalog. The whole filter pipeline
-//! is one prepared plan whose query-side tables and the `Σ idf` normalizer
-//! bind per query.
+//! **Served path: a per-query word memo.** For each query word, in order,
+//! the estimate counts the grams it shares with every vocabulary word
+//! through a gram → word index over the interned word-level q-grams (for
+//! `GES_apx`: per signature component, the vocabulary words with an equal
+//! min-hash value), turns each count into a word similarity, maxes it into
+//! every record holding that word through the engine-shared word → record
+//! index ([`SharedArtifacts::ges_word_records`]), and adds the query word's
+//! idf-weighted term to each record it reached. The work is what the query
+//! words reach, never the whole vocabulary or corpus, and the request's
+//! deadline is polled once per query word.
+//!
+//! **Naive reference: the relq plan.** `filter_scores_mode(naive = true)`
+//! runs the declarative pipeline: the word-level `BASE_QGRAMS` (or
+//! `BASE_MHSIG`) table joined with the query's grams (or signature) and
+//! grouped per (word, query word), max-aggregated per (tid, query word) over
+//! the shared `BASE_WORDS`, idf-weighted and summed per tid. Its tables and
+//! catalog are built on the first naive run, so a serving engine never holds
+//! them. The memo returns the plan's estimates bit for bit: the same
+//! similarity arithmetic, a term only where a record word matched the query
+//! word, and each record's terms summed in ascending query-word order
+//! starting from `0.0`, as relq's `Sum` does.
 //!
 //! The candidate filter always runs at the build-time θ — the estimate
 //! over-approximates GES only heuristically, so [`Exec`] modes apply to the
 //! exactly re-scored results (heap-based top-k, post-rescoring threshold),
 //! never to the estimates.
 
-use crate::combination::ges::GesScorer;
+use crate::combination::ges::{GesScorer, WeightedWord};
 use crate::corpus::TokenizedCorpus;
 use crate::dict::{TokenDict, TokenId};
 use crate::engine::{finalize_ranking, Exec, Query, SharedArtifacts};
 use crate::params::GesParams;
-use crate::record::ScoredTid;
+use crate::record::{sort_ranked, ScoredTid, Tid};
 use dasp_text::{word_qgrams, MinHasher, QgramConfig};
 use relq::{
     col, lit, param, AggFunc, Bindings, Catalog, DataType, Plan, PreparedPlan, Schema, Table, Value,
 };
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Which filtering strategy a [`FilteredGes`] instance uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,99 +53,324 @@ pub enum GesFilterKind {
     MinHash,
 }
 
+/// Compressed rows of `u32` items: row `r` is `items[offsets[r]..offsets[r + 1]]`.
+pub(crate) struct Csr {
+    offsets: Vec<usize>,
+    items: Vec<u32>,
+}
+
+impl Csr {
+    /// Group `(row, item)` pairs by row, each row keeping its pair order.
+    fn from_pairs(num_rows: usize, pairs: &[(u32, u32)]) -> Csr {
+        let mut offsets = vec![0usize; num_rows + 1];
+        for &(row, _) in pairs {
+            offsets[row as usize + 1] += 1;
+        }
+        for r in 0..num_rows {
+            offsets[r + 1] += offsets[r];
+        }
+        let mut next = offsets[..num_rows].to_vec();
+        let mut items = vec![0u32; pairs.len()];
+        for &(row, item) in pairs {
+            items[next[row as usize]] = item;
+            next[row as usize] += 1;
+        }
+        Csr { offsets, items }
+    }
+
+    fn row(&self, r: usize) -> &[u32] {
+        &self.items[self.offsets[r]..self.offsets[r + 1]]
+    }
+}
+
+/// Per vocabulary word, the records holding it, each once and in ascending
+/// order: the word → record index both filters share, the transpose of
+/// [`crate::tables::base_words_distinct`].
+pub(crate) fn word_records(corpus: &TokenizedCorpus) -> Csr {
+    let mut pairs = Vec::new();
+    let mut seen: Vec<TokenId> = Vec::new();
+    for idx in 0..corpus.num_records() {
+        crate::tables::distinct_record_words(corpus, idx, &mut seen);
+        pairs.extend(seen.iter().map(|&w| (w, idx as u32)));
+    }
+    Csr::from_pairs(corpus.num_word_tokens(), &pairs)
+}
+
+/// A word's distinct q-grams, sorted.
+fn distinct_qgrams(word: &str, qcfg: QgramConfig) -> Vec<String> {
+    let mut grams = word_qgrams(word, qcfg);
+    grams.sort();
+    grams.dedup();
+    grams
+}
+
+/// A min-hash component as `BASE_MHSIG` stores it (an `Int` cell).
+fn signature_value(v: u64) -> i64 {
+    (v % (i64::MAX as u64)) as i64
+}
+
+/// The vocabulary side of the served estimate.
+enum WordIndex {
+    /// Gram id (in `qgram_dict`) → the vocabulary words holding that gram.
+    Qgrams(Csr),
+    /// Per signature component (fid), every vocabulary word sorted by its
+    /// [`signature_value`]: component `f` is entries `f·V .. (f+1)·V` of
+    /// both vectors, `V` the vocabulary size.
+    MinHash { values: Vec<i64>, words: Vec<TokenId> },
+}
+
+/// The relq reference of the estimate: the declarative Equation 4.7 / 4.8
+/// pipeline and the catalog it runs over (the shared `base_words` plus the
+/// filter's own second-level table).
+struct ReferencePlan {
+    catalog: Catalog,
+    plan: PreparedPlan,
+}
+
 /// Shared state of the filtered GES predicates.
 pub struct FilteredGes {
     shared: Arc<SharedArtifacts>,
     filter: GesFilterKind,
-    catalog: Catalog,
-    /// The whole filter pipeline (Equation 4.7 / 4.8), prepared once.
-    plan: PreparedPlan,
-    /// Dictionary of word-level q-grams (separate from the corpus q-grams).
+    /// Dictionary of word-level q-grams (separate from the corpus q-grams);
+    /// filled for the Jaccard filter only.
     qgram_dict: TokenDict,
     /// Per word id: number of distinct q-grams (denominator of the Jaccard).
     word_qgram_sizes: Vec<usize>,
     /// Min-hasher (only used by the MinHash variant).
     hasher: MinHasher,
+    /// The served estimate's vocabulary index.
+    index: WordIndex,
+    /// The naive reference plan, built on first naive use.
+    reference: OnceLock<ReferencePlan>,
 }
 
 impl FilteredGes {
-    /// Phase-2 preprocessing for the chosen filter over shared artifacts.
+    /// Phase-2 preprocessing for the chosen filter over shared artifacts:
+    /// the vocabulary index of the served estimate, nothing relational.
     pub(crate) fn from_shared(shared: Arc<SharedArtifacts>, filter: GesFilterKind) -> Self {
         let corpus = shared.corpus();
         let params = shared.params().ges;
         let qcfg = QgramConfig::new(params.q);
-        let mut qgram_dict = TokenDict::new();
         let hasher = MinHasher::new(params.num_hashes.max(1), params.minhash_seed);
-
-        // Word-level q-gram sets (interned) and their sizes. The word table
-        // itself (`base_words`) is a shared phase-1 artifact.
-        let mut word_qgram_sizes = vec![0usize; corpus.num_word_tokens()];
-        let min_hash_rows = match filter {
-            GesFilterKind::Jaccard => 0,
-            GesFilterKind::MinHash => corpus.word_dict().len() * hasher.num_hashes(),
-        };
-        let mut base_mhsig = Table::with_capacity(
-            Schema::from_pairs(&[
-                ("wtoken", DataType::Int),
-                ("fid", DataType::Int),
-                ("value", DataType::Int),
-            ]),
-            min_hash_rows,
-        );
-        // The interned ids of every word's distinct q-grams, back to back in
-        // word order, so the Jaccard table is sized once they are all known.
-        let mut word_gids: Vec<TokenId> = Vec::new();
+        let vocab = corpus.num_word_tokens();
+        let mut qgram_dict = TokenDict::new();
+        let mut word_qgram_sizes = vec![0usize; vocab];
+        // Jaccard: (gram id, word) pairs. MinHash: (fid, value, word).
+        let mut gram_words: Vec<(u32, u32)> = Vec::new();
+        let mut signatures: Vec<(usize, i64, TokenId)> = Vec::new();
         for (wid, word) in corpus.word_dict().iter() {
-            let mut grams = word_qgrams(word, qcfg);
-            grams.sort();
-            grams.dedup();
+            let grams = distinct_qgrams(word, qcfg);
             word_qgram_sizes[wid as usize] = grams.len();
             match filter {
                 GesFilterKind::Jaccard => {
-                    word_gids.extend(grams.iter().map(|g| qgram_dict.intern(g)));
+                    gram_words.extend(grams.iter().map(|g| (qgram_dict.intern(g), wid)));
                 }
                 GesFilterKind::MinHash => {
                     let sig = hasher.signature(grams.iter());
-                    for (fid, &v) in sig.iter().enumerate() {
-                        base_mhsig
-                            .push([
-                                Value::Int(wid as i64),
-                                Value::Int(fid as i64),
-                                Value::Int((v % (i64::MAX as u64)) as i64),
-                            ])
-                            .expect("schema matches");
-                    }
-                    // Intern the grams anyway so query-side sizes are known.
-                    for g in &grams {
-                        qgram_dict.intern(g);
-                    }
+                    signatures.extend(
+                        sig.iter().enumerate().map(|(fid, &v)| (fid, signature_value(v), wid)),
+                    );
                 }
             }
         }
-        let mut base_qgrams = Table::with_capacity(
-            Schema::from_pairs(&[
-                ("wtoken", DataType::Int),
-                ("qgram", DataType::Int),
-                ("wsize", DataType::Int),
-            ]),
-            word_gids.len(),
-        );
-        let mut gids = word_gids.into_iter();
-        for (wid, _) in corpus.word_dict().iter() {
-            let size = word_qgram_sizes[wid as usize];
-            for gid in gids.by_ref().take(size) {
-                base_qgrams
-                    .push([Value::Int(wid as i64), Value::Int(gid as i64), Value::Int(size as i64)])
-                    .expect("schema matches");
+        let index = match filter {
+            GesFilterKind::Jaccard => {
+                WordIndex::Qgrams(Csr::from_pairs(qgram_dict.len(), &gram_words))
+            }
+            GesFilterKind::MinHash => {
+                signatures.sort_unstable();
+                WordIndex::MinHash {
+                    values: signatures.iter().map(|&(_, v, _)| v).collect(),
+                    words: signatures.iter().map(|&(_, _, w)| w).collect(),
+                }
+            }
+        };
+        FilteredGes {
+            shared,
+            filter,
+            qgram_dict,
+            word_qgram_sizes,
+            hasher,
+            index,
+            reference: OnceLock::new(),
+        }
+    }
+
+    pub(crate) fn shared(&self) -> &SharedArtifacts {
+        &self.shared
+    }
+
+    /// The reference plan's catalog, once a naive run has built it.
+    pub(crate) fn catalog(&self) -> Option<&Catalog> {
+        self.reference.get().map(|r| &r.catalog)
+    }
+
+    /// Number of distinct q-grams of a base word token (the denominator of
+    /// the word-level Jaccard in Equation 4.7).
+    pub fn word_qgram_size(&self, word: TokenId) -> usize {
+        self.word_qgram_sizes[word as usize]
+    }
+
+    /// The over-estimating filter scores per tuple (Equation 4.7 / 4.8),
+    /// best first, from the per-query word memo. Returns `(tid, estimate)`
+    /// pairs for every tuple some query word reaches.
+    pub fn filter_scores(&self, query: &str) -> Vec<ScoredTid> {
+        let query = Query::build(self.shared.corpus(), query);
+        self.filter_scores_mode(&query, false).expect("the memo estimate never fails")
+    }
+
+    /// Every estimate, best first: from the memo, or with `naive` from the
+    /// relq reference plan. The two are bit-identical.
+    pub(crate) fn filter_scores_mode(
+        &self,
+        query: &Query,
+        naive: bool,
+    ) -> crate::error::Result<Vec<ScoredTid>> {
+        if naive {
+            return self.reference_estimates(query.weighted_words());
+        }
+        let unlimited = relq::ExecLimits::unlimited();
+        let mut estimates = self
+            .memo_estimates(query.weighted_words(), &unlimited)
+            .expect("an unlimited budget never trips");
+        sort_ranked(&mut estimates);
+        Ok(estimates)
+    }
+
+    /// The served estimates, unsorted: one per record some query word
+    /// reaches. Polls `limits`' deadline once per query word and returns
+    /// `None` once it has tripped.
+    fn memo_estimates(
+        &self,
+        words: &[WeightedWord],
+        limits: &relq::ExecLimits,
+    ) -> Option<Vec<ScoredTid>> {
+        let sum_idf: f64 = words.iter().map(|w| w.weight).sum();
+        if words.is_empty() || sum_idf <= 0.0 {
+            return Some(Vec::new());
+        }
+        let params = self.shared.params().ges;
+        let qcfg = QgramConfig::new(params.q);
+        let dq = 1.0 - 1.0 / params.q as f64;
+        let two_over_q = 2.0 / params.q as f64;
+        let records = self.shared.ges_word_records();
+        let vocab = self.word_qgram_sizes.len();
+        let n = self.shared.corpus().num_records();
+        // Per vocabulary word: grams (or components) shared with the
+        // current query word; `matched` lists the words with a nonzero count.
+        let mut counts = vec![0u32; vocab];
+        let mut matched: Vec<TokenId> = Vec::new();
+        // Per record: the current query word's max similarity (0 = not
+        // reached; a similarity is > 0) and the running total (0 = no term
+        // yet; a term is > 0). `reached` and `scored` list the nonzero slots.
+        let mut maxsim = vec![0.0f64; n];
+        let mut reached: Vec<u32> = Vec::new();
+        let mut total = vec![0.0f64; n];
+        let mut scored: Vec<u32> = Vec::new();
+        for w in words {
+            if !limits.poll_deadline() {
+                return None;
+            }
+            let grams = distinct_qgrams(&w.word, qcfg);
+            let mut count = |wid: TokenId| {
+                if counts[wid as usize] == 0 {
+                    matched.push(wid);
+                }
+                counts[wid as usize] += 1;
+            };
+            match &self.index {
+                WordIndex::Qgrams(gram_words) => {
+                    for gid in grams.iter().filter_map(|g| self.qgram_dict.get(g)) {
+                        gram_words.row(gid as usize).iter().for_each(|&wid| count(wid));
+                    }
+                }
+                WordIndex::MinHash { values, words } => {
+                    let sig = self.hasher.signature(grams.iter());
+                    for (fid, &v) in sig.iter().enumerate() {
+                        let v = signature_value(v);
+                        let component = &values[fid * vocab..(fid + 1) * vocab];
+                        let lo = component.partition_point(|&x| x < v);
+                        let hi = lo + component[lo..].partition_point(|&x| x == v);
+                        words[fid * vocab + lo..fid * vocab + hi]
+                            .iter()
+                            .for_each(|&wid| count(wid));
+                    }
+                }
+            }
+            for wid in matched.drain(..) {
+                let cnt = std::mem::take(&mut counts[wid as usize]);
+                let sim = match self.filter {
+                    GesFilterKind::Jaccard => {
+                        let union =
+                            self.word_qgram_sizes[wid as usize] + grams.len() - cnt as usize;
+                        cnt as f64 / (union as f64).max(1e-9)
+                    }
+                    GesFilterKind::MinHash => cnt as f64 / self.hasher.num_hashes() as f64,
+                };
+                for &r in records.row(wid as usize) {
+                    let slot = &mut maxsim[r as usize];
+                    if *slot == 0.0 {
+                        reached.push(r);
+                    }
+                    *slot = slot.max(sim);
+                }
+            }
+            for r in reached.drain(..) {
+                let sim = std::mem::take(&mut maxsim[r as usize]);
+                let slot = &mut total[r as usize];
+                if *slot == 0.0 {
+                    scored.push(r);
+                }
+                *slot += w.weight * (sim * two_over_q + dq);
             }
         }
+        Some(
+            scored
+                .into_iter()
+                .map(|r| ScoredTid::new(r as Tid, total[r as usize] / sum_idf))
+                .collect(),
+        )
+    }
 
+    /// The reference plan, built on first use.
+    fn reference(&self) -> &ReferencePlan {
+        self.reference.get_or_init(|| self.build_reference())
+    }
+
+    fn build_reference(&self) -> ReferencePlan {
+        let corpus = self.shared.corpus();
+        let params = self.shared.params().ges;
+        let qcfg = QgramConfig::new(params.q);
         // Minimal catalog: the shared word table plus the filter's own
         // second-level index, nothing else forced to build.
-        let mut catalog = shared.catalog_with(&["base_words"]);
+        let mut catalog = self.shared.catalog_with(&["base_words"]);
         // Per-query-word similarity sub-plan (probing the second-level index).
-        let maxsim_plan = match filter {
+        let maxsim_plan = match self.filter {
             GesFilterKind::Jaccard => {
+                // BASE_QGRAMS(wtoken, qgram, wsize): every word's distinct
+                // interned q-grams.
+                let rows = self.word_qgram_sizes.iter().sum();
+                let mut base_qgrams = Table::with_capacity(
+                    Schema::from_pairs(&[
+                        ("wtoken", DataType::Int),
+                        ("qgram", DataType::Int),
+                        ("wsize", DataType::Int),
+                    ]),
+                    rows,
+                );
+                for (wid, word) in corpus.word_dict().iter() {
+                    let size = self.word_qgram_sizes[wid as usize] as i64;
+                    for g in distinct_qgrams(word, qcfg) {
+                        let gid = self.qgram_dict.get(&g).expect("every word gram is interned");
+                        base_qgrams
+                            .push([
+                                Value::Int(wid as i64),
+                                Value::Int(gid as i64),
+                                Value::Int(size),
+                            ])
+                            .expect("schema matches");
+                    }
+                }
                 catalog
                     .register_indexed("base_qgrams", base_qgrams, &["qgram"])
                     .expect("base_qgrams has a qgram column");
@@ -154,10 +392,31 @@ impl FilteredGes {
                     ])
             }
             GesFilterKind::MinHash => {
+                // BASE_MHSIG(wtoken, fid, value): every word's signature.
+                let mut base_mhsig = Table::with_capacity(
+                    Schema::from_pairs(&[
+                        ("wtoken", DataType::Int),
+                        ("fid", DataType::Int),
+                        ("value", DataType::Int),
+                    ]),
+                    corpus.num_word_tokens() * self.hasher.num_hashes(),
+                );
+                for (wid, word) in corpus.word_dict().iter() {
+                    let sig = self.hasher.signature(distinct_qgrams(word, qcfg).iter());
+                    for (fid, &v) in sig.iter().enumerate() {
+                        base_mhsig
+                            .push([
+                                Value::Int(wid as i64),
+                                Value::Int(fid as i64),
+                                Value::Int(signature_value(v)),
+                            ])
+                            .expect("schema matches");
+                    }
+                }
                 catalog
                     .register_indexed("base_mhsig", base_mhsig, &["fid", "value"])
                     .expect("base_mhsig has fid/value columns");
-                let h = hasher.num_hashes() as f64;
+                let h = self.hasher.num_hashes() as f64;
                 Plan::index_join(
                     "base_mhsig",
                     &["fid", "value"],
@@ -187,39 +446,15 @@ impl FilteredGes {
                 .aggregate(&["tid"], vec![(AggFunc::Sum(col("contrib")), "total")])
                 .project(vec![(col("tid"), "tid"), (col("total").div(param("sum_idf")), "score")]),
         );
-
-        FilteredGes { shared, filter, catalog, plan, qgram_dict, word_qgram_sizes, hasher }
+        ReferencePlan { catalog, plan }
     }
 
-    pub(crate) fn shared(&self) -> &SharedArtifacts {
-        &self.shared
-    }
-
-    pub(crate) fn catalog(&self) -> &Catalog {
-        &self.catalog
-    }
-
-    /// Number of distinct q-grams of a base word token (the denominator of
-    /// the word-level Jaccard in Equation 4.7).
-    pub fn word_qgram_size(&self, word: TokenId) -> usize {
-        self.word_qgram_sizes[word as usize]
-    }
-
-    /// The over-estimating filter scores per tuple (Equation 4.7 / 4.8),
-    /// computed declaratively. Returns `(tid, estimate)` pairs.
-    pub fn filter_scores(&self, query: &str) -> Vec<ScoredTid> {
-        let query = Query::build(self.shared.corpus(), query);
-        self.filter_scores_mode(&query, false)
-            .expect("prepared ges filter plans over registered catalogs are infallible")
-    }
-
-    fn filter_scores_mode(
+    /// The reference plan's estimates, best first (the naive path).
+    fn reference_estimates(
         &self,
-        query: &Query,
-        naive: bool,
+        query_words: &[WeightedWord],
     ) -> crate::error::Result<Vec<ScoredTid>> {
         let qcfg = QgramConfig::new(self.shared.params().ges.q);
-        let query_words = query.weighted_words();
         if query_words.is_empty() {
             return Ok(Vec::new());
         }
@@ -249,9 +484,7 @@ impl FilteredGes {
                     ("qsize", DataType::Int),
                 ]));
                 for (i, w) in query_words.iter().enumerate() {
-                    let mut grams = word_qgrams(&w.word, qcfg);
-                    grams.sort();
-                    grams.dedup();
+                    let grams = distinct_qgrams(&w.word, qcfg);
                     let size = grams.len() as i64;
                     for g in &grams {
                         if let Some(gid) = self.qgram_dict.get(g) {
@@ -278,16 +511,13 @@ impl FilteredGes {
                     query_words.len() * self.hasher.num_hashes(),
                 );
                 for (i, w) in query_words.iter().enumerate() {
-                    let mut grams = word_qgrams(&w.word, qcfg);
-                    grams.sort();
-                    grams.dedup();
-                    let sig = self.hasher.signature(grams.iter());
+                    let sig = self.hasher.signature(distinct_qgrams(&w.word, qcfg).iter());
                     for (fid, &v) in sig.iter().enumerate() {
                         query_sig
                             .push([
                                 Value::Int(i as i64),
                                 Value::Int(fid as i64),
-                                Value::Int((v % (i64::MAX as u64)) as i64),
+                                Value::Int(signature_value(v)),
                             ])
                             .expect("schema matches");
                     }
@@ -296,15 +526,21 @@ impl FilteredGes {
             }
         }
 
-        // The filter plan runs unbudgeted: its survivors are charged one by
-        // one in `execute`, where each costs an exact GES re-scoring, so the
-        // deadline overshoots by at most one of them.
+        // The reference runs unbudgeted, like every naive plan.
+        let reference = self.reference();
         let unlimited = relq::ExecLimits::unlimited();
-        crate::tables::run_ranking_plan(&self.plan, &self.catalog, &bindings, naive, &unlimited)
+        crate::tables::run_ranking_plan(
+            &reference.plan,
+            &reference.catalog,
+            &bindings,
+            true,
+            &unlimited,
+        )
     }
 
     /// Execute: filter by the over-estimate at the build-time θ, re-score
-    /// candidates exactly, then apply the execution mode to the exact scores.
+    /// candidates exactly in estimate order, then apply the execution mode
+    /// to the exact scores.
     fn execute(
         &self,
         query: &Query,
@@ -316,6 +552,22 @@ impl FilteredGes {
         if query_words.is_empty() {
             return Ok(Vec::new());
         }
+        let theta = self.shared.params().ges.filter_threshold;
+        let mut survivors = if naive {
+            self.filter_scores_mode(query, true)?
+        } else {
+            // A deadline that trips inside the filter leaves no survivor
+            // re-scored: the anytime answer is empty (and degraded).
+            let Some(estimates) = self.memo_estimates(query_words, limits) else {
+                return Ok(Vec::new());
+            };
+            estimates
+        };
+        survivors.retain(|s| s.score >= theta);
+        if survivors.is_empty() {
+            return Ok(Vec::new());
+        }
+        sort_ranked(&mut survivors);
         let mut scorer = GesScorer::new(
             self.shared.corpus(),
             self.shared.ges_word_weights(),
@@ -323,10 +575,7 @@ impl FilteredGes {
             self.shared.params().ges.cins,
         );
         let mut out = Vec::new();
-        for candidate in self.filter_scores_mode(query, naive)? {
-            if candidate.score < self.shared.params().ges.filter_threshold {
-                continue;
-            }
+        for candidate in survivors {
             // Budget boundary: one candidate per filter survivor re-scored.
             // Entries already pushed carry exact GES scores, so breaking
             // leaves a valid anytime answer.
@@ -342,7 +591,7 @@ impl FilteredGes {
 
 /// `GES_Jaccard`: exact word-level Jaccard filtering + exact GES re-scoring.
 pub struct GesJaccardPredicate {
-    inner: FilteredGes,
+    pub(crate) inner: FilteredGes,
 }
 
 impl GesJaccardPredicate {
@@ -366,7 +615,7 @@ impl GesJaccardPredicate {
     }
 
     fn engine_catalog(&self) -> Option<&Catalog> {
-        Some(self.inner.catalog())
+        self.inner.catalog()
     }
 
     fn execute(
@@ -384,7 +633,7 @@ crate::engine::engine_predicate!(GesJaccardPredicate, crate::predicate::Predicat
 
 /// `GES_apx`: min-hash filtering + exact GES re-scoring.
 pub struct GesApxPredicate {
-    inner: FilteredGes,
+    pub(crate) inner: FilteredGes,
 }
 
 impl GesApxPredicate {
@@ -408,7 +657,7 @@ impl GesApxPredicate {
     }
 
     fn engine_catalog(&self) -> Option<&Catalog> {
-        Some(self.inner.catalog())
+        self.inner.catalog()
     }
 
     fn execute(
@@ -553,5 +802,160 @@ mod tests {
         let p = GesApxPredicate::build(corpus(), GesParams::default());
         assert!(p.rank("").is_empty());
         assert!(p.filter_scores("").is_empty());
+    }
+
+    use crate::engine::SelectionEngine;
+    use crate::params::{ExecBudget, Params};
+    use crate::predicate::PredicateKind;
+    use dasp_datagen::presets::{cu_dataset_sized, cu_spec, dblp_dataset};
+
+    /// The seeded 500-record CU1-like corpus and a DBLP-like one.
+    fn test_corpora() -> Vec<(&'static str, Arc<TokenizedCorpus>)> {
+        let cu1 = cu_dataset_sized(cu_spec("CU1").expect("CU1 is a preset"), 500, 50);
+        [("cu1", cu1.strings()), ("dblp", dblp_dataset(500).strings())]
+            .into_iter()
+            .map(|(name, strings)| {
+                let corpus =
+                    TokenizedCorpus::build(Corpus::from_strings(strings), Params::default().qgram);
+                (name, Arc::new(corpus))
+            })
+            .collect()
+    }
+
+    /// Each filter kind and hash count over `corpus` at gram size `q`.
+    fn filters(corpus: &Arc<TokenizedCorpus>, q: usize) -> Vec<(String, FilteredGes)> {
+        [(GesFilterKind::Jaccard, 5), (GesFilterKind::MinHash, 1), (GesFilterKind::MinHash, 5)]
+            .into_iter()
+            .chain([(GesFilterKind::MinHash, 64)])
+            .map(|(kind, num_hashes)| {
+                let ges = GesParams { q, num_hashes, ..GesParams::default() };
+                let shared =
+                    SharedArtifacts::build(corpus.clone(), &Params { ges, ..Params::default() });
+                (format!("{kind:?} q={q} h={num_hashes}"), FilteredGes::from_shared(shared, kind))
+            })
+            .collect()
+    }
+
+    /// The memo's estimates equal the reference plan's in tid, order and
+    /// bits; returns how many there were.
+    fn assert_memo_matches_reference(filter: &FilteredGes, text: &str, label: &str) -> usize {
+        let query = Query::build(filter.shared().corpus(), text);
+        let memo = filter.filter_scores_mode(&query, false).unwrap();
+        let reference = filter.filter_scores_mode(&query, true).unwrap();
+        let bits = |s: &[ScoredTid]| -> Vec<(Tid, u64)> {
+            s.iter().map(|s| (s.tid, s.score.to_bits())).collect()
+        };
+        assert_eq!(bits(&memo), bits(&reference), "{label}: {text:?}");
+        memo.len()
+    }
+
+    #[test]
+    fn memo_estimates_are_bit_identical_to_the_reference_plan() {
+        for (name, corpus) in test_corpora() {
+            let mut texts: Vec<String> = (0..corpus.num_records())
+                .step_by(100)
+                .map(|idx| corpus.record_text(idx).to_string())
+                .collect();
+            let first = corpus.record_text(0).to_string();
+            let word = first.split_whitespace().next().expect("a record has a word").to_string();
+            texts.extend([
+                // Duplicate query words count twice.
+                format!("{first} {first}"),
+                format!("{word} {word} {word}"),
+                // Unknown words (average idf), alone and beside known ones.
+                format!("{word}x zzqv {first}"),
+                "frobnicatorial quuxly".to_string(),
+                // Words none of whose grams the vocabulary holds.
+                "\u{4e2d}\u{6587} \u{65e5}\u{672c}\u{8a9e}".to_string(),
+                format!("\u{4e2d}\u{6587} {word}"),
+                // One-character and non-ASCII words.
+                format!("a {word} b \u{e9}"),
+                "\u{c9}cole M\u{fc}ller \u{df}".to_string(),
+                // Empty and blank queries.
+                String::new(),
+                "   ".to_string(),
+            ]);
+            for q in [2, 3] {
+                for (label, filter) in filters(&corpus, q) {
+                    let label = format!("{name} {label}");
+                    let reached: usize = texts
+                        .iter()
+                        .map(|text| assert_memo_matches_reference(&filter, text, &label))
+                        .sum();
+                    assert!(reached > texts.len(), "{label}: the queries must reach records");
+                    assert_eq!(assert_memo_matches_reference(&filter, "", &label), 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memo_estimates_match_the_reference_plan_on_random_strings() {
+        use proptest::prelude::*;
+        let corpus = corpus();
+        let filters = filters(&corpus, 2);
+        check(32, |g| {
+            let text = g.string_of("MORGANSTLEYBIJ \u{e9}", 0..40);
+            for (label, filter) in &filters {
+                assert_memo_matches_reference(filter, &text, label);
+            }
+        });
+    }
+
+    /// With a candidate cap of `cap`, GES_Jaccard and GES_apx re-score the
+    /// first `cap` filter survivors in the reference plan's estimate order —
+    /// the bytes a budgeted run returned when the plan was the served path.
+    #[test]
+    fn every_candidate_cap_rescores_a_prefix_of_the_reference_survivors() {
+        let (_, corpus) = test_corpora().swap_remove(0);
+        let params = Params::default();
+        let engine = SelectionEngine::build(corpus.clone(), &params);
+        let theta = params.ges.filter_threshold;
+        let weights = crate::combination::ges::word_weights(&corpus);
+        for (kind, filter) in [
+            (
+                PredicateKind::GesJaccard,
+                GesJaccardPredicate::build(corpus.clone(), params.ges).inner,
+            ),
+            (PredicateKind::GesApx, GesApxPredicate::build(corpus.clone(), params.ges).inner),
+        ] {
+            let handle = engine.predicate(kind);
+            let mut cases = 0;
+            for idx in (0..corpus.num_records()).step_by(100) {
+                let query = engine.query(corpus.record_text(idx));
+                let mut survivors = filter.filter_scores_mode(&query, true).unwrap();
+                survivors.retain(|s| s.score >= theta);
+                let mut scorer =
+                    GesScorer::new(&corpus, &weights, query.weighted_words(), params.ges.cins);
+                let exact: Vec<ScoredTid> = survivors
+                    .iter()
+                    .map(|s| ScoredTid::new(s.tid, scorer.similarity(s.tid as usize)))
+                    .collect();
+                for cap in 0..=survivors.len() {
+                    let budget = ExecBudget { max_candidates: Some(cap), ..ExecBudget::default() };
+                    for exec in [Exec::Rank, Exec::TopK(3)] {
+                        let run = handle.execute_budgeted(&query, exec, budget).unwrap();
+                        let want = finalize_ranking(exact[..cap].to_vec(), exec);
+                        assert_eq!(run.results, want, "{kind} {exec:?} cap {cap} record {idx}");
+                        assert_eq!(run.degraded, cap < survivors.len(), "{kind} cap {cap}");
+                    }
+                }
+                cases += survivors.len();
+            }
+            assert!(cases > 0, "{kind}: the queries must have survivors");
+        }
+    }
+
+    #[test]
+    fn a_served_engine_never_builds_the_reference_plan() {
+        let p = GesJaccardPredicate::build(corpus(), GesParams::default());
+        let q = "Morgan Stanley Group Incorporated";
+        p.rank(q);
+        assert!(p.engine_catalog().is_none(), "the indexed path built the reference");
+        assert!(p.inner.shared().artifact_built("ges_word_records"));
+        assert!(!p.inner.shared().artifact_built("base_words"));
+        assert_eq!(p.rank_naive(q), p.rank(q));
+        let catalog = p.engine_catalog().expect("the naive run builds the reference");
+        assert!(catalog.contains("base_words") && catalog.contains("base_qgrams"));
     }
 }

@@ -41,10 +41,10 @@
 //! ## Lazy shared artifacts and the result cache
 //!
 //! Every phase-1 artifact — the six shared token/weight tables with their
-//! equality indexes, the two shared posting indexes, the normalized strings
-//! and the GES word weights — is built on first use (`OnceLock` per
-//! artifact) and then shared by reference: a standalone single-predicate
-//! build pays only for the artifacts that predicate probes. The posting
+//! equality indexes, the two shared posting indexes, the normalized strings,
+//! and the GES word weights and word → record index — is built on first use
+//! (`OnceLock` per artifact) and then shared by reference: a standalone
+//! single-predicate build pays only for the artifacts that predicate probes. The posting
 //! indexes are built from the tokenized rows, not from the tables, so a
 //! workload of kernel reads (indexed `Rank`, `TopK`, `Threshold`) builds
 //! no token table at all. Corpora are
@@ -53,6 +53,7 @@
 //! [`SelectionEngine::result_cache_stats`].
 
 use crate::combination::ges::WeightedWord;
+use crate::combination::ges_filter::{word_records, Csr};
 use crate::corpus::{QueryTokens, TokenizedCorpus};
 use crate::error::{DaspError, Result};
 use crate::overlap::{overlap_token_weight, overlap_weight, unit_weight};
@@ -149,8 +150,8 @@ pub(crate) const SHARED_TABLES: [&str; 6] =
 
 /// The phase-1 preprocessing artifacts every predicate shares: the tokenized
 /// corpus, the indexed token/weight tables, the tid-ordered posting
-/// variants of `base_tokens`/`overlap_weights`, and the per-word weights of
-/// the GES family.
+/// variants of `base_tokens`/`overlap_weights`, and the per-word weights and
+/// word → record index of the GES family.
 ///
 /// Every artifact is **lazy** — a `OnceLock` built on the first probe and
 /// shared by `Arc` afterwards — so a standalone single-predicate build pays
@@ -176,6 +177,8 @@ pub(crate) struct SharedArtifacts {
     normalized: OnceLock<Vec<String>>,
     /// Per word id, the GES weight of the word (GES family).
     ges_word_weights: OnceLock<Vec<f64>>,
+    /// Per word id, the records holding it (the filtered GES estimates).
+    ges_word_records: OnceLock<Csr>,
     /// Invalidation-free LRU of recent results (corpora are immutable).
     cache: ResultCache,
 }
@@ -193,6 +196,7 @@ impl SharedArtifacts {
             posting_overlap_weights: OnceLock::new(),
             normalized: OnceLock::new(),
             ges_word_weights: OnceLock::new(),
+            ges_word_records: OnceLock::new(),
             cache: ResultCache::new(DEFAULT_RESULT_CACHE_CAPACITY),
         })
     }
@@ -287,6 +291,7 @@ impl SharedArtifacts {
             "posting:base_tokens" => self.posting_base_tokens.get().is_some(),
             "posting:overlap_weights" => self.posting_overlap_weights.get().is_some(),
             "normalized" => self.normalized.get().is_some(),
+            "ges_word_records" => self.ges_word_records.get().is_some(),
             _ => {
                 let slot = SHARED_TABLES
                     .iter()
@@ -328,6 +333,12 @@ impl SharedArtifacts {
 
     pub(crate) fn ges_word_weights(&self) -> &[f64] {
         self.ges_word_weights.get_or_init(|| crate::combination::ges::word_weights(&self.corpus))
+    }
+
+    /// Per word id, the records holding it, each once in ascending order:
+    /// the word → record index both filtered GES estimates share.
+    pub(crate) fn ges_word_records(&self) -> &Csr {
+        self.ges_word_records.get_or_init(|| word_records(&self.corpus))
     }
 
     pub(crate) fn cache(&self) -> &ResultCache {
@@ -1046,7 +1057,8 @@ impl PredicateHandle {
     }
 
     /// The catalog this predicate's plans run against (`None` for the pure
-    /// UDF predicate GES). Tables shared with the engine's
+    /// UDF predicate GES, and for GES_Jaccard and GES_apx until a naive run
+    /// has built their reference plan). Tables shared with the engine's
     /// [`shared_catalog`](SelectionEngine::shared_catalog) alias the same
     /// allocations.
     pub fn catalog(&self) -> Option<&Catalog> {

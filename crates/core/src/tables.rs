@@ -259,30 +259,31 @@ where
     table
 }
 
+/// The distinct words of tuple `idx`, in first-seen order, into `seen`.
+pub(crate) fn distinct_record_words(tc: &TokenizedCorpus, idx: usize, seen: &mut Vec<TokenId>) {
+    seen.clear();
+    for &w in tc.record_words(idx) {
+        if !seen.contains(&w) {
+            seen.push(w);
+        }
+    }
+}
+
 /// `BASE_WORDS(tid, wtoken)` with *distinct* word tokens per tuple — the
 /// word-level analogue of [`base_tokens_distinct`], shared by the filtered
 /// GES predicates.
 pub fn base_words_distinct(tc: &TokenizedCorpus) -> Table {
     let schema = Schema::from_pairs(&[("tid", DataType::Int), ("wtoken", DataType::Int)]);
-    // The distinct words of tuple `idx`, in first-seen order, into `seen`.
-    let distinct = |idx: usize, seen: &mut Vec<TokenId>| {
-        seen.clear();
-        for &w in tc.record_words(idx) {
-            if !seen.contains(&w) {
-                seen.push(w);
-            }
-        }
-    };
     let mut seen: Vec<TokenId> = Vec::new();
     let rows = (0..tc.num_records())
         .map(|idx| {
-            distinct(idx, &mut seen);
+            distinct_record_words(tc, idx, &mut seen);
             seen.len()
         })
         .sum();
     let mut table = Table::with_capacity(schema, rows);
     for idx in 0..tc.num_records() {
-        distinct(idx, &mut seen);
+        distinct_record_words(tc, idx, &mut seen);
         for &w in &seen {
             table.push([Value::Int(idx as i64), Value::Int(w as i64)]).expect("schema matches");
         }

@@ -31,7 +31,7 @@ use dasp_core::{
     BudgetedRun, Corpus, DaspError, Exec, ExecBudget, LiveEngine, Params, PredicateKind, ScoredTid,
     ShardedEngine, Tid,
 };
-use dasp_datagen::presets::{cu_dataset_sized, cu_spec};
+use dasp_datagen::presets::{cu_dataset_sized, cu_spec, dblp_dataset};
 use dasp_datagen::Dataset;
 use dasp_eval::{build_engine, sample_query_indices};
 use rand::rngs::StdRng;
@@ -268,6 +268,54 @@ fn expired_deadline_degrades_to_an_empty_anytime_answer() {
             assert_eq!(run.report.expect("report").candidates_scored, 0);
         }
     }
+}
+
+/// A 5,000-byte GES_Jaccard query over 20k DBLP-like titles. Its filter
+/// estimate polls the deadline once per query word, so a 50 ms deadline
+/// ends the request far inside a second, flagged `degraded` exactly when it
+/// cut the work short; an already-expired deadline stops it at the first
+/// query word with an empty, degraded answer.
+#[test]
+fn ges_filter_polls_the_deadline_per_query_word() {
+    let _guard = serialize();
+    let dataset = dblp_dataset(20_000);
+    let engine = build_engine(&dataset, &Params::default());
+    let mut text = String::new();
+    for record in dataset.records.iter().step_by(7) {
+        if text.len() + record.text.len() >= 5_000 {
+            break;
+        }
+        text.push_str(&record.text);
+        text.push(' ');
+    }
+    text.push_str(&" ".repeat(5_000 - text.len()));
+    let handle = engine.predicate(PredicateKind::GesJaccard);
+    // Warm the filter's lazy word → record index.
+    handle.execute(&engine.query(&dataset.records[0].text), Exec::Rank).unwrap();
+    let query = engine.query(&text);
+
+    let deadline = Duration::from_millis(50);
+    let budget = ExecBudget { deadline: Some(deadline), ..ExecBudget::default() };
+    let start = std::time::Instant::now();
+    let run = handle.execute_budgeted(&query, Exec::TopK(10), budget).unwrap();
+    let elapsed = start.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "a 50 ms deadline ran {elapsed:?}");
+    let report = run.report.expect("a capped run reports");
+    if run.degraded {
+        assert!(report.elapsed >= deadline, "degraded before the deadline: {report:?}");
+        if !run.results.is_empty() {
+            let exact = handle.execute(&query, Exec::Rank).unwrap();
+            assert_anytime_subset(&run.results, &exact, "GES_Jaccard 5,000-byte query");
+        }
+    } else {
+        let exact = handle.execute(&query, Exec::TopK(10)).unwrap();
+        assert_eq!(as_bits(&run.results), as_bits(&exact), "an untripped run must be exact");
+    }
+
+    let expired = ExecBudget { deadline: Some(Duration::ZERO), ..ExecBudget::default() };
+    let run = handle.execute_budgeted(&query, Exec::TopK(10), expired).unwrap();
+    assert!(run.degraded && run.results.is_empty(), "expired deadline: {run:?}");
+    assert_eq!(run.report.expect("a capped run reports").candidates_scored, 0);
 }
 
 #[test]

@@ -122,6 +122,15 @@ fn all_13_handles_share_phase1_artifacts() {
         (PredicateKind::GesApx, &["base_words"]),
         (PredicateKind::SoftTfIdf, &[]),
     ];
+    // GES_Jaccard and GES_apx serve their filter estimate from a word memo:
+    // only a naive run builds their relq reference plan and its catalog.
+    let probe = engine.query(&dataset.records[0].text);
+    for kind in [PredicateKind::GesJaccard, PredicateKind::GesApx] {
+        let handle = engine.predicate(kind);
+        handle.execute(&probe, Exec::Rank).unwrap();
+        assert!(handle.catalog().is_none(), "{kind}: a served run built the reference plan");
+        handle.execute_naive(&probe, Exec::Rank).unwrap();
+    }
     let mut handles_with_catalogs = 0;
     for (kind, handle) in engine.predicates() {
         let Some(catalog) = handle.catalog() else {

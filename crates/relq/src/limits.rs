@@ -36,6 +36,10 @@
 //!   GES) overshoots its deadline by at most one in-flight verification.
 //!   (Nondeterministic in *where* it cuts, but every cut point is a valid
 //!   anytime answer.)
+//!
+//! A stage that generates candidates without scoring them (the GES filter's
+//! per-query-word estimate) calls [`poll_deadline`](ExecLimits::poll_deadline)
+//! instead: the deadline alone, counting nothing.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -151,6 +155,21 @@ impl ExecLimits {
             self.exhausted.store(true, Ordering::Relaxed);
         }
         granted
+    }
+
+    /// Check the deadline alone, for a stage that scores no candidates (a
+    /// candidate generator's per-query-word work). Returns whether the
+    /// request may go on; an expired deadline exhausts the budget exactly as
+    /// a refused charge does. Counts no candidates and no postings.
+    pub fn poll_deadline(&self) -> bool {
+        if self.exhausted.load(Ordering::Relaxed) {
+            return false;
+        }
+        if self.deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+            self.exhausted.store(true, Ordering::Relaxed);
+            return false;
+        }
+        true
     }
 
     /// Record `n` posting entries consumed (pure accounting, never refuses).
@@ -293,6 +312,25 @@ mod tests {
             assert!(l.exhausted());
             assert_eq!(l.report().candidates, before, "refused charges are not counted");
         }
+    }
+
+    #[test]
+    fn deadline_poll_exhausts_without_counting() {
+        let l = ExecLimits::new(Some(Duration::from_secs(3600)), Some(1));
+        assert!(l.poll_deadline());
+        assert!(!l.exhausted());
+        let l = ExecLimits::new(Some(Duration::ZERO), None);
+        assert!(!l.poll_deadline());
+        assert!(l.exhausted());
+        assert!(!l.charge_candidate(), "exhaustion is sticky");
+        let r = l.report();
+        assert_eq!((r.candidates, r.postings), (0, 0));
+        // A tripped candidate cap stops the poll too.
+        let l = ExecLimits::new(None, Some(0));
+        assert!(l.poll_deadline());
+        assert!(!l.charge_candidate());
+        assert!(!l.poll_deadline());
+        assert!(ExecLimits::unlimited().poll_deadline());
     }
 
     #[test]
