@@ -21,9 +21,10 @@
 //! segments (cross-checked against each variant's rebuilt monolith), and
 //! the default-seal append against rebuilding a monolithic engine per
 //! ingested record (the >= 10x acceptance bar at 10k). A `sharded` section
-//! runs the bounded top-k and fixed-τ threshold through the tid-range
-//! `ShardedEngine` (a fixed 4-shard partition, one independent run
-//! per shard, merged) against a monolithic engine over the same frozen corpus stats, at
+//! runs the bounded top-k and fixed-τ threshold through a `LiveEngine`
+//! split into tid-range shards (a fixed 4-shard partition, one independent
+//! run per shard, merged) against its rebuilt monolith over the same frozen
+//! corpus stats, at
 //! the grid sizes and — not in smoke — at 100k and 1M scale points; every
 //! sharded answer is first cross-checked against the monolith (Rank,
 //! threshold and top-k bit-identical). Writes
@@ -56,7 +57,7 @@
 use criterion::{measure, Measurement};
 use dasp_core::{
     Corpus, Exec, ExecBudget, LiveEngine, Params, PredicateKind, Query, ScoredTid, SelectionEngine,
-    ServeRequest, ServingEngine, ShardedEngine,
+    ServeRequest, ServingEngine,
 };
 use dasp_datagen::dblp_dataset;
 use dasp_eval::tokenize_dataset;
@@ -198,7 +199,7 @@ impl ScaleRow {
     }
 }
 
-/// One bounded predicate through the tid-range `ShardedEngine` vs a
+/// One bounded predicate through a tid-range sharded `LiveEngine` vs a
 /// monolithic engine over the same frozen corpus stats. The `*_speedup`
 /// ratios are monolith-time / sharded-time, so > 1.0 means fanning the
 /// shards paid off; on a single-core runner the expected value sits a
@@ -226,9 +227,9 @@ impl ShardedRow {
     }
 }
 
-/// Build a `SHARD_COUNT`-shard `ShardedEngine` and a monolithic engine over
-/// the SAME tokenized corpus (the shards project the monolith's frozen
-/// stats, so scores are comparable bit-for-bit), cross-check every query in
+/// Build a `SHARD_COUNT`-shard `LiveEngine` and its rebuilt monolith over
+/// the SAME frozen statistics (the shards and the monolith project them, so
+/// scores are comparable bit-for-bit), cross-check every query in
 /// every mode the section times — Rank, fixed-τ threshold and bounded
 /// top-k (against the monolith's heap) bit-identical — then record
 /// one [`ShardedRow`] per bounded predicate. Shared by the per-size grid
@@ -243,9 +244,9 @@ fn measure_sharded_rows(
     samples: usize,
     sharded_rows: &mut Vec<ShardedRow>,
 ) {
-    let stats = tokenize_dataset(dataset, params);
-    let sharded = ShardedEngine::build(stats.clone(), &Params { shards: SHARD_COUNT, ..*params });
-    let monolith = SelectionEngine::build(stats, params);
+    let corpus = Corpus::from_strings(dataset.strings());
+    let sharded = LiveEngine::from_corpus(corpus, &Params { shards: SHARD_COUNT, ..*params });
+    let (monolith, _) = sharded.rebuild_monolith();
     // Disable the merged cache (shard engines keep none) — the timing loops
     // repeat identical executions, which a cache would short-circuit.
     sharded.set_result_cache_capacity(0);
@@ -312,7 +313,7 @@ fn measure_sharded_rows(
         let row = ShardedRow {
             predicate: kind.short_name(),
             size,
-            shards: sharded.shards(),
+            shards: sharded.metrics().sealed_segments,
             topk_monolith_us: per_query_us(&m_topk, qs.len()),
             topk_sharded_us: per_query_us(&s_topk, texts.len()),
             threshold_monolith_us: per_query_us(&m_thr, qs.len()),
@@ -1350,7 +1351,7 @@ fn main() {
     }
     json.push_str("  ],\n");
     // Sharded execution: the bounded top-k and selective-τ threshold
-    // through a fixed SHARD_COUNT-shard tid-range `ShardedEngine` (shards
+    // through a fixed SHARD_COUNT-shard tid-range `LiveEngine` (shards
     // fanned on scoped threads, merged in shard order) against a
     // monolithic engine over the same frozen stats. `*_speedup` is
     // monolith-time / sharded-time; > 1.0 needs real cores — on a 1-core

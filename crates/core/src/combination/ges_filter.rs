@@ -11,7 +11,7 @@
 //! `GES_apx`: per signature component, the vocabulary words with an equal
 //! min-hash value), turns each count into a word similarity, maxes it into
 //! every record holding that word through the engine-shared word → record
-//! index ([`SharedArtifacts::ges_word_records`]), and adds the query word's
+//! index (`SharedArtifacts::ges_word_records`), and adds the query word's
 //! idf-weighted term to each record it reached. The work is what the query
 //! words reach, never the whole vocabulary or corpus, and the request's
 //! deadline is polled once per query word.
@@ -54,6 +54,7 @@ pub enum GesFilterKind {
 }
 
 /// Compressed rows of `u32` items: row `r` is `items[offsets[r]..offsets[r + 1]]`.
+#[derive(Debug)]
 pub(crate) struct Csr {
     offsets: Vec<usize>,
     items: Vec<u32>,
@@ -110,6 +111,7 @@ fn signature_value(v: u64) -> i64 {
 }
 
 /// The vocabulary side of the served estimate.
+#[derive(Debug)]
 enum WordIndex {
     /// Gram id (in `qgram_dict`) → the vocabulary words holding that gram.
     Qgrams(Csr),
@@ -119,18 +121,16 @@ enum WordIndex {
     MinHash { values: Vec<i64>, words: Vec<TokenId> },
 }
 
-/// The relq reference of the estimate: the declarative Equation 4.7 / 4.8
-/// pipeline and the catalog it runs over (the shared `base_words` plus the
-/// filter's own second-level table).
-struct ReferencePlan {
-    catalog: Catalog,
-    plan: PreparedPlan,
-}
-
-/// Shared state of the filtered GES predicates.
-pub struct FilteredGes {
-    shared: Arc<SharedArtifacts>,
+/// The vocabulary side of a filtered estimate: the word-level q-gram
+/// dictionary, every word's distinct gram count and the served index. It
+/// depends only on the frozen word dictionary, the filter kind and the GES
+/// gram size and min-hash settings, so it is built once per frozen word
+/// dictionary and those settings, and every engine over a projection of
+/// that dictionary shares it ([`TokenizedCorpus::ges_vocab`]).
+#[derive(Debug)]
+pub(crate) struct GesVocab {
     filter: GesFilterKind,
+    params: GesParams,
     /// Dictionary of word-level q-grams (separate from the corpus q-grams);
     /// filled for the Jaccard filter only.
     qgram_dict: TokenDict,
@@ -140,25 +140,29 @@ pub struct FilteredGes {
     hasher: MinHasher,
     /// The served estimate's vocabulary index.
     index: WordIndex,
-    /// The naive reference plan, built on first naive use.
-    reference: OnceLock<ReferencePlan>,
 }
 
-impl FilteredGes {
-    /// Phase-2 preprocessing for the chosen filter over shared artifacts:
-    /// the vocabulary index of the served estimate, nothing relational.
-    pub(crate) fn from_shared(shared: Arc<SharedArtifacts>, filter: GesFilterKind) -> Self {
-        let corpus = shared.corpus();
-        let params = shared.params().ges;
+impl GesVocab {
+    /// Whether this index serves `filter` under `params`: the same kind,
+    /// gram size and min-hash settings (θ and `c_ins` do not enter it).
+    pub(crate) fn serves(&self, filter: GesFilterKind, params: &GesParams) -> bool {
+        self.filter == filter
+            && self.params.q == params.q
+            && self.params.num_hashes == params.num_hashes
+            && self.params.minhash_seed == params.minhash_seed
+    }
+
+    /// Index the vocabulary of `word_dict` for `filter` under `params`.
+    pub(crate) fn build(word_dict: &TokenDict, filter: GesFilterKind, params: GesParams) -> Self {
         let qcfg = QgramConfig::new(params.q);
         let hasher = MinHasher::new(params.num_hashes.max(1), params.minhash_seed);
-        let vocab = corpus.num_word_tokens();
+        let vocab = word_dict.len();
         let mut qgram_dict = TokenDict::new();
         let mut word_qgram_sizes = vec![0usize; vocab];
         // Jaccard: (gram id, word) pairs. MinHash: (fid, value, word).
         let mut gram_words: Vec<(u32, u32)> = Vec::new();
         let mut signatures: Vec<(usize, i64, TokenId)> = Vec::new();
-        for (wid, word) in corpus.word_dict().iter() {
+        for (wid, word) in word_dict.iter() {
             let grams = distinct_qgrams(word, qcfg);
             word_qgram_sizes[wid as usize] = grams.len();
             match filter {
@@ -185,15 +189,36 @@ impl FilteredGes {
                 }
             }
         };
-        FilteredGes {
-            shared,
-            filter,
-            qgram_dict,
-            word_qgram_sizes,
-            hasher,
-            index,
-            reference: OnceLock::new(),
-        }
+        GesVocab { filter, params, qgram_dict, word_qgram_sizes, hasher, index }
+    }
+}
+
+/// The relq reference of the estimate: the declarative Equation 4.7 / 4.8
+/// pipeline and the catalog it runs over (the shared `base_words` plus the
+/// filter's own second-level table).
+struct ReferencePlan {
+    catalog: Catalog,
+    plan: PreparedPlan,
+}
+
+/// Shared state of the filtered GES predicates.
+pub struct FilteredGes {
+    shared: Arc<SharedArtifacts>,
+    /// The filter kind's vocabulary index, shared with every engine over the same frozen
+    /// word dictionary.
+    vocab: Arc<GesVocab>,
+    /// The naive reference plan, built on first naive use.
+    reference: OnceLock<ReferencePlan>,
+}
+
+impl FilteredGes {
+    /// Phase-2 preprocessing for the chosen filter over shared artifacts:
+    /// the vocabulary index of the served estimate (built on the first
+    /// filter over this word dictionary and these settings, shared after),
+    /// nothing relational.
+    pub(crate) fn from_shared(shared: Arc<SharedArtifacts>, filter: GesFilterKind) -> Self {
+        let vocab = shared.corpus().ges_vocab(filter, shared.params().ges);
+        FilteredGes { shared, vocab, reference: OnceLock::new() }
     }
 
     pub(crate) fn shared(&self) -> &SharedArtifacts {
@@ -208,7 +233,7 @@ impl FilteredGes {
     /// Number of distinct q-grams of a base word token (the denominator of
     /// the word-level Jaccard in Equation 4.7).
     pub fn word_qgram_size(&self, word: TokenId) -> usize {
-        self.word_qgram_sizes[word as usize]
+        self.vocab.word_qgram_sizes[word as usize]
     }
 
     /// The over-estimating filter scores per tuple (Equation 4.7 / 4.8),
@@ -254,7 +279,7 @@ impl FilteredGes {
         let dq = 1.0 - 1.0 / params.q as f64;
         let two_over_q = 2.0 / params.q as f64;
         let records = self.shared.ges_word_records();
-        let vocab = self.word_qgram_sizes.len();
+        let vocab = self.vocab.word_qgram_sizes.len();
         let n = self.shared.corpus().num_records();
         // Per vocabulary word: grams (or components) shared with the
         // current query word; `matched` lists the words with a nonzero count.
@@ -278,14 +303,14 @@ impl FilteredGes {
                 }
                 counts[wid as usize] += 1;
             };
-            match &self.index {
+            match &self.vocab.index {
                 WordIndex::Qgrams(gram_words) => {
-                    for gid in grams.iter().filter_map(|g| self.qgram_dict.get(g)) {
+                    for gid in grams.iter().filter_map(|g| self.vocab.qgram_dict.get(g)) {
                         gram_words.row(gid as usize).iter().for_each(|&wid| count(wid));
                     }
                 }
                 WordIndex::MinHash { values, words } => {
-                    let sig = self.hasher.signature(grams.iter());
+                    let sig = self.vocab.hasher.signature(grams.iter());
                     for (fid, &v) in sig.iter().enumerate() {
                         let v = signature_value(v);
                         let component = &values[fid * vocab..(fid + 1) * vocab];
@@ -299,13 +324,13 @@ impl FilteredGes {
             }
             for wid in matched.drain(..) {
                 let cnt = std::mem::take(&mut counts[wid as usize]);
-                let sim = match self.filter {
+                let sim = match self.vocab.filter {
                     GesFilterKind::Jaccard => {
                         let union =
-                            self.word_qgram_sizes[wid as usize] + grams.len() - cnt as usize;
+                            self.vocab.word_qgram_sizes[wid as usize] + grams.len() - cnt as usize;
                         cnt as f64 / (union as f64).max(1e-9)
                     }
-                    GesFilterKind::MinHash => cnt as f64 / self.hasher.num_hashes() as f64,
+                    GesFilterKind::MinHash => cnt as f64 / self.vocab.hasher.num_hashes() as f64,
                 };
                 for &r in records.row(wid as usize) {
                     let slot = &mut maxsim[r as usize];
@@ -345,11 +370,11 @@ impl FilteredGes {
         // second-level index, nothing else forced to build.
         let mut catalog = self.shared.catalog_with(&["base_words"]);
         // Per-query-word similarity sub-plan (probing the second-level index).
-        let maxsim_plan = match self.filter {
+        let maxsim_plan = match self.vocab.filter {
             GesFilterKind::Jaccard => {
                 // BASE_QGRAMS(wtoken, qgram, wsize): every word's distinct
                 // interned q-grams.
-                let rows = self.word_qgram_sizes.iter().sum();
+                let rows = self.vocab.word_qgram_sizes.iter().sum();
                 let mut base_qgrams = Table::with_capacity(
                     Schema::from_pairs(&[
                         ("wtoken", DataType::Int),
@@ -359,9 +384,10 @@ impl FilteredGes {
                     rows,
                 );
                 for (wid, word) in corpus.word_dict().iter() {
-                    let size = self.word_qgram_sizes[wid as usize] as i64;
+                    let size = self.vocab.word_qgram_sizes[wid as usize] as i64;
                     for g in distinct_qgrams(word, qcfg) {
-                        let gid = self.qgram_dict.get(&g).expect("every word gram is interned");
+                        let gid =
+                            self.vocab.qgram_dict.get(&g).expect("every word gram is interned");
                         base_qgrams
                             .push([
                                 Value::Int(wid as i64),
@@ -399,10 +425,10 @@ impl FilteredGes {
                         ("fid", DataType::Int),
                         ("value", DataType::Int),
                     ]),
-                    corpus.num_word_tokens() * self.hasher.num_hashes(),
+                    corpus.num_word_tokens() * self.vocab.hasher.num_hashes(),
                 );
                 for (wid, word) in corpus.word_dict().iter() {
-                    let sig = self.hasher.signature(distinct_qgrams(word, qcfg).iter());
+                    let sig = self.vocab.hasher.signature(distinct_qgrams(word, qcfg).iter());
                     for (fid, &v) in sig.iter().enumerate() {
                         base_mhsig
                             .push([
@@ -416,7 +442,7 @@ impl FilteredGes {
                 catalog
                     .register_indexed("base_mhsig", base_mhsig, &["fid", "value"])
                     .expect("base_mhsig has fid/value columns");
-                let h = self.hasher.num_hashes() as f64;
+                let h = self.vocab.hasher.num_hashes() as f64;
                 Plan::index_join(
                     "base_mhsig",
                     &["fid", "value"],
@@ -475,7 +501,7 @@ impl FilteredGes {
             Bindings::new().with_table("query_idf", query_idf).with_scalar("sum_idf", sum_idf);
 
         // The per-query probe table of the second-level index.
-        match self.filter {
+        match self.vocab.filter {
             GesFilterKind::Jaccard => {
                 // QUERY_QGRAMS(qword, qgram, qsize)
                 let mut query_qgrams = Table::empty(Schema::from_pairs(&[
@@ -487,7 +513,7 @@ impl FilteredGes {
                     let grams = distinct_qgrams(&w.word, qcfg);
                     let size = grams.len() as i64;
                     for g in &grams {
-                        if let Some(gid) = self.qgram_dict.get(g) {
+                        if let Some(gid) = self.vocab.qgram_dict.get(g) {
                             query_qgrams
                                 .push([
                                     Value::Int(i as i64),
@@ -508,10 +534,10 @@ impl FilteredGes {
                         ("fid", DataType::Int),
                         ("value", DataType::Int),
                     ]),
-                    query_words.len() * self.hasher.num_hashes(),
+                    query_words.len() * self.vocab.hasher.num_hashes(),
                 );
                 for (i, w) in query_words.iter().enumerate() {
-                    let sig = self.hasher.signature(distinct_qgrams(&w.word, qcfg).iter());
+                    let sig = self.vocab.hasher.signature(distinct_qgrams(&w.word, qcfg).iter());
                     for (fid, &v) in sig.iter().enumerate() {
                         query_sig
                             .push([

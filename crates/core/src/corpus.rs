@@ -5,10 +5,12 @@
 //! [`TokenizedCorpus`] is the output of the first phase; the predicate
 //! constructors in the sibling modules perform the second phase.
 
+use crate::combination::ges_filter::{GesFilterKind, GesVocab};
 use crate::dict::{TokenDict, TokenId};
+use crate::params::GesParams;
 use crate::record::{Record, Tid};
 use dasp_text::{for_each_qgram, word_tokens, QgramConfig};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The base relation `R`: a collection of string tuples.
 #[derive(Debug, Clone, Default)]
@@ -214,13 +216,15 @@ pub struct TokenizedCorpus {
     stats: Arc<CorpusStats>,
     /// Word-token dictionary (combination predicates).
     word_dict: Arc<TokenDict>,
-    /// Per word id: distinct q-gram set of the word (second-level tokens).
-    word_qgram_sets: Arc<Vec<Vec<String>>>,
+    /// The filtered-GES vocabulary indexes over `word_dict`, one per filter
+    /// kind and GES settings in first-use order, built on first use and
+    /// shared with every projection (see [`Self::ges_vocab`]).
+    ges_vocab: Arc<Mutex<Vec<Arc<GesVocab>>>>,
 }
 
 impl TokenizedCorpus {
-    /// Tokenize a corpus: q-gram tokens for every tuple, word tokens and
-    /// word-level q-grams for the combination predicates, plus statistics.
+    /// Tokenize a corpus: q-gram tokens for every tuple, word tokens for the
+    /// combination predicates, plus statistics.
     pub fn build(corpus: Corpus, config: QgramConfig) -> Self {
         let n = corpus.len();
         let mut dict = TokenDict::new();
@@ -280,18 +284,6 @@ impl TokenizedCorpus {
             }));
         }
 
-        // Second-level tokenization: q-grams of each distinct word token.
-        let word_qgram_sets = word_dict
-            .iter()
-            .map(|(_, w)| {
-                dasp_text::qgram::word_qgrams(w, config)
-                    .into_iter()
-                    .collect::<std::collections::BTreeSet<_>>()
-                    .into_iter()
-                    .collect()
-            })
-            .collect();
-
         let avgdl = if n == 0 { 0.0 } else { cs as f64 / n as f64 };
         TokenizedCorpus {
             config,
@@ -299,7 +291,7 @@ impl TokenizedCorpus {
             rows,
             stats: Arc::new(CorpusStats::new(n, df, cf, cs, avgdl, pml_sum, word_df)),
             word_dict: Arc::new(word_dict),
-            word_qgram_sets: Arc::new(word_qgram_sets),
+            ges_vocab: Arc::default(),
         }
     }
 
@@ -356,7 +348,7 @@ impl TokenizedCorpus {
             rows: Vec::with_capacity(capacity),
             stats: self.stats.clone(),
             word_dict: self.word_dict.clone(),
-            word_qgram_sets: self.word_qgram_sets.clone(),
+            ges_vocab: self.ges_vocab.clone(),
         }
     }
 
@@ -484,9 +476,19 @@ impl TokenizedCorpus {
         self.stats.word_df[word as usize]
     }
 
-    /// Distinct q-gram set of a word token (second-level tokenization).
-    pub fn word_qgram_set(&self, word: TokenId) -> &[String] {
-        &self.word_qgram_sets[word as usize]
+    /// The filtered-GES vocabulary index of `filter` under `params` over
+    /// the frozen word dictionary: built by the first caller and shared
+    /// afterwards by every caller over this corpus or any projection of it
+    /// (every part of a live engine), reused only for equal gram size and
+    /// min-hash settings. Concurrent first callers wait for one build.
+    pub(crate) fn ges_vocab(&self, filter: GesFilterKind, params: GesParams) -> Arc<GesVocab> {
+        let mut built = self.ges_vocab.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        if let Some(vocab) = built.iter().find(|v| v.serves(filter, &params)) {
+            return vocab.clone();
+        }
+        let vocab = Arc::new(GesVocab::build(&self.word_dict, filter, params));
+        built.push(vocab.clone());
+        vocab
     }
 
     /// IDF of a q-gram token: `log(N) - log(df)` (zero for unseen tokens),
@@ -748,9 +750,6 @@ mod tests {
         assert_eq!(tc.word_df(morgan), 2);
         assert_eq!(tc.word_df(beijing), 2);
         assert!(tc.avg_word_idf() > 0.0);
-        // Word q-gram sets are non-empty and padded.
-        assert!(!tc.word_qgram_set(morgan).is_empty());
-        assert!(tc.word_qgram_set(morgan).iter().any(|g| g.starts_with('$')));
     }
 
     #[test]

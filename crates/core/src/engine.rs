@@ -448,8 +448,8 @@ pub struct CacheStats {
 /// no invalidation: a hit returns exactly the bytes a re-execution at that
 /// epoch would produce. Each backend owns one and serves every request
 /// through [`ResultCache::run`]: a [`SelectionEngine`] (shared by all its
-/// handles), and the merged cache of a live or sharded engine, whose part
-/// engines keep none. `execute_naive` stays uncached — it exists to be
+/// handles), and the merged cache of a live engine, whose segment engines
+/// keep none. `execute_naive` stays uncached — it exists to be
 /// measured.
 #[derive(Debug)]
 pub(crate) struct ResultCache {
@@ -599,7 +599,8 @@ impl ResultCache {
 /// paid once per request however many predicates, modes or parts it runs —
 /// keeping `Query` a plain `Clone + Send + Sync` value. Every view depends
 /// only on the frozen dictionaries and statistics, so one query serves every
-/// corpus sharing them: each live segment and each shard.
+/// corpus sharing them: every segment of a live engine, tid-range shards
+/// included.
 ///
 /// # Examples
 ///
@@ -1032,21 +1033,47 @@ impl PredicateHandle {
         exec: Exec,
         budget: ExecBudget,
     ) -> Result<BudgetedRun> {
-        let shared = self.core.shared_artifacts();
         // The cache is keyed by query text, so a query prepared against
         // other statistics must be rejected before the probe.
-        if !query.tokenized_against(shared.corpus()) {
+        if !query.tokenized_against(self.core.shared_artifacts().corpus()) {
             return Err(DaspError::EngineMismatch);
         }
+        self.run_cached(query.text(), exec, budget, || query)
+    }
+
+    /// [`execute_budgeted`](Self::execute_budgeted) over query text: the
+    /// cache is probed first, and the text is prepared against this
+    /// handle's engine only when the request executes (the static serving
+    /// path, where a hit then costs no tokenization).
+    pub(crate) fn execute_text(
+        &self,
+        text: &str,
+        exec: Exec,
+        budget: ExecBudget,
+    ) -> Result<BudgetedRun> {
+        self.run_cached(text, exec, budget, || self.query(text))
+    }
+
+    /// The engine's one cached, budgeted request path for `text`, whose
+    /// query `prepare` supplies on a miss.
+    fn run_cached<Q: std::borrow::Borrow<Query>>(
+        &self,
+        text: &str,
+        exec: Exec,
+        budget: ExecBudget,
+        prepare: impl FnOnce() -> Q,
+    ) -> Result<BudgetedRun> {
         let run = |limits: &relq::ExecLimits| {
-            self.core.execute_mode(query, exec, false, limits).map(|results| (results, 1))
+            let query = prepare();
+            self.core.execute_mode(query.borrow(), exec, false, limits).map(|results| (results, 1))
         };
-        shared.cache().run(STATIC_EPOCH, self.kind(), query.text(), exec, budget, run).map(|r| r.0)
+        let cache = self.core.shared_artifacts().cache();
+        cache.run(STATIC_EPOCH, self.kind(), text, exec, budget, run).map(|r| r.0)
     }
 
     /// Execute uncached under caller-owned limits: how every part of a live
-    /// or sharded engine runs, with one `ExecLimits` shared across the parts
-    /// of a request.
+    /// engine runs, with one `ExecLimits` shared across the parts of a
+    /// request.
     pub(crate) fn execute_with_limits(
         &self,
         query: &Query,

@@ -69,7 +69,6 @@ pub mod predicate;
 pub mod pruning;
 pub mod record;
 pub mod serve;
-pub mod shard;
 pub mod tables;
 
 pub use corpus::{Corpus, QueryTokens, TokenizedCorpus};
@@ -89,4 +88,3 @@ pub use predicate::{Predicate, PredicateClass, PredicateKind};
 pub use pruning::{prune_by_idf, PruneStats};
 pub use record::{Record, ScoredTid, Tid};
 pub use serve::{LatencyStats, ServeRequest, ServeResponse, ServeStats, ServingEngine};
-pub use shard::ShardedEngine;

@@ -6,11 +6,16 @@
 //! [`LiveEngine`] replaces that with an LSM-flavored segment design:
 //!
 //! * **Sealed segments** — immutable, each a full [`SelectionEngine`] (six
-//!   shared tables, posting arenas) over a contiguous slice of the appended
-//!   stream. Once sealed, a segment is never touched again until compaction
-//!   folds it away, so its lazily built artifacts survive across epochs.
-//!   Segment engines keep no result cache: the live engine's one
-//!   epoch-keyed cache of merged answers sits above them.
+//!   shared tables, posting arenas) over a contiguous slice of the records.
+//!   Once sealed, a segment is never touched again until compaction folds
+//!   it away, so its lazily built artifacts survive across epochs. Segment
+//!   engines keep no result cache: the live engine's one epoch-keyed cache
+//!   of merged answers sits above them.
+//! * **Tid-range shards** — construction ([`LiveEngine::from_corpus`]) and
+//!   every [`compact`] split the records into [`Params::shards`] contiguous
+//!   tid ranges (`DASP_SHARDS` env override, clamped to `1..=N`), one sealed
+//!   segment each, so an unbudgeted request fans across them. One shard
+//!   (the default) is one sealed segment over the frozen statistics itself.
 //! * **One tail segment** — the only segment that changes. When the tail
 //!   reaches the seal threshold ([`Params::segment_seal`],
 //!   `DASP_SEGMENT_SEAL` env override) it is frozen in place and the next
@@ -60,8 +65,8 @@
 //!
 //! ## Deterministic merging
 //!
-//! The segments and the tid-range [`crate::shard::ShardedEngine`]'s shards
-//! execute through one fan-and-merge. An unbudgeted query runs one
+//! Every segment, shard or tail, executes through one fan-and-merge
+//! (`parts.rs`). An unbudgeted query runs one
 //! *independent* run per segment on a bounded scoped-thread pool and
 //! merges the per-segment results in segment order. Every mode is
 //! bit-identical to the monolith: [`Exec::TopKHeap`]`(k)` and
@@ -98,6 +103,40 @@ pub const DEFAULT_SEGMENT_SEAL: usize = 256;
 /// [`crate::envknob`]). Separated from `std::env` for tests.
 fn segment_seal_env(var: Option<&str>) -> Option<usize> {
     crate::envknob::positive_usize("DASP_SEGMENT_SEAL", var)
+}
+
+/// Parse a `DASP_SHARDS` environment override: a positive integer selects
+/// that shard count; anything else leaves [`Params::shards`] in charge —
+/// loudly for malformed input (see [`crate::envknob`]). Separated from
+/// `std::env` for tests.
+fn shards_env(var: Option<&str>) -> Option<usize> {
+    crate::envknob::positive_usize("DASP_SHARDS", var)
+}
+
+/// The sealed segments over every record of `stats`, whose record `i` has
+/// global tid `tids[i]`: `shards` (clamped to `1..=N`) contiguous tid
+/// ranges of near-equal size, each projected onto `stats`' frozen
+/// statistics ([`Part::project`]). A single range is one part over `stats`
+/// itself, and no records make no segments.
+fn sealed_shards(
+    stats: &Arc<TokenizedCorpus>,
+    tids: Vec<Tid>,
+    shards: usize,
+    params: &Params,
+) -> Vec<Arc<Part>> {
+    let n = tids.len();
+    match shards.clamp(1, n.max(1)) {
+        _ if n == 0 => Vec::new(),
+        1 => vec![Arc::new(Part::new(tids, stats.clone(), params))],
+        count => (0..count)
+            .map(|shard| {
+                let records = (shard * n / count..(shard + 1) * n / count)
+                    .map(|idx| Record::new(tids[idx], stats.record_text(idx)))
+                    .collect();
+                Arc::new(Part::project(stats, records, params))
+            })
+            .collect(),
+    }
 }
 
 /// An immutable view of the live corpus at one epoch. Queries pin one
@@ -207,6 +246,9 @@ pub struct LiveEngine {
     params: Params,
     /// Tail records before an automatic seal (≥ 1).
     seal_limit: usize,
+    /// Tid-range shards construction and every compaction split the
+    /// records into (≥ 1, clamped to the record count per split).
+    shards: usize,
     /// The current snapshot; readers clone the `Arc` under the read lock,
     /// writers replace it. Held only for the pointer swap, never during
     /// segment builds or query execution.
@@ -234,37 +276,27 @@ impl LiveEngine {
     /// appended records into a fresh statistical epoch — prefer
     /// [`from_corpus`](Self::from_corpus) when seed data exists.
     pub fn new(params: &Params) -> Self {
-        let stats =
-            Arc::new(TokenizedCorpus::build(Corpus::from_records(Vec::new()), params.qgram));
-        Self::with_state(params, stats, Vec::new(), 0)
+        Self::from_corpus(Corpus::default(), params)
     }
 
     /// A live engine seeded with `corpus`: the frozen statistics are built
-    /// from it and its records become the first sealed segment, with their
-    /// corpus tids as global tids.
+    /// from it and its records, with their corpus tids as global tids,
+    /// become the sealed tid-range shards ([`Params::shards`], `DASP_SHARDS`
+    /// override, clamped to `1..=N`; one by default).
     pub fn from_corpus(corpus: Corpus, params: &Params) -> Self {
-        let next_tid = corpus.len() as Tid;
-        let stats = Arc::new(TokenizedCorpus::build(corpus, params.qgram));
-        let segments = if next_tid == 0 {
-            Vec::new()
-        } else {
-            vec![Arc::new(Part::new((0..next_tid).collect(), stats.clone(), params))]
-        };
-        Self::with_state(params, stats, segments, next_tid)
-    }
-
-    fn with_state(
-        params: &Params,
-        stats: Arc<TokenizedCorpus>,
-        segments: Vec<Arc<Part>>,
-        next_tid: Tid,
-    ) -> Self {
         let seal_limit = segment_seal_env(std::env::var("DASP_SEGMENT_SEAL").ok().as_deref())
             .unwrap_or(params.segment_seal)
             .max(1);
+        let shards = shards_env(std::env::var("DASP_SHARDS").ok().as_deref())
+            .unwrap_or(params.shards)
+            .max(1);
+        let next_tid = corpus.len() as Tid;
+        let stats = Arc::new(TokenizedCorpus::build(corpus, params.qgram));
+        let segments = sealed_shards(&stats, (0..next_tid).collect(), shards, params);
         LiveEngine {
             params: *params,
             seal_limit,
+            shards,
             snapshot: RwLock::new(Arc::new(LiveSnapshot {
                 epoch: 0,
                 stats,
@@ -384,11 +416,12 @@ impl LiveEngine {
         true
     }
 
-    /// Fold every segment into one sealed segment over the live records,
-    /// dropping tombstoned rows for good and **refreshing the frozen
-    /// statistics** from exactly the surviving records — vocabulary appended
-    /// since the last compaction becomes searchable here. Global tids are
-    /// preserved (and deleted tids never reused). Bumps the epoch.
+    /// Fold every segment into the sealed tid-range shards over the live
+    /// records (the shard count resolved at construction, clamped to the
+    /// live count), dropping tombstoned rows for good and **refreshing the
+    /// frozen statistics** from exactly the surviving records — vocabulary
+    /// appended since the last compaction becomes searchable here. Global
+    /// tids are preserved (and deleted tids never reused). Bumps the epoch.
     pub fn compact(&self) {
         let _w = self.writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let snap = self.snapshot();
@@ -398,11 +431,7 @@ impl LiveEngine {
             live.into_iter().enumerate().map(|(i, r)| Record::new(i as Tid, r.text)).collect();
         let stats =
             Arc::new(TokenizedCorpus::build(Corpus::from_records(dense), self.params.qgram));
-        let segments = if tids.is_empty() {
-            Vec::new()
-        } else {
-            vec![Arc::new(Part::new(tids, stats.clone(), &self.params))]
-        };
+        let segments = sealed_shards(&stats, tids, self.shards, &self.params);
         self.install(LiveSnapshot {
             epoch: snap.epoch + 1,
             stats,
@@ -934,6 +963,153 @@ mod tests {
         assert_eq!(segment_seal_env(None), None);
         assert_eq!(segment_seal_env(Some("7")).unwrap_or(params.segment_seal), 7);
         assert_eq!(segment_seal_env(None).unwrap_or(params.segment_seal), 100);
+    }
+
+    fn sharded(shards: usize) -> LiveEngine {
+        let mut texts = seed_texts();
+        texts.push("Morgan Stanley Dean Witter");
+        LiveEngine::from_corpus(
+            Corpus::from_strings(texts),
+            &Params { shards, ..Params::default() },
+        )
+    }
+
+    fn bits(v: &[ScoredTid]) -> Vec<(Tid, u64)> {
+        v.iter().map(|s| (s.tid, s.score.to_bits())).collect()
+    }
+
+    #[test]
+    fn shard_count_resolves_and_clamps() {
+        assert_eq!(shards_env(Some("3")), Some(3));
+        assert_eq!(shards_env(Some("0")), None);
+        assert_eq!(shards_env(Some("nope")), None);
+        assert_eq!(shards_env(None), None);
+        assert_eq!(sharded(1).metrics().sealed_segments, 1);
+        assert_eq!(sharded(3).metrics().sealed_segments, 3);
+        // More shards than records clamps to one record per shard.
+        let wide = sharded(1000);
+        assert_eq!(wide.metrics().sealed_segments, 7);
+        assert_eq!(wide.len(), 7);
+        assert!(!wide.is_empty());
+        // The shards are contiguous, near-equal tid ranges.
+        let sizes: Vec<_> =
+            sharded(3).snapshot().segments.parts.iter().map(|p| p.tids.clone()).collect();
+        assert_eq!(sizes, vec![vec![0, 1], vec![2, 3], vec![4, 5, 6]]);
+    }
+
+    #[test]
+    fn exact_modes_are_bit_identical_to_the_monolith() {
+        for shards in [1, 2, 3, 7, 100] {
+            let engine = sharded(shards);
+            for exec in [Exec::Rank, Exec::Threshold(0.1), Exec::ThresholdScan(0.1)] {
+                for kind in [PredicateKind::Bm25, PredicateKind::Jaccard] {
+                    assert_matches_monolith(&engine, kind, "Morgan Stanley Group", exec);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn topk_heap_is_bit_identical_and_bounded_topk_is_tie_class() {
+        for shards in [2, 3, 7] {
+            let engine = sharded(shards);
+            let (monolith, _) = engine.rebuild_monolith();
+            let kind = PredicateKind::Cosine;
+            let query = monolith.query("Morgan Stanley");
+            let exact = monolith.predicate(kind).execute(&query, Exec::TopKHeap(3)).unwrap();
+            let got_heap = engine.execute(kind, "Morgan Stanley", Exec::TopKHeap(3)).unwrap();
+            assert_eq!(bits(&got_heap), bits(&exact), "x{shards}");
+            // Bounded top-k: the same bytes, so its tie class at the k
+            // boundary is the heap's one answer.
+            let got = engine.execute(kind, "Morgan Stanley", Exec::TopK(3)).unwrap();
+            assert_eq!(bits(&got), bits(&exact), "x{shards}");
+        }
+    }
+
+    #[test]
+    fn merged_cache_makes_repeats_byte_stable() {
+        let engine = sharded(3);
+        let run = || {
+            let unlimited = ExecBudget::unlimited();
+            engine
+                .execute_budgeted(PredicateKind::Bm25, "Beijing", Exec::TopK(2), unlimited)
+                .unwrap()
+        };
+        let ((first, first_stats), (second, second_stats)) = (run(), run());
+        assert!(!first.cache_hit && second.cache_hit);
+        assert_eq!((first_stats.segments_probed, second_stats.segments_probed), (3, 0));
+        assert_eq!(bits(&first.results), bits(&second.results));
+        assert_eq!(engine.result_cache_stats().hits, 1);
+        engine.set_result_cache_capacity(0);
+        assert!(!run().0.cache_hit);
+    }
+
+    #[test]
+    fn budget_bounds_the_request_not_each_shard() {
+        let engine = sharded(3);
+        let text = "Morgan Stanley Group";
+        let budget = ExecBudget { max_candidates: Some(2), ..ExecBudget::default() };
+        let (run, _) =
+            engine.execute_budgeted(PredicateKind::Bm25, text, Exec::Rank, budget).unwrap();
+        assert!(run.degraded, "a two-candidate cap must trip across {} records", engine.len());
+        let report = run.report.expect("capped run carries a report");
+        assert_eq!(report.candidates_scored, 2, "the shared cap grants exactly max across shards");
+        // Every score in the anytime answer is exact.
+        let (monolith, _) = engine.rebuild_monolith();
+        let truth: std::collections::HashMap<Tid, u64> = monolith
+            .predicate(PredicateKind::Bm25)
+            .execute(&monolith.query(text), Exec::Rank)
+            .unwrap()
+            .into_iter()
+            .map(|s| (s.tid, s.score.to_bits()))
+            .collect();
+        for s in &run.results {
+            assert_eq!(truth.get(&s.tid), Some(&s.score.to_bits()));
+        }
+        // Unlimited budgets take the cached path.
+        let unlimited = ExecBudget::unlimited();
+        let (run, _) =
+            engine.execute_budgeted(PredicateKind::Bm25, text, Exec::Rank, unlimited).unwrap();
+        assert!(!run.degraded && run.report.is_none());
+    }
+
+    #[test]
+    fn empty_corpus_yields_empty_results() {
+        let params = Params { shards: 3, ..Params::default() };
+        let engine = LiveEngine::from_corpus(Corpus::default(), &params);
+        assert!(engine.is_empty());
+        assert_eq!(engine.metrics().sealed_segments, 0);
+        for exec in [Exec::Rank, Exec::TopK(3), Exec::Threshold(0.0)] {
+            assert!(engine.execute(PredicateKind::Bm25, "Morgan", exec).unwrap().is_empty());
+        }
+    }
+
+    #[test]
+    fn every_shard_shares_one_ges_vocabulary_index() {
+        use crate::combination::ges_filter::GesFilterKind;
+        let engine = sharded(4);
+        let snap = engine.snapshot();
+        assert_eq!(snap.segments.parts.len(), 4);
+        let ges = engine.params().ges;
+        for (kind, filter) in [
+            (PredicateKind::GesJaccard, GesFilterKind::Jaccard),
+            (PredicateKind::GesApx, GesFilterKind::MinHash),
+        ] {
+            engine.execute(kind, "Morgan Stanley Group", Exec::Rank).unwrap();
+            let vocab = snap.stats.ges_vocab(filter, ges);
+            for part in &snap.segments.parts {
+                assert!(Arc::ptr_eq(&part.engine.corpus().ges_vocab(filter, ges), &vocab));
+            }
+            // The provider's list, the four segment engines' filters and
+            // this handle hold the one index: nothing built a second.
+            assert_eq!(Arc::strong_count(&vocab), 6, "{kind}");
+        }
+        // Other gram sizes get their own index.
+        let other = crate::params::GesParams { q: 3, ..ges };
+        assert!(!Arc::ptr_eq(
+            &snap.stats.ges_vocab(GesFilterKind::Jaccard, other),
+            &snap.stats.ges_vocab(GesFilterKind::Jaccard, ges)
+        ));
     }
 
     #[test]

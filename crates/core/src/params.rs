@@ -162,13 +162,36 @@ pub struct Params {
     /// trade-off. A `DASP_SEGMENT_SEAL` environment variable overrides it at
     /// live-engine construction (CI forces many tiny segments that way).
     pub segment_seal: usize,
-    /// Number of tid-range shards a [`crate::shard::ShardedEngine`] splits
-    /// the corpus into (default 1 — monolithic execution). Correctness
-    /// holds at every value: every shard scores against the same frozen
-    /// corpus statistics, so every mode, bounded top-k included, merges
-    /// bit-identically to the monolith.
-    /// A `DASP_SHARDS` environment variable overrides it at sharded-engine
-    /// construction (CI exercises non-default shard counts that way).
+    /// Number of contiguous tid-range shards a [`crate::live::LiveEngine`]
+    /// splits its records into, one sealed segment each, at construction
+    /// and at every compaction (default 1 — one sealed segment over the
+    /// frozen statistics; clamped to the record count). Correctness holds
+    /// at every value: every shard scores against the same frozen corpus
+    /// statistics, so every mode, bounded top-k included, merges
+    /// bit-identically to the monolith. More shards fan one request across
+    /// more cores, which cuts its latency on an idle host but costs
+    /// throughput on a saturated one. A `DASP_SHARDS` environment variable
+    /// overrides it at live-engine construction (CI exercises non-default
+    /// shard counts that way).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dasp_core::{Corpus, Exec, LiveEngine, Params, PredicateKind};
+    ///
+    /// let records = vec!["Morgan Stanley Group Inc.", "Beijing Hotel", "AT&T Inc."];
+    /// let sharded = LiveEngine::from_corpus(
+    ///     Corpus::from_strings(records.clone()),
+    ///     &Params { shards: 2, ..Params::default() },
+    /// );
+    /// let monolith = LiveEngine::from_corpus(Corpus::from_strings(records), &Params::default());
+    /// let top = sharded.execute(PredicateKind::Bm25, "Morgan Stanley", Exec::TopK(2)).unwrap();
+    /// assert_eq!(top[0].tid, 0);
+    /// assert_eq!(
+    ///     top,
+    ///     monolith.execute(PredicateKind::Bm25, "Morgan Stanley", Exec::TopK(2)).unwrap()
+    /// );
+    /// ```
     pub shards: usize,
     /// Engine-wide default execution budget (default: unlimited). Requests
     /// can override it per call; see [`ExecBudget`].

@@ -1,12 +1,12 @@
-//! One fan-and-merge for engines split into parts: the live engine's
-//! segments and the sharded engine's tid-range shards.
+//! One fan-and-merge for an engine split into parts: the live engine's
+//! segments, its tid-range shards and its tail.
 //!
 //! A [`Part`] is a contiguous slice of the records (carrying **global**
 //! tids) plus a full [`SelectionEngine`] over their projection onto one
 //! frozen statistics provider, so every per-candidate score is bit-identical
 //! to the monolithic engine over the same statistics. A [`PartSet`] adds the
 //! per-part count of tombstoned records and the tombstone set itself (both
-//! empty for shards) and executes a request over every part. The request's
+//! empty until a delete) and executes a request over every part. The request's
 //! [`Query`] is prepared once, against the frozen statistics provider, and
 //! every part runs it as is: token ids and weights agree across parts
 //! because every part shares the provider's dictionaries and statistics.

@@ -1,9 +1,9 @@
 //! Concurrent batch serving: a fixed pool of worker threads fanning a
 //! request stream over one shared backend — a static [`SelectionEngine`],
-//! a [`LiveEngine`] (via [`ServingEngine::new_live`]) whose epoch snapshots
-//! let the pool race a concurrent writer without locks, or a
-//! [`ShardedEngine`] (via [`ServingEngine::new_sharded`]) whose tid-range
-//! shards fan each request across their own worker pool.
+//! or a [`LiveEngine`] (via [`ServingEngine::new_live`]) whose epoch
+//! snapshots let the pool race a concurrent writer without locks and whose
+//! segments (tid-range shards included) fan each request across their own
+//! worker pool.
 //!
 //! The engine has been built for this since PR 2: it is `Send + Sync`,
 //! cloning it is a cheap `Arc` handle, every shared artifact is a
@@ -20,9 +20,10 @@
 //! pool spawns that many scoped `std::thread` workers per call (no
 //! external runtime — the workspace builds offline). Workers claim requests
 //! one at a time, so load balances even when per-request cost varies by
-//! orders of magnitude across predicates; each worker tokenizes the query
-//! string, resolves the predicate handle and executes through the backend's
-//! one cached, budgeted request path. Results return **in submission
+//! orders of magnitude across predicates; each worker resolves the predicate
+//! handle and executes through the backend's one cached, budgeted request
+//! path, which probes the result cache before it tokenizes the query
+//! string. Results return **in submission
 //! order**, each with a [`ServeStats`] record (queue wait, execution time,
 //! cache hit, worker id).
 //!
@@ -48,7 +49,6 @@ use crate::params::ExecBudget;
 use crate::parts::panic_message;
 use crate::predicate::PredicateKind;
 use crate::record::ScoredTid;
-use crate::shard::ShardedEngine;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -242,13 +242,12 @@ pub struct ServingEngine {
 }
 
 /// What a [`ServingEngine`] executes requests against: a static
-/// [`SelectionEngine`] (immutable corpus), a [`LiveEngine`] (each request
-/// pins the live engine's current epoch snapshot), or a [`ShardedEngine`]
-/// (each request fans across the tid-range shards).
+/// [`SelectionEngine`] (immutable corpus), or a [`LiveEngine`] (each request
+/// pins the live engine's current epoch snapshot and fans across its
+/// segments).
 enum Backend {
     Static(SelectionEngine),
     Live(Arc<LiveEngine>),
-    Sharded(Arc<ShardedEngine>),
 }
 
 impl ServingEngine {
@@ -267,14 +266,6 @@ impl ServingEngine {
         Self::with_backend(Backend::Live(live), workers)
     }
 
-    /// Serve a [`ShardedEngine`]: each request fans across the backend's
-    /// tid-range shards. Every mode returns the monolith's bytes, bounded
-    /// top-k included, byte-identical across repeats, cold or cached. The handle is shared, so other
-    /// consumers keep querying through their own clone.
-    pub fn new_sharded(sharded: Arc<ShardedEngine>, workers: usize) -> Self {
-        Self::with_backend(Backend::Sharded(sharded), workers)
-    }
-
     fn with_backend(backend: Backend, workers: usize) -> Self {
         ServingEngine {
             backend,
@@ -289,25 +280,16 @@ impl ServingEngine {
     pub fn engine(&self) -> Option<&SelectionEngine> {
         match &self.backend {
             Backend::Static(engine) => Some(engine),
-            Backend::Live(_) | Backend::Sharded(_) => None,
+            Backend::Live(_) => None,
         }
     }
 
-    /// The live engine requests execute against (`None` for the other
-    /// backends).
+    /// The live engine requests execute against (`None` for a static
+    /// backend).
     pub fn live(&self) -> Option<&Arc<LiveEngine>> {
         match &self.backend {
-            Backend::Static(_) | Backend::Sharded(_) => None,
+            Backend::Static(_) => None,
             Backend::Live(live) => Some(live),
-        }
-    }
-
-    /// The sharded engine requests execute against (`None` for the other
-    /// backends).
-    pub fn sharded(&self) -> Option<&Arc<ShardedEngine>> {
-        match &self.backend {
-            Backend::Static(_) | Backend::Live(_) => None,
-            Backend::Sharded(sharded) => Some(sharded),
         }
     }
 
@@ -329,7 +311,6 @@ impl ServingEngine {
         match &self.backend {
             Backend::Static(engine) => engine.params().budget,
             Backend::Live(live) => live.params().budget,
-            Backend::Sharded(sharded) => sharded.params().budget,
         }
     }
 
@@ -453,16 +434,12 @@ impl ServingEngine {
         let started = Instant::now();
         let (kind, text, exec) = (request.kind, request.text.as_str(), request.exec);
         let outcome = match &self.backend {
-            Backend::Static(engine) => engine
-                .predicate(kind)
-                .execute_budgeted(&engine.query(text), exec, budget)
-                .map(|run| (run, None)),
+            Backend::Static(engine) => {
+                engine.predicate(kind).execute_text(text, exec, budget).map(|run| (run, None))
+            }
             Backend::Live(live) => live
                 .execute_budgeted(kind, text, exec, budget)
                 .map(|(run, stats)| (run, Some(stats))),
-            Backend::Sharded(sharded) => {
-                sharded.execute_budgeted(kind, text, exec, budget).map(|run| (run, None))
-            }
         };
         respond(outcome, queue_wait, started.elapsed(), worker)
     }
@@ -533,6 +510,7 @@ mod tests {
             Corpus::from_strings(vec!["Morgan Stanley Group Inc.", "Beijing Hotel"]),
             &params,
         ));
+        let shards = live.metrics().sealed_segments;
         let added = live.append("Morgan Stanley Dean Witter");
         let serving = ServingEngine::new_live(live.clone(), 2);
         assert!(serving.live().is_some());
@@ -541,8 +519,8 @@ mod tests {
         for response in &responses {
             let stats = response.stats.live.expect("live backend attaches segment stats");
             assert_eq!(stats.epoch, live.epoch());
-            // Sealed seed segment + one-record tail.
-            assert!(stats.cache_hit || stats.segments_probed == 2);
+            // Sealed seed shards + one-record tail.
+            assert!(stats.cache_hit || stats.segments_probed == shards + 1);
             assert!(stats.tail_hits >= 1, "the appended record is a top-2 hit");
             assert!(
                 response.results.as_ref().unwrap().iter().any(|s| s.tid == added),
@@ -550,14 +528,14 @@ mod tests {
             );
         }
         let metrics = serving.live_metrics().expect("live backend exposes segment metrics");
-        assert_eq!((metrics.sealed_segments, metrics.tail_len), (1, 1));
+        assert_eq!((metrics.sealed_segments, metrics.tail_len), (shards, 1));
         assert_eq!(metrics.live_records, 3);
     }
 
     #[test]
     fn sharded_backend_serves_monolith_bytes_for_exact_modes() {
         let params = Params { shards: 3, ..Params::default() };
-        let sharded = Arc::new(crate::shard::ShardedEngine::from_corpus(
+        let sharded = Arc::new(crate::live::LiveEngine::from_corpus(
             Corpus::from_strings(vec![
                 "Morgan Stanley Group Inc.",
                 "Morgan Stanle Grop Inc.",
@@ -568,21 +546,19 @@ mod tests {
             ]),
             &params,
         ));
-        let serving = ServingEngine::new_sharded(sharded.clone(), 2);
-        assert!(serving.sharded().is_some());
-        assert!(serving.engine().is_none() && serving.live().is_none());
-        let monolith = sharded.rebuild_monolith();
+        let serving = ServingEngine::new_live(sharded.clone(), 2);
+        assert!(serving.engine().is_none());
+        let (monolith, _) = sharded.rebuild_monolith();
         let requests = [
             ServeRequest::new(PredicateKind::Bm25, "Morgan Stanley", Exec::Rank),
             ServeRequest::new(PredicateKind::Jaccard, "Beijing Hotel", Exec::Threshold(0.2)),
         ];
-        for response in serving.serve(&requests).iter().zip(&requests).map(|(r, q)| {
+        for (response, q) in serving.serve(&requests).iter().zip(&requests) {
             let expected =
                 monolith.predicate(q.kind).execute(&monolith.query(&q.text), q.exec).unwrap();
-            assert_eq!(r.results.as_ref().unwrap(), &expected, "{:?}", q.kind);
-            r
-        }) {
-            assert!(response.stats.live.is_none(), "sharded backend attaches no live stats");
+            assert_eq!(response.results.as_ref().unwrap(), &expected, "{:?}", q.kind);
+            let stats = response.stats.live.expect("a sharded backend is a live backend");
+            assert_eq!(stats.segments_probed, 3, "every shard ran");
         }
     }
 

@@ -29,7 +29,7 @@ use dasp_core::fault::{self, FaultPlan};
 use dasp_core::serve::{ServeRequest, ServingEngine};
 use dasp_core::{
     BudgetedRun, Corpus, DaspError, Exec, ExecBudget, LiveEngine, Params, PredicateKind, ScoredTid,
-    ShardedEngine, Tid,
+    Tid,
 };
 use dasp_datagen::presets::{cu_dataset_sized, cu_spec, dblp_dataset};
 use dasp_datagen::Dataset;
@@ -216,17 +216,17 @@ fn degraded_results_are_deterministic_anytime_answers() {
     }
 }
 
-/// The same contract through a [`ShardedEngine`]: a capped run shares one
-/// budget across the shards and runs them in order, so its cut is
-/// byte-reproducible too. Two shards by default; CI's `DASP_SHARDS=3` leg
-/// fans three ways.
+/// The same contract through a [`LiveEngine`] split into tid-range shards: a
+/// capped run shares one budget across the shards and runs them in order,
+/// so its cut is byte-reproducible too. Two shards by default; CI's
+/// `DASP_SHARDS=3` leg fans three ways.
 #[test]
 fn degraded_sharded_results_are_deterministic_anytime_answers() {
     let _guard = serialize();
     let dataset = dataset();
     let params = Params { shards: 2, ..Params::default() };
-    let sharded = ShardedEngine::from_corpus(seed_corpus(&dataset, dataset.records.len()), &params);
-    assert!(sharded.shards() >= 2, "the case must fan");
+    let sharded = LiveEngine::from_corpus(seed_corpus(&dataset, dataset.records.len()), &params);
+    assert!(sharded.metrics().sealed_segments >= 2, "the case must fan");
     let texts = query_texts(&dataset, 2, 0xD15C);
     for &kind in PredicateKind::all() {
         for text in &texts {
@@ -237,7 +237,7 @@ fn degraded_sharded_results_are_deterministic_anytime_answers() {
                     &format!("sharded {kind}/{exec:?}"),
                     &exact_rank,
                     &exact,
-                    |budget| sharded.execute_budgeted(kind, text, exec, budget).unwrap(),
+                    |budget| sharded.execute_budgeted(kind, text, exec, budget).unwrap().0,
                 );
             }
         }

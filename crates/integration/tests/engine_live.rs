@@ -13,13 +13,14 @@
 //! `ServeStats::live`) selects the rebuilt reference it must match.
 //!
 //! CI runs this tier in debug and release with `DASP_SEGMENT_SEAL=7`,
-//! forcing many tiny segments; the assertions hold at every seal threshold
-//! because segmentation is invisible to the contract.
+//! forcing many tiny segments, with `DASP_SHARDS=3`, which splits every
+//! seed corpus and every compaction into three tid-range shards, and with
+//! both at once, so tails seal over a sharded base; the assertions hold at
+//! every seal threshold and shard count because segmentation is invisible
+//! to the contract.
 
 use dasp_core::serve::{ServeRequest, ServingEngine};
-use dasp_core::{
-    Corpus, Exec, LiveEngine, Params, PredicateKind, ScoredTid, SelectionEngine, ShardedEngine, Tid,
-};
+use dasp_core::{Corpus, Exec, LiveEngine, Params, PredicateKind, ScoredTid, SelectionEngine, Tid};
 use dasp_datagen::presets::{cu_dataset_sized, cu_spec, f_dataset_sized, f_spec};
 use dasp_datagen::Dataset;
 use dasp_eval::sample_query_indices;
@@ -83,25 +84,13 @@ fn as_bits(results: &[ScoredTid]) -> Vec<(Tid, u64)> {
 }
 
 /// The full 13-predicate × 5-mode differential at the live engine's current
-/// epoch, against a monolith rebuilt right here — and against a sharded
-/// session over the same snapshot (the rebuilt monolith's frozen stats Arc,
-/// so scores are bit-compatible by construction). The shard count resolves
-/// from `Params::shards` (default 1, the inline path) or the `DASP_SHARDS`
-/// override; CI re-runs this tier under `DASP_SHARDS=3`, so the shard merge
-/// rides every interleaving the live schedules produce.
+/// epoch, against a monolith rebuilt right here. The live engine's seed and
+/// compacted records sit in `Params::shards` tid-range shards (default 1)
+/// or as many as the `DASP_SHARDS` override asks for; CI re-runs this tier
+/// under `DASP_SHARDS=3`, so the shard merge rides every interleaving the
+/// live schedules produce.
 fn assert_live_matches_monolith(live: &LiveEngine, texts: &[String], label: &str) {
     let reference = Reference::of(live);
-    let sharded = ShardedEngine::build(reference.engine.corpus().clone(), &live_params());
-    // Sharded results come back in the monolith's dense local tids and map
-    // through the same tid map as the reference.
-    let sharded_run = |kind: PredicateKind, text: &str, exec: Exec| -> Vec<ScoredTid> {
-        sharded
-            .execute(kind, text, exec)
-            .unwrap()
-            .into_iter()
-            .map(|s| ScoredTid::new(reference.map[s.tid as usize], s.score))
-            .collect()
-    };
     for &kind in PredicateKind::all() {
         for text in texts {
             let truth = reference.run(kind, text, Exec::Rank);
@@ -122,12 +111,6 @@ fn assert_live_matches_monolith(live: &LiveEngine, texts: &[String], label: &str
                     as_bits(&expected),
                     "{label}/{kind}/{exec:?} on {text:?} diverged from the rebuilt monolith"
                 );
-                assert_eq!(
-                    as_bits(&sharded_run(kind, text, exec)),
-                    as_bits(&expected),
-                    "{label}/{kind}/{exec:?} on {text:?} sharded x{} diverged from the monolith",
-                    sharded.shards()
-                );
             }
         }
     }
@@ -138,6 +121,7 @@ fn interleaved_appends_deletes_seals_match_rebuilt_monolith() {
     let dataset = cu_dataset_sized(cu_spec("CU2").unwrap(), 130, 13);
     let seed_n = 110;
     let live = LiveEngine::from_corpus(seed_corpus(&dataset, seed_n), &live_params());
+    let shards = live.metrics().sealed_segments;
     let texts = query_texts(&dataset, 2, 0x11FE);
     // Phase 1: appends crossing the seal threshold (and the env override's,
     // when CI sets one).
@@ -153,12 +137,12 @@ fn interleaved_appends_deletes_seals_match_rebuilt_monolith() {
     let in_tail = live.append(dataset.records[seed_n + 12].text.clone());
     assert!(live.delete(in_tail));
     assert_live_matches_monolith(&live, &texts, "CU2/deleted");
-    // Phase 3: compaction folds every segment and drops the tombstones; the
-    // differential keeps holding (and the frozen stats now ARE the live
-    // corpus).
+    // Phase 3: compaction folds every segment into as many tid-range shards
+    // as the seed corpus had and drops the tombstones; the differential
+    // keeps holding (and the frozen stats now ARE the live corpus).
     live.compact();
     let metrics = live.metrics();
-    assert_eq!((metrics.sealed_segments, metrics.tombstones, metrics.tail_len), (1, 0, 0));
+    assert_eq!((metrics.sealed_segments, metrics.tombstones, metrics.tail_len), (shards, 0, 0));
     assert_live_matches_monolith(&live, &texts, "CU2/compacted");
     // Deleted tids never come back.
     for text in &texts {

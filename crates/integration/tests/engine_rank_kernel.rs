@@ -11,11 +11,11 @@
 //! Edge cases: a query token repeated (HMM counts each occurrence), a query
 //! of unknown tokens only, a one-record corpus, and a sealed segment whose
 //! every record is a tombstone. The `DASP_SEGMENT_SEAL` and `DASP_SHARDS`
-//! overrides reshape the live and sharded engines the tier builds.
+//! overrides reshape the live engines the tier builds.
 
 use dasp_core::{
-    Corpus, Exec, LiveEngine, Params, PredicateKind, ScoredTid, SelectionEngine, ShardedEngine,
-    Tid, TokenizedCorpus,
+    Corpus, Exec, LiveEngine, Params, PredicateKind, ScoredTid, SelectionEngine, Tid,
+    TokenizedCorpus,
 };
 use dasp_datagen::presets::{cu_dataset_sized, cu_spec};
 use std::sync::Arc;
@@ -94,14 +94,11 @@ fn assert_live(live: &LiveEngine, kind: PredicateKind, text: &str) {
     }
 }
 
-/// A sharded engine's `Rank` and `TopKHeap(usize::MAX)` equal the
-/// monolith's naive `Rank` (both number records by corpus position).
-fn assert_sharded(
-    sharded: &ShardedEngine,
-    engine: &SelectionEngine,
-    kind: PredicateKind,
-    text: &str,
-) {
+/// The `Rank` and `TopKHeap(usize::MAX)` of a live engine built over the
+/// whole corpus (as many tid-range shards as `DASP_SHARDS` asks for) equal
+/// the independently built monolith's naive `Rank` (both number records by
+/// corpus position).
+fn assert_sharded(sharded: &LiveEngine, engine: &SelectionEngine, kind: PredicateKind, text: &str) {
     let naive = engine.predicate(kind).execute_naive(&engine.query(text), Exec::Rank).unwrap();
     for exec in [Exec::Rank, Exec::TopKHeap(usize::MAX)] {
         let got = sharded.execute(kind, text, exec).unwrap();
@@ -109,7 +106,7 @@ fn assert_sharded(
             as_bits(&got),
             as_bits(&naive),
             "sharded x{} {kind} {exec:?} on {text:?}",
-            sharded.shards()
+            sharded.metrics().sealed_segments
         );
     }
 }
@@ -119,7 +116,7 @@ fn assert_sharded(
 /// predicate and query text.
 fn assert_backends(strings: &[String], appended: usize, deleted: &[Tid], texts: &[String]) {
     let engine = monolith(strings);
-    let sharded = ShardedEngine::from_corpus(Corpus::from_strings(strings.to_vec()), &params());
+    let sharded = LiveEngine::from_corpus(Corpus::from_strings(strings.to_vec()), &params());
     let (seed, tail) = strings.split_at(strings.len() - appended);
     let live = LiveEngine::from_corpus(Corpus::from_strings(seed.to_vec()), &params());
     for text in tail {

@@ -1,6 +1,7 @@
-//! Sharded-execution tier: a [`ShardedEngine`] at every interesting shard
-//! count must be indistinguishable from the monolithic engine over the same
-//! frozen corpus statistics.
+//! Sharded-execution tier: a [`LiveEngine`] split into tid-range shards
+//! ([`Params::shards`]) at every interesting shard count must be
+//! indistinguishable from the monolithic engine over the same frozen corpus
+//! statistics ([`LiveEngine::rebuild_monolith`]).
 //!
 //! Three contracts are enforced differentially, for **all 13 predicates**:
 //!
@@ -12,12 +13,15 @@
 //!    (one independent bounded run per shard, re-ranked) returns exactly
 //!    the bytes of the monolith's exhaustive heap `TopKHeap(k)`, both for
 //!    direct serial calls and through an 8-thread
-//!    [`ServingEngine::new_sharded`] pool, and a cold answer repeats byte
+//!    [`ServingEngine::new_live`] pool, and a cold answer repeats byte
 //!    for byte under any thread schedule.
 //! 3. **Panic isolation.** A fault plan that panics a shard worker surfaces
 //!    as one clean typed [`DaspError::Panicked`] per request — no poisoned
 //!    process, no lost slot — and after the plan clears, the same engine
 //!    serves exact answers again.
+//! 4. **Writes over shards.** Appends, deletes, a seal and a compaction over
+//!    a sharded base keep every mode bit-identical to the monolith rebuilt
+//!    over the live records, and compaction re-splits into the same count.
 //!
 //! Fault plans are process-global state, so every test in this binary
 //! serializes on one lock (the `DASP_SHARDS` override test also mutates the
@@ -26,7 +30,7 @@
 use dasp_core::fault::{self, FaultPlan};
 use dasp_core::serve::{ServeRequest, ServingEngine};
 use dasp_core::{
-    Corpus, DaspError, Exec, Params, PredicateKind, ScoredTid, SelectionEngine, ShardedEngine, Tid,
+    Corpus, DaspError, Exec, LiveEngine, Params, PredicateKind, ScoredTid, SelectionEngine, Tid,
 };
 use dasp_datagen::presets::{cu_dataset_sized, cu_spec};
 use dasp_datagen::Dataset;
@@ -93,6 +97,20 @@ fn shard_counts(num_records: usize) -> Vec<usize> {
     counts
 }
 
+/// A sharded engine over the dataset's records.
+fn sharded(dataset: &Dataset, shards: usize) -> LiveEngine {
+    LiveEngine::from_corpus(corpus(dataset), &Params { shards, ..Params::default() })
+}
+
+/// The monolith over the same frozen statistics. Before any write the
+/// live records are the corpus itself, so its local tids are the global
+/// ones.
+fn monolith_of(live: &LiveEngine) -> SelectionEngine {
+    let (monolith, tids) = live.rebuild_monolith();
+    assert!(tids.iter().enumerate().all(|(i, &tid)| tid == i as Tid));
+    monolith
+}
+
 fn run_monolith(
     monolith: &SelectionEngine,
     kind: PredicateKind,
@@ -112,13 +130,13 @@ fn shard_sweep_matches_monolith_for_all_predicates() {
     let dataset = dataset();
     let texts = query_texts(&dataset, 2, 0x5A4D);
     for shards in shard_counts(dataset.records.len()) {
-        let params = Params { shards, ..Params::default() };
-        let sharded = ShardedEngine::from_corpus(corpus(&dataset), &params);
-        let monolith = sharded.rebuild_monolith();
+        let sharded = sharded(&dataset, shards);
+        let monolith = monolith_of(&sharded);
+        let resolved = sharded.metrics().sealed_segments;
         if shards <= dataset.records.len() {
-            assert_eq!(sharded.shards(), shards, "requested shard count must resolve");
+            assert_eq!(resolved, shards, "requested shard count must resolve");
         } else {
-            assert_eq!(sharded.shards(), dataset.records.len(), "clamped to one record/shard");
+            assert_eq!(resolved, dataset.records.len(), "clamped to one record/shard");
         }
         for &kind in PredicateKind::all() {
             for text in &texts {
@@ -146,10 +164,9 @@ fn cold_bounded_topk_is_byte_deterministic() {
     let _guard = serialize();
     let dataset = dataset();
     let texts = query_texts(&dataset, 2, 0xC01D);
-    let sharded =
-        ShardedEngine::from_corpus(corpus(&dataset), &Params { shards: 3, ..Params::default() });
+    let sharded = sharded(&dataset, 3);
     sharded.set_result_cache_capacity(0); // every run is cold
-    let monolith = sharded.rebuild_monolith();
+    let monolith = monolith_of(&sharded);
     for &kind in PredicateKind::all() {
         for text in &texts {
             let label = format!("{kind}/TopK({K}) on {text:?}");
@@ -170,12 +187,11 @@ fn dasp_shards_env_overrides_params() {
     let _guard = serialize();
     let dataset = dataset();
     std::env::set_var("DASP_SHARDS", "2");
-    let built =
-        ShardedEngine::from_corpus(corpus(&dataset), &Params { shards: 5, ..Params::default() });
+    let built = sharded(&dataset, 5);
     std::env::remove_var("DASP_SHARDS");
-    assert_eq!(built.shards(), 2, "the env override beats Params::shards");
+    assert_eq!(built.metrics().sealed_segments, 2, "the env override beats Params::shards");
     // And the override still answers bit-identically to the monolith.
-    let monolith = built.rebuild_monolith();
+    let monolith = monolith_of(&built);
     let text = &query_texts(&dataset, 1, 0xE0B)[0];
     let got = built.execute(PredicateKind::Cosine, text, Exec::Rank).unwrap();
     assert_eq!(
@@ -193,14 +209,10 @@ fn sharded_serving_pool_matches_monolith() {
     let _guard = serialize();
     let dataset = dataset();
     let texts = query_texts(&dataset, 2, 0x5E47);
-    let sharded = Arc::new(ShardedEngine::from_corpus(
-        corpus(&dataset),
-        &Params { shards: 3, ..Params::default() },
-    ));
-    let monolith = sharded.rebuild_monolith();
-    let serving = ServingEngine::new_sharded(sharded.clone(), THREADS);
-    assert!(serving.sharded().is_some(), "sharded backend exposes its engine");
-    assert!(serving.engine().is_none() && serving.live().is_none());
+    let sharded = Arc::new(sharded(&dataset, 3));
+    let monolith = monolith_of(&sharded);
+    let serving = ServingEngine::new_live(sharded.clone(), THREADS);
+    assert!(serving.live().is_some(), "a sharded engine is served as a live backend");
     // All 13 predicates × texts × all five modes, each twice (repeats land
     // on the merged-result cache under concurrency too), shuffled.
     let mut requests = Vec::new();
@@ -229,7 +241,8 @@ fn sharded_serving_pool_matches_monolith() {
             .as_ref()
             .unwrap_or_else(|e| panic!("request {i} ({request:?}) failed: {e:?}"));
         assert!(!response.stats.degraded, "unbudgeted requests never degrade");
-        assert!(response.stats.live.is_none(), "sharded backend carries no live stats");
+        let stats = response.stats.live.expect("a live backend attaches segment stats");
+        assert!(stats.cache_hit || stats.segments_probed == 3, "every shard ran: {stats:?}");
         let label = format!("request {i} ({}/{:?})", request.kind, request.exec);
         let expected = run_monolith(&monolith, request.kind, &request.text, request.exec);
         assert_eq!(as_bits(results), as_bits(&expected), "{label}: diverged from the monolith");
@@ -246,12 +259,9 @@ fn sharded_serving_pool_matches_monolith() {
 fn shard_worker_panic_is_one_typed_error_then_full_recovery() {
     let _guard = serialize();
     let dataset = dataset();
-    let sharded = Arc::new(ShardedEngine::from_corpus(
-        corpus(&dataset),
-        &Params { shards: 3, ..Params::default() },
-    ));
+    let sharded = Arc::new(sharded(&dataset, 3));
     sharded.set_result_cache_capacity(0); // faulted runs must re-execute, not replay
-    let monolith = sharded.rebuild_monolith();
+    let monolith = monolith_of(&sharded);
     let text = &query_texts(&dataset, 1, 0xFA7A)[0];
     let seed = fault::seed_from_env_or(0x5AAD);
     // Rate 1.0: the first relq fault site a shard worker reaches panics.
@@ -276,7 +286,7 @@ fn shard_worker_panic_is_one_typed_error_then_full_recovery() {
     );
     // Through the serving pool: every faulted slot is a clean typed error,
     // no slot is lost, and the pool serves exact answers afterwards.
-    let serving = ServingEngine::new_sharded(sharded.clone(), THREADS);
+    let serving = ServingEngine::new_live(sharded.clone(), THREADS);
     let requests: Vec<ServeRequest> = PredicateKind::all()
         .iter()
         .map(|&kind| ServeRequest::new(kind, text.clone(), Exec::Rank))
@@ -302,4 +312,68 @@ fn shard_worker_panic_is_one_typed_error_then_full_recovery() {
             request.kind
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Appends, deletes, seal and compaction over a sharded base
+// ---------------------------------------------------------------------------
+
+/// Every mode of every predicate on `live` equals the monolith rebuilt over
+/// its live records, mapped to global tids, byte for byte.
+fn assert_all_modes_match_rebuild(live: &LiveEngine, texts: &[String], stage: &str) {
+    let (monolith, tids) = live.rebuild_monolith();
+    let globalize = |rows: Vec<ScoredTid>| -> Vec<(Tid, u64)> {
+        rows.iter().map(|s| (tids[s.tid as usize], s.score.to_bits())).collect()
+    };
+    for &kind in PredicateKind::all() {
+        for text in texts {
+            let truth = run_monolith(&monolith, kind, text, Exec::Rank);
+            let tau = truth.get(truth.len() / 2).map(|s| s.score).unwrap_or(0.0);
+            for exec in [
+                Exec::Rank,
+                Exec::TopK(K),
+                Exec::TopKHeap(K),
+                Exec::Threshold(tau),
+                Exec::ThresholdScan(tau),
+            ] {
+                let got = live.execute(kind, text, exec).unwrap();
+                let expected = globalize(run_monolith(&monolith, kind, text, exec));
+                assert_eq!(as_bits(&got), expected, "{stage}: {kind}/{exec:?} on {text:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn writes_over_a_sharded_base_match_the_rebuilt_monolith() {
+    let _guard = serialize();
+    let dataset = dataset();
+    let texts = query_texts(&dataset, 2, 0x3A4D);
+    let live = LiveEngine::from_corpus(
+        corpus(&dataset),
+        &Params { shards: 3, segment_seal: 4, ..Params::default() },
+    );
+    let shards = live.metrics().sealed_segments;
+    assert_eq!(shards, 3);
+    // Appends that seal one tail and leave another open, deletes in the
+    // first and last shard and in the sealed tail.
+    let appended: Vec<Tid> = (0..6).map(|i| live.append(texts[i % texts.len()].clone())).collect();
+    let last_base = dataset.records.len() as Tid - 1;
+    for tid in [0, last_base, appended[1]] {
+        assert!(live.delete(tid));
+    }
+    let m = live.metrics();
+    assert_eq!((m.sealed_segments, m.tail_len, m.tombstones), (shards + 1, 2, 3));
+    assert_all_modes_match_rebuild(&live, &texts, "appends and deletes");
+    assert!(live.seal());
+    assert_eq!(live.metrics().sealed_segments, shards + 2);
+    assert_all_modes_match_rebuild(&live, &texts, "after the seal");
+    live.compact();
+    let m = live.metrics();
+    assert_eq!((m.sealed_segments, m.tail_len, m.tombstones), (shards, 0, 0), "re-split");
+    assert_eq!(m.live_records, dataset.records.len() + appended.len() - 3);
+    assert_all_modes_match_rebuild(&live, &texts, "after the compaction");
+    // A request not yet cached fans across the compacted shards.
+    let (_, stats) = live.execute_tracked(PredicateKind::Bm25, &texts[0], Exec::TopK(1)).unwrap();
+    assert_eq!((stats.cache_hit, stats.segments_probed), (false, shards));
 }

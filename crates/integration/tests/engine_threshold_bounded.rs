@@ -11,7 +11,7 @@
 
 use dasp_core::{
     Corpus, Exec, LiveEngine, Params, PredicateKind, ScoredTid, SelectionEngine, ServeRequest,
-    ServingEngine, ShardedEngine, TokenizedCorpus,
+    ServingEngine, TokenizedCorpus,
 };
 use dasp_datagen::presets::{cu_dataset_sized, cu_spec, dblp_dataset, f_dataset_sized, f_spec};
 use dasp_eval::{build_engine, sample_query_indices};
@@ -66,14 +66,14 @@ fn tau_sweep(ranked: &[ScoredTid]) -> Vec<f64> {
 
 fn assert_threshold_equivalent(dataset: &dasp_datagen::Dataset, label: &str) {
     let engine = build_engine(dataset, &Params::default());
-    // A sharded session over the same corpus (bit-compatible stats — the
-    // build is deterministic). The shard count resolves from
-    // `Params::shards` (default 1, the inline path) or the `DASP_SHARDS`
+    // A live engine over the same corpus (bit-compatible stats — the build
+    // is deterministic). Its tid-range shard count resolves from
+    // `Params::shards` (default 1, one sealed segment) or the `DASP_SHARDS`
     // override; CI re-runs this tier under `DASP_SHARDS=3`, so the
     // concat-and-resort threshold merge gets differential coverage at a
     // real fan-out.
     let sharded =
-        ShardedEngine::from_corpus(Corpus::from_strings(dataset.strings()), &Params::default());
+        LiveEngine::from_corpus(Corpus::from_strings(dataset.strings()), &Params::default());
     let indices = sample_query_indices(dataset, 4, 0x7B_22);
     for kind in BOUNDED_KINDS {
         let handle = engine.predicate(kind);
@@ -102,7 +102,7 @@ fn assert_threshold_equivalent(dataset: &dasp_datagen::Dataset, label: &str) {
                 assert_bit_identical(
                     &sharded_res,
                     &expected,
-                    &format!("{context} (sharded x{})", sharded.shards()),
+                    &format!("{context} (sharded x{})", sharded.metrics().sealed_segments),
                 );
             }
         }
@@ -167,7 +167,7 @@ fn unreachable_bars_and_token_free_queries_select_nothing_on_every_backend() {
     let strings = dataset.strings();
     let engine = build_engine(&dataset, &Params::default());
     let sharded =
-        ShardedEngine::from_corpus(Corpus::from_strings(strings.clone()), &Params::default());
+        LiveEngine::from_corpus(Corpus::from_strings(strings.clone()), &Params::default());
     let (seed, appended) = strings.split_at(strings.len() - 2);
     let live = LiveEngine::from_corpus(Corpus::from_strings(seed.to_vec()), &Params::default());
     for text in appended {

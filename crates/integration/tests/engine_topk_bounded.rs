@@ -6,7 +6,7 @@
 //! exact score ties at the k boundary included. A property test
 //! additionally drives random corpora through the operator.
 
-use dasp_core::{Corpus, Exec, LiveEngine, Params, PredicateKind, SelectionEngine, ShardedEngine};
+use dasp_core::{Corpus, Exec, LiveEngine, Params, PredicateKind, SelectionEngine};
 use dasp_datagen::presets::{cu_dataset_sized, cu_spec, dblp_dataset, f_dataset_sized, f_spec};
 use dasp_eval::{build_engine, sample_query_indices};
 
@@ -22,14 +22,14 @@ const BOUNDED_KINDS: [PredicateKind; 5] = [
 
 fn assert_bounded_equivalent(dataset: &dasp_datagen::Dataset, label: &str) {
     let engine = build_engine(dataset, &Params::default());
-    // A sharded session over the same corpus: tokenization and stats are
+    // A live engine over the same corpus: tokenization and stats are
     // deterministic, so its scores are bit-compatible with the monolith's.
-    // The shard count comes from `Params::shards` (default 1 — the inline
-    // path) or the `DASP_SHARDS` override; CI re-runs this tier under
-    // `DASP_SHARDS=3`, which fans every execution below across three
-    // tid-range shards.
+    // Its tid-range shard count comes from `Params::shards` (default 1 —
+    // one sealed segment) or the `DASP_SHARDS` override; CI re-runs this
+    // tier under `DASP_SHARDS=3`, which fans every execution below across
+    // three tid-range shards.
     let sharded =
-        ShardedEngine::from_corpus(Corpus::from_strings(dataset.strings()), &Params::default());
+        LiveEngine::from_corpus(Corpus::from_strings(dataset.strings()), &Params::default());
     let indices = sample_query_indices(dataset, 5, 0x7A_11);
     for kind in BOUNDED_KINDS {
         let handle = engine.predicate(kind);
@@ -53,7 +53,12 @@ fn assert_bounded_equivalent(dataset: &dasp_datagen::Dataset, label: &str) {
                 // The sharded merge at whatever shard count resolved.
                 let bounded_sharded =
                     sharded.execute(kind, &dataset.records[idx].text, Exec::TopK(k)).unwrap();
-                assert_eq!(bounded_sharded, heap, "{context} (sharded x{})", sharded.shards());
+                assert_eq!(
+                    bounded_sharded,
+                    heap,
+                    "{context} (sharded x{})",
+                    sharded.metrics().sealed_segments
+                );
             }
         }
     }
@@ -109,7 +114,7 @@ fn k_beyond_i64_saturates_to_the_full_ranking_on_every_backend() {
     let strings = dataset.strings();
     let engine = build_engine(&dataset, &Params::default());
     let sharded =
-        ShardedEngine::from_corpus(Corpus::from_strings(strings.clone()), &Params::default());
+        LiveEngine::from_corpus(Corpus::from_strings(strings.clone()), &Params::default());
     let (seed, appended) = strings.split_at(strings.len() - 2);
     let live = LiveEngine::from_corpus(Corpus::from_strings(seed.to_vec()), &Params::default());
     for text in appended {

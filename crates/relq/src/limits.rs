@@ -5,8 +5,9 @@
 //! [`unlimited`](ExecLimits::unlimited) one only counts — and carried by
 //! reference through the execution context. The counters are relaxed
 //! atomics, so one `ExecLimits` may be shared across threads and operators:
-//! the live and sharded engines thread one through every part of a request,
-//! so the budget bounds the request as a whole, not each part. Operators
+//! the live engine threads one through every segment of a request, its
+//! tid-range shards included, so the budget bounds the request as a whole,
+//! not each segment. Operators
 //! that score candidates call
 //! [`charge_candidates`](ExecLimits::charge_candidates) *before* evaluating
 //! a batch (a cheap window or aggregation at once, an expensive
