@@ -47,8 +47,8 @@
 //! it is excluded from the engine-speedup summary (its top-k pushdown, a
 //! bounded heap over the scored tuples, is still measured).
 //!
-//! Smoke mode doubles as the CI regression guard: for the seven kernel
-//! predicates (the five bounded ones plus Jaccard and WJ) it cross-checks
+//! Smoke mode doubles as the CI regression guard: for the eight kernel
+//! predicates (the five bounded ones plus Jaccard, WJ and LM) it cross-checks
 //! the indexed `Rank` against the naive join plan, the kernel top-k against
 //! the heap path and the kernel threshold against the exhaustive scan (all
 //! bit-identical; panics on any divergence), and fails on gross
@@ -103,15 +103,16 @@ const BOUNDED: [PredicateKind; 5] = [
 ];
 
 /// The predicates whose indexed `Rank`, `TopK` and `Threshold` run the
-/// posting kernel: the five bounded ones, plus Jaccard and WJ, which join
-/// their lengths on top of the kernel's intersection sums.
-const KERNEL: [PredicateKind; 7] = [
+/// posting kernel: the five bounded ones, plus Jaccard, WJ and LM, which
+/// join a per-tuple table on top of the kernel's per-tid sums.
+const KERNEL: [PredicateKind; 8] = [
     PredicateKind::IntersectSize,
     PredicateKind::Jaccard,
     PredicateKind::WeightedMatch,
     PredicateKind::WeightedJaccard,
     PredicateKind::Cosine,
     PredicateKind::Bm25,
+    PredicateKind::LanguageModel,
     PredicateKind::Hmm,
 ];
 

@@ -15,6 +15,12 @@ use dasp_text::jaro_winkler;
 use relq::{col, AggFunc, Bindings, Catalog, DataType, Plan, Schema, Table, Value};
 use std::sync::Arc;
 
+/// Jaro-Winkler evaluations between two deadline polls of the `CLOSE`
+/// product: a poll every 64 vocabulary words for a query of up to 16
+/// words, more often for a longer one, so the work a deadline can overrun
+/// by stays bounded however long the query is.
+const DEADLINE_POLL_PAIRS: usize = 1024;
+
 /// SoftTFIDF predicate with Jaro-Winkler word similarity.
 ///
 /// **Shared-artifact contract:** the engine's shared catalog is cloned and
@@ -165,13 +171,20 @@ impl SoftTfIdfPredicate {
 
         // CLOSE_SIM_SCORES(wtoken, qword, sim): Jaro-Winkler similarity of
         // every distinct base word against every query word, thresholded.
-        // This stays a query-time UDF product, exactly as in the paper.
+        // This stays a query-time UDF product, exactly as in the paper. It
+        // charges no candidate, so it polls the deadline itself (see
+        // `DEADLINE_POLL_PAIRS`): an expired deadline ends the request with
+        // the empty anytime answer, flagged degraded.
         let mut close = Table::empty(Schema::from_pairs(&[
             ("wtoken", DataType::Int),
             ("qword", DataType::Int),
             ("sim", DataType::Float),
         ]));
-        for (wid, base_word) in self.shared.corpus().word_dict().iter() {
+        let poll_every = (DEADLINE_POLL_PAIRS / query_weights.len()).clamp(1, 64);
+        for (n, (wid, base_word)) in self.shared.corpus().word_dict().iter().enumerate() {
+            if n % poll_every == 0 && !limits.poll_deadline() {
+                return Ok(Vec::new());
+            }
             for (qidx, qword, _) in &query_weights {
                 let sim = jaro_winkler(base_word, qword);
                 if sim >= self.shared.params().soft_tfidf.theta {

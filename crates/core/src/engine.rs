@@ -21,11 +21,12 @@
 //! ([`relq::Plan::TopKBounded`] and [`relq::Plan::ThresholdBounded`], one
 //! windowed dense accumulator over the query's posting lists) for the
 //! monotone-sum predicates (Xect, WM, Cosine, BM25, HMM), the same kernel
-//! at `k = ∞` under a length join for Jaccard and WJ, the heap pushdown /
-//! plan-level score filter otherwise. For those seven kernel predicates
-//! the indexed `Rank` is `TopK(∞)`. `TopKHeap(k)`, `ThresholdScan(τ)` and
-//! the naive `Rank` force the exhaustive join paths for every predicate
-//! and exist as the differential baselines. Every mode returns the same bytes its
+//! at `k = ∞` under a per-tuple join for Jaccard, WJ and LM (relq's typed
+//! finish), the heap pushdown / plan-level score filter otherwise. For
+//! those eight kernel predicates the indexed `Rank` is `TopK(∞)`.
+//! `TopKHeap(k)`, `ThresholdScan(τ)` and the naive `Rank` force the
+//! exhaustive join paths for every predicate and exist as the differential
+//! baselines. Every mode returns the same bytes its
 //! rank-then-post-process equivalent would: the bounded operators sum each
 //! tuple's contributions in the exhaustive order and break score ties by
 //! ascending tid, exactly like the heap.
@@ -50,7 +51,8 @@
 //! no token table at all. Corpora are
 //! immutable, so the engine also keeps a small invalidation-free LRU of
 //! recent results keyed on `(predicate, query text, exec mode)`; see
-//! [`SelectionEngine::result_cache_stats`].
+//! [`SelectionEngine::result_cache_stats`]. Concurrent misses of one key
+//! execute it once: the later ones wait for the first's rows.
 
 use crate::combination::ges::WeightedWord;
 use crate::combination::ges_filter::{word_records, Csr};
@@ -65,7 +67,7 @@ use dasp_text::normalize;
 use relq::{Catalog, PostingIndex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// How a selection executes: the declarative spec the engine pushes down
 /// into its prepared plans instead of ranking everything and post-processing.
@@ -94,15 +96,15 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Exec {
-    /// The full ranking, best match first. For the seven kernel
-    /// predicates (Xect, Jaccard, WM, WJ, Cosine, BM25, HMM) the indexed
+    /// The full ranking, best match first. For the eight kernel
+    /// predicates (Xect, Jaccard, WM, WJ, Cosine, BM25, LM, HMM) the indexed
     /// `Rank` is [`Exec::TopK`] at `k = ∞` over the posting kernel; the
     /// naive `Rank` is their join-plan reference, byte-identical to it.
     Rank,
     /// The `k` best matches through the fastest eligible operator: the
-    /// posting-driven kernel for the seven kernel predicates (Jaccard and WJ
-    /// join their lengths on top of a `k = ∞` kernel and keep a heap), the
-    /// bounded heap for the rest. Byte-identical to [`Exec::TopKHeap`],
+    /// posting-driven kernel for the eight kernel predicates (Jaccard, WJ
+    /// and LM join a per-tuple table on top of a `k = ∞` kernel and keep
+    /// the `k` best), the bounded heap for the rest. Byte-identical to [`Exec::TopKHeap`],
     /// exact score ties at the k boundary included.
     TopK(usize),
     /// The `k` best matches through the exhaustive heap pushdown —
@@ -112,7 +114,7 @@ pub enum Exec {
     /// eligible operator: the posting-driven bounded operator
     /// ([`relq::Plan::ThresholdBounded`]) for the monotone-sum predicates
     /// (Xect, WM, Cosine, BM25, HMM), a score filter over a `k = ∞` kernel
-    /// for Jaccard and WJ, the plan-level score filter otherwise;
+    /// for Jaccard, WJ and LM, the plan-level score filter otherwise;
     /// the edit predicate additionally tightens its q-gram count filter and
     /// banded verification to τ. **Bit-identical** to [`Exec::ThresholdScan`]
     /// and to `Rank` filtered post-hoc for every predicate and every τ.
@@ -413,6 +415,9 @@ struct CacheState {
     /// Monotone access clock; the entry with the smallest stamp is the LRU.
     tick: u64,
     capacity: usize,
+    /// Keys a request is computing right now: later misses of the same key
+    /// park on its flight instead of computing it again.
+    flights: HashMap<CacheKey, Arc<Flight>>,
 }
 
 impl CacheState {
@@ -429,12 +434,94 @@ impl CacheState {
             self.map.remove(&lru);
         }
     }
+
+    /// Cache `results` under `key` (a no-op while caching is disabled).
+    /// Re-inserting a key the cache already holds replaces that entry and
+    /// evicts nothing else.
+    fn store(&mut self, key: CacheKey, results: Arc<Vec<ScoredTid>>) {
+        if self.capacity == 0 {
+            return;
+        }
+        if !self.map.contains_key(&key) {
+            self.evict_to(self.capacity - 1);
+        }
+        self.tick += 1;
+        self.map.insert(key, (self.tick, results));
+    }
+}
+
+/// How a computation its waiters park on ended.
+#[derive(Debug)]
+enum Landing {
+    Pending,
+    Answered(Arc<Vec<ScoredTid>>),
+    /// The computing request erred or panicked: each waiter runs the
+    /// request again.
+    Failed,
+}
+
+/// One in-flight computation of a cache key.
+#[derive(Debug)]
+struct Flight {
+    landing: Mutex<Landing>,
+    landed: Condvar,
+}
+
+impl Flight {
+    /// Park until the flight lands: its rows, or `None` when it failed.
+    fn wait(&self) -> Option<Arc<Vec<ScoredTid>>> {
+        let mut landing = self.landing.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        loop {
+            match &*landing {
+                Landing::Pending => {}
+                Landing::Answered(rows) => return Some(rows.clone()),
+                Landing::Failed => return None,
+            }
+            landing = self.landed.wait(landing).unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+    }
+
+    fn land(&self, landing: Landing) {
+        *self.landing.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = landing;
+        self.landed.notify_all();
+    }
+}
+
+/// A cache probe's outcome for one key.
+enum Claim {
+    Hit(Arc<Vec<ScoredTid>>),
+    /// Another request is computing the key.
+    Wait(Arc<Flight>),
+    /// This request computes the key; its waiters park on the flight.
+    Lead(Arc<Flight>),
+    /// Caching is disabled.
+    Uncached,
+}
+
+/// The computing request's hold on its flight: [`ResultCache::land`]
+/// answers the waiters, and a leader dropped without landing (an error, a
+/// panic unwinding) fails them, so they run the request themselves.
+struct FlightGuard<'a> {
+    cache: &'a ResultCache,
+    key: CacheKey,
+    flight: Arc<Flight>,
+    landed: bool,
+}
+
+impl Drop for FlightGuard<'_> {
+    fn drop(&mut self) {
+        if !self.landed {
+            self.cache.lock().flights.remove(&self.key);
+            self.flight.land(Landing::Failed);
+        }
+    }
 }
 
 /// Hit/miss counters and occupancy of an engine's result cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Executions answered from the cache.
+    /// Executions answered from the cache, or by waiting on a concurrent
+    /// execution of the same key.
     pub hits: u64,
     /// Executions that ran the engine (including the first of each key).
     pub misses: u64,
@@ -451,6 +538,11 @@ pub struct CacheStats {
 /// handles), and the merged cache of a live engine, whose segment engines
 /// keep none. `execute_naive` stays uncached — it exists to be
 /// measured.
+///
+/// **Single flight:** a miss registers its key as in flight; a concurrent
+/// miss of the same key parks until the first one lands and takes its rows
+/// (a hit), so every distinct key runs once however many workers ask at
+/// the same moment.
 #[derive(Debug)]
 pub(crate) struct ResultCache {
     state: Mutex<CacheState>,
@@ -471,6 +563,50 @@ impl ResultCache {
         CacheKey { epoch, kind, exec: exec.into(), text: text.to_string() }
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, CacheState> {
+        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Probe `key`: a cached entry, a flight to wait on, or the lead of a
+    /// new flight. Counts the hit or the miss.
+    fn claim(&self, key: &CacheKey) -> Claim {
+        let mut state = self.lock();
+        if state.capacity == 0 {
+            return Claim::Uncached;
+        }
+        state.tick += 1;
+        let tick = state.tick;
+        if let Some(entry) = state.map.get_mut(key) {
+            entry.0 = tick;
+            let rows = entry.1.clone();
+            drop(state);
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Claim::Hit(rows);
+        }
+        if let Some(flight) = state.flights.get(key) {
+            return Claim::Wait(flight.clone());
+        }
+        let flight =
+            Arc::new(Flight { landing: Mutex::new(Landing::Pending), landed: Condvar::new() });
+        state.flights.insert(key.clone(), flight.clone());
+        drop(state);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        Claim::Lead(flight)
+    }
+
+    /// The leader's rows: cache them, end the flight and answer its
+    /// waiters.
+    fn land(&self, mut guard: FlightGuard, results: &[ScoredTid]) {
+        let rows = Arc::new(results.to_vec());
+        let mut state = self.lock();
+        state.flights.remove(&guard.key);
+        state.store(guard.key.clone(), rows.clone());
+        drop(state);
+        guard.flight.land(Landing::Answered(rows));
+        guard.landed = true;
+    }
+
+    #[cfg(test)]
     pub(crate) fn get(
         &self,
         epoch: u64,
@@ -478,36 +614,18 @@ impl ResultCache {
         text: &str,
         exec: Exec,
     ) -> Option<Arc<Vec<ScoredTid>>> {
-        let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if state.capacity == 0 {
-            return None;
-        }
-        state.tick += 1;
-        let tick = state.tick;
-        let found = match state.map.get_mut(&Self::key(epoch, kind, text, exec)) {
-            Some(entry) => {
-                entry.0 = tick;
-                Some(entry.1.clone())
-            }
-            None => None,
-        };
-        drop(state);
-        match found {
-            Some(hit) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(hit)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+        match self.claim(&Self::key(epoch, kind, text, exec)) {
+            Claim::Hit(rows) => Some(rows),
+            Claim::Lead(flight) => {
+                let key = Self::key(epoch, kind, text, exec);
+                drop(FlightGuard { cache: self, key, flight, landed: false });
                 None
             }
+            Claim::Wait(_) | Claim::Uncached => None,
         }
     }
 
-    /// Cache a freshly computed result (a no-op while caching is disabled,
-    /// so a disabled cache never pays for the copy). Re-inserting a key the
-    /// cache already holds — two workers racing the same miss — replaces
-    /// that entry and evicts nothing else.
+    #[cfg(test)]
     pub(crate) fn insert(
         &self,
         epoch: u64,
@@ -516,18 +634,7 @@ impl ResultCache {
         exec: Exec,
         results: &[ScoredTid],
     ) {
-        let mut state = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if state.capacity == 0 {
-            return;
-        }
-        let key = Self::key(epoch, kind, text, exec);
-        if !state.map.contains_key(&key) {
-            let keep = state.capacity - 1;
-            state.evict_to(keep);
-        }
-        state.tick += 1;
-        let tick = state.tick;
-        state.map.insert(key, (tick, Arc::new(results.to_vec())));
+        self.lock().store(Self::key(epoch, kind, text, exec), Arc::new(results.to_vec()));
     }
 
     /// The one request path of every backend: answer `(kind, text, exec)`
@@ -536,12 +643,14 @@ impl ResultCache {
     ///
     /// Every executed request runs `f` under one fresh [`relq::ExecLimits`]
     /// built from `budget`. An unlimited budget probes the cache first (0
-    /// parts ran on a hit) and caches the rows of a miss. A capped budget
-    /// bypasses the cache in both directions: a degraded partial must never
-    /// answer a later unbudgeted request, and a cached full answer would
-    /// make degradation nondeterministic under cache pressure — the partial
-    /// bytes are part of the contract. Its run is flagged `degraded` when
-    /// the cap tripped and carries the [`BudgetReport`] of the work done.
+    /// parts ran on a hit), parks on a concurrent execution of the same
+    /// key (single flight, also a hit), and caches the rows of a miss. A
+    /// capped budget bypasses the cache in both directions: a degraded
+    /// partial must never answer a later unbudgeted request, and a cached
+    /// full answer would make degradation nondeterministic under cache
+    /// pressure — the partial bytes are part of the contract. Its run is
+    /// flagged `degraded` when the cap tripped and carries the
+    /// [`BudgetReport`] of the work done.
     pub(crate) fn run(
         &self,
         epoch: u64,
@@ -552,18 +661,40 @@ impl ResultCache {
         f: impl FnOnce(&relq::ExecLimits) -> Result<(Vec<ScoredTid>, usize)>,
     ) -> Result<(BudgetedRun, usize)> {
         let capped = !budget.is_unlimited();
-        if let Some(hit) = (!capped).then(|| self.get(epoch, kind, text, exec)).flatten() {
-            let results = hit.to_vec();
-            return Ok((
-                BudgetedRun { results, cache_hit: true, degraded: false, report: None },
-                0,
-            ));
+        let hit = |rows: Arc<Vec<ScoredTid>>| {
+            let run = BudgetedRun {
+                results: rows.to_vec(),
+                cache_hit: true,
+                degraded: false,
+                report: None,
+            };
+            Ok((run, 0))
+        };
+        let mut leader = None;
+        if !capped {
+            let key = Self::key(epoch, kind, text, exec);
+            loop {
+                match self.claim(&key) {
+                    Claim::Hit(rows) => return hit(rows),
+                    Claim::Wait(flight) => {
+                        if let Some(rows) = flight.wait() {
+                            self.hits.fetch_add(1, Ordering::Relaxed);
+                            return hit(rows);
+                        }
+                    }
+                    Claim::Lead(flight) => {
+                        leader = Some(FlightGuard { cache: self, key, flight, landed: false });
+                        break;
+                    }
+                    Claim::Uncached => break,
+                }
+            }
         }
         let limits =
             relq::ExecLimits::new(budget.deadline, budget.max_candidates.map(|n| n as u64));
         let (results, ran) = f(&limits)?;
-        if !capped {
-            self.insert(epoch, kind, text, exec, &results);
+        if let Some(guard) = leader {
+            self.land(guard, &results);
         }
         let run = BudgetedRun {
             results,
@@ -1368,8 +1499,8 @@ mod tests {
 
     #[test]
     fn reinserting_a_held_key_evicts_nothing_else() {
-        // Two workers racing the same miss both insert it: the second insert
-        // must replace the entry, not evict an unrelated one to make room.
+        // Storing a key the cache already holds must replace the entry, not
+        // evict an unrelated one to make room.
         let cache = ResultCache::new(2);
         let kind = PredicateKind::Bm25;
         let rows = [ScoredTid::new(0, 1.0)];
@@ -1501,6 +1632,7 @@ mod tests {
             PredicateKind::WeightedJaccard,
             PredicateKind::Cosine,
             PredicateKind::Bm25,
+            PredicateKind::LanguageModel,
             PredicateKind::Hmm,
         ];
         let mut ranked = Vec::new();

@@ -1,38 +1,117 @@
 //! The Ponte–Croft language modeling predicate (§3.3.1 / §4.3.1).
 //!
-//! Preprocessing materializes `BASE_PM(tid, token, pm, cfcs)` — the smoothed
-//! probability `p̂(t|M_D)` of each token of each tuple together with the
-//! collection probability `cf_t / cs` — and `BASE_SUMCOMPM(tid, sumcompm)`
-//! holding `Σ_{t ∈ D} log(1 - p̂(t|M_D))`. The query-time plan is the
-//! rewritten Equation 4.4 (Figure 4.4): one join with the query tokens, a
-//! grouped sum of `log pm − log(1 − pm) − log(cf/cs)` and a final join with
-//! the per-tuple sums.
+//! Preprocessing derives, per `(tuple, token)`, the smoothed probability
+//! `p̂(t|M_D)` of the token in the tuple and the collection probability
+//! `cf_t / cs` — the paper's `BASE_PM(tid, token, pm, cfcs)` — and per
+//! tuple `BASE_SUMCOMPM(tid, sumcompm)` holding `Σ_{t ∈ D} log(1 −
+//! p̂(t|M_D))`. The query-time plan is the rewritten Equation 4.4 (Figure
+//! 4.4): one join with the query tokens, a grouped sum of `log pm`,
+//! `log(1 − pm)` and `log(cf/cs)`, a join with the per-tuple sums and an
+//! `exp` projection.
 //!
-//! **Shared-artifact contract:** the predicate registers `BASE_PM` indexed
-//! on token and `BASE_SUMCOMPM` indexed on tid in a private catalog — it
-//! references no shared phase-1 table, so a standalone LM engine builds
-//! none of them — and both query-time joins are index probes (the second
-//! one probes the per-tuple sums with the handful of tids the inner
-//! aggregation produced). The whole pipeline is prepared once in every
-//! [`Exec`] mode (`RankingPlans`). The LM score mixes positive and
-//! negative log terms plus a per-tuple constant, so it is not a monotone
-//! sum of non-negative contributions and keeps the heap top-k path.
+//! **Shared-artifact contract:** the predicate references no shared
+//! phase-1 table, so a standalone LM engine builds none of them. Its
+//! private artifacts all come from the one per-(record, token) weight
+//! function `lm_weight`, each on first use (`PostingCatalog`):
+//! `BASE_PM` as a table indexed on token for the reference modes (naive
+//! `Rank`, `TopKHeap`, `ThresholdScan`), and as posting lists with three
+//! weight lanes for the indexed `Rank`, `TopK` and `Threshold`;
+//! `BASE_SUMCOMPM`, indexed on tid, serves both.
+//!
+//! **Kernel execution:** the LM score mixes positive and negative log terms
+//! plus a per-tuple constant, so it is not a monotone sum and no bound
+//! prunes it; but its inner grouped sum is exactly what the posting kernel
+//! computes, one lane per log term, summed per tid in probe order. The
+//! kernel runs at `k = ∞`, the `BASE_SUMCOMPM` join and the `exp`
+//! projection run on top, and a heap `TopK` or a `score ≥ τ` filter
+//! selects (`RankingPlans::per_tuple_kernel`) — relq's typed finish,
+//! with no `Value` row before the selection.
 
 use crate::corpus::TokenizedCorpus;
+use crate::dict::TokenId;
 use crate::engine::{Exec, Query, SharedArtifacts};
 use crate::record::ScoredTid;
-use crate::tables::{self, RankingPlans};
-use relq::{col, AggFunc, Bindings, Catalog, DataType, Plan, Schema, Table, Value};
-use std::sync::Arc;
+use crate::tables::{self, PostingCatalog, RankingPlans};
+use relq::{col, AggFunc, Bindings, Catalog, Plan};
+use std::cell::RefCell;
+use std::sync::{Arc, OnceLock};
 
 /// Numerical floor/ceiling keeping `log(pm)` and `log(1 - pm)` finite.
 const PM_EPS: f64 = 1e-9;
 
+/// The three log terms of Equation 4.4 per `(tuple, token)`: the
+/// `BASE_PM` table's columns, and the lanes of its posting lists, named
+/// after the grouped sums the plans project from.
+const BASE_PM_COLUMNS: [&str; 3] = ["log_pm", "log_compm", "log_cfcs"];
+const BASE_PM_LANES: [&str; 3] = ["sum_log_pm", "sum_log_compm", "sum_log_cfcs"];
+
+/// LM's per-(record, token) weights `[log pm, log(1 − pm), log(cf/cs)]`.
+/// The paper stores `pm` and `cf/cs`; the rewritten Equation 4.4 only ever
+/// consumes their logarithms, so those are what preprocessing derives.
+///
+/// Intermediate quantities (pml, pavg, f̄, risk) follow Equations 3.7–3.9:
+/// * `pml(t, D) = tf / dl`
+/// * `pavg(t) = mean of pml over tuples containing t` — a corpus-wide
+///   aggregate, so it comes from the frozen statistics (a projected segment
+///   must not derive its own from its record slice)
+/// * `f̄(t, D) = pavg(t) * dl`
+/// * `R(t, D) = 1/(1+f̄) * (f̄/(1+f̄))^tf`
+/// * `pm = pml^(1-R) * pavg^R` for tokens present in D.
+pub(crate) fn lm_weight(
+    corpus: &Arc<TokenizedCorpus>,
+) -> impl Fn(usize, TokenId, u32) -> Option<[f64; 3]> + Send + Sync + 'static {
+    let corpus = corpus.clone();
+    let cs = corpus.cs() as f64;
+    move |idx, token, tf| {
+        let dl = corpus.record_dl(idx) as f64;
+        let pml = tf as f64 / dl.max(1.0);
+        let pa = corpus.pavg(token);
+        let fbar = pa * dl;
+        let risk = (1.0 / (1.0 + fbar)) * (fbar / (1.0 + fbar)).powf(tf as f64);
+        let pm = pml.powf(1.0 - risk) * pa.powf(risk);
+        let pm = pm.clamp(PM_EPS, 1.0 - PM_EPS);
+        let cfcs = (corpus.cf(token) as f64 / cs).clamp(PM_EPS, 1.0 - PM_EPS);
+        Some([pm.ln(), (1.0 - pm).ln(), cfcs.ln()])
+    }
+}
+
+type LmWeight = dyn Fn(usize, TokenId, u32) -> Option<[f64; 3]> + Send + Sync;
+
+/// Run `build` over LM's weights, summing each record's `log(1 − pm)`
+/// lane from `0.0` in token order as `build` visits the rows (record by
+/// record, as the table and posting builders do), and return its result
+/// with `BASE_SUMCOMPM(tid, sumcompm)`, indexed on tid: the catalog the
+/// first of the two builds made from its sums, so the weights are derived
+/// once per build.
+fn with_sumcompm<T>(
+    corpus: &TokenizedCorpus,
+    weight: &LmWeight,
+    sumcompm: &OnceLock<Catalog>,
+    build: impl FnOnce(&dyn Fn(usize, TokenId, u32) -> Option<[f64; 3]>) -> T,
+) -> (T, Catalog) {
+    let sums = RefCell::new(vec![0.0f64; corpus.num_records()]);
+    let built = build(&|idx, token, tf| {
+        let w = weight(idx, token, tf)?;
+        sums.borrow_mut()[idx] += w[1];
+        Some(w)
+    });
+    let side = sumcompm.get_or_init(|| {
+        let sums = sums.into_inner();
+        let mut catalog = Catalog::new();
+        let table = tables::per_tuple_scalar(corpus, "sumcompm", |idx| sums[idx]);
+        catalog
+            .register_indexed("base_sumcompm", table, &["tid"])
+            .expect("base_sumcompm has a tid column");
+        catalog
+    });
+    (built, side.clone())
+}
+
 /// Language modeling predicate.
 pub struct LanguageModelPredicate {
     shared: Arc<SharedArtifacts>,
-    catalog: Catalog,
-    plans: RankingPlans,
+    catalog: PostingCatalog,
+    plans: &'static RankingPlans,
 }
 
 impl LanguageModelPredicate {
@@ -41,95 +120,53 @@ impl LanguageModelPredicate {
         Self::from_shared(SharedArtifacts::build(corpus, &crate::params::Params::default()))
     }
 
-    /// Phase-2 preprocessing: materialize `BASE_PM` and `BASE_SUMCOMPM`.
-    ///
-    /// Intermediate quantities (pml, pavg, f̄, risk) follow Equations 3.7–3.9:
-    /// * `pml(t, D) = tf / dl`
-    /// * `pavg(t) = mean of pml over tuples containing t`
-    /// * `f̄(t, D) = pavg(t) * dl`
-    /// * `R(t, D) = 1/(1+f̄) * (f̄/(1+f̄))^tf`
-    /// * `pm = pml^(1-R) * pavg^R` for tokens present in D.
+    /// Phase-2 preprocessing: the catalogs of `BASE_PM` ([`lm_weight`]) and
+    /// `BASE_SUMCOMPM`, each built on first use.
     pub(crate) fn from_shared(shared: Arc<SharedArtifacts>) -> Self {
         let corpus = shared.corpus().clone();
-        let n_tokens = corpus.num_tokens();
-        // pavg per token: average maximum-likelihood estimate over the tuples
-        // containing the token — a corpus-wide aggregate, so it comes from
-        // the frozen statistics (a projected segment must not derive its own
-        // from its record slice).
-        let pavg: Vec<f64> = (0..n_tokens).map(|t| corpus.pavg(t as crate::TokenId)).collect();
-
-        let cs = corpus.cs() as f64;
-        // BASE_PM rows: (tid, token, log_pm, log_compm, log_cfcs). The paper
-        // stores pm and cf/cs; the rewritten Equation 4.4 only ever consumes
-        // their logarithms, so those are materialized at preprocessing time —
-        // the query plan then sums plain float columns instead of computing
-        // three `ln` calls per joined row.
-        let schema = Schema::from_pairs(&[
-            ("tid", DataType::Int),
-            ("token", DataType::Int),
-            ("log_pm", DataType::Float),
-            ("log_compm", DataType::Float),
-            ("log_cfcs", DataType::Float),
-        ]);
-        let mut base_pm = Table::with_capacity(schema, tables::token_rows(&corpus));
-        let mut sumcompm = vec![0.0f64; corpus.num_records()];
-        for (idx, sumcompm) in sumcompm.iter_mut().enumerate() {
-            let dl = corpus.record_dl(idx) as f64;
-            for &(token, tf) in corpus.record_tokens(idx) {
-                let pml = tf as f64 / dl.max(1.0);
-                let pa = pavg[token as usize];
-                let fbar = pa * dl;
-                let risk = (1.0 / (1.0 + fbar)) * (fbar / (1.0 + fbar)).powf(tf as f64);
-                let pm = pml.powf(1.0 - risk) * pa.powf(risk);
-                let pm = pm.clamp(PM_EPS, 1.0 - PM_EPS);
-                let cfcs = (corpus.cf(token) as f64 / cs).clamp(PM_EPS, 1.0 - PM_EPS);
-                *sumcompm += (1.0 - pm).ln();
-                base_pm
-                    .push([
-                        Value::Int(idx as i64),
-                        Value::Int(token as i64),
-                        Value::Float(pm.ln()),
-                        Value::Float((1.0 - pm).ln()),
-                        Value::Float(cfcs.ln()),
-                    ])
-                    .expect("schema matches");
-            }
-        }
-        let base_sum = tables::per_tuple_scalar(&corpus, "sumcompm", |idx| sumcompm[idx]);
-
-        let mut catalog = Catalog::new();
-        catalog
-            .register_indexed("base_pm", base_pm, &["token"])
-            .expect("base_pm has a token column");
-        catalog
-            .register_indexed("base_sumcompm", base_sum, &["tid"])
-            .expect("base_sumcompm has a tid column");
-
-        // Inner aggregation over Q ∩ D (Figure 4.4), probing the token index.
-        let inner =
-            Plan::index_join("base_pm", &["token"], Plan::param("query_tokens"), &["token"])
-                .aggregate(
-                    &["tid"],
-                    vec![
-                        (AggFunc::Sum(col("log_pm")), "sum_log_pm"),
-                        (AggFunc::Sum(col("log_compm")), "sum_log_compm"),
-                        (AggFunc::Sum(col("log_cfcs")), "sum_log_cfcs"),
-                    ],
-                );
-        // Combine with the per-tuple Σ log(1 - pm) term by probing the tid
-        // index of BASE_SUMCOMPM with the aggregated tids.
-        let plan = Plan::index_join("base_sumcompm", &["tid"], inner, &["tid"]).project(vec![
-            (col("tid"), "tid"),
-            (
-                col("sum_log_pm")
-                    .sub(col("sum_log_compm"))
-                    .sub(col("sum_log_cfcs"))
-                    .add(col("sumcompm"))
-                    .exp(),
-                "score",
-            ),
-        ]);
-        LanguageModelPredicate { shared, catalog, plans: RankingPlans::new(plan) }
+        let weight: Arc<LmWeight> = Arc::new(lm_weight(&corpus));
+        let sumcompm = Arc::new(OnceLock::new());
+        let (base_corpus, base_weight, base_sumcompm) =
+            (corpus.clone(), weight.clone(), sumcompm.clone());
+        let catalog = PostingCatalog::new(
+            move || {
+                let (base_pm, mut catalog) =
+                    with_sumcompm(&base_corpus, &*base_weight, &base_sumcompm, |weight| {
+                        tables::lane_table(&base_corpus, BASE_PM_COLUMNS, weight)
+                    });
+                catalog
+                    .register_indexed("base_pm", base_pm, &["token"])
+                    .expect("base_pm has a token column");
+                catalog
+            },
+            move || {
+                let (lanes, mut catalog) = with_sumcompm(&corpus, &*weight, &sumcompm, |weight| {
+                    tables::lane_postings(&corpus, BASE_PM_LANES, weight)
+                });
+                catalog.attach_posting("base_pm", Arc::new(lanes));
+                catalog
+            },
+        );
+        static PLANS: OnceLock<RankingPlans> = OnceLock::new();
+        let plans = PLANS.get_or_init(|| {
+            let [pm, compm, cfcs] = BASE_PM_LANES;
+            let score = col(pm).sub(col(compm)).sub(col(cfcs)).add(col("sumcompm")).exp();
+            // Inner aggregation over Q ∩ D (Figure 4.4), probing the token
+            // index; then the per-tuple Σ log(1 - pm) term, probing the tid
+            // index of BASE_SUMCOMPM with the aggregated tids.
+            let sums = BASE_PM_COLUMNS
+                .iter()
+                .zip(BASE_PM_LANES)
+                .map(|(&column, lane)| (AggFunc::Sum(col(column)), lane))
+                .collect();
+            let inner =
+                Plan::index_join("base_pm", &["token"], Plan::param("query_tokens"), &["token"])
+                    .aggregate(&["tid"], sums);
+            let reference = Plan::index_join("base_sumcompm", &["tid"], inner, &["tid"])
+                .project(vec![(col("tid"), "tid"), (score.clone(), "score")]);
+            RankingPlans::per_tuple_kernel(reference, "base_pm", "base_sumcompm", score)
+        });
+        LanguageModelPredicate { shared, catalog, plans }
     }
 
     fn engine_shared(&self) -> &SharedArtifacts {
@@ -137,7 +174,7 @@ impl LanguageModelPredicate {
     }
 
     fn engine_catalog(&self) -> Option<&Catalog> {
-        Some(&self.catalog)
+        Some(self.catalog.current())
     }
 
     fn execute(
@@ -152,13 +189,14 @@ impl LanguageModelPredicate {
             return Ok(Vec::new());
         }
         let bindings = Bindings::new().with_table("query_tokens", tables::query_tokens(q, true));
-        self.plans.execute(&self.catalog, bindings, exec, naive, limits)
+        self.plans.execute(self.catalog.for_exec(exec, naive), bindings, exec, naive, limits)
     }
 }
 
 crate::engine::engine_predicate!(
     LanguageModelPredicate,
-    crate::predicate::PredicateKind::LanguageModel
+    crate::predicate::PredicateKind::LanguageModel,
+    catalog
 );
 
 #[cfg(test)]

@@ -40,7 +40,7 @@
 //! dropped with everything its reads built. An append therefore does
 //! O(record) tokenization plus an O(tail) pointer copy, and never touches a
 //! sealed segment. The first kernel read of a predicate on the new tail —
-//! an indexed `Rank`, `TopK` or `Threshold` of one of the seven kernel
+//! an indexed `Rank`, `TopK` or `Threshold` of one of the eight kernel
 //! predicates — builds that predicate's posting lists straight from the
 //! tail's rows (the predicate's `PostingCatalog`: no weight table, no
 //! token index), in O(tail rows). `TopKHeap`, `ThresholdScan` and the

@@ -24,16 +24,17 @@
 //! is exactly IntersectSize's or WeightedMatch's: a `k = ∞` kernel over the
 //! same shared posting lists computes it, and the `base_len`/`overlap_len`
 //! index join and the normalizing projection run on top, followed by a heap
-//! `TopK` or a `score ≥ τ` filter. Every predicate's naive `Rank`,
-//! `TopKHeap` and `ThresholdScan` stay the join plans over the shared
-//! tables — the references the kernel modes are checked against.
+//! `TopK` or a `score ≥ τ` filter — relq runs that chain as its typed
+//! finish, on `f64` columns until the kept rows. Every predicate's naive
+//! `Rank`, `TopKHeap` and `ThresholdScan` stay the join plans over the
+//! shared tables — the references the kernel modes are checked against.
 
 use crate::corpus::TokenizedCorpus;
 use crate::engine::{Exec, Query, SharedArtifacts};
 use crate::params::OverlapWeighting;
 use crate::record::ScoredTid;
 use crate::tables::{self, PostingCatalog, RankingPlans, THRESHOLD_PARAM, TOP_K_PARAM};
-use relq::{col, lit, param, AggFunc, Bindings, Catalog, Plan};
+use relq::{col, lit, param, AggFunc, Bindings, Catalog, Expr, Plan};
 use std::sync::{Arc, OnceLock};
 
 /// The token weight the weighted overlap predicates use (§5.3.1).
@@ -89,39 +90,33 @@ fn shared_posting_catalog(
 }
 
 /// A normalized overlap score over the per-tid intersection in column
-/// `inter` of `intersection`: join the shared per-tuple table `len_table`
-/// on tid and project `inter / max(len + query_len − inter, 1e-9)`, the
-/// query side's size bound as the scalar parameter `query_len`. Jaccard's
-/// and WeightedJaccard's shape, over either the aggregation join or the
-/// kernel.
-fn normalized_overlap(len_table: &str, intersection: Plan, inter: &str, query_len: &str) -> Plan {
-    Plan::index_join(len_table, &["tid"], intersection, &["tid"]).project(vec![
-        (col("tid"), "tid"),
-        (
-            col(inter).div(col("len").add(param(query_len)).sub(col(inter)).greatest(lit(1e-9))),
-            "score",
-        ),
-    ])
+/// `inter`, joined on tid to a per-tuple table carrying `len`:
+/// `inter / max(len + query_len − inter, 1e-9)`, the query side's size
+/// bound as the scalar parameter `query_len`. Jaccard's and
+/// WeightedJaccard's score, over either the aggregation join or the kernel.
+fn normalized_overlap(inter: &str, query_len: &str) -> Expr {
+    col(inter).div(col("len").add(param(query_len)).sub(col(inter)).greatest(lit(1e-9)))
 }
 
 /// The prepared plans of a normalized overlap predicate whose intersection
 /// is summed over the shared table `base` (see [`normalized_overlap`]).
 /// `join` is the aggregation join producing `(tid, inter)` for the
 /// reference modes; the kernel plans compute the same sums with the posting
-/// kernel at `k = ∞` and select on top of the projection.
+/// kernel and join the per-tuple table `len_table` on top
+/// ([`RankingPlans::per_tuple_kernel`]).
 fn normalized_overlap_plans(
     base: &'static str,
     len_table: &str,
     join: Plan,
     query_len: &str,
 ) -> RankingPlans {
-    let kernel =
-        Plan::top_k_bounded(base, Plan::param("query_tokens"), "token", None, lit(i64::MAX));
-    let scored = normalized_overlap(len_table, kernel, "score", query_len);
-    RankingPlans::with_bounded(
-        normalized_overlap(len_table, join, "inter", query_len),
-        scored.clone().top_k(param(TOP_K_PARAM), tables::ranking_keys()),
-        scored.filter(col("score").gt_eq(param(THRESHOLD_PARAM))),
+    let reference = Plan::index_join(len_table, &["tid"], join, &["tid"])
+        .project(vec![(col("tid"), "tid"), (normalized_overlap("inter", query_len), "score")]);
+    RankingPlans::per_tuple_kernel(
+        reference,
+        base,
+        len_table,
+        normalized_overlap("score", query_len),
     )
 }
 

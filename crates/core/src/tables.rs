@@ -11,7 +11,7 @@
 //! appropriate key), so the token index is built exactly once at
 //! preprocessing time; every query-time join against a base relation is a
 //! `Plan::IndexJoin` probing that index with the (small) query-side table,
-//! executed through a `PreparedPlan` constructed in `build()`. The seven
+//! executed through a `PreparedPlan` constructed in `build()`. The eight
 //! kernel predicates read their summed table through its posting lists
 //! instead in the indexed `Rank`, `TopK` and `Threshold` (`RankingPlans`,
 //! `PostingCatalog`); their token-table joins remain the plans of the
@@ -21,8 +21,8 @@ use crate::corpus::{QueryTokens, TokenizedCorpus};
 use crate::dict::TokenId;
 use crate::engine::Exec;
 use relq::{
-    col, param, Bindings, Catalog, DataType, Plan, PostingIndex, PreparedPlan, Schema, SortOrder,
-    Table, Value,
+    col, lit, param, Bindings, Catalog, DataType, Expr, Plan, PostingIndex, PreparedPlan, Schema,
+    SortOrder, Table, Value,
 };
 use std::sync::{Arc, OnceLock};
 
@@ -40,8 +40,9 @@ pub(crate) type TokenWeight = dyn Fn(usize, TokenId, u32) -> Option<f64> + Send 
 ///   introspection;
 /// * the **posting** catalog, holding the posting lists under the summed
 ///   table's name plus any per-tuple table the plans join on top (Jaccard's
-///   `base_len`, WeightedJaccard's `overlap_len`), for indexed `Rank`,
-///   `TopK` and `Threshold`: the kernel plans read nothing else.
+///   `base_len`, WeightedJaccard's `overlap_len`, the language model's
+///   `base_sumcompm`), for indexed `Rank`, `TopK` and `Threshold`: the
+///   kernel plans read nothing else.
 ///
 /// A workload of indexed reads never builds a weight table or its token
 /// index, and a reference-only one never builds a posting — the per-handle
@@ -229,6 +230,33 @@ where
     table
 }
 
+/// A `(tid, token, <columns>…)` table with one float column per weight
+/// lane of `weight_fn(record_index, token, tf)`; pairs whose weights are
+/// `None` are omitted. The multi-lane form of [`base_weights`], for a
+/// reference table whose postings [`lane_postings`] builds.
+pub(crate) fn lane_table<const L: usize, F>(
+    tc: &TokenizedCorpus,
+    columns: [&str; L],
+    mut weight_fn: F,
+) -> Table
+where
+    F: FnMut(usize, TokenId, u32) -> Option<[f64; L]>,
+{
+    let mut fields = vec![("tid", DataType::Int), ("token", DataType::Int)];
+    fields.extend(columns.iter().map(|&column| (column, DataType::Float)));
+    let mut table = Table::with_capacity(Schema::from_pairs(&fields), token_rows(tc));
+    for idx in 0..tc.num_records() {
+        for &(token, tf) in tc.record_tokens(idx) {
+            if let Some(weights) = weight_fn(idx, token, tf) {
+                let keys = [Value::Int(idx as i64), Value::Int(token as i64)];
+                let row: Vec<Value> = keys.into_iter().chain(weights.map(Value::Float)).collect();
+                table.push_row(row).expect("schema matches");
+            }
+        }
+    }
+    table
+}
+
 /// The posting lists of the rows [`base_weights`] stores for the same
 /// `weight_fn`, built straight from the tokenized rows: one `(tid, token,
 /// weight)` posting per pair the function keeps, with no table in between.
@@ -236,14 +264,29 @@ pub(crate) fn postings<F>(tc: &TokenizedCorpus, weight_fn: F) -> PostingIndex
 where
     F: Fn(usize, TokenId, u32) -> Option<f64>,
 {
+    lane_postings(tc, ["score"], |idx, token, tf| weight_fn(idx, token, tf).map(|w| [w]))
+}
+
+/// The posting lists of the rows [`lane_table`] stores for the same
+/// `weight_fn`, one weight lane per name in `lanes` — the relq kernel sums
+/// each lane per tid and names its output columns after them.
+pub(crate) fn lane_postings<const L: usize, F>(
+    tc: &TokenizedCorpus,
+    lanes: [&str; L],
+    weight_fn: F,
+) -> PostingIndex
+where
+    F: Fn(usize, TokenId, u32) -> Option<[f64; L]>,
+{
     let weight_fn = &weight_fn;
     let rows = (0..tc.num_records()).flat_map(|idx| {
         tc.record_tokens(idx).iter().filter_map(move |&(token, tf)| {
-            let w = weight_fn(idx, token, tf)?;
-            Some((idx as i64, Value::Int(token as i64), w))
+            let weights = weight_fn(idx, token, tf)?;
+            Some((idx as i64, Value::Int(token as i64), weights))
         })
     });
-    PostingIndex::from_rows(rows).expect("token rows are distinct per (token, tid) and finite")
+    PostingIndex::from_lanes(lanes, rows)
+        .expect("token rows are distinct per (token, tid) and finite")
 }
 
 /// A generic per-tuple scalar table `(tid, <alias>)`.
@@ -413,9 +456,11 @@ fn top_k_param(k: usize) -> i64 {
 ///   [`Exec::Threshold`].
 ///
 /// For the five monotone-sum predicates the kernel node is the whole plan
-/// (HMM adds an `exp` projection); Jaccard and WeightedJaccard run their
-/// per-tuple length join and score projection on top of a `k = ∞` kernel,
-/// then a heap `TopK` or a `score ≥ τ` filter.
+/// (HMM adds an `exp` projection); Jaccard, WeightedJaccard and the
+/// language model join a per-tuple table on top of a `k = ∞` kernel,
+/// project their score and keep a heap `TopK` or a `score ≥ τ` filter
+/// ([`per_tuple_kernel`](Self::per_tuple_kernel)) — the chain relq runs
+/// as its typed finish, with no `Value` row before the heap or filter.
 ///
 /// The plans name only tables and parameters, never the corpus: each
 /// predicate prepares its set once per process (a `static`) and every
@@ -451,6 +496,24 @@ impl RankingPlans {
     /// predicates execute against a [`PostingCatalog`].
     pub(crate) fn with_bounded(plan: Plan, bounded: Plan, threshold_bounded: Plan) -> Self {
         Self::build(plan, Some((bounded, threshold_bounded)))
+    }
+
+    /// Prepare all modes of a predicate whose score is `score`, projected
+    /// from the per-tid sums of the posting lists of `base` joined on tid
+    /// to the per-tuple table `side`: the kernel plans sum at `k = ∞`, join,
+    /// project `(tid, score)` and select with a heap `TopK` or a `score ≥ τ`
+    /// filter. `reference` is the join plan computing the same scores from
+    /// the base tables, behind naive `Rank`, `TopKHeap` and `ThresholdScan`.
+    pub(crate) fn per_tuple_kernel(reference: Plan, base: &str, side: &str, score: Expr) -> Self {
+        let kernel =
+            Plan::top_k_bounded(base, Plan::param("query_tokens"), "token", None, lit(i64::MAX));
+        let scored = Plan::index_join(side, &["tid"], kernel, &["tid"])
+            .project(vec![(col("tid"), "tid"), (score, "score")]);
+        Self::with_bounded(
+            reference,
+            scored.clone().top_k(param(TOP_K_PARAM), ranking_keys()),
+            scored.filter(col("score").gt_eq(param(THRESHOLD_PARAM))),
+        )
     }
 
     fn build(plan: Plan, bounded: Option<(Plan, Plan)>) -> Self {

@@ -270,6 +270,21 @@ fn expired_deadline_degrades_to_an_empty_anytime_answer() {
     }
 }
 
+/// A 5,000-byte query over a DBLP-like corpus: every seventh title, padded
+/// with blanks.
+fn long_query(dataset: &Dataset) -> String {
+    let mut text = String::new();
+    for record in dataset.records.iter().step_by(7) {
+        if text.len() + record.text.len() >= 5_000 {
+            break;
+        }
+        text.push_str(&record.text);
+        text.push(' ');
+    }
+    text.push_str(&" ".repeat(5_000 - text.len()));
+    text
+}
+
 /// A 5,000-byte GES_Jaccard query over 20k DBLP-like titles. Its filter
 /// estimate polls the deadline once per query word, so a 50 ms deadline
 /// ends the request far inside a second, flagged `degraded` exactly when it
@@ -280,19 +295,10 @@ fn ges_filter_polls_the_deadline_per_query_word() {
     let _guard = serialize();
     let dataset = dblp_dataset(20_000);
     let engine = build_engine(&dataset, &Params::default());
-    let mut text = String::new();
-    for record in dataset.records.iter().step_by(7) {
-        if text.len() + record.text.len() >= 5_000 {
-            break;
-        }
-        text.push_str(&record.text);
-        text.push(' ');
-    }
-    text.push_str(&" ".repeat(5_000 - text.len()));
     let handle = engine.predicate(PredicateKind::GesJaccard);
     // Warm the filter's lazy word → record index.
     handle.execute(&engine.query(&dataset.records[0].text), Exec::Rank).unwrap();
-    let query = engine.query(&text);
+    let query = engine.query(&long_query(&dataset));
 
     let deadline = Duration::from_millis(50);
     let budget = ExecBudget { deadline: Some(deadline), ..ExecBudget::default() };
@@ -311,6 +317,36 @@ fn ges_filter_polls_the_deadline_per_query_word() {
         let exact = handle.execute(&query, Exec::TopK(10)).unwrap();
         assert_eq!(as_bits(&run.results), as_bits(&exact), "an untripped run must be exact");
     }
+
+    let expired = ExecBudget { deadline: Some(Duration::ZERO), ..ExecBudget::default() };
+    let run = handle.execute_budgeted(&query, Exec::TopK(10), expired).unwrap();
+    assert!(run.degraded && run.results.is_empty(), "expired deadline: {run:?}");
+    assert_eq!(run.report.expect("a capped run reports").candidates_scored, 0);
+}
+
+/// SoftTFIDF's `CLOSE` product (Jaro-Winkler of every vocabulary word
+/// against every query word) charges nothing, so it polls the deadline
+/// itself, every 64 vocabulary words or every 1,024 word pairs, whichever
+/// comes first: a 5,000-byte query over the 20k DBLP-like vocabulary, which
+/// runs for seconds unbudgeted, returns the empty degraded answer within
+/// twice a 50 ms deadline, and an expired deadline stops it before the
+/// first word.
+#[test]
+fn soft_tfidf_polls_the_deadline_inside_the_vocabulary_product() {
+    let _guard = serialize();
+    let dataset = dblp_dataset(20_000);
+    let engine = build_engine(&dataset, &Params::default());
+    let handle = engine.predicate(PredicateKind::SoftTfIdf);
+    let query = engine.query(&long_query(&dataset));
+
+    let deadline = Duration::from_millis(50);
+    let budget = ExecBudget { deadline: Some(deadline), ..ExecBudget::default() };
+    let start = std::time::Instant::now();
+    let run = handle.execute_budgeted(&query, Exec::TopK(10), budget).unwrap();
+    let elapsed = start.elapsed();
+    assert!(run.degraded, "the product finished inside 50 ms: {run:?}");
+    assert!(run.results.is_empty(), "a cut product scores nothing: {run:?}");
+    assert!(elapsed < 2 * deadline, "a 50 ms deadline ran {elapsed:?}");
 
     let expired = ExecBudget { deadline: Some(Duration::ZERO), ..ExecBudget::default() };
     let run = handle.execute_budgeted(&query, Exec::TopK(10), expired).unwrap();

@@ -195,3 +195,38 @@ fn serving_engine_matches_the_serial_run_on_a_fresh_engine() {
     assert_eq!(metrics.iter().map(|(_, m)| m.count).sum::<usize>(), requests.len());
     assert_eq!(metrics.len(), PredicateKind::all().len(), "every kind saw traffic");
 }
+
+#[test]
+fn concurrent_misses_of_one_key_execute_it_once() {
+    // The `examples/concurrent_search.rs` stream: five kinds, every 4th
+    // request a verbatim repeat of the one three places earlier, so four
+    // workers often pick up a repeat while its original is still running.
+    // The second miss of a key parks on the first (single flight): the
+    // engine executes each distinct key exactly once, and the repeat gets
+    // the original's bytes.
+    let dataset = dblp_dataset(2000);
+    let kinds = [
+        PredicateKind::IntersectSize,
+        PredicateKind::Cosine,
+        PredicateKind::Bm25,
+        PredicateKind::Hmm,
+        PredicateKind::EditSimilarity,
+    ];
+    let requests: Vec<ServeRequest> = (0..120)
+        .map(|i| {
+            let j = if i % 4 == 3 { i - 3 } else { i };
+            let text = &dataset.records[(j * 17) % dataset.len()].text;
+            ServeRequest::new(kinds[j % kinds.len()], text.clone(), Exec::TopK(10))
+        })
+        .collect();
+    let engine = build_engine(&dataset, &Params::default());
+    let serving = ServingEngine::new(engine.clone(), 4);
+    let responses = serving.serve(&requests);
+    for (i, response) in responses.iter().enumerate().filter(|(i, _)| i % 4 == 3) {
+        let original = responses[i - 3].results.as_ref().unwrap();
+        assert_eq!(response.results.as_ref().unwrap(), original, "request {i}");
+    }
+    let cache = engine.result_cache_stats();
+    assert_eq!(cache.misses, 90, "each of the 90 distinct keys runs once: {cache:?}");
+    assert_eq!(cache.hits, 30, "{cache:?}");
+}

@@ -148,9 +148,9 @@ fn all_13_handles_share_phase1_artifacts() {
         }
     }
     assert_eq!(handles_with_catalogs, 12);
-    // An indexed Rank runs the seven kernel predicates over the posting
+    // An indexed Rank runs the eight kernel predicates over the posting
     // lists of the table they sum, and attaches those lists to their
-    // catalogs; the other six never attach one.
+    // catalogs; the other five never attach one.
     let query = engine.query(&dataset.records[0].text);
     let summed: &[(PredicateKind, &str)] = &[
         (PredicateKind::IntersectSize, "base_tokens"),
@@ -159,6 +159,7 @@ fn all_13_handles_share_phase1_artifacts() {
         (PredicateKind::WeightedJaccard, "overlap_weights"),
         (PredicateKind::Cosine, "cosine_weights"),
         (PredicateKind::Bm25, "bm25_weights"),
+        (PredicateKind::LanguageModel, "base_pm"),
         (PredicateKind::Hmm, "hmm_weights"),
     ];
     for (kind, handle) in engine.predicates() {

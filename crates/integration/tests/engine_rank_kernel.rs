@@ -1,12 +1,12 @@
-//! Differential tier for the indexed `Rank` of the seven kernel predicates
-//! (Xect, Jaccard, WM, WJ, Cosine, BM25, HMM). An indexed `Rank` is
+//! Differential tier for the indexed `Rank` of the eight kernel predicates
+//! (Xect, Jaccard, WM, WJ, Cosine, BM25, LM, HMM). An indexed `Rank` is
 //! `TopK(∞)` over the posting kernel; it must return the bytes of the naive
 //! join-plan `Rank` and of the heap `TopKHeap(usize::MAX)` on the monolith,
 //! on a live engine carrying tombstones (against its rebuilt monolith) and
-//! on a sharded engine. Jaccard and WJ run their length join on top of the
-//! kernel in every kernel mode, so their `TopK` must equal `TopKHeap` and
-//! their `Threshold` must equal `ThresholdScan` with bars sitting exactly
-//! on scores; the tier checks that for all seven.
+//! on a sharded engine. Jaccard, WJ and LM run a per-tuple join on top of
+//! the kernel in every kernel mode (relq's typed finish), so their `TopK`
+//! must equal `TopKHeap` and their `Threshold` must equal `ThresholdScan`
+//! with bars sitting exactly on scores; the tier checks that for all eight.
 //!
 //! Edge cases: a query token repeated (HMM counts each occurrence), a query
 //! of unknown tokens only, a one-record corpus, and a sealed segment whose
@@ -22,13 +22,14 @@ use std::sync::Arc;
 
 /// The predicates whose indexed `Rank`, `TopK` and `Threshold` run the
 /// posting kernel.
-const KERNEL: [PredicateKind; 7] = [
+const KERNEL: [PredicateKind; 8] = [
     PredicateKind::IntersectSize,
     PredicateKind::Jaccard,
     PredicateKind::WeightedMatch,
     PredicateKind::WeightedJaccard,
     PredicateKind::Cosine,
     PredicateKind::Bm25,
+    PredicateKind::LanguageModel,
     PredicateKind::Hmm,
 ];
 

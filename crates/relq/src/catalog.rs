@@ -33,6 +33,10 @@ pub struct TableIndex {
     /// Key → its run `(start, len)` in `row_ids`.
     map: HashMap<Vec<Value>, (u32, u32)>,
     row_ids: Vec<u32>,
+    /// For a single Int key column holding each value at most once over a
+    /// compact range (a per-tuple table keyed on tid): the smallest key and
+    /// the row id of every key from it on, `u32::MAX` where none.
+    dense: Option<(i64, Vec<u32>)>,
 }
 
 impl TableIndex {
@@ -91,7 +95,35 @@ impl TableIndex {
             let slot = run.0 as usize;
             *run = (starts[slot], counts[slot]);
         }
-        Ok(TableIndex { key_cols: key_cols.to_vec(), map, row_ids })
+        let dense = Self::dense_unique(&map, &row_ids);
+        Ok(TableIndex { key_cols: key_cols.to_vec(), map, row_ids, dense })
+    }
+
+    /// The dense key → row array of a unique single-Int-column key whose
+    /// range spans at most twice the key count (plus a little slack), else
+    /// `None`.
+    fn dense_unique(
+        map: &HashMap<Vec<Value>, (u32, u32)>,
+        row_ids: &[u32],
+    ) -> Option<(i64, Vec<u32>)> {
+        let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+        for (key, &(_, len)) in map {
+            let [Value::Int(k)] = key.as_slice() else { return None };
+            if len != 1 {
+                return None;
+            }
+            (lo, hi) = (lo.min(*k), hi.max(*k));
+        }
+        let span = usize::try_from(hi.checked_sub(lo)?).ok()?.checked_add(1)?;
+        if span > 2 * map.len() + 64 {
+            return None;
+        }
+        let mut rows = vec![u32::MAX; span];
+        for (key, &(start, _)) in map {
+            let Value::Int(k) = key[0] else { unreachable!("checked above") };
+            rows[(k - lo) as usize] = row_ids[start as usize];
+        }
+        Some((lo, rows))
     }
 
     /// The indexed key columns, in key order.
@@ -108,6 +140,23 @@ impl TableIndex {
     /// Number of distinct keys.
     pub fn num_keys(&self) -> usize {
         self.map.len()
+    }
+
+    /// The row whose single Int key is `key`, through the dense key → row
+    /// array: `None` when the index has no such array (not a unique compact
+    /// Int key, see [`has_dense_keys`](Self::has_dense_keys)) or no row
+    /// carries `key`.
+    #[inline]
+    pub(crate) fn dense_row(&self, key: i64) -> Option<usize> {
+        let (lo, rows) = self.dense.as_ref()?;
+        let at = usize::try_from(key.checked_sub(*lo)?).ok()?;
+        rows.get(at).filter(|&&row| row != u32::MAX).map(|&row| row as usize)
+    }
+
+    /// Whether lookups by a single Int key can go through the dense key →
+    /// row array ([`dense_row`](Self::dense_row)).
+    pub(crate) fn has_dense_keys(&self) -> bool {
+        self.dense.is_some()
     }
 }
 
@@ -346,6 +395,28 @@ mod tests {
             t.push_row(vec![((i % 3) as i64).into()]).unwrap();
         }
         t
+    }
+
+    #[test]
+    fn unique_compact_int_keys_get_a_dense_row_array() {
+        let index = |keys: Vec<Value>| {
+            let mut t = Table::empty(Schema::from_pairs(&[("k", DataType::Int)]));
+            for key in keys {
+                t.push_row(vec![key]).unwrap();
+            }
+            TableIndex::build(&t, &["k".to_string()]).unwrap()
+        };
+        // Keys 5, 3, 9 (and a NULL, which no lookup matches) in rows 0..4.
+        let dense = index(vec![5.into(), 3.into(), Value::Null, 9.into()]);
+        assert!(dense.has_dense_keys());
+        let rows: Vec<_> = (2..=10).map(|key| dense.dense_row(key)).collect();
+        let expected = [None, Some(1), None, Some(0), None, None, None, Some(3), None];
+        assert_eq!(rows, expected);
+        assert_eq!(dense.dense_row(i64::MIN), None);
+        // A repeated key, a sparse range and an empty table get none.
+        assert!(!index(vec![1.into(), 1.into()]).has_dense_keys());
+        assert!(!index(vec![0.into(), 1_000.into()]).has_dense_keys());
+        assert!(!index(Vec::new()).has_dense_keys());
     }
 
     #[test]

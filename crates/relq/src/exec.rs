@@ -23,12 +23,16 @@ use crate::error::{RelqError, Result};
 use crate::group::Groups;
 use crate::limits::ExecLimits;
 use crate::plan::{Plan, ProjectItem, SortOrder};
+use crate::posting::{PostingIndex, PostingList};
 use crate::schema::{Field, Schema};
 use crate::table::Table;
 use crate::value::{DataType, Row, Value};
+use finish::Finish;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+mod finish;
 
 /// Execute a plan against the catalog (no parameters), returning a shared
 /// handle to the result. When the plan root is itself a scan, the handle
@@ -151,6 +155,9 @@ fn eval(plan: &Plan, ctx: &ExecCtx) -> Result<Rel> {
             // byte-identical to the unfused pipeline (the naive mode
             // deliberately keeps the materialize-then-filter cost model).
             if !ctx.naive {
+                if let Some(table) = finish::typed_finish(ctx, input, Finish::Filter(predicate))? {
+                    return Ok(Rel::Owned(table));
+                }
                 match input.as_ref() {
                     Plan::Project { input: inner, items } => {
                         return Ok(Rel::Owned(filter_project(ctx, inner, items, predicate)?));
@@ -255,6 +262,9 @@ fn eval(plan: &Plan, ctx: &ExecCtx) -> Result<Rel> {
             // order is unchanged, so results and errors are identical to the
             // unfused pipeline.
             if !ctx.naive {
+                if let Some(table) = finish::typed_finish(ctx, input, Finish::TopK { k, keys })? {
+                    return Ok(Rel::Owned(table));
+                }
                 if let Plan::Project { input: inner, items } = input.as_ref() {
                     return Ok(Rel::Owned(top_k_project(ctx, inner, items, k, keys)?));
                 }
@@ -1196,11 +1206,13 @@ fn smallest_ids(n: usize, k: usize, cmp: impl Fn(&u32, &u32) -> std::cmp::Orderi
 /// select by the tids' summed scaled contributions.
 ///
 /// The indexed mode runs the windowed dense accumulator
-/// ([`score_windowed`]); the naive mode keeps the pre-refactor cost model —
-/// exhaustively score every posting in probe-major order, filter by the
-/// exact `score >= τ` or sort and truncate to `k`. Both modes return the
-/// bytes of the equivalent `Aggregate(IndexJoin)` pipeline topped by a heap
-/// `TopK` or a `Filter(score >= τ)`.
+/// ([`score_windowed`]; [`sum_windowed`] for a multi-lane index); the naive
+/// mode keeps the pre-refactor cost model — exhaustively score every
+/// posting in probe-major order, filter by the exact `score >= τ` or sort
+/// and truncate to `k`. Both modes return the bytes of the equivalent
+/// `Aggregate(IndexJoin)` pipeline topped by a heap `TopK` or a
+/// `Filter(score >= τ)`. A multi-lane index emits `(tid, lane…)` rows and
+/// selects by its first lane.
 fn bounded(
     ctx: &ExecCtx,
     base: &str,
@@ -1209,7 +1221,17 @@ fn bounded(
     factor_col: Option<&str>,
     select: Select,
 ) -> Result<Rel> {
-    let probes = gather_probes(ctx.catalog, base, probe, token_col, factor_col)?;
+    let posting = posting_of(ctx.catalog, base)?;
+    let probes = gather_probes(posting, probe, token_col, factor_col)?;
+    let lanes = posting.lanes();
+    if lanes.len() > 1 {
+        let sums = if ctx.naive {
+            sum_exhaustive(&probes, lanes.len())
+        } else {
+            sum_windowed(&probes, lanes.len(), select, ctx.limits)?
+        };
+        return Ok(Rel::Owned(sums.selected(select).into_table(lanes)));
+    }
     let selected = if ctx.naive {
         let mut scores = score_exhaustive(&probes);
         if let Select::Threshold(tau) = select {
@@ -1253,6 +1275,24 @@ pub(crate) enum Select {
     Threshold(f64),
 }
 
+impl Select {
+    /// Reject a query factor the kernels cannot sum (negative, NaN or
+    /// infinite), naming the operator; otherwise the fault site each emitted
+    /// tid passes.
+    fn check_factors(self, probes: &[(PostingList<'_>, f64)]) -> Result<&'static str> {
+        let (op, site) = match self {
+            Select::TopK(_) => ("TopKBounded", "relq.topk.candidate"),
+            Select::Threshold(_) => ("ThresholdBounded", "relq.threshold.candidate"),
+        };
+        match probes.iter().find(|&&(_, f)| !(f >= 0.0 && f.is_finite())) {
+            Some(&(_, factor)) => Err(RelqError::InvalidPlan(format!(
+                "{op} requires finite non-negative query factors, got {factor}"
+            ))),
+            None => Ok(site),
+        }
+    }
+}
+
 /// Score-at-a-time evaluation of the bounded operators: the physical form
 /// of `SUM(factor × weight) … GROUP BY tid` over the probed posting lists.
 ///
@@ -1275,19 +1315,11 @@ pub(crate) enum Select {
 /// ascending prefix of the touched tids, the same for every run under the
 /// same cap. Factors must be finite and non-negative.
 pub(crate) fn score_windowed(
-    probes: &[(crate::posting::PostingList<'_>, f64)],
+    probes: &[(PostingList<'_>, f64)],
     select: Select,
     limits: &ExecLimits,
 ) -> Result<Vec<(i64, f64)>> {
-    let (op, site) = match select {
-        Select::TopK(_) => ("TopKBounded", "relq.topk.candidate"),
-        Select::Threshold(_) => ("ThresholdBounded", "relq.threshold.candidate"),
-    };
-    if let Some(&(_, factor)) = probes.iter().find(|&&(_, f)| !(f >= 0.0 && f.is_finite())) {
-        return Err(RelqError::InvalidPlan(format!(
-            "{op} requires finite non-negative query factors, got {factor}"
-        )));
-    }
+    let site = select.check_factors(probes)?;
     let mut out: Vec<(i64, f64)> = Vec::new();
     if let Select::TopK(0) = select {
         return Ok(out);
@@ -1358,21 +1390,189 @@ pub(crate) fn score_windowed(
     Ok(out)
 }
 
-/// Resolve a probe table's `(token, factor)` rows against the posting index
-/// of `base`, in probe order: NULL tokens/factors never contribute (SQL join
-/// / SUM semantics), unknown tokens have no list to probe.
+/// Per-tid sums of every lane of the probed lists, one row per touched tid:
+/// ascending by tid from [`sum_windowed`], first-seen from
+/// [`sum_exhaustive`].
+pub(crate) struct LaneSums {
+    lanes: usize,
+    tids: Vec<i64>,
+    /// `lanes` sums per tid, row after row.
+    sums: Vec<f64>,
+}
+
+impl LaneSums {
+    fn new(lanes: usize) -> Self {
+        LaneSums { lanes, tids: Vec::new(), sums: Vec::new() }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.tids.len()
+    }
+
+    pub(crate) fn tid(&self, row: usize) -> i64 {
+        self.tids[row]
+    }
+
+    /// Row `row`'s sums, one per lane.
+    pub(crate) fn row(&self, row: usize) -> &[f64] {
+        &self.sums[row * self.lanes..(row + 1) * self.lanes]
+    }
+
+    /// The bounded operators' order of two rows: first lane descending
+    /// (`f64::total_cmp`), ties by ascending tid.
+    pub(crate) fn ranking(&self, a: usize, b: usize) -> std::cmp::Ordering {
+        ranking(
+            &(self.tids[a], self.sums[a * self.lanes]),
+            &(self.tids[b], self.sums[b * self.lanes]),
+        )
+    }
+
+    /// The rows `rows` names, in that order.
+    fn pick(&self, rows: &[usize]) -> LaneSums {
+        LaneSums {
+            lanes: self.lanes,
+            tids: rows.iter().map(|&row| self.tids[row]).collect(),
+            sums: rows.iter().flat_map(|&row| self.row(row).iter().copied()).collect(),
+        }
+    }
+
+    /// Keep only the `k` best rows by [`ranking`](Self::ranking), in their
+    /// current order.
+    pub(crate) fn keep_best(&mut self, k: usize) {
+        if self.len() > k {
+            let mut rows: Vec<usize> = (0..self.len()).collect();
+            rows.select_nth_unstable_by(k, |&a, &b| self.ranking(a, b));
+            rows.truncate(k);
+            rows.sort_unstable();
+            *self = self.pick(&rows);
+        }
+    }
+
+    /// The rows `select` keeps by the first lane, in ranking order.
+    fn selected(self, select: Select) -> Self {
+        let mut rows: Vec<usize> = match select {
+            Select::TopK(_) => (0..self.len()).collect(),
+            Select::Threshold(tau) => {
+                (0..self.len()).filter(|&row| admits(self.row(row)[0], tau)).collect()
+            }
+        };
+        rows.sort_unstable_by(|&a, &b| self.ranking(a, b));
+        if let Select::TopK(k) = select {
+            rows.truncate(k);
+        }
+        self.pick(&rows)
+    }
+
+    /// The rows as a `(tid, lane…)` table.
+    fn into_table(self, lanes: &[String]) -> Table {
+        let mut fields = vec![Field::new("tid", DataType::Int)];
+        fields.extend(lanes.iter().map(|lane| Field::new(lane.clone(), DataType::Float)));
+        let n = self.len();
+        let mut cells = Vec::with_capacity(n * (1 + self.lanes));
+        for row in 0..n {
+            cells.push(Value::Int(self.tids[row]));
+            cells.extend(self.row(row).iter().map(|&sum| Value::Float(sum)));
+        }
+        Table::from_cells_unchecked(Schema::new(fields), cells, n)
+    }
+}
+
+/// The kernel of the typed finish and of the multi-lane bounded operators:
+/// every lane of the probed lists summed per tid, every touched tid kept,
+/// in ascending tid order — no selection, no sort.
+///
+/// Windows, charges and fault sites are [`score_windowed`]'s: each window
+/// of [`WINDOW`] tids charges `limits` once for its postings and once for
+/// its touched tids and emits only the granted prefix, so a charge cut
+/// short leaves the exact sums of an ascending prefix of the touched tids.
+/// Within a window each list's run is marked touched, then summed lane by
+/// lane into slots that start at `-0.0`: `-0.0 + x` is `x` for every `x`,
+/// so the first contribution is stored exactly as `score_windowed` stores
+/// it, and each lane keeps the probe order of [`sum_exhaustive`]. `select`
+/// names the operator and fault site; `TopK(0)` keeps nothing and charges
+/// nothing, as `score_windowed` does.
+pub(crate) fn sum_windowed(
+    probes: &[(PostingList<'_>, f64)],
+    lanes: usize,
+    select: Select,
+    limits: &ExecLimits,
+) -> Result<LaneSums> {
+    let site = select.check_factors(probes)?;
+    let mut out = LaneSums::new(lanes);
+    if let Select::TopK(0) = select {
+        return Ok(out);
+    }
+    let mut cursors = vec![0usize; probes.len()];
+    let mut slots = vec![-0.0f64; lanes * WINDOW];
+    let mut touched = [0u64; WINDOW / 64];
+    'windows: loop {
+        let heads =
+            probes.iter().zip(&cursors).filter_map(|((list, _), &pos)| list.tids().get(pos));
+        let Some(&start) = heads.min() else { break };
+        let mut postings = 0;
+        for ((list, factor), pos) in probes.iter().zip(&mut cursors) {
+            let from = *pos;
+            // `tid ≥ start`, so the wrapping difference is the exact offset
+            // even when the two straddle zero.
+            let in_window = |tid: &i64| (tid.wrapping_sub(start) as u64) < WINDOW as u64;
+            let to = from + list.tids()[from..].partition_point(in_window);
+            let tids = &list.tids()[from..to];
+            for &tid in tids {
+                let offset = tid.wrapping_sub(start) as usize;
+                touched[offset / 64] |= 1 << (offset % 64);
+            }
+            for (lane, acc) in slots.chunks_exact_mut(WINDOW).enumerate() {
+                for (&tid, &weight) in tids.iter().zip(&list.lane(lane)[from..to]) {
+                    acc[tid.wrapping_sub(start) as usize] += factor * weight;
+                }
+            }
+            postings += (to - from) as u64;
+            *pos = to;
+        }
+        limits.charge_postings(postings);
+        let count: u32 = touched.iter().map(|bits| bits.count_ones()).sum();
+        let mut granted = limits.charge_candidates(count.into());
+        for (word, bits) in touched.iter_mut().enumerate() {
+            let mut bits = std::mem::take(bits);
+            while bits != 0 {
+                let offset = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if granted == 0 {
+                    break 'windows;
+                }
+                granted -= 1;
+                crate::fault::fault_point(site);
+                out.tids.push(start.wrapping_add(offset as i64));
+                for lane in 0..lanes {
+                    let slot = &mut slots[lane * WINDOW + offset];
+                    out.sums.push(std::mem::replace(slot, -0.0));
+                }
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// The posting index attached under `base`.
+fn posting_of<'c>(catalog: &'c Catalog, base: &str) -> Result<&'c PostingIndex> {
+    catalog
+        .posting_for(base)
+        .map(|posting| &**posting)
+        .ok_or_else(|| RelqError::MissingPosting(base.to_string()))
+}
+
+/// Resolve a probe table's `(token, factor)` rows against `posting`, in
+/// probe order: NULL tokens/factors never contribute (SQL join / SUM
+/// semantics), unknown tokens have no list to probe.
 fn gather_probes<'c>(
-    catalog: &'c Catalog,
-    base: &str,
+    posting: &'c PostingIndex,
     probe: &Table,
     token_col: &str,
     factor_col: Option<&str>,
-) -> Result<Vec<(crate::posting::PostingList<'c>, f64)>> {
-    let posting =
-        catalog.posting_for(base).ok_or_else(|| RelqError::MissingPosting(base.to_string()))?;
+) -> Result<Vec<(PostingList<'c>, f64)>> {
     let token_idx = probe.schema().index_of(token_col)?;
     let factor_idx = factor_col.map(|c| probe.schema().index_of(c)).transpose()?;
-    let mut probes: Vec<(crate::posting::PostingList<'c>, f64)> = Vec::new();
+    let mut probes: Vec<(PostingList<'c>, f64)> = Vec::new();
     for row in probe.rows() {
         let token = &row[token_idx];
         if token.is_null() {
@@ -1396,23 +1596,37 @@ fn gather_probes<'c>(
 /// accumulation order of the materializing aggregation pipeline, hence
 /// byte-identical to it. The naive lowering of both bounded operators and
 /// the reference [`score_windowed`] is checked against.
-pub(crate) fn score_exhaustive(
-    probes: &[(crate::posting::PostingList<'_>, f64)],
-) -> Vec<(i64, f64)> {
+pub(crate) fn score_exhaustive(probes: &[(PostingList<'_>, f64)]) -> Vec<(i64, f64)> {
+    let sums = sum_exhaustive(probes, 1);
+    sums.tids.into_iter().zip(sums.sums).collect()
+}
+
+/// [`score_exhaustive`] for every lane: each tid's lanes summed in probe
+/// order, the first contribution stored, tids in first-seen order. The
+/// naive lowering of a multi-lane bounded operator and the reference
+/// [`sum_windowed`] is checked against.
+pub(crate) fn sum_exhaustive(probes: &[(PostingList<'_>, f64)], lanes: usize) -> LaneSums {
     let mut slots: HashMap<i64, usize> = HashMap::new();
-    let mut scores: Vec<(i64, f64)> = Vec::new();
+    let mut out = LaneSums::new(lanes);
     for &(list, factor) in probes {
         for (i, &tid) in list.tids().iter().enumerate() {
+            let contributions = (0..lanes).map(|lane| factor * list.lane(lane)[i]);
             match slots.get(&tid) {
-                Some(&s) => scores[s].1 += factor * list.weights()[i],
+                Some(&row) => {
+                    let sums = &mut out.sums[row * lanes..(row + 1) * lanes];
+                    for (sum, contribution) in sums.iter_mut().zip(contributions) {
+                        *sum += contribution;
+                    }
+                }
                 None => {
-                    slots.insert(tid, scores.len());
-                    scores.push((tid, factor * list.weights()[i]));
+                    slots.insert(tid, out.tids.len());
+                    out.tids.push(tid);
+                    out.sums.extend(contributions);
                 }
             }
         }
     }
-    scores
+    out
 }
 
 /// Materialize `(tid, score)` pairs as the canonical result table of the

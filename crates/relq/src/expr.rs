@@ -415,16 +415,7 @@ impl FloatExpr {
     ) -> Result<Option<f64>> {
         match self {
             FloatExpr::Column(idx) => {
-                let v = if *idx < split { &left_row[*idx] } else { &right_row[*idx - split] };
-                match v {
-                    Value::Null => Ok(None),
-                    Value::Int(i) => Ok(Some(*i as f64)),
-                    Value::Float(x) => Ok(Some(*x)),
-                    other => Err(RelqError::TypeMismatch {
-                        expected: "numeric",
-                        found: format!("{other}"),
-                    }),
-                }
+                leaf_f64(if *idx < split { &left_row[*idx] } else { &right_row[*idx - split] })
             }
             FloatExpr::Const(v) => Ok(*v),
             FloatExpr::Binary { op, left, right } => {
@@ -434,48 +425,13 @@ impl FloatExpr {
                 ) else {
                     return Ok(None);
                 };
-                Ok(Some(match op {
-                    BinaryOp::Add => a + b,
-                    BinaryOp::Sub => a - b,
-                    BinaryOp::Mul => a * b,
-                    BinaryOp::Div => {
-                        if b == 0.0 {
-                            return Err(RelqError::Arithmetic("division by zero".to_string()));
-                        }
-                        a / b
-                    }
-                    _ => unreachable!("non-arithmetic ops are rejected by from_expr"),
-                }))
+                arith_f64(*op, a, b).map(Some)
             }
             FloatExpr::Unary { func, arg } => {
                 let Some(x) = arg.evaluate_split(left_row, right_row, split)? else {
                     return Ok(None);
                 };
-                Ok(Some(match func {
-                    ScalarFn::Ln => {
-                        if x <= 0.0 {
-                            return Err(RelqError::Arithmetic(format!(
-                                "LOG of non-positive value {x}"
-                            )));
-                        }
-                        x.ln()
-                    }
-                    ScalarFn::Exp => x.exp(),
-                    ScalarFn::Sqrt => {
-                        if x < 0.0 {
-                            return Err(RelqError::Arithmetic(format!(
-                                "SQRT of negative value {x}"
-                            )));
-                        }
-                        x.sqrt()
-                    }
-                    ScalarFn::Abs => x.abs(),
-                    other => {
-                        return Err(RelqError::InvalidPlan(format!(
-                            "{other:?} is not a one-argument function"
-                        )))
-                    }
-                }))
+                unary_f64(*func, x).map(Some)
             }
             FloatExpr::BinaryFn { func, left, right } => {
                 let (Some(a), Some(b)) = (
@@ -484,27 +440,95 @@ impl FloatExpr {
                 ) else {
                     return Ok(None);
                 };
-                Ok(Some(match func {
-                    ScalarFn::Power => a.powf(b),
-                    ScalarFn::Least => a.min(b),
-                    ScalarFn::Greatest => a.max(b),
-                    other => {
-                        return Err(RelqError::InvalidPlan(format!(
-                            "{other:?} is not a two-argument function"
-                        )))
-                    }
-                }))
+                binary_fn_f64(*func, a, b).map(Some)
+            }
+        }
+    }
+
+    /// Evaluate over `n` rows at once, a column at a time: `column(idx)`
+    /// returns column `idx`'s `n` values (`None` is SQL NULL). Every row's
+    /// value has the bits [`evaluate_split`](Self::evaluate_split) gives
+    /// it; a row whose evaluation errs fails the whole call (with the
+    /// erring node's error, not necessarily the first row's).
+    pub(crate) fn evaluate_columns<F>(&self, n: usize, column: &F) -> Result<Vec<Option<f64>>>
+    where
+        F: Fn(usize) -> Result<Vec<Option<f64>>>,
+    {
+        match self {
+            FloatExpr::Column(idx) => column(*idx),
+            FloatExpr::Const(v) => Ok(vec![*v; n]),
+            FloatExpr::Binary { op, left, right } => {
+                let (l, r) =
+                    (left.evaluate_columns(n, column)?, right.evaluate_columns(n, column)?);
+                both(|a, b| arith_f64(*op, a, b), l, r)
+            }
+            FloatExpr::Unary { func, arg } => {
+                let mut out = arg.evaluate_columns(n, column)?;
+                for value in out.iter_mut().flatten() {
+                    *value = unary_f64(*func, *value)?;
+                }
+                Ok(out)
+            }
+            FloatExpr::BinaryFn { func, left, right } => {
+                let (l, r) =
+                    (left.evaluate_columns(n, column)?, right.evaluate_columns(n, column)?);
+                both(|a, b| binary_fn_f64(*func, a, b), l, r)
             }
         }
     }
 }
 
-fn eval_unary(func: ScalarFn, v: Value) -> Result<Value> {
-    if v.is_null() {
-        return Ok(Value::Null);
+/// `f` over two columns row by row: NULL where either side is NULL.
+#[inline]
+fn both(
+    f: impl Fn(f64, f64) -> Result<f64>,
+    left: Vec<Option<f64>>,
+    right: Vec<Option<f64>>,
+) -> Result<Vec<Option<f64>>> {
+    let mut out = left;
+    for (a, b) in out.iter_mut().zip(right) {
+        *a = match (*a, b) {
+            (Some(x), Some(y)) => Some(f(x, y)?),
+            _ => None,
+        };
     }
-    let x = v.as_f64()?;
-    let out = match func {
+    Ok(out)
+}
+
+/// A cell read as a float-fragment leaf: NULL is `None`, numerics widen to
+/// `f64` as [`FloatExpr::evaluate_split`] reads them.
+pub(crate) fn leaf_f64(v: &Value) -> Result<Option<f64>> {
+    match v {
+        Value::Null => Ok(None),
+        Value::Int(i) => Ok(Some(*i as f64)),
+        Value::Float(x) => Ok(Some(*x)),
+        other => Err(RelqError::TypeMismatch { expected: "numeric", found: format!("{other}") }),
+    }
+}
+
+/// `op` over two non-NULL float operands. Every evaluator — the `Value`
+/// one and both forms of the float fragment — computes through these three
+/// functions, which is what keeps their results bit-identical.
+#[inline]
+fn arith_f64(op: BinaryOp, a: f64, b: f64) -> Result<f64> {
+    Ok(match op {
+        BinaryOp::Add => a + b,
+        BinaryOp::Sub => a - b,
+        BinaryOp::Mul => a * b,
+        BinaryOp::Div => {
+            if b == 0.0 {
+                return Err(RelqError::Arithmetic("division by zero".to_string()));
+            }
+            a / b
+        }
+        _ => unreachable!("only arithmetic operators compute on floats"),
+    })
+}
+
+/// A one-argument function of a non-NULL float (see [`arith_f64`]).
+#[inline]
+fn unary_f64(func: ScalarFn, x: f64) -> Result<f64> {
+    Ok(match func {
         ScalarFn::Ln => {
             if x <= 0.0 {
                 return Err(RelqError::Arithmetic(format!("LOG of non-positive value {x}")));
@@ -522,24 +546,34 @@ fn eval_unary(func: ScalarFn, v: Value) -> Result<Value> {
         other => {
             return Err(RelqError::InvalidPlan(format!("{other:?} is not a one-argument function")))
         }
-    };
-    Ok(Value::Float(out))
+    })
 }
 
-fn eval_binary_fn(func: ScalarFn, l: &Value, r: &Value) -> Result<Value> {
-    if l.is_null() || r.is_null() {
-        return Ok(Value::Null);
-    }
-    let (a, b) = (l.as_f64()?, r.as_f64()?);
-    let out = match func {
+/// A two-argument function of two non-NULL floats (see [`arith_f64`]).
+#[inline]
+fn binary_fn_f64(func: ScalarFn, a: f64, b: f64) -> Result<f64> {
+    Ok(match func {
         ScalarFn::Power => a.powf(b),
         ScalarFn::Least => a.min(b),
         ScalarFn::Greatest => a.max(b),
         other => {
             return Err(RelqError::InvalidPlan(format!("{other:?} is not a two-argument function")))
         }
-    };
-    Ok(Value::Float(out))
+    })
+}
+
+fn eval_unary(func: ScalarFn, v: Value) -> Result<Value> {
+    if v.is_null() {
+        return Ok(Value::Null);
+    }
+    unary_f64(func, v.as_f64()?).map(Value::Float)
+}
+
+fn eval_binary_fn(func: ScalarFn, l: &Value, r: &Value) -> Result<Value> {
+    if l.is_null() || r.is_null() {
+        return Ok(Value::Null);
+    }
+    binary_fn_f64(func, l.as_f64()?, r.as_f64()?).map(Value::Float)
 }
 
 fn eval_binary(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
@@ -560,20 +594,7 @@ fn eval_binary(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
                     _ => {}
                 }
             }
-            let (a, b) = (l.as_f64()?, r.as_f64()?);
-            let out = match op {
-                Add => a + b,
-                Sub => a - b,
-                Mul => a * b,
-                Div => {
-                    if b == 0.0 {
-                        return Err(RelqError::Arithmetic("division by zero".to_string()));
-                    }
-                    a / b
-                }
-                _ => unreachable!(),
-            };
-            Ok(Value::Float(out))
+            arith_f64(op, l.as_f64()?, r.as_f64()?).map(Value::Float)
         }
         Eq => Ok(Value::Int((l == r) as i64)),
         NotEq => Ok(Value::Int((l != r) as i64)),

@@ -11,13 +11,15 @@
 //!   rows),
 //! * persistent inverted indexes built at registration time
 //!   ([`Catalog::register_indexed`]) and probed by [`Plan::IndexJoin`],
-//! * tid-ordered [`PostingIndex`]es (built from `(tid, token, weight)` rows
-//!   by [`PostingIndex::from_rows`], or over a registered table by
-//!   [`Catalog::register_posting`]) behind
+//! * tid-ordered [`PostingIndex`]es (built from `(tid, token, weights)`
+//!   rows with one or more weight lanes by [`PostingIndex::from_lanes`], or
+//!   over a registered table by [`Catalog::register_posting`]) behind
 //!   the bounded operators [`Plan::TopKBounded`] and
 //!   [`Plan::ThresholdBounded`], which sum a probe's scaled contributions
 //!   per tid in a windowed dense accumulator — the same bytes as the
-//!   `Aggregate`-then-select pipeline they replace,
+//!   `Aggregate`-then-select pipeline they replace; a `TopK` or filter over
+//!   a projection of the kernel's sums joined to a per-tid table runs on
+//!   typed `f64` columns until the kept rows (the typed finish),
 //! * scalar [`Expr`]essions (arithmetic, `LOG`, `EXP`, `POWER`, comparisons),
 //! * grouped aggregation ([`AggFunc`]: `COUNT`, `SUM`, `MIN`, `MAX`, `AVG`),
 //! * composable logical [`Plan`]s (scan, filter, project, hash join, index

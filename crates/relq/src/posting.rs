@@ -11,9 +11,16 @@
 //! list walk reads one dense cache line after another instead of chasing a
 //! `HashMap`-of-`Vec`s.
 //!
-//! [`PostingIndex::from_rows`] is the one builder: it lays `(tid, token,
-//! weight)` rows out count-then-scatter. [`PostingIndex::build`] feeds it
-//! the rows of a registered table.
+//! A posting carries one weight per named **lane**. The bounded predicates'
+//! lists have one lane, `score`; a multi-lane index (the language model's
+//! three log-probability lanes) stores each list's lanes back to back, so
+//! every lane of a list is one contiguous run too. The bounded operators sum
+//! every lane per tid and rank by the first.
+//!
+//! [`PostingIndex::from_lanes`] is the one builder: it lays `(tid, token,
+//! weights)` rows out count-then-scatter. [`PostingIndex::from_rows`] feeds
+//! it single-lane rows and [`PostingIndex::build`] the rows of a registered
+//! table.
 //!
 //! [`Plan::TopKBounded`](crate::Plan::TopKBounded) and
 //! [`Plan::ThresholdBounded`](crate::Plan::ThresholdBounded) read these
@@ -31,18 +38,20 @@ use std::collections::HashMap;
 /// Where one token's postings live inside the flat arenas.
 #[derive(Debug, Clone, Copy)]
 struct ListMeta {
-    /// First posting in the `tids` / `weights` arenas.
+    /// First posting in the `tids` arena (its lanes start at `offset ×
+    /// lanes` in the `weights` arena).
     offset: usize,
     /// Number of postings.
     len: usize,
 }
 
 /// A borrowed view of one token's posting list inside the flat
-/// struct-of-arrays store: parallel `tids` (ascending) / `weights` slices.
-/// `Copy` — cursors hold it by value, no indirection per access.
+/// struct-of-arrays store: ascending `tids` and their weights, lane after
+/// lane. `Copy` — cursors hold it by value, no indirection per access.
 #[derive(Debug, Clone, Copy)]
 pub struct PostingList<'a> {
     tids: &'a [i64],
+    /// `tids.len()` weights per lane, lane after lane.
     weights: &'a [f64],
 }
 
@@ -63,43 +72,64 @@ impl<'a> PostingList<'a> {
         self.tids
     }
 
-    /// Contributions aligned with [`tids`](Self::tids).
+    /// First-lane contributions aligned with [`tids`](Self::tids).
     pub fn weights(&self) -> &'a [f64] {
-        self.weights
+        &self.weights[..self.tids.len()]
+    }
+
+    /// Lane `lane`'s contributions aligned with [`tids`](Self::tids).
+    pub fn lane(&self, lane: usize) -> &'a [f64] {
+        let n = self.tids.len();
+        &self.weights[lane * n..(lane + 1) * n]
     }
 }
 
 /// Posting lists for every distinct token over one flat struct-of-arrays
-/// store, built once ([`from_rows`](Self::from_rows)) and read by
+/// store, built once ([`from_lanes`](Self::from_lanes)) and read by
 /// [`Plan::TopKBounded`](crate::Plan::TopKBounded) /
 /// [`Plan::ThresholdBounded`](crate::Plan::ThresholdBounded).
 #[derive(Debug, Clone)]
 pub struct PostingIndex {
     /// All lists' tuple ids, list after list (each list's run ascending).
     tids: Vec<i64>,
-    /// Contributions aligned with `tids`.
+    /// Contributions: per list, its run of each lane in lane order.
     weights: Vec<f64>,
+    /// Lane names, the operators' output columns after `tid`.
+    lanes: Vec<String>,
     map: HashMap<Value, ListMeta>,
 }
 
 impl PostingIndex {
-    /// Build posting lists from `(tid, token, weight)` rows: one list per
-    /// distinct token, each entry pairing a tid with its contribution.
-    /// `(token, tid)` pairs must be unique — the token rows of the predicate
-    /// layer are distinct per tuple by construction — and weights must be
-    /// finite. Rows may arrive in any order; rows in ascending tid order
-    /// (a tokenized corpus walked record by record) skip the per-list sort.
+    /// Build single-lane posting lists (lane `score`) from `(tid, token,
+    /// weight)` rows; see [`from_lanes`](Self::from_lanes).
+    pub fn from_rows(rows: impl IntoIterator<Item = (i64, Value, f64)>) -> Result<Self> {
+        Self::from_lanes(["score"], rows.into_iter().map(|(tid, token, w)| (tid, token, [w])))
+    }
+
+    /// Build posting lists with one weight lane per name in `lanes` from
+    /// `(tid, token, weights)` rows: one list per distinct token, each entry
+    /// pairing a tid with its contribution to every lane. `(token, tid)`
+    /// pairs must be unique — the token rows of the predicate layer are
+    /// distinct per tuple by construction — and weights must be finite.
+    /// Rows may arrive in any order; rows in ascending tid order (a
+    /// tokenized corpus walked record by record) skip the per-list sort.
     ///
     /// Count-then-scatter: one pass numbers the distinct tokens in
     /// first-seen order and counts their postings, a second lays every list
     /// out back to back in the two arenas, so no per-token list is ever
     /// allocated.
-    pub fn from_rows(rows: impl IntoIterator<Item = (i64, Value, f64)>) -> Result<Self> {
+    pub fn from_lanes<const L: usize>(
+        lanes: [&str; L],
+        rows: impl IntoIterator<Item = (i64, Value, [f64; L])>,
+    ) -> Result<Self> {
+        if L == 0 {
+            return Err(RelqError::InvalidPlan("a posting index needs a weight lane".to_string()));
+        }
         let mut slots: HashMap<Value, u32> = HashMap::new();
         let mut counts: Vec<usize> = Vec::new();
-        let mut postings: Vec<(u32, i64, f64)> = Vec::new();
-        for (tid, token, weight) in rows {
-            if !weight.is_finite() {
+        let mut postings: Vec<(u32, i64, [f64; L])> = Vec::new();
+        for (tid, token, weights) in rows {
+            if weights.iter().any(|w| !w.is_finite()) {
                 return Err(RelqError::InvalidPlan(format!(
                     "posting weight for token {token} / tid {tid} is not finite"
                 )));
@@ -110,7 +140,7 @@ impl PostingIndex {
                 counts.push(0);
             }
             counts[slot as usize] += 1;
-            postings.push((slot, tid, weight));
+            postings.push((slot, tid, weights));
         }
         let mut offsets: Vec<usize> = Vec::with_capacity(counts.len());
         let mut total = 0;
@@ -119,27 +149,36 @@ impl PostingIndex {
             total += count;
         }
         let mut tids = vec![0i64; total];
-        let mut weights = vec![0f64; total];
+        let mut weights = vec![0f64; total * L];
         let mut next = offsets.clone();
-        for (slot, tid, weight) in postings {
-            let at = &mut next[slot as usize];
-            (tids[*at], weights[*at]) = (tid, weight);
-            *at += 1;
+        // Lane `l` of the posting at arena position `at` in the list of
+        // `slot` lives at `offset·L + l·len + (at − offset)`.
+        let place = |slot: usize, at: usize, lane: usize| {
+            let (offset, len) = (offsets[slot], counts[slot]);
+            offset * L + lane * len + (at - offset)
+        };
+        for (slot, tid, lane_weights) in postings {
+            let at = next[slot as usize];
+            tids[at] = tid;
+            for (lane, w) in lane_weights.into_iter().enumerate() {
+                weights[place(slot as usize, at, lane)] = w;
+            }
+            next[slot as usize] += 1;
         }
         // Per list: sort by tid where row order left the run unsorted, and
         // reject duplicate pairs.
         for (slot, (&offset, &len)) in offsets.iter().zip(&counts).enumerate() {
             let run = offset..offset + len;
             if !tids[run.clone()].windows(2).all(|w| w[0] < w[1]) {
-                let mut pairs: Vec<(i64, f64)> = tids[run.clone()]
-                    .iter()
-                    .copied()
-                    .zip(weights[run.clone()].iter().copied())
+                let mut order: Vec<usize> = run.clone().collect();
+                order.sort_unstable_by_key(|&at| tids[at]);
+                let sorted_tids: Vec<i64> = order.iter().map(|&at| tids[at]).collect();
+                let sorted_weights: Vec<f64> = (0..L)
+                    .flat_map(|lane| order.iter().map(move |&at| (lane, at)))
+                    .map(|(lane, at)| weights[place(slot, at, lane)])
                     .collect();
-                pairs.sort_unstable_by_key(|&(tid, _)| tid);
-                for (i, (tid, weight)) in pairs.into_iter().enumerate() {
-                    (tids[offset + i], weights[offset + i]) = (tid, weight);
-                }
+                tids[run.clone()].copy_from_slice(&sorted_tids);
+                weights[offset * L..(offset + len) * L].copy_from_slice(&sorted_weights);
             }
             if let Some(dup) = tids[run].windows(2).find(|w| w[0] == w[1]) {
                 let token = slots.iter().find(|&(_, &s)| s as usize == slot).map(|(t, _)| t);
@@ -158,7 +197,8 @@ impl PostingIndex {
                 (token, ListMeta { offset: offsets[slot], len: counts[slot] })
             })
             .collect();
-        Ok(PostingIndex { tids, weights, map })
+        let lanes = lanes.iter().map(|s| s.to_string()).collect();
+        Ok(PostingIndex { tids, weights, lanes, map })
     }
 
     /// Build posting lists over the rows of `table`: one list per distinct
@@ -206,11 +246,20 @@ impl PostingIndex {
         self.tids.len()
     }
 
+    /// The weight lanes' names, in lane order (`["score"]` for a
+    /// single-lane index).
+    pub fn lanes(&self) -> &[String] {
+        &self.lanes
+    }
+
     /// The posting list of one token key, as a borrowed view into the arenas.
     pub fn list(&self, token: &Value) -> Option<PostingList<'_>> {
         let meta = self.map.get(token)?;
-        let run = meta.offset..meta.offset + meta.len;
-        Some(PostingList { tids: &self.tids[run.clone()], weights: &self.weights[run] })
+        let lanes = self.lanes.len();
+        Some(PostingList {
+            tids: &self.tids[meta.offset..meta.offset + meta.len],
+            weights: &self.weights[meta.offset * lanes..(meta.offset + meta.len) * lanes],
+        })
     }
 }
 
@@ -220,7 +269,9 @@ mod tests {
     //! (`exec::score_windowed`) to the exhaustive probe-major reference
     //! (`exec::score_exhaustive`) over posting lists built here.
     use super::*;
-    use crate::exec::{score_exhaustive, score_windowed, Select};
+    use crate::exec::{
+        score_exhaustive, score_windowed, sum_exhaustive, sum_windowed, LaneSums, Select,
+    };
     use crate::limits::ExecLimits;
     use crate::schema::Schema;
     use crate::value::DataType;
@@ -300,6 +351,11 @@ mod tests {
         assert!(PostingIndex::from_rows([(1, Value::Int(7), f64::NAN)]).is_err());
         let dup = [(1, Value::Int(7), 0.5), (1, Value::Int(7), 0.25)];
         assert!(PostingIndex::from_rows(dup).is_err());
+        let no_lanes: [(i64, Value, [f64; 0]); 1] = [(1, Value::Int(7), [])];
+        assert!(PostingIndex::from_lanes([], no_lanes).is_err());
+        assert!(
+            PostingIndex::from_lanes(["a", "b"], [(1, Value::Int(7), [0.5, f64::NAN])]).is_err()
+        );
     }
 
     /// The probed lists of `probes` (`(token, factor)`, in probe order;
@@ -348,6 +404,19 @@ mod tests {
     /// replacement, so a list may be probed twice, and include a token
     /// without a list.
     fn random_case(g: &mut proptest::Gen) -> (PostingIndex, Vec<(i64, f64)>) {
+        let (rows, probes) = random_rows(g);
+        (random_index(&rows), probes)
+    }
+
+    fn random_index(rows: &[(i64, i64, f64)]) -> PostingIndex {
+        PostingIndex::build(&weights_table(rows), "token", "tid", Some("weight")).unwrap()
+    }
+
+    /// `(tid, token, weight)` rows.
+    type Rows = Vec<(i64, i64, f64)>;
+
+    /// The rows and probes of [`random_case`].
+    fn random_rows(g: &mut proptest::Gen) -> (Rows, Vec<(i64, f64)>) {
         let num_tokens = g.usize_in(1..10);
         let mut rows = Vec::new();
         for token in 0..num_tokens as i64 {
@@ -360,10 +429,59 @@ mod tests {
         let probes = (0..g.usize_in(1..12))
             .map(|_| (g.int_in(0..num_tokens as i64 + 1), g.f64_in(0.0..1.5)))
             .collect();
-        (
-            PostingIndex::build(&weights_table(&rows), "token", "tid", Some("weight")).unwrap(),
-            probes,
-        )
+        (rows, probes)
+    }
+
+    /// Three signed lanes per row of [`random_rows`], the first the row's
+    /// weight; rows arrive in reverse so every list takes the sort path.
+    fn lane_index(rows: &[(i64, i64, f64)]) -> PostingIndex {
+        let lanes = rows.iter().rev().map(|&(tid, token, w)| {
+            (tid, Value::Int(token), [w, -w / 3.0, w * w - (tid % 7) as f64])
+        });
+        PostingIndex::from_lanes(["a", "b", "c"], lanes).unwrap()
+    }
+
+    /// `(tid, lane bits…)` rows of lane sums, by ascending tid.
+    fn lane_bits(sums: &LaneSums) -> Vec<(i64, Vec<u64>)> {
+        let mut rows: Vec<(i64, Vec<u64>)> = (0..sums.len())
+            .map(|row| (sums.tid(row), sums.row(row).iter().map(|x| x.to_bits()).collect()))
+            .collect();
+        rows.sort_by_key(|row| row.0);
+        rows
+    }
+
+    #[test]
+    fn lane_sums_match_the_exhaustive_reference_on_random_inputs() {
+        use proptest::prelude::*;
+        check(64, |g| {
+            let (rows, probes) = random_rows(g);
+            let (single, lanes) = (random_index(&rows), lane_index(&rows));
+            assert_eq!(lanes.lanes(), ["a", "b", "c"]);
+            let (gathered, all) = (gather(&lanes, &probes), Select::TopK(usize::MAX));
+            let windowed = sum_windowed(&gathered, 3, all, &ExecLimits::unlimited()).unwrap();
+            let tids: Vec<i64> = (0..windowed.len()).map(|row| windowed.tid(row)).collect();
+            assert!(tids.windows(2).all(|w| w[0] < w[1]), "ascending tids");
+            assert_eq!(lane_bits(&windowed), lane_bits(&sum_exhaustive(&gathered, 3)));
+            // The first lane is the single-lane index's score.
+            let mut scores = score_exhaustive(&gather(&single, &probes));
+            scores.sort_by_key(|&(tid, _)| tid);
+            let first: Vec<(i64, u64)> =
+                lane_bits(&windowed).iter().map(|(tid, bits)| (*tid, bits[0])).collect();
+            assert_eq!(first, bits(&scores));
+            // A cut-short charge keeps the exact sums of a tid prefix.
+            for cap in [0, 1, tids.len() / 2, tids.len()] {
+                let limits = ExecLimits::new(None, Some(cap as u64));
+                let cut = sum_windowed(&gathered, 3, all, &limits).unwrap();
+                assert_eq!(lane_bits(&cut), lane_bits(&windowed)[..cap.min(tids.len())], "{cap}");
+                assert_eq!(limits.exhausted(), cap < tids.len());
+            }
+            assert_eq!(
+                sum_windowed(&gathered, 3, Select::TopK(0), &ExecLimits::unlimited())
+                    .unwrap()
+                    .len(),
+                0
+            );
+        });
     }
 
     #[test]
