@@ -12,8 +12,8 @@
 //! two hold the same weight bits by construction, and a workload of indexed
 //! reads never builds the table. Nothing from the shared phase-1 tables is
 //! referenced, so neither predicate forces any of them to build. The
-//! weight-product plans are prepared once per process in every [`Exec`]
-//! mode; execution binds the per-query `QUERY_WEIGHTS` table.
+//! weight-product plans are prepared once per process in every
+//! [`Exec`](crate::Exec) mode; execution binds the per-query `QUERY_WEIGHTS` table.
 //!
 //! **Kernel execution:** both scores are sums of non-negative `w_d · w_q`
 //! products per tid, so the indexed `Exec::Rank` (as `TopK(∞)`) and
@@ -23,31 +23,34 @@
 
 use crate::corpus::{QueryTokens, TokenizedCorpus};
 use crate::dict::TokenId;
-use crate::engine::{Exec, Query, SharedArtifacts};
+use crate::engine::SharedArtifacts;
 use crate::params::Bm25Params;
-use crate::record::ScoredTid;
-use crate::tables::{
-    self, PostingCatalog, RankingPlans, TokenWeight, THRESHOLD_PARAM, TOP_K_PARAM,
-};
-use relq::{col, param, AggFunc, Bindings, Catalog, Plan};
+use crate::predicate::PredicateKind;
+use crate::tables::{self, KernelPredicate, PostingCatalog, RankingPlans, TokenWeight};
+use crate::tables::{THRESHOLD_PARAM, TOP_K_PARAM};
+use relq::{col, param, AggFunc, Bindings, Plan};
 use std::sync::{Arc, OnceLock};
 
-/// The private catalogs of a `(tid, token, weight)` table `name` built
-/// from `weight` (see [`PostingCatalog::private`]), and the shared
+/// A kernel predicate over the private `(tid, token, weight)` table `name`
+/// built from `weight` (see [`PostingCatalog::private`]) with the shared
 /// aggregate-weighted plan — join with query weights on token and sum the
 /// weight products per tuple — plus its posting-driven top-k and threshold
-/// variants, prepared once per process in `plans`.
-fn weight_product_catalog(
+/// variants, prepared once per process in `plans`. `bind` binds the
+/// query's `QUERY_WEIGHTS`.
+fn weight_product(
+    kind: PredicateKind,
+    shared: Arc<SharedArtifacts>,
     name: &'static str,
-    corpus: &Arc<TokenizedCorpus>,
     weight: Arc<TokenWeight>,
     plans: &'static OnceLock<RankingPlans>,
-) -> (PostingCatalog, &'static RankingPlans) {
-    let catalog = PostingCatalog::private(name, corpus.clone(), weight);
-    (catalog, plans.get_or_init(|| weight_product_plans(name)))
+    bind: tables::Bind,
+) -> KernelPredicate {
+    let catalog = PostingCatalog::private(name, shared.corpus().clone(), weight);
+    let plans = plans.get_or_init(|| weight_product_plans(name));
+    KernelPredicate::new(kind, shared, catalog, plans, bind)
 }
 
-/// The prepared plans of [`weight_product_catalog`] over table `name`.
+/// The prepared plans of [`weight_product`] over table `name`.
 fn weight_product_plans(name: &'static str) -> RankingPlans {
     let plan = Plan::index_join(name, &["token"], Plan::param("query_weights"), &["token"])
         .aggregate(&["tid"], vec![(AggFunc::Sum(col("weight").mul(col("weight_r"))), "score")]);
@@ -68,21 +71,11 @@ fn weight_product_plans(name: &'static str) -> RankingPlans {
     RankingPlans::with_bounded(plan, bounded, threshold_bounded)
 }
 
-/// Run the shared plan for one query's weights.
-fn run_weight_product_plan(
-    catalog: &PostingCatalog,
-    plans: &RankingPlans,
-    query_weights: Vec<(TokenId, f64)>,
-    exec: Exec,
-    naive: bool,
-    limits: &relq::ExecLimits,
-) -> crate::error::Result<Vec<ScoredTid>> {
-    if query_weights.is_empty() {
-        return Ok(Vec::new());
-    }
-    let bindings =
-        Bindings::new().with_table("query_weights", tables::query_weights(&query_weights));
-    plans.execute(catalog.for_exec(exec, naive), bindings, exec, naive, limits)
+/// The `QUERY_WEIGHTS` binding of one query's weights, `None` when it has
+/// none.
+fn bind_query_weights(query_weights: Vec<(TokenId, f64)>) -> Option<Bindings> {
+    (!query_weights.is_empty())
+        .then(|| Bindings::new().with_table("query_weights", tables::query_weights(&query_weights)))
 }
 
 /// Cosine's per-(record, token) weight: `tf · idf / ‖D‖`, with the tuple's
@@ -133,143 +126,67 @@ pub(crate) fn bm25_weight(
 }
 
 /// tf-idf cosine similarity (§3.2.1): normalized `tf * idf` weights on both
-/// sides, summed over common tokens.
-pub struct CosinePredicate {
-    shared: Arc<SharedArtifacts>,
-    catalog: PostingCatalog,
-    plans: &'static RankingPlans,
+/// sides, summed over common tokens. Phase-2 preprocessing: `COSINE_WEIGHTS`
+/// with L2-normalized tf-idf weights ([`cosine_weight`]).
+pub(crate) fn cosine(shared: Arc<SharedArtifacts>) -> KernelPredicate {
+    static PLANS: OnceLock<RankingPlans> = OnceLock::new();
+    let weight = Arc::new(cosine_weight(shared.corpus()));
+    weight_product(PredicateKind::Cosine, shared, "cosine_weights", weight, &PLANS, |shared, q| {
+        bind_query_weights(cosine_query_weights(shared.corpus(), q.tokens()))
+    })
 }
 
-impl CosinePredicate {
-    /// Standalone construction over a corpus (prefer the engine).
-    pub fn build(corpus: Arc<TokenizedCorpus>) -> Self {
-        Self::from_shared(SharedArtifacts::build(corpus, &crate::params::Params::default()))
+/// Normalized tf-idf weights of the query tokens (computed on the fly at
+/// query time, exactly as the paper's `QUERY_WEIGHTS` subquery does).
+fn cosine_query_weights(corpus: &TokenizedCorpus, q: &QueryTokens) -> Vec<(TokenId, f64)> {
+    let raw: Vec<(TokenId, f64)> = q
+        .tokens
+        .iter()
+        .map(|&(t, tf)| (t, tf as f64 * corpus.idf(t)))
+        .filter(|&(_, w)| w > 0.0)
+        .collect();
+    let norm: f64 = raw.iter().map(|&(_, w)| w * w).sum::<f64>().sqrt();
+    if norm <= 0.0 {
+        return Vec::new();
     }
-
-    /// Phase-2 preprocessing: `COSINE_WEIGHTS` with L2-normalized tf-idf
-    /// weights ([`cosine_weight`]).
-    pub(crate) fn from_shared(shared: Arc<SharedArtifacts>) -> Self {
-        static PLANS: OnceLock<RankingPlans> = OnceLock::new();
-        let weight = Arc::new(cosine_weight(shared.corpus()));
-        let (catalog, plans) =
-            weight_product_catalog("cosine_weights", shared.corpus(), weight, &PLANS);
-        CosinePredicate { shared, catalog, plans }
-    }
-
-    fn engine_shared(&self) -> &SharedArtifacts {
-        &self.shared
-    }
-
-    fn engine_catalog(&self) -> Option<&Catalog> {
-        Some(self.catalog.current())
-    }
-
-    /// Normalized tf-idf weights of the query tokens (computed on the fly at
-    /// query time, exactly as the paper's `QUERY_WEIGHTS` subquery does).
-    fn query_weights(&self, q: &QueryTokens) -> Vec<(TokenId, f64)> {
-        let corpus = self.shared.corpus();
-        let raw: Vec<(TokenId, f64)> = q
-            .tokens
-            .iter()
-            .map(|&(t, tf)| (t, tf as f64 * corpus.idf(t)))
-            .filter(|&(_, w)| w > 0.0)
-            .collect();
-        let norm: f64 = raw.iter().map(|&(_, w)| w * w).sum::<f64>().sqrt();
-        if norm <= 0.0 {
-            return Vec::new();
-        }
-        raw.into_iter().map(|(t, w)| (t, w / norm)).collect()
-    }
-
-    fn execute(
-        &self,
-        query: &Query,
-        exec: Exec,
-        naive: bool,
-        limits: &relq::ExecLimits,
-    ) -> crate::error::Result<Vec<ScoredTid>> {
-        run_weight_product_plan(
-            &self.catalog,
-            self.plans,
-            self.query_weights(query.tokens()),
-            exec,
-            naive,
-            limits,
-        )
-    }
+    raw.into_iter().map(|(t, w)| (t, w / norm)).collect()
 }
-
-crate::engine::engine_predicate!(CosinePredicate, crate::predicate::PredicateKind::Cosine, catalog);
 
 /// Okapi BM25 (§3.2.2), the weighting scheme the paper introduces to data
 /// cleaning and finds to be among the most accurate and efficient.
-pub struct Bm25Predicate {
-    shared: Arc<SharedArtifacts>,
-    catalog: PostingCatalog,
-    plans: &'static RankingPlans,
+/// Phase-2 preprocessing: `BM25_WEIGHTS` ([`bm25_weight`]).
+pub(crate) fn bm25(shared: Arc<SharedArtifacts>) -> KernelPredicate {
+    static PLANS: OnceLock<RankingPlans> = OnceLock::new();
+    let weight = Arc::new(bm25_weight(shared.corpus(), shared.params().bm25));
+    weight_product(PredicateKind::Bm25, shared, "bm25_weights", weight, &PLANS, |shared, q| {
+        bind_query_weights(bm25_query_weights(shared.params().bm25.k3, q.tokens()))
+    })
 }
 
-impl Bm25Predicate {
-    /// Standalone construction over a corpus (prefer the engine).
-    pub fn build(corpus: Arc<TokenizedCorpus>, params: Bm25Params) -> Self {
-        let params = crate::params::Params { bm25: params, ..Default::default() };
-        Self::from_shared(SharedArtifacts::build(corpus, &params))
-    }
-
-    /// Phase-2 preprocessing: `BM25_WEIGHTS` ([`bm25_weight`]).
-    pub(crate) fn from_shared(shared: Arc<SharedArtifacts>) -> Self {
-        static PLANS: OnceLock<RankingPlans> = OnceLock::new();
-        let weight = Arc::new(bm25_weight(shared.corpus(), shared.params().bm25));
-        let (catalog, plans) =
-            weight_product_catalog("bm25_weights", shared.corpus(), weight, &PLANS);
-        Bm25Predicate { shared, catalog, plans }
-    }
-
-    fn engine_shared(&self) -> &SharedArtifacts {
-        &self.shared
-    }
-
-    fn engine_catalog(&self) -> Option<&Catalog> {
-        Some(self.catalog.current())
-    }
-
-    fn query_weights(&self, q: &QueryTokens) -> Vec<(TokenId, f64)> {
-        let k3 = self.shared.params().bm25.k3;
-        q.tokens
-            .iter()
-            .map(|&(t, tf)| {
-                let tf = tf as f64;
-                (t, (k3 + 1.0) * tf / (k3 + tf))
-            })
-            .collect()
-    }
-
-    fn execute(
-        &self,
-        query: &Query,
-        exec: Exec,
-        naive: bool,
-        limits: &relq::ExecLimits,
-    ) -> crate::error::Result<Vec<ScoredTid>> {
-        run_weight_product_plan(
-            &self.catalog,
-            self.plans,
-            self.query_weights(query.tokens()),
-            exec,
-            naive,
-            limits,
-        )
-    }
+/// BM25's query-side weights: `(k3 + 1) tf / (k3 + tf)` per query token.
+fn bm25_query_weights(k3: f64, q: &QueryTokens) -> Vec<(TokenId, f64)> {
+    q.tokens
+        .iter()
+        .map(|&(t, tf)| {
+            let tf = tf as f64;
+            (t, (k3 + 1.0) * tf / (k3 + tf))
+        })
+        .collect()
 }
-
-crate::engine::engine_predicate!(Bm25Predicate, crate::predicate::PredicateKind::Bm25, catalog);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::corpus::Corpus;
+    use crate::factory::build_predicate;
+    use crate::params::Params;
     use crate::predicate::Predicate;
     use dasp_text::QgramConfig;
+
+    /// The engine handle of `kind` over `corpus` with the default params.
+    fn handle(kind: PredicateKind, corpus: Arc<TokenizedCorpus>) -> Box<dyn Predicate> {
+        build_predicate(kind, corpus, &Params::default())
+    }
 
     fn corpus() -> Arc<TokenizedCorpus> {
         Arc::new(TokenizedCorpus::build(
@@ -286,7 +203,7 @@ mod tests {
 
     #[test]
     fn cosine_self_similarity_is_highest_and_near_one() {
-        let p = CosinePredicate::build(corpus());
+        let p = handle(PredicateKind::Cosine, corpus());
         let ranking = p.rank("Morgan Stanley Group Inc.");
         assert_eq!(ranking[0].tid, 0);
         assert!((ranking[0].score - 1.0).abs() < 1e-6);
@@ -298,7 +215,7 @@ mod tests {
 
     #[test]
     fn cosine_prefers_typo_variant_over_different_company() {
-        let p = CosinePredicate::build(corpus());
+        let p = handle(PredicateKind::Cosine, corpus());
         let ranking = p.rank("Morgan Stanley Group Inc.");
         let pos_typo = ranking.iter().position(|s| s.tid == 1).unwrap();
         let pos_other = ranking.iter().position(|s| s.tid == 2).unwrap();
@@ -307,7 +224,7 @@ mod tests {
 
     #[test]
     fn bm25_scores_and_ranking() {
-        let p = Bm25Predicate::build(corpus(), Bm25Params::default());
+        let p = handle(PredicateKind::Bm25, corpus());
         let ranking = p.rank("Morgan Stanley Group Inc.");
         assert_eq!(ranking[0].tid, 0);
         let pos_typo = ranking.iter().position(|s| s.tid == 1).unwrap();
@@ -320,10 +237,9 @@ mod tests {
 
     #[test]
     fn bm25_query_tf_saturates_with_k3() {
-        let p = Bm25Predicate::build(corpus(), Bm25Params::default());
-        let corpus = corpus();
-        let w1 = p.query_weights(&corpus.tokenize_query("Morgan"));
-        let w2 = p.query_weights(&corpus.tokenize_query("Morgan Morgan Morgan Morgan"));
+        let (k3, corpus) = (Bm25Params::default().k3, corpus());
+        let w1 = bm25_query_weights(k3, &corpus.tokenize_query("Morgan"));
+        let w2 = bm25_query_weights(k3, &corpus.tokenize_query("Morgan Morgan Morgan Morgan"));
         // Repeating the query words increases the query weight of each token
         // but by less than the repetition factor (saturation).
         let total1: f64 = w1.iter().map(|(_, w)| w).sum();
@@ -335,8 +251,8 @@ mod tests {
     #[test]
     fn unknown_queries_return_empty() {
         let c = corpus();
-        assert!(CosinePredicate::build(c.clone()).rank("zzqqvv").len() <= 5);
-        assert!(Bm25Predicate::build(c, Bm25Params::default()).rank("").is_empty());
+        assert!(handle(PredicateKind::Cosine, c.clone()).rank("zzqqvv").len() <= 5);
+        assert!(handle(PredicateKind::Bm25, c).rank("").is_empty());
     }
 
     #[test]
@@ -354,7 +270,7 @@ mod tests {
             ]),
             QgramConfig::new(2),
         ));
-        let p = Bm25Predicate::build(corpus, Bm25Params::default());
+        let p = handle(PredicateKind::Bm25, corpus);
         let ranking = p.rank("zyx");
         assert_eq!(ranking[0].tid, 0);
         assert!(ranking[0].score > ranking[1].score);
@@ -364,8 +280,8 @@ mod tests {
     fn naive_path_and_pushdown_are_byte_identical() {
         let c = corpus();
         let q = "Morgan Stanley Group Inc.";
-        let cosine = CosinePredicate::build(c.clone());
-        let bm25 = Bm25Predicate::build(c, Bm25Params::default());
+        let cosine = handle(PredicateKind::Cosine, c.clone());
+        let bm25 = handle(PredicateKind::Bm25, c);
         assert_eq!(cosine.rank(q), cosine.rank_naive(q));
         assert_eq!(bm25.rank(q), bm25.rank_naive(q));
         let ranked = bm25.rank(q);

@@ -7,8 +7,8 @@
 
 use crate::corpus::TokenizedCorpus;
 use crate::dict::TokenId;
-use crate::engine::{finalize_ranking, Exec, Query, SharedArtifacts};
-use crate::params::GesParams;
+use crate::engine::{finalize_ranking, EngineOps, Exec, Query, SharedArtifacts};
+use crate::predicate::PredicateKind;
 use crate::record::{ScoredTid, Tid};
 use dasp_text::{edit_similarity, EditPattern};
 use std::collections::HashMap;
@@ -123,6 +123,13 @@ pub(crate) const WORD_SIM_MEMO_CAP: usize = 1 << 20;
 /// Slots the match masks of one [`EditPattern`] take.
 const PATTERN_SLOTS: usize = 128;
 
+/// Query positions past which a [`GesScorer`] polls the deadline before
+/// every record. A record's dynamic program grows with the query's
+/// positions, and the candidate charge reads the clock once per 64
+/// records, so against a 100 KB query those 64 records run for seconds;
+/// a query of this many positions or fewer keeps the charge's cadence.
+const POLL_EACH_RECORD_POSITIONS: usize = 64;
+
 /// One query's exact GES scorer over records held as word ids.
 ///
 /// Computes what [`ges_similarity`] computes over [`weighted_query_words`]
@@ -185,6 +192,14 @@ impl<'a> GesScorer<'a> {
             prev: Vec::new(),
             curr: Vec::new(),
         }
+    }
+
+    /// Ask `limits` for one more record to score: a candidate charge,
+    /// after a deadline poll of its own when the query has more than
+    /// [`POLL_EACH_RECORD_POSITIONS`] positions.
+    pub(crate) fn charge_record(&self, limits: &relq::ExecLimits) -> bool {
+        (self.positions.len() <= POLL_EACH_RECORD_POSITIONS || limits.poll_deadline())
+            && limits.charge_candidate()
     }
 
     /// Memo slots held (similarity rows plus match masks).
@@ -253,33 +268,29 @@ impl<'a> GesScorer<'a> {
 /// natively from the record word ids and the shared GES word weights,
 /// through a per-query word-similarity memo. [`Exec::TopK`] selects with
 /// the bounded heap instead of a full sort; [`Exec::Threshold`] filters
-/// during scoring. Use [`super::GesJaccardPredicate`] /
-/// [`super::GesApxPredicate`] for the index-filtered realizations.
-pub struct GesPredicate {
+/// during scoring. GES_Jaccard and GES_apx ([`super::ges_filter`]) are
+/// the index-filtered realizations.
+pub(crate) struct GesPredicate {
     shared: Arc<SharedArtifacts>,
 }
 
 impl GesPredicate {
-    /// Standalone construction over a corpus (prefer the engine).
-    pub fn build(corpus: Arc<TokenizedCorpus>, params: GesParams) -> Self {
-        let params = crate::params::Params { ges: params, ..Default::default() };
-        Self::from_shared(SharedArtifacts::build(corpus, &params))
-    }
-
     /// Phase-2 preprocessing: nothing beyond the shared word weights.
     pub(crate) fn from_shared(shared: Arc<SharedArtifacts>) -> Self {
         GesPredicate { shared }
     }
+}
 
-    fn engine_shared(&self) -> &SharedArtifacts {
+impl EngineOps for GesPredicate {
+    fn predicate_kind(&self) -> PredicateKind {
+        PredicateKind::Ges
+    }
+
+    fn shared_artifacts(&self) -> &SharedArtifacts {
         &self.shared
     }
 
-    fn engine_catalog(&self) -> Option<&relq::Catalog> {
-        None
-    }
-
-    fn execute(
+    fn execute_mode(
         &self,
         query: &Query,
         exec: Exec,
@@ -297,12 +308,17 @@ impl GesPredicate {
             query_words,
             self.shared.params().ges.cins,
         );
+        // The setup charges nothing: an expired deadline ends the request
+        // here with the empty anytime answer.
+        if !limits.poll_deadline() {
+            return Ok(Vec::new());
+        }
         let mut out = Vec::with_capacity(corpus.num_records());
         for idx in 0..corpus.num_records() {
             // Budget boundary: one candidate per corpus record scored.
             // Scores already pushed are exact, so breaking leaves a valid
             // anytime answer.
-            if !limits.charge_candidate() {
+            if !scorer.charge_record(limits) {
                 break;
             }
             let sim = scorer.similarity(idx);
@@ -313,8 +329,6 @@ impl GesPredicate {
         Ok(finalize_ranking(out, exec))
     }
 }
-
-crate::engine::engine_predicate!(GesPredicate, crate::predicate::PredicateKind::Ges);
 
 #[cfg(test)]
 mod tests {
@@ -375,7 +389,7 @@ mod tests {
         assert!(swap < exact);
     }
 
-    use crate::predicate::Predicate;
+    use crate::factory::build_predicate;
 
     #[test]
     fn predicate_ranks_edit_variant_above_unrelated() {
@@ -388,7 +402,7 @@ mod tests {
             ]),
             QgramConfig::new(2),
         ));
-        let p = GesPredicate::build(corpus, GesParams::default());
+        let p = build_predicate(PredicateKind::Ges, corpus, &Params::default());
         let ranking = p.rank("Morgan Stanley Group Incorporated");
         assert_eq!(ranking[0].tid, 0);
         let pos_typo = ranking.iter().position(|s| s.tid == 1).unwrap();
@@ -407,7 +421,7 @@ mod tests {
         assert!(words[1].weight > 0.0);
     }
 
-    use crate::combination::{GesApxPredicate, GesJaccardPredicate};
+    use crate::combination::ges_filter::{FilteredGes, GesFilterKind};
     use crate::engine::SelectionEngine;
     use crate::params::Params;
     use crate::predicate::PredicateKind;
@@ -452,9 +466,11 @@ mod tests {
     #[test]
     fn ges_family_rank_is_bit_identical_to_the_string_level_reference() {
         let (corpus, engine) = cu1_engine();
-        let ges = GesParams::default();
-        let jaccard = GesJaccardPredicate::build(corpus.clone(), ges);
-        let apx = GesApxPredicate::build(corpus.clone(), ges);
+        let params = Params::default();
+        let ges = params.ges;
+        let filter =
+            |kind| FilteredGes::from_shared(SharedArtifacts::build(corpus.clone(), &params), kind);
+        let (jaccard, apx) = (filter(GesFilterKind::Jaccard), filter(GesFilterKind::MinHash));
         for idx in (0..corpus.num_records()).step_by(25) {
             let text = corpus.record_text(idx).to_string();
             let query = engine.query(&text);
@@ -468,11 +484,8 @@ mod tests {
             // The filtered variants re-score their filter survivors, taken
             // from the naive reference plan (the served memo is under test).
             for (kind, filter) in [
-                (
-                    PredicateKind::GesJaccard,
-                    jaccard.inner.filter_scores_mode(&query, true).unwrap(),
-                ),
-                (PredicateKind::GesApx, apx.inner.filter_scores_mode(&query, true).unwrap()),
+                (PredicateKind::GesJaccard, jaccard.filter_scores_mode(&query, true).unwrap()),
+                (PredicateKind::GesApx, apx.filter_scores_mode(&query, true).unwrap()),
             ] {
                 let survivors = filter
                     .iter()

@@ -35,8 +35,9 @@
 use crate::combination::ges::{GesScorer, WeightedWord};
 use crate::corpus::TokenizedCorpus;
 use crate::dict::{TokenDict, TokenId};
-use crate::engine::{finalize_ranking, Exec, Query, SharedArtifacts};
+use crate::engine::{finalize_ranking, EngineOps, Exec, Query, SharedArtifacts};
 use crate::params::GesParams;
+use crate::predicate::PredicateKind;
 use crate::record::{sort_ranked, ScoredTid, Tid};
 use dasp_text::{word_qgrams, MinHasher, QgramConfig};
 use relq::{
@@ -46,7 +47,7 @@ use std::sync::{Arc, OnceLock};
 
 /// Which filtering strategy a [`FilteredGes`] instance uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GesFilterKind {
+pub(crate) enum GesFilterKind {
     /// Exact word-level Jaccard over q-grams of the word tokens.
     Jaccard,
     /// Min-hash approximation of the word-level Jaccard.
@@ -201,9 +202,12 @@ struct ReferencePlan {
     plan: PreparedPlan,
 }
 
-/// Shared state of the filtered GES predicates.
-pub struct FilteredGes {
+/// The filtered GES predicates: `GES_Jaccard` (exact word-level Jaccard
+/// filtering) and `GES_apx` (min-hash filtering), each followed by exact
+/// GES re-scoring.
+pub(crate) struct FilteredGes {
     shared: Arc<SharedArtifacts>,
+    filter: GesFilterKind,
     /// The filter kind's vocabulary index, shared with every engine over the same frozen
     /// word dictionary.
     vocab: Arc<GesVocab>,
@@ -218,30 +222,7 @@ impl FilteredGes {
     /// nothing relational.
     pub(crate) fn from_shared(shared: Arc<SharedArtifacts>, filter: GesFilterKind) -> Self {
         let vocab = shared.corpus().ges_vocab(filter, shared.params().ges);
-        FilteredGes { shared, vocab, reference: OnceLock::new() }
-    }
-
-    pub(crate) fn shared(&self) -> &SharedArtifacts {
-        &self.shared
-    }
-
-    /// The reference plan's catalog, once a naive run has built it.
-    pub(crate) fn catalog(&self) -> Option<&Catalog> {
-        self.reference.get().map(|r| &r.catalog)
-    }
-
-    /// Number of distinct q-grams of a base word token (the denominator of
-    /// the word-level Jaccard in Equation 4.7).
-    pub fn word_qgram_size(&self, word: TokenId) -> usize {
-        self.vocab.word_qgram_sizes[word as usize]
-    }
-
-    /// The over-estimating filter scores per tuple (Equation 4.7 / 4.8),
-    /// best first, from the per-query word memo. Returns `(tid, estimate)`
-    /// pairs for every tuple some query word reaches.
-    pub fn filter_scores(&self, query: &str) -> Vec<ScoredTid> {
-        let query = Query::build(self.shared.corpus(), query);
-        self.filter_scores_mode(&query, false).expect("the memo estimate never fails")
+        FilteredGes { shared, filter, vocab, reference: OnceLock::new() }
     }
 
     /// Every estimate, best first: from the memo, or with `naive` from the
@@ -563,11 +544,29 @@ impl FilteredGes {
             &unlimited,
         )
     }
+}
+
+impl EngineOps for FilteredGes {
+    fn predicate_kind(&self) -> PredicateKind {
+        match self.filter {
+            GesFilterKind::Jaccard => PredicateKind::GesJaccard,
+            GesFilterKind::MinHash => PredicateKind::GesApx,
+        }
+    }
+
+    fn shared_artifacts(&self) -> &SharedArtifacts {
+        &self.shared
+    }
+
+    /// The reference plan's catalog, once a naive run has built it.
+    fn plan_catalog(&self) -> Option<&Catalog> {
+        self.reference.get().map(|r| &r.catalog)
+    }
 
     /// Execute: filter by the over-estimate at the build-time θ, re-score
     /// candidates exactly in estimate order, then apply the execution mode
     /// to the exact scores.
-    fn execute(
+    fn execute_mode(
         &self,
         query: &Query,
         exec: Exec,
@@ -605,7 +604,7 @@ impl FilteredGes {
             // Budget boundary: one candidate per filter survivor re-scored.
             // Entries already pushed carry exact GES scores, so breaking
             // leaves a valid anytime answer.
-            if !limits.charge_candidate() {
+            if !scorer.charge_record(limits) {
                 break;
             }
             let exact = scorer.similarity(self.shared.record_index(candidate.tid));
@@ -615,95 +614,12 @@ impl FilteredGes {
     }
 }
 
-/// `GES_Jaccard`: exact word-level Jaccard filtering + exact GES re-scoring.
-pub struct GesJaccardPredicate {
-    pub(crate) inner: FilteredGes,
-}
-
-impl GesJaccardPredicate {
-    /// Standalone construction over a corpus (prefer the engine).
-    pub fn build(corpus: Arc<TokenizedCorpus>, params: GesParams) -> Self {
-        let params = crate::params::Params { ges: params, ..Default::default() };
-        Self::from_shared(SharedArtifacts::build(corpus, &params))
-    }
-
-    pub(crate) fn from_shared(shared: Arc<SharedArtifacts>) -> Self {
-        GesJaccardPredicate { inner: FilteredGes::from_shared(shared, GesFilterKind::Jaccard) }
-    }
-
-    /// Access the filter scores (used by the threshold-sweep experiments).
-    pub fn filter_scores(&self, query: &str) -> Vec<ScoredTid> {
-        self.inner.filter_scores(query)
-    }
-
-    fn engine_shared(&self) -> &SharedArtifacts {
-        self.inner.shared()
-    }
-
-    fn engine_catalog(&self) -> Option<&Catalog> {
-        self.inner.catalog()
-    }
-
-    fn execute(
-        &self,
-        query: &Query,
-        exec: Exec,
-        naive: bool,
-        limits: &relq::ExecLimits,
-    ) -> crate::error::Result<Vec<ScoredTid>> {
-        self.inner.execute(query, exec, naive, limits)
-    }
-}
-
-crate::engine::engine_predicate!(GesJaccardPredicate, crate::predicate::PredicateKind::GesJaccard);
-
-/// `GES_apx`: min-hash filtering + exact GES re-scoring.
-pub struct GesApxPredicate {
-    pub(crate) inner: FilteredGes,
-}
-
-impl GesApxPredicate {
-    /// Standalone construction over a corpus (prefer the engine).
-    pub fn build(corpus: Arc<TokenizedCorpus>, params: GesParams) -> Self {
-        let params = crate::params::Params { ges: params, ..Default::default() };
-        Self::from_shared(SharedArtifacts::build(corpus, &params))
-    }
-
-    pub(crate) fn from_shared(shared: Arc<SharedArtifacts>) -> Self {
-        GesApxPredicate { inner: FilteredGes::from_shared(shared, GesFilterKind::MinHash) }
-    }
-
-    /// Access the filter scores (used by the threshold-sweep experiments).
-    pub fn filter_scores(&self, query: &str) -> Vec<ScoredTid> {
-        self.inner.filter_scores(query)
-    }
-
-    fn engine_shared(&self) -> &SharedArtifacts {
-        self.inner.shared()
-    }
-
-    fn engine_catalog(&self) -> Option<&Catalog> {
-        self.inner.catalog()
-    }
-
-    fn execute(
-        &self,
-        query: &Query,
-        exec: Exec,
-        naive: bool,
-        limits: &relq::ExecLimits,
-    ) -> crate::error::Result<Vec<ScoredTid>> {
-        self.inner.execute(query, exec, naive, limits)
-    }
-}
-
-crate::engine::engine_predicate!(GesApxPredicate, crate::predicate::PredicateKind::GesApx);
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::combination::ges::{ges_similarity, weighted_query_words, weighted_record_words};
     use crate::corpus::Corpus;
+    use crate::factory::build_predicate;
     use crate::predicate::Predicate;
 
     fn corpus() -> Arc<TokenizedCorpus> {
@@ -719,10 +635,29 @@ mod tests {
         ))
     }
 
+    /// The filtered GES core of `filter` over `corpus()` with `ges` as its
+    /// parameters.
+    fn filtered(filter: GesFilterKind, ges: GesParams) -> FilteredGes {
+        let params = Params { ges, ..Params::default() };
+        FilteredGes::from_shared(SharedArtifacts::build(corpus(), &params), filter)
+    }
+
+    /// The engine handle of `kind` over `corpus()` with `ges` as its
+    /// parameters.
+    fn handle(kind: PredicateKind, ges: GesParams) -> Box<dyn Predicate> {
+        build_predicate(kind, corpus(), &Params { ges, ..Params::default() })
+    }
+
+    /// The memo's filter estimates of `text`, best first.
+    fn estimates(filter: &FilteredGes, text: &str) -> Vec<ScoredTid> {
+        let query = Query::build(filter.shared.corpus(), text);
+        filter.filter_scores_mode(&query, false).unwrap()
+    }
+
     #[test]
     fn filter_estimate_is_high_for_exact_duplicates() {
-        let p = GesJaccardPredicate::build(corpus(), GesParams::default());
-        let scores = p.filter_scores("Morgan Stanley Group Incorporated");
+        let p = filtered(GesFilterKind::Jaccard, GesParams::default());
+        let scores = estimates(&p, "Morgan Stanley Group Incorporated");
         let own = scores.iter().find(|s| s.tid == 0).expect("tuple 0 present");
         assert!(own.score > 0.95, "estimate for exact duplicate was {}", own.score);
     }
@@ -730,10 +665,10 @@ mod tests {
     #[test]
     fn filter_overestimates_exact_ges() {
         // Equation 4.7 ignores word order, so it over-estimates GES.
-        let p = GesJaccardPredicate::build(corpus(), GesParams::default());
+        let p = filtered(GesFilterKind::Jaccard, GesParams::default());
         let q = "Morgan Stanley Group Incorporated";
-        let filter = p.filter_scores(q);
-        let shared = p.inner.shared();
+        let filter = estimates(&p, q);
+        let shared = &p.shared;
         let query_words = weighted_query_words(shared.corpus(), q);
         for s in &filter {
             let idx = shared.record_index(s.tid);
@@ -751,7 +686,7 @@ mod tests {
 
     #[test]
     fn ranking_returns_edit_variant_first_among_candidates() {
-        let p = GesJaccardPredicate::build(corpus(), GesParams::default());
+        let p = handle(PredicateKind::GesJaccard, GesParams::default());
         let ranking = p.rank("Morgan Stanley Group Incorporated");
         assert!(!ranking.is_empty());
         assert_eq!(ranking[0].tid, 0);
@@ -761,12 +696,12 @@ mod tests {
 
     #[test]
     fn higher_threshold_returns_fewer_candidates() {
-        let loose = GesJaccardPredicate::build(
-            corpus(),
+        let loose = handle(
+            PredicateKind::GesJaccard,
             GesParams { filter_threshold: 0.5, ..GesParams::default() },
         );
-        let strict = GesJaccardPredicate::build(
-            corpus(),
+        let strict = handle(
+            PredicateKind::GesJaccard,
             GesParams { filter_threshold: 0.95, ..GesParams::default() },
         );
         let q = "Morgan Stanle Grop Incorporated";
@@ -775,12 +710,12 @@ mod tests {
 
     #[test]
     fn minhash_variant_approximates_jaccard_variant() {
-        let exact = GesJaccardPredicate::build(corpus(), GesParams::default());
+        let exact = filtered(GesFilterKind::Jaccard, GesParams::default());
         let apx =
-            GesApxPredicate::build(corpus(), GesParams { num_hashes: 64, ..GesParams::default() });
+            filtered(GesFilterKind::MinHash, GesParams { num_hashes: 64, ..GesParams::default() });
         let q = "Morgan Stanley Group Incorporated";
-        let e = exact.filter_scores(q);
-        let a = apx.filter_scores(q);
+        let e = estimates(&exact, q);
+        let a = estimates(&apx, q);
         // The same top tuple must surface in both.
         assert_eq!(e.first().map(|s| s.tid), a.first().map(|s| s.tid));
         for s in &a {
@@ -798,20 +733,20 @@ mod tests {
 
     #[test]
     fn word_qgram_sizes_match_padded_word_lengths() {
-        let p = GesJaccardPredicate::build(corpus(), GesParams::default());
+        let p = filtered(GesFilterKind::Jaccard, GesParams::default());
         let corpus = corpus();
         for (wid, word) in corpus.word_dict().iter() {
             // A word of n chars padded with q-1 on each side has n + q - 1
             // grams before deduplication, so the distinct count is at most that.
             let upper = word.chars().count() + 1;
-            let size = p.inner.word_qgram_size(wid);
+            let size = p.vocab.word_qgram_sizes[wid as usize];
             assert!(size >= 1 && size <= upper, "{word}: {size} vs upper {upper}");
         }
     }
 
     #[test]
     fn pushdown_modes_match_post_hoc_selection() {
-        let p = GesJaccardPredicate::build(corpus(), GesParams::default());
+        let p = handle(PredicateKind::GesJaccard, GesParams::default());
         let q = "Morgan Stanley Group Incorporated";
         let ranked = p.rank(q);
         for k in [0, 1, 2, ranked.len() + 1] {
@@ -825,14 +760,12 @@ mod tests {
 
     #[test]
     fn empty_query_yields_nothing() {
-        let p = GesApxPredicate::build(corpus(), GesParams::default());
-        assert!(p.rank("").is_empty());
-        assert!(p.filter_scores("").is_empty());
+        assert!(handle(PredicateKind::GesApx, GesParams::default()).rank("").is_empty());
+        assert!(estimates(&filtered(GesFilterKind::MinHash, GesParams::default()), "").is_empty());
     }
 
     use crate::engine::SelectionEngine;
     use crate::params::{ExecBudget, Params};
-    use crate::predicate::PredicateKind;
     use dasp_datagen::presets::{cu_dataset_sized, cu_spec, dblp_dataset};
 
     /// The seeded 500-record CU1-like corpus and a DBLP-like one.
@@ -865,7 +798,7 @@ mod tests {
     /// The memo's estimates equal the reference plan's in tid, order and
     /// bits; returns how many there were.
     fn assert_memo_matches_reference(filter: &FilteredGes, text: &str, label: &str) -> usize {
-        let query = Query::build(filter.shared().corpus(), text);
+        let query = Query::build(filter.shared.corpus(), text);
         let memo = filter.filter_scores_mode(&query, false).unwrap();
         let reference = filter.filter_scores_mode(&query, true).unwrap();
         let bits = |s: &[ScoredTid]| -> Vec<(Tid, u64)> {
@@ -938,13 +871,10 @@ mod tests {
         let engine = SelectionEngine::build(corpus.clone(), &params);
         let theta = params.ges.filter_threshold;
         let weights = crate::combination::ges::word_weights(&corpus);
-        for (kind, filter) in [
-            (
-                PredicateKind::GesJaccard,
-                GesJaccardPredicate::build(corpus.clone(), params.ges).inner,
-            ),
-            (PredicateKind::GesApx, GesApxPredicate::build(corpus.clone(), params.ges).inner),
-        ] {
+        for filter in [GesFilterKind::Jaccard, GesFilterKind::MinHash] {
+            let filter =
+                FilteredGes::from_shared(SharedArtifacts::build(corpus.clone(), &params), filter);
+            let kind = filter.predicate_kind();
             let handle = engine.predicate(kind);
             let mut cases = 0;
             for idx in (0..corpus.num_records()).step_by(100) {
@@ -974,14 +904,15 @@ mod tests {
 
     #[test]
     fn a_served_engine_never_builds_the_reference_plan() {
-        let p = GesJaccardPredicate::build(corpus(), GesParams::default());
-        let q = "Morgan Stanley Group Incorporated";
-        p.rank(q);
-        assert!(p.engine_catalog().is_none(), "the indexed path built the reference");
-        assert!(p.inner.shared().artifact_built("ges_word_records"));
-        assert!(!p.inner.shared().artifact_built("base_words"));
-        assert_eq!(p.rank_naive(q), p.rank(q));
-        let catalog = p.engine_catalog().expect("the naive run builds the reference");
+        let p = filtered(GesFilterKind::Jaccard, GesParams::default());
+        let query = Query::build(p.shared.corpus(), "Morgan Stanley Group Incorporated");
+        let unlimited = relq::ExecLimits::unlimited();
+        let served = p.execute_mode(&query, Exec::Rank, false, &unlimited).unwrap();
+        assert!(p.plan_catalog().is_none(), "the indexed path built the reference");
+        assert!(p.shared.artifact_built("ges_word_records"));
+        assert!(!p.shared.artifact_built("base_words"));
+        assert_eq!(p.execute_mode(&query, Exec::Rank, true, &unlimited).unwrap(), served);
+        let catalog = p.plan_catalog().expect("the naive run builds the reference");
         assert!(catalog.contains("base_words") && catalog.contains("base_qgrams"));
     }
 }

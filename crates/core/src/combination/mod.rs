@@ -7,6 +7,4 @@ pub mod ges;
 pub mod ges_filter;
 pub mod soft_tfidf;
 
-pub use ges::{ges_similarity, ges_transformation_cost, GesPredicate, WeightedWord};
-pub use ges_filter::{FilteredGes, GesApxPredicate, GesFilterKind, GesJaccardPredicate};
-pub use soft_tfidf::SoftTfIdfPredicate;
+pub use ges::{ges_similarity, ges_transformation_cost, WeightedWord};

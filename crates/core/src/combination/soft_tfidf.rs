@@ -6,9 +6,8 @@
 //! Rust function) exactly as in the paper; the MAXTOKEN construction and the
 //! final weighted sum are executed declaratively (Figure 4.7).
 
-use crate::corpus::TokenizedCorpus;
-use crate::engine::{Exec, Query, SharedArtifacts};
-use crate::params::SoftTfIdfParams;
+use crate::engine::{EngineOps, Exec, Query, SharedArtifacts};
+use crate::predicate::PredicateKind;
 use crate::record::ScoredTid;
 use crate::tables::RankingPlans;
 use dasp_text::jaro_winkler;
@@ -27,19 +26,13 @@ const DEADLINE_POLL_PAIRS: usize = 1024;
 /// `BASE_WORD_WEIGHTS` registered indexed on wtoken; the MAXTOKEN pipeline
 /// of Figure 4.7 is prepared once in all three [`Exec`] modes, and the
 /// `CLOSE` (UDF-produced) and `QUERY_WEIGHTS` tables bind per query.
-pub struct SoftTfIdfPredicate {
+pub(crate) struct SoftTfIdfPredicate {
     shared: Arc<SharedArtifacts>,
     catalog: Catalog,
     plans: RankingPlans,
 }
 
 impl SoftTfIdfPredicate {
-    /// Standalone construction over a corpus (prefer the engine).
-    pub fn build(corpus: Arc<TokenizedCorpus>, params: SoftTfIdfParams) -> Self {
-        let params = crate::params::Params { soft_tfidf: params, ..Default::default() };
-        Self::from_shared(SharedArtifacts::build(corpus, &params))
-    }
-
     /// Phase-2 preprocessing: register `BASE_WORD_WEIGHTS(tid, wtoken,
     /// weight)` with L2-normalized word-level tf-idf weights.
     pub(crate) fn from_shared(shared: Arc<SharedArtifacts>) -> Self {
@@ -124,14 +117,6 @@ impl SoftTfIdfPredicate {
         SoftTfIdfPredicate { shared, catalog, plans: RankingPlans::new(plan) }
     }
 
-    fn engine_shared(&self) -> &SharedArtifacts {
-        &self.shared
-    }
-
-    fn engine_catalog(&self) -> Option<&Catalog> {
-        Some(&self.catalog)
-    }
-
     /// Normalized tf-idf weights of the query's word tokens (known words only,
     /// as in the paper's SQL which joins `BASE_IDF`).
     fn query_word_weights(&self, query: &Query) -> Vec<(usize, String, f64)> {
@@ -156,8 +141,22 @@ impl SoftTfIdfPredicate {
         }
         raw.into_iter().enumerate().map(|(i, (w, x))| (i, w, x / norm)).collect()
     }
+}
 
-    fn execute(
+impl EngineOps for SoftTfIdfPredicate {
+    fn predicate_kind(&self) -> PredicateKind {
+        PredicateKind::SoftTfIdf
+    }
+
+    fn shared_artifacts(&self) -> &SharedArtifacts {
+        &self.shared
+    }
+
+    fn plan_catalog(&self) -> Option<&Catalog> {
+        Some(&self.catalog)
+    }
+
+    fn execute_mode(
         &self,
         query: &Query,
         exec: Exec,
@@ -212,14 +211,24 @@ impl SoftTfIdfPredicate {
     }
 }
 
-crate::engine::engine_predicate!(SoftTfIdfPredicate, crate::predicate::PredicateKind::SoftTfIdf);
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::Corpus;
+    use crate::corpus::{Corpus, TokenizedCorpus};
+    use crate::factory::build_predicate;
+    use crate::params::{Params, SoftTfIdfParams};
     use crate::predicate::Predicate;
     use dasp_text::QgramConfig;
+
+    /// SoftTFIDF's engine handle over `corpus` with `soft_tfidf` as its
+    /// parameters.
+    fn handle(corpus: Arc<TokenizedCorpus>, soft_tfidf: SoftTfIdfParams) -> Box<dyn Predicate> {
+        build_predicate(
+            PredicateKind::SoftTfIdf,
+            corpus,
+            &Params { soft_tfidf, ..Params::default() },
+        )
+    }
 
     fn corpus() -> Arc<TokenizedCorpus> {
         Arc::new(TokenizedCorpus::build(
@@ -236,7 +245,7 @@ mod tests {
 
     #[test]
     fn exact_duplicate_ranks_first_with_score_near_one() {
-        let p = SoftTfIdfPredicate::build(corpus(), SoftTfIdfParams::default());
+        let p = handle(corpus(), SoftTfIdfParams::default());
         let ranking = p.rank("Morgan Stanley Group Incorporated");
         assert_eq!(ranking[0].tid, 0);
         assert!(ranking[0].score > 0.99);
@@ -247,7 +256,7 @@ mod tests {
         // SoftTFIDF's strength in the paper: Jaro-Winkler matches the
         // misspelled swapped words, so "Stalney Morgan Group Inc" still
         // scores close to the query.
-        let p = SoftTfIdfPredicate::build(corpus(), SoftTfIdfParams::default());
+        let p = handle(corpus(), SoftTfIdfParams::default());
         let ranking = p.rank("Morgan Stanley Group Incorporated");
         let swapped = ranking.iter().find(|s| s.tid == 1).expect("swapped variant matched");
         let unrelated = ranking.iter().find(|s| s.tid == 3);
@@ -259,8 +268,8 @@ mod tests {
 
     #[test]
     fn lower_theta_matches_more_word_pairs() {
-        let strict = SoftTfIdfPredicate::build(corpus(), SoftTfIdfParams { theta: 0.95 });
-        let loose = SoftTfIdfPredicate::build(corpus(), SoftTfIdfParams { theta: 0.6 });
+        let strict = handle(corpus(), SoftTfIdfParams { theta: 0.95 });
+        let loose = handle(corpus(), SoftTfIdfParams { theta: 0.6 });
         let q = "Morgn Stanly Group Incorporatd";
         let s = strict.rank(q);
         let l = loose.rank(q);
@@ -274,7 +283,7 @@ mod tests {
         // Both weight vectors are L2-normalized, so scores sit near [0, 1];
         // a small overshoot is possible when several query words map onto the
         // same base word, which the paper's SQL allows as well.
-        let p = SoftTfIdfPredicate::build(corpus(), SoftTfIdfParams::default());
+        let p = handle(corpus(), SoftTfIdfParams::default());
         for q in ["Morgan Stanley", "Beijing Hotel", "Group Incorporated"] {
             for s in p.rank(q) {
                 assert!(s.score > 0.0 && s.score.is_finite(), "q={q} score={}", s.score);
@@ -285,7 +294,7 @@ mod tests {
 
     #[test]
     fn unknown_only_query_returns_nothing() {
-        let p = SoftTfIdfPredicate::build(corpus(), SoftTfIdfParams::default());
+        let p = handle(corpus(), SoftTfIdfParams::default());
         assert!(p.rank("zzzz qqqq").is_empty());
         assert!(p.rank("").is_empty());
     }

@@ -18,16 +18,16 @@
 //! rank-then-filter because `sim ≥ τ` implies an edit distance within the
 //! tightened band.
 
-use crate::corpus::TokenizedCorpus;
-use crate::engine::{finalize_ranking, Exec, Query, SharedArtifacts};
+use crate::engine::{finalize_ranking, EngineOps, Exec, Query, SharedArtifacts};
 use crate::params::EditParams;
+use crate::predicate::PredicateKind;
 use crate::record::ScoredTid;
 use dasp_text::edit_distance_within;
 use relq::{col, AggFunc, Bindings, Catalog, DataType, Plan, PreparedPlan, Schema, Table, Value};
 use std::sync::Arc;
 
 /// Edit-similarity predicate with q-gram count filtering.
-pub struct EditPredicate {
+pub(crate) struct EditPredicate {
     shared: Arc<SharedArtifacts>,
     catalog: Catalog,
     /// Candidate generation (multiset q-gram intersection per tuple); the
@@ -38,12 +38,6 @@ pub struct EditPredicate {
 }
 
 impl EditPredicate {
-    /// Standalone construction over a corpus (prefer the engine).
-    pub fn build(corpus: Arc<TokenizedCorpus>, params: EditParams) -> Self {
-        let params = crate::params::Params { edit: params, ..Default::default() };
-        Self::from_shared(SharedArtifacts::build(corpus, &params))
-    }
-
     /// Phase-2 preprocessing: prepare the count-filter plan over the shared
     /// `BASE_TF` table.
     pub(crate) fn from_shared(shared: Arc<SharedArtifacts>) -> Self {
@@ -54,14 +48,6 @@ impl EditPredicate {
         );
         let catalog = shared.catalog_with(&["base_tf"]);
         EditPredicate { shared, catalog, plan, params }
-    }
-
-    fn engine_shared(&self) -> &SharedArtifacts {
-        &self.shared
-    }
-
-    fn engine_catalog(&self) -> Option<&Catalog> {
-        Some(&self.catalog)
     }
 
     /// The maximum edit distance admitted for a pair of lengths under a
@@ -79,8 +65,22 @@ impl EditPredicate {
         }
         t
     }
+}
 
-    fn execute(
+impl EngineOps for EditPredicate {
+    fn predicate_kind(&self) -> PredicateKind {
+        PredicateKind::EditSimilarity
+    }
+
+    fn shared_artifacts(&self) -> &SharedArtifacts {
+        &self.shared
+    }
+
+    fn plan_catalog(&self) -> Option<&Catalog> {
+        Some(&self.catalog)
+    }
+
+    fn execute_mode(
         &self,
         query: &Query,
         exec: Exec,
@@ -171,14 +171,24 @@ impl EditPredicate {
     }
 }
 
-crate::engine::engine_predicate!(EditPredicate, crate::predicate::PredicateKind::EditSimilarity);
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::Corpus;
+    use crate::corpus::{Corpus, TokenizedCorpus};
+    use crate::factory::build_predicate;
+    use crate::params::Params;
     use crate::predicate::Predicate;
     use dasp_text::{edit_distance, normalize, QgramConfig};
+
+    /// The edit predicate's engine handle over `corpus` with `edit` as its
+    /// parameters.
+    fn handle(corpus: Arc<TokenizedCorpus>, edit: EditParams) -> Box<dyn Predicate> {
+        build_predicate(
+            PredicateKind::EditSimilarity,
+            corpus,
+            &Params { edit, ..Params::default() },
+        )
+    }
 
     fn corpus() -> Arc<TokenizedCorpus> {
         Arc::new(TokenizedCorpus::build(
@@ -195,7 +205,7 @@ mod tests {
 
     #[test]
     fn exact_match_scores_one() {
-        let p = EditPredicate::build(corpus(), EditParams::default());
+        let p = handle(corpus(), EditParams::default());
         let ranking = p.rank("Morgan Stanley Group Inc.");
         assert_eq!(ranking[0].tid, 0);
         assert!((ranking[0].score - 1.0).abs() < 1e-12);
@@ -203,7 +213,7 @@ mod tests {
 
     #[test]
     fn close_typos_pass_the_filter_and_are_scored_correctly() {
-        let p = EditPredicate::build(corpus(), EditParams::default());
+        let p = handle(corpus(), EditParams::default());
         let ranking = p.rank("Morgan Stanley Group Inc.");
         let tids: Vec<u32> = ranking.iter().map(|s| s.tid).collect();
         assert!(tids.contains(&1));
@@ -222,7 +232,7 @@ mod tests {
 
     #[test]
     fn filter_excludes_dissimilar_strings() {
-        let p = EditPredicate::build(corpus(), EditParams::default());
+        let p = handle(corpus(), EditParams::default());
         let ranking = p.rank("Morgan Stanley Group Inc.");
         // Beijing Hotel is far beyond the 0.7 threshold and must be filtered.
         assert!(ranking.iter().all(|s| s.tid != 4));
@@ -231,8 +241,8 @@ mod tests {
 
     #[test]
     fn lower_threshold_admits_more_candidates() {
-        let strict = EditPredicate::build(corpus(), EditParams { filter_threshold: 0.9 });
-        let loose = EditPredicate::build(corpus(), EditParams { filter_threshold: 0.5 });
+        let strict = handle(corpus(), EditParams { filter_threshold: 0.9 });
+        let loose = handle(corpus(), EditParams { filter_threshold: 0.5 });
         let q = "Morgan Stanley Group Inc.";
         assert!(loose.rank(q).len() >= strict.rank(q).len());
     }
@@ -241,7 +251,7 @@ mod tests {
     fn no_false_negatives_within_threshold() {
         // Every tuple whose true edit similarity is >= θ must be returned.
         let theta = 0.7;
-        let p = EditPredicate::build(corpus(), EditParams { filter_threshold: theta });
+        let p = handle(corpus(), EditParams { filter_threshold: theta });
         let q = "Morgan Stanley Group Inc.";
         let qn = normalize(q);
         let returned: Vec<u32> = p.rank(q).iter().map(|s| s.tid).collect();
@@ -259,7 +269,7 @@ mod tests {
 
     #[test]
     fn threshold_pushdown_matches_rank_then_filter() {
-        let p = EditPredicate::build(corpus(), EditParams::default());
+        let p = handle(corpus(), EditParams::default());
         let q = "Morgan Stanley Group Inc.";
         let ranked = p.rank(q);
         // Taus both below and above the build-time θ (the latter exercises
@@ -272,7 +282,7 @@ mod tests {
 
     #[test]
     fn top_k_pushdown_matches_rank_truncation() {
-        let p = EditPredicate::build(corpus(), EditParams::default());
+        let p = handle(corpus(), EditParams::default());
         let q = "Morgan Stanley Group Inc.";
         let ranked = p.rank(q);
         for k in [0, 1, 2, ranked.len() + 1] {
@@ -282,7 +292,7 @@ mod tests {
 
     #[test]
     fn empty_query_returns_nothing() {
-        let p = EditPredicate::build(corpus(), EditParams::default());
+        let p = handle(corpus(), EditParams::default());
         assert!(p.rank("").is_empty());
     }
 }

@@ -821,9 +821,12 @@ impl Query {
     }
 }
 
-/// The engine-facing surface every predicate implements: mode-aware
-/// execution over a prepared [`Query`], plus the introspection hooks the
-/// shared-artifact contract is asserted through.
+/// The engine-facing surface every predicate core implements — one
+/// [`KernelPredicate`](crate::tables::KernelPredicate) for the eight kernel
+/// kinds, and the four UDF cores: mode-aware execution over a prepared
+/// [`Query`], plus the introspection hooks the shared-artifact contract is
+/// asserted through. [`PredicateHandle`] checks that a query was prepared
+/// against the core's engine before it calls in.
 pub(crate) trait EngineOps: Send + Sync {
     fn predicate_kind(&self) -> PredicateKind;
     fn shared_artifacts(&self) -> &SharedArtifacts;
@@ -851,73 +854,6 @@ pub(crate) trait EngineOps: Send + Sync {
         None
     }
 }
-
-/// Implements [`EngineOps`] and the [`Predicate`] compatibility shim for a
-/// predicate type exposing `shared: Arc<SharedArtifacts>`-style access via
-/// `engine_shared()`, a `catalog()` accessor, and a mode-aware
-/// `execute(&Query, Exec, naive, limits)`. A bounded predicate also names
-/// its lazy `PostingCatalog` field, which the laziness tests inspect.
-macro_rules! engine_predicate {
-    ($ty:ty, $kind:expr $(, $posting_catalog:ident)?) => {
-        impl crate::engine::EngineOps for $ty {
-            fn predicate_kind(&self) -> crate::predicate::PredicateKind {
-                $kind
-            }
-            fn shared_artifacts(&self) -> &crate::engine::SharedArtifacts {
-                self.engine_shared()
-            }
-            fn execute_mode(
-                &self,
-                query: &crate::engine::Query,
-                exec: crate::engine::Exec,
-                naive: bool,
-                limits: &relq::ExecLimits,
-            ) -> crate::error::Result<Vec<crate::record::ScoredTid>> {
-                // A query tokenized against another engine's dictionary would
-                // resolve token ids wrong and return plausible-looking but
-                // bogus scores — fail loudly in every build.
-                if !query.tokenized_against(self.engine_shared().corpus()) {
-                    return Err(crate::error::DaspError::EngineMismatch);
-                }
-                self.execute(query, exec, naive, limits)
-            }
-            fn plan_catalog(&self) -> Option<&relq::Catalog> {
-                self.engine_catalog()
-            }
-            $(
-                #[cfg(test)]
-                fn posting_catalog(&self) -> Option<&crate::tables::PostingCatalog> {
-                    Some(&self.$posting_catalog)
-                }
-            )?
-        }
-
-        impl crate::predicate::Predicate for $ty {
-            fn kind(&self) -> crate::predicate::PredicateKind {
-                $kind
-            }
-            fn try_rank(&self, query: &str) -> crate::error::Result<Vec<crate::record::ScoredTid>> {
-                self.try_execute(query, crate::engine::Exec::Rank)
-            }
-            fn try_rank_naive(
-                &self,
-                query: &str,
-            ) -> crate::error::Result<Vec<crate::record::ScoredTid>> {
-                let query = crate::engine::Query::build(self.engine_shared().corpus(), query);
-                self.execute(&query, crate::engine::Exec::Rank, true, &relq::ExecLimits::unlimited())
-            }
-            fn try_execute(
-                &self,
-                query: &str,
-                exec: crate::engine::Exec,
-            ) -> crate::error::Result<Vec<crate::record::ScoredTid>> {
-                let query = crate::engine::Query::build(self.engine_shared().corpus(), query);
-                self.execute(&query, exec, false, &relq::ExecLimits::unlimited())
-            }
-        }
-    };
-}
-pub(crate) use engine_predicate;
 
 struct EngineInner {
     shared: Arc<SharedArtifacts>,
@@ -1034,32 +970,32 @@ impl SelectionEngine {
 }
 
 /// Phase-2 preprocessing: build one predicate's core over the shared
-/// artifacts. This is the only place predicate constructors are dispatched.
+/// artifacts. This is the only place predicate cores are constructed: one
+/// [`KernelPredicate`](crate::tables::KernelPredicate) per kernel kind, and
+/// the four UDF cores.
 fn build_predicate_core(kind: PredicateKind, shared: &Arc<SharedArtifacts>) -> Arc<dyn EngineOps> {
-    use crate::aggregate::{Bm25Predicate, CosinePredicate};
-    use crate::combination::{
-        GesApxPredicate, GesJaccardPredicate, GesPredicate, SoftTfIdfPredicate,
-    };
+    use crate::combination::ges::GesPredicate;
+    use crate::combination::ges_filter::{FilteredGes, GesFilterKind};
+    use crate::combination::soft_tfidf::SoftTfIdfPredicate;
     use crate::editpred::EditPredicate;
-    use crate::hmm::HmmPredicate;
-    use crate::langmodel::LanguageModelPredicate;
-    use crate::overlap::{IntersectSize, JaccardPredicate, WeightedJaccard, WeightedMatch};
+    use crate::{aggregate, hmm, langmodel, overlap};
+    let shared = shared.clone();
     match kind {
-        PredicateKind::IntersectSize => Arc::new(IntersectSize::from_shared(shared.clone())),
-        PredicateKind::Jaccard => Arc::new(JaccardPredicate::from_shared(shared.clone())),
-        PredicateKind::WeightedMatch => Arc::new(WeightedMatch::from_shared(shared.clone())),
-        PredicateKind::WeightedJaccard => Arc::new(WeightedJaccard::from_shared(shared.clone())),
-        PredicateKind::Cosine => Arc::new(CosinePredicate::from_shared(shared.clone())),
-        PredicateKind::Bm25 => Arc::new(Bm25Predicate::from_shared(shared.clone())),
-        PredicateKind::LanguageModel => {
-            Arc::new(LanguageModelPredicate::from_shared(shared.clone()))
+        PredicateKind::IntersectSize => Arc::new(overlap::intersect_size(shared)),
+        PredicateKind::Jaccard => Arc::new(overlap::jaccard(shared)),
+        PredicateKind::WeightedMatch => Arc::new(overlap::weighted_match(shared)),
+        PredicateKind::WeightedJaccard => Arc::new(overlap::weighted_jaccard(shared)),
+        PredicateKind::Cosine => Arc::new(aggregate::cosine(shared)),
+        PredicateKind::Bm25 => Arc::new(aggregate::bm25(shared)),
+        PredicateKind::LanguageModel => Arc::new(langmodel::language_model(shared)),
+        PredicateKind::Hmm => Arc::new(hmm::hmm(shared)),
+        PredicateKind::EditSimilarity => Arc::new(EditPredicate::from_shared(shared)),
+        PredicateKind::Ges => Arc::new(GesPredicate::from_shared(shared)),
+        PredicateKind::GesJaccard => {
+            Arc::new(FilteredGes::from_shared(shared, GesFilterKind::Jaccard))
         }
-        PredicateKind::Hmm => Arc::new(HmmPredicate::from_shared(shared.clone())),
-        PredicateKind::EditSimilarity => Arc::new(EditPredicate::from_shared(shared.clone())),
-        PredicateKind::Ges => Arc::new(GesPredicate::from_shared(shared.clone())),
-        PredicateKind::GesJaccard => Arc::new(GesJaccardPredicate::from_shared(shared.clone())),
-        PredicateKind::GesApx => Arc::new(GesApxPredicate::from_shared(shared.clone())),
-        PredicateKind::SoftTfIdf => Arc::new(SoftTfIdfPredicate::from_shared(shared.clone())),
+        PredicateKind::GesApx => Arc::new(FilteredGes::from_shared(shared, GesFilterKind::MinHash)),
+        PredicateKind::SoftTfIdf => Arc::new(SoftTfIdfPredicate::from_shared(shared)),
     }
 }
 
@@ -1148,7 +1084,19 @@ impl PredicateHandle {
     /// (clone-per-scan, per-query hash builds, sort-then-truncate top-k) —
     /// byte-identical output, kept as the equivalence and bench baseline.
     pub fn execute_naive(&self, query: &Query, exec: Exec) -> Result<Vec<ScoredTid>> {
-        self.core.execute_mode(query, exec, true, &relq::ExecLimits::unlimited())
+        self.core_for(query)?.execute_mode(query, exec, true, &relq::ExecLimits::unlimited())
+    }
+
+    /// The predicate core, once `query` is known to be prepared against this
+    /// handle's engine: the one check every entry point taking a prepared
+    /// [`Query`] runs. A query tokenized against another engine's
+    /// dictionary would resolve token ids wrong and return
+    /// plausible-looking but bogus scores, so it fails loudly instead.
+    fn core_for(&self, query: &Query) -> Result<&dyn EngineOps> {
+        if !query.tokenized_against(self.core.shared_artifacts().corpus()) {
+            return Err(DaspError::EngineMismatch);
+        }
+        Ok(&*self.core)
     }
 
     /// Execute under a cooperative [`ExecBudget`]. An unlimited budget takes
@@ -1166,9 +1114,7 @@ impl PredicateHandle {
     ) -> Result<BudgetedRun> {
         // The cache is keyed by query text, so a query prepared against
         // other statistics must be rejected before the probe.
-        if !query.tokenized_against(self.core.shared_artifacts().corpus()) {
-            return Err(DaspError::EngineMismatch);
-        }
+        self.core_for(query)?;
         self.run_cached(query.text(), exec, budget, || query)
     }
 
@@ -1211,7 +1157,7 @@ impl PredicateHandle {
         exec: Exec,
         limits: &relq::ExecLimits,
     ) -> Result<Vec<ScoredTid>> {
-        self.core.execute_mode(query, exec, false, limits)
+        self.core_for(query)?.execute_mode(query, exec, false, limits)
     }
 
     /// The catalog this predicate's plans run against (`None` for the pure
@@ -1551,23 +1497,42 @@ mod tests {
         let a = engine();
         let b = SelectionEngine::build(
             Arc::new(TokenizedCorpus::build(
-                Corpus::from_strings(vec!["completely", "different", "corpus"]),
+                Corpus::from_strings(vec!["Morgan Stanley", "different", "corpus"]),
                 dasp_text::QgramConfig::new(2),
             )),
             &Params::default(),
         );
-        let foreign = b.query("different");
-        let handle = a.predicate(PredicateKind::Bm25);
-        // A query from the same engine is accepted, and its answer cached.
-        assert!(handle.execute(&a.query("different"), Exec::Rank).is_ok());
-        // A foreign query with the same text fails before the cache probe,
-        // on the cached and the budgeted path alike.
+        let text = "Morgan Stanley Group Inc.";
+        let foreign = b.query(text);
         let capped = ExecBudget { max_candidates: Some(1), ..ExecBudget::default() };
-        for budget in [ExecBudget::unlimited(), capped] {
-            assert!(matches!(
-                handle.execute_budgeted(&foreign, Exec::Rank, budget),
-                Err(DaspError::EngineMismatch)
-            ));
+        let unlimited = relq::ExecLimits::unlimited();
+        let modes = [
+            Exec::Rank,
+            Exec::TopK(2),
+            Exec::TopKHeap(2),
+            Exec::Threshold(0.1),
+            Exec::ThresholdScan(0.1),
+        ];
+        let mismatch = |r: Result<Vec<ScoredTid>>| matches!(r, Err(DaspError::EngineMismatch));
+        // Every entry point taking a prepared query refuses a foreign one,
+        // for every kind and mode: the one check in `PredicateHandle`.
+        for (kind, handle) in a.predicates() {
+            for exec in modes {
+                // A query from the same engine is accepted, and its answer
+                // cached: the foreign query with the same text fails before
+                // the cache probe, on the cached and the budgeted path alike.
+                assert!(handle.execute(&a.query(text), exec).is_ok(), "{kind} {exec:?}");
+                assert!(mismatch(handle.execute(&foreign, exec)), "{kind} {exec:?} execute");
+                let tracked = handle.execute_tracked(&foreign, exec).map(|(rows, _)| rows);
+                assert!(mismatch(tracked), "{kind} {exec:?} execute_tracked");
+                for budget in [ExecBudget::unlimited(), capped] {
+                    let run = handle.execute_budgeted(&foreign, exec, budget).map(|r| r.results);
+                    assert!(mismatch(run), "{kind} {exec:?} execute_budgeted");
+                }
+                assert!(mismatch(handle.execute_naive(&foreign, exec)), "{kind} {exec:?} naive");
+                let parted = handle.execute_with_limits(&foreign, exec, &unlimited);
+                assert!(mismatch(parted), "{kind} {exec:?} execute_with_limits");
+            }
         }
         assert_eq!(a.result_cache_stats().hits, 0);
     }

@@ -7,11 +7,12 @@
 //! as fast as the unweighted overlap predicates in the paper's Figure 5.3.
 
 use crate::corpus::TokenizedCorpus;
-use crate::engine::{Exec, Query, SharedArtifacts};
+use crate::engine::SharedArtifacts;
 use crate::params::HmmParams;
-use crate::record::ScoredTid;
-use crate::tables::{self, PostingCatalog, RankingPlans, THRESHOLD_PARAM, TOP_K_PARAM};
-use relq::{col, lit, param, AggFunc, Bindings, Catalog, Plan};
+use crate::predicate::PredicateKind;
+use crate::tables::{self, KernelPredicate, PostingCatalog, RankingPlans};
+use crate::tables::{THRESHOLD_PARAM, TOP_K_PARAM};
+use relq::{col, lit, param, AggFunc, Plan};
 use std::sync::{Arc, OnceLock};
 
 /// HMM's per-(record, token) weight:
@@ -36,16 +37,18 @@ pub(crate) fn hmm_weight(
     }
 }
 
-/// Hidden Markov model predicate.
+/// The hidden Markov model predicate. Phase-2 preprocessing: `HMM_WEIGHTS`
+/// ([`hmm_weight`]); the table and the posting lists behind the bounded
+/// plans are each built on first use.
 ///
-/// **Shared-artifact contract:** `HMM_WEIGHTS` (`hmm_weight`) and its
+/// **Shared-artifact contract:** `HMM_WEIGHTS` and its
 /// posting lists are private artifacts built from the one weight function,
 /// each on first use — the table, indexed on token, for the reference
 /// modes (naive `Rank`, `TopKHeap`, `ThresholdScan`); the posting lists,
 /// straight from the tokenized rows, for the indexed `Rank`, `TopK` and
 /// `Threshold`. The predicate references no shared phase-1 table;
 /// execution binds the multiplicity-preserving query token table into plans
-/// prepared once per process in every [`Exec`] mode.
+/// prepared once per process in every [`Exec`](crate::Exec) mode.
 ///
 /// **Kernel execution:** the stored weight `log(1 + a1·pml/(a0·P(t|GE)))`
 /// is strictly positive, and `exp` is monotone, so ranking by the log-space
@@ -59,105 +62,69 @@ pub(crate) fn hmm_weight(
 /// round-trip error), and an exact plan-level `score ≥ τ` filter over the
 /// exponentiated sums decides final membership — which is what keeps the
 /// bounded result bit-identical to the exhaustive scan at every τ.
-pub struct HmmPredicate {
-    shared: Arc<SharedArtifacts>,
-    catalog: PostingCatalog,
-    plans: &'static RankingPlans,
+pub(crate) fn hmm(shared: Arc<SharedArtifacts>) -> KernelPredicate {
+    let weight = Arc::new(hmm_weight(shared.corpus(), shared.params().hmm));
+    let catalog = PostingCatalog::private("hmm_weights", shared.corpus().clone(), weight);
+    static PLANS: OnceLock<RankingPlans> = OnceLock::new();
+    let plans = PLANS.get_or_init(|| {
+        let plan =
+            Plan::index_join("hmm_weights", &["token"], Plan::param("query_tokens"), &["token"])
+                .aggregate(&["tid"], vec![(AggFunc::Sum(col("weight")), "logscore")])
+                .project(vec![(col("tid"), "tid"), (col("logscore").exp(), "score")]);
+        // The bounded operators select by the log-space sum (same order as
+        // the exp'd score); the projection then exponentiates the surviving
+        // sums. The probe keeps one row per query-token occurrence, so
+        // repeated tokens probe their list once per occurrence, exactly like
+        // the join.
+        let bounded = Plan::top_k_bounded(
+            "hmm_weights",
+            Plan::param("query_tokens"),
+            "token",
+            None,
+            param(TOP_K_PARAM),
+        )
+        .project(vec![(col("tid"), "tid"), (col("score").exp(), "score")]);
+        // Threshold in log space: the inner bar clamps τ away from
+        // zero (`ln` is undefined at τ ≤ 0, and `GREATEST` maps a NaN τ to
+        // the clamp) and subtracts an absolute log-space slack of 1e-9 —
+        // seven orders of magnitude above the `ln`/`exp` round-trip error —
+        // so no tid whose exponentiated sum reaches τ is ever cut by the
+        // bounded operator. The outer filter then applies the exact `score >= τ`
+        // test on the exponentiated sums, trimming the slack margin back to
+        // precisely the exhaustive plan's selection.
+        let threshold_bounded = Plan::threshold_bounded(
+            "hmm_weights",
+            Plan::param("query_tokens"),
+            "token",
+            None,
+            param(THRESHOLD_PARAM).greatest(lit(f64::MIN_POSITIVE)).ln().sub(lit(1e-9)),
+        )
+        .project(vec![(col("tid"), "tid"), (col("score").exp(), "score")])
+        .filter(col("score").gt_eq(param(THRESHOLD_PARAM)));
+        RankingPlans::with_bounded(plan, bounded, threshold_bounded)
+    });
+    // Query tokens keep their multiplicity: a token occurring twice in the
+    // query contributes its factor twice (the SQL joins the raw
+    // QUERY_TOKENS table, which has one row per occurrence).
+    KernelPredicate::new(PredicateKind::Hmm, shared, catalog, plans, |_, query| {
+        tables::bind_query_tokens(query, false)
+    })
 }
-
-impl HmmPredicate {
-    /// Standalone construction over a corpus (prefer the engine).
-    pub fn build(corpus: Arc<TokenizedCorpus>, params: HmmParams) -> Self {
-        let params = crate::params::Params { hmm: params, ..Default::default() };
-        Self::from_shared(SharedArtifacts::build(corpus, &params))
-    }
-
-    /// Phase-2 preprocessing: `HMM_WEIGHTS` ([`hmm_weight`]). The table
-    /// and the posting lists behind the bounded plans are each built on
-    /// first use.
-    pub(crate) fn from_shared(shared: Arc<SharedArtifacts>) -> Self {
-        let weight = Arc::new(hmm_weight(shared.corpus(), shared.params().hmm));
-        let catalog = PostingCatalog::private("hmm_weights", shared.corpus().clone(), weight);
-        static PLANS: OnceLock<RankingPlans> = OnceLock::new();
-        let plans = PLANS.get_or_init(|| {
-            let plan = Plan::index_join(
-                "hmm_weights",
-                &["token"],
-                Plan::param("query_tokens"),
-                &["token"],
-            )
-            .aggregate(&["tid"], vec![(AggFunc::Sum(col("weight")), "logscore")])
-            .project(vec![(col("tid"), "tid"), (col("logscore").exp(), "score")]);
-            // The bounded operators select by the log-space sum (same order as
-            // the exp'd score); the projection then exponentiates the surviving
-            // sums. The probe keeps one row per query-token occurrence, so
-            // repeated tokens probe their list once per occurrence, exactly like
-            // the join.
-            let bounded = Plan::top_k_bounded(
-                "hmm_weights",
-                Plan::param("query_tokens"),
-                "token",
-                None,
-                param(TOP_K_PARAM),
-            )
-            .project(vec![(col("tid"), "tid"), (col("score").exp(), "score")]);
-            // Threshold in log space: the inner bar clamps τ away from
-            // zero (`ln` is undefined at τ ≤ 0, and `GREATEST` maps a NaN τ to
-            // the clamp) and subtracts an absolute log-space slack of 1e-9 —
-            // seven orders of magnitude above the `ln`/`exp` round-trip error —
-            // so no tid whose exponentiated sum reaches τ is ever cut by the
-            // bounded operator. The outer filter then applies the exact `score >= τ`
-            // test on the exponentiated sums, trimming the slack margin back to
-            // precisely the exhaustive plan's selection.
-            let threshold_bounded = Plan::threshold_bounded(
-                "hmm_weights",
-                Plan::param("query_tokens"),
-                "token",
-                None,
-                param(THRESHOLD_PARAM).greatest(lit(f64::MIN_POSITIVE)).ln().sub(lit(1e-9)),
-            )
-            .project(vec![(col("tid"), "tid"), (col("score").exp(), "score")])
-            .filter(col("score").gt_eq(param(THRESHOLD_PARAM)));
-            RankingPlans::with_bounded(plan, bounded, threshold_bounded)
-        });
-        HmmPredicate { shared, catalog, plans }
-    }
-
-    fn engine_shared(&self) -> &SharedArtifacts {
-        &self.shared
-    }
-
-    fn engine_catalog(&self) -> Option<&Catalog> {
-        Some(self.catalog.current())
-    }
-
-    fn execute(
-        &self,
-        query: &Query,
-        exec: Exec,
-        naive: bool,
-        limits: &relq::ExecLimits,
-    ) -> crate::error::Result<Vec<ScoredTid>> {
-        let q = query.tokens();
-        if q.tokens.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Query tokens keep their multiplicity: a token occurring twice in the
-        // query contributes its factor twice (the SQL joins the raw
-        // QUERY_TOKENS table, which has one row per occurrence).
-        let bindings = Bindings::new().with_table("query_tokens", tables::query_tokens(q, false));
-        self.plans.execute(self.catalog.for_exec(exec, naive), bindings, exec, naive, limits)
-    }
-}
-
-crate::engine::engine_predicate!(HmmPredicate, crate::predicate::PredicateKind::Hmm, catalog);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::corpus::Corpus;
+    use crate::engine::{EngineOps, Exec, Query};
+    use crate::factory::build_predicate;
+    use crate::params::Params;
     use crate::predicate::Predicate;
     use dasp_text::QgramConfig;
+
+    /// HMM's engine handle over `corpus` with `hmm` as its parameters.
+    fn handle(corpus: Arc<TokenizedCorpus>, hmm: HmmParams) -> Box<dyn Predicate> {
+        build_predicate(PredicateKind::Hmm, corpus, &Params { hmm, ..Params::default() })
+    }
 
     fn corpus() -> Arc<TokenizedCorpus> {
         Arc::new(TokenizedCorpus::build(
@@ -174,7 +141,7 @@ mod tests {
 
     #[test]
     fn exact_duplicate_ranks_first() {
-        let p = HmmPredicate::build(corpus(), HmmParams::default());
+        let p = handle(corpus(), HmmParams::default());
         let ranking = p.rank("Morgan Stanley Group Inc.");
         assert_eq!(ranking[0].tid, 0);
     }
@@ -183,7 +150,7 @@ mod tests {
     fn scores_are_at_least_one_and_finite() {
         // Every matched token multiplies the score by a factor > 1, so any
         // tuple sharing at least one token scores above 1.
-        let p = HmmPredicate::build(corpus(), HmmParams::default());
+        let p = handle(corpus(), HmmParams::default());
         for s in p.rank("Morgan Stanley") {
             assert!(s.score > 1.0);
             assert!(s.score.is_finite());
@@ -201,7 +168,7 @@ mod tests {
             ]),
             QgramConfig::new(2),
         ));
-        let p = HmmPredicate::build(corpus, HmmParams::default());
+        let p = handle(corpus, HmmParams::default());
         let ranking = p.rank("zzzq widget");
         assert_eq!(ranking[0].tid, 0, "the tuple containing the rare token must rank first");
     }
@@ -209,7 +176,7 @@ mod tests {
     #[test]
     fn a0_extremes_do_not_break_ranking() {
         for a0 in [0.05, 0.2, 0.5, 0.9] {
-            let p = HmmPredicate::build(corpus(), HmmParams { a0 });
+            let p = handle(corpus(), HmmParams { a0 });
             let ranking = p.rank("Beijing Hotel");
             assert_eq!(ranking[0].tid, 3, "a0={a0}");
         }
@@ -217,7 +184,7 @@ mod tests {
 
     #[test]
     fn repeated_query_tokens_increase_score() {
-        let p = HmmPredicate::build(corpus(), HmmParams::default());
+        let p = handle(corpus(), HmmParams::default());
         let once = p.rank("Beijing");
         let twice = p.rank("Beijing Beijing");
         let s1 = once.iter().find(|s| s.tid == 3).unwrap().score;
@@ -227,24 +194,26 @@ mod tests {
 
     #[test]
     fn empty_query_returns_nothing() {
-        let p = HmmPredicate::build(corpus(), HmmParams::default());
+        let p = handle(corpus(), HmmParams::default());
         assert!(p.rank("").is_empty());
     }
 
     #[test]
     fn scan_route_keeps_the_private_posting_catalog_unbuilt() {
-        let p = HmmPredicate::build(corpus(), HmmParams::default());
-        let query = crate::engine::Query::build(p.shared.corpus(), "Morgan Stanley");
+        let p = hmm(SharedArtifacts::build(corpus(), &Params::default()));
+        let query = Query::build(p.shared_artifacts().corpus(), "Morgan Stanley");
         let unlimited = relq::ExecLimits::unlimited();
+        let posting_built = || p.posting_catalog().unwrap().posting_built();
         // The exhaustive modes answer from the posting-free base catalog.
-        let reference = p.execute(&query, Exec::ThresholdScan(1.5), false, &unlimited).unwrap();
+        let reference =
+            p.execute_mode(&query, Exec::ThresholdScan(1.5), false, &unlimited).unwrap();
         assert!(!reference.is_empty());
-        let heap = p.execute(&query, Exec::TopKHeap(2), false, &unlimited).unwrap();
+        let heap = p.execute_mode(&query, Exec::TopKHeap(2), false, &unlimited).unwrap();
         assert_eq!(heap.len(), 2);
-        assert!(!p.catalog.posting_built(), "scan modes must not build HMM posting lists");
+        assert!(!posting_built(), "scan modes must not build HMM posting lists");
         // The bounded threshold then forces the build, same results.
-        let bounded = p.execute(&query, Exec::Threshold(1.5), false, &unlimited).unwrap();
+        let bounded = p.execute_mode(&query, Exec::Threshold(1.5), false, &unlimited).unwrap();
         assert_eq!(bounded, reference);
-        assert!(p.catalog.posting_built(), "bounded threshold builds the private posting lists");
+        assert!(posting_built(), "bounded threshold builds the private posting lists");
     }
 }

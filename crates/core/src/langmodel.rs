@@ -29,10 +29,10 @@
 
 use crate::corpus::TokenizedCorpus;
 use crate::dict::TokenId;
-use crate::engine::{Exec, Query, SharedArtifacts};
-use crate::record::ScoredTid;
-use crate::tables::{self, PostingCatalog, RankingPlans};
-use relq::{col, AggFunc, Bindings, Catalog, Plan};
+use crate::engine::SharedArtifacts;
+use crate::predicate::PredicateKind;
+use crate::tables::{self, KernelPredicate, PostingCatalog, RankingPlans};
+use relq::{col, AggFunc, Catalog, Plan};
 use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 
@@ -107,104 +107,70 @@ fn with_sumcompm<T>(
     (built, side.clone())
 }
 
-/// Language modeling predicate.
-pub struct LanguageModelPredicate {
-    shared: Arc<SharedArtifacts>,
-    catalog: PostingCatalog,
-    plans: &'static RankingPlans,
-}
-
-impl LanguageModelPredicate {
-    /// Standalone construction over a corpus (prefer the engine).
-    pub fn build(corpus: Arc<TokenizedCorpus>) -> Self {
-        Self::from_shared(SharedArtifacts::build(corpus, &crate::params::Params::default()))
-    }
-
-    /// Phase-2 preprocessing: the catalogs of `BASE_PM` ([`lm_weight`]) and
-    /// `BASE_SUMCOMPM`, each built on first use.
-    pub(crate) fn from_shared(shared: Arc<SharedArtifacts>) -> Self {
-        let corpus = shared.corpus().clone();
-        let weight: Arc<LmWeight> = Arc::new(lm_weight(&corpus));
-        let sumcompm = Arc::new(OnceLock::new());
-        let (base_corpus, base_weight, base_sumcompm) =
-            (corpus.clone(), weight.clone(), sumcompm.clone());
-        let catalog = PostingCatalog::new(
-            move || {
-                let (base_pm, mut catalog) =
-                    with_sumcompm(&base_corpus, &*base_weight, &base_sumcompm, |weight| {
-                        tables::lane_table(&base_corpus, BASE_PM_COLUMNS, weight)
-                    });
-                catalog
-                    .register_indexed("base_pm", base_pm, &["token"])
-                    .expect("base_pm has a token column");
-                catalog
-            },
-            move || {
-                let (lanes, mut catalog) = with_sumcompm(&corpus, &*weight, &sumcompm, |weight| {
-                    tables::lane_postings(&corpus, BASE_PM_LANES, weight)
+/// The language modeling predicate. Phase-2 preprocessing: the catalogs of
+/// `BASE_PM` ([`lm_weight`]) and `BASE_SUMCOMPM`, each built on first use.
+pub(crate) fn language_model(shared: Arc<SharedArtifacts>) -> KernelPredicate {
+    let corpus = shared.corpus().clone();
+    let weight: Arc<LmWeight> = Arc::new(lm_weight(&corpus));
+    let sumcompm = Arc::new(OnceLock::new());
+    let (base_corpus, base_weight, base_sumcompm) =
+        (corpus.clone(), weight.clone(), sumcompm.clone());
+    let catalog = PostingCatalog::new(
+        move || {
+            let (base_pm, mut catalog) =
+                with_sumcompm(&base_corpus, &*base_weight, &base_sumcompm, |weight| {
+                    tables::lane_table(&base_corpus, BASE_PM_COLUMNS, weight)
                 });
-                catalog.attach_posting("base_pm", Arc::new(lanes));
-                catalog
-            },
-        );
-        static PLANS: OnceLock<RankingPlans> = OnceLock::new();
-        let plans = PLANS.get_or_init(|| {
-            let [pm, compm, cfcs] = BASE_PM_LANES;
-            let score = col(pm).sub(col(compm)).sub(col(cfcs)).add(col("sumcompm")).exp();
-            // Inner aggregation over Q ∩ D (Figure 4.4), probing the token
-            // index; then the per-tuple Σ log(1 - pm) term, probing the tid
-            // index of BASE_SUMCOMPM with the aggregated tids.
-            let sums = BASE_PM_COLUMNS
-                .iter()
-                .zip(BASE_PM_LANES)
-                .map(|(&column, lane)| (AggFunc::Sum(col(column)), lane))
-                .collect();
-            let inner =
-                Plan::index_join("base_pm", &["token"], Plan::param("query_tokens"), &["token"])
-                    .aggregate(&["tid"], sums);
-            let reference = Plan::index_join("base_sumcompm", &["tid"], inner, &["tid"])
-                .project(vec![(col("tid"), "tid"), (score.clone(), "score")]);
-            RankingPlans::per_tuple_kernel(reference, "base_pm", "base_sumcompm", score)
-        });
-        LanguageModelPredicate { shared, catalog, plans }
-    }
-
-    fn engine_shared(&self) -> &SharedArtifacts {
-        &self.shared
-    }
-
-    fn engine_catalog(&self) -> Option<&Catalog> {
-        Some(self.catalog.current())
-    }
-
-    fn execute(
-        &self,
-        query: &Query,
-        exec: Exec,
-        naive: bool,
-        limits: &relq::ExecLimits,
-    ) -> crate::error::Result<Vec<ScoredTid>> {
-        let q = query.tokens();
-        if q.tokens.is_empty() {
-            return Ok(Vec::new());
-        }
-        let bindings = Bindings::new().with_table("query_tokens", tables::query_tokens(q, true));
-        self.plans.execute(self.catalog.for_exec(exec, naive), bindings, exec, naive, limits)
-    }
+            catalog
+                .register_indexed("base_pm", base_pm, &["token"])
+                .expect("base_pm has a token column");
+            catalog
+        },
+        move || {
+            let (lanes, mut catalog) = with_sumcompm(&corpus, &*weight, &sumcompm, |weight| {
+                tables::lane_postings(&corpus, BASE_PM_LANES, weight)
+            });
+            catalog.attach_posting("base_pm", Arc::new(lanes));
+            catalog
+        },
+    );
+    static PLANS: OnceLock<RankingPlans> = OnceLock::new();
+    let plans = PLANS.get_or_init(|| {
+        let [pm, compm, cfcs] = BASE_PM_LANES;
+        let score = col(pm).sub(col(compm)).sub(col(cfcs)).add(col("sumcompm")).exp();
+        // Inner aggregation over Q ∩ D (Figure 4.4), probing the token
+        // index; then the per-tuple Σ log(1 - pm) term, probing the tid
+        // index of BASE_SUMCOMPM with the aggregated tids.
+        let sums = BASE_PM_COLUMNS
+            .iter()
+            .zip(BASE_PM_LANES)
+            .map(|(&column, lane)| (AggFunc::Sum(col(column)), lane))
+            .collect();
+        let inner =
+            Plan::index_join("base_pm", &["token"], Plan::param("query_tokens"), &["token"])
+                .aggregate(&["tid"], sums);
+        let reference = Plan::index_join("base_sumcompm", &["tid"], inner, &["tid"])
+            .project(vec![(col("tid"), "tid"), (score.clone(), "score")]);
+        RankingPlans::per_tuple_kernel(reference, "base_pm", "base_sumcompm", score)
+    });
+    KernelPredicate::new(PredicateKind::LanguageModel, shared, catalog, plans, |_, query| {
+        tables::bind_query_tokens(query, true)
+    })
 }
-
-crate::engine::engine_predicate!(
-    LanguageModelPredicate,
-    crate::predicate::PredicateKind::LanguageModel,
-    catalog
-);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::corpus::Corpus;
+    use crate::factory::build_predicate;
+    use crate::params::Params;
     use crate::predicate::Predicate;
     use dasp_text::QgramConfig;
+
+    /// The language model's engine handle over `corpus`.
+    fn handle(corpus: Arc<TokenizedCorpus>) -> Box<dyn Predicate> {
+        build_predicate(PredicateKind::LanguageModel, corpus, &Params::default())
+    }
 
     fn corpus() -> Arc<TokenizedCorpus> {
         Arc::new(TokenizedCorpus::build(
@@ -221,7 +187,7 @@ mod tests {
 
     #[test]
     fn exact_duplicate_ranks_first() {
-        let p = LanguageModelPredicate::build(corpus());
+        let p = handle(corpus());
         let ranking = p.rank("Morgan Stanley Group Inc.");
         assert!(!ranking.is_empty());
         assert_eq!(ranking[0].tid, 0);
@@ -229,7 +195,7 @@ mod tests {
 
     #[test]
     fn scores_are_positive_and_finite() {
-        let p = LanguageModelPredicate::build(corpus());
+        let p = handle(corpus());
         for q in ["Morgan Stanley", "Beijing Hotel", "Group Inc."] {
             for s in p.rank(q) {
                 assert!(s.score.is_finite());
@@ -240,7 +206,7 @@ mod tests {
 
     #[test]
     fn typo_variant_outranks_unrelated_tuple() {
-        let p = LanguageModelPredicate::build(corpus());
+        let p = handle(corpus());
         let ranking = p.rank("Morgan Stanley Group Inc.");
         let pos_typo = ranking.iter().position(|s| s.tid == 1).unwrap();
         let pos_beijing = ranking.iter().position(|s| s.tid == 3);
@@ -256,7 +222,7 @@ mod tests {
             Corpus::from_strings(vec!["a", "a", "abc def"]),
             QgramConfig::new(2),
         ));
-        let p = LanguageModelPredicate::build(corpus);
+        let p = handle(corpus);
         let ranking = p.rank("a");
         assert!(!ranking.is_empty());
         for s in &ranking {
@@ -266,7 +232,7 @@ mod tests {
 
     #[test]
     fn empty_query_returns_nothing() {
-        let p = LanguageModelPredicate::build(corpus());
+        let p = handle(corpus());
         assert!(p.rank("").is_empty());
     }
 }

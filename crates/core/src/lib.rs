@@ -10,16 +10,25 @@
 //!
 //! ## Predicate classes
 //!
-//! * **Overlap** (§3.1): [`overlap::IntersectSize`], [`overlap::JaccardPredicate`],
-//!   [`overlap::WeightedMatch`], [`overlap::WeightedJaccard`]
-//! * **Aggregate weighted** (§3.2): [`aggregate::CosinePredicate`],
-//!   [`aggregate::Bm25Predicate`]
-//! * **Language modeling** (§3.3): [`langmodel::LanguageModelPredicate`],
-//!   [`hmm::HmmPredicate`]
-//! * **Edit based** (§3.4): [`editpred::EditPredicate`]
-//! * **Combination** (§3.5): [`combination::GesPredicate`],
-//!   [`combination::GesJaccardPredicate`], [`combination::GesApxPredicate`],
-//!   [`combination::SoftTfIdfPredicate`]
+//! Every predicate is a [`PredicateKind`], executed through the handle
+//! [`SelectionEngine::predicate`] returns; each module documents its class:
+//!
+//! * **Overlap** (§3.1, [`overlap`]): [`PredicateKind::IntersectSize`],
+//!   [`PredicateKind::Jaccard`], [`PredicateKind::WeightedMatch`],
+//!   [`PredicateKind::WeightedJaccard`]
+//! * **Aggregate weighted** (§3.2, [`aggregate`]): [`PredicateKind::Cosine`],
+//!   [`PredicateKind::Bm25`]
+//! * **Language modeling** (§3.3, [`langmodel`], [`hmm`]):
+//!   [`PredicateKind::LanguageModel`], [`PredicateKind::Hmm`]
+//! * **Edit based** (§3.4, [`editpred`]): [`PredicateKind::EditSimilarity`]
+//! * **Combination** (§3.5, [`combination`]): [`PredicateKind::Ges`],
+//!   [`PredicateKind::GesJaccard`], [`PredicateKind::GesApx`],
+//!   [`PredicateKind::SoftTfIdf`]
+//!
+//! The eight overlap, aggregate-weighted and language-modeling predicates
+//! are one `SUM(weight) … GROUP BY tid` shape over a token join and share
+//! one kernel core; the edit and combination predicates are four UDF cores.
+//! Per-predicate parameters live in [`Params`].
 //!
 //! ## Quick start
 //!

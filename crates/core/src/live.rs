@@ -825,8 +825,15 @@ mod tests {
         use crate::overlap::{overlap_token_weight, unit_weight};
         use crate::tables::{base_tokens_distinct, base_weights, postings, TokenWeight};
         use relq::{PostingIndex, Value};
+        // The table's rows, mapped into the row builder: `(tid, token,
+        // weight)`, a unit weight where the table stores none.
         let from_table = |table: &relq::Table, weight: Option<&str>| {
-            PostingIndex::build(table, "token", "tid", weight).unwrap()
+            let weight = weight.map(|c| table.schema().index_of(c).unwrap());
+            let rows = table.rows().map(|row| {
+                let w = weight.map_or(1.0, |i| row[i].as_f64().unwrap());
+                (row[0].as_i64().unwrap(), row[1].clone(), w)
+            });
+            PostingIndex::from_rows(rows).unwrap()
         };
         let mut cases = vec![(
             PredicateKind::IntersectSize,

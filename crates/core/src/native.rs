@@ -233,10 +233,9 @@ impl Predicate for NativePredicate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::{Bm25Predicate, CosinePredicate};
     use crate::corpus::Corpus;
-    use crate::hmm::HmmPredicate;
-    use crate::overlap::{IntersectSize, JaccardPredicate};
+    use crate::factory::build_predicate;
+    use crate::params::Params;
     use dasp_text::QgramConfig;
 
     fn corpus() -> Arc<TokenizedCorpus> {
@@ -267,28 +266,19 @@ mod tests {
         let queries =
             ["Morgan Stanley Group Inc.", "Beijing Hotel", "AT&T Inc.", "Group", "Stanley Morgan"];
 
-        let pairs: Vec<(Box<dyn Predicate>, Box<dyn Predicate>)> = vec![
-            (
-                Box::new(IntersectSize::build(c.clone())),
-                Box::new(NativePredicate::build(c.clone(), NativeKind::IntersectSize)),
-            ),
-            (
-                Box::new(JaccardPredicate::build(c.clone())),
-                Box::new(NativePredicate::build(c.clone(), NativeKind::Jaccard)),
-            ),
-            (
-                Box::new(CosinePredicate::build(c.clone())),
-                Box::new(NativePredicate::build(c.clone(), NativeKind::Cosine)),
-            ),
-            (
-                Box::new(Bm25Predicate::build(c.clone(), Bm25Params::default())),
-                Box::new(NativePredicate::build(c.clone(), NativeKind::Bm25)),
-            ),
-            (
-                Box::new(HmmPredicate::build(c.clone(), HmmParams::default())),
-                Box::new(NativePredicate::build(c.clone(), NativeKind::Hmm)),
-            ),
-        ];
+        let pairs: Vec<(Box<dyn Predicate>, NativePredicate)> = [
+            (PredicateKind::IntersectSize, NativeKind::IntersectSize),
+            (PredicateKind::Jaccard, NativeKind::Jaccard),
+            (PredicateKind::Cosine, NativeKind::Cosine),
+            (PredicateKind::Bm25, NativeKind::Bm25),
+            (PredicateKind::Hmm, NativeKind::Hmm),
+        ]
+        .into_iter()
+        .map(|(kind, native)| {
+            let declarative = build_predicate(kind, c.clone(), &Params::default());
+            (declarative, NativePredicate::build(c.clone(), native))
+        })
+        .collect();
         for (declarative, native) in &pairs {
             for q in &queries {
                 assert_same_ranking(&declarative.rank(q), &native.rank(q));

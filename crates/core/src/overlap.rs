@@ -6,7 +6,7 @@
 //! catalog their plans probe from the engine's lazy shared artifacts —
 //! `base_tokens`, `overlap_weights` (indexed on token) and the per-tuple
 //! `base_len` / `overlap_len` tables (indexed on tid) — registering nothing
-//! of their own. Each prepares one `(tid, score)` plan in every [`Exec`]
+//! of their own. Each prepares one `(tid, score)` plan in every [`Exec`](crate::Exec)
 //! mode (`RankingPlans`); execution binds only the query token table (plus
 //! per-query scalars like `|Q|`) and probes the token index.
 //!
@@ -30,11 +30,12 @@
 //! shared tables — the references the kernel modes are checked against.
 
 use crate::corpus::TokenizedCorpus;
-use crate::engine::{Exec, Query, SharedArtifacts};
+use crate::engine::SharedArtifacts;
 use crate::params::OverlapWeighting;
-use crate::record::ScoredTid;
-use crate::tables::{self, PostingCatalog, RankingPlans, THRESHOLD_PARAM, TOP_K_PARAM};
-use relq::{col, lit, param, AggFunc, Bindings, Catalog, Expr, Plan};
+use crate::predicate::PredicateKind;
+use crate::tables::{self, KernelPredicate, PostingCatalog, RankingPlans};
+use crate::tables::{THRESHOLD_PARAM, TOP_K_PARAM};
+use relq::{col, lit, param, AggFunc, Expr, Plan};
 use std::sync::{Arc, OnceLock};
 
 /// The token weight the weighted overlap predicates use (§5.3.1).
@@ -122,306 +123,138 @@ fn normalized_overlap_plans(
 
 /// IntersectSize: the number of common distinct tokens between query and
 /// tuple (Equation 3.1, Figure 4.1).
-pub struct IntersectSize {
-    shared: Arc<SharedArtifacts>,
-    catalog: PostingCatalog,
-    plans: &'static RankingPlans,
+pub(crate) fn intersect_size(shared: Arc<SharedArtifacts>) -> KernelPredicate {
+    static PLANS: OnceLock<RankingPlans> = OnceLock::new();
+    let plans = PLANS.get_or_init(|| {
+        // SELECT tid, COUNT(*) FROM base_tokens JOIN query_tokens USING (token) GROUP BY tid
+        let plan =
+            Plan::index_join("base_tokens", &["token"], Plan::param("query_tokens"), &["token"])
+                .aggregate(&["tid"], vec![(AggFunc::CountStar, "cnt")])
+                .project(vec![(col("tid"), "tid"), (col("cnt"), "score")]);
+        // Bounded selection over unit-weight posting lists: every common
+        // token contributes exactly 1, so the per-tid sum is the count.
+        summed_plans(plan, "base_tokens")
+    });
+    let catalog = shared_posting_catalog(&shared, "base_tokens", &[]);
+    KernelPredicate::new(PredicateKind::IntersectSize, shared, catalog, plans, |_, query| {
+        tables::bind_query_tokens(query, true)
+    })
 }
-
-impl IntersectSize {
-    /// Standalone construction over a corpus (runs shared phase-1
-    /// preprocessing privately; prefer building through
-    /// [`SelectionEngine`](crate::engine::SelectionEngine), which shares it).
-    pub fn build(corpus: Arc<TokenizedCorpus>) -> Self {
-        Self::from_shared(SharedArtifacts::build(corpus, &crate::params::Params::default()))
-    }
-
-    pub(crate) fn from_shared(shared: Arc<SharedArtifacts>) -> Self {
-        static PLANS: OnceLock<RankingPlans> = OnceLock::new();
-        let plans = PLANS.get_or_init(|| {
-            // SELECT tid, COUNT(*) FROM base_tokens JOIN query_tokens USING (token) GROUP BY tid
-            let plan = Plan::index_join(
-                "base_tokens",
-                &["token"],
-                Plan::param("query_tokens"),
-                &["token"],
-            )
-            .aggregate(&["tid"], vec![(AggFunc::CountStar, "cnt")])
-            .project(vec![(col("tid"), "tid"), (col("cnt"), "score")]);
-            // Bounded selection over unit-weight posting lists: every common
-            // token contributes exactly 1, so the per-tid sum is the count.
-            let bounded = Plan::top_k_bounded(
-                "base_tokens",
-                Plan::param("query_tokens"),
-                "token",
-                None,
-                param(TOP_K_PARAM),
-            );
-            let threshold_bounded = Plan::threshold_bounded(
-                "base_tokens",
-                Plan::param("query_tokens"),
-                "token",
-                None,
-                param(THRESHOLD_PARAM),
-            );
-            RankingPlans::with_bounded(plan, bounded, threshold_bounded)
-        });
-        let catalog = shared_posting_catalog(&shared, "base_tokens", &[]);
-        IntersectSize { shared, catalog, plans }
-    }
-
-    fn engine_shared(&self) -> &SharedArtifacts {
-        &self.shared
-    }
-
-    fn engine_catalog(&self) -> Option<&Catalog> {
-        Some(self.catalog.current())
-    }
-
-    fn execute(
-        &self,
-        query: &Query,
-        exec: Exec,
-        naive: bool,
-        limits: &relq::ExecLimits,
-    ) -> crate::error::Result<Vec<ScoredTid>> {
-        let q = query.tokens();
-        if q.tokens.is_empty() {
-            return Ok(Vec::new());
-        }
-        let bindings = Bindings::new().with_table("query_tokens", tables::query_tokens(q, true));
-        self.plans.execute(self.catalog.for_exec(exec, naive), bindings, exec, naive, limits)
-    }
-}
-
-crate::engine::engine_predicate!(
-    IntersectSize,
-    crate::predicate::PredicateKind::IntersectSize,
-    catalog
-);
 
 /// Jaccard coefficient over distinct token sets (Equation 3.2, Figure 4.2).
-pub struct JaccardPredicate {
-    shared: Arc<SharedArtifacts>,
-    catalog: PostingCatalog,
-    plans: &'static RankingPlans,
-}
-
-impl JaccardPredicate {
-    /// Standalone construction over a corpus (prefer the engine).
-    pub fn build(corpus: Arc<TokenizedCorpus>) -> Self {
-        Self::from_shared(SharedArtifacts::build(corpus, &crate::params::Params::default()))
-    }
-
-    pub(crate) fn from_shared(shared: Arc<SharedArtifacts>) -> Self {
-        static PLANS: OnceLock<RankingPlans> = OnceLock::new();
-        let plans = PLANS.get_or_init(|| {
-            // Count the intersection per tuple over the shared token table,
-            // then probe the tid index of the shared per-tuple length table
-            // for |D| — no predicate-private BASE_DDL materialization.
-            let join = Plan::index_join(
-                "base_tokens",
-                &["token"],
-                Plan::param("query_tokens"),
-                &["token"],
-            )
-            .aggregate(&["tid"], vec![(AggFunc::CountStar, "inter")]);
-            normalized_overlap_plans("base_tokens", "base_len", join, "query_len")
-        });
-        let catalog = shared_posting_catalog(&shared, "base_tokens", &["base_len"]);
-        JaccardPredicate { shared, catalog, plans }
-    }
-
-    fn engine_shared(&self) -> &SharedArtifacts {
-        &self.shared
-    }
-
-    fn engine_catalog(&self) -> Option<&Catalog> {
-        Some(self.catalog.current())
-    }
-
-    fn execute(
-        &self,
-        query: &Query,
-        exec: Exec,
-        naive: bool,
-        limits: &relq::ExecLimits,
-    ) -> crate::error::Result<Vec<ScoredTid>> {
-        let q = query.tokens();
-        if q.tokens.is_empty() {
-            return Ok(Vec::new());
-        }
+pub(crate) fn jaccard(shared: Arc<SharedArtifacts>) -> KernelPredicate {
+    static PLANS: OnceLock<RankingPlans> = OnceLock::new();
+    let plans = PLANS.get_or_init(|| {
+        // Count the intersection per tuple over the shared token table,
+        // then probe the tid index of the shared per-tuple length table
+        // for |D| — no predicate-private BASE_DDL materialization.
+        let join =
+            Plan::index_join("base_tokens", &["token"], Plan::param("query_tokens"), &["token"])
+                .aggregate(&["tid"], vec![(AggFunc::CountStar, "inter")]);
+        normalized_overlap_plans("base_tokens", "base_len", join, "query_len")
+    });
+    let catalog = shared_posting_catalog(&shared, "base_tokens", &["base_len"]);
+    KernelPredicate::new(PredicateKind::Jaccard, shared, catalog, plans, |_, query| {
         // |Q| counts distinct query tokens including those absent from the
         // base relation (the SQL's COUNT(*) over QUERY_TOKENS does the same).
-        let bindings = Bindings::new()
-            .with_table("query_tokens", tables::query_tokens(q, true))
-            .with_scalar("query_len", q.distinct_count() as f64);
-        self.plans.execute(self.catalog.for_exec(exec, naive), bindings, exec, naive, limits)
-    }
+        let query_len = query.tokens().distinct_count() as f64;
+        Some(tables::bind_query_tokens(query, true)?.with_scalar("query_len", query_len))
+    })
 }
-
-crate::engine::engine_predicate!(
-    JaccardPredicate,
-    crate::predicate::PredicateKind::Jaccard,
-    catalog
-);
 
 /// WeightedMatch: total weight of common tokens (§3.1), using the
 /// Robertson–Sparck Jones weights the paper found superior to IDF (§5.3.1).
-pub struct WeightedMatch {
-    shared: Arc<SharedArtifacts>,
-    catalog: PostingCatalog,
-    plans: &'static RankingPlans,
+pub(crate) fn weighted_match(shared: Arc<SharedArtifacts>) -> KernelPredicate {
+    static PLANS: OnceLock<RankingPlans> = OnceLock::new();
+    let plans = PLANS.get_or_init(|| {
+        let plan = Plan::index_join(
+            "overlap_weights",
+            &["token"],
+            Plan::param("query_tokens"),
+            &["token"],
+        )
+        .aggregate(&["tid"], vec![(AggFunc::Sum(col("weight")), "score")]);
+        // Bounded selection over the shared weight posting lists: RSJ/IDF
+        // weights are non-negative per-token constants, so the per-tid sum
+        // of the postings is the WM score.
+        summed_plans(plan, "overlap_weights")
+    });
+    let catalog = shared_posting_catalog(&shared, "overlap_weights", &[]);
+    KernelPredicate::new(PredicateKind::WeightedMatch, shared, catalog, plans, |_, query| {
+        tables::bind_query_tokens(query, true)
+    })
 }
-
-impl WeightedMatch {
-    /// Standalone construction over a corpus (prefer the engine).
-    pub fn build(corpus: Arc<TokenizedCorpus>, weighting: OverlapWeighting) -> Self {
-        let params = crate::params::Params { overlap_weighting: weighting, ..Default::default() };
-        Self::from_shared(SharedArtifacts::build(corpus, &params))
-    }
-
-    pub(crate) fn from_shared(shared: Arc<SharedArtifacts>) -> Self {
-        static PLANS: OnceLock<RankingPlans> = OnceLock::new();
-        let plans = PLANS.get_or_init(|| {
-            let plan = Plan::index_join(
-                "overlap_weights",
-                &["token"],
-                Plan::param("query_tokens"),
-                &["token"],
-            )
-            .aggregate(&["tid"], vec![(AggFunc::Sum(col("weight")), "score")]);
-            // Bounded selection over the shared weight posting lists: RSJ/IDF
-            // weights are non-negative per-token constants, so the per-tid sum
-            // of the postings is the WM score.
-            let bounded = Plan::top_k_bounded(
-                "overlap_weights",
-                Plan::param("query_tokens"),
-                "token",
-                None,
-                param(TOP_K_PARAM),
-            );
-            let threshold_bounded = Plan::threshold_bounded(
-                "overlap_weights",
-                Plan::param("query_tokens"),
-                "token",
-                None,
-                param(THRESHOLD_PARAM),
-            );
-            RankingPlans::with_bounded(plan, bounded, threshold_bounded)
-        });
-        let catalog = shared_posting_catalog(&shared, "overlap_weights", &[]);
-        WeightedMatch { shared, catalog, plans }
-    }
-
-    fn engine_shared(&self) -> &SharedArtifacts {
-        &self.shared
-    }
-
-    fn engine_catalog(&self) -> Option<&Catalog> {
-        Some(self.catalog.current())
-    }
-
-    fn execute(
-        &self,
-        query: &Query,
-        exec: Exec,
-        naive: bool,
-        limits: &relq::ExecLimits,
-    ) -> crate::error::Result<Vec<ScoredTid>> {
-        let q = query.tokens();
-        if q.tokens.is_empty() {
-            return Ok(Vec::new());
-        }
-        let bindings = Bindings::new().with_table("query_tokens", tables::query_tokens(q, true));
-        self.plans.execute(self.catalog.for_exec(exec, naive), bindings, exec, naive, limits)
-    }
-}
-
-crate::engine::engine_predicate!(
-    WeightedMatch,
-    crate::predicate::PredicateKind::WeightedMatch,
-    catalog
-);
 
 /// WeightedJaccard: weight of common tokens over weight of the union (§3.1).
-pub struct WeightedJaccard {
-    shared: Arc<SharedArtifacts>,
-    catalog: PostingCatalog,
-    plans: &'static RankingPlans,
-}
-
-impl WeightedJaccard {
-    /// Standalone construction over a corpus (prefer the engine).
-    pub fn build(corpus: Arc<TokenizedCorpus>, weighting: OverlapWeighting) -> Self {
-        let params = crate::params::Params { overlap_weighting: weighting, ..Default::default() };
-        Self::from_shared(SharedArtifacts::build(corpus, &params))
-    }
-
-    pub(crate) fn from_shared(shared: Arc<SharedArtifacts>) -> Self {
-        static PLANS: OnceLock<RankingPlans> = OnceLock::new();
-        let plans = PLANS.get_or_init(|| {
-            // Sum the intersection weight per tuple over the shared weight
-            // table, then probe the tid index of the shared per-tuple
-            // weight-sum table for wt(D) — as with Jaccard, no private
-            // joined table is built.
-            let join = Plan::index_join(
-                "overlap_weights",
-                &["token"],
-                Plan::param("query_tokens"),
-                &["token"],
-            )
-            .aggregate(&["tid"], vec![(AggFunc::Sum(col("weight")), "inter")]);
-            normalized_overlap_plans("overlap_weights", "overlap_len", join, "query_weight_sum")
-        });
-        let catalog = shared_posting_catalog(&shared, "overlap_weights", &["overlap_len"]);
-        WeightedJaccard { shared, catalog, plans }
-    }
-
-    fn engine_shared(&self) -> &SharedArtifacts {
-        &self.shared
-    }
-
-    fn engine_catalog(&self) -> Option<&Catalog> {
-        Some(self.catalog.current())
-    }
-
-    fn execute(
-        &self,
-        query: &Query,
-        exec: Exec,
-        naive: bool,
-        limits: &relq::ExecLimits,
-    ) -> crate::error::Result<Vec<ScoredTid>> {
-        let q = query.tokens();
-        if q.tokens.is_empty() {
-            return Ok(Vec::new());
-        }
+pub(crate) fn weighted_jaccard(shared: Arc<SharedArtifacts>) -> KernelPredicate {
+    static PLANS: OnceLock<RankingPlans> = OnceLock::new();
+    let plans = PLANS.get_or_init(|| {
+        // Sum the intersection weight per tuple over the shared weight
+        // table, then probe the tid index of the shared per-tuple
+        // weight-sum table for wt(D) — as with Jaccard, no private
+        // joined table is built.
+        let join = Plan::index_join(
+            "overlap_weights",
+            &["token"],
+            Plan::param("query_tokens"),
+            &["token"],
+        )
+        .aggregate(&["tid"], vec![(AggFunc::Sum(col("weight")), "inter")]);
+        normalized_overlap_plans("overlap_weights", "overlap_len", join, "query_weight_sum")
+    });
+    let catalog = shared_posting_catalog(&shared, "overlap_weights", &["overlap_len"]);
+    KernelPredicate::new(PredicateKind::WeightedJaccard, shared, catalog, plans, |shared, query| {
         // Sum of weights of (known) distinct query tokens — the SQL computes
         // this from the base weight table, so unknown tokens contribute 0.
-        let weighting = self.shared.params().overlap_weighting;
-        let corpus = self.shared.corpus();
+        let (corpus, weighting) = (shared.corpus(), shared.params().overlap_weighting);
         let query_weight_sum: f64 =
-            q.tokens.iter().map(|&(t, _)| overlap_weight(corpus, weighting, t)).sum();
-        let bindings = Bindings::new()
-            .with_table("query_tokens", tables::query_tokens(q, true))
-            .with_scalar("query_weight_sum", query_weight_sum);
-        self.plans.execute(self.catalog.for_exec(exec, naive), bindings, exec, naive, limits)
-    }
+            query.tokens().tokens.iter().map(|&(t, _)| overlap_weight(corpus, weighting, t)).sum();
+        Some(
+            tables::bind_query_tokens(query, true)?
+                .with_scalar("query_weight_sum", query_weight_sum),
+        )
+    })
 }
 
-crate::engine::engine_predicate!(
-    WeightedJaccard,
-    crate::predicate::PredicateKind::WeightedJaccard,
-    catalog
-);
+/// The plans of a predicate whose score is the per-tid sum of the posting
+/// weights of table `name` over the distinct query tokens: `plan` is the
+/// join-plan reference, and the kernel plans sum the postings directly.
+fn summed_plans(plan: Plan, name: &str) -> RankingPlans {
+    let bounded =
+        Plan::top_k_bounded(name, Plan::param("query_tokens"), "token", None, param(TOP_K_PARAM));
+    let threshold_bounded = Plan::threshold_bounded(
+        name,
+        Plan::param("query_tokens"),
+        "token",
+        None,
+        param(THRESHOLD_PARAM),
+    );
+    RankingPlans::with_bounded(plan, bounded, threshold_bounded)
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::corpus::Corpus;
+    use crate::factory::build_predicate;
+    use crate::params::Params;
     use crate::predicate::{ranked_tids, Predicate};
     use dasp_text::QgramConfig;
+
+    /// The engine handle of `kind` over `corpus`, weighted by `weighting`.
+    fn weighted(
+        kind: PredicateKind,
+        corpus: Arc<TokenizedCorpus>,
+        weighting: OverlapWeighting,
+    ) -> Box<dyn Predicate> {
+        build_predicate(kind, corpus, &Params { overlap_weighting: weighting, ..Params::default() })
+    }
+
+    /// The engine handle of `kind` over `corpus` with the default
+    /// (Robertson–Sparck Jones) weighting.
+    fn handle(kind: PredicateKind, corpus: Arc<TokenizedCorpus>) -> Box<dyn Predicate> {
+        build_predicate(kind, corpus, &Params::default())
+    }
 
     fn corpus() -> Arc<TokenizedCorpus> {
         Arc::new(TokenizedCorpus::build(
@@ -438,7 +271,7 @@ mod tests {
 
     #[test]
     fn intersect_ranks_exact_duplicate_first() {
-        let p = IntersectSize::build(corpus());
+        let p = handle(PredicateKind::IntersectSize, corpus());
         let ranking = p.rank("Morgan Stanley Group Inc.");
         assert_eq!(ranking[0].tid, 0);
         assert!(ranking[0].score >= ranking[1].score);
@@ -448,7 +281,7 @@ mod tests {
 
     #[test]
     fn jaccard_is_normalized_to_unit_interval() {
-        let p = JaccardPredicate::build(corpus());
+        let p = handle(PredicateKind::Jaccard, corpus());
         let ranking = p.rank("Morgan Stanley Group Inc.");
         assert_eq!(ranking[0].tid, 0);
         assert!((ranking[0].score - 1.0).abs() < 1e-9, "self similarity should be 1");
@@ -473,7 +306,7 @@ mod tests {
             ]),
             QgramConfig::new(2),
         ));
-        let wm = WeightedMatch::build(corpus.clone(), OverlapWeighting::RobertsonSparckJones);
+        let wm = handle(PredicateKind::WeightedMatch, corpus);
         let ranking = wm.rank("AT&T Incorporated");
         assert_eq!(ranking[0].tid, 0);
         // The AT&T abbreviation variant must outrank the IBM full-word tuple.
@@ -487,7 +320,7 @@ mod tests {
 
     #[test]
     fn weighted_jaccard_self_similarity_is_one() {
-        let p = WeightedJaccard::build(corpus(), OverlapWeighting::RobertsonSparckJones);
+        let p = handle(PredicateKind::WeightedJaccard, corpus());
         let ranking = p.rank("Beijing Hotel");
         assert_eq!(ranking[0].tid, 2);
         assert!((ranking[0].score - 1.0).abs() < 1e-6);
@@ -498,7 +331,7 @@ mod tests {
 
     #[test]
     fn idf_weighting_variant_also_works() {
-        let p = WeightedMatch::build(corpus(), OverlapWeighting::Idf);
+        let p = weighted(PredicateKind::WeightedMatch, corpus(), OverlapWeighting::Idf);
         let ranking = p.rank("Morgan Stanley");
         assert!(ranked_tids(&ranking).contains(&0));
         assert!(ranked_tids(&ranking).contains(&1));
@@ -507,20 +340,16 @@ mod tests {
     #[test]
     fn empty_query_returns_nothing() {
         let c = corpus();
-        assert!(IntersectSize::build(c.clone()).rank("").is_empty());
-        assert!(JaccardPredicate::build(c.clone()).rank("   ").is_empty());
+        assert!(handle(PredicateKind::IntersectSize, c.clone()).rank("").is_empty());
+        assert!(handle(PredicateKind::Jaccard, c.clone()).rank("   ").is_empty());
         let unknown = "\u{4e16}\u{754c}"; // tokens absent from the corpus
-        assert!(WeightedMatch::build(c.clone(), OverlapWeighting::RobertsonSparckJones)
-            .rank(unknown)
-            .is_empty());
-        assert!(WeightedJaccard::build(c, OverlapWeighting::RobertsonSparckJones)
-            .rank(unknown)
-            .is_empty());
+        assert!(handle(PredicateKind::WeightedMatch, c.clone()).rank(unknown).is_empty());
+        assert!(handle(PredicateKind::WeightedJaccard, c).rank(unknown).is_empty());
     }
 
     #[test]
     fn select_filters_by_threshold() {
-        let p = JaccardPredicate::build(corpus());
+        let p = handle(PredicateKind::Jaccard, corpus());
         let all = p.rank("Morgan Stanley Group Inc.");
         let selected = p.select("Morgan Stanley Group Inc.", 0.5);
         assert!(selected.len() <= all.len());
@@ -532,10 +361,10 @@ mod tests {
         let c = corpus();
         let q = "Morgan Stanley Group Inc.";
         let preds: Vec<Box<dyn Predicate>> = vec![
-            Box::new(IntersectSize::build(c.clone())),
-            Box::new(JaccardPredicate::build(c.clone())),
-            Box::new(WeightedMatch::build(c.clone(), OverlapWeighting::RobertsonSparckJones)),
-            Box::new(WeightedJaccard::build(c, OverlapWeighting::RobertsonSparckJones)),
+            handle(PredicateKind::IntersectSize, c.clone()),
+            handle(PredicateKind::Jaccard, c.clone()),
+            handle(PredicateKind::WeightedMatch, c.clone()),
+            handle(PredicateKind::WeightedJaccard, c),
         ];
         for p in &preds {
             let ranked = p.rank(q);
@@ -555,10 +384,10 @@ mod tests {
         let c = corpus();
         let q = "Morgan Stanley Group Inc.";
         let preds: Vec<Box<dyn Predicate>> = vec![
-            Box::new(IntersectSize::build(c.clone())),
-            Box::new(JaccardPredicate::build(c.clone())),
-            Box::new(WeightedMatch::build(c.clone(), OverlapWeighting::RobertsonSparckJones)),
-            Box::new(WeightedJaccard::build(c, OverlapWeighting::RobertsonSparckJones)),
+            handle(PredicateKind::IntersectSize, c.clone()),
+            handle(PredicateKind::Jaccard, c.clone()),
+            handle(PredicateKind::WeightedMatch, c.clone()),
+            handle(PredicateKind::WeightedJaccard, c),
         ];
         for p in &preds {
             assert_eq!(p.rank(q), p.rank_naive(q), "{} diverged", p.kind());

@@ -80,8 +80,9 @@ pub fn prune_by_idf(corpus: &TokenizedCorpus, rate: f64) -> (TokenizedCorpus, Pr
 mod tests {
     use super::*;
     use crate::corpus::Corpus;
-    use crate::overlap::JaccardPredicate;
-    use crate::predicate::Predicate;
+    use crate::factory::build_predicate;
+    use crate::params::Params;
+    use crate::predicate::PredicateKind;
     use dasp_text::QgramConfig;
     use std::sync::Arc;
 
@@ -162,7 +163,7 @@ mod tests {
     fn predicates_still_work_on_a_pruned_corpus() {
         let tc = corpus();
         let (pruned, _) = prune_by_idf(&tc, 0.25);
-        let p = JaccardPredicate::build(Arc::new(pruned));
+        let p = build_predicate(PredicateKind::Jaccard, Arc::new(pruned), &Params::default());
         let ranking = p.rank("Morgan Stanley Group Incorporated");
         assert!(!ranking.is_empty());
         assert_eq!(ranking[0].tid, 0);

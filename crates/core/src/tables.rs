@@ -11,20 +11,94 @@
 //! appropriate key), so the token index is built exactly once at
 //! preprocessing time; every query-time join against a base relation is a
 //! `Plan::IndexJoin` probing that index with the (small) query-side table,
-//! executed through a `PreparedPlan` constructed in `build()`. The eight
-//! kernel predicates read their summed table through its posting lists
-//! instead in the indexed `Rank`, `TopK` and `Threshold` (`RankingPlans`,
-//! `PostingCatalog`); their token-table joins remain the plans of the
-//! reference modes.
+//! executed through a `PreparedPlan` prepared once per process. The eight
+//! kernel predicates share one core, `KernelPredicate`, and read their
+//! summed table through its posting lists instead in the indexed `Rank`,
+//! `TopK` and `Threshold` (`RankingPlans`, `PostingCatalog`); their
+//! token-table joins remain the plans of the reference modes.
 
 use crate::corpus::{QueryTokens, TokenizedCorpus};
 use crate::dict::TokenId;
-use crate::engine::Exec;
+use crate::engine::{EngineOps, Exec, Query, SharedArtifacts};
+use crate::predicate::PredicateKind;
+use crate::record::ScoredTid;
 use relq::{
     col, lit, param, Bindings, Catalog, DataType, Expr, Plan, PostingIndex, PreparedPlan, Schema,
     SortOrder, Table, Value,
 };
 use std::sync::{Arc, OnceLock};
+
+/// A kernel predicate's per-query bindings, `None` for a query with
+/// nothing to probe (its answer is empty in every mode).
+pub(crate) type Bind = fn(&SharedArtifacts, &Query) -> Option<Bindings>;
+
+/// One of the eight kernel predicates — Xect, Jaccard, WM, WJ, Cosine,
+/// BM25, LM and HMM. All eight are the paper's `SUM(weight) … GROUP BY
+/// tid` over a token join, some normalized per tuple, so they share one
+/// core: the kind's catalogs ([`PostingCatalog`]), its plans prepared once
+/// per process ([`RankingPlans`]) and its `bind`, the only per-kind code
+/// run at query time. Each predicate's module builds its core from its
+/// weight function, plans and catalog.
+pub(crate) struct KernelPredicate {
+    kind: PredicateKind,
+    shared: Arc<SharedArtifacts>,
+    catalog: PostingCatalog,
+    plans: &'static RankingPlans,
+    bind: Bind,
+}
+
+impl KernelPredicate {
+    pub(crate) fn new(
+        kind: PredicateKind,
+        shared: Arc<SharedArtifacts>,
+        catalog: PostingCatalog,
+        plans: &'static RankingPlans,
+        bind: Bind,
+    ) -> Self {
+        KernelPredicate { kind, shared, catalog, plans, bind }
+    }
+}
+
+impl EngineOps for KernelPredicate {
+    fn predicate_kind(&self) -> PredicateKind {
+        self.kind
+    }
+
+    fn shared_artifacts(&self) -> &SharedArtifacts {
+        &self.shared
+    }
+
+    fn execute_mode(
+        &self,
+        query: &Query,
+        exec: Exec,
+        naive: bool,
+        limits: &relq::ExecLimits,
+    ) -> crate::error::Result<Vec<ScoredTid>> {
+        let Some(bindings) = (self.bind)(&self.shared, query) else {
+            return Ok(Vec::new());
+        };
+        self.plans.execute(self.catalog.for_exec(exec, naive), bindings, exec, naive, limits)
+    }
+
+    fn plan_catalog(&self) -> Option<&Catalog> {
+        Some(self.catalog.current())
+    }
+
+    #[cfg(test)]
+    fn posting_catalog(&self) -> Option<&PostingCatalog> {
+        Some(&self.catalog)
+    }
+}
+
+/// The `query_tokens` binding of a query, `None` when no query token is in
+/// the corpus dictionary. `distinct` keeps one row per distinct token
+/// (every kernel predicate but HMM); otherwise one per occurrence.
+pub(crate) fn bind_query_tokens(query: &Query, distinct: bool) -> Option<Bindings> {
+    let q = query.tokens();
+    (!q.tokens.is_empty())
+        .then(|| Bindings::new().with_table("query_tokens", query_tokens(q, distinct)))
+}
 
 /// A bounded predicate's per-(record, token) weight: `weight(record index,
 /// token, tf)`, `None` for a pair that stores nothing. Each of the five

@@ -272,16 +272,16 @@ fn expired_deadline_degrades_to_an_empty_anytime_answer() {
 
 /// A 5,000-byte query over a DBLP-like corpus: every seventh title, padded
 /// with blanks.
-fn long_query(dataset: &Dataset) -> String {
+fn long_query(dataset: &Dataset, bytes: usize) -> String {
     let mut text = String::new();
     for record in dataset.records.iter().step_by(7) {
-        if text.len() + record.text.len() >= 5_000 {
+        if text.len() + record.text.len() >= bytes {
             break;
         }
         text.push_str(&record.text);
         text.push(' ');
     }
-    text.push_str(&" ".repeat(5_000 - text.len()));
+    text.push_str(&" ".repeat(bytes - text.len()));
     text
 }
 
@@ -298,7 +298,7 @@ fn ges_filter_polls_the_deadline_per_query_word() {
     let handle = engine.predicate(PredicateKind::GesJaccard);
     // Warm the filter's lazy word → record index.
     handle.execute(&engine.query(&dataset.records[0].text), Exec::Rank).unwrap();
-    let query = engine.query(&long_query(&dataset));
+    let query = engine.query(&long_query(&dataset, 5_000));
 
     let deadline = Duration::from_millis(50);
     let budget = ExecBudget { deadline: Some(deadline), ..ExecBudget::default() };
@@ -337,7 +337,7 @@ fn soft_tfidf_polls_the_deadline_inside_the_vocabulary_product() {
     let dataset = dblp_dataset(20_000);
     let engine = build_engine(&dataset, &Params::default());
     let handle = engine.predicate(PredicateKind::SoftTfIdf);
-    let query = engine.query(&long_query(&dataset));
+    let query = engine.query(&long_query(&dataset, 5_000));
 
     let deadline = Duration::from_millis(50);
     let budget = ExecBudget { deadline: Some(deadline), ..ExecBudget::default() };
@@ -347,6 +347,45 @@ fn soft_tfidf_polls_the_deadline_inside_the_vocabulary_product() {
     assert!(run.degraded, "the product finished inside 50 ms: {run:?}");
     assert!(run.results.is_empty(), "a cut product scores nothing: {run:?}");
     assert!(elapsed < 2 * deadline, "a 50 ms deadline ran {elapsed:?}");
+
+    let expired = ExecBudget { deadline: Some(Duration::ZERO), ..ExecBudget::default() };
+    let run = handle.execute_budgeted(&query, Exec::TopK(10), expired).unwrap();
+    assert!(run.degraded && run.results.is_empty(), "expired deadline: {run:?}");
+    assert_eq!(run.report.expect("a capped run reports").candidates_scored, 0);
+}
+
+/// One record's GES dynamic program against a 100 KB query takes
+/// milliseconds, so the every-64th-charge deadline poll would overrun a
+/// deadline by dozens of records: GES polls the deadline after its scorer
+/// setup and, for a query that long, before every record. A 50 ms deadline
+/// over 20k DBLP-like titles returns within twice the deadline plus one
+/// record's work, degraded; an already-expired deadline returns the empty,
+/// degraded answer before any record.
+#[test]
+fn ges_polls_the_deadline_per_record_of_a_long_query() {
+    let _guard = serialize();
+    let dataset = dblp_dataset(20_000);
+    let engine = build_engine(&dataset, &Params::default());
+    let handle = engine.predicate(PredicateKind::Ges);
+    let query = engine.query(&long_query(&dataset, 100_000));
+
+    // One record's work, scorer setup included: a run capped at one record.
+    let one = ExecBudget { max_candidates: Some(1), ..ExecBudget::default() };
+    let start = std::time::Instant::now();
+    let run = handle.execute_budgeted(&query, Exec::TopK(10), one).unwrap();
+    let one_record = start.elapsed();
+    assert!(run.degraded, "one record is not the whole corpus: {run:?}");
+
+    let deadline = Duration::from_millis(50);
+    let budget = ExecBudget { deadline: Some(deadline), ..ExecBudget::default() };
+    let start = std::time::Instant::now();
+    let run = handle.execute_budgeted(&query, Exec::TopK(10), budget).unwrap();
+    let elapsed = start.elapsed();
+    assert!(run.degraded, "20k records finished inside 50 ms: {run:?}");
+    assert!(
+        elapsed < 2 * deadline + one_record,
+        "a 50 ms deadline ran {elapsed:?} (one record: {one_record:?})"
+    );
 
     let expired = ExecBudget { deadline: Some(Duration::ZERO), ..ExecBudget::default() };
     let run = handle.execute_budgeted(&query, Exec::TopK(10), expired).unwrap();

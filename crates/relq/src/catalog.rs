@@ -248,27 +248,6 @@ impl Catalog {
         Ok(())
     }
 
-    /// Additionally build tid-ordered posting lists over an already
-    /// registered table (`weight_col: None` = unit contributions): the
-    /// registration-time artifact [`Plan::TopKBounded`](crate::Plan::TopKBounded)
-    /// and [`Plan::ThresholdBounded`](crate::Plan::ThresholdBounded) read.
-    /// No-op when the table already carries a posting index.
-    pub fn register_posting(
-        &mut self,
-        name: &str,
-        token_col: &str,
-        tid_col: &str,
-        weight_col: Option<&str>,
-    ) -> Result<()> {
-        if self.postings.contains_key(name) {
-            return Ok(());
-        }
-        let table = self.get_shared(name)?;
-        let posting = PostingIndex::build(&table, token_col, tid_col, weight_col)?;
-        self.postings.insert(name.to_string(), Arc::new(posting));
-        Ok(())
-    }
-
     /// Attach an already built (shared) posting index under `name` — the
     /// lazy-shared-artifact path: one engine builds the index once and every
     /// predicate catalog aliases it. No table need be registered under
@@ -528,11 +507,10 @@ mod tests {
         let mut c = Catalog::new();
         c.register_indexed("w", t, &["token"]).unwrap();
         assert!(c.posting_for("w").is_none());
-        c.register_posting("w", "token", "tid", Some("weight")).unwrap();
-        let p = c.posting_for("w").unwrap().clone();
-        assert_eq!(p.num_postings(), 2);
-        // Re-registering is a no-op; the handle stays the same.
-        c.register_posting("w", "token", "tid", Some("weight")).unwrap();
+        let rows = [(1, Value::Int(7), 0.5), (2, Value::Int(7), 1.5)];
+        let p = Arc::new(PostingIndex::from_rows(rows).unwrap());
+        c.attach_posting("w", p.clone());
+        assert_eq!(c.posting_for("w").unwrap().num_postings(), 2);
         assert!(Arc::ptr_eq(&p, c.posting_for("w").unwrap()));
         // merge_from aliases table, index and posting storage.
         let mut merged = Catalog::new();
@@ -559,8 +537,6 @@ mod tests {
         // Replacing the table drops the (now stale) posting index.
         other.register("w", small_table(2));
         assert!(other.posting_for("w").is_none());
-        // register_posting on a missing table errors.
-        assert!(Catalog::new().register_posting("zzz", "token", "tid", None).is_err());
     }
 
     #[test]

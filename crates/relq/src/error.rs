@@ -25,7 +25,8 @@ pub enum RelqError {
     /// requested key columns (register it with `Catalog::register_indexed`).
     MissingIndex { table: String, keys: Vec<String> },
     /// A `Plan::TopKBounded` referenced a table that has no posting index
-    /// (register it with `Catalog::register_posting` or attach a shared one).
+    /// (build one with `PostingIndex::from_lanes` and add it with
+    /// `Catalog::attach_posting`).
     MissingPosting(String),
 }
 

@@ -1662,6 +1662,15 @@ mod tests {
     use crate::expr::{col, lit, param};
     use crate::table::TableBuilder;
 
+    /// Attach to `c` the posting lists of its `(tid, token, weight)` table
+    /// `name`.
+    fn attach_postings(c: &mut Catalog, name: &str) {
+        let table = c.get_shared(name).unwrap();
+        let rows =
+            table.rows().map(|r| (r[0].as_i64().unwrap(), r[1].clone(), r[2].as_f64().unwrap()));
+        c.attach_posting(name, Arc::new(PostingIndex::from_rows(rows).unwrap()));
+    }
+
     fn catalog() -> Catalog {
         let base = TableBuilder::new()
             .column("tid", DataType::Int)
@@ -2017,7 +2026,7 @@ mod tests {
         let table = weights.build().unwrap();
         let mut c = Catalog::new();
         c.register_indexed("w", table, &["token"]).unwrap();
-        c.register_posting("w", "token", "tid", Some("weight")).unwrap();
+        attach_postings(&mut c, "w");
         let probe = TableBuilder::new()
             .column("token", DataType::Int)
             .column("factor", DataType::Float)
@@ -2093,7 +2102,7 @@ mod tests {
         let table = weights.build().unwrap();
         let mut c = Catalog::new();
         c.register_indexed("w", table, &["token"]).unwrap();
-        c.register_posting("w", "token", "tid", Some("weight")).unwrap();
+        attach_postings(&mut c, "w");
         let probe = TableBuilder::new()
             .column("token", DataType::Int)
             .column("factor", DataType::Float)

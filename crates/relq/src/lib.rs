@@ -12,8 +12,8 @@
 //! * persistent inverted indexes built at registration time
 //!   ([`Catalog::register_indexed`]) and probed by [`Plan::IndexJoin`],
 //! * tid-ordered [`PostingIndex`]es (built from `(tid, token, weights)`
-//!   rows with one or more weight lanes by [`PostingIndex::from_lanes`], or
-//!   over a registered table by [`Catalog::register_posting`]) behind
+//!   rows with one or more weight lanes by [`PostingIndex::from_lanes`] and
+//!   added to a catalog by [`Catalog::attach_posting`]) behind
 //!   the bounded operators [`Plan::TopKBounded`] and
 //!   [`Plan::ThresholdBounded`], which sum a probe's scaled contributions
 //!   per tid in a windowed dense accumulator — the same bytes as the

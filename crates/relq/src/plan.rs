@@ -83,8 +83,8 @@ pub enum Plan {
     /// aggregated candidate stream, so top-k cost scales with the number of
     /// candidates kept, never with the base-relation size.
     TopK { input: Box<Plan>, k: Expr, keys: Vec<(String, SortOrder)> },
-    /// Top-k over the posting lists of catalog table `base` (built by
-    /// [`Catalog::register_posting`](crate::Catalog::register_posting)): the
+    /// Top-k over the posting lists of catalog table `base` (added by
+    /// [`Catalog::attach_posting`](crate::Catalog::attach_posting)): the
     /// posting-driven alternative to `TopK` over `Aggregate(IndexJoin)` for
     /// scores that are sums of non-negative per-token contributions. The
     /// `probe` input supplies one row per query token — `token_col` joins the

@@ -19,8 +19,8 @@
 //!
 //! [`PostingIndex::from_lanes`] is the one builder: it lays `(tid, token,
 //! weights)` rows out count-then-scatter. [`PostingIndex::from_rows`] feeds
-//! it single-lane rows and [`PostingIndex::build`] the rows of a registered
-//! table.
+//! it single-lane rows; a catalog takes the result with
+//! [`Catalog::attach_posting`](crate::Catalog::attach_posting).
 //!
 //! [`Plan::TopKBounded`](crate::Plan::TopKBounded) and
 //! [`Plan::ThresholdBounded`](crate::Plan::ThresholdBounded) read these
@@ -31,9 +31,48 @@
 //! so a cursor can stop at a window's end and resume there.
 
 use crate::error::{RelqError, Result};
-use crate::table::Table;
 use crate::value::Value;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The token-keyed maps of a posting build and its list lookup, hashed by
+/// [`TokenHasher`].
+type TokenMap<V> = HashMap<Value, V, BuildHasherDefault<TokenHasher>>;
+
+/// A small multiplicative hash for token keys, in place of the default
+/// SipHash, whose keyed rounds cost more than laying a posting out: a live
+/// tail rebuilds every kernel predicate's lists on its first read after an
+/// append. Token keys are the predicate layer's own dictionary ids, so a
+/// keyed hash buys nothing here. Each word is a folded multiply (the two
+/// halves of the 128-bit product xored), so low and high output bits both
+/// depend on every input bit: an integer key hashes as the bits of the
+/// equal `f64`, whose low bits are all zero.
+#[derive(Default)]
+struct TokenHasher(u64);
+
+impl Hasher for TokenHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        // An odd multiplier whose bits look random.
+        let product = u128::from(self.0 ^ n) * 0x517c_c1b7_2722_0a95;
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Where one token's postings live inside the flat arenas.
 #[derive(Debug, Clone, Copy)]
@@ -96,7 +135,7 @@ pub struct PostingIndex {
     weights: Vec<f64>,
     /// Lane names, the operators' output columns after `tid`.
     lanes: Vec<String>,
-    map: HashMap<Value, ListMeta>,
+    map: TokenMap<ListMeta>,
 }
 
 impl PostingIndex {
@@ -125,7 +164,7 @@ impl PostingIndex {
         if L == 0 {
             return Err(RelqError::InvalidPlan("a posting index needs a weight lane".to_string()));
         }
-        let mut slots: HashMap<Value, u32> = HashMap::new();
+        let mut slots: TokenMap<u32> = TokenMap::default();
         let mut counts: Vec<usize> = Vec::new();
         let mut postings: Vec<(u32, i64, [f64; L])> = Vec::new();
         for (tid, token, weights) in rows {
@@ -201,41 +240,6 @@ impl PostingIndex {
         Ok(PostingIndex { tids, weights, lanes, map })
     }
 
-    /// Build posting lists over the rows of `table`: one list per distinct
-    /// non-NULL value of `token_col`, each entry pairing the row's `tid_col`
-    /// (an integer) with its `weight_col` contribution (`None` = unit weight
-    /// 1.0, the unweighted-overlap case). A row with a NULL token, tid or
-    /// weight contributes nothing (a NULL key never matches under SQL
-    /// equality, a NULL weight vanishes under SUM). The rows then go through
-    /// [`from_rows`](Self::from_rows).
-    pub fn build(
-        table: &Table,
-        token_col: &str,
-        tid_col: &str,
-        weight_col: Option<&str>,
-    ) -> Result<Self> {
-        let token_idx = table.schema().index_of(token_col)?;
-        let tid_idx = table.schema().index_of(tid_col)?;
-        let weight_idx = weight_col.map(|c| table.schema().index_of(c)).transpose()?;
-        let posting = |row: &[Value]| -> Result<Option<(i64, Value, f64)>> {
-            let token = &row[token_idx];
-            if token.is_null() || row[tid_idx].is_null() {
-                return Ok(None);
-            }
-            let weight = match weight_idx {
-                None => 1.0,
-                Some(i) => match &row[i] {
-                    Value::Null => return Ok(None),
-                    v => v.as_f64()?,
-                },
-            };
-            Ok(Some((row[tid_idx].as_i64()?, token.clone(), weight)))
-        };
-        let rows: Vec<_> =
-            table.rows().filter_map(|row| posting(row).transpose()).collect::<Result<_>>()?;
-        Self::from_rows(rows)
-    }
-
     /// Number of distinct tokens with a posting list.
     pub fn num_tokens(&self) -> usize {
         self.map.len()
@@ -273,20 +277,10 @@ mod tests {
         score_exhaustive, score_windowed, sum_exhaustive, sum_windowed, LaneSums, Select,
     };
     use crate::limits::ExecLimits;
-    use crate::schema::Schema;
-    use crate::value::DataType;
 
-    fn weights_table(rows: &[(i64, i64, f64)]) -> Table {
-        let schema = Schema::from_pairs(&[
-            ("tid", DataType::Int),
-            ("token", DataType::Int),
-            ("weight", DataType::Float),
-        ]);
-        let mut t = Table::empty(schema);
-        for &(tid, token, w) in rows {
-            t.push_row(vec![Value::Int(tid), Value::Int(token), Value::Float(w)]).unwrap();
-        }
-        t
+    /// The posting index of `(tid, token, weight)` rows with integer tokens.
+    fn index(rows: &[(i64, i64, f64)]) -> Result<PostingIndex> {
+        PostingIndex::from_rows(rows.iter().map(|&(tid, token, w)| (tid, Value::Int(token), w)))
     }
 
     /// `(tids, weights)` of one list: equality here is list-content equality.
@@ -297,18 +291,16 @@ mod tests {
     #[test]
     fn build_produces_tid_sorted_lists() {
         let rows = [(3, 7, 0.5), (1, 7, 0.25), (2, 9, 1.5), (1, 9, 0.75)];
-        let ix =
-            PostingIndex::build(&weights_table(&rows), "token", "tid", Some("weight")).unwrap();
+        let ix = index(&rows).unwrap();
         assert_eq!(ix.num_tokens(), 2);
         assert_eq!(ix.num_postings(), 4);
         assert_eq!(content(&ix, 7), Some((vec![1, 3], vec![0.25, 0.5])));
         assert_eq!(content(&ix, 9), Some((vec![1, 2], vec![0.75, 1.5])));
         assert_eq!(content(&ix, 42), None);
-        // The row builder lays out the same lists from the same rows.
-        let direct = PostingIndex::from_rows(
-            rows.iter().map(|&(tid, token, weight)| (tid, Value::Int(token), weight)),
-        )
-        .unwrap();
+        // Rows already in tid order lay out the same lists.
+        let mut sorted = rows;
+        sorted.sort_by_key(|&(tid, _, _)| tid);
+        let direct = index(&sorted).unwrap();
         for token in [7, 9, 42] {
             assert_eq!(content(&direct, token), content(&ix, token));
         }
@@ -329,25 +321,10 @@ mod tests {
     }
 
     #[test]
-    fn unit_weight_lists_and_null_rows() {
-        let schema = Schema::from_pairs(&[("tid", DataType::Int), ("token", DataType::Int)]);
-        let mut t = Table::empty(schema);
-        t.push_row(vec![Value::Int(1), Value::Int(5)]).unwrap();
-        t.push_row(vec![Value::Int(2), Value::Null]).unwrap();
-        t.push_row(vec![Value::Null, Value::Int(5)]).unwrap();
-        let ix = PostingIndex::build(&t, "token", "tid", None).unwrap();
-        assert_eq!(ix.num_postings(), 1);
-        assert_eq!(content(&ix, 5), Some((vec![1], vec![1.0])));
-    }
-
-    #[test]
     fn non_finite_weights_duplicates_and_zero_blocks_are_rejected() {
-        let t = weights_table(&[(1, 7, f64::INFINITY)]);
-        assert!(PostingIndex::build(&t, "token", "tid", Some("weight")).is_err());
-        let t = weights_table(&[(1, 7, 0.5), (1, 7, 0.25)]);
-        assert!(PostingIndex::build(&t, "token", "tid", Some("weight")).is_err());
-        let t = weights_table(&[]);
-        assert!(PostingIndex::build(&t, "nope", "tid", Some("weight")).is_err());
+        assert!(index(&[(1, 7, f64::INFINITY)]).is_err());
+        assert!(index(&[(1, 7, 0.5), (1, 7, 0.25)]).is_err());
+        assert_eq!(index(&[]).unwrap().num_postings(), 0);
         assert!(PostingIndex::from_rows([(1, Value::Int(7), f64::NAN)]).is_err());
         let dup = [(1, Value::Int(7), 0.5), (1, Value::Int(7), 0.25)];
         assert!(PostingIndex::from_rows(dup).is_err());
@@ -409,7 +386,7 @@ mod tests {
     }
 
     fn random_index(rows: &[(i64, i64, f64)]) -> PostingIndex {
-        PostingIndex::build(&weights_table(rows), "token", "tid", Some("weight")).unwrap()
+        index(rows).unwrap()
     }
 
     /// `(tid, token, weight)` rows.
@@ -501,8 +478,7 @@ mod tests {
 
     #[test]
     fn negative_factors_are_rejected() {
-        let t = weights_table(&[(1, 7, 0.5)]);
-        let ix = PostingIndex::build(&t, "token", "tid", Some("weight")).unwrap();
+        let ix = index(&[(1, 7, 0.5)]).unwrap();
         let list = ix.list(&Value::Int(7)).unwrap();
         for select in [Select::TopK(3), Select::Threshold(0.1)] {
             for bad in [-0.5, f64::NAN, f64::INFINITY] {
@@ -554,8 +530,7 @@ mod tests {
                 rows.push((tid, 1, 0.25));
             }
         }
-        let ix =
-            PostingIndex::build(&weights_table(&rows), "token", "tid", Some("weight")).unwrap();
+        let ix = index(&rows).unwrap();
         // List 0 probed twice, with list 1 between the two probes.
         let probes = [(0, 0.5), (1, 3.0), (0, 0.125)];
         for k in [1, 4, tids.len(), usize::MAX] {
@@ -576,8 +551,7 @@ mod tests {
         // Adding the first contribution to a 0.0 start would turn tid 1's
         // score into +0.0.
         let rows = [(1, 0, -1.0), (2, 0, -1.0), (2, 1, 1.0)];
-        let ix =
-            PostingIndex::build(&weights_table(&rows), "token", "tid", Some("weight")).unwrap();
+        let ix = index(&rows).unwrap();
         let probes = [(0, 0.0), (1, 0.0)];
         let got = kernel(&ix, &probes, Select::TopK(10));
         assert_eq!(bits(&got), vec![(2, 0f64.to_bits()), (1, (-0f64).to_bits())]);

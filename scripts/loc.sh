@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Print the total and non-test line counts of the core and relq crates.
+# Print the total and non-test line counts of the core and relq crates, and
+# the total line count of the integration tests.
 #
 # A file's non-test lines are the lines above its first unindented
 # `#[cfg(test)]` (the test module); a file without one counts whole. An
-# indented `#[cfg(test)]` on a single item does not end the count.
+# indented `#[cfg(test)]` on a single item does not end the count. Every
+# line of crates/integration/tests is test code, so only its total prints.
 #
 # Usage, from anywhere in the checkout: scripts/loc.sh
 set -euo pipefail
@@ -19,3 +21,5 @@ for dir in crates/core/src crates/relq/src; do
     done < <(find "$dir" -name '*.rs' | sort)
     printf '%-16s total %6d  non-test %6d\n' "$dir" "$total" "$non_test"
 done
+tests=$(find crates/integration/tests -name '*.rs' -exec cat {} + | wc -l)
+printf '%-16s total %6d\n' crates/integration/tests "$tests"
