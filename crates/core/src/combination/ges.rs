@@ -295,7 +295,7 @@ impl EngineOps for GesPredicate {
         query: &Query,
         exec: Exec,
         _naive: bool,
-        limits: &relq::ExecLimits,
+        limits: &crate::engine::RequestLimits,
     ) -> crate::error::Result<Vec<ScoredTid>> {
         let query_words = query.weighted_words();
         if query_words.is_empty() {

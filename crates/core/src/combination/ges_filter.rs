@@ -571,7 +571,7 @@ impl EngineOps for FilteredGes {
         query: &Query,
         exec: Exec,
         naive: bool,
-        limits: &relq::ExecLimits,
+        limits: &crate::engine::RequestLimits,
     ) -> crate::error::Result<Vec<ScoredTid>> {
         let query_words = query.weighted_words();
         if query_words.is_empty() {
@@ -906,7 +906,7 @@ mod tests {
     fn a_served_engine_never_builds_the_reference_plan() {
         let p = filtered(GesFilterKind::Jaccard, GesParams::default());
         let query = Query::build(p.shared.corpus(), "Morgan Stanley Group Incorporated");
-        let unlimited = relq::ExecLimits::unlimited();
+        let unlimited = crate::engine::RequestLimits::unlimited();
         let served = p.execute_mode(&query, Exec::Rank, false, &unlimited).unwrap();
         assert!(p.plan_catalog().is_none(), "the indexed path built the reference");
         assert!(p.shared.artifact_built("ges_word_records"));

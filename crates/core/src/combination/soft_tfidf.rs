@@ -161,7 +161,7 @@ impl EngineOps for SoftTfIdfPredicate {
         query: &Query,
         exec: Exec,
         naive: bool,
-        limits: &relq::ExecLimits,
+        limits: &crate::engine::RequestLimits,
     ) -> crate::error::Result<Vec<ScoredTid>> {
         let query_weights = self.query_word_weights(query);
         if query_weights.is_empty() {

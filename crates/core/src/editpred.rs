@@ -85,7 +85,7 @@ impl EngineOps for EditPredicate {
         query: &Query,
         exec: Exec,
         naive: bool,
-        limits: &relq::ExecLimits,
+        limits: &crate::engine::RequestLimits,
     ) -> crate::error::Result<Vec<ScoredTid>> {
         let q = query.tokens();
         if q.tokens.is_empty() {
@@ -103,13 +103,20 @@ impl EngineOps for EditPredicate {
         };
 
         let bindings = Bindings::new().with_table("query_tf", Self::query_tf_table(q));
-        // The count filter runs unbudgeted: its survivors are charged one
-        // by one below, where each costs a banded verification, so the
-        // deadline overshoots by at most one of them.
+        // The count filter runs under the request's deadline but charges no
+        // candidate: its survivors are charged one by one below, where each
+        // costs a banded verification, so the deadline overshoots by at most
+        // one of them. A filter stopped by the deadline returns no rows,
+        // and the request's own poll then flags the answer degraded.
         let candidates = if naive {
             self.plan.execute_unindexed(&self.catalog, &bindings)?
         } else {
-            self.plan.execute(&self.catalog, &bindings, &relq::ExecLimits::unlimited())?
+            let filter_limits = limits.deadline_only();
+            let candidates = self.plan.execute(&self.catalog, &bindings, &filter_limits)?;
+            if filter_limits.exhausted() {
+                limits.poll_deadline();
+            }
+            candidates
         };
 
         let corpus = self.shared.corpus();

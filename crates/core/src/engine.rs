@@ -126,6 +126,19 @@ pub enum Exec {
     ThresholdScan(f64),
 }
 
+impl Exec {
+    /// Refuse a threshold request whose τ is NaN: no score compares with
+    /// it, so no answer would be the right one.
+    pub(crate) fn validate(self) -> Result<()> {
+        match self {
+            Exec::Threshold(tau) | Exec::ThresholdScan(tau) if tau.is_nan() => {
+                Err(DaspError::NanThreshold)
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
 /// Apply an execution mode to natively scored results: the UDF-stage
 /// predicates (edit distance, the GES family) score candidates in Rust and
 /// then select here, mirroring what the plan operators do relationally.
@@ -641,7 +654,8 @@ impl ResultCache {
     /// at `epoch` under `budget`, where `f` computes the rows under the
     /// given limits and reports how many parts ran.
     ///
-    /// Every executed request runs `f` under one fresh [`relq::ExecLimits`]
+    /// A threshold request with a NaN τ is refused before anything else.
+    /// Every executed request runs `f` under one fresh [`RequestLimits`]
     /// built from `budget`. An unlimited budget probes the cache first (0
     /// parts ran on a hit), parks on a concurrent execution of the same
     /// key (single flight, also a hit), and caches the rows of a miss. A
@@ -658,8 +672,9 @@ impl ResultCache {
         text: &str,
         exec: Exec,
         budget: ExecBudget,
-        f: impl FnOnce(&relq::ExecLimits) -> Result<(Vec<ScoredTid>, usize)>,
+        f: impl FnOnce(&RequestLimits) -> Result<(Vec<ScoredTid>, usize)>,
     ) -> Result<(BudgetedRun, usize)> {
+        exec.validate()?;
         let capped = !budget.is_unlimited();
         let hit = |rows: Arc<Vec<ScoredTid>>| {
             let run = BudgetedRun {
@@ -690,8 +705,7 @@ impl ResultCache {
                 }
             }
         }
-        let limits =
-            relq::ExecLimits::new(budget.deadline, budget.max_candidates.map(|n| n as u64));
+        let limits = RequestLimits::new(budget);
         let (results, ran) = f(&limits)?;
         if let Some(guard) = leader {
             self.land(guard, &results);
@@ -835,14 +849,14 @@ pub(crate) trait EngineOps: Send + Sync {
     /// `limits` is the request's cooperative budget, which the
     /// candidate-scoring paths charge (see [`relq::ExecLimits`]); on
     /// exhaustion the execution returns the anytime answer built so far.
-    /// Pass [`relq::ExecLimits::unlimited`] to run to completion. The
+    /// Pass [`RequestLimits::unlimited`] to run to completion. The
     /// naive baseline's plans are never budgeted.
     fn execute_mode(
         &self,
         query: &Query,
         exec: Exec,
         naive: bool,
-        limits: &relq::ExecLimits,
+        limits: &RequestLimits,
     ) -> Result<Vec<ScoredTid>>;
     /// The catalog the predicate's plans run against, when it has one.
     fn plan_catalog(&self) -> Option<&Catalog> {
@@ -1023,6 +1037,45 @@ impl BudgetReport {
     }
 }
 
+/// One request's budget as the predicate cores see it: the
+/// [`relq::ExecLimits`] every candidate charge goes to (it derefs to them),
+/// and the deadline they were built with.
+pub(crate) struct RequestLimits {
+    limits: relq::ExecLimits,
+    deadline: Option<std::time::Duration>,
+}
+
+impl RequestLimits {
+    pub(crate) fn new(budget: ExecBudget) -> Self {
+        let cap = budget.max_candidates.map(|n| n as u64);
+        let limits = relq::ExecLimits::new(budget.deadline, cap);
+        RequestLimits { limits, deadline: budget.deadline }
+    }
+
+    /// No caps: charges always succeed, only the counters run.
+    pub(crate) fn unlimited() -> Self {
+        Self::new(ExecBudget::unlimited())
+    }
+
+    /// Fresh limits holding what is left of the request's deadline and no
+    /// candidate cap, for a candidate generator that must stop at the
+    /// deadline but scores no candidate. They expire no earlier than the
+    /// request's own limits, so once they have, the request's
+    /// [`poll_deadline`](relq::ExecLimits::poll_deadline) refuses too.
+    pub(crate) fn deadline_only(&self) -> relq::ExecLimits {
+        let left = self.deadline.map(|d| d.saturating_sub(self.limits.report().elapsed));
+        relq::ExecLimits::new(left, None)
+    }
+}
+
+impl std::ops::Deref for RequestLimits {
+    type Target = relq::ExecLimits;
+
+    fn deref(&self) -> &relq::ExecLimits {
+        &self.limits
+    }
+}
+
 /// The outcome of a request under an [`ExecBudget`] on any backend: the
 /// (possibly partial) results plus the cache-hit and degradation flags and
 /// the work report.
@@ -1084,7 +1137,8 @@ impl PredicateHandle {
     /// (clone-per-scan, per-query hash builds, sort-then-truncate top-k) —
     /// byte-identical output, kept as the equivalence and bench baseline.
     pub fn execute_naive(&self, query: &Query, exec: Exec) -> Result<Vec<ScoredTid>> {
-        self.core_for(query)?.execute_mode(query, exec, true, &relq::ExecLimits::unlimited())
+        exec.validate()?;
+        self.core_for(query)?.execute_mode(query, exec, true, &RequestLimits::unlimited())
     }
 
     /// The predicate core, once `query` is known to be prepared against this
@@ -1140,7 +1194,7 @@ impl PredicateHandle {
         budget: ExecBudget,
         prepare: impl FnOnce() -> Q,
     ) -> Result<BudgetedRun> {
-        let run = |limits: &relq::ExecLimits| {
+        let run = |limits: &RequestLimits| {
             let query = prepare();
             self.core.execute_mode(query.borrow(), exec, false, limits).map(|results| (results, 1))
         };
@@ -1155,7 +1209,7 @@ impl PredicateHandle {
         &self,
         query: &Query,
         exec: Exec,
-        limits: &relq::ExecLimits,
+        limits: &RequestLimits,
     ) -> Result<Vec<ScoredTid>> {
         self.core_for(query)?.execute_mode(query, exec, false, limits)
     }
@@ -1505,7 +1559,7 @@ mod tests {
         let text = "Morgan Stanley Group Inc.";
         let foreign = b.query(text);
         let capped = ExecBudget { max_candidates: Some(1), ..ExecBudget::default() };
-        let unlimited = relq::ExecLimits::unlimited();
+        let unlimited = RequestLimits::unlimited();
         let modes = [
             Exec::Rank,
             Exec::TopK(2),

@@ -38,6 +38,10 @@ pub enum DaspError {
         /// The deadline it carried.
         deadline: std::time::Duration,
     },
+    /// A threshold request ([`Exec::Threshold`](crate::Exec::Threshold) or
+    /// [`Exec::ThresholdScan`](crate::Exec::ThresholdScan)) carried a NaN
+    /// τ, which no score compares with.
+    NanThreshold,
 }
 
 impl fmt::Display for DaspError {
@@ -57,6 +61,7 @@ impl fmt::Display for DaspError {
                     "request shed by admission control: waited {waited:?} past its {deadline:?} deadline"
                 )
             }
+            DaspError::NanThreshold => write!(f, "threshold request with a NaN τ"),
         }
     }
 }
@@ -68,7 +73,8 @@ impl std::error::Error for DaspError {
             DaspError::MalformedResult(_)
             | DaspError::EngineMismatch
             | DaspError::Panicked(_)
-            | DaspError::Timeout { .. } => None,
+            | DaspError::Timeout { .. }
+            | DaspError::NanThreshold => None,
         }
     }
 }

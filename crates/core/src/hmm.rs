@@ -202,7 +202,7 @@ mod tests {
     fn scan_route_keeps_the_private_posting_catalog_unbuilt() {
         let p = hmm(SharedArtifacts::build(corpus(), &Params::default()));
         let query = Query::build(p.shared_artifacts().corpus(), "Morgan Stanley");
-        let unlimited = relq::ExecLimits::unlimited();
+        let unlimited = crate::engine::RequestLimits::unlimited();
         let posting_built = || p.posting_catalog().unwrap().posting_built();
         // The exhaustive modes answer from the posting-free base catalog.
         let reference =

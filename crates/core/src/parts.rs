@@ -200,7 +200,7 @@ impl Part {
         kind: PredicateKind,
         query: &Query,
         exec: Exec,
-        limits: &relq::ExecLimits,
+        limits: &crate::engine::RequestLimits,
         tombstones: &BTreeSet<Tid>,
     ) -> Result<Vec<ScoredTid>> {
         let local = self.engine.predicate(kind).execute_with_limits(query, exec, limits)?;
@@ -274,7 +274,7 @@ impl PartSet {
         kind: PredicateKind,
         query: &Query,
         exec: Exec,
-        limits: &relq::ExecLimits,
+        limits: &crate::engine::RequestLimits,
     ) -> Result<(Vec<ScoredTid>, usize)> {
         if let Exec::TopK(0) | Exec::TopKHeap(0) = exec {
             return Ok((Vec::new(), 0));
@@ -331,7 +331,7 @@ mod tests {
         let parts = PartSet::frozen(vec![part(0..3), part(3..5), part(5..7)]);
         let text = "Morgan Stanley Group";
         let query = Query::build(&stats, text);
-        let unlimited = relq::ExecLimits::unlimited();
+        let unlimited = crate::engine::RequestLimits::unlimited();
         let bits =
             |v: &[ScoredTid]| v.iter().map(|s| (s.tid, s.score.to_bits())).collect::<Vec<_>>();
         for &kind in PredicateKind::all() {

@@ -73,7 +73,7 @@ impl EngineOps for KernelPredicate {
         query: &Query,
         exec: Exec,
         naive: bool,
-        limits: &relq::ExecLimits,
+        limits: &crate::engine::RequestLimits,
     ) -> crate::error::Result<Vec<ScoredTid>> {
         let Some(bindings) = (self.bind)(&self.shared, query) else {
             return Ok(Vec::new());

@@ -34,6 +34,7 @@ use dasp_core::{
 use dasp_datagen::presets::{cu_dataset_sized, cu_spec, dblp_dataset};
 use dasp_datagen::Dataset;
 use dasp_eval::{build_engine, sample_query_indices};
+use dasp_text::{edit_distance_within, normalize};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -391,6 +392,55 @@ fn ges_polls_the_deadline_per_record_of_a_long_query() {
     let run = handle.execute_budgeted(&query, Exec::TopK(10), expired).unwrap();
     assert!(run.degraded && run.results.is_empty(), "expired deadline: {run:?}");
     assert_eq!(run.report.expect("a capped run reports").candidates_scored, 0);
+}
+
+/// The edit predicate's q-gram count filter is a relq aggregation over the
+/// query's q-grams that scores no candidate: it runs under the request's
+/// deadline, polled once per probed q-gram, and a filter cut short returns
+/// no candidates. 5,000-byte and 100 KB queries over 20k DBLP-like titles,
+/// whose filters run past a 50 ms deadline, return degraded within twice
+/// the deadline plus one candidate's verification; an already-expired
+/// deadline returns the empty, degraded answer without charging a
+/// candidate.
+#[test]
+fn edit_count_filter_polls_the_deadline_per_probed_gram() {
+    let _guard = serialize();
+    let dataset = dblp_dataset(20_000);
+    let engine = build_engine(&dataset, &Params::default());
+    let handle = engine.predicate(PredicateKind::EditSimilarity);
+    // Warm the shared tables the count filter probes.
+    handle.execute(&engine.query(&dataset.records[0].text), Exec::Rank).unwrap();
+    let theta = Params::default().edit.filter_threshold;
+    let deadline = Duration::from_millis(50);
+    for bytes in [5_000, 100_000] {
+        let query = engine.query(&long_query(&dataset, bytes));
+        // One candidate's verification: the banded edit distance against
+        // the longest record, at the filter threshold's band.
+        let record = dataset.records.iter().map(|r| normalize(&r.text)).max_by_key(|r| r.len());
+        let record = record.expect("a non-empty corpus");
+        let max_len = query.norm().chars().count().max(record.chars().count());
+        let band = ((1.0 - theta) * max_len as f64).floor() as usize;
+        let start = std::time::Instant::now();
+        edit_distance_within(query.norm(), &record, band);
+        let one_candidate = start.elapsed();
+
+        let budget = ExecBudget { deadline: Some(deadline), ..ExecBudget::default() };
+        let start = std::time::Instant::now();
+        let run = handle.execute_budgeted(&query, Exec::TopK(10), budget).unwrap();
+        let elapsed = start.elapsed();
+        assert!(run.degraded, "{bytes}-byte filter finished inside 50 ms: {run:?}");
+        assert!(
+            elapsed < 2 * deadline + one_candidate,
+            "{bytes} bytes: a 50 ms deadline ran {elapsed:?} (one candidate: {one_candidate:?})"
+        );
+        let exact = handle.execute(&query, Exec::Rank).unwrap();
+        assert_anytime_subset(&run.results, &exact, &format!("edit {bytes}-byte query"));
+
+        let expired = ExecBudget { deadline: Some(Duration::ZERO), ..ExecBudget::default() };
+        let run = handle.execute_budgeted(&query, Exec::TopK(10), expired).unwrap();
+        assert!(run.degraded && run.results.is_empty(), "{bytes} bytes, expired: {run:?}");
+        assert_eq!(run.report.expect("a capped run reports").candidates_scored, 0);
+    }
 }
 
 #[test]

@@ -10,11 +10,12 @@
 //! corpora asserts the selected set is exactly `{tid : score(tid) ≥ τ}`.
 
 use dasp_core::{
-    Corpus, Exec, LiveEngine, Params, PredicateKind, ScoredTid, SelectionEngine, ServeRequest,
-    ServingEngine, TokenizedCorpus,
+    Corpus, DaspError, Exec, ExecBudget, LiveEngine, Params, PredicateKind, ScoredTid,
+    SelectionEngine, ServeRequest, ServingEngine, TokenizedCorpus,
 };
 use dasp_datagen::presets::{cu_dataset_sized, cu_spec, dblp_dataset, f_dataset_sized, f_spec};
 use dasp_eval::{build_engine, sample_query_indices};
+use std::sync::Arc;
 
 /// The predicates whose scores are monotone sums of non-negative per-token
 /// contributions — the ones `Exec::Threshold` routes through the fixed-bar
@@ -283,6 +284,45 @@ fn threshold_differential_holds_through_serving() {
             exp,
             &format!("serving request {i} ({:?})", requests[i].exec),
         );
+    }
+}
+
+/// A NaN τ compares with no score, so every backend refuses it with the one
+/// typed error: all 13 predicates, both threshold modes, the static engine
+/// (indexed and naive), a `LiveEngine` and a `ServingEngine` over each,
+/// budgeted or not.
+#[test]
+fn nan_threshold_is_one_typed_error_on_every_backend() {
+    let dataset = cu_dataset_sized(cu_spec("CU2").unwrap(), 60, 6);
+    let engine = build_engine(&dataset, &Params::default());
+    let live = Arc::new(LiveEngine::from_corpus(
+        Corpus::from_strings(dataset.strings()),
+        &Params::default(),
+    ));
+    let pools = [ServingEngine::new(engine.clone(), 2), ServingEngine::new_live(live.clone(), 2)];
+    let text = &dataset.records[0].text;
+    let query = engine.query(text);
+    let capped = ExecBudget { max_candidates: Some(1_000), ..ExecBudget::default() };
+    let refused = |r: Result<&[ScoredTid], &DaspError>| matches!(r, Err(DaspError::NanThreshold));
+    for &kind in PredicateKind::all() {
+        let handle = engine.predicate(kind);
+        for exec in [Exec::Threshold(f64::NAN), Exec::ThresholdScan(f64::NAN)] {
+            let label = format!("{kind}/{exec:?}");
+            for budget in [ExecBudget::unlimited(), capped] {
+                let run = handle.execute_budgeted(&query, exec, budget);
+                assert!(refused(run.as_ref().map(|r| &r.results[..])), "{label} static {run:?}");
+                let run = live.execute_budgeted(kind, text, exec, budget);
+                assert!(refused(run.as_ref().map(|r| &r.0.results[..])), "{label} live {run:?}");
+                for pool in &pools {
+                    let request = ServeRequest::new(kind, text.clone(), exec).with_budget(budget);
+                    let response = &pool.serve(&[request])[0];
+                    let results = response.results.as_deref();
+                    assert!(refused(results), "{label} serving {:?}", response.results);
+                }
+            }
+            let naive = handle.execute_naive(&query, exec);
+            assert!(refused(naive.as_deref()), "{label} naive {naive:?}");
+        }
     }
 }
 

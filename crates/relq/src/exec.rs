@@ -26,7 +26,7 @@ use crate::plan::{Plan, ProjectItem, SortOrder};
 use crate::posting::{PostingIndex, PostingList};
 use crate::schema::{Field, Schema};
 use crate::table::Table;
-use crate::value::{DataType, Row, Value};
+use crate::value::{DataType, Value};
 use finish::Finish;
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -51,7 +51,9 @@ pub fn execute_with(plan: &Plan, catalog: &Catalog, bindings: &Bindings) -> Resu
 /// scoring pipeline funnels through) charge the limits for each batch of
 /// candidates and stop cleanly on exhaustion, returning the anytime answer
 /// built so far — every emitted row fully scored, only coverage truncated.
-/// Callers detect degradation via [`ExecLimits::exhausted`].
+/// An aggregation over an index probe also polls the deadline once per
+/// probe row and emits no groups once it has passed. Callers detect
+/// degradation via [`ExecLimits::exhausted`].
 pub fn execute_with_limits(
     plan: &Plan,
     catalog: &Catalog,
@@ -146,32 +148,9 @@ fn eval(plan: &Plan, ctx: &ExecCtx) -> Result<Rel> {
             }
         }
         Plan::Filter { input, predicate } => {
-            // Fused fast paths: a filter directly above a projection or an
-            // aggregation — the shape of every prepared threshold plan's
-            // `score >= τ` selection — tests each output row as it is
-            // assembled and materializes only the survivors, instead of
-            // building the full scored table and then dropping most of it.
-            // Row evaluation order is unchanged, so results are
-            // byte-identical to the unfused pipeline (the naive mode
-            // deliberately keeps the materialize-then-filter cost model).
             if !ctx.naive {
                 if let Some(table) = finish::typed_finish(ctx, input, Finish::Filter(predicate))? {
                     return Ok(Rel::Owned(table));
-                }
-                match input.as_ref() {
-                    Plan::Project { input: inner, items } => {
-                        return Ok(Rel::Owned(filter_project(ctx, inner, items, predicate)?));
-                    }
-                    Plan::Aggregate { input: inner, group_by, aggregates } => {
-                        return Ok(Rel::Owned(eval_aggregate(
-                            ctx,
-                            inner,
-                            group_by,
-                            aggregates,
-                            Some(predicate),
-                        )?));
-                    }
-                    _ => {}
                 }
             }
             let input = eval(input, ctx)?;
@@ -234,7 +213,7 @@ fn eval(plan: &Plan, ctx: &ExecCtx) -> Result<Rel> {
             }
         }
         Plan::Aggregate { input, group_by, aggregates } => {
-            Ok(Rel::Owned(eval_aggregate(ctx, input, group_by, aggregates, None)?))
+            Ok(Rel::Owned(eval_aggregate(ctx, input, group_by, aggregates)?))
         }
         Plan::Sort { input, keys } => {
             let input = eval(input, ctx)?;
@@ -255,18 +234,9 @@ fn eval(plan: &Plan, ctx: &ExecCtx) -> Result<Rel> {
         }
         Plan::TopK { input, k, keys } => {
             let k = eval_top_k_count(k, ctx)?;
-            // Fused fast path: top-k directly over a projection evaluates
-            // the projected row into a reusable scratch buffer and allocates
-            // an owned row only when it enters the heap — the full projected
-            // candidate table is never materialized. Row-wise evaluation
-            // order is unchanged, so results and errors are identical to the
-            // unfused pipeline.
             if !ctx.naive {
                 if let Some(table) = finish::typed_finish(ctx, input, Finish::TopK { k, keys })? {
                     return Ok(Rel::Owned(table));
-                }
-                if let Plan::Project { input: inner, items } = input.as_ref() {
-                    return Ok(Rel::Owned(top_k_project(ctx, inner, items, k, keys)?));
                 }
             }
             let input = eval(input, ctx)?;
@@ -506,15 +476,12 @@ fn index_join(
 }
 
 /// Evaluate an aggregation node, dispatching to the fused
-/// `Aggregate(IndexJoin)` pipeline in indexed mode, with an optional output
-/// filter applied while the result rows are assembled (the fused lowering of
-/// `Filter(Aggregate(..))` — see the `Plan::Filter` arm of [`eval`]).
+/// `Aggregate(IndexJoin)` pipeline in indexed mode.
 fn eval_aggregate(
     ctx: &ExecCtx,
     input: &Plan,
     group_by: &[String],
     aggregates: &[Aggregate],
-    output_filter: Option<&crate::expr::Expr>,
 ) -> Result<Table> {
     // Fused fast path: aggregation directly over an index probe feeds each
     // virtual joined row straight into the group accumulators, never
@@ -524,66 +491,39 @@ fn eval_aggregate(
     if !ctx.naive {
         if let Plan::IndexJoin { base, base_keys, probe, probe_keys, suffix } = input {
             return index_join_aggregate(
-                ctx,
-                base,
-                base_keys,
-                probe,
-                probe_keys,
-                suffix,
-                group_by,
-                aggregates,
-                output_filter,
+                ctx, base, base_keys, probe, probe_keys, suffix, group_by, aggregates,
             );
         }
     }
     let input = eval(input, ctx)?;
     if ctx.naive {
-        aggregate(input.as_table(), group_by, aggregates, ctx, output_filter)
+        aggregate(input.as_table(), group_by, aggregates, ctx)
     } else {
-        group_aggregate(input.as_table(), group_by, aggregates, ctx, output_filter)
+        group_aggregate(input.as_table(), group_by, aggregates, ctx)
     }
 }
 
 /// Assemble the `len` output rows of an aggregation into one arena:
 /// `write_row` appends the next group's `key ++ finished accumulators`
-/// cells, and the optional output filter keeps or drops the row just
-/// written. The filter is compiled only when there is at least one row to
-/// assemble, matching the unfused `Filter` operator (which never compiles
-/// its predicate over an empty input).
+/// cells.
 fn assemble_rows(
     ctx: &ExecCtx,
     out_schema: Schema,
     len: usize,
-    output_filter: Option<&crate::expr::Expr>,
     mut write_row: impl FnMut(&mut Vec<Value>),
-) -> Result<Table> {
-    let filter = match output_filter {
-        Some(expr) if len > 0 => Some(resolve(expr, ctx)?.compile(&out_schema)?),
-        _ => None,
-    };
-    // A filtered aggregation (a threshold plan) keeps few of its groups, so
-    // only an unfiltered one sizes the arena up front.
-    let reserve = if filter.is_none() { len * out_schema.len() } else { 0 };
-    let (mut cells, mut n) = (Vec::with_capacity(reserve), 0);
+) -> Table {
     // Budget cut point for the exhaustive scoring pipelines: each assembled
     // row is one fully-accumulated candidate (its aggregates finished before
     // assembly began), so assembling only the granted prefix truncates
     // coverage without ever emitting a partially-scored row — a valid
     // anytime answer. Assembly is cheap, so one charge covers every row.
     let granted = ctx.limits.charge_candidates(len as u64) as usize;
+    let mut cells = Vec::with_capacity(granted * out_schema.len());
     for _ in 0..granted {
         crate::fault::fault_point("relq.aggregate.row");
-        let start = cells.len();
         write_row(&mut cells);
-        if let Some(f) = &filter {
-            if !f.evaluate(&cells[start..])?.as_bool()? {
-                cells.truncate(start);
-                continue;
-            }
-        }
-        n += 1;
     }
-    Ok(Table::from_cells_unchecked(out_schema, cells, n))
+    Table::from_cells_unchecked(out_schema, cells, granted)
 }
 
 /// A compiled aggregate argument. SUM/MIN/MAX over float-safe expressions
@@ -716,6 +656,10 @@ fn aggregate_schema(input: &Schema, group_idx: &[usize], aggregates: &[Aggregate
 /// query-time win over the naive full-join path comes from. Rows are visited
 /// in exactly the order the materialized pipeline would emit them, so group
 /// order and floating-point accumulation are byte-identical to it.
+///
+/// The deadline is polled once per probe row. Once it has passed, every
+/// group's aggregate would be partial, so the result is empty: an exact
+/// subset of every answer built on it.
 #[allow(clippy::too_many_arguments)]
 fn index_join_aggregate(
     ctx: &ExecCtx,
@@ -726,7 +670,6 @@ fn index_join_aggregate(
     suffix: &str,
     group_by: &[String],
     aggregates: &[Aggregate],
-    output_filter: Option<&crate::expr::Expr>,
 ) -> Result<Table> {
     let probe_rel = eval(probe_plan, ctx)?;
     let probe = probe_rel.as_table();
@@ -785,6 +728,9 @@ fn index_join_aggregate(
     let mut groups = Groups::new(aggregates, group_idx.len(), dense_range);
 
     for probe_row in probe.rows() {
+        if !ctx.limits.poll_deadline() {
+            return Ok(Table::empty(out_schema));
+        }
         probe_key.clear();
         probe_key.extend(probe_idx.iter().map(|&i| probe_row[i].clone()));
         if probe_key.iter().any(Value::is_null) {
@@ -805,7 +751,7 @@ fn index_join_aggregate(
         }
     }
     groups.ensure_global_row();
-    assemble_rows(ctx, out_schema, groups.len(), output_filter, groups.into_row_writer())
+    Ok(assemble_rows(ctx, out_schema, groups.len(), groups.into_row_writer()))
 }
 
 /// Indexed-mode aggregation over a materialized input, with the same group
@@ -816,7 +762,6 @@ fn group_aggregate(
     group_by: &[String],
     aggregates: &[Aggregate],
     ctx: &ExecCtx,
-    output_filter: Option<&crate::expr::Expr>,
 ) -> Result<Table> {
     let in_schema = input.schema();
     let group_idx: Vec<usize> =
@@ -843,7 +788,7 @@ fn group_aggregate(
         }
     }
     groups.ensure_global_row();
-    assemble_rows(ctx, out_schema, groups.len(), output_filter, groups.into_row_writer())
+    Ok(assemble_rows(ctx, out_schema, groups.len(), groups.into_row_writer()))
 }
 
 /// Reference aggregation: the naive mode's cost model (a `Vec` key and a
@@ -854,7 +799,6 @@ fn aggregate(
     group_by: &[String],
     aggregates: &[Aggregate],
     ctx: &ExecCtx,
-    output_filter: Option<&crate::expr::Expr>,
 ) -> Result<Table> {
     let in_schema = input.schema();
     let group_idx: Vec<usize> =
@@ -921,11 +865,11 @@ fn aggregate(
 
     let len = order.len();
     let mut rows = order.into_iter().zip(accumulators);
-    assemble_rows(ctx, out_schema, len, output_filter, |cells| {
+    Ok(assemble_rows(ctx, out_schema, len, |cells| {
         let (key, accs) = rows.next().expect("one row per group");
         cells.extend(key);
         cells.extend(accs.into_iter().map(Accumulator::finish));
-    })
+    }))
 }
 
 fn sort(input: Rel, keys: &[(String, SortOrder)]) -> Result<Table> {
@@ -997,186 +941,13 @@ fn eval_scalar_f64(expr: &crate::expr::Expr, ctx: &ExecCtx) -> Result<f64> {
     resolve(expr, ctx)?.evaluate(&[], &Schema::new(Vec::new()))?.as_f64()
 }
 
-/// Fused `Filter(Project(input))`: evaluates each projected row at the end
-/// of the output arena, tests the filter predicate immediately, and cuts a
-/// failing row off again — the full projected table is never built just to
-/// be filtered down. Rows are evaluated in input
-/// order exactly as the unfused pipeline does, so output rows and bytes are
-/// identical; only the interleaving of projection-vs-filter *errors* can
-/// differ (the unfused pipeline fully projects before filtering).
-fn filter_project(
-    ctx: &ExecCtx,
-    inner: &Plan,
-    items: &[ProjectItem],
-    predicate: &crate::expr::Expr,
-) -> Result<Table> {
-    let inner_rel = eval(inner, ctx)?;
-    let input = inner_rel.as_table();
-    let exprs: Vec<Cow<crate::expr::Expr>> =
-        items.iter().map(|item| resolve(&item.expr, ctx)).collect::<Result<_>>()?;
-    let out_schema = projection_schema(input, items, &exprs);
-    if input.is_empty() {
-        return Ok(Table::empty(out_schema));
-    }
-    let in_schema = input.schema();
-    let compiled: Vec<crate::expr::CompiledExpr> =
-        exprs.iter().map(|e| e.compile(in_schema)).collect::<Result<_>>()?;
-    let predicate = resolve(predicate, ctx)?.compile(&out_schema)?;
-    let (mut cells, mut n) = (Vec::new(), 0);
-    for row in input.rows() {
-        // Project straight into the arena; a rejected row is cut off again.
-        let start = cells.len();
-        for expr in &compiled {
-            cells.push(expr.evaluate(row)?);
-        }
-        if predicate.evaluate(&cells[start..])?.as_bool()? {
-            n += 1;
-        } else {
-            cells.truncate(start);
-        }
-    }
-    Ok(Table::from_cells_unchecked(out_schema, cells, n))
-}
-
-/// Fused `TopK(Project(input))`: evaluates each projected row into a scratch
-/// buffer, consults the heap's current worst entry, and allocates an owned
-/// row only on acceptance. Every input row is still evaluated exactly once in
-/// input order (so errors and results match the unfused `project` + `top_k`
-/// pipeline byte for byte), but the `O(candidates)` projected table is never
-/// built; only `O(k log n)` accepted rows are. When `k` keeps every input
-/// row (a full rank is `TopK(∞)`), it runs that unfused pipeline instead:
-/// the projected table is the answer's size anyway, and [`top_k`] orders it
-/// by encoded keys without an owned row per heap entry.
-fn top_k_project(
-    ctx: &ExecCtx,
-    inner: &Plan,
-    items: &[ProjectItem],
-    k: usize,
-    keys: &[(String, SortOrder)],
-) -> Result<Table> {
-    let inner_rel = eval(inner, ctx)?;
-    let input = inner_rel.as_table();
-    if k >= input.num_rows() {
-        let projected = project(input, items, ctx)?;
-        let key_idx = key_indices(projected.schema(), keys)?;
-        return Ok(top_k(&projected, k, &key_idx));
-    }
-    let exprs: Vec<Cow<crate::expr::Expr>> =
-        items.iter().map(|item| resolve(&item.expr, ctx)).collect::<Result<_>>()?;
-    let out_schema = projection_schema(input, items, &exprs);
-    let key_idx = key_indices(&out_schema, keys)?;
-    if input.is_empty() {
-        return Ok(Table::empty(out_schema));
-    }
-    let in_schema = input.schema();
-    let compiled: Vec<crate::expr::CompiledExpr> =
-        exprs.iter().map(|e| e.compile(in_schema)).collect::<Result<_>>()?;
-
-    let mut heap = crate::topk::BoundedHeap::new(k, |a: &(Row, u32), b: &(Row, u32)| {
-        compare_rows(&a.0, &b.0, &key_idx).then_with(|| a.1.cmp(&b.1))
-    });
-    let mut scratch: Row = Vec::with_capacity(compiled.len());
-    for (row_no, row) in input.rows().enumerate() {
-        scratch.clear();
-        for expr in &compiled {
-            scratch.push(expr.evaluate(row)?);
-        }
-        let accept = if heap.len() < k {
-            true
-        } else {
-            match heap.worst() {
-                // The heap is full: the candidate enters only if it ranks
-                // strictly before the current worst kept row (later input
-                // position never displaces an equal-keyed earlier row).
-                Some(worst) => {
-                    compare_rows(&scratch, &worst.0, &key_idx)
-                        .then_with(|| (row_no as u32).cmp(&worst.1))
-                        == std::cmp::Ordering::Less
-                }
-                None => false, // k == 0
-            }
-        };
-        if accept {
-            heap.offer((scratch.clone(), row_no as u32));
-        }
-    }
-    let kept = heap.into_sorted();
-    let n = kept.len();
-    let cells = kept.into_iter().flat_map(|(row, _)| row).collect();
-    Ok(Table::from_cells_unchecked(out_schema, cells, n))
-}
-
-/// Order-preserving `u64` encoding of one sort-key value: unsigned compare
-/// of the encodings equals [`compare_sort_values`] on the originals.
-/// Floats map through the IEEE 754 total-order trick (negatives bit-flipped,
-/// positives sign-flipped), Ints through a sign-bias; descending keys are
-/// complemented. Returns `None` for values outside the homogeneous
-/// Int-or-Float shape (NULLs, strings, mixed columns) — caller falls back.
-fn encode_sort_key(value: &Value, as_float: bool, order: SortOrder) -> Option<u64> {
-    let encoded = match (value, as_float) {
-        (Value::Float(f), true) => {
-            let bits = f.to_bits();
-            if bits & (1 << 63) != 0 {
-                !bits
-            } else {
-                bits ^ (1 << 63)
-            }
-        }
-        (Value::Int(i), false) => (*i as u64) ^ (1 << 63),
-        _ => return None,
-    };
-    Some(match order {
-        SortOrder::Ascending => encoded,
-        SortOrder::Descending => !encoded,
-    })
-}
-
 /// Bounded-heap top-k: keeps row *ids* only, so no row is cloned until it is
 /// known to be among the k best. Ties beyond the key list are broken by input
 /// row order, making the output element-for-element identical to the stable
 /// `sort_rows` + `truncate` pipeline the naive mode runs.
-///
-/// When every key column holds a single primitive type (all-Int or
-/// all-Float — the `(score DESC, tid ASC)` shape of every ranking plan), the
-/// keys are pre-encoded into order-preserving `u64`s once and the heap
-/// compares flat integer slices instead of dispatching on `Value` enums per
-/// comparison — the fix for the heap pushdown occasionally measuring slower
-/// than rank-then-truncate on aggregate-heavy plans.
 fn top_k(input: &Table, k: usize, key_idx: &[(usize, SortOrder)]) -> Table {
-    let num_rows = input.num_rows();
-    let kept_ids: Vec<u32> = (|| {
-        // Typed fast path: per-column representation decided by the first
-        // row; any NULL or off-type value falls back to the generic compare.
-        if num_rows == 0 || key_idx.is_empty() {
-            return None;
-        }
-        let first = input.row(0);
-        let as_float: Vec<bool> = key_idx
-            .iter()
-            .map(|&(idx, _)| match &first[idx] {
-                Value::Float(_) => Some(true),
-                Value::Int(_) => Some(false),
-                _ => None,
-            })
-            .collect::<Option<_>>()?;
-        let stride = key_idx.len();
-        let mut encoded: Vec<u64> = Vec::with_capacity(num_rows * stride);
-        for row in input.rows() {
-            for (&(idx, order), &is_float) in key_idx.iter().zip(&as_float) {
-                encoded.push(encode_sort_key(&row[idx], is_float, order)?);
-            }
-        }
-        let key_of = |row: u32| -> &[u64] {
-            let start = row as usize * stride;
-            &encoded[start..start + stride]
-        };
-        Some(smallest_ids(num_rows, k, |a, b| key_of(*a).cmp(key_of(*b)).then_with(|| a.cmp(b))))
-    })()
-    .unwrap_or_else(|| {
-        smallest_ids(num_rows, k, |a, b| {
-            compare_rows(input.row(*a as usize), input.row(*b as usize), key_idx)
-                .then_with(|| a.cmp(b))
-        })
+    let kept_ids = smallest_ids(input.num_rows(), k, |a, b| {
+        compare_rows(input.row(*a as usize), input.row(*b as usize), key_idx).then_with(|| a.cmp(b))
     });
     let mut cells = Vec::with_capacity(kept_ids.len() * input.width());
     for &i in &kept_ids {
@@ -1941,7 +1712,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_top_k_over_projection_matches_unfused_pipeline() {
+    fn top_k_over_projection_matches_sort_plus_limit() {
         let catalog = catalog();
         let projected = Plan::scan("base_tokens")
             .aggregate(&["tid"], vec![(AggFunc::CountStar, "cnt")])
@@ -1951,10 +1722,10 @@ mod tests {
         for k in [0usize, 1, 2, 10, i64::MAX as usize] {
             let top = projected.clone().top_k(lit(k as i64), ordering.clone());
             let reference = projected.clone().sort_by_many(ordering.clone()).limit(k);
-            let fused = execute(&top, &catalog).unwrap();
+            let fast = execute(&top, &catalog).unwrap();
             let expected = execute(&reference, &catalog).unwrap();
-            assert_eq!(fused.schema(), expected.schema(), "k={k}");
-            assert_eq!(fused.rows(), expected.rows(), "k={k}");
+            assert_eq!(fast.schema(), expected.schema(), "k={k}");
+            assert_eq!(fast.rows(), expected.rows(), "k={k}");
             // The naive lowering (sort + truncate over the materialized
             // projection) agrees too.
             let slow = execute_naive(&top, &catalog, &Bindings::new()).unwrap();
@@ -1974,10 +1745,10 @@ mod tests {
     }
 
     #[test]
-    fn typed_top_k_keys_match_generic_ordering() {
-        // Float keys spanning the tricky encodings (negatives, -0.0 vs 0.0,
-        // NaN) must order exactly like the generic comparator; a NULL key
-        // forces the generic fallback and must not change results.
+    fn top_k_float_keys_match_sort_plus_limit() {
+        // Float keys spanning the degenerate orderings (negatives, -0.0 vs
+        // 0.0, NaN) and a NULL key order the heap exactly as a stable sort
+        // orders them, in both modes.
         let scores = [1.5, -2.25, f64::NAN, 0.0, -0.0, 7.0, -2.25, 3.5];
         let mut builder =
             TableBuilder::new().column("score", DataType::Float).column("tid", DataType::Int);
@@ -1992,17 +1763,18 @@ mod tests {
             let reference = Plan::values(t.clone()).sort_by_many(ordering.clone()).limit(k);
             let fast = execute(&top, &Catalog::new()).unwrap();
             let expected = execute(&reference, &Catalog::new()).unwrap();
-            assert_eq!(fast.rows(), expected.rows(), "k={k}");
+            assert_eq!(render(&fast), render(&expected), "k={k}");
+            let slow = execute_naive(&top, &Catalog::new(), &Bindings::new()).unwrap();
+            assert_eq!(render(&slow), render(&expected), "k={k} (naive)");
         }
-        // NULL in the key column: falls back to the generic path, still
-        // matching sort + limit.
+        // A NULL key ranks below every float, as in the sort.
         let mut with_null = t.clone();
         with_null.push_row(vec![Value::Null, 99.into()]).unwrap();
         let top = Plan::values(with_null.clone()).top_k(lit(4i64), ordering.clone());
         let reference = Plan::values(with_null).sort_by_many(ordering).limit(4);
         assert_eq!(
-            execute(&top, &Catalog::new()).unwrap().rows(),
-            execute(&reference, &Catalog::new()).unwrap().rows()
+            render(&execute(&top, &Catalog::new()).unwrap()),
+            render(&execute(&reference, &Catalog::new()).unwrap())
         );
     }
 
@@ -2173,10 +1945,9 @@ mod tests {
     }
 
     #[test]
-    fn fused_filter_over_projection_matches_unfused_pipeline() {
-        // Regression: the indexed mode must apply a filter above a projection
-        // (the threshold-plan shape) row-by-row, byte-identical to the naive
-        // materialize-then-filter pipeline.
+    fn filter_over_projection_matches_the_naive_reference() {
+        // A filter above a projection (the threshold-plan shape) keeps the
+        // bytes of the naive materialize-then-filter pipeline.
         let catalog = catalog();
         let plan = Plan::scan("base_tokens")
             .aggregate(&["tid"], vec![(AggFunc::CountStar, "cnt")])
@@ -2184,10 +1955,9 @@ mod tests {
             .filter(col("score").gt_eq(param("tau")));
         for tau in [i64::MIN, 0, 2, 4, 5, 100] {
             let bindings = Bindings::new().with_scalar("tau", tau);
-            let fused = execute_with(&plan, &catalog, &bindings).unwrap();
-            let unfused = execute_naive(&plan, &catalog, &bindings).unwrap();
-            assert_eq!(fused.schema(), unfused.schema(), "tau={tau}");
-            assert_eq!(fused.rows(), unfused.rows(), "tau={tau}");
+            let fast = execute_with(&plan, &catalog, &bindings).unwrap();
+            let slow = execute_naive(&plan, &catalog, &bindings).unwrap();
+            assert_eq!(render(&fast), render(&slow), "tau={tau}");
         }
         // Empty input keeps the projection's derived schema in both modes.
         let empty = Plan::values(Table::empty(Schema::from_pairs(&[
@@ -2203,11 +1973,11 @@ mod tests {
     }
 
     #[test]
-    fn fused_filter_over_aggregation_matches_unfused_pipeline() {
-        // Regression: a filter directly above an aggregation (the WM/Cosine
-        // threshold-plan shape) is applied as output rows are assembled —
-        // through the fused Aggregate(IndexJoin) pipeline and the generic
-        // one — byte-identical to the naive materialize-then-filter path.
+    fn filter_over_aggregation_matches_the_naive_reference() {
+        // A filter directly above an aggregation (the WM/Cosine
+        // threshold-plan shape), over the fused Aggregate(IndexJoin)
+        // pipeline and the generic one, keeps the bytes of the naive
+        // materialize-then-filter path.
         let catalog = catalog();
         let indexed =
             Plan::index_join("base_tokens", &["token"], Plan::scan("query_tokens"), &["token"])
@@ -2219,9 +1989,9 @@ mod tests {
         for plan in [&indexed, &generic] {
             for tau in [i64::MIN, 1, 2, 3, 9] {
                 let bindings = Bindings::new().with_scalar("tau", tau);
-                let fused = execute_with(plan, &catalog, &bindings).unwrap();
-                let unfused = execute_naive(plan, &catalog, &bindings).unwrap();
-                assert_eq!(fused.rows(), unfused.rows(), "tau={tau}");
+                let fast = execute_with(plan, &catalog, &bindings).unwrap();
+                let slow = execute_naive(plan, &catalog, &bindings).unwrap();
+                assert_eq!(render(&fast), render(&slow), "tau={tau}");
             }
         }
         // A filtered *global* aggregate over an empty stream still assembles
@@ -2607,6 +2377,9 @@ mod tests {
     #[test]
     fn budget_truncated_grouping_is_a_prefix_of_the_reference() {
         let c = grouping_catalog();
+        // A filter above the capped aggregation sees the granted prefix:
+        // every group is charged as a candidate, kept or not.
+        let keep = col("n").gt_eq(lit(2i64));
         for keys in [&["part"][..], &["a", "b"], &["part", "a", "b", "c", "d"]] {
             for plan in grouping_plans(keys) {
                 let full = execute_naive(&plan, &c, &Bindings::new()).unwrap();
@@ -2620,6 +2393,15 @@ mod tests {
                         kept,
                     );
                     assert_eq!(render(&cut), render(&prefix), "keys {keys:?} cap {cap}");
+
+                    let filtered = plan.clone().filter(keep.clone());
+                    let limits = crate::limits::ExecLimits::new(None, Some(cap));
+                    let cut =
+                        execute_with_limits(&filtered, &c, &Bindings::new(), &limits).unwrap();
+                    let expected = Plan::values(prefix).filter(keep.clone());
+                    let expected = execute_naive(&expected, &c, &Bindings::new()).unwrap();
+                    assert_eq!(render(&cut), render(&expected), "keys {keys:?} cap {cap} filtered");
+                    assert_eq!(limits.report().candidates, kept as u64, "keys {keys:?} cap {cap}");
                 }
             }
         }
